@@ -18,4 +18,4 @@ from . import (  # noqa: F401
     quickswapgame,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -286,17 +286,17 @@ def cmd_quickswap_sr(cfg: RunConfig) -> int:
     q = _quick_params(p)
     xa = _axis(p["xa_min"], p["xa_max"], p["xa_step"])
     norm = q.base.theta_1 * q.base.theta_2
+    # The report already holds the premium SR per x_a; reuse it rather than
+    # solving each band again.
+    report = quickswapgame.compare_participation(q.base, q, xa)
     rows = []
-    for x_a in xa:
-        qi = q.with_x_a(float(x_a))
-        sr = quickswapgame.success_rate(qi)
-        thresholds = quickswapgame.compute_thresholds(qi)
+    for x_a, sr in zip(xa, report.quick_sr):
+        sr = float(sr)
         rows.append([float(x_a), sr, sr / norm if norm > 0 else 0.0,
-                     thresholds.x_t4_star])
+                     quickswapgame.claim_threshold_t4(q.with_x_a(float(x_a)))])
     _write_table(cfg, "quickswap_sr",
                  ["x_a", "sr_raw", "sr_conditional", "x_t4_star"], rows)
 
-    report = quickswapgame.compare_participation(q.base, q, xa)
     report_payload = {
         "htlc_range_zero_delay": _jsonable(report.htlc_range_zero_delay),
         "htlc_range_worst_delay": _jsonable(report.htlc_range_worst_delay),

@@ -114,8 +114,6 @@ class HtlcThresholds:
     x_t3_star: float
     x1: float | None
     x2: float | None
-    x_star: float | None = None
-    x_star_prime: float | None = None
 
     @property
     def band(self) -> Bracket | None:
@@ -173,8 +171,9 @@ def _check_T(p: SwapParams, T: float) -> None:
         raise ValueError(f"claim delay T={T} outside [0, {p.claim_delay_window}]")
 
 
-def _check_Tp(p: SwapParams, Tp: float) -> None:
-    if not 0.0 <= Tp <= p.lock_delay_window + 1e-12:
+def _check_Tp(p: SwapParams, Tp) -> None:
+    tps = np.asarray(Tp)
+    if not np.all((0.0 <= tps) & (tps <= p.lock_delay_window + 1e-12)):
         raise ValueError(f"lock delay T'={Tp} outside [0, {p.lock_delay_window}]")
 
 
@@ -259,10 +258,10 @@ def continuation_band_t2(p: SwapParams, T: float, scan: Bracket | None = None) -
     _check_T(p, T)
     scan = scan or _band_scan_bracket(p)
 
-    def g(x: float) -> float:
-        return float(_u_B_cont_t2(p, x, T)) - x
+    def g(x):
+        return _u_B_cont_t2(p, x, T) - x
 
-    roots = find_roots(g, scan, grid_points=_ROOT_SCAN_POINTS, tol=_ROOT_TOL)
+    roots = find_roots(g, scan, grid_points=_ROOT_SCAN_POINTS, tol=_ROOT_TOL, vectorized=True)
     if not roots:
         return None
     edges = [scan.lo] + roots + [scan.hi]
@@ -285,28 +284,20 @@ def continuation_band_t2(p: SwapParams, T: float, scan: Bracket | None = None) -
 
 def payoff_t1(p: SwapParams, T: float, Tp: float) -> tuple[float, float]:
     """Root-node values (A continue, A stop); A starts iff continue >= x_a."""
-    return payoff_t1_with_band(p, T, Tp, continuation_band_t2(p, T))
+    u_cont, u_stop = payoff_t1_with_band(p, T, [Tp], continuation_band_t2(p, T))
+    return float(u_cont[0]), float(u_stop[0])
 
 
 def success_rate(p: SwapParams, T: float, Tp: float) -> float | None:
     """Probability the swap completes once started; None when A never starts."""
-    u_cont, u_stop = payoff_t1(p, T, Tp)
-    if u_cont < u_stop:
-        return None
     band = continuation_band_t2(p, T)
+    tps = np.array([Tp], dtype=float)
+    u_cont, u_stop = payoff_t1_with_band(p, T, tps, band)
+    if u_cont[0] < u_stop[0]:
+        return None
     if band is None:
         return 0.0
-    x_star = claim_threshold_t3(p)
-    st1 = PriceState(p.x_yb_t1)
-    h_lock = p.tau_a + Tp
-    h_claim = p.tau_b + T
-
-    def integrand(price):
-        dens = p.theta_2 * transition_pdf(price, st1, p.gbm, h_lock)
-        tails = 1.0 - _cdf_from(p, x_star, price, h_claim)
-        return dens * p.theta_1 * tails
-
-    return max(0.0, integrate(integrand, band, p.quad))
+    return float(_sr_integral(p, band, T, tps)[0])
 
 
 def compute_thresholds(p: SwapParams, T: float = 0.0, Tp: float = 0.0) -> HtlcThresholds:
@@ -353,7 +344,8 @@ def sr_surface(
     """Evaluate the success rate over the full (x_a, T, T') grid.
 
     B's continuation band is independent of T', so it is computed once per
-    (x_a, T) pair.
+    (x_a, T) pair, and the root-node and SR integrals of that pair run with
+    T' as a batch axis.
     """
     xa = np.asarray(xa_grid, dtype=float)
     ts = np.asarray(T_grid, dtype=float)
@@ -364,39 +356,44 @@ def sr_surface(
 
     for i, x_a in enumerate(xa):
         q = p.with_x_a(float(x_a))
-        x_star = claim_threshold_t3(q)
-        st1 = PriceState(q.x_yb_t1)
         for j, T in enumerate(ts):
             band = continuation_band_t2(q, float(T))
-            for k, Tp in enumerate(tps):
-                u_cont, u_stop = payoff_t1_with_band(q, float(T), float(Tp), band)
-                if u_cont < u_stop:
-                    na[i, j, k] = True
-                    continue
-                if band is None:
-                    raw[i, j, k] = 0.0
-                    continue
-                raw[i, j, k] = _sr_integral(q, band, x_star, st1, float(T), float(Tp))
+            u_cont, u_stop = payoff_t1_with_band(q, float(T), tps, band)
+            na[i, j] = u_cont < u_stop
+            starts = ~na[i, j]
+            if band is None:
+                raw[i, j, starts] = 0.0
+            elif starts.any():
+                raw[i, j, starts] = _sr_integral(q, band, float(T), tps[starts])
 
     conditional = raw / norm if norm > 0 else np.where(np.isnan(raw), np.nan, 0.0)
     return SRGrid(xa_axis=xa, t_axis=ts, tp_axis=tps, raw=raw, conditional=conditional, na_mask=na)
 
 
-def payoff_t1_with_band(p: SwapParams, T: float, Tp: float, band: Bracket | None) -> tuple[float, float]:
-    """payoff_t1 with a precomputed middle-node band (grid fast path)."""
+def payoff_t1_with_band(p: SwapParams, T: float, Tp, band: Bracket | None) -> tuple[np.ndarray, np.ndarray]:
+    """payoff_t1 with a precomputed middle-node band, batched over T'.
+
+    ``Tp`` is a 1-D array of lock delays (a scalar counts as length 1); the
+    result is (A continue, A stop), one entry per lock delay.  A's t2 value
+    does not depend on T', so it is evaluated once per quadrature node and
+    only the transition density carries the T' axis.
+    """
     _check_T(p, T)
     _check_Tp(p, Tp)
+    tps = np.atleast_1d(np.asarray(Tp, dtype=float))
     if p.t1_stop_value == "principal":
         u_a_stop_t2 = p.x_a - p.f_a
     else:
         u_a_stop_t2 = p.x_a * math.exp(-p.r_a * p.t_a) - p.f_a
+    u_stop = np.full(len(tps), p.x_a)
     if band is None:
-        return u_a_stop_t2 * math.exp(-p.r_a * p.tau_a), p.x_a
+        return np.full(len(tps), u_a_stop_t2 * math.exp(-p.r_a * p.tau_a)), u_stop
     st1 = PriceState(p.x_yb_t1)
-    h = p.tau_a + Tp
+    h = p.tau_a + tps
+    h_col = h[:, None]
 
     def integrand(price):
-        return transition_pdf(price, st1, p.gbm, h) * _u_A_cont_t2(p, price, T)
+        return transition_pdf(price, st1, p.gbm, h_col) * _u_A_cont_t2(p, price, T)
 
     cont_int = integrate(integrand, band, p.quad)
     # Complement of the band under the same tau_a + T' law as the integral,
@@ -407,13 +404,16 @@ def payoff_t1_with_band(p: SwapParams, T: float, Tp: float, band: Bracket | None
         + transition_cdf(band.lo, st1, p.gbm, h)
     )
     u_a_cont = p.theta_2 * (
-        cont_int * math.exp(-p.r_a * h) + mass_outside * u_a_stop_t2 * math.exp(-p.r_a * p.tau_a)
+        cont_int * np.exp(-p.r_a * h) + mass_outside * u_a_stop_t2 * math.exp(-p.r_a * p.tau_a)
     ) + (1.0 - p.theta_2) * u_a_stop_t2 * math.exp(-p.r_a * p.tau_a)
-    return u_a_cont, p.x_a
+    return u_a_cont, u_stop
 
 
-def _sr_integral(p: SwapParams, band: Bracket, x_star: float, st1: PriceState, T: float, Tp: float) -> float:
-    h_lock = p.tau_a + Tp
+def _sr_integral(p: SwapParams, band: Bracket, T: float, tps: np.ndarray) -> np.ndarray:
+    """Success rate over B's band, one entry per lock delay in ``tps``."""
+    x_star = claim_threshold_t3(p)
+    st1 = PriceState(p.x_yb_t1)
+    h_lock = (p.tau_a + tps)[:, None]
     h_claim = p.tau_b + T
 
     def integrand(price):
@@ -421,4 +421,4 @@ def _sr_integral(p: SwapParams, band: Bracket, x_star: float, st1: PriceState, T
         tails = 1.0 - _cdf_from(p, x_star, price, h_claim)
         return dens * p.theta_1 * tails
 
-    return max(0.0, integrate(integrand, band, p.quad))
+    return np.maximum(0.0, integrate(integrand, band, p.quad))

@@ -65,38 +65,55 @@ class Bracket:
         return self.hi - self.lo
 
 
-def fixed_gauss(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
-    """Single-panel Gauss-Legendre estimate; no adaptivity, no error control."""
+def fixed_gauss(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float):
+    """Single-panel Gauss-Legendre estimate; no adaptivity, no error control.
+
+    Returns a float, or one estimate per row when ``f`` returns a (K, n) array.
+    """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     vals = np.asarray(f(mid + half * _GL_NODES), dtype=float)
-    return float(half * np.dot(_GL_WEIGHTS, vals))
+    est = half * np.dot(vals, _GL_WEIGHTS)
+    return float(est) if vals.ndim == 1 else est
 
 
-def integrate(f: Callable[[np.ndarray], np.ndarray], bracket: Bracket, spec: QuadratureSpec = QuadratureSpec()) -> float:
+def integrate(f: Callable[[np.ndarray], np.ndarray], bracket: Bracket, spec: QuadratureSpec = QuadratureSpec()):
     """Adaptive panel-bisection quadrature over the bracket.
 
     A panel is accepted when its whole-panel estimate agrees with the sum of
     its two halves within the (locally scaled) tolerance; otherwise both
     halves are refined.  Deterministic for a given integrand and spec.
+
+    ``f`` maps the (n,) node vector to (n,) values, and then a float is
+    returned; or to a (K, n) array of K integrands over the same bracket, and
+    then a length-K array is returned.  Each row has its own scale,
+    acceptance test and refinement, so row k equals the scalar result for
+    row k alone (up to rounding); only rows that fail a panel are refined.
     """
-    total_scale = max(abs(fixed_gauss(f, bracket.lo, bracket.hi)), 1.0e-300)
+    first = fixed_gauss(f, bracket.lo, bracket.hi)
+    whole = np.atleast_1d(first)
+    bound = np.maximum(spec.abs_tol, spec.rel_tol * np.maximum(np.abs(whole), 1.0e-300))
 
-    def recurse(lo: float, hi: float, whole: float, depth: int) -> float:
+    def recurse(lo: float, hi: float, whole: np.ndarray, rows: np.ndarray, depth: int) -> np.ndarray:
         mid = 0.5 * (lo + hi)
-        left = fixed_gauss(f, lo, mid)
-        right = fixed_gauss(f, mid, hi)
-        err = abs(whole - (left + right))
-        tol = max(spec.abs_tol, spec.rel_tol * total_scale) * (hi - lo) / bracket.width
-        if err <= tol:
-            return left + right
-        if depth >= spec.max_depth:
-            raise QuadratureDepthError(
-                f"quadrature failed to converge on [{lo}, {hi}] at depth {depth} (err={err:.3e})"
-            )
-        return recurse(lo, mid, left, depth + 1) + recurse(mid, hi, right, depth + 1)
+        left = np.atleast_1d(fixed_gauss(f, lo, mid))[rows]
+        right = np.atleast_1d(fixed_gauss(f, mid, hi))[rows]
+        out = left + right
+        err = np.abs(whole - out)
+        failed = ~(err <= bound[rows] * (hi - lo) / bracket.width)
+        if failed.any():
+            if depth >= spec.max_depth:
+                raise QuadratureDepthError(
+                    f"quadrature failed to converge on [{lo}, {hi}] at depth {depth} "
+                    f"(err={np.max(err[failed]):.3e})"
+                )
+            sub = rows[failed]
+            out[failed] = (recurse(lo, mid, left[failed], sub, depth + 1)
+                           + recurse(mid, hi, right[failed], sub, depth + 1))
+        return out
 
-    return recurse(bracket.lo, bracket.hi, fixed_gauss(f, bracket.lo, bracket.hi), 0)
+    result = recurse(bracket.lo, bracket.hi, whole, np.arange(len(whole)), 0)
+    return result if np.ndim(first) else float(result[0])
 
 
 def truncate_upper(
@@ -115,34 +132,48 @@ def find_roots(
     scan: Bracket,
     grid_points: int = 256,
     tol: float = 1e-10,
+    *,
+    vectorized: bool = False,
 ) -> list[float]:
     """Scan a uniform grid for sign changes and bisect each to tolerance.
 
     Grid points that are exact roots are returned directly.  Returns an
-    ascending list; empty when no sign change is found.
+    ascending list; empty when no sign change is found.  With
+    ``vectorized=True`` the whole grid is evaluated by one call ``g(xs)``,
+    which must return an array of the same shape; bisection always calls
+    ``g`` on floats.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     xs = np.linspace(scan.lo, scan.hi, grid_points)
-    vals = [g(float(x)) for x in xs]
+    if vectorized:
+        vals = np.asarray(g(xs), dtype=float)
+        if vals.shape != xs.shape:
+            raise ValueError(f"vectorized g returned shape {vals.shape}, expected {xs.shape}")
+    else:
+        vals = np.array([g(float(x)) for x in xs], dtype=float)
+    fa, fb = vals[:-1], vals[1:]
+    hits = (fa == 0.0) | (fa * fb < 0.0)
+    hits[-1] |= fb[-1] == 0.0
     roots: list[float] = []
-    for i in range(grid_points - 1):
+    for i in np.flatnonzero(hits):
         a, b = float(xs[i]), float(xs[i + 1])
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
+        if fa[i] == 0.0:
             roots.append(a)
-            continue
-        if i == grid_points - 2 and fb == 0.0:
+        elif fb[i] == 0.0:
             roots.append(b)
-            continue
-        if fa * fb < 0.0:
-            roots.append(_bisect(g, a, b, fa, fb, tol))
+        else:
+            roots.append(_bisect(g, a, b, float(fa[i]), float(fb[i]), tol))
     return roots
 
 
 def _bisect(g, a: float, b: float, fa: float, fb: float, tol: float) -> float:
     while True:
         m = 0.5 * (a + b)
+        # Adjacent floats: the bracket cannot shrink further, even when the
+        # float spacing at the root exceeds ``tol`` (large price scales).
+        if m == a or m == b:
+            return m
         fm = g(m)
         if abs(fm) <= tol or (b - a) <= tol:
             return m

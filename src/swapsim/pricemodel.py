@@ -81,44 +81,47 @@ def expected_price(state: PriceState, params: GbmParams, lam: float) -> float:
     return state.value * math.exp(params.mu * lam)
 
 
-def _log_moments(state: PriceState, params: GbmParams, lam: float) -> tuple[float, float]:
-    """Mean and std of ln(price_{t+lam} / price_t)."""
+def _log_moments(state: PriceState, params: GbmParams, lam) -> tuple:
+    """Mean and std of ln(price_{t+lam} / price_t); elementwise over an ndarray ``lam``."""
     m = (params.mu - 0.5 * params.sigma**2) * lam
-    s = params.sigma * math.sqrt(lam)
+    s = params.sigma * np.sqrt(lam)
     return m, s
 
 
-def transition_pdf(target, state: PriceState, params: GbmParams, lam: float):
-    """Log-normal transition density of the price after ``lam`` hours.
-
-    Accepts a scalar or ndarray ``target``; broadcasts elementwise.
-    """
+def _law_inputs(target, params: GbmParams, lam) -> np.ndarray:
+    """Validate a density/distribution query; returns ``target`` as an array."""
     params.require_diffusive()
-    if lam <= 0:
+    if not np.all(np.asarray(lam) > 0):
         raise ValueError("horizon must be > 0")
     arr = np.asarray(target, dtype=float)
     if np.any(arr <= 0):
         raise ValueError("target price must be > 0")
+    return arr
+
+
+def transition_pdf(target, state: PriceState, params: GbmParams, lam):
+    """Log-normal transition density of the price after ``lam`` hours.
+
+    ``target`` and ``lam`` are scalars or ndarrays and broadcast against each
+    other, e.g. a (K, 1) horizon column against an (n,) price vector gives a
+    (K, n) density matrix.  Returns a float when both are scalars.
+    """
+    arr = _law_inputs(target, params, lam)
     m, s = _log_moments(state, params, lam)
     z = (np.log(arr / state.value) - m) / s
     out = np.exp(-0.5 * z * z) / (arr * s * math.sqrt(2.0 * math.pi))
-    if np.isscalar(target):
+    if np.isscalar(target) and np.isscalar(lam):
         return float(out)
     return out
 
 
-def transition_cdf(target, state: PriceState, params: GbmParams, lam: float):
-    """P[price_{t+lam} <= target | price_t], via erfc."""
-    params.require_diffusive()
-    if lam <= 0:
-        raise ValueError("horizon must be > 0")
-    arr = np.asarray(target, dtype=float)
-    if np.any(arr <= 0):
-        raise ValueError("target price must be > 0")
+def transition_cdf(target, state: PriceState, params: GbmParams, lam):
+    """P[price_{t+lam} <= target | price_t], via erfc; broadcasts like transition_pdf."""
+    arr = _law_inputs(target, params, lam)
     m, s = _log_moments(state, params, lam)
     z = (np.log(arr / state.value) - m) / s
     out = 0.5 * erfc(-z / math.sqrt(2.0))
-    if np.isscalar(target):
+    if np.isscalar(target) and np.isscalar(lam):
         return float(out)
     return out
 

@@ -257,10 +257,10 @@ def continuation_band_t3(q: QuickSwapParams, scan: Bracket | None = None) -> Bra
     """
     scan = scan or _band_scan_bracket(q)
 
-    def g(x: float) -> float:
-        return float(_u_B_cont_t3(q, x)) - float(_t3_cancel_B(q, x))
+    def g(x):
+        return _u_B_cont_t3(q, x) - _t3_cancel_B(q, x)
 
-    roots = find_roots(g, scan, grid_points=_ROOT_SCAN_POINTS, tol=_ROOT_TOL)
+    roots = find_roots(g, scan, grid_points=_ROOT_SCAN_POINTS, tol=_ROOT_TOL, vectorized=True)
     if not roots:
         return None
     edges = [scan.lo] + roots + [scan.hi]

@@ -17,7 +17,7 @@ from swapsim.htlcgame import (
     success_rate,
 )
 from swapsim.numerics import Bracket, QuadratureSpec, integrate
-from swapsim.pricemodel import PriceState, transition_pdf
+from swapsim.pricemodel import PriceState, transition_cdf, transition_pdf
 
 
 def _brute_force_threshold(g, lo: float, hi: float, tol: float = 1e-10) -> float:
@@ -198,3 +198,100 @@ def test_invalid_params_rejected():
         baseline(theta_1=1.5)
     with pytest.raises(ValueError):
         baseline(t1_stop_value="bogus")
+
+
+def _oracle_surface(p, xa, ts, tps):
+    """Per-cell success rates from scalar quadrature, one T' at a time.
+
+    Returns the raw surface (NaN where A never starts) and the number of
+    integrand calls of every integral (3 means no panel was refined).
+    """
+    raw = np.full((len(xa), len(ts), len(tps)), np.nan)
+    calls = []
+
+    def counted_integrate(f, band, spec):
+        n = [0]
+
+        def g(x):
+            n[0] += 1
+            return f(x)
+
+        value = integrate(g, band, spec)
+        calls.append(n[0])
+        return value
+
+    for i, x_a in enumerate(xa):
+        q = p.with_x_a(x_a)
+        if q.t1_stop_value == "principal":
+            stop_t2 = q.x_a - q.f_a
+        else:
+            stop_t2 = q.x_a * math.exp(-q.r_a * q.t_a) - q.f_a
+        stop_t1 = stop_t2 * math.exp(-q.r_a * q.tau_a)
+        st1 = PriceState(q.x_yb_t1)
+        x_star = claim_threshold_t3(q)
+        for j, T in enumerate(ts):
+            band = continuation_band_t2(q, T)
+            u_a_t2 = np.vectorize(lambda x: payoff_t2(q, x, T)[0])
+            claimed = np.vectorize(
+                lambda x: 1.0 - transition_cdf(x_star, PriceState(x), q.gbm, q.tau_b + T))
+            for k, Tp in enumerate(tps):
+                h = q.tau_a + Tp
+                if band is None:
+                    u_cont = stop_t1
+                else:
+                    cont = counted_integrate(
+                        lambda x: transition_pdf(x, st1, q.gbm, h) * u_a_t2(x), band, q.quad)
+                    outside = (1.0 - transition_cdf(band.hi, st1, q.gbm, h)
+                               + transition_cdf(band.lo, st1, q.gbm, h))
+                    u_cont = q.theta_2 * (cont * math.exp(-q.r_a * h) + outside * stop_t1) \
+                        + (1.0 - q.theta_2) * stop_t1
+                if u_cont < q.x_a:
+                    continue
+                if band is None:
+                    raw[i, j, k] = 0.0
+                    continue
+                raw[i, j, k] = max(0.0, counted_integrate(
+                    lambda x: q.theta_2 * transition_pdf(x, st1, q.gbm, h) * q.theta_1 * claimed(x),
+                    band, q.quad))
+    return raw, calls
+
+
+@pytest.mark.parametrize("case, p", [
+    ("sigma 0.05", baseline(0.05)),
+    ("sigma 0.2", baseline(0.2)),
+    ("discounted root stop", baseline(t1_stop_value="discounted")),
+    ("uniform delay discounting", baseline(uniform_delay_discounting=True)),
+    ("empty band", baseline(theta_1=0.0, r_a=0.0)),
+    ("tight quadrature", baseline(0.02, quad=QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12))),
+])
+def test_surface_matches_per_cell_oracle(case, p):
+    xa, ts, tps = [1.6, 2.0, 2.4], [0.0, 10.0, 20.0], [0.0, 7.0, 14.0, 21.0]
+    grid = sr_surface(p, xa, ts, tps)
+    want, calls = _oracle_surface(p, xa, ts, tps)
+    assert np.array_equal(grid.na_mask, np.isnan(want))
+    assert np.array_equal(np.isnan(grid.raw), np.isnan(want))
+    assert np.nanmax(np.abs(grid.raw - want), initial=0.0) <= 1e-12
+    if case == "discounted root stop":
+        assert grid.na_mask.all()
+    elif case == "empty band":
+        assert continuation_band_t2(p, 0.0) is None
+        assert (grid.raw == 0.0).all()
+    else:
+        assert np.nanmax(grid.raw) > 0.0
+    if case == "tight quadrature":
+        # Some integrals refine and some do not, so rows of one batched
+        # integral take different refinement paths.
+        assert min(calls) == 3 < max(calls)
+
+
+@pytest.mark.parametrize("k", [1e6, 1e9])
+def test_thresholds_and_success_rate_scale_with_prices(k):
+    # With zero fees every payoff is homogeneous in the prices: scaling them
+    # by k scales the thresholds by k and leaves the success rate unchanged.
+    p, pk = baseline(), baseline(x_a=2.0 * k, x_yb_t1=2.0 * k)
+    for T, Tp in [(0.0, 0.0), (5.0, 7.0)]:
+        th, thk = compute_thresholds(p, T), compute_thresholds(pk, T)
+        assert thk.x_t3_star / k == pytest.approx(th.x_t3_star, rel=1e-12)
+        assert thk.x1 / k == pytest.approx(th.x1, rel=1e-9)
+        assert thk.x2 / k == pytest.approx(th.x2, rel=1e-9)
+        assert success_rate(pk, T, Tp) == pytest.approx(success_rate(p, T, Tp), abs=1e-9)

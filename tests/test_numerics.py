@@ -33,6 +33,28 @@ def test_integrate_handles_sharp_peak():
     assert got == pytest.approx(math.sqrt(math.pi) / 100.0, rel=1e-8)
 
 
+def test_batched_integrate_refines_each_row_on_its_own():
+    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-6)
+    rows = [
+        lambda x: np.exp(-((x - 0.7) ** 2) * 1e4),  # sharp peak: refined deeply
+        lambda x: x**1.5,                            # accepted on the first split
+        np.sqrt,                                     # refined near 0
+        lambda x: x**0.7,                            # accepted on the first split
+        np.exp,                                      # smooth
+    ]
+    got = integrate(lambda x: np.stack([f(x) for f in rows]), Bracket(0.0, 1.0), spec)
+    assert got.shape == (len(rows),)
+    for value, f in zip(got, rows):
+        # A row refined with its neighbours would move by ~1e-10 here.
+        assert value == pytest.approx(integrate(f, Bracket(0.0, 1.0), spec), rel=1e-13, abs=0.0)
+
+
+def test_batched_integrate_single_row_returns_array():
+    got = integrate(lambda x: np.sin(x)[None, :], Bracket(0.0, math.pi))
+    assert got.shape == (1,)
+    assert got[0] == integrate(np.sin, Bracket(0.0, math.pi))
+
+
 def test_integrate_depth_exhaustion_raises():
     spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-16, max_depth=3)
     with pytest.raises(QuadratureDepthError):
@@ -68,3 +90,25 @@ def test_find_roots_returns_sorted():
     assert len(roots) == 3  # pi, 2*pi, 3*pi
     for r, expect in zip(roots, (math.pi, 2 * math.pi, 3 * math.pi)):
         assert r == pytest.approx(expect, abs=1e-8)
+
+
+def test_find_roots_vectorized_scan_matches_scalar_scan():
+    calls = []
+
+    def g(x):
+        calls.append(np.ndim(x))
+        return np.sin(x)
+
+    roots = find_roots(g, Bracket(0.5, 10.0), vectorized=True)
+    assert calls[0] == 1 and calls.count(1) == 1  # one array call, then scalar bisection
+    assert roots == find_roots(math.sin, Bracket(0.5, 10.0))
+
+
+def test_find_roots_stops_at_float_resolution():
+    # Float spacing near 3e9 is ~5e-7, far wider than tol, and |g| never
+    # drops below tol: bisection must stop once the bracket holds two
+    # adjacent floats.
+    root = 3e9 + 0.123
+    got = find_roots(lambda x: math.copysign(1.0, x - root), Bracket(1e9, 5e9), tol=1e-10)
+    assert len(got) == 1
+    assert abs(got[0] - root) <= 2 * math.ulp(root)

@@ -37,6 +37,19 @@ def test_pdf_normalizes_to_one():
     assert abs(total - 1.0) <= 1e-8
 
 
+def test_pdf_and_cdf_broadcast_over_horizons():
+    prices = np.linspace(1.0, 3.0, 7)
+    lams = np.array([3.0, 10.0, 24.0])
+    pdf = transition_pdf(prices, STATE, GBM, lams[:, None])
+    cdf = transition_cdf(2.5, STATE, GBM, lams)
+    assert pdf.shape == (3, 7) and cdf.shape == (3,)
+    for k, lam in enumerate(lams):
+        np.testing.assert_allclose(pdf[k], transition_pdf(prices, STATE, GBM, float(lam)), rtol=1e-14)
+        assert cdf[k] == pytest.approx(transition_cdf(2.5, STATE, GBM, float(lam)), rel=1e-14)
+    with pytest.raises(ValueError):
+        transition_cdf(2.5, STATE, GBM, np.array([3.0, 0.0]))
+
+
 def test_cdf_is_pdf_antiderivative():
     lam = 12.0
     spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)

@@ -114,6 +114,13 @@ def test_success_rate_zero_when_band_empty():
     assert success_rate(q) == 0.0
 
 
+@pytest.mark.parametrize("k", [1e6, 1e9])
+def test_success_rate_invariant_under_price_scaling(k):
+    # Zero fees: the premium and every payoff scale with the prices.
+    scaled = quick_baseline(x_a=2.0 * k, x_yb_t1=2.0 * k)
+    assert success_rate(scaled) == pytest.approx(success_rate(quick_baseline()), abs=1e-9)
+
+
 def test_participation_comparison_contains_plain_swap():
     q = quick_baseline()
     xa = np.round(np.arange(1.0, 3.0 + 1e-9, 0.1), 10)
