@@ -7,15 +7,16 @@ property checking, an n-party cyclic swap generator, and Monte Carlo
 cross-validation, all behind one CLI.
 """
 
+# Leaves first.  ``cli`` stays out: ``python -m swapsim.cli`` must be the
+# first import of that module, or runpy warns on every run.
 from . import (  # noqa: F401
-    cli,
-    cyclic,
-    htlcgame,
-    ledgersim,
-    numerics,
     pricemodel,
-    protocol,
+    numerics,
+    htlcgame,
     quickswapgame,
+    ledgersim,
+    protocol,
+    cyclic,
 )
 
 __version__ = "0.1.0"

@@ -216,7 +216,6 @@ def validate_plan(plan: CyclicPlan) -> list[str]:
 def run_cyclic(
     plan: CyclicPlan,
     strategies: dict[int, str] | None = None,
-    seed: int = 0,
 ) -> TraceVerdict:
     """Execute the plan on n simulated chains.
 

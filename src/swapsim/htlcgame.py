@@ -166,35 +166,41 @@ def claim_threshold_t3(p: SwapParams) -> float:
     return num * math.exp(-p.gbm.mu * p.tau_b) / (1.0 + p.sp_a)
 
 
-def _check_T(p: SwapParams, T: float) -> None:
-    if not 0.0 <= T <= p.claim_delay_window + 1e-12:
-        raise ValueError(f"claim delay T={T} outside [0, {p.claim_delay_window}]")
+def _check_delay(name: str, delay, window: float) -> None:
+    d = np.asarray(delay)
+    if not np.all((0.0 <= d) & (d <= window + 1e-12)):
+        raise ValueError(f"{name}={delay} outside [0, {window}]")
 
 
-def _check_Tp(p: SwapParams, Tp) -> None:
-    tps = np.asarray(Tp)
-    if not np.all((0.0 <= tps) & (tps <= p.lock_delay_window + 1e-12)):
-        raise ValueError(f"lock delay T'={Tp} outside [0, {p.lock_delay_window}]")
+def _exp(x):
+    """math.exp, elementwise over an array (np.exp may differ in the last bit)."""
+    if isinstance(x, np.ndarray):
+        return np.array([math.exp(v) for v in x.ravel()]).reshape(x.shape)
+    return math.exp(x)
 
 
-def _cdf_from(p: SwapParams, target: float, start, lam: float):
-    """transition_cdf vectorized over the *starting* price."""
+def _cdf_from(p: SwapParams, target: float, start, lam):
+    """transition_cdf vectorized over the *starting* price and the horizon."""
     m = (p.gbm.mu - 0.5 * p.gbm.sigma**2) * lam
-    s = p.gbm.sigma * math.sqrt(lam)
+    s = p.gbm.sigma * np.sqrt(lam)
     z = (np.log(target / np.asarray(start, dtype=float)) - m) / s
     return 0.5 * erfc(-z / math.sqrt(2.0))
 
 
-def _pe_below_from(p: SwapParams, target: float, start, lam: float):
-    """partial_expectation_below vectorized over the starting price."""
-    s = p.gbm.sigma * math.sqrt(lam)
+def _pe_below_from(p: SwapParams, target: float, start, lam):
+    """partial_expectation_below vectorized over the starting price and the horizon."""
+    s = p.gbm.sigma * np.sqrt(lam)
     start = np.asarray(start, dtype=float)
     z = (np.log(target / start) - (p.gbm.mu + 0.5 * p.gbm.sigma**2) * lam) / s
-    return start * math.exp(p.gbm.mu * lam) * 0.5 * erfc(-z / math.sqrt(2.0))
+    return start * _exp(p.gbm.mu * lam) * 0.5 * erfc(-z / math.sqrt(2.0))
 
 
-def _u_B_cont_t2(p: SwapParams, price_t2, T: float):
-    """B's expected continuation value at the middle node (vectorized)."""
+def _u_B_cont_t2(p: SwapParams, price_t2, T):
+    """B's expected continuation value at the middle node.
+
+    Vectorized over prices and claim delays: a (K, 1) column of delays
+    against (n,) or (K, n) prices gives (K, n) values.
+    """
     x_star = claim_threshold_t3(p)
     h_cont = p.tau_b + T
     h_stop = h_cont if p.uniform_delay_discounting else p.tau_b
@@ -202,8 +208,8 @@ def _u_B_cont_t2(p: SwapParams, price_t2, T: float):
     u_b_cont_t3 = (1.0 + p.sp_b) * p.x_a * math.exp(-p.r_b * (p.tau_a + p.t_eps)) - p.f_a
     slope = math.exp((p.gbm.mu - p.r_b) * p.t_b)  # stop payoff is linear in the t3 price
 
-    cont = (1.0 - _cdf_from(p, x_star, arr, h_cont)) * u_b_cont_t3 * math.exp(-p.r_b * h_cont)
-    stop_int = math.exp(-p.r_b * h_stop) * (
+    cont = (1.0 - _cdf_from(p, x_star, arr, h_cont)) * u_b_cont_t3 * _exp(-p.r_b * h_cont)
+    stop_int = _exp(-p.r_b * h_stop) * (
         slope * _pe_below_from(p, x_star, arr, h_stop) - p.f_b * _cdf_from(p, x_star, arr, h_stop)
     )
     # Malicious A never claims; B is stuck refunding after t_b.
@@ -236,7 +242,7 @@ def _u_A_cont_t2(p: SwapParams, price_t2, T: float):
 def payoff_t2(p: SwapParams, price_t2: float, T: float) -> tuple[float, float, float, float]:
     """Middle-node values: (A continue, B continue, A stop, B stop)."""
     _check_price(price_t2)
-    _check_T(p, T)
+    _check_delay("claim delay T", T, p.claim_delay_window)
     u_a_cont = _u_A_cont_t2(p, price_t2, T)
     u_b_cont = _u_B_cont_t2(p, price_t2, T)
     u_a_stop = p.x_a * math.exp(-p.r_a * p.t_a) - p.f_a
@@ -249,37 +255,49 @@ def _band_scan_bracket(p: SwapParams) -> Bracket:
     return Bracket(ref * 1e-3, ref * 12.0)
 
 
-def continuation_band_t2(p: SwapParams, T: float, scan: Bracket | None = None) -> Bracket | None:
+def continuation_band_t2(p: SwapParams, T, scan: Bracket | None = None) -> Bracket | None | list[Bracket | None]:
     """Price band over which B prefers locking at the middle node.
 
     Roots of u_B(continue) - u_B(stop); when more than two crossings
-    appear, the widest interval where continuing wins is kept.
+    appear, the widest interval where continuing wins is kept.  ``T`` may be
+    a 1-D array of claim delays; then one band (or None) is returned per
+    delay.  The scan bracket depends only on x_a, so all delays share one
+    grid and bisect in lockstep.
     """
-    _check_T(p, T)
+    _check_delay("claim delay T", T, p.claim_delay_window)
     scan = scan or _band_scan_bracket(p)
+    scalar = np.ndim(T) == 0
+    ts = np.atleast_1d(np.asarray(T, dtype=float))
+    # A scalar delay keeps scalar arithmetic in the payoff, which is cheaper
+    # on the few midpoints of a bisection step; several delays form a column.
+    delay = T if scalar else ts[:, None]
 
     def g(x):
-        return _u_B_cont_t2(p, x, T) - x
+        return _u_B_cont_t2(p, x, delay) - x
 
     roots = find_roots(g, scan, grid_points=_ROOT_SCAN_POINTS, tol=_ROOT_TOL, vectorized=True)
-    if not roots:
-        return None
-    edges = [scan.lo] + roots + [scan.hi]
-    best: tuple[float, float] | None = None
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0 and (best is None or hi - lo > best[1] - best[0]):
-            best = (lo, hi)
-    if best is None:
-        return None
-    lo, hi = best
+    if scalar:
+        roots = [roots]
+    edges = [[scan.lo, *r, scan.hi] for r in roots]
+    mids = np.full((len(ts), max(map(len, edges), default=2) - 1), scan.lo)
+    for row, e in zip(mids, edges):
+        row[:len(e) - 1] = 0.5 * np.add(e[:-1], e[1:])
+    wins = g(mids) > 0.0
+    bands: list[Bracket | None] = []
+    for r, e, win in zip(roots, edges, wins):
+        best: tuple[float, float] | None = None
+        for lo, hi, w in zip(e[:-1], e[1:], win):
+            if r and w and (best is None or hi - lo > best[1] - best[0]):
+                best = (lo, hi)
+        bands.append(None if best is None else Bracket(*best))
     # Open-ended winning region at a scan edge means the scan missed a
     # crossing; widen rather than report a fake endpoint.
-    if lo == scan.lo or hi == scan.hi:
-        if scan.hi / max(scan.lo, 1e-12) > 1e8:
-            return Bracket(lo, hi)
-        return continuation_band_t2(p, T, Bracket(scan.lo * 0.1, scan.hi * 10.0))
-    return Bracket(lo, hi)
+    edge = [k for k, b in enumerate(bands) if b is not None and (b.lo == scan.lo or b.hi == scan.hi)]
+    if edge and scan.hi / max(scan.lo, 1e-12) <= 1e8:
+        wider = continuation_band_t2(p, ts[edge], Bracket(scan.lo * 0.1, scan.hi * 10.0))
+        for k, band in zip(edge, wider):
+            bands[k] = band
+    return bands[0] if scalar else bands
 
 
 def payoff_t1(p: SwapParams, T: float, Tp: float) -> tuple[float, float]:
@@ -343,9 +361,9 @@ def sr_surface(
 ) -> SRGrid:
     """Evaluate the success rate over the full (x_a, T, T') grid.
 
-    B's continuation band is independent of T', so it is computed once per
-    (x_a, T) pair, and the root-node and SR integrals of that pair run with
-    T' as a batch axis.
+    B's continuation band is independent of T', so the bands of every T of
+    one x_a are solved together, and the root-node and SR integrals of each
+    (x_a, T) pair run with T' as a batch axis.
     """
     xa = np.asarray(xa_grid, dtype=float)
     ts = np.asarray(T_grid, dtype=float)
@@ -356,8 +374,7 @@ def sr_surface(
 
     for i, x_a in enumerate(xa):
         q = p.with_x_a(float(x_a))
-        for j, T in enumerate(ts):
-            band = continuation_band_t2(q, float(T))
+        for j, (T, band) in enumerate(zip(ts, continuation_band_t2(q, ts))):
             u_cont, u_stop = payoff_t1_with_band(q, float(T), tps, band)
             na[i, j] = u_cont < u_stop
             starts = ~na[i, j]
@@ -378,8 +395,8 @@ def payoff_t1_with_band(p: SwapParams, T: float, Tp, band: Bracket | None) -> tu
     does not depend on T', so it is evaluated once per quadrature node and
     only the transition density carries the T' axis.
     """
-    _check_T(p, T)
-    _check_Tp(p, Tp)
+    _check_delay("claim delay T", T, p.claim_delay_window)
+    _check_delay("lock delay T'", Tp, p.lock_delay_window)
     tps = np.atleast_1d(np.asarray(Tp, dtype=float))
     if p.t1_stop_value == "principal":
         u_a_stop_t2 = p.x_a - p.f_a

@@ -128,56 +128,85 @@ def truncate_upper(
 
 
 def find_roots(
-    g: Callable[[float], float],
+    g: Callable,
     scan: Bracket,
     grid_points: int = 256,
     tol: float = 1e-10,
     *,
     vectorized: bool = False,
-) -> list[float]:
+) -> list[float] | list[list[float]]:
     """Scan a uniform grid for sign changes and bisect each to tolerance.
 
     Grid points that are exact roots are returned directly.  Returns an
-    ascending list; empty when no sign change is found.  With
-    ``vectorized=True`` the whole grid is evaluated by one call ``g(xs)``,
-    which must return an array of the same shape; bisection always calls
-    ``g`` on floats.
+    ascending list; empty when no sign change is found.  A plain ``g`` is
+    called on floats.  With ``vectorized=True`` it is called on arrays: on
+    the (n,) grid it returns (n,) values, or a (K, n) array of K functions
+    sharing the grid, and then one root list per row is returned.
+
+    All open brackets of all rows bisect in lockstep: each step is one call
+    of ``g`` on the midpoints, an (R,) array for a one-row ``g`` and (K, R)
+    for K rows, where R is the most open brackets in any row (idle slots
+    hold ``scan.lo``; their values are discarded).  A bracket returns its
+    midpoint once the midpoint equals an endpoint (adjacent floats), the
+    bracket is at most ``tol`` wide, or |g(midpoint)| <= tol.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
+    if not vectorized:
+        scalar_g = g
+
+        def g(x):
+            return np.array([scalar_g(float(v)) for v in x], dtype=float)
+
     xs = np.linspace(scan.lo, scan.hi, grid_points)
-    if vectorized:
-        vals = np.asarray(g(xs), dtype=float)
-        if vals.shape != xs.shape:
-            raise ValueError(f"vectorized g returned shape {vals.shape}, expected {xs.shape}")
-    else:
-        vals = np.array([g(float(x)) for x in xs], dtype=float)
-    fa, fb = vals[:-1], vals[1:]
-    hits = (fa == 0.0) | (fa * fb < 0.0)
-    hits[-1] |= fb[-1] == 0.0
-    roots: list[float] = []
-    for i in np.flatnonzero(hits):
-        a, b = float(xs[i]), float(xs[i + 1])
-        if fa[i] == 0.0:
-            roots.append(a)
-        elif fb[i] == 0.0:
-            roots.append(b)
+    vals = np.asarray(g(xs), dtype=float)
+    if vals.shape[-1:] != xs.shape or vals.ndim > 2:
+        raise ValueError(f"vectorized g returned shape {vals.shape}, expected (n,) or (K, n) for n={len(xs)}")
+    grid = np.atleast_2d(vals)
+    left, right = grid[:, :-1], grid[:, 1:]
+    hits = (left == 0.0) | (left * right < 0.0)
+    hits[:, -1] |= right[:, -1] == 0.0
+    roots: list[list] = [[] for _ in grid]
+    # Open brackets as [row, index in roots[row], a, b, g(a)].  The few
+    # brackets per step are cheaper to track in Python than in numpy.
+    live = []
+    for k, i in zip(*np.nonzero(hits)):
+        fa, fb = float(left[k, i]), float(right[k, i])
+        if fa == 0.0 or fb == 0.0:
+            roots[k].append(float(xs[i] if fa == 0.0 else xs[i + 1]))
         else:
-            roots.append(_bisect(g, a, b, float(fa[i]), float(fb[i]), tol))
-    return roots
-
-
-def _bisect(g, a: float, b: float, fa: float, fb: float, tol: float) -> float:
-    while True:
-        m = 0.5 * (a + b)
-        # Adjacent floats: the bracket cannot shrink further, even when the
-        # float spacing at the root exceeds ``tol`` (large price scales).
-        if m == a or m == b:
-            return m
-        fm = g(m)
-        if abs(fm) <= tol or (b - a) <= tol:
-            return m
-        if fa * fm < 0.0:
-            b, fb = m, fm
+            live.append([k, len(roots[k]), float(xs[i]), float(xs[i + 1]), fa])
+            roots[k].append(None)
+    while live:
+        steps, mids = [], []
+        for br in live:
+            k, pos, a, b, _ = br
+            m = 0.5 * (a + b)
+            # Adjacent floats: the bracket cannot shrink further, even when
+            # the float spacing at the root exceeds ``tol`` (large price scales).
+            if m == a or m == b or b - a <= tol:
+                roots[k][pos] = m
+            else:
+                steps.append(br)
+                mids.append(m)
+        if not steps:
+            break
+        if vals.ndim == 1:
+            fms = np.asarray(g(np.array(mids)), dtype=float).tolist()
         else:
-            a, fa = m, fm
+            rows = [br[0] for br in steps]
+            slots = [j - rows.index(k) for j, k in enumerate(rows)]  # rows ascend
+            padded = np.full((len(grid), max(slots) + 1), scan.lo)
+            padded[rows, slots] = mids
+            fms = np.asarray(g(padded), dtype=float)[rows, slots].tolist()
+        live = []
+        for br, m, fm in zip(steps, mids, fms):
+            if abs(fm) <= tol:
+                roots[br[0]][br[1]] = m
+                continue
+            if br[4] * fm < 0.0:
+                br[3] = m
+            else:
+                br[2], br[4] = m, fm
+            live.append(br)
+    return roots if vals.ndim == 2 else roots[0]

@@ -318,7 +318,6 @@ def _run_htlc(w: _World) -> None:
     b = inst.base
     h1 = w.hid("H1")
     sA, sB = w.strategy("A"), w.strategy("B")
-    delta = b.tau_b / 2.0
 
     def a_lock(w: _World) -> None:
         if not sA.acts_at("lock", HTLC_PHASES["A"]):
@@ -378,7 +377,6 @@ def _run_htlc(w: _World) -> None:
             w.flags.add("b-claimed")
 
     w.at(0.0 + sA.lag("lock"), a_lock)
-    _ = delta  # HTLC needs no give-up wait; refunds are timeout-driven
 
 
 def _timeout_refund(w: _World, chain: Chain, name: str, tx_id: str, party: str, amount: float) -> None:
@@ -604,7 +602,6 @@ def run(
     instance: ProtocolInstance,
     profile: StrategyProfile,
     price_path=None,
-    seed: int = 0,
 ) -> TraceVerdict:
     """Execute one trace and audit it.  Deterministic given inputs."""
     w = _World(instance, profile, price_path)

@@ -27,7 +27,6 @@ __all__ = [
     "claim_threshold_t4",
     "payoff_t3",
     "continuation_band_t3",
-    "payoff_t2",
     "success_rate",
     "compare_participation",
     "ParticipationReport",
@@ -288,50 +287,7 @@ def compute_thresholds(q: QuickSwapParams) -> QuickThresholds:
 
 
 # ---------------------------------------------------------------------------
-# Root of the analyzed subtree (t2): A locks or walks away.
-
-def _t2_stop_A(q: QuickSwapParams) -> float:
-    return q.base.x_a + 1.5 * q.Q
-
-
-def payoff_t2(q: QuickSwapParams, price_t2: float, action: str) -> tuple[float, float]:
-    """t2 payoffs (A, B): A locks principal + premium, or stops.
-
-    Stopping and canceling coincide for A here — she has locked nothing yet,
-    so both leave her with x_a + 1.5Q.
-    """
-    _check_price(price_t2)
-    b = q.base
-    if action == "stop":
-        # B cancels in response: he recovers the premium after both waits.
-        u_b = price_t2 + q.Q * math.exp(-b.r_b * (b.tau_a + b.tau_b)) - b.f_b
-        return _t2_stop_A(q), u_b
-    if action != "continue":
-        raise ValueError(f"unknown action {action!r}")
-    band = continuation_band_t3(q)
-    stop3 = _t3_stop_A(q)
-    disc = math.exp(-b.r_a * b.tau_a)
-    st2 = PriceState(price_t2)
-    if band is None:
-        u_a = b.theta_2 * disc * stop3 + (1.0 - b.theta_2) * disc * stop3
-        u_b = math.exp(-b.r_b * b.tau_a) * price_t2 * math.exp(b.gbm.mu * b.tau_a)
-        return u_a, u_b
-
-    def integrand_a(price):
-        return transition_pdf(price, st2, b.gbm, b.tau_a) * _u_A_cont_t3(q, price)
-
-    def integrand_b(price):
-        return transition_pdf(price, st2, b.gbm, b.tau_a) * _u_B_cont_t3(q, price)
-
-    cont_a = integrate(integrand_a, band, b.quad)
-    cont_b = integrate(integrand_b, band, b.quad)
-    tail = 1.0 - _cdf_from(b, band.hi, price_t2, b.tau_a)
-    u_a = b.theta_2 * disc * (cont_a + tail * stop3) + (1.0 - b.theta_2) * disc * stop3
-    # B's stop payoff at t3 is the price itself: closed-form upper tail.
-    pe_above = price_t2 * math.exp(b.gbm.mu * b.tau_a) - _pe_below_from(b, band.hi, price_t2, b.tau_a)
-    u_b = math.exp(-b.r_b * b.tau_a) * (cont_b + float(pe_above))
-    return float(u_a), float(u_b)
-
+# Success rate of the premium swap.
 
 def success_rate(q: QuickSwapParams) -> float:
     """Probability the premium swap completes; a single number per parameter

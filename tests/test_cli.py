@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from swapsim.cli import main
 
@@ -136,3 +140,12 @@ def test_quickswap_threshold_invariant_across_rho(tmp_path):
         lines = (out / "quickswap_sr.csv").read_text().splitlines()
         stars.append([l.split(",")[3] for l in lines[1:]])
     assert stars[0] == stars[1]
+
+
+def test_module_entry_point_prints_no_runpy_warning():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "swapsim.cli", "--help"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert "found in sys.modules" not in proc.stderr

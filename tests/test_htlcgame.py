@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import baseline
+from swapsim import htlcgame
 from swapsim.htlcgame import (
     SwapParams,
     claim_threshold_t3,
@@ -117,6 +118,44 @@ def test_band_edges_match_brute_force():
     assert band.hi == pytest.approx(hi, abs=1e-6)
 
 
+@pytest.mark.parametrize("case, p, scan", [
+    ("sigma 0.05", baseline(0.05), None),
+    ("sigma 0.1", baseline(), None),
+    ("sigma 0.2", baseline(0.2), None),
+    ("uniform delay discounting", baseline(uniform_delay_discounting=True), None),
+    ("empty band row", baseline(r_b=0.01, theta_1=0.3), None),
+    ("narrow scan", baseline(), Bracket(0.3, 2.0)),
+])
+def test_band_rows_match_single_delay_solves(case, p, scan):
+    ts = np.arange(21.0)
+    rows = continuation_band_t2(p, ts, scan)
+    # Bracket equality compares both edges exactly.
+    assert rows == [continuation_band_t2(p, float(T), scan) for T in ts]
+    if case == "empty band row":
+        assert rows[0] is not None and all(b is None for b in rows[1:])
+    elif case == "narrow scan":
+        # Rows whose band reaches past the scan edge are solved again on a
+        # wider scan; the rest keep the first scan.
+        assert {b.hi > scan.hi for b in rows} == {True, False}
+    else:
+        assert all(b is not None for b in rows)
+
+
+def test_band_rows_share_one_scan(monkeypatch):
+    calls = []
+    u_b = htlcgame._u_B_cont_t2
+
+    def counted(p, price, T):
+        calls.append(np.shape(price))
+        return u_b(p, price, T)
+
+    monkeypatch.setattr(htlcgame, "_u_B_cont_t2", counted)
+    p = baseline()
+    bands = continuation_band_t2(p, np.linspace(0.0, p.claim_delay_window, 21))
+    assert all(b is not None for b in bands)
+    assert len(calls) <= 60
+
+
 def test_root_payoff_supports_participation_at_baseline():
     p = baseline()
     u_cont, u_stop = payoff_t1(p, 0.0, 0.0)
@@ -159,6 +198,8 @@ def test_delay_window_bounds_enforced():
         success_rate(p, p.claim_delay_window + 1.0, 0.0)
     with pytest.raises(ValueError):
         success_rate(p, 0.0, p.lock_delay_window + 1.0)
+    with pytest.raises(ValueError):
+        continuation_band_t2(p, np.array([0.0, p.claim_delay_window + 1.0]))
 
 
 def test_participation_range_brackets_baseline():

@@ -96,12 +96,53 @@ def test_find_roots_vectorized_scan_matches_scalar_scan():
     calls = []
 
     def g(x):
-        calls.append(np.ndim(x))
+        calls.append(np.shape(x))
         return np.sin(x)
 
+    scalar_points = []
+
+    def scalar_sin(x):
+        scalar_points.append(x)
+        return math.sin(x)
+
     roots = find_roots(g, Bracket(0.5, 10.0), vectorized=True)
-    assert calls[0] == 1 and calls.count(1) == 1  # one array call, then scalar bisection
-    assert roots == find_roots(math.sin, Bracket(0.5, 10.0))
+    # One grid call, then one array call per bisection step holding the
+    # midpoints of every open bracket: the three brackets start together,
+    # only close, and are evaluated exactly as often as when bisected alone.
+    assert calls[0] == (256,)
+    sizes = [shape[0] for shape in calls[1:]]
+    assert all(len(shape) == 1 for shape in calls[1:])
+    assert sizes[0] == 3 and sizes == sorted(sizes, reverse=True)
+    assert roots == find_roots(scalar_sin, Bracket(0.5, 10.0))
+    assert sum(sizes) == len(scalar_points) - 256
+
+
+def test_find_roots_rows_match_rows_solved_alone():
+    scan = Bracket(0.5, 10.5)  # 21 grid points 0.5 apart
+    fs = [
+        lambda x: x * x + 1.0,      # no root
+        np.sin,                     # three bisected roots
+        lambda x: x - 4.0,          # exact root at a grid point
+        lambda x: np.exp(x) - 5.0,  # one bisected root
+        lambda x: x - 10.5,         # exact root at the last grid point
+    ]
+    calls = []
+
+    def g(x):
+        calls.append(np.shape(x))
+        rows = np.broadcast_to(x, (len(fs),) + np.shape(x)[-1:])
+        return np.array([f(row) for f, row in zip(fs, rows)])
+
+    got = find_roots(g, scan, grid_points=21, vectorized=True)
+    assert got == [find_roots(f, scan, grid_points=21, vectorized=True) for f in fs]
+    assert [len(r) for r in got] == [0, 3, 1, 1, 1]
+    assert got[2] == [4.0] and got[4] == [10.5]
+    assert got[3][0] == pytest.approx(math.log(5.0), abs=1e-9)
+    # One grid call, then each bisection step is one (K, R) call where R is
+    # the most open brackets in any row.
+    assert calls[0] == (21,)
+    assert calls[1] == (len(fs), 3)
+    assert all(len(shape) == 2 and shape[0] == len(fs) for shape in calls[1:])
 
 
 def test_find_roots_stops_at_float_resolution():
