@@ -18,7 +18,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .numerics import Bracket, QuadratureSpec, find_roots, integrate
-from .pricemodel import GbmParams, PriceState, erfc, transition_cdf, transition_pdf
+# ``erfc`` is no longer called here (the price-law kernels call it inside
+# pricemodel); the binding stays for perfbench's per-layer kernel counters.
+from .pricemodel import GbmParams, PriceState, cdf_from, erfc, math_exp, pe_below_from  # noqa: F401
+from .pricemodel import transition_cdf, transition_pdf
 
 __all__ = [
     "SwapParams",
@@ -28,6 +31,7 @@ __all__ = [
     "claim_threshold_t3",
     "payoff_t2",
     "continuation_band_t2",
+    "widest_band",
     "payoff_t1",
     "success_rate",
     "sr_surface",
@@ -134,11 +138,6 @@ class SRGrid:
     na_mask: np.ndarray      # True exactly where the participation constraint fails
 
 
-def _check_price(price: float) -> None:
-    if not price > 0:
-        raise ValueError("price must be > 0")
-
-
 def _t3_stop_A(p: SwapParams) -> float:
     return p.x_a * math.exp(-p.r_a * p.t_a) - p.f_a
 
@@ -150,7 +149,7 @@ def _t3_stop_B(p: SwapParams, price_t3) -> float:
 
 def payoff_t3(p: SwapParams, price_t3: float, action: str) -> tuple[float, float]:
     """Final-node payoffs (A, B) for ``continue`` (A claims) or ``stop``."""
-    _check_price(price_t3)
+    PriceState(price_t3)  # rejects a price <= 0
     if action == "continue":
         u_a = (1.0 + p.sp_a) * price_t3 * math.exp(p.gbm.mu * p.tau_b) * math.exp(-p.r_a * p.tau_b) - p.f_b
         u_b = (1.0 + p.sp_b) * p.x_a * math.exp(-p.r_b * (p.tau_a + p.t_eps)) - p.f_a
@@ -172,29 +171,6 @@ def _check_delay(name: str, delay, window: float) -> None:
         raise ValueError(f"{name}={delay} outside [0, {window}]")
 
 
-def _exp(x):
-    """math.exp, elementwise over an array (np.exp may differ in the last bit)."""
-    if isinstance(x, np.ndarray):
-        return np.array([math.exp(v) for v in x.ravel()]).reshape(x.shape)
-    return math.exp(x)
-
-
-def _cdf_from(p: SwapParams, target: float, start, lam):
-    """transition_cdf vectorized over the *starting* price and the horizon."""
-    m = (p.gbm.mu - 0.5 * p.gbm.sigma**2) * lam
-    s = p.gbm.sigma * np.sqrt(lam)
-    z = (np.log(target / np.asarray(start, dtype=float)) - m) / s
-    return 0.5 * erfc(-z / math.sqrt(2.0))
-
-
-def _pe_below_from(p: SwapParams, target: float, start, lam):
-    """partial_expectation_below vectorized over the starting price and the horizon."""
-    s = p.gbm.sigma * np.sqrt(lam)
-    start = np.asarray(start, dtype=float)
-    z = (np.log(target / start) - (p.gbm.mu + 0.5 * p.gbm.sigma**2) * lam) / s
-    return start * _exp(p.gbm.mu * lam) * 0.5 * erfc(-z / math.sqrt(2.0))
-
-
 def _u_B_cont_t2(p: SwapParams, price_t2, T):
     """B's expected continuation value at the middle node.
 
@@ -208,9 +184,9 @@ def _u_B_cont_t2(p: SwapParams, price_t2, T):
     u_b_cont_t3 = (1.0 + p.sp_b) * p.x_a * math.exp(-p.r_b * (p.tau_a + p.t_eps)) - p.f_a
     slope = math.exp((p.gbm.mu - p.r_b) * p.t_b)  # stop payoff is linear in the t3 price
 
-    cont = (1.0 - _cdf_from(p, x_star, arr, h_cont)) * u_b_cont_t3 * _exp(-p.r_b * h_cont)
-    stop_int = _exp(-p.r_b * h_stop) * (
-        slope * _pe_below_from(p, x_star, arr, h_stop) - p.f_b * _cdf_from(p, x_star, arr, h_stop)
+    cont = (1.0 - cdf_from(x_star, arr, p.gbm, h_cont)) * u_b_cont_t3 * math_exp(-p.r_b * h_cont)
+    stop_int = math_exp(-p.r_b * h_stop) * (
+        slope * pe_below_from(x_star, arr, p.gbm, h_stop) - p.f_b * cdf_from(x_star, arr, p.gbm, h_stop)
     )
     # Malicious A never claims; B is stuck refunding after t_b.
     outside = math.exp(-p.r_b * p.tau_b) * (arr * math.exp(p.gbm.mu * p.tau_b) * slope - p.f_b)
@@ -229,10 +205,10 @@ def _u_A_cont_t2(p: SwapParams, price_t2, T: float):
     a = (1.0 + p.sp_a) * math.exp((p.gbm.mu - p.r_a) * p.tau_b)  # claim payoff slope in the t3 price
     stop_val = _t3_stop_A(p)
 
-    above = arr * math.exp(p.gbm.mu * h_cont) - _pe_below_from(p, x_star, arr, h_cont)
-    tail = 1.0 - _cdf_from(p, x_star, arr, h_cont)
+    above = arr * math.exp(p.gbm.mu * h_cont) - pe_below_from(x_star, arr, p.gbm, h_cont)
+    tail = 1.0 - cdf_from(x_star, arr, p.gbm, h_cont)
     claim_part = math.exp(-p.r_a * h_cont) * (a * above - p.f_b * tail)
-    stop_part = math.exp(-p.r_a * h_stop) * _cdf_from(p, x_star, arr, h_stop) * stop_val
+    stop_part = math.exp(-p.r_a * h_stop) * cdf_from(x_star, arr, p.gbm, h_stop) * stop_val
     out = claim_part + stop_part
     if np.isscalar(price_t2):
         return float(out)
@@ -241,7 +217,7 @@ def _u_A_cont_t2(p: SwapParams, price_t2, T: float):
 
 def payoff_t2(p: SwapParams, price_t2: float, T: float) -> tuple[float, float, float, float]:
     """Middle-node values: (A continue, B continue, A stop, B stop)."""
-    _check_price(price_t2)
+    PriceState(price_t2)  # rejects a price <= 0
     _check_delay("claim delay T", T, p.claim_delay_window)
     u_a_cont = _u_A_cont_t2(p, price_t2, T)
     u_b_cont = _u_B_cont_t2(p, price_t2, T)
@@ -250,39 +226,32 @@ def payoff_t2(p: SwapParams, price_t2: float, T: float) -> tuple[float, float, f
     return float(u_a_cont), float(u_b_cont), u_a_stop, u_b_stop
 
 
-def _band_scan_bracket(p: SwapParams) -> Bracket:
-    ref = max(p.x_yb_t1, p.x_a, claim_threshold_t3(p))
+def _scan_bracket(*prices: float) -> Bracket:
+    """Default band scan: three decades below to 12x above the largest price."""
+    ref = max(prices)
     return Bracket(ref * 1e-3, ref * 12.0)
 
 
-def continuation_band_t2(p: SwapParams, T, scan: Bracket | None = None) -> Bracket | None | list[Bracket | None]:
-    """Price band over which B prefers locking at the middle node.
+def widest_band(g, scan: Bracket, rows: np.ndarray | None = None):
+    """Widest interval of ``scan`` on which ``g > 0``, for each row of ``g``.
 
-    Roots of u_B(continue) - u_B(stop); when more than two crossings
-    appear, the widest interval where continuing wins is kept.  ``T`` may be
-    a 1-D array of claim delays; then one band (or None) is returned per
-    delay.  The scan bracket depends only on x_a, so all delays share one
-    grid and bisect in lockstep.
+    ``g(x, rows)`` evaluates B's continue-minus-exit value of the rows
+    ``rows`` (an index array) at prices ``x``: (len(rows), n) values, one
+    row each, sharing one scan grid and bisecting in lockstep.  With
+    ``rows=None`` there is a single row and ``g`` returns an array shaped
+    like ``x``; then one band (or None) is returned instead of a list.
+    When more than two crossings appear, the widest winning interval is
+    kept; a row with no crossing has no band.
     """
-    _check_delay("claim delay T", T, p.claim_delay_window)
-    scan = scan or _band_scan_bracket(p)
-    scalar = np.ndim(T) == 0
-    ts = np.atleast_1d(np.asarray(T, dtype=float))
-    # A scalar delay keeps scalar arithmetic in the payoff, which is cheaper
-    # on the few midpoints of a bisection step; several delays form a column.
-    delay = T if scalar else ts[:, None]
-
-    def g(x):
-        return _u_B_cont_t2(p, x, delay) - x
-
-    roots = find_roots(g, scan, grid_points=_ROOT_SCAN_POINTS, tol=_ROOT_TOL, vectorized=True)
-    if scalar:
+    roots = find_roots(lambda x: g(x, rows), scan, grid_points=_ROOT_SCAN_POINTS, tol=_ROOT_TOL,
+                       vectorized=True)
+    if rows is None:
         roots = [roots]
     edges = [[scan.lo, *r, scan.hi] for r in roots]
-    mids = np.full((len(ts), max(map(len, edges), default=2) - 1), scan.lo)
+    mids = np.full((len(edges), max(map(len, edges)) - 1), scan.lo)
     for row, e in zip(mids, edges):
         row[:len(e) - 1] = 0.5 * np.add(e[:-1], e[1:])
-    wins = g(mids) > 0.0
+    wins = g(mids, rows) > 0.0
     bands: list[Bracket | None] = []
     for r, e, win in zip(roots, edges, wins):
         best: tuple[float, float] | None = None
@@ -291,13 +260,35 @@ def continuation_band_t2(p: SwapParams, T, scan: Bracket | None = None) -> Brack
                 best = (lo, hi)
         bands.append(None if best is None else Bracket(*best))
     # Open-ended winning region at a scan edge means the scan missed a
-    # crossing; widen rather than report a fake endpoint.
+    # crossing; widen those rows rather than report a fake endpoint.
     edge = [k for k, b in enumerate(bands) if b is not None and (b.lo == scan.lo or b.hi == scan.hi)]
     if edge and scan.hi / max(scan.lo, 1e-12) <= 1e8:
-        wider = continuation_band_t2(p, ts[edge], Bracket(scan.lo * 0.1, scan.hi * 10.0))
-        for k, band in zip(edge, wider):
+        wider = Bracket(scan.lo * 0.1, scan.hi * 10.0)
+        if rows is None:
+            return widest_band(g, wider)
+        for k, band in zip(edge, widest_band(g, wider, rows[edge])):
             bands[k] = band
-    return bands[0] if scalar else bands
+    return bands[0] if rows is None else bands
+
+
+def continuation_band_t2(p: SwapParams, T, scan: Bracket | None = None) -> Bracket | None | list[Bracket | None]:
+    """Price band over which B prefers locking at the middle node.
+
+    Roots of u_B(continue) - u_B(stop), solved by ``widest_band``.  ``T``
+    may be a 1-D array of claim delays; then one band (or None) is returned
+    per delay.  The scan bracket depends only on x_a, so all delays share
+    one grid and bisect in lockstep.
+    """
+    _check_delay("claim delay T", T, p.claim_delay_window)
+    ts = np.asarray(T, dtype=float)
+
+    # A scalar delay keeps scalar arithmetic in the payoff, which is cheaper
+    # on the few midpoints of a bisection step; several delays form a column.
+    def g(x, rows):
+        return _u_B_cont_t2(p, x, T if rows is None else ts[rows, None]) - x
+
+    scan = scan or _scan_bracket(p.x_yb_t1, p.x_a, claim_threshold_t3(p))
+    return widest_band(g, scan, None if ts.ndim == 0 else np.arange(len(ts)))
 
 
 def payoff_t1(p: SwapParams, T: float, Tp: float) -> tuple[float, float]:
@@ -307,15 +298,11 @@ def payoff_t1(p: SwapParams, T: float, Tp: float) -> tuple[float, float]:
 
 
 def success_rate(p: SwapParams, T: float, Tp: float) -> float | None:
-    """Probability the swap completes once started; None when A never starts."""
-    band = continuation_band_t2(p, T)
-    tps = np.array([Tp], dtype=float)
-    u_cont, u_stop = payoff_t1_with_band(p, T, tps, band)
-    if u_cont[0] < u_stop[0]:
-        return None
-    if band is None:
-        return 0.0
-    return float(_sr_integral(p, band, T, tps)[0])
+    """Probability the swap completes once started; None when A never starts.
+
+    One cell of ``sr_surface``."""
+    raw = sr_surface(p, [p.x_a], [T], [Tp]).raw[0, 0, 0]
+    return None if math.isnan(raw) else float(raw)
 
 
 def compute_thresholds(p: SwapParams, T: float = 0.0, Tp: float = 0.0) -> HtlcThresholds:
@@ -381,7 +368,8 @@ def sr_surface(
             if band is None:
                 raw[i, j, starts] = 0.0
             elif starts.any():
-                raw[i, j, starts] = _sr_integral(q, band, float(T), tps[starts])
+                raw[i, j, starts] = _sr_integral(
+                    q, band, claim_threshold_t3(q), q.tau_a + tps[starts, None], q.tau_b + float(T))
 
     conditional = raw / norm if norm > 0 else np.where(np.isnan(raw), np.nan, 0.0)
     return SRGrid(xa_axis=xa, t_axis=ts, tp_axis=tps, raw=raw, conditional=conditional, na_mask=na)
@@ -426,16 +414,18 @@ def payoff_t1_with_band(p: SwapParams, T: float, Tp, band: Bracket | None) -> tu
     return u_a_cont, u_stop
 
 
-def _sr_integral(p: SwapParams, band: Bracket, T: float, tps: np.ndarray) -> np.ndarray:
-    """Success rate over B's band, one entry per lock delay in ``tps``."""
-    x_star = claim_threshold_t3(p)
+def _sr_integral(p: SwapParams, band: Bracket, threshold: float, h_lock, h_claim: float):
+    """Two-stage success rate: B locks inside ``band`` after ``h_lock`` hours,
+    then A claims above ``threshold`` after a further ``h_claim`` hours.
+
+    ``h_lock`` is a (K, 1) column of lock horizons, giving one rate per row,
+    or a scalar, giving one float.
+    """
     st1 = PriceState(p.x_yb_t1)
-    h_lock = (p.tau_a + tps)[:, None]
-    h_claim = p.tau_b + T
 
     def integrand(price):
         dens = p.theta_2 * transition_pdf(price, st1, p.gbm, h_lock)
-        tails = 1.0 - _cdf_from(p, x_star, price, h_claim)
+        tails = 1.0 - cdf_from(threshold, price, p.gbm, h_claim)
         return dens * p.theta_1 * tails
 
     return np.maximum(0.0, integrate(integrand, band, p.quad))

@@ -23,6 +23,9 @@ __all__ = [
     "partial_expectation_below",
     "partial_expectation_above",
     "erfc",
+    "cdf_from",
+    "pe_below_from",
+    "math_exp",
     "sample_path",
     "sample_endpoints",
 ]
@@ -81,11 +84,34 @@ def expected_price(state: PriceState, params: GbmParams, lam: float) -> float:
     return state.value * math.exp(params.mu * lam)
 
 
-def _log_moments(state: PriceState, params: GbmParams, lam) -> tuple:
+def _log_moments(params: GbmParams, lam) -> tuple:
     """Mean and std of ln(price_{t+lam} / price_t); elementwise over an ndarray ``lam``."""
     m = (params.mu - 0.5 * params.sigma**2) * lam
     s = params.sigma * np.sqrt(lam)
     return m, s
+
+
+def math_exp(x):
+    """math.exp, elementwise over an array (np.exp may differ in the last bit)."""
+    if isinstance(x, np.ndarray):
+        return np.array([math.exp(v) for v in x.ravel()]).reshape(x.shape)
+    return math.exp(x)
+
+
+def cdf_from(target, start, params: GbmParams, lam):
+    """Unchecked transition_cdf kernel: broadcasts ``target``, the start price
+    ``start`` and the horizon ``lam`` against each other."""
+    m, s = _log_moments(params, lam)
+    z = (np.log(target / np.asarray(start, dtype=float)) - m) / s
+    return 0.5 * erfc(-z / math.sqrt(2.0))
+
+
+def pe_below_from(target, start, params: GbmParams, lam):
+    """Unchecked partial_expectation_below kernel; broadcasts like cdf_from."""
+    start = np.asarray(start, dtype=float)
+    _, s = _log_moments(params, lam)
+    z = (np.log(target / start) - (params.mu + 0.5 * params.sigma**2) * lam) / s
+    return start * math_exp(params.mu * lam) * 0.5 * erfc(-z / math.sqrt(2.0))
 
 
 def _law_inputs(target, params: GbmParams, lam) -> np.ndarray:
@@ -99,6 +125,10 @@ def _law_inputs(target, params: GbmParams, lam) -> np.ndarray:
     return arr
 
 
+def _as_result(out, target, lam):
+    return float(out) if np.isscalar(target) and np.isscalar(lam) else out
+
+
 def transition_pdf(target, state: PriceState, params: GbmParams, lam):
     """Log-normal transition density of the price after ``lam`` hours.
 
@@ -107,41 +137,26 @@ def transition_pdf(target, state: PriceState, params: GbmParams, lam):
     (K, n) density matrix.  Returns a float when both are scalars.
     """
     arr = _law_inputs(target, params, lam)
-    m, s = _log_moments(state, params, lam)
+    m, s = _log_moments(params, lam)
     z = (np.log(arr / state.value) - m) / s
     out = np.exp(-0.5 * z * z) / (arr * s * math.sqrt(2.0 * math.pi))
-    if np.isscalar(target) and np.isscalar(lam):
-        return float(out)
-    return out
+    return _as_result(out, target, lam)
 
 
 def transition_cdf(target, state: PriceState, params: GbmParams, lam):
     """P[price_{t+lam} <= target | price_t], via erfc; broadcasts like transition_pdf."""
     arr = _law_inputs(target, params, lam)
-    m, s = _log_moments(state, params, lam)
-    z = (np.log(arr / state.value) - m) / s
-    out = 0.5 * erfc(-z / math.sqrt(2.0))
-    if np.isscalar(target) and np.isscalar(lam):
-        return float(out)
-    return out
+    return _as_result(cdf_from(arr, state.value, params, lam), target, lam)
 
 
-def partial_expectation_below(target, state: PriceState, params: GbmParams, lam: float):
+def partial_expectation_below(target, state: PriceState, params: GbmParams, lam):
     """E[price_{t+lam} * 1{price_{t+lam} <= target}], closed form.
 
     Standard log-normal identity: x0 * e^{mu*lam} * Phi((ln(k/x0) - (mu + sigma^2/2)*lam)
-    / (sigma*sqrt(lam))).  Vectorized over ``target``.
+    / (sigma*sqrt(lam))).  Broadcasts like transition_pdf.
     """
-    params.require_diffusive()
-    if lam <= 0:
-        raise ValueError("horizon must be > 0")
-    arr = np.asarray(target, dtype=float)
-    s = params.sigma * math.sqrt(lam)
-    z = (np.log(arr / state.value) - (params.mu + 0.5 * params.sigma**2) * lam) / s
-    out = state.value * math.exp(params.mu * lam) * 0.5 * erfc(-z / math.sqrt(2.0))
-    if np.isscalar(target):
-        return float(out)
-    return out
+    arr = _law_inputs(target, params, lam)
+    return _as_result(pe_below_from(arr, state.value, params, lam), target, lam)
 
 
 def partial_expectation_above(target, state: PriceState, params: GbmParams, lam: float):
@@ -158,7 +173,7 @@ def transition_quantile(q: float, state: PriceState, params: GbmParams, lam: flo
         raise ValueError("quantile level must be in (0, 1)")
     from statistics import NormalDist
 
-    m, s = _log_moments(state, params, lam)
+    m, s = _log_moments(params, lam)
     return state.value * math.exp(m + s * NormalDist().inv_cdf(q))
 
 
@@ -200,5 +215,5 @@ def sample_endpoints(
     """Draw ``n`` terminal prices after ``lam`` hours in one vectorized step."""
     if lam <= 0:
         raise ValueError("horizon must be > 0")
-    m, s = _log_moments(state, params, lam)
+    m, s = _log_moments(params, lam)
     return state.value * np.exp(m + s * rng.standard_normal(n))

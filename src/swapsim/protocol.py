@@ -798,29 +798,8 @@ def mc_success_rate_htlc(
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    rng = np.random.default_rng(seed)
     band = continuation_band_t2(p, T)
-    if band is None:
-        return 0.0, 0.0
-    x_star = claim_threshold_t3(p)
-    mu, sig = p.gbm.mu, p.gbm.sigma
-    h1 = p.tau_a + Tp
-    h2 = p.tau_b + T
-    z1 = rng.standard_normal(n_paths)
-    z2 = rng.standard_normal(n_paths)
-    p2 = p.x_yb_t1 * np.exp((mu - 0.5 * sig**2) * h1 + sig * math.sqrt(h1) * z1)
-    p3 = p2 * np.exp((mu - 0.5 * sig**2) * h2 + sig * math.sqrt(h2) * z2)
-    b_interested = rng.random(n_paths) < p.theta_2
-    a_interested = rng.random(n_paths) < p.theta_1
-    success = (
-        b_interested
-        & (p2 > band.lo) & (p2 <= band.hi)
-        & a_interested
-        & (p3 >= x_star)
-    )
-    freq = float(np.mean(success))
-    se = math.sqrt(max(freq * (1.0 - freq), 1e-12) / n_paths)
-    return freq, se
+    return _mc_two_stage(p, band, claim_threshold_t3(p), p.tau_a + Tp, p.tau_b + T, n_paths, seed)
 
 
 def mc_success_rate_quickswap(q: QuickSwapParams, n_paths: int, seed: int) -> tuple[float, float]:
@@ -828,23 +807,32 @@ def mc_success_rate_quickswap(q: QuickSwapParams, n_paths: int, seed: int) -> tu
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     b = q.base
-    rng = np.random.default_rng(seed)
     band = continuation_band_t3(q)
+    return _mc_two_stage(b, band, claim_threshold_t4(q), b.tau_a, b.tau_b, n_paths, seed)
+
+
+def _mc_two_stage(
+    p: SwapParams, band: Bracket | None, threshold: float, h_lock: float, h_claim: float,
+    n_paths: int, seed: int,
+) -> tuple[float, float]:
+    """Monte Carlo twin of ``htlcgame._sr_integral``: B locks when the price
+    after ``h_lock`` hours lies in ``band``, then A claims when the price a
+    further ``h_claim`` hours on is at least ``threshold``.  No band: (0, 0)."""
+    rng = np.random.default_rng(seed)
     if band is None:
         return 0.0, 0.0
-    x4 = claim_threshold_t4(q)
-    mu, sig = b.gbm.mu, b.gbm.sigma
+    mu, sig = p.gbm.mu, p.gbm.sigma
     z1 = rng.standard_normal(n_paths)
     z2 = rng.standard_normal(n_paths)
-    p3 = b.x_yb_t1 * np.exp((mu - 0.5 * sig**2) * b.tau_a + sig * math.sqrt(b.tau_a) * z1)
-    p4 = p3 * np.exp((mu - 0.5 * sig**2) * b.tau_b + sig * math.sqrt(b.tau_b) * z2)
-    b_interested = rng.random(n_paths) < b.theta_2
-    a_interested = rng.random(n_paths) < b.theta_1
+    at_lock = p.x_yb_t1 * np.exp((mu - 0.5 * sig**2) * h_lock + sig * math.sqrt(h_lock) * z1)
+    at_claim = at_lock * np.exp((mu - 0.5 * sig**2) * h_claim + sig * math.sqrt(h_claim) * z2)
+    b_interested = rng.random(n_paths) < p.theta_2
+    a_interested = rng.random(n_paths) < p.theta_1
     success = (
         b_interested
-        & (p3 > band.lo) & (p3 <= band.hi)
+        & (at_lock > band.lo) & (at_lock <= band.hi)
         & a_interested
-        & (p4 >= x4)
+        & (at_claim >= threshold)
     )
     freq = float(np.mean(success))
     se = math.sqrt(max(freq * (1.0 - freq), 1e-12) / n_paths)

@@ -4,9 +4,11 @@ Both parties escrow a griefing premium alongside the principal: B locks Q,
 A locks 1.5Q.  Every decision node offers an explicit cancel action that
 releases a cancellation secret and unwinds the swap early, so a party who
 finds the deal unfavorable pays at most the premium instead of griefing the
-counterparty for the full locktime.  The solver mirrors the plain-HTLC one:
+counterparty for the full locktime.  The game has the plain-HTLC shape:
 closed forms at the final node, a continuation band for B at the middle
-node, and a delay-free success rate that depends only on x_a.
+node, and a delay-free success rate that depends only on x_a; the band and
+the success rate come from htlcgame's shared ``widest_band`` and
+``_sr_integral``.
 """
 
 from __future__ import annotations
@@ -16,9 +18,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .htlcgame import SwapParams, _cdf_from, _pe_below_from, sr_surface
-from .numerics import Bracket, find_roots, integrate
-from .pricemodel import PriceState, transition_pdf
+from .htlcgame import SwapParams, _scan_bracket, _sr_integral, sr_surface, widest_band
+# ``find_roots``, ``integrate`` and ``transition_pdf`` are no longer called
+# here (the band and SR solvers are shared with htlcgame); the bindings stay
+# for perfbench, which wraps them by name.
+from .numerics import Bracket, find_roots, integrate  # noqa: F401
+from .pricemodel import PriceState, cdf_from, pe_below_from, transition_pdf  # noqa: F401
 
 __all__ = [
     "QuickSwapParams",
@@ -31,10 +36,6 @@ __all__ = [
     "compare_participation",
     "ParticipationReport",
 ]
-
-_ROOT_SCAN_POINTS = 256
-_ROOT_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class QuickSwapParams:
@@ -96,11 +97,6 @@ class QuickThresholds:
         return Bracket(self.x3_1, self.x3_2)
 
 
-def _check_price(price: float) -> None:
-    if not price > 0:
-        raise ValueError("price must be > 0")
-
-
 # ---------------------------------------------------------------------------
 # Final node (t4): A claims or cancels, B follows.
 
@@ -144,7 +140,7 @@ def _t4_cancel_B(q: QuickSwapParams, price):
 
 def payoff_t4(q: QuickSwapParams, price_t4: float, action: str) -> tuple[float, float]:
     """Final-node payoffs (A, B) when A continues or cancels."""
-    _check_price(price_t4)
+    PriceState(price_t4)  # rejects a price <= 0
     if action == "continue":
         return float(_t4_cont_A(q, price_t4)), _t4_cont_B(q)
     if action == "cancel":
@@ -166,14 +162,14 @@ def _u_B_cont_t3(q: QuickSwapParams, price_t3):
     b = q.base
     x4 = claim_threshold_t4(q)
     arr = np.asarray(price_t3, dtype=float)
-    cdf4 = _cdf_from(b, x4, arr, b.tau_b)
+    cdf4 = cdf_from(x4, arr, b.gbm, b.tau_b)
     # A-cancels branch is linear in the t4 price: split into slope/intercept
     # and use the log-normal partial expectation in closed form.
     slope = math.exp((b.gbm.mu - b.r_b) * (b.t_eps + b.tau_b))
     intercept = q.Q * math.exp(-b.r_b * (b.t_eps + 2.0 * b.tau_b)) - 2.0 * b.f_b
     honest = math.exp(-b.r_b * b.tau_b) * (
         (1.0 - cdf4) * _t4_cont_B(q)
-        + slope * _pe_below_from(b, x4, arr, b.tau_b)
+        + slope * pe_below_from(x4, arr, b.gbm, b.tau_b)
         + intercept * cdf4
     )
     # Malicious A sits on the claim until just before the premium timeout D.
@@ -193,10 +189,10 @@ def _u_A_cont_t3(q: QuickSwapParams, price_t3):
     b = q.base
     x4 = claim_threshold_t4(q)
     arr = np.asarray(price_t3, dtype=float)
-    cdf4 = _cdf_from(b, x4, arr, b.tau_b)
+    cdf4 = cdf_from(x4, arr, b.gbm, b.tau_b)
     slope = (1.0 + b.sp_a) * math.exp((b.gbm.mu - b.r_a) * b.tau_b)
     intercept = 1.5 * q.Q * math.exp(-b.r_a * b.tau_a) - b.f_a - b.f_b
-    above = arr * math.exp(b.gbm.mu * b.tau_b) - _pe_below_from(b, x4, arr, b.tau_b)
+    above = arr * math.exp(b.gbm.mu * b.tau_b) - pe_below_from(x4, arr, b.gbm, b.tau_b)
     out = math.exp(-b.r_a * b.tau_b) * (
         slope * above + intercept * (1.0 - cdf4) + _t4_cancel_A(q) * cdf4
     )
@@ -232,7 +228,7 @@ def _t3_cancel_B(q: QuickSwapParams, price_t3):
 
 def payoff_t3(q: QuickSwapParams, price_t3: float, action: str) -> tuple[float, float]:
     """Middle-node payoffs (A, B) for B's continue/cancel/stop choice."""
-    _check_price(price_t3)
+    PriceState(price_t3)  # rejects a price <= 0
     if action == "continue":
         return float(_u_A_cont_t3(q, price_t3)), float(_u_B_cont_t3(q, price_t3))
     if action == "cancel":
@@ -242,39 +238,17 @@ def payoff_t3(q: QuickSwapParams, price_t3: float, action: str) -> tuple[float, 
     raise ValueError(f"unknown action {action!r}")
 
 
-def _band_scan_bracket(q: QuickSwapParams) -> Bracket:
-    b = q.base
-    ref = max(b.x_yb_t1, b.x_a, claim_threshold_t4(q))
-    return Bracket(ref * 1e-3, ref * 12.0)
-
-
 def continuation_band_t3(q: QuickSwapParams, scan: Bracket | None = None) -> Bracket | None:
     """Price band over which B prefers continuing to canceling at t3.
 
     Cancel strictly dominates stop (the stop path forfeits B's premium), so
     the relevant comparison is continue vs cancel.
     """
-    scan = scan or _band_scan_bracket(q)
 
-    def g(x):
+    def g(x, rows):
         return _u_B_cont_t3(q, x) - _t3_cancel_B(q, x)
 
-    roots = find_roots(g, scan, grid_points=_ROOT_SCAN_POINTS, tol=_ROOT_TOL, vectorized=True)
-    if not roots:
-        return None
-    edges = [scan.lo] + roots + [scan.hi]
-    best: tuple[float, float] | None = None
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if g(0.5 * (lo + hi)) > 0.0 and (best is None or hi - lo > best[1] - best[0]):
-            best = (lo, hi)
-    if best is None:
-        return None
-    lo, hi = best
-    if lo == scan.lo or hi == scan.hi:
-        if scan.hi / max(scan.lo, 1e-12) > 1e8:
-            return Bracket(lo, hi)
-        return continuation_band_t3(q, Bracket(scan.lo * 0.1, scan.hi * 10.0))
-    return Bracket(lo, hi)
+    return widest_band(g, scan or _scan_bracket(q.base.x_yb_t1, q.base.x_a, claim_threshold_t4(q)))
 
 
 def compute_thresholds(q: QuickSwapParams) -> QuickThresholds:
@@ -296,15 +270,7 @@ def success_rate(q: QuickSwapParams) -> float:
     if band is None:
         return 0.0
     b = q.base
-    x4 = claim_threshold_t4(q)
-    st = PriceState(b.x_yb_t1)
-
-    def integrand(price):
-        dens = b.theta_2 * transition_pdf(price, st, b.gbm, b.tau_a)
-        tails = 1.0 - _cdf_from(b, x4, price, b.tau_b)
-        return dens * b.theta_1 * tails
-
-    return max(0.0, integrate(integrand, band, b.quad))
+    return float(_sr_integral(b, band, claim_threshold_t4(q), b.tau_a, b.tau_b))
 
 
 # ---------------------------------------------------------------------------

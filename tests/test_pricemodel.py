@@ -7,10 +7,12 @@ from swapsim.numerics import Bracket, QuadratureSpec, integrate
 from swapsim.pricemodel import (
     GbmParams,
     PriceState,
+    cdf_from,
     erfc,
     expected_price,
     partial_expectation_above,
     partial_expectation_below,
+    pe_below_from,
     sample_endpoints,
     sample_path,
     transition_cdf,
@@ -91,6 +93,22 @@ def test_partial_expectation_matches_quadrature():
     assert abs(num - partial_expectation_below(k, STATE, GBM, lam)) <= 1e-8
 
 
+def test_kernels_broadcast_over_start_prices_bit_for_bit():
+    # As the game solvers call them: one target, (m,) start prices and a
+    # scalar horizon or a (K, 1) horizon column.  Entry i equals the public
+    # function called from start i (on a one-element target array, so that
+    # both take the array path of erfc).
+    starts = np.linspace(0.5, 4.0, 9)
+    target = np.array([2.5])
+    for lam in (3.0, np.array([[3.0], [24.0]])):
+        cdf = cdf_from(target, starts, GBM, lam)
+        pe = pe_below_from(target, starts, GBM, lam)
+        for i, x0 in enumerate(starts):
+            state = PriceState(float(x0))
+            assert np.array_equal(cdf[..., i], transition_cdf(target, state, GBM, lam)[..., 0])
+            assert np.array_equal(pe[..., i], partial_expectation_below(target, state, GBM, lam)[..., 0])
+
+
 def test_gbm_ensemble_mean_within_three_se():
     lam = 24.0
     n = 100_000
@@ -122,5 +140,13 @@ def test_invalid_inputs_rejected():
         GbmParams(mu=0.0, sigma=-0.1)
     with pytest.raises(ValueError):
         PriceState(0.0)
-    with pytest.raises(ValueError):
-        transition_cdf(2.0, STATE, GBM, -1.0)
+    for law in (transition_cdf, partial_expectation_below):
+        for target, params, lam in [
+            (2.0, GBM, -1.0),
+            (2.0, GBM, np.array([3.0, 0.0])),
+            (0.0, GBM, 3.0),
+            (np.array([1.0, -2.0]), GBM, 3.0),
+            (2.0, GbmParams(mu=0.002, sigma=0.0), 3.0),
+        ]:
+            with pytest.raises(ValueError):
+                law(target, STATE, params, lam)

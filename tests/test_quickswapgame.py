@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import baseline, quick_baseline
+from swapsim.numerics import Bracket
 from swapsim.quickswapgame import (
     QuickSwapParams,
     claim_threshold_t4,
@@ -116,9 +117,27 @@ def test_success_rate_zero_when_band_empty():
 
 @pytest.mark.parametrize("k", [1e6, 1e9])
 def test_success_rate_invariant_under_price_scaling(k):
-    # Zero fees: the premium and every payoff scale with the prices.
+    # Zero fees: the premium and every payoff scale with the prices, so the
+    # thresholds scale by k and the success rate is unchanged.
     scaled = quick_baseline(x_a=2.0 * k, x_yb_t1=2.0 * k)
     assert success_rate(scaled) == pytest.approx(success_rate(quick_baseline()), abs=1e-9)
+    th, thk = compute_thresholds(quick_baseline()), compute_thresholds(scaled)
+    assert thk.x_t4_star / k == pytest.approx(th.x_t4_star, rel=1e-12)
+    assert thk.x3_1 / k == pytest.approx(th.x3_1, rel=1e-9)
+    assert thk.x3_2 / k == pytest.approx(th.x3_2, rel=1e-9)
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.1, 0.2])
+def test_lock_band_widens_a_narrow_scan(sigma):
+    # The band reaches past the scan's upper edge, so the scan is widened
+    # until both roots lie inside; the roots then agree with the default
+    # scan's to the bisection tolerance.
+    q = quick_baseline(sigma)
+    scan = Bracket(0.3, 2.0)
+    band, want = continuation_band_t3(q, scan), continuation_band_t3(q)
+    assert band.hi > scan.hi
+    assert band.lo == pytest.approx(want.lo, abs=1e-8)
+    assert band.hi == pytest.approx(want.hi, abs=1e-8)
 
 
 def test_participation_comparison_contains_plain_swap():
