@@ -335,7 +335,8 @@ def cmd_validate(cfg: RunConfig) -> int:
         }
         _write_table(cfg, "validate", _PROPERTY_HEADER, _property_rows(report))
     elif kind == "htlc":
-        report = check_properties(build_htlc_instance(_swap_params(cfg.params)))
+        report = check_properties(build_htlc_instance(_swap_params(cfg.params),
+                                                      rho=float(cfg.params["rho"])))
         violations = report.safety_violations
         # The plain swap is *expected* to fail safety on grief profiles; the
         # check passes when those violations are present and confined to them.

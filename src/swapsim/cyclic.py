@@ -10,6 +10,7 @@ and earlier victims are compensated no later than later ones.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -247,24 +248,7 @@ def run_cyclic(
                                         frozenset({hashes[action.early_refund_hash]})))
         return tuple(branches)
 
-    # --- lock phase -------------------------------------------------------
-    refs: dict[int, OutputRef] = {}
-    locked_upto = -1
     clock = 0.0
-    broken_at: float | None = None
-    for idx, action in enumerate(plan.actions):
-        if strategies[action.party] == "grief-lock":
-            broken_at = action.start_time
-            break
-        if action.start_time > clock:
-            for c in chains:
-                c.advance(action.start_time)
-            clock = action.start_time
-        tx = Transaction(f"lock-{idx}", [], [LockedOutput(
-            action.amount, branch(action), funder=f"P{action.party}")])
-        chains[action.chain].broadcast(tx, clock)
-        refs[idx] = OutputRef(tx.id, 0)
-        locked_upto = idx
 
     def advance_all(to: float) -> None:
         nonlocal clock
@@ -273,12 +257,26 @@ def run_cyclic(
             c.advance(to)
         clock = to
 
+    # --- lock phase -------------------------------------------------------
+    refs: dict[int, OutputRef] = {}
+    locked_upto = -1
+    broken_at: float | None = None
+    for idx, action in enumerate(plan.actions):
+        if strategies[action.party] == "grief-lock":
+            broken_at = action.start_time
+            break
+        if action.start_time > clock:
+            advance_all(action.start_time)
+        tx = Transaction(f"lock-{idx}", [], [LockedOutput(
+            action.amount, branch(action), funder=f"P{action.party}")])
+        chains[action.chain].broadcast(tx, clock)
+        refs[idx] = OutputRef(tx.id, 0)
+        locked_upto = idx
+
     all_locked = locked_upto == len(plan.actions) - 1
     if all_locked:
         last_confirm = plan.actions[-1].start_time + spec.taus[plan.actions[-1].chain]
         advance_all(last_confirm)
-
-    revealed_cancels: list[str] = []
 
     def spend(idx: int, claimant: int, tx_id: str, preimage_roles: tuple[str, ...]) -> bool:
         action = plan.actions[idx]
@@ -319,6 +317,10 @@ def run_cyclic(
     # lets compliant parties cancel premiums and refund principals early as
     # the enabling preimages propagate.  Duplicate broadcasts are rejected
     # by the ledger, so each pass can simply retry everything outstanding.
+    # Parties poll every hour and at every timeout.  A pass can only act
+    # after a confirmation, a preimage sighting or a timeout, so the loop
+    # skips the polls before the earliest of these and lands on the first
+    # poll at or past it: the clock values are those of polling every hour.
     def cancel_pass() -> None:
         for idx, action in enumerate(plan.actions):
             if idx not in refs or strategies[action.party] != "compliant":
@@ -326,8 +328,7 @@ def run_cyclic(
             if refs[idx] in chains[action.chain].spent:
                 continue
             if action.kind == "premium":
-                if spend(idx, action.party, f"cancel-{idx}", (f"H{action.party}",)):
-                    revealed_cancels.append(f"H{action.party}")
+                spend(idx, action.party, f"cancel-{idx}", (f"H{action.party}",))
             else:
                 role = action.early_refund_hash
                 visible = any(
@@ -339,6 +340,20 @@ def run_cyclic(
 
     horizon = max(a.timeout for a in plan.actions) + max(spec.taus) + spec.t_eps + 1.0
     pending = sorted((a.timeout, idx) for idx, a in enumerate(plan.actions) if idx in refs)
+    timeouts = [t for t, _ in pending]
+
+    def next_poll(t: float) -> float:
+        later = bisect.bisect_right(timeouts, t)
+        return min(timeouts[later], t + 1.0) if later < len(timeouts) else t + 1.0
+
+    def next_event() -> float:
+        due = [c.next_confirm_time() for c in chains if c.mempool]
+        due += [at + spec.t_eps for c in chains for _, at in c.revealed.values()
+                if at + spec.t_eps > clock]
+        due += [t for t, idx in pending
+                if t > clock and refs[idx] not in chains[plan.actions[idx].chain].spent]
+        return min(due, default=horizon)
+
     while True:
         for t_out, idx in pending:
             action = plan.actions[idx]
@@ -355,8 +370,11 @@ def run_cyclic(
         ) or any(c.mempool for c in chains)
         if not unresolved or clock >= horizon:
             break
-        due_next = [t for t, _ in pending if t > clock]
-        advance_all(min(due_next + [clock + 1.0]))
+        target = min(next_event(), horizon)
+        poll = next_poll(clock)
+        while poll < target:
+            poll = next_poll(poll)
+        advance_all(poll)
 
     return _cyclic_verdict(plan, chains, strategies, clock)
 
@@ -378,21 +396,16 @@ def _cyclic_verdict(plan: CyclicPlan, chains, strategies, final_time) -> TraceVe
     for idx, action in enumerate(plan.actions):
         if action.kind != "principal":
             continue
-        for c in chains:
-            tx_id = c.spent.get(OutputRef(f"lock-{idx}", 0))
-            if tx_id is not None and tx_id.startswith("claim"):
-                outgoing_claimed[action.party] = True
+        tx_id = chains[action.chain].spent.get(OutputRef(f"lock-{idx}", 0))
+        if tx_id is not None and tx_id.startswith("claim"):
+            outgoing_claimed[action.party] = True
     swapped = all(outgoing_claimed.values())
     any_grief = any(s != "compliant" for s in strategies.values())
     outcome = "swapped" if swapped else ("griefed" if any_grief else "cancelled")
 
     witnesses: list[str] = []
-    revealed_roles = set()
-    for c in chains:
-        for h in c.revealed:
-            for role, pre in plan.secrets.items():
-                if hash_secret(pre) == h:
-                    revealed_roles.add(role)
+    roles = {hash_secret(pre): role for role, pre in plan.secrets.items()}
+    revealed_roles = {roles[h] for c in chains for h in c.revealed if h in roles}
     if swapped and revealed_roles != {"Hbar"}:
         witnesses.append(f"success trace revealed {sorted(revealed_roles)}")
 

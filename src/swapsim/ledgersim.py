@@ -13,7 +13,9 @@ and audit the swap protocols.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -31,8 +33,11 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=1024)
 def hash_secret(secret: bytes) -> str:
-    """Collision-resistant digest used for every hashlock in a run."""
+    """Collision-resistant digest used for every hashlock in a run.
+
+    Memoised: a run hashes the same few secrets at every spend check."""
     return hashlib.sha256(secret).hexdigest()
 
 
@@ -126,7 +131,11 @@ class ConfirmationEvent:
 
 
 class Chain:
-    """Single ledger with deterministic confirmation delay."""
+    """Single ledger with deterministic confirmation delay.
+
+    ``advance`` is event-driven: a step that confirms nothing only moves the
+    clock, so callers may poll it as often as they like.
+    """
 
     def __init__(self, chain_id: str, confirm_delay: float):
         if confirm_delay < 0:
@@ -136,6 +145,8 @@ class Chain:
         self.clock = 0.0
         self.mempool: list[Transaction] = []
         self.confirmed: list[Transaction] = []
+        self._live_ids: set[str] = set()  # ids in the mempool or confirmed
+        self._next_due = math.inf  # earliest confirm_time in the mempool
         self.utxos: dict[OutputRef, LockedOutput] = {}
         self.spent: dict[OutputRef, str] = {}  # ref -> spending tx id
         self.balances: dict[str, float] = {}
@@ -159,7 +170,7 @@ class Chain:
         """
         if now < self.clock:
             raise ValueError("broadcast in the past")
-        if any(t.id == tx.id for t in self.mempool) or any(t.id == tx.id for t in self.confirmed):
+        if tx.id in self._live_ids:
             raise ValueError(f"duplicate transaction id {tx.id}")
         for s in tx.spends:
             out = self.utxos.get(s.ref)
@@ -172,6 +183,8 @@ class Chain:
         tx.broadcast_time = now
         tx.confirm_time = now + self.confirm_delay
         self.mempool.append(tx)
+        self._live_ids.add(tx.id)
+        self._next_due = min(self._next_due, tx.confirm_time)
 
     def try_broadcast(self, tx: Transaction, now: float) -> bool:
         try:
@@ -189,16 +202,17 @@ class Chain:
         """
         if to < self.clock:
             raise ValueError("cannot advance backwards")
-        emitted: list[ConfirmationEvent] = []
+        self.clock = to
+        if self._next_due > to:
+            return []
         pending = sorted(
             (t for t in self.mempool if t.confirm_time <= to),
             key=lambda t: (t.confirm_time, t.id),
         )
         for tx in pending:
             self.mempool.remove(tx)
-            event = self._confirm(tx)
-            emitted.append(event)
-        self.clock = to
+        self._next_due = min((t.confirm_time for t in self.mempool), default=math.inf)
+        emitted = [self._confirm(tx) for tx in pending]
         self.events.extend(emitted)
         return emitted
 
@@ -207,6 +221,7 @@ class Chain:
         # Re-check spends: a racing transaction may have confirmed first.
         for s in tx.spends:
             if s.ref not in self.utxos:
+                self._live_ids.discard(tx.id)  # the id may be broadcast again
                 return ConfirmationEvent(now, self.id, tx.id, "rejected",
                                          reason=f"output {s.ref} spent before confirmation")
         revealed: list[str] = []
@@ -243,9 +258,7 @@ class Chain:
         return sum(o.amount for o in self.utxos.values())
 
     def next_confirm_time(self) -> float | None:
-        if not self.mempool:
-            return None
-        return min(t.confirm_time for t in self.mempool)
+        return self._next_due if self.mempool else None
 
 
 def balance(party: str, chains: list[Chain]) -> dict[str, float]:

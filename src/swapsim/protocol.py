@@ -128,29 +128,27 @@ class ProtocolInstance:
     secrets: dict[str, bytes]       # hash id -> preimage
     owners: dict[str, str]          # hash id -> party holding the preimage
     schedule: dict[str, float]      # named protocol times (t1..t5)
+    rho: float = 0.001              # rate of the lockup cost c(amount * hours) owed to a griefed party
 
     @property
     def base(self) -> SwapParams:
         return self.params.base if isinstance(self.params, QuickSwapParams) else self.params
 
     def hash_ids(self) -> dict[str, str]:
-        """Role name -> hash id mapping (H1 payment, H2/H3 cancellation)."""
-        return {role: hid for hid, role in self._roles().items()}
-
-    def _roles(self) -> dict[str, str]:
-        if self.kind == "htlc":
-            (hid,) = self.secrets.keys()
-            return {hid: "H1"}
-        ordered = list(self.secrets.keys())
-        return {ordered[0]: "H1", ordered[1]: "H2", ordered[2]: "H3"}
+        """Role name -> hash id mapping (H1 payment, H2/H3 cancellation),
+        in the order the builders list the secrets."""
+        return dict(zip(("H1", "H2", "H3"), self.secrets))
 
 
 def _mk_secret(tag: bytes) -> bytes:
     return tag.ljust(_SECRET_LEN, b"\x00")
 
 
-def build_htlc_instance(params: SwapParams) -> ProtocolInstance:
-    """Plain two-lock HTLC swap: one payment hash held by A."""
+def build_htlc_instance(params: SwapParams, rho: float = 0.001) -> ProtocolInstance:
+    """Plain two-lock HTLC swap: one payment hash held by A.
+
+    The plain swap pays no premium; ``rho`` only sets the lockup cost the
+    safety check requires as compensation when a party is griefed."""
     s = _mk_secret(b"htlc-payment-secret")
     h = hash_secret(s)
     b = params
@@ -161,7 +159,8 @@ def build_htlc_instance(params: SwapParams) -> ProtocolInstance:
         "t4": b.tau_a + b.tau_b + b.t_eps,
     }
     return ProtocolInstance(
-        kind="htlc", params=params, secrets={h: s}, owners={h: "A"}, schedule=schedule
+        kind="htlc", params=params, secrets={h: s}, owners={h: "A"}, schedule=schedule,
+        rho=rho,
     )
 
 
@@ -182,6 +181,7 @@ def build_quickswap_instance(params: QuickSwapParams) -> ProtocolInstance:
         secrets={h1: s1, h2: s2, h3: s3},
         owners={h1: "A", h2: "B", h3: "A"},
         schedule=schedule,
+        rho=params.rho,
     )
 
 
@@ -228,6 +228,7 @@ class _World:
     def __init__(self, instance: ProtocolInstance, profile: StrategyProfile, price_path):
         b = instance.base
         self.instance = instance
+        self.hash_ids = instance.hash_ids()
         self.profile = profile
         self.price = price_path or (lambda t: b.x_yb_t1)
         self.chain_a = Chain("chain-a", b.tau_a)
@@ -263,11 +264,11 @@ class _World:
         return self.profile.strategy_A if party == "A" else self.profile.strategy_B
 
     def secret(self, role: str) -> tuple[str, bytes]:
-        hid = self.instance.hash_ids()[role]
+        hid = self.hash_ids[role]
         return hid, self.instance.secrets[hid]
 
     def hid(self, role: str) -> str:
-        return self.instance.hash_ids()[role]
+        return self.hash_ids[role]
 
     def visible(self, party: str, role: str) -> bytes | None:
         """A preimage the party can use: its own, or one observed on-chain."""
@@ -285,15 +286,12 @@ class _World:
         ref = self.refs.get(name)
         if ref is None:
             return False
-        for c in self.chains.values():
-            if ref in c.utxos:
-                return True
-            # still pending confirmation counts as live
-            for tx in c.mempool:
-                for i, _ in enumerate(tx.creates):
-                    if OutputRef(tx.id, i) == ref:
-                        return True
-        return False
+        # An output still pending confirmation counts as live.
+        return any(
+            ref in c.utxos
+            or any(tx.id == ref.tx_id and 0 <= ref.index < len(tx.creates) for tx in c.mempool)
+            for c in self.chains.values()
+        )
 
     def confirmed_lock(self, name: str) -> bool:
         ref = self.refs.get(name)
@@ -691,12 +689,12 @@ def _principal_lock_hours(w: _World, party: str) -> tuple[float, float]:
 def _safety_check(w: _World, outcome: str) -> tuple[bool, str]:
     """Griefed compliant parties must be compensated for their lockup.
 
-    The required compensation is the premium-rate opportunity cost
-    c(amount * locktime); the plain HTLC pays none, which is exactly the
-    violation the checker is expected to surface.
+    The required compensation is the opportunity cost
+    rho * amount * locktime at the instance's rate ``rho``; the plain HTLC
+    pays none, which is exactly the violation the checker is expected to
+    surface whenever ``rho`` is positive.
     """
     inst, profile = w.instance, w.profile
-    rho = inst.params.rho if isinstance(inst.params, QuickSwapParams) else 0.001
     strategies = {"A": profile.strategy_A, "B": profile.strategy_B}
     for victim, adversary in (("A", "B"), ("B", "A")):
         if strategies[victim].kind != "compliant":
@@ -708,7 +706,7 @@ def _safety_check(w: _World, outcome: str) -> tuple[bool, str]:
         amount, hours = _principal_lock_hours(w, victim)
         if amount <= 0.0:
             continue
-        required = rho * amount * hours
+        required = inst.rho * amount * hours
         received = sum(a for _, a in w.premium_receipts.get(victim, ()))
         if received + 1e-9 < required:
             return False, (

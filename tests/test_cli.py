@@ -100,6 +100,18 @@ def test_validate_htlc_passes_with_expected_violations(tmp_path):
     assert all(r["safety"] == "1" for r in rows if "grief" not in r["profile"])
 
 
+def test_validate_htlc_honours_rho(tmp_path):
+    import csv
+
+    out = tmp_path / "v"
+    # With rho = 0 griefing costs nothing, so the expected violations vanish
+    # and the plain swap no longer shows what it is claimed to show.
+    assert run_cli("validate", "--out", str(out), "--set", "kind=htlc", "--set", "rho=0") == 1
+    with (out / "validate.csv").open() as fh:
+        assert all(r["safety"] == "1" for r in csv.DictReader(fh))
+    assert json.loads((out / "manifest.json").read_text())["summary"]["safety_violations"] == 0
+
+
 def test_validate_cyclic_sweep(tmp_path):
     out = tmp_path / "v"
     assert run_cli("validate", "--out", str(out), "--set", "kind=cyclic",

@@ -165,3 +165,70 @@ def test_two_party_runs_like_premium_protocol():
     assert cyc.outcome == two.outcome == "swapped"
     # Equal-value swap nets zero on both formulations.
     assert cyc.net_value["P0"] == pytest.approx(two.net_value["A"], abs=1e-9)
+
+
+def _ladder_spec(n: int, taus: tuple[float, ...], t_eps: float) -> CyclicSpec:
+    # The benchmark's cyclic timing: D=12, Delta=2 and a locktime ladder that
+    # clears the premium ladder at every n.
+    return CyclicSpec(
+        n=n, amounts=tuple(2.0 for _ in range(n)), taus=taus,
+        locktimes=tuple(12.0 + 2.0 * (n - 1) + 6.0 * (n - i) for i in range(n)),
+        D=12.0, Delta=2.0, rho=0.001, t_eps=t_eps,
+    )
+
+
+def _validate_strategies(n: int) -> list[tuple[str, dict[int, str]]]:
+    runs = [("all-compliant", {})]
+    runs += [(f"P{g}-{mode}", {g: mode}) for g in range(n) for mode in ("grief-lock", "grief-claim")]
+    return runs
+
+
+# sha256 of every run below as the hourly-polling settlement loop produced
+# it; any change in timing, events or verdicts moves it.
+SETTLEMENT_DIGEST = "487f88845be73cecd66eeda612e734c21693bf64912d03b45f029e708c995e19"
+
+
+def test_settlement_loop_traces_unchanged():
+    import hashlib
+    import json
+
+    records = []
+    for taus_of, t_eps in ((lambda n: (3.0,) * n, 1.0),
+                           (lambda n: tuple(2.5 + 0.37 * i for i in range(n)), 0.7)):
+        for n in (2, 8, 16):
+            plan = generate(_ladder_spec(n, taus_of(n), t_eps))
+            for label, strategies in _validate_strategies(n):
+                v = run_cyclic(plan, strategies)
+                records.append([
+                    n, label, v.outcome, v.correctness, v.safety, v.liveness, v.witnesses,
+                    sorted((p, repr(x)) for p, x in v.net_value.items()),
+                    [(repr(e.time), e.chain_id, e.tx_id, e.kind, list(e.revealed))
+                     for e in v.events],
+                    repr(v.final_time),
+                ])
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == SETTLEMENT_DIGEST
+
+
+def test_settlement_loop_skips_idle_polls(monkeypatch):
+    from swapsim import ledgersim
+
+    calls = [0]
+    advance = ledgersim.Chain.advance
+
+    def counted(self, to):
+        calls[0] += 1
+        return advance(self, to)
+
+    monkeypatch.setattr(ledgersim.Chain, "advance", counted)
+    n = 16
+    plan = generate(_ladder_spec(n, (3.0,) * n, 1.0))
+    v = run_cyclic(plan, {0: "grief-claim"})
+    assert v.safety and v.liveness
+    # Polling every hour takes 110 steps of all 16 chains (1,760 calls);
+    # only the polls after a confirmation, sighting or timeout remain.
+    assert calls[0] <= 400
+    calls[0] = 0
+    for g in range(n):
+        run_cyclic(plan, {g: "grief-claim"})
+    assert calls[0] <= 6000  # 22,640 when polling every hour

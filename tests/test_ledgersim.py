@@ -138,3 +138,51 @@ def test_conservation_through_relock_and_payout():
 def test_branch_requires_condition():
     with pytest.raises(ValueError):
         SpendBranch("A")  # neither preimage nor timelock
+
+
+def test_idle_advance_only_moves_clock():
+    c = Chain("a", 3.0)
+    c.fund(_lock(), 0.0)
+    assert c.advance(2.0) == []
+    assert c.clock == 2.0 and c.events == [] and len(c.mempool) == 1
+    assert c.next_confirm_time() == 3.0
+    with pytest.raises(ValueError):
+        c.advance(1.0)
+    assert c.advance(3.0)[0].kind == "confirmed"
+    assert c.next_confirm_time() is None
+    assert c.advance(10.0) == [] and c.clock == 10.0
+    with pytest.raises(ValueError):
+        c.advance(9.0)
+
+
+def test_rejected_transaction_id_can_be_broadcast_again():
+    c = Chain("a", 3.0)
+    c.fund(_lock(timeout=4.0), 0.0)
+    c.advance(4.0)
+    c.broadcast(Transaction("claim", [SpendInput(OutputRef("lock", 0), "B", {H: SECRET})],
+                            [Payout("B", 2.0)]), 4.0)
+    c.broadcast(Transaction("refund", [SpendInput(OutputRef("lock", 0), "A")],
+                            [Payout("A", 2.0)]), 4.5)
+    events = c.advance(8.0)
+    assert [(e.tx_id, e.kind) for e in events] == [("claim", "confirmed"), ("refund", "rejected")]
+    # The loser's id is free again; it now spends a fresh output.
+    c.fund(_lock(tx_id="lock-2", timeout=8.0), 8.0)
+    c.advance(11.0)
+    c.broadcast(Transaction("refund", [SpendInput(OutputRef("lock-2", 0), "A")],
+                            [Payout("A", 2.0)]), 11.0)
+    (ev,) = c.advance(14.0)
+    assert (ev.tx_id, ev.kind) == ("refund", "confirmed")
+    assert c.balances["A"] == 2.0
+
+
+def test_pending_and_confirmed_ids_refused():
+    c = Chain("a", 3.0)
+    c.fund(_lock(), 0.0)
+    c.fund(_lock(tx_id="lock-2"), 1.0)
+    with pytest.raises(ValueError, match="duplicate"):
+        c.fund(_lock(tx_id="lock-2"), 1.5)  # pending
+    c.advance(4.0)
+    assert [t.id for t in c.confirmed] == ["lock", "lock-2"]
+    with pytest.raises(ValueError, match="duplicate"):
+        c.fund(_lock(), 4.0)  # confirmed
+    assert not c.try_broadcast(_lock(tx_id="lock-2"), 4.0)

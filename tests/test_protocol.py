@@ -110,6 +110,17 @@ def test_check_properties_htlc_violations_present_and_confined():
     assert report.liveness_ok
 
 
+def test_htlc_safety_uses_instance_rho():
+    free = check_properties(build_htlc_instance(baseline(), rho=0.0))
+    assert free.safety_violations == []  # nothing is owed for a free lockup
+    default = check_properties(build_htlc_instance(baseline()))
+    assert default.safety_violations
+    assert all("grief" in r.profile for r in default.safety_violations)
+    griefed = StrategyProfile(Strategy("compliant"), Strategy("grief", phase="lock"))
+    (witness,) = run(build_htlc_instance(baseline(), rho=0.01), griefed).witnesses
+    assert witness.endswith("required 0.96")  # 0.01 * 2.0 * 48h
+
+
 def test_threshold_strategies_follow_price():
     p = baseline()
     inst = build_htlc_instance(p)
