@@ -335,13 +335,15 @@ def cmd_validate(cfg: RunConfig) -> int:
         }
         _write_table(cfg, "validate", _PROPERTY_HEADER, _property_rows(report))
     elif kind == "htlc":
-        report = check_properties(build_htlc_instance(_swap_params(cfg.params),
-                                                      rho=float(cfg.params["rho"])))
+        rho = float(cfg.params["rho"])
+        report = check_properties(build_htlc_instance(_swap_params(cfg.params), rho=rho))
         violations = report.safety_violations
-        # The plain swap is *expected* to fail safety on grief profiles; the
-        # check passes when those violations are present and confined to them.
+        # The plain swap pays no premium, so it is *expected* to fail safety on
+        # grief profiles exactly when a lockup costs the victim something
+        # (rho > 0); the check passes when violations appear iff rho > 0 and
+        # are confined to grief profiles.
         confined = all("grief" in r.profile for r in violations)
-        ok = bool(violations) and confined and report.liveness_ok and report.correctness_ok
+        ok = bool(violations) == (rho > 0) and confined and report.liveness_ok and report.correctness_ok
         cfg.summary = {
             "kind": kind, "rows": len(report.rows),
             "safety_violations": len(violations),

@@ -196,8 +196,12 @@ def _u_B_cont_t2(p: SwapParams, price_t2, T):
     return out
 
 
-def _u_A_cont_t2(p: SwapParams, price_t2, T: float):
-    """A's expected continuation value at the middle node (vectorized)."""
+def _u_A_cont_t2(p: SwapParams, price_t2, T):
+    """A's expected continuation value at the middle node.
+
+    Vectorized like ``_u_B_cont_t2``: a (K, 1) column of delays against
+    (K, n) prices gives (K, n) values.
+    """
     x_star = claim_threshold_t3(p)
     h_cont = p.tau_b + T
     h_stop = h_cont if p.uniform_delay_discounting else p.tau_b
@@ -205,10 +209,10 @@ def _u_A_cont_t2(p: SwapParams, price_t2, T: float):
     a = (1.0 + p.sp_a) * math.exp((p.gbm.mu - p.r_a) * p.tau_b)  # claim payoff slope in the t3 price
     stop_val = _t3_stop_A(p)
 
-    above = arr * math.exp(p.gbm.mu * h_cont) - pe_below_from(x_star, arr, p.gbm, h_cont)
+    above = arr * math_exp(p.gbm.mu * h_cont) - pe_below_from(x_star, arr, p.gbm, h_cont)
     tail = 1.0 - cdf_from(x_star, arr, p.gbm, h_cont)
-    claim_part = math.exp(-p.r_a * h_cont) * (a * above - p.f_b * tail)
-    stop_part = math.exp(-p.r_a * h_stop) * cdf_from(x_star, arr, p.gbm, h_stop) * stop_val
+    claim_part = math_exp(-p.r_a * h_cont) * (a * above - p.f_b * tail)
+    stop_part = math_exp(-p.r_a * h_stop) * cdf_from(x_star, arr, p.gbm, h_stop) * stop_val
     out = claim_part + stop_part
     if np.isscalar(price_t2):
         return float(out)
@@ -293,8 +297,8 @@ def continuation_band_t2(p: SwapParams, T, scan: Bracket | None = None) -> Brack
 
 def payoff_t1(p: SwapParams, T: float, Tp: float) -> tuple[float, float]:
     """Root-node values (A continue, A stop); A starts iff continue >= x_a."""
-    u_cont, u_stop = payoff_t1_with_band(p, T, [Tp], continuation_band_t2(p, T))
-    return float(u_cont[0]), float(u_stop[0])
+    u_cont, u_stop = payoff_t1_with_band(p, [T], [Tp], [continuation_band_t2(p, T)])
+    return float(u_cont[0, 0]), float(u_stop[0, 0])
 
 
 def success_rate(p: SwapParams, T: float, Tp: float) -> float | None:
@@ -349,8 +353,9 @@ def sr_surface(
     """Evaluate the success rate over the full (x_a, T, T') grid.
 
     B's continuation band is independent of T', so the bands of every T of
-    one x_a are solved together, and the root-node and SR integrals of each
-    (x_a, T) pair run with T' as a batch axis.
+    one x_a are solved together, the root-node integral of one x_a covers
+    every (T, T') pair in one call, and the SR integral of each (x_a, T)
+    pair runs with T' as a batch axis.
     """
     xa = np.asarray(xa_grid, dtype=float)
     ts = np.asarray(T_grid, dtype=float)
@@ -361,9 +366,10 @@ def sr_surface(
 
     for i, x_a in enumerate(xa):
         q = p.with_x_a(float(x_a))
-        for j, (T, band) in enumerate(zip(ts, continuation_band_t2(q, ts))):
-            u_cont, u_stop = payoff_t1_with_band(q, float(T), tps, band)
-            na[i, j] = u_cont < u_stop
+        bands = continuation_band_t2(q, ts)
+        u_cont, u_stop = payoff_t1_with_band(q, ts, tps, bands)
+        na[i] = u_cont < u_stop
+        for j, (T, band) in enumerate(zip(ts, bands)):
             starts = ~na[i, j]
             if band is None:
                 raw[i, j, starts] = 0.0
@@ -375,43 +381,52 @@ def sr_surface(
     return SRGrid(xa_axis=xa, t_axis=ts, tp_axis=tps, raw=raw, conditional=conditional, na_mask=na)
 
 
-def payoff_t1_with_band(p: SwapParams, T: float, Tp, band: Bracket | None) -> tuple[np.ndarray, np.ndarray]:
-    """payoff_t1 with a precomputed middle-node band, batched over T'.
+def payoff_t1_with_band(p: SwapParams, T, Tp, bands) -> tuple[np.ndarray, np.ndarray]:
+    """Root-node values (A continue, A stop) with precomputed middle-node bands.
 
-    ``Tp`` is a 1-D array of lock delays (a scalar counts as length 1); the
-    result is (A continue, A stop), one entry per lock delay.  A's t2 value
-    does not depend on T', so it is evaluated once per quadrature node and
-    only the transition density carries the T' axis.
+    ``T`` is a 1-D array of K claim delays and ``bands`` their K bands (None
+    where B never locks); ``Tp`` is a 1-D array of lock delays.  Returns two
+    (K, len(Tp)) arrays.  Each band is mapped onto u in [0, 1] (price =
+    lo + u * (hi - lo), Jacobian hi - lo), so the integrands of every
+    (T, T') pair run through one ``integrate`` call with row-wise
+    refinement.  A's t2 value does not depend on T', so it is evaluated once
+    per (T, node) and only the transition density carries the T' axis.
     """
     _check_delay("claim delay T", T, p.claim_delay_window)
     _check_delay("lock delay T'", Tp, p.lock_delay_window)
+    ts = np.atleast_1d(np.asarray(T, dtype=float))
     tps = np.atleast_1d(np.asarray(Tp, dtype=float))
     if p.t1_stop_value == "principal":
         u_a_stop_t2 = p.x_a - p.f_a
     else:
         u_a_stop_t2 = p.x_a * math.exp(-p.r_a * p.t_a) - p.f_a
-    u_stop = np.full(len(tps), p.x_a)
-    if band is None:
-        return np.full(len(tps), u_a_stop_t2 * math.exp(-p.r_a * p.tau_a)), u_stop
+    exit_value = u_a_stop_t2 * math.exp(-p.r_a * p.tau_a)
+    u_cont = np.full((len(ts), len(tps)), exit_value)
+    u_stop = np.full_like(u_cont, p.x_a)
+    rows = [k for k, band in enumerate(bands) if band is not None]
+    if not rows:
+        return u_cont, u_stop
+    lo = np.array([[bands[k].lo] for k in rows])
+    hi = np.array([[bands[k].hi] for k in rows])
+    width = hi - lo
+    t_col = ts[rows, None]
     st1 = PriceState(p.x_yb_t1)
     h = p.tau_a + tps
-    h_col = h[:, None]
 
-    def integrand(price):
-        return transition_pdf(price, st1, p.gbm, h_col) * _u_A_cont_t2(p, price, T)
+    def integrand(u):
+        price = lo + u * width
+        u_a = width * _u_A_cont_t2(p, price, t_col)  # Jacobian folded into the T'-free factor
+        dens = transition_pdf(price[:, None, :], st1, p.gbm, h[:, None])
+        return (dens * u_a[:, None, :]).reshape(-1, len(u))
 
-    cont_int = integrate(integrand, band, p.quad)
+    cont_int = integrate(integrand, Bracket(0.0, 1.0), p.quad).reshape(len(rows), len(tps))
     # Complement of the band under the same tau_a + T' law as the integral,
     # so the two branch weights sum to one.
-    mass_outside = (
-        1.0
-        - transition_cdf(band.hi, st1, p.gbm, h)
-        + transition_cdf(band.lo, st1, p.gbm, h)
-    )
-    u_a_cont = p.theta_2 * (
-        cont_int * np.exp(-p.r_a * h) + mass_outside * u_a_stop_t2 * math.exp(-p.r_a * p.tau_a)
-    ) + (1.0 - p.theta_2) * u_a_stop_t2 * math.exp(-p.r_a * p.tau_a)
-    return u_a_cont, u_stop
+    mass_outside = 1.0 - transition_cdf(hi, st1, p.gbm, h) + transition_cdf(lo, st1, p.gbm, h)
+    u_cont[rows] = p.theta_2 * (
+        cont_int * np.exp(-p.r_a * h) + mass_outside * exit_value
+    ) + (1.0 - p.theta_2) * exit_value
+    return u_cont, u_stop
 
 
 def _sr_integral(p: SwapParams, band: Bracket, threshold: float, h_lock, h_claim: float):

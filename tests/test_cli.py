@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from swapsim.cli import main
 
 
@@ -104,12 +106,20 @@ def test_validate_htlc_honours_rho(tmp_path):
     import csv
 
     out = tmp_path / "v"
-    # With rho = 0 griefing costs nothing, so the expected violations vanish
-    # and the plain swap no longer shows what it is claimed to show.
-    assert run_cli("validate", "--out", str(out), "--set", "kind=htlc", "--set", "rho=0") == 1
+    # With rho = 0 griefing costs nothing, so the expected violations vanish.
+    assert run_cli("validate", "--out", str(out), "--set", "kind=htlc", "--set", "rho=0") == 0
     with (out / "validate.csv").open() as fh:
         assert all(r["safety"] == "1" for r in csv.DictReader(fh))
     assert json.loads((out / "manifest.json").read_text())["summary"]["safety_violations"] == 0
+
+
+@pytest.mark.parametrize("rho", ["0", "0.05"])
+def test_validate_htlc_expects_violations_iff_rho_positive(tmp_path, rho):
+    out = tmp_path / "v"
+    assert run_cli("validate", "--out", str(out), "--set", "kind=htlc", "--set", f"rho={rho}") == 0
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    assert summary["passed"] is True
+    assert (summary["safety_violations"] > 0) == (float(rho) > 0)
 
 
 def test_validate_cyclic_sweep(tmp_path):

@@ -12,6 +12,7 @@ from swapsim.htlcgame import (
     continuation_band_t2,
     participation_range,
     payoff_t1,
+    payoff_t1_with_band,
     payoff_t2,
     payoff_t3,
     sr_surface,
@@ -160,6 +161,42 @@ def test_root_payoff_supports_participation_at_baseline():
     p = baseline()
     u_cont, u_stop = payoff_t1(p, 0.0, 0.0)
     assert u_cont >= u_stop
+
+
+def test_root_payoff_rows_match_single_row_calls():
+    p = baseline(0.2)
+    ts = np.array([0.0, 5.0, 10.0, 20.0])
+    tps = np.array([0.0, 7.0, 21.0])
+    bands = continuation_band_t2(p, ts)
+    assert all(b is not None for b in bands)
+    bands[1] = bands[3] = None
+    u_cont, u_stop = payoff_t1_with_band(p, ts, tps, bands)
+    assert u_cont.shape == u_stop.shape == (len(ts), len(tps))
+    exit_value = (p.x_a - p.f_a) * math.exp(-p.r_a * p.tau_a)
+    for k, (T, band) in enumerate(zip(ts, bands)):
+        one_cont, one_stop = payoff_t1_with_band(p, [T], tps, [band])
+        np.testing.assert_allclose(u_cont[k], one_cont[0], rtol=0.0, atol=1e-12)
+        assert np.array_equal(u_stop[k], one_stop[0])
+        if band is None:
+            assert (u_cont[k] == exit_value).all()
+        else:
+            assert (u_cont[k] != exit_value).all()
+
+
+def test_root_payoff_branch_weights_sum_to_one(monkeypatch):
+    # With no discounting and a t2 value equal to A's exit value, the root
+    # value is the exit value times the branch weights: theta_2 * (band mass
+    # + mass_outside) + (1 - theta_2).  It stays the exit value on every row
+    # only if the mapped band integral and mass_outside sum to one.
+    p = baseline(0.2, r_a=0.0, quad=QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12))
+    exit_value = p.x_a - p.f_a
+    monkeypatch.setattr(htlcgame, "_u_A_cont_t2", lambda q, price, T: np.full(np.shape(price), exit_value))
+    ts = np.array([0.0, 10.0, 20.0])
+    tps = np.array([0.0, 7.0, 21.0])
+    bands = continuation_band_t2(p, ts)
+    assert all(b is not None for b in bands)
+    u_cont, _ = payoff_t1_with_band(p, ts, tps, bands)
+    np.testing.assert_allclose(u_cont, exit_value, rtol=0.0, atol=1e-10)
 
 
 def test_unwilling_counterparty_kills_participation():

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,39 @@ def test_erfc_identities():
         assert abs(erfc(x) + erfc(-x) - 2.0) <= 1e-12
     arr = np.array([-1.0, 0.0, 1.0])
     np.testing.assert_allclose(erfc(arr) + erfc(-arr), 2.0, atol=1e-12)
+
+
+def test_erfc_array_path_matches_math_erfc_bit_for_bit():
+    xs = np.linspace(-6.0, 6.0, 97)
+    out = erfc(xs)
+    assert out.dtype == np.float64 and out.shape == xs.shape
+    assert out.tolist() == [math.erfc(x) for x in xs.tolist()]
+    for x in (-1.3, 0.0, 0.7, 5.5):
+        assert erfc(x) == math.erfc(x)
+        one = erfc(np.array([x]))
+        assert one.shape == (1,) and one[0] == math.erfc(x)
+        zero_d = erfc(np.array(x))
+        assert zero_d.shape == () and float(zero_d) == math.erfc(x)
+    empty = erfc(np.empty((0, 3)))
+    assert empty.shape == (0, 3) and empty.dtype == np.float64
+
+
+def test_transition_cdf_float_target_matches_one_element_array():
+    for x0 in np.linspace(0.5, 4.0, 40):
+        state = PriceState(float(x0))
+        for lam in (3.0, 24.0):
+            scalar = transition_cdf(2.5, state, GBM, lam)
+            assert isinstance(scalar, float)
+            assert scalar == transition_cdf(np.array([2.5]), state, GBM, lam)[0]
+
+
+def test_import_swapsim_does_not_load_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, swapsim; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_pdf_normalizes_to_one():
@@ -96,8 +133,7 @@ def test_partial_expectation_matches_quadrature():
 def test_kernels_broadcast_over_start_prices_bit_for_bit():
     # As the game solvers call them: one target, (m,) start prices and a
     # scalar horizon or a (K, 1) horizon column.  Entry i equals the public
-    # function called from start i (on a one-element target array, so that
-    # both take the array path of erfc).
+    # function called from start i.
     starts = np.linspace(0.5, 4.0, 9)
     target = np.array([2.5])
     for lam in (3.0, np.array([[3.0], [24.0]])):
