@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import quick_baseline
+from conftest import baseline, quick_baseline
 from swapsim.cyclic import CyclicSpec, generate, run_cyclic, validate_plan
 
 
@@ -208,6 +208,57 @@ def test_settlement_loop_traces_unchanged():
                 ])
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert digest == SETTLEMENT_DIGEST
+
+
+def _two_party_records() -> list:
+    from swapsim.htlcgame import claim_threshold_t3, continuation_band_t2
+    from swapsim.protocol import (
+        Strategy, StrategyProfile, build_htlc_instance, build_quickswap_instance, run,
+        strategy_grid,
+    )
+    from swapsim.quickswapgame import claim_threshold_t4, continuation_band_t3
+
+    def net(x: float) -> str:
+        return f"{round(x, 9) + 0.0:.9f}"  # within 1e-9; -0.0 reads as 0.0
+
+    thresholds = [Strategy("threshold"), Strategy("threshold", interested=False)]
+    records = []
+    for overrides in ({}, {"sigma": 0.2, "x_a": 2.4}):
+        b, q = baseline(**overrides), quick_baseline(**overrides)
+        for inst, band, x_star in (
+                (build_htlc_instance(b), continuation_band_t2(b, 0.0), claim_threshold_t3(b)),
+                (build_quickswap_instance(q), continuation_band_t3(q), claim_threshold_t4(q))):
+            grid = strategy_grid(inst.kind)
+            runs = [(StrategyProfile(a, bb), "grid", None) for a in grid["A"] for bb in grid["B"]]
+            # Constant prices below B's band, inside it above A's claim
+            # threshold, and inside it below the threshold.
+            for path, price in (("below-band", 0.5 * band.lo),
+                                ("above-claim", 0.5 * (max(band.lo, x_star) + band.hi)),
+                                ("below-claim", 0.5 * (band.lo + x_star))):
+                runs += [(StrategyProfile(a, bb), path, lambda t, x=price: x)
+                         for a in thresholds for bb in thresholds]
+            for profile, path, price_path in runs:
+                v = run(inst, profile, price_path)
+                records.append([
+                    inst.kind, sorted(overrides.items()), profile.label(), path,
+                    v.outcome, v.correctness, v.safety, v.liveness, v.witnesses,
+                    sorted((p, net(x)) for p, x in v.net_value.items()),
+                ])
+    return records
+
+
+# sha256 of every two-party strategy-grid run on two configs, plus threshold
+# profiles on three constant price paths: outcome, flags, witnesses and net
+# values to 1e-9 as the separate two-party automata produced them.
+TWO_PARTY_DIGEST = "21fdd0984483ac6292e68cd79ee8b478c4b7ba8fb2762ec5021e3280176eca17"
+
+
+def test_two_party_verdicts_unchanged():
+    import hashlib
+    import json
+
+    digest = hashlib.sha256(json.dumps(_two_party_records()).encode()).hexdigest()
+    assert digest == TWO_PARTY_DIGEST
 
 
 def test_settlement_loop_skips_idle_polls(monkeypatch):
