@@ -1,20 +1,26 @@
-"""Party automata executing the swap protocols on the ledger simulator.
+"""One engine executes every swap protocol on the ledger simulator.
 
-A run wires the protocol's lock graph onto two simulated chains and drives
-both parties' automata through an event loop.  Strategies plug into the
-automata: ``compliant`` acts at the earliest permitted time, ``grief``
-stops cooperating after a phase (but still self-refunds its own outputs at
-timeouts), ``delay`` shifts one action, ``cancel`` takes the cancellation
-path at a phase, and ``threshold`` consults the game solvers against a
-price path.  The property checker sweeps an exhaustive strategy grid and
-audits Correctness, Safety, and Liveness on every trace.
+A protocol is a lock plan: an ordered list of hashed-timelock contracts
+(``LockAction``) and the secrets that gate them, as in Herlihy's model of a
+swap as a graph of such contracts ("Atomic Cross-Chain Swaps", PODC 2018).
+``build_htlc_instance`` and ``build_quickswap_instance`` make the two-party
+plans and ``cyclic.generate`` the n-party one.  ``execute`` runs any plan on
+one simulated chain per asset with one ``Strategy`` per party: ``compliant``
+acts at the earliest permitted time, ``grief`` stops cooperating after a
+phase ("start" means never act), ``delay`` shifts one action, ``cancel``
+takes the cancellation path at a phase, and ``threshold`` consults the game
+solvers against a price path.  ``_verdict`` audits every trace for net
+value, Correctness, Safety, Liveness and conservation, and the property
+checker sweeps an exhaustive strategy grid.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -37,10 +43,13 @@ from .quickswapgame import QuickSwapParams, claim_threshold_t4, continuation_ban
 __all__ = [
     "Strategy",
     "StrategyProfile",
+    "LockAction",
+    "Timing",
     "ProtocolInstance",
     "TraceVerdict",
     "build_htlc_instance",
     "build_quickswap_instance",
+    "execute",
     "run",
     "check_properties",
     "PropertyReport",
@@ -120,24 +129,56 @@ class StrategyProfile:
 
 
 @dataclass(frozen=True)
+class LockAction:
+    """One scheduled lock: who locks what, where, and under which branches.
+
+    Party 0 holds the payment secret "Hbar"; "H{i}" is party i's
+    cancellation secret.  Times are hours; a lock made late keeps its
+    timeout's offset from ``start_time``."""
+
+    party: int
+    chain: int
+    amount: float
+    kind: str                      # "premium" | "principal"
+    start_time: float
+    timeout: float                 # hour of the timeout branch
+    timeout_recipient: int
+    hashlock_claimant: int
+    hashlocks: tuple[str, ...]     # role names: "Hbar" and/or "H{i}"
+    early_refund_hash: str | None = None   # role name enabling early refund
+
+
+@dataclass(frozen=True)
+class Timing:
+    """When honest parties act beyond the lock schedule (hours).
+
+    A party waiting for a lock on chain c gives up ``wait[c] + slack`` after
+    the lock was due, and on the initiator's claim ``claim_wait`` after every
+    lock is in.  ``release_with_claim`` says whether the initiator reclaims
+    its premium in its claim step or, like everyone else, once the payment
+    secret is public (``t_eps`` after the claim confirms).
+    """
+
+    t_eps: float
+    wait: tuple[float, ...]
+    slack: float
+    claim_wait: float
+    release_with_claim: bool
+
+
+@dataclass(frozen=True)
 class ProtocolInstance:
-    """A concrete swap: kind, parameters, hash material, and timeline."""
+    """A concrete two-party swap: kind, parameters and lock plan."""
 
     kind: str  # "htlc" | "quickswap"
     params: SwapParams | QuickSwapParams
-    secrets: dict[str, bytes]       # hash id -> preimage
-    owners: dict[str, str]          # hash id -> party holding the preimage
-    schedule: dict[str, float]      # named protocol times (t1..t5)
+    actions: tuple[LockAction, ...]
+    secrets: dict[str, bytes]       # role -> preimage
     rho: float = 0.001              # rate of the lockup cost c(amount * hours) owed to a griefed party
 
     @property
     def base(self) -> SwapParams:
         return self.params.base if isinstance(self.params, QuickSwapParams) else self.params
-
-    def hash_ids(self) -> dict[str, str]:
-        """Role name -> hash id mapping (H1 payment, H2/H3 cancellation),
-        in the order the builders list the secrets."""
-        return dict(zip(("H1", "H2", "H3"), self.secrets))
 
 
 def _mk_secret(tag: bytes) -> bytes:
@@ -149,39 +190,39 @@ def build_htlc_instance(params: SwapParams, rho: float = 0.001) -> ProtocolInsta
 
     The plain swap pays no premium; ``rho`` only sets the lockup cost the
     safety check requires as compensation when a party is griefed."""
-    s = _mk_secret(b"htlc-payment-secret")
-    h = hash_secret(s)
     b = params
-    schedule = {
-        "t1": 0.0,
-        "t2": b.tau_a,
-        "t3": b.tau_a + b.tau_b,
-        "t4": b.tau_a + b.tau_b + b.t_eps,
-    }
+    actions = (
+        LockAction(0, 0, b.x_a, "principal", 0.0, b.t_a, 0, 1, ("Hbar",)),
+        # y_b is denominated at its t1 value in A's asset.
+        LockAction(1, 1, b.x_yb_t1, "principal", b.tau_a, b.tau_a + b.t_b, 1, 0, ("Hbar",)),
+    )
     return ProtocolInstance(
-        kind="htlc", params=params, secrets={h: s}, owners={h: "A"}, schedule=schedule,
-        rho=rho,
+        kind="htlc", params=params, actions=actions,
+        secrets={"Hbar": _mk_secret(b"htlc-payment-secret")}, rho=rho,
     )
 
 
 def build_quickswap_instance(params: QuickSwapParams) -> ProtocolInstance:
-    """Premium-backed swap: payment hash H1 and cancel hashes H2 (B), H3 (A)."""
-    s1 = _mk_secret(b"quick-payment-secret-s1")
-    s2 = _mk_secret(b"quick-cancel-secret-s2")
-    s3 = _mk_secret(b"quick-cancel-secret-s3")
-    h1, h2, h3 = hash_secret(s1), hash_secret(s2), hash_secret(s3)
-    b = params.base
-    t2 = b.tau_b
-    t3 = t2 + b.tau_a
-    t4 = t3 + b.tau_b
-    schedule = {"t1": 0.0, "t2": t2, "t3": t3, "t4": t4, "t5": t4 + b.t_eps}
+    """Premium-backed swap: B posts Q, A locks x_a plus 1.5Q, B locks y_b.
+
+    Each premium times out to the counterparty (B's D + Delta after it is
+    posted, A's D after A locks); each principal refunds early on the other
+    side's cancellation secret."""
+    q, b = params, params.base
+    t2, t3 = b.tau_b, b.tau_b + b.tau_a
+    actions = (
+        LockAction(1, 1, q.Q, "premium", 0.0, q.D + q.Delta, 0, 1, ("Hbar", "H1")),
+        LockAction(0, 0, b.x_a, "principal", t2, t2 + b.t_a, 0, 1, ("Hbar",), "H1"),
+        LockAction(0, 0, 1.5 * q.Q, "premium", t2, t2 + q.D, 1, 0, ("Hbar", "H0")),
+        LockAction(1, 1, b.x_yb_t1, "principal", t3, t3 + b.t_b, 1, 0, ("Hbar",), "H0"),
+    )
+    secrets = {
+        "Hbar": _mk_secret(b"quick-payment-secret-s1"),
+        "H0": _mk_secret(b"quick-cancel-secret-s3"),
+        "H1": _mk_secret(b"quick-cancel-secret-s2"),
+    }
     return ProtocolInstance(
-        kind="quickswap",
-        params=params,
-        secrets={h1: s1, h2: s2, h3: s3},
-        owners={h1: "A", h2: "B", h3: "A"},
-        schedule=schedule,
-        rho=params.rho,
+        kind="quickswap", params=params, actions=actions, secrets=secrets, rho=params.rho,
     )
 
 
@@ -197,7 +238,6 @@ class TraceVerdict:
     liveness: bool
     witnesses: list[str]
     events: list[ConfirmationEvent]
-    premium_receipts: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
     final_time: float = 0.0
 
 
@@ -222,498 +262,450 @@ def liveness_bound(instance: ProtocolInstance, profile: StrategyProfile) -> floa
 
 
 # ---------------------------------------------------------------------------
-# Event-loop world.
+# The engine.
 
-class _World:
-    def __init__(self, instance: ProtocolInstance, profile: StrategyProfile, price_path):
-        b = instance.base
-        self.instance = instance
-        self.hash_ids = instance.hash_ids()
-        self.profile = profile
-        self.price = price_path or (lambda t: b.x_yb_t1)
-        self.chain_a = Chain("chain-a", b.tau_a)
-        self.chain_b = Chain("chain-b", b.tau_b)
-        self.chains = {"chain-a": self.chain_a, "chain-b": self.chain_b}
-        self.tasks: list[tuple[float, int, object]] = []
-        self._seq = 0
-        self.refs: dict[str, OutputRef] = {}
-        self.flags: set[str] = set()
-        self.premium_receipts: dict[str, list[tuple[float, float]]] = {"A": [], "B": []}
-        self.now = 0.0
+class _Run:
+    """One trace of a lock plan.
 
-    def at(self, time: float, fn) -> None:
-        self._seq += 1
-        heapq.heappush(self.tasks, (max(time, self.now), self._seq, fn))
+    Locks go out in plan order.  A step (one party's locks with one start
+    time) is due at its start time shifted by every delay so far, and the
+    last lock is party 0's to claim once every lock is in.  The claim
+    reveals "Hbar"; ``t_eps`` after it confirms the others claim their
+    incoming principals and reclaim their premiums.
 
-    def advance_to(self, t: float) -> None:
-        for c in self.chains.values():
-            c.advance(t)
-        self.now = t
+    A step not taken when due by a party with locks in makes everyone watch
+    their timeouts; if it is still missing at its give-up time, the others
+    cancel: they reveal their own secret by reclaiming their premium and
+    refund their principal early once their predecessor's secret is seen.
+    A cancel at a decision point alerts the others, who follow once the
+    canceller's secret is seen.  Parties sweep the timeouts owed to them only
+    once they watch: when a step is missed, after their last success step,
+    or once they cancel or give up.  Actions waiting for a secret to be seen
+    run on the poll grid: every hour and every timeout from the first watch.
+    """
 
-    def run_until(self, horizon: float) -> None:
-        while self.tasks:
-            t, _, fn = heapq.heappop(self.tasks)
-            if t > horizon:
-                break
-            self.advance_to(t)
-            fn(self)
-        self.advance_to(horizon)
+    def __init__(self, actions, secrets, parties, chains, strategies, timing, decide):
+        self.actions, self.secrets = actions, secrets
+        self.hashes = {role: hash_secret(pre) for role, pre in secrets.items()}
+        self.roles = {h: role for role, h in self.hashes.items()}
+        self.parties, self.chains, self.strategies = parties, chains, strategies
+        self.timing, self.decide = timing, decide
+        self.clock = 0.0
+        self.queue: list = []
+        self.seq = 0
+        self.refs: dict[int, OutputRef] = {}
+        self.expiry: dict[int, float] = {}
+        self.grid: list[float] = []        # sorted timeouts of every lock made
+        self.anchor: float | None = None   # first poll of the grid
+        self.polls: list[float] = []       # the grid's polls found so far
+        n = len(parties)
+        self.cancelling, self.watching = [False] * n, [False] * n
+        self.revealed = [False] * n        # the party broadcast a cancel
+        self.claimed = False
+        self.steps: list[tuple[int, list[int]]] = []
+        for idx, a in enumerate(actions):
+            prev = self.steps[-1] if self.steps else None
+            if prev and prev[0] == a.party and actions[prev[1][0]].start_time == a.start_time:
+                prev[1].append(idx)
+            else:
+                self.steps.append((a.party, [idx]))
+        self.phase = ["premium" if all(actions[i].kind == "premium" for i in idxs) else "lock"
+                      for _, idxs in self.steps]
+        first = {p for (p, _), ph in zip(self.steps, self.phase) if ph == "premium"}
+        self.order = [("premium", "lock", "claim") if i in first else ("lock", "claim")
+                      for i in range(n)]
+        self.performed = 0
 
-    # -- helpers -----------------------------------------------------------
-    def strategy(self, party: str) -> Strategy:
-        return self.profile.strategy_A if party == "A" else self.profile.strategy_B
+    # -- event loop ------------------------------------------------------------
+    def at(self, time: float, fn, prio: int = 1) -> None:
+        """Queue ``fn`` at ``time``: sweeps coming due (prio 0) run before
+        party steps (1), the sweeps of a party that starts watching after them (2)."""
+        self.seq += 1
+        heapq.heappush(self.queue, (time, prio, self.seq, fn))
 
-    def secret(self, role: str) -> tuple[str, bytes]:
-        hid = self.hash_ids[role]
-        return hid, self.instance.secrets[hid]
+    def run(self) -> None:
+        self._schedule(0, 0.0)
+        while self.queue:
+            self.clock, _, _, fn = heapq.heappop(self.queue)
+            fn()
 
-    def hid(self, role: str) -> str:
-        return self.hash_ids[role]
-
-    def visible(self, party: str, role: str) -> bytes | None:
-        """A preimage the party can use: its own, or one observed on-chain."""
-        hid = self.hid(role)
-        if self.instance.owners[hid] == party:
-            return self.instance.secrets[hid]
-        t_eps = self.instance.base.t_eps
-        for c in self.chains.values():
-            pre = c.preimage_visible(hid, t_eps, self.now)
-            if pre is not None:
-                return pre
-        return None
-
-    def unspent(self, name: str) -> bool:
-        ref = self.refs.get(name)
-        if ref is None:
+    def broadcast(self, chain: Chain, tx: Transaction) -> bool:
+        """Broadcast and queue the confirmation.  A chain with a delay
+        confirms before the steps of that hour; a zero-delay chain confirms
+        what the hour broadcast after them, so polls see it at the next poll."""
+        if not chain.try_broadcast(tx, self.clock):
             return False
-        # An output still pending confirmation counts as live.
-        return any(
-            ref in c.utxos
-            or any(tx.id == ref.tx_id and 0 <= ref.index < len(tx.creates) for tx in c.mempool)
-            for c in self.chains.values()
-        )
+        self.at(tx.confirm_time, lambda: self._observe(chain), -1 if chain.confirm_delay else 3)
+        return True
 
-    def confirmed_lock(self, name: str) -> bool:
-        ref = self.refs.get(name)
-        if ref is None:
-            return False
-        return any(ref in c.utxos or ref in c.spent for c in self.chains.values())
-
-    def spend(self, chain: Chain, name: str, tx_id: str, claimant: str,
-              payouts: list[Payout], preimages: dict[str, bytes] | None = None) -> bool:
-        ref = self.refs.get(name)
-        if ref is None:
-            return False
-        tx = Transaction(tx_id, [SpendInput(ref, claimant, preimages or {})], list(payouts))
-        return chain.try_broadcast(tx, self.now)
-
-
-# ---------------------------------------------------------------------------
-# HTLC automata.
-
-def _run_htlc(w: _World) -> None:
-    inst = w.instance
-    b = inst.base
-    h1 = w.hid("H1")
-    sA, sB = w.strategy("A"), w.strategy("B")
-
-    def a_lock(w: _World) -> None:
-        if not sA.acts_at("lock", HTLC_PHASES["A"]):
+    def _observe(self, chain: Chain) -> None:
+        """Confirm what is due; a revealed cancel secret lets the parties
+        refunding with it do so at the poll that sees it."""
+        if not (chain.mempool and chain.next_confirm_time() <= self.clock):
             return
-        tx = Transaction("lock-xa", [], [LockedOutput(b.x_a, (
-            SpendBranch("B", frozenset({h1})),
-            SpendBranch("A", not_before=w.now + b.t_a),
-        ), funder="A")])
-        w.chain_a.broadcast(tx, w.now)
-        w.refs["xa"] = OutputRef("lock-xa", 0)
-        w.flags.add("a-locked")
-        t_conf = w.now + b.tau_a
-        w.at(t_conf + sB.lag("lock"), b_lock)
-        w.at(w.now + b.t_a, lambda ww: _timeout_refund(ww, ww.chain_a, "xa", "refund-xa", "A", b.x_a))
+        for e in chain.advance(self.clock):
+            if e.revealed and self.anchor is not None:
+                seen = self.poll_at(e.time + self.timing.t_eps, e.time - chain.confirm_delay)
+                for h in e.revealed:
+                    self.at(seen, lambda h=h: self._refund_early(self.roles[h]))
 
-    def b_lock(w: _World) -> None:
-        if not w.confirmed_lock("xa"):
-            return
-        if not sB.acts_at("lock", HTLC_PHASES["B"]):
-            return
-        if sB.kind == "threshold":
-            band = continuation_band_t2(b, 0.0)
-            if not sB.interested or band is None or not (band.lo < w.price(w.now) <= band.hi):
-                return
-        amount = b.x_yb_t1  # y_b denominated at its t1 value in A's asset
-        tx = Transaction("lock-yb", [], [LockedOutput(amount, (
-            SpendBranch("A", frozenset({h1})),
-            SpendBranch("B", not_before=w.now + b.t_b),
-        ), funder="B")])
-        w.chain_b.broadcast(tx, w.now)
-        w.refs["yb"] = OutputRef("lock-yb", 0)
-        w.flags.add("b-locked")
-        t_conf = w.now + b.tau_b
-        w.at(t_conf + sA.lag("claim"), a_claim)
-        w.at(w.now + b.t_b, lambda ww: _timeout_refund(ww, ww.chain_b, "yb", "refund-yb", "B", amount))
+    def poll_at(self, t: float, after: float = -math.inf) -> float:
+        """First poll at or after ``t`` and later than ``after``."""
+        polls = self.polls
+        while polls[-1] < t or polls[-1] <= after:
+            p = polls[-1]
+            later = bisect.bisect_right(self.grid, p)
+            polls.append(min(self.grid[later], p + 1.0) if later < len(self.grid) else p + 1.0)
+        i = bisect.bisect_left(polls, t)
+        return polls[i] if polls[i] > after else polls[bisect.bisect_right(polls, after)]
 
-    def a_claim(w: _World) -> None:
-        if not w.confirmed_lock("yb"):
-            return
-        if not sA.acts_at("claim", HTLC_PHASES["A"]) or sA.cancels_at("claim"):
-            return  # stopping and cancelling coincide without a cancel script
-        if sA.kind == "threshold":
-            if not sA.interested or w.price(w.now) < claim_threshold_t3(b):
-                return
-        _, s = w.secret("H1")
-        if w.spend(w.chain_b, "yb", "claim-yb", "A", [Payout("A", b.x_yb_t1)], {h1: s}):
-            w.flags.add("a-claimed")
-            w.at(w.now + b.tau_b + b.t_eps, b_claim)
+    # -- ledger helpers --------------------------------------------------------
+    def visible(self, role: str) -> bool:
+        h = self.hashes[role]
+        return any(c.preimage_visible(h, self.timing.t_eps, self.clock) is not None
+                   for c in self.chains)
 
-    def b_claim(w: _World) -> None:
-        if not sB.acts_at("claim", HTLC_PHASES["B"]):
-            return
-        pre = w.visible("B", "H1")
-        if pre is None:
-            return
-        if w.spend(w.chain_a, "xa", "claim-xa", "B", [Payout("B", b.x_a)], {h1: pre}):
-            w.flags.add("b-claimed")
+    def spent(self, idx: int) -> bool:
+        return self.refs[idx] in self.chains[self.actions[idx].chain].spent
 
-    w.at(0.0 + sA.lag("lock"), a_lock)
+    def spend(self, idx: int, party: int, tx_id: str, role: str | None = None) -> bool:
+        a, name = self.actions[idx], self.parties[party]
+        pres = {self.hashes[role]: self.secrets[role]} if role else {}
+        tx = Transaction(tx_id, [SpendInput(self.refs[idx], name, pres)], [Payout(name, a.amount)])
+        return self.broadcast(self.chains[a.chain], tx)
 
+    def locked(self, party: int) -> bool:
+        return any(self.actions[i].party == party for i in self.refs)
 
-def _timeout_refund(w: _World, chain: Chain, name: str, tx_id: str, party: str, amount: float) -> None:
-    """Self-refund of one's own output once its timelock passes (all
-    strategies perform these — griefing means withholding cooperation, not
-    burning one's own refund)."""
-    if not w.unspent(name):
-        return
-    w.spend(chain, name, tx_id, party, [Payout(party, amount)])
+    def own(self, party: int, kind: str) -> list[int]:
+        """The party's unspent locks of ``kind``."""
+        return [i for i in self.refs if self.actions[i].party == party
+                and self.actions[i].kind == kind and not self.spent(i)]
 
+    # -- the schedule ----------------------------------------------------------
+    def _schedule(self, k: int, shift: float) -> None:
+        party, idxs = self.steps[k]
+        due = self.actions[idxs[0]].start_time + shift
+        lag = self.strategies[party].lag(self.phase[k])
+        self.at(due + lag, lambda: self._lock(k, shift + lag))
+        give_up = due + self.timing.wait[self.actions[idxs[0]].chain] + self.timing.slack
+        self._expect(party, due, give_up, lambda: self.performed > k, alert=False)
 
-# ---------------------------------------------------------------------------
-# Quick Swap automata.
+    def _expect(self, party: int, due: float, give_up: float, done, alert: bool) -> None:
+        """Deadlines of a step ``party`` owes: missed at ``due``, everyone
+        watches (if it has locks in); still missing at ``give_up``, the
+        others cancel.  A party that cancelled owes nothing more."""
+        def missed() -> bool:
+            return not (done() or self.revealed[party])
 
-def _run_quickswap(w: _World) -> None:
-    inst = w.instance
-    q: QuickSwapParams = inst.params
-    b = q.base
-    Q = q.Q
-    h1, h2, h3 = w.hid("H1"), w.hid("H2"), w.hid("H3")
-    sA, sB = w.strategy("A"), w.strategy("B")
-    delta = b.tau_b / 2.0
+        def overdue() -> None:
+            if missed() and self.locked(party):
+                self._watch_all()
 
-    def b_premium(w: _World) -> None:
-        if not sB.acts_at("premium", QUICKSWAP_PHASES["B"]) or sB.cancels_at("premium"):
-            return
-        tx = Transaction("lock-qb", [], [LockedOutput(Q, (
-            SpendBranch("B", frozenset({h1, h2})),
-            SpendBranch("A", not_before=w.now + q.D + q.Delta),
-        ), funder="B")])
-        w.chain_b.broadcast(tx, w.now)
-        w.refs["qb"] = OutputRef("lock-qb", 0)
-        t2 = w.now + b.tau_b
-        w.at(t2 + sA.lag("lock"), a_lock)
-        # B gives up if A has not locked within tau_a of the expected time.
-        w.at(t2 + b.tau_a + delta, b_giveup_premium)
-        # A's scripted compensation if B ultimately griefs.
-        w.at(w.now + q.D + q.Delta, a_take_qb)
+        def abandon() -> None:
+            if missed():
+                for p, s in enumerate(self.strategies):
+                    if p != party and s.kind != "grief" and self.locked(p):
+                        self._cancel(p, alert)
+                self._watch_all()
 
-    def a_lock(w: _World) -> None:
-        if not w.confirmed_lock("qb"):
-            return
-        if not sA.acts_at("lock", QUICKSWAP_PHASES["A"]) or sA.cancels_at("lock"):
-            return
-        lock_time = w.now
-        tx = Transaction("lock-a", [], [
-            LockedOutput(b.x_a, (
-                SpendBranch("B", frozenset({h1})),
-                SpendBranch("A", not_before=lock_time + b.t_a),
-                SpendBranch("A", frozenset({h2})),
-            ), funder="A"),
-            LockedOutput(1.5 * Q, (
-                SpendBranch("A", frozenset({h1, h3})),
-                SpendBranch("B", not_before=lock_time + q.D),
-            ), funder="A"),
-        ])
-        w.chain_a.broadcast(tx, w.now)
-        w.refs["xa"] = OutputRef("lock-a", 0)
-        w.refs["pa"] = OutputRef("lock-a", 1)
-        w.flags.add("a-locked")
-        t3 = w.now + b.tau_a
-        w.at(t3 + sB.lag("lock"), b_lock)
-        # A cancels via s3 if B's principal is not in place in time.
-        w.at(t3 + b.tau_b + delta, a_giveup)
-        w.at(w.now + b.t_a, lambda ww: _timeout_refund(ww, ww.chain_a, "xa", "refund-xa-timeout", "A", b.x_a))
-        # B's scripted compensation if A ultimately griefs.
-        w.at(lock_time + q.D, b_take_pa)
+        self.at(due, overdue)
+        self.at(give_up, abandon)
 
-    def b_giveup_premium(w: _World) -> None:
-        # A never locked: B cancels by reclaiming his premium with s2.
-        if "a-locked" in w.flags or not w.unspent("qb"):
+    def _lock(self, k: int, shift: float) -> None:
+        party, idxs = self.steps[k]
+        s, phase = self.strategies[party], self.phase[k]
+        if any(self.revealed[self.actions[i].party] for i in self.refs
+               if self.actions[i].kind == "principal"):
+            return  # a party with its principal in has cancelled the swap
+        if s.cancels_at(phase) or (s.kind == "threshold" and not self.decide(party, phase, self.clock)):
+            self._cancel(party, alert=True)
             return
-        if sB.kind == "grief":
+        if not s.acts_at(phase, self.order[party]):
             return
-        _, s2 = w.secret("H2")
-        w.spend(w.chain_b, "qb", "cancel-qb-early", "B", [Payout("B", Q)], {h2: s2})
-        w.flags.add("b-cancelled")
+        names = self.parties
+        for idx in idxs:
+            a = self.actions[idx]
+            expiry = a.timeout + (self.clock - a.start_time)
+            branches = [SpendBranch(names[a.hashlock_claimant],
+                                    frozenset(self.hashes[r] for r in a.hashlocks)),
+                        SpendBranch(names[a.timeout_recipient], not_before=expiry)]
+            if a.early_refund_hash is not None:
+                branches.append(SpendBranch(names[a.party],
+                                            frozenset({self.hashes[a.early_refund_hash]})))
+            tx = Transaction(f"lock-{idx}", [], [LockedOutput(
+                a.amount, tuple(branches), funder=names[a.party])])
+            self.broadcast(self.chains[a.chain], tx)
+            self.refs[idx] = OutputRef(tx.id, 0)
+            self.expiry[idx] = expiry
+            bisect.insort(self.grid, expiry)
+            del self.polls[bisect.bisect_left(self.polls, expiry, 1):]
+            if self.watching[a.timeout_recipient]:
+                self._sweep_when_due(idx)
+        self.performed = k + 1
+        if self.performed < len(self.steps):
+            self._schedule(self.performed, shift)
+            return
+        locked = self.clock + self.chains[self.actions[idxs[-1]].chain].confirm_delay
+        self.at(locked + self.strategies[0].lag("claim"), self._claim)
+        self._expect(0, locked, locked + self.timing.claim_wait, lambda: self.claimed, alert=True)
 
-    def b_lock(w: _World) -> None:
-        if not w.confirmed_lock("xa"):
+    # -- success path ----------------------------------------------------------
+    def _claim(self) -> None:
+        for c in self.chains:
+            self._observe(c)  # the locks are in
+        s = self.strategies[0]
+        if s.cancels_at("claim") or (s.kind == "threshold" and not self.decide(0, "claim", self.clock)):
+            self._cancel(0, alert=True)
             return
-        if "a-cancelled" in w.flags or w.visible("B", "H3") is not None:
-            return  # A already cancelled; do not lock into a dead swap
-        if sB.cancels_at("lock"):
-            _, s2 = w.secret("H2")
-            w.spend(w.chain_b, "qb", "cancel-qb", "B", [Payout("B", Q)], {h2: s2})
-            w.flags.add("b-cancelled")
-            w.at(w.now + b.tau_b + b.t_eps, a_after_b_cancel)
+        if not s.acts_at("claim", self.order[0]):
             return
-        if not sB.acts_at("lock", QUICKSWAP_PHASES["B"]):
-            return
-        if sB.kind == "threshold":
-            band = continuation_band_t3(q)
-            if not sB.interested or band is None or not (band.lo < w.price(w.now) <= band.hi):
-                _, s2 = w.secret("H2")
-                w.spend(w.chain_b, "qb", "cancel-qb", "B", [Payout("B", Q)], {h2: s2})
-                w.flags.add("b-cancelled")
-                w.at(w.now + b.tau_b + b.t_eps, a_after_b_cancel)
-                return
-        amount = b.x_yb_t1
-        tx = Transaction("lock-yb", [], [LockedOutput(amount, (
-            SpendBranch("A", frozenset({h1})),
-            SpendBranch("B", not_before=w.now + b.t_b),
-            SpendBranch("B", frozenset({h3})),
-        ), funder="B")])
-        w.chain_b.broadcast(tx, w.now)
-        w.refs["yb"] = OutputRef("lock-yb", 0)
-        w.flags.add("b-locked")
-        t4 = w.now + b.tau_b
-        w.at(t4 + sA.lag("claim"), a_claim)
-        w.at(w.now + b.t_b, lambda ww: _timeout_refund(ww, ww.chain_b, "yb", "refund-yb-timeout", "B", amount))
-        # If A neither claims nor cancels, B recovers what the script allows.
-        w.at(t4 + max(b.tau_a, b.tau_b) + b.t_eps + delta, b_giveup_after_lock)
+        last = len(self.actions) - 1
+        self.spend(last, 0, "claim-final", "Hbar")
+        self.claimed = True
+        if self.timing.release_with_claim:
+            for idx in self.own(0, "premium"):
+                self._release(idx, 0, f"reclaim-{idx}")
+            self._watch(0)
+        self.at(self.clock + self.chains[self.actions[last].chain].confirm_delay
+                + self.timing.t_eps, self._redeem)
 
-    def a_giveup(w: _World) -> None:
-        # B did not lock his principal: A cancels by reclaiming 1.5Q with s3.
-        if "b-locked" in w.flags or "b-cancelled" in w.flags or "a-cancelled" in w.flags:
-            return
-        if not w.unspent("pa"):
-            return
-        if sA.kind == "grief" and sA.phase in ("lock", "start"):
-            return
-        _, s3 = w.secret("H3")
-        if w.spend(w.chain_a, "pa", "cancel-pa", "A", [Payout("A", 1.5 * Q)], {h3: s3}):
-            w.flags.add("a-cancelled")
+    def _redeem(self) -> None:
+        """The payment secret is public: claim incoming principals, reclaim premiums."""
+        for idx, a in enumerate(self.actions[:-1]):
+            p = a.hashlock_claimant if a.kind == "principal" else a.party
+            if idx not in self.refs or not self.strategies[p].acts_at("claim", self.order[p]):
+                continue
+            if a.kind == "principal":
+                self._release(idx, p, f"claim-{idx}")
+            elif not (p == 0 and self.timing.release_with_claim):
+                self._release(idx, p, f"reclaim-{idx}")
+        self._watch_all()
 
-    def a_claim(w: _World) -> None:
-        if not w.confirmed_lock("yb") or "a-cancelled" in w.flags:
-            return
-        if sA.cancels_at("claim"):
-            _, s3 = w.secret("H3")
-            if w.spend(w.chain_a, "pa", "cancel-pa", "A", [Payout("A", 1.5 * Q)], {h3: s3}):
-                w.flags.add("a-cancelled")
-                w.at(w.now + b.tau_a + b.t_eps, b_after_a_cancel)
-            return
-        if not sA.acts_at("claim", QUICKSWAP_PHASES["A"]):
-            return
-        if sA.kind == "threshold" and (not sA.interested or w.price(w.now) < claim_threshold_t4(q)):
-            _, s3 = w.secret("H3")
-            if w.spend(w.chain_a, "pa", "cancel-pa", "A", [Payout("A", 1.5 * Q)], {h3: s3}):
-                w.flags.add("a-cancelled")
-                w.at(w.now + b.tau_a + b.t_eps, b_after_a_cancel)
-            return
-        _, s1 = w.secret("H1")
-        if w.spend(w.chain_b, "yb", "claim-yb", "A", [Payout("A", b.x_yb_t1)], {h1: s1}):
-            w.flags.add("a-claimed")
-            w.spend(w.chain_a, "pa", "reclaim-pa", "A", [Payout("A", 1.5 * Q)], {h1: s1})
-            w.at(w.now + b.tau_b + b.t_eps, b_redeem)
+    def _release(self, idx: int, party: int, tx_id: str) -> None:
+        """Spend with the payment secret, unless a timeout spend is already out."""
+        ref = self.refs[idx]
+        if not any(s.ref == ref for tx in self.chains[self.actions[idx].chain].mempool
+                   for s in tx.spends):
+            self.spend(idx, party, tx_id, "Hbar")
 
-    def b_redeem(w: _World) -> None:
-        if not sB.acts_at("claim", QUICKSWAP_PHASES["B"]):
-            return
-        pre = w.visible("B", "H1")
-        if pre is None:
-            return
-        w.spend(w.chain_a, "xa", "claim-xa", "B", [Payout("B", b.x_a)], {h1: pre})
-        w.spend(w.chain_b, "qb", "reclaim-qb", "B", [Payout("B", Q)], {h1: pre})
-        w.flags.add("b-claimed")
+    # -- cancelling ------------------------------------------------------------
+    def _cancel(self, party: int, alert: bool) -> None:
+        """Reveal the party's cancel secret through its premium; refund early."""
+        if not self.cancelling[party]:
+            self.cancelling[party] = True
+            for idx in self.own(party, "premium"):
+                self.revealed[party] |= self.spend(idx, party, f"cancel-{idx}", f"H{party}")
+            self._watch(party)
+            for idx in self.own(party, "principal"):
+                self._refund_early(self.actions[idx].early_refund_hash)
+        premiums = [a.chain for a in self.actions if a.party == party and a.kind == "premium"]
+        if alert and premiums:
+            seen = self.clock + self.chains[premiums[0]].confirm_delay + self.timing.t_eps
+            self.at(self.poll_at(seen), lambda: self._alerted(party))
 
-    def b_after_a_cancel(w: _World) -> None:
-        # A revealed s3: B refunds his principal early and releases s2 so A
-        # can refund hers.
-        pre = w.visible("B", "H3")
-        if pre is None:
+    def _alerted(self, canceller: int) -> None:
+        """The others follow a cancel once the canceller's secret is seen."""
+        if not self.visible(f"H{canceller}"):
             return
-        if w.unspent("yb"):
-            w.spend(w.chain_b, "yb", "refund-yb-s3", "B", [Payout("B", b.x_yb_t1)], {h3: pre})
-        if w.unspent("qb") and not (sB.kind == "grief"):
-            _, s2 = w.secret("H2")
-            w.spend(w.chain_b, "qb", "cancel-qb", "B", [Payout("B", Q)], {h2: s2})
-            w.flags.add("b-cancelled")
-            w.at(w.now + b.tau_b + b.t_eps, a_after_b_cancel)
+        for p, s in enumerate(self.strategies):
+            if p != canceller and not self.cancelling[p]:
+                if s.kind == "grief":
+                    self._watch(p)
+                else:
+                    self._cancel(p, alert=True)
 
-    def a_after_b_cancel(w: _World) -> None:
-        # B revealed s2: A refunds her principal early and her premium via s3.
-        pre = w.visible("A", "H2")
-        if pre is None:
-            return
-        if w.unspent("xa"):
-            w.spend(w.chain_a, "xa", "refund-xa-s2", "A", [Payout("A", b.x_a)], {h2: pre})
-        if w.unspent("pa") and "a-cancelled" not in w.flags and sA.kind != "grief":
-            _, s3 = w.secret("H3")
-            if w.spend(w.chain_a, "pa", "cancel-pa", "A", [Payout("A", 1.5 * Q)], {h3: s3}):
-                w.flags.add("a-cancelled")
+    def _refund_early(self, role: str | None) -> None:
+        """A cancelling party refunds the principal that ``role`` unlocks early,
+        once the secret is seen."""
+        for idx in self.refs:
+            a = self.actions[idx]
+            if (role is not None and a.early_refund_hash == role and self.cancelling[a.party]
+                    and self.strategies[a.party].kind != "grief" and not self.spent(idx)
+                    and self.visible(role)):
+                self.spend(idx, a.party, f"early-refund-{idx}", role)
 
-    def b_giveup_after_lock(w: _World) -> None:
-        # A went silent after everything was locked: B takes the scripted
-        # compensation path — 1.5Q after D (scheduled separately) — and
-        # releases s2 so the principals unwind.
-        if w.flags & {"a-claimed", "a-cancelled"}:
-            return
-        if sB.kind == "grief":
-            return
-        if w.unspent("qb"):
-            _, s2 = w.secret("H2")
-            w.spend(w.chain_b, "qb", "cancel-qb", "B", [Payout("B", Q)], {h2: s2})
-            w.flags.add("b-cancelled")
-            w.at(w.now + b.tau_b + b.t_eps, a_after_b_cancel)
+    # -- timeouts --------------------------------------------------------------
+    def _watch_all(self) -> None:
+        for p in range(len(self.parties)):
+            self._watch(p)
 
-    def a_take_qb(w: _World) -> None:
-        # Premium timeout D+Delta: if B's premium is still locked, A collects
-        # it as compensation.  A pure timelock sweep needs no cooperation, so
-        # every strategy performs it.
-        if not w.unspent("qb"):
+    def _watch(self, party: int) -> None:
+        """From now on the party sweeps every timeout owed to it."""
+        if self.watching[party]:
             return
-        if w.spend(w.chain_b, "qb", "compensate-a", "A", [Payout("A", Q)]):
-            w.premium_receipts["A"].append((w.now + b.tau_b, Q))
+        self.watching[party] = True
+        if self.anchor is None:
+            self.anchor = self.clock
+            self.polls = [self.clock]
+        for idx in self.refs:
+            if self.actions[idx].timeout_recipient == party:
+                self._sweep_when_due(idx)
 
-    def b_take_pa(w: _World) -> None:
-        # Premium timeout D: if A's premium is still locked, B collects it.
-        if not w.unspent("pa"):
-            return
-        if w.spend(w.chain_a, "pa", "compensate-b", "B", [Payout("B", 1.5 * Q)]):
-            w.premium_receipts["B"].append((w.now + b.tau_a, 1.5 * Q))
+    def _sweep_when_due(self, idx: int) -> None:
+        def sweep() -> None:
+            if not self.spent(idx):
+                self.spend(idx, self.actions[idx].timeout_recipient, f"timeout-{idx}")
 
-    w.at(0.0 + sB.lag("premium"), b_premium)
+        if self.expiry[idx] > self.clock:
+            self.at(self.expiry[idx], sweep, prio=0)
+        else:
+            self.at(self.clock, sweep, prio=2)
 
 
-# ---------------------------------------------------------------------------
-# Run + verdicts.
+def execute(actions, secrets, parties, chains, strategies, timing, *, safety,
+            bound: float = math.inf, decide=None, value=None) -> TraceVerdict:
+    """Run a lock plan with one strategy per party and audit the trace.
+
+    ``safety(run, swapped)`` is the protocol's safety rule, ``bound`` the
+    hour by which every lock must be released, ``decide(party, phase, now)``
+    the threshold strategies' choice, and ``value(run)`` each chain's coin
+    value in the first chain's asset.
+    """
+    r = _Run(actions, secrets, parties, chains, strategies, timing, decide)
+    r.run()
+    return _verdict(r, safety, bound, value(r) if value else [1.0] * len(chains))
+
+
+def _spender(r: _Run, idx: int) -> str:
+    """Id of the confirmed transaction that spent lock ``idx`` ("" if none)."""
+    return r.chains[r.actions[idx].chain].spent.get(r.refs.get(idx), "")
+
+
+def _verdict(r: _Run, safety, bound: float, scale) -> TraceVerdict:
+    """Net value, Correctness, Safety, Liveness and conservation of a trace."""
+    endow = {p: 0.0 for p in r.parties}
+    recv = {p: 0.0 for p in r.parties}
+    for f, c in zip(scale, r.chains):
+        for p in r.parties:
+            endow[p] += f * c.funded_total.get(p, 0.0)
+            recv[p] += f * c.balances.get(p, 0.0)
+    net = {p: recv[p] - endow[p] for p in r.parties}
+
+    swapped = all(_spender(r, i).startswith("claim")
+                  for i, a in enumerate(r.actions) if a.kind == "principal")
+    kinds = [s.kind for s in r.strategies]
+    outcome = "swapped" if swapped else ("griefed" if "grief" in kinds else "cancelled")
+
+    events = sorted((e for c in r.chains for e in c.events),
+                    key=lambda e: (e.time, e.chain_id, e.tx_id))
+    last_spend = max((e.time for e in events if e.kind == "confirmed"), default=0.0)
+    witnesses: list[str] = []
+    locks_left = sum(len(c.utxos) + len(c.mempool) for c in r.chains)
+    liveness = locks_left == 0 and last_spend <= bound
+    if not liveness:
+        witnesses.append(f"liveness: {locks_left} unreleased locks, last release at "
+                         f"{last_spend:g}h (bound {bound:g}h)")
+    correctness = swapped or any(k != "compliant" for k in kinds)
+    if not correctness:
+        witnesses.append("correctness: compliant parties failed to swap")
+    safe, found = safety(r, swapped)
+    witnesses += found
+    for c in r.chains:
+        if not conservation_holds(c):
+            safe = False
+            witnesses.append(f"conservation violated on {c.id}")
+
+    # The run ends at the first poll that observes the last confirmation.
+    last = max((e.time for e in events), default=0.0)
+    delay = {c.id: c.confirm_delay for c in r.chains}
+    sent = max((e.time - delay[e.chain_id] for e in events), default=-math.inf)
+    return TraceVerdict(
+        outcome=outcome, net_value=net, correctness=correctness, safety=safe,
+        liveness=liveness, witnesses=witnesses, events=events,
+        final_time=last if r.anchor is None else r.poll_at(last, sent),
+    )
+
+
+def _compensated(r: _Run, swapped: bool, rho: float) -> tuple[bool, list[str]]:
+    """Two-party rule: a compliant party griefed out of the swap is owed
+    c(amount * locktime) = rho * amount * locktime for its locked principal,
+    paid by the premiums that time out to it.  The plain HTLC pays none,
+    which is exactly the violation the checker is expected to surface
+    whenever ``rho`` is positive."""
+    kinds = [s.kind for s in r.strategies]
+    for victim in (0, 1):
+        if swapped or kinds[victim] != "compliant" or kinds[1 - victim] != "grief":
+            continue
+        idx = next(i for i, a in enumerate(r.actions) if a.party == victim and a.kind == "principal")
+        if idx not in r.refs:
+            continue
+        a = r.actions[idx]
+        hours = a.timeout - a.start_time
+        required = rho * a.amount * hours
+        received = sum(p.amount for i, p in enumerate(r.actions)
+                       if p.kind == "premium" and p.timeout_recipient == victim
+                       and _spender(r, i) == f"timeout-{i}")
+        if received + 1e-9 < required:
+            return False, [f"safety: {r.parties[victim]} griefed with {a.amount:g} locked for "
+                           f"{hours:g}h, compensation {received:g} < required {required:g}"]
+    return True, []
+
+
+def recovers_locked(r: _Run, swapped: bool) -> tuple[bool, list[str]]:
+    """Cyclic rule: a compliant party whose outgoing principal was claimed
+    holds the incoming one; otherwise it gets back everything it locked
+    (premium timeouts may add on top).  A success reveals only "Hbar"."""
+    witnesses: list[str] = []
+    roles = {h: role for role, h in r.hashes.items()}
+    revealed = {roles[h] for c in r.chains for h in c.revealed if h in roles}
+    if swapped and revealed != {"Hbar"}:
+        witnesses.append(f"success trace revealed {sorted(revealed)}")
+    for i, s in enumerate(r.strategies):
+        if s.kind != "compliant":
+            continue
+        p = r.parties[i]
+        recv = sum(c.balances.get(p, 0.0) for c in r.chains)
+        expected = sum(c.funded_total.get(p, 0.0) for c in r.chains)
+        for idx, a in enumerate(r.actions):
+            if a.party == i and a.kind == "principal" and _spender(r, idx).startswith("claim"):
+                incoming = next(b for b in r.actions
+                                if b.kind == "principal" and b.hashlock_claimant == i)
+                expected += incoming.amount - a.amount
+        if recv + 1e-9 < expected:
+            witnesses.append(f"safety: {p} received {recv:g} < expected {expected:g}")
+    return not any(w.startswith("safety") for w in witnesses), witnesses
+
+
+def _two_party_timing(b: SwapParams) -> Timing:
+    # A party waits for the counterparty's lock to confirm and for A's claim
+    # to be seen on the slower chain, each plus half of B's confirmation delay.
+    slack = b.tau_b / 2.0
+    return Timing(t_eps=b.t_eps, wait=(b.tau_a, b.tau_b), slack=slack,
+                  claim_wait=max(b.tau_a, b.tau_b) + b.t_eps + slack, release_with_claim=True)
+
 
 def run(
     instance: ProtocolInstance,
     profile: StrategyProfile,
     price_path=None,
 ) -> TraceVerdict:
-    """Execute one trace and audit it.  Deterministic given inputs."""
-    w = _World(instance, profile, price_path)
-    if instance.kind == "htlc":
-        _run_htlc(w)
-    elif instance.kind == "quickswap":
-        _run_quickswap(w)
-    else:
+    """Execute one two-party trace and audit it.  Deterministic given inputs."""
+    if instance.kind not in ("htlc", "quickswap"):
         raise ValueError(f"unknown protocol kind {instance.kind!r}")
-    horizon = liveness_bound(instance, profile) + 1.0
-    w.run_until(horizon)
-    return _verdict(w, horizon)
+    b = instance.base
+    price = price_path or (lambda t: b.x_yb_t1)
+    strategies = [profile.strategy_A, profile.strategy_B]
 
+    def decide(party: int, phase: str, now: float) -> bool:
+        """Threshold play: B locks inside its band, A claims above its threshold."""
+        s, x = strategies[party], price(now)
+        if party == 1 and phase == "lock":
+            band = (continuation_band_t2(b, 0.0) if instance.kind == "htlc"
+                    else continuation_band_t3(instance.params))
+            return s.interested and band is not None and band.lo < x <= band.hi
+        if party == 0 and phase == "claim":
+            x_star = (claim_threshold_t3(b) if instance.kind == "htlc"
+                      else claim_threshold_t4(instance.params))
+            return s.interested and x >= x_star
+        return True
 
-def _verdict(w: _World, horizon: float) -> TraceVerdict:
-    inst, profile = w.instance, w.profile
-    b = inst.base
-    swapped = {"a-claimed", "b-claimed"} <= w.flags
-    any_grief = "grief" in (profile.strategy_A.kind, profile.strategy_B.kind)
-    if swapped:
-        outcome = "swapped"
-    elif any_grief:
-        outcome = "griefed"
-    else:
-        outcome = "cancelled"
-
+    chains = [Chain("chain-a", b.tau_a), Chain("chain-b", b.tau_b)]
     # Net value in A-asset units; chain-b holdings scale with the final price.
-    scale = w.price(w.now) / b.x_yb_t1
-    endow = {"A": 0.0, "B": 0.0}
-    recv = {"A": 0.0, "B": 0.0}
-    for c in w.chains.values():
-        f = scale if c.id == "chain-b" else 1.0
-        for party in ("A", "B"):
-            endow[party] += f * c.funded_total.get(party, 0.0)
-            recv[party] += f * c.balances.get(party, 0.0)
-    net = {p: recv[p] - endow[p] for p in ("A", "B")}
-
-    witnesses: list[str] = []
-    events = [e for c in w.chains.values() for e in c.events]
-    events.sort(key=lambda e: (e.time, e.chain_id, e.tx_id))
-    last_spend = max((e.time for e in events if e.kind == "confirmed"), default=0.0)
-
-    locks_left = sum(len(c.utxos) for c in w.chains.values()) + sum(len(c.mempool) for c in w.chains.values())
-    bound = liveness_bound(inst, profile)
-    liveness = locks_left == 0 and last_spend <= bound
-    if not liveness:
-        witnesses.append(f"liveness: {locks_left} unreleased locks past {bound:.2f}h")
-
-    correctness = True
-    if profile.strategy_A.kind == "compliant" and profile.strategy_B.kind == "compliant":
-        correctness = outcome == "swapped"
-        if not correctness:
-            witnesses.append("correctness: compliant parties failed to swap")
-
-    safety, safety_witness = _safety_check(w, outcome)
-    if safety_witness:
-        witnesses.append(safety_witness)
-    for c in w.chains.values():
-        if not conservation_holds(c):
-            witnesses.append(f"conservation violated on {c.id}")
-            safety = False
-
-    return TraceVerdict(
-        outcome=outcome,
-        net_value=net,
-        correctness=correctness,
-        safety=safety,
-        liveness=liveness,
-        witnesses=witnesses,
-        events=events,
-        premium_receipts=dict(w.premium_receipts),
-        final_time=last_spend,
-    )
-
-
-def _principal_lock_hours(w: _World, party: str) -> tuple[float, float]:
-    """(amount, locktime hours) of the party's principal lock, or (0, 0)."""
-    b = w.instance.base
-    name = "xa" if party == "A" else "yb"
-    if name not in w.refs:
-        return 0.0, 0.0
-    amount = b.x_a if party == "A" else b.x_yb_t1
-    hours = b.t_a if party == "A" else b.t_b
-    return amount, hours
-
-
-def _safety_check(w: _World, outcome: str) -> tuple[bool, str]:
-    """Griefed compliant parties must be compensated for their lockup.
-
-    The required compensation is the opportunity cost
-    rho * amount * locktime at the instance's rate ``rho``; the plain HTLC
-    pays none, which is exactly the violation the checker is expected to
-    surface whenever ``rho`` is positive.
-    """
-    inst, profile = w.instance, w.profile
-    strategies = {"A": profile.strategy_A, "B": profile.strategy_B}
-    for victim, adversary in (("A", "B"), ("B", "A")):
-        if strategies[victim].kind != "compliant":
-            continue
-        if strategies[adversary].kind != "grief":
-            continue
-        if outcome == "swapped":
-            continue
-        amount, hours = _principal_lock_hours(w, victim)
-        if amount <= 0.0:
-            continue
-        required = inst.rho * amount * hours
-        received = sum(a for _, a in w.premium_receipts.get(victim, ()))
-        if received + 1e-9 < required:
-            return False, (
-                f"safety: {victim} griefed with {amount:g} locked for {hours:g}h, "
-                f"compensation {received:g} < required {required:g}"
-            )
-    return True, ""
+    return execute(instance.actions, instance.secrets, ("A", "B"), chains, strategies,
+                   _two_party_timing(b), safety=partial(_compensated, rho=instance.rho),
+                   bound=liveness_bound(instance, profile), decide=decide,
+                   value=lambda r: [1.0, price(r.clock) / b.x_yb_t1])
 
 
 # ---------------------------------------------------------------------------
