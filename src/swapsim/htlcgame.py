@@ -32,10 +32,8 @@ __all__ = [
     "payoff_t2",
     "continuation_band_t2",
     "widest_band",
-    "payoff_t1",
     "success_rate",
     "sr_surface",
-    "participation_range",
 ]
 
 _ROOT_SCAN_POINTS = 256
@@ -295,12 +293,6 @@ def continuation_band_t2(p: SwapParams, T, scan: Bracket | None = None) -> Brack
     return widest_band(g, scan, None if ts.ndim == 0 else np.arange(len(ts)))
 
 
-def payoff_t1(p: SwapParams, T: float, Tp: float) -> tuple[float, float]:
-    """Root-node values (A continue, A stop); A starts iff continue >= x_a."""
-    u_cont, u_stop = payoff_t1_with_band(p, [T], [Tp], [continuation_band_t2(p, T)])
-    return float(u_cont[0, 0]), float(u_stop[0, 0])
-
-
 def success_rate(p: SwapParams, T: float, Tp: float) -> float | None:
     """Probability the swap completes once started; None when A never starts.
 
@@ -316,32 +308,6 @@ def compute_thresholds(p: SwapParams, T: float = 0.0, Tp: float = 0.0) -> HtlcTh
         x1=None if band is None else band.lo,
         x2=None if band is None else band.hi,
     )
-
-
-def participation_range(
-    p: SwapParams, xa_scan: Bracket, T: float = 0.0, Tp: float = 0.0, grid_points: int = 128
-) -> tuple[float, float] | None:
-    """Range of x_a over which A is willing to start, by scanning x_a.
-
-    Returns the outermost pair of crossings of u_A(continue, t1) - x_a, or
-    None when participation fails everywhere on the scan.
-    """
-
-    def g(x_a: float) -> float:
-        q = p.with_x_a(x_a)
-        u_cont, u_stop = payoff_t1(q, T, Tp)
-        return u_cont - u_stop
-
-    roots = find_roots(g, xa_scan, grid_points=grid_points, tol=1e-8)
-    lo_ok = g(xa_scan.lo) >= 0.0
-    if not roots:
-        return (xa_scan.lo, xa_scan.hi) if lo_ok else None
-    lo = xa_scan.lo if lo_ok else roots[0]
-    hi_ok = g(xa_scan.hi) >= 0.0
-    hi = xa_scan.hi if hi_ok else roots[-1]
-    if hi <= lo:
-        return None
-    return lo, hi
 
 
 def sr_surface(

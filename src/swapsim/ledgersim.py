@@ -17,6 +17,7 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = [
     "SpendBranch",
@@ -28,7 +29,6 @@ __all__ = [
     "Chain",
     "ConfirmationEvent",
     "hash_secret",
-    "balance",
     "conservation_holds",
 ]
 
@@ -71,8 +71,9 @@ class SpendBranch:
         return True
 
 
-@dataclass(frozen=True)
-class OutputRef:
+class OutputRef(NamedTuple):
+    """An output of a transaction; a tuple, so hashing it is cheap."""
+
     tx_id: str
     index: int
 
@@ -259,11 +260,6 @@ class Chain:
 
     def next_confirm_time(self) -> float | None:
         return self._next_due if self.mempool else None
-
-
-def balance(party: str, chains: list[Chain]) -> dict[str, float]:
-    """Confirmed payouts per chain for a party (funded locks excluded)."""
-    return {c.id: c.balances.get(party, 0.0) for c in chains}
 
 
 def conservation_holds(chain: Chain, tol: float = 1e-9) -> bool:

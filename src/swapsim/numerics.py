@@ -14,15 +14,12 @@ from typing import Callable
 
 import numpy as np
 
-from .pricemodel import GbmParams, PriceState, transition_quantile
-
 __all__ = [
     "QuadratureSpec",
     "Bracket",
     "QuadratureDepthError",
     "integrate",
     "fixed_gauss",
-    "truncate_upper",
     "find_roots",
 ]
 
@@ -40,13 +37,10 @@ class QuadratureSpec:
     abs_tol: float = 1e-9
     rel_tol: float = 1e-7
     max_depth: int = 24
-    tail_quantile: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be > 0")
-        if not 0.0 < self.tail_quantile < 1.0:
-            raise ValueError("tail_quantile must be in (0, 1)")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
 
@@ -114,17 +108,6 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], bracket: Bracket, spec: Qua
 
     result = recurse(bracket.lo, bracket.hi, whole, np.arange(len(whole)), 0)
     return result if np.ndim(first) else float(result[0])
-
-
-def truncate_upper(
-    state: PriceState, params: GbmParams, lam: float, spec: QuadratureSpec = QuadratureSpec()
-) -> float:
-    """Finite stand-in for an infinite upper integration limit.
-
-    Returns the (1 - tail_quantile) quantile of the transition law; mass
-    beyond it is at most tail_quantile.
-    """
-    return transition_quantile(1.0 - spec.tail_quantile, state, params, lam)
 
 
 def find_roots(

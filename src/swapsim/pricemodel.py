@@ -19,9 +19,7 @@ __all__ = [
     "expected_price",
     "transition_pdf",
     "transition_cdf",
-    "transition_quantile",
     "partial_expectation_below",
-    "partial_expectation_above",
     "erfc",
     "cdf_from",
     "pe_below_from",
@@ -158,24 +156,6 @@ def partial_expectation_below(target, state: PriceState, params: GbmParams, lam)
     """
     arr = _law_inputs(target, params, lam)
     return _as_result(pe_below_from(arr, state.value, params, lam), target, lam)
-
-
-def partial_expectation_above(target, state: PriceState, params: GbmParams, lam: float):
-    """E[price_{t+lam} * 1{price_{t+lam} > target}], closed form."""
-    return expected_price(state, params, lam) - partial_expectation_below(target, state, params, lam)
-
-
-def transition_quantile(q: float, state: PriceState, params: GbmParams, lam: float) -> float:
-    """Inverse of transition_cdf at probability ``q``."""
-    params.require_diffusive()
-    if lam <= 0:
-        raise ValueError("horizon must be > 0")
-    if not 0.0 < q < 1.0:
-        raise ValueError("quantile level must be in (0, 1)")
-    from statistics import NormalDist
-
-    m, s = _log_moments(params, lam)
-    return state.value * math.exp(m + s * NormalDist().inv_cdf(q))
 
 
 def sample_path(

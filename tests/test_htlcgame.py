@@ -10,8 +10,6 @@ from swapsim.htlcgame import (
     claim_threshold_t3,
     compute_thresholds,
     continuation_band_t2,
-    participation_range,
-    payoff_t1,
     payoff_t1_with_band,
     payoff_t2,
     payoff_t3,
@@ -157,12 +155,6 @@ def test_band_rows_share_one_scan(monkeypatch):
     assert len(calls) <= 60
 
 
-def test_root_payoff_supports_participation_at_baseline():
-    p = baseline()
-    u_cont, u_stop = payoff_t1(p, 0.0, 0.0)
-    assert u_cont >= u_stop
-
-
 def test_root_payoff_rows_match_single_row_calls():
     p = baseline(0.2)
     ts = np.array([0.0, 5.0, 10.0, 20.0])
@@ -237,15 +229,6 @@ def test_delay_window_bounds_enforced():
         success_rate(p, 0.0, p.lock_delay_window + 1.0)
     with pytest.raises(ValueError):
         continuation_band_t2(p, np.array([0.0, p.claim_delay_window + 1.0]))
-
-
-def test_participation_range_brackets_baseline():
-    p = baseline()
-    rng = participation_range(p, Bracket(1.0, 3.0))
-    assert rng is not None
-    lo, hi = rng
-    assert lo < 2.0 < hi
-    assert 1.0 <= lo <= 1.6 and 2.2 <= hi <= 3.0
 
 
 def test_thresholds_snapshot():

@@ -8,7 +8,6 @@ from swapsim.ledgersim import (
     SpendBranch,
     SpendInput,
     Transaction,
-    balance,
     conservation_holds,
     hash_secret,
 )
@@ -132,7 +131,7 @@ def test_conservation_through_relock_and_payout():
     assert conservation_holds(c)
     assert sum(c.funded_total.values()) == 5.0
     assert c.locked_value() == 3.0
-    assert balance("B", [c]) == {"a": 2.0}
+    assert c.balances == {"B": 2.0}
 
 
 def test_branch_requires_condition():

@@ -10,9 +10,7 @@ from swapsim.numerics import (
     fixed_gauss,
     find_roots,
     integrate,
-    truncate_upper,
 )
-from swapsim.pricemodel import GbmParams, PriceState, transition_cdf
 
 
 def test_fixed_gauss_exact_on_polynomials():
@@ -66,14 +64,6 @@ def test_bracket_validation():
         Bracket(2.0, 1.0)
     with pytest.raises(ValueError):
         Bracket(1.0, 1.0)
-
-
-def test_truncate_upper_bounds_tail_mass():
-    gbm = GbmParams(mu=0.002, sigma=0.1)
-    state = PriceState(2.0)
-    spec = QuadratureSpec(tail_quantile=1e-9)
-    hi = truncate_upper(state, gbm, 24.0, spec)
-    assert 1.0 - transition_cdf(hi, state, gbm, 24.0) <= 1e-9 + 1e-12
 
 
 def test_find_roots_simple_and_double():

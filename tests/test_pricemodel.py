@@ -14,14 +14,12 @@ from swapsim.pricemodel import (
     cdf_from,
     erfc,
     expected_price,
-    partial_expectation_above,
     partial_expectation_below,
     pe_below_from,
     sample_endpoints,
     sample_path,
     transition_cdf,
     transition_pdf,
-    transition_quantile,
 )
 
 GBM = GbmParams(mu=0.002, sigma=0.1)
@@ -104,22 +102,6 @@ def test_cdf_limits_and_monotonicity():
     xs = np.linspace(0.5, 5.0, 40)
     cs = transition_cdf(xs, STATE, GBM, lam)
     assert np.all(np.diff(cs) >= 0)
-
-
-def test_quantile_inverts_cdf():
-    lam = 24.0
-    for p in (0.01, 0.25, 0.5, 0.9, 0.999):
-        x = transition_quantile(p, STATE, GBM, lam)
-        assert abs(transition_cdf(x, STATE, GBM, lam) - p) <= 1e-9
-
-
-def test_partial_expectations_sum_to_mean():
-    lam = 24.0
-    mean = expected_price(STATE, GBM, lam)
-    for k in (1.5, 2.0, 2.5):
-        below = partial_expectation_below(k, STATE, GBM, lam)
-        above = partial_expectation_above(k, STATE, GBM, lam)
-        assert abs(below + above - mean) <= 1e-10 * mean
 
 
 def test_partial_expectation_matches_quadrature():
