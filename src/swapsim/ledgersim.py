@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -121,14 +122,16 @@ class Transaction:
     confirm_time: float = -1.0
 
 
-@dataclass(frozen=True)
-class ConfirmationEvent:
+class ConfirmationEvent(NamedTuple):
     time: float
     chain_id: str
     tx_id: str
     kind: str  # "confirmed" | "rejected"
     revealed: tuple[str, ...] = ()
     reason: str = ""
+
+
+_CONFIRM_ORDER = operator.attrgetter("confirm_time", "id")
 
 
 class Chain:
@@ -206,13 +209,13 @@ class Chain:
         self.clock = to
         if self._next_due > to:
             return []
-        pending = sorted(
-            (t for t in self.mempool if t.confirm_time <= to),
-            key=lambda t: (t.confirm_time, t.id),
-        )
-        for tx in pending:
-            self.mempool.remove(tx)
-        self._next_due = min((t.confirm_time for t in self.mempool), default=math.inf)
+        pending = [t for t in self.mempool if t.confirm_time <= to]
+        if len(pending) == len(self.mempool):
+            self.mempool, self._next_due = [], math.inf
+        else:
+            self.mempool = [t for t in self.mempool if t.confirm_time > to]
+            self._next_due = min(t.confirm_time for t in self.mempool)
+        pending.sort(key=_CONFIRM_ORDER)
         emitted = [self._confirm(tx) for tx in pending]
         self.events.extend(emitted)
         return emitted

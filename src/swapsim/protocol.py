@@ -17,10 +17,11 @@ checker sweeps an exhaustive strategy grid.
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import math
+import operator
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -264,6 +265,45 @@ def liveness_bound(instance: ProtocolInstance, profile: StrategyProfile) -> floa
 # ---------------------------------------------------------------------------
 # The engine.
 
+class _Layout:
+    """What a lock plan fixes for every trace of it: its steps (one party's
+    locks with one start time, in order), each step's phase, each party's
+    order of phases, the hash of every secret and each lock's contract at
+    its planned timeout.  Contracts are immutable, so traces share them."""
+
+    def __init__(self, actions, secrets, parties) -> None:
+        self.steps: list[tuple[int, list[int]]] = []
+        for idx, a in enumerate(actions):
+            prev = self.steps[-1] if self.steps else None
+            if prev and prev[0] == a.party and actions[prev[1][0]].start_time == a.start_time:
+                prev[1].append(idx)
+            else:
+                self.steps.append((a.party, [idx]))
+        self.phase = ["premium" if all(actions[i].kind == "premium" for i in idxs) else "lock"
+                      for _, idxs in self.steps]
+        first = {p for (p, _), ph in zip(self.steps, self.phase) if ph == "premium"}
+        self.order = [("premium", "lock", "claim") if p in first else ("lock", "claim")
+                      for p in range(len(parties))]
+        self.hashes = {role: hash_secret(pre) for role, pre in secrets}
+        self.roles = {h: role for role, h in self.hashes.items()}
+        self.actions, self.parties = actions, parties
+        self.contracts = [self.contract(a, a.timeout) for a in actions]
+
+    def contract(self, a: LockAction, expiry: float) -> LockedOutput:
+        names = self.parties
+        branches = (SpendBranch(names[a.hashlock_claimant],
+                                frozenset(self.hashes[r] for r in a.hashlocks)),
+                    SpendBranch(names[a.timeout_recipient], not_before=expiry))
+        if a.early_refund_hash is not None:
+            branches += (SpendBranch(names[a.party], frozenset({self.hashes[a.early_refund_hash]})),)
+        return LockedOutput(a.amount, branches, funder=names[a.party])
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(actions: tuple[LockAction, ...], secrets: tuple, parties: tuple[str, ...]) -> _Layout:
+    return _Layout(actions, secrets, parties)
+
+
 class _Run:
     """One trace of a lock plan.
 
@@ -285,9 +325,9 @@ class _Run:
     """
 
     def __init__(self, actions, secrets, parties, chains, strategies, timing, decide):
+        self.layout = _layout(actions, tuple(secrets.items()), tuple(parties))
         self.actions, self.secrets = actions, secrets
-        self.hashes = {role: hash_secret(pre) for role, pre in secrets.items()}
-        self.roles = {h: role for role, h in self.hashes.items()}
+        self.hashes, self.roles = self.layout.hashes, self.layout.roles
         self.parties, self.chains, self.strategies = parties, chains, strategies
         self.timing, self.decide = timing, decide
         self.clock = 0.0
@@ -297,23 +337,12 @@ class _Run:
         self.expiry: dict[int, float] = {}
         self.grid: list[float] = []        # sorted timeouts of every lock made
         self.anchor: float | None = None   # first poll of the grid
-        self.polls: list[float] = []       # the grid's polls found so far
+        self.observing: dict[str, float] = {}  # chain id -> last confirmation queued
         n = len(parties)
         self.cancelling, self.watching = [False] * n, [False] * n
         self.revealed = [False] * n        # the party broadcast a cancel
-        self.claimed = False
-        self.steps: list[tuple[int, list[int]]] = []
-        for idx, a in enumerate(actions):
-            prev = self.steps[-1] if self.steps else None
-            if prev and prev[0] == a.party and actions[prev[1][0]].start_time == a.start_time:
-                prev[1].append(idx)
-            else:
-                self.steps.append((a.party, [idx]))
-        self.phase = ["premium" if all(actions[i].kind == "premium" for i in idxs) else "lock"
-                      for _, idxs in self.steps]
-        first = {p for (p, _), ph in zip(self.steps, self.phase) if ph == "premium"}
-        self.order = [("premium", "lock", "claim") if i in first else ("lock", "claim")
-                      for i in range(n)]
+        self.dead = False                  # a party with its principal in cancelled
+        self.steps, self.phase, self.order = self.layout.steps, self.layout.phase, self.layout.order
         self.performed = 0
 
     # -- event loop ------------------------------------------------------------
@@ -335,7 +364,9 @@ class _Run:
         what the hour broadcast after them, so polls see it at the next poll."""
         if not chain.try_broadcast(tx, self.clock):
             return False
-        self.at(tx.confirm_time, lambda: self._observe(chain), -1 if chain.confirm_delay else 3)
+        if self.observing.get(chain.id) != tx.confirm_time:
+            self.observing[chain.id] = tx.confirm_time
+            self.at(tx.confirm_time, lambda: self._observe(chain), -1 if chain.confirm_delay else 3)
         return True
 
     def _observe(self, chain: Chain) -> None:
@@ -344,20 +375,27 @@ class _Run:
         if not (chain.mempool and chain.next_confirm_time() <= self.clock):
             return
         for e in chain.advance(self.clock):
-            if e.revealed and self.anchor is not None:
-                seen = self.poll_at(e.time + self.timing.t_eps, e.time - chain.confirm_delay)
-                for h in e.revealed:
-                    self.at(seen, lambda h=h: self._refund_early(self.roles[h]))
+            for h in e.revealed:
+                role = self.roles[h]
+                if role != "Hbar" and self.anchor is not None:
+                    seen = self.poll_at(e.time + self.timing.t_eps, e.time - chain.confirm_delay)
+                    self.at(seen, lambda role=role: self._refund_early(role))
 
     def poll_at(self, t: float, after: float = -math.inf) -> float:
-        """First poll at or after ``t`` and later than ``after``."""
-        polls = self.polls
-        while polls[-1] < t or polls[-1] <= after:
-            p = polls[-1]
-            later = bisect.bisect_right(self.grid, p)
-            polls.append(min(self.grid[later], p + 1.0) if later < len(self.grid) else p + 1.0)
-        i = bisect.bisect_left(polls, t)
-        return polls[i] if polls[i] > after else polls[bisect.bisect_right(polls, after)]
+        """First poll at or after ``t`` and later than ``after``.
+
+        Polls fall every hour from the first watch and on every timeout, and
+        the hourly count restarts at each timeout."""
+        p = self._poll_from(t)
+        return p if p > after else self._poll_from(after, strict=True)
+
+    def _poll_from(self, t: float, strict: bool = False) -> float:
+        i = bisect.bisect_right(self.grid, t)
+        p = max(self.anchor, self.grid[i - 1]) if i else self.anchor
+        timeout = self.grid[i] if i < len(self.grid) else math.inf
+        while p < t or (strict and p == t):
+            p = min(p + 1.0, timeout)
+        return p
 
     # -- ledger helpers --------------------------------------------------------
     def visible(self, role: str) -> bool:
@@ -377,6 +415,10 @@ class _Run:
     def locked(self, party: int) -> bool:
         return any(self.actions[i].party == party for i in self.refs)
 
+    def locked_principal(self, party: int) -> bool:
+        return any(self.actions[i].party == party and self.actions[i].kind == "principal"
+                   for i in self.refs)
+
     def own(self, party: int, kind: str) -> list[int]:
         """The party's unspent locks of ``kind``."""
         return [i for i in self.refs if self.actions[i].party == party
@@ -387,82 +429,83 @@ class _Run:
         party, idxs = self.steps[k]
         due = self.actions[idxs[0]].start_time + shift
         lag = self.strategies[party].lag(self.phase[k])
-        self.at(due + lag, lambda: self._lock(k, shift + lag))
-        give_up = due + self.timing.wait[self.actions[idxs[0]].chain] + self.timing.slack
-        self._expect(party, due, give_up, lambda: self.performed > k, alert=False)
+        self.at(due + lag, lambda: self._lock(k, due, shift + lag))
+        if lag:
+            self.at(due, lambda: self._missed(k, due))
 
-    def _expect(self, party: int, due: float, give_up: float, done, alert: bool) -> None:
-        """Deadlines of a step ``party`` owes: missed at ``due``, everyone
-        watches (if it has locks in); still missing at ``give_up``, the
-        others cancel.  A party that cancelled owes nothing more."""
-        def missed() -> bool:
-            return not (done() or self.revealed[party])
-
-        def overdue() -> None:
-            if missed() and self.locked(party):
-                self._watch_all()
+    def _missed(self, k: int, due: float) -> None:
+        """Step k (the claim if k is past the last lock step) was not taken
+        when due.  If its party has locks in, everyone watches from now on;
+        if it is still missing at its give-up time, the others cancel.  A
+        party that cancelled owes nothing more."""
+        if k < len(self.steps):
+            party = self.steps[k][0]
+            give_up = due + self.timing.wait[self.actions[self.steps[k][1][0]].chain] + self.timing.slack
+        else:
+            party, give_up = 0, due + self.timing.claim_wait
 
         def abandon() -> None:
-            if missed():
+            if not (self.performed > k or self.revealed[party]):
                 for p, s in enumerate(self.strategies):
                     if p != party and s.kind != "grief" and self.locked(p):
-                        self._cancel(p, alert)
+                        self._cancel(p, alert=k == len(self.steps))
                 self._watch_all()
 
-        self.at(due, overdue)
-        self.at(give_up, abandon)
+        if not self.revealed[party]:
+            if self.locked(party):
+                self._watch_all()
+            self.at(give_up, abandon)
 
-    def _lock(self, k: int, shift: float) -> None:
+    def _lock(self, k: int, due: float, shift: float) -> None:
         party, idxs = self.steps[k]
         s, phase = self.strategies[party], self.phase[k]
-        if any(self.revealed[self.actions[i].party] for i in self.refs
-               if self.actions[i].kind == "principal"):
-            return  # a party with its principal in has cancelled the swap
-        if s.cancels_at(phase) or (s.kind == "threshold" and not self.decide(party, phase, self.clock)):
-            self._cancel(party, alert=True)
+        if self.dead or s.cancels_at(phase) or (
+                s.kind == "threshold" and not self.decide(party, phase, self.clock)):
+            if not self.dead:
+                self._cancel(party, alert=True)
+            self._missed(k, due)
             return
         if not s.acts_at(phase, self.order[party]):
+            self._missed(k, due)
             return
-        names = self.parties
         for idx in idxs:
             a = self.actions[idx]
             expiry = a.timeout + (self.clock - a.start_time)
-            branches = [SpendBranch(names[a.hashlock_claimant],
-                                    frozenset(self.hashes[r] for r in a.hashlocks)),
-                        SpendBranch(names[a.timeout_recipient], not_before=expiry)]
-            if a.early_refund_hash is not None:
-                branches.append(SpendBranch(names[a.party],
-                                            frozenset({self.hashes[a.early_refund_hash]})))
-            tx = Transaction(f"lock-{idx}", [], [LockedOutput(
-                a.amount, tuple(branches), funder=names[a.party])])
+            contract = (self.layout.contracts[idx] if expiry == a.timeout
+                        else self.layout.contract(a, expiry))
+            tx = Transaction(f"lock-{idx}", [], [contract])
             self.broadcast(self.chains[a.chain], tx)
             self.refs[idx] = OutputRef(tx.id, 0)
             self.expiry[idx] = expiry
             bisect.insort(self.grid, expiry)
-            del self.polls[bisect.bisect_left(self.polls, expiry, 1):]
             if self.watching[a.timeout_recipient]:
                 self._sweep_when_due(idx)
+        self.dead |= self.revealed[party] and self.locked_principal(party)
         self.performed = k + 1
         if self.performed < len(self.steps):
             self._schedule(self.performed, shift)
             return
         locked = self.clock + self.chains[self.actions[idxs[-1]].chain].confirm_delay
-        self.at(locked + self.strategies[0].lag("claim"), self._claim)
-        self._expect(0, locked, locked + self.timing.claim_wait, lambda: self.claimed, alert=True)
+        lag = self.strategies[0].lag("claim")
+        self.at(locked + lag, lambda: self._claim(locked))
+        if lag:
+            self.at(locked, lambda: self._missed(k + 1, locked))
 
     # -- success path ----------------------------------------------------------
-    def _claim(self) -> None:
+    def _claim(self, due: float) -> None:
         for c in self.chains:
             self._observe(c)  # the locks are in
         s = self.strategies[0]
         if s.cancels_at("claim") or (s.kind == "threshold" and not self.decide(0, "claim", self.clock)):
             self._cancel(0, alert=True)
+            self._missed(len(self.steps), due)
             return
         if not s.acts_at("claim", self.order[0]):
+            self._missed(len(self.steps), due)
             return
         last = len(self.actions) - 1
         self.spend(last, 0, "claim-final", "Hbar")
-        self.claimed = True
+        self.performed += 1
         if self.timing.release_with_claim:
             for idx in self.own(0, "premium"):
                 self._release(idx, 0, f"reclaim-{idx}")
@@ -496,6 +539,7 @@ class _Run:
             self.cancelling[party] = True
             for idx in self.own(party, "premium"):
                 self.revealed[party] |= self.spend(idx, party, f"cancel-{idx}", f"H{party}")
+            self.dead |= self.revealed[party] and self.locked_principal(party)
             self._watch(party)
             for idx in self.own(party, "principal"):
                 self._refund_early(self.actions[idx].early_refund_hash)
@@ -537,7 +581,6 @@ class _Run:
         self.watching[party] = True
         if self.anchor is None:
             self.anchor = self.clock
-            self.polls = [self.clock]
         for idx in self.refs:
             if self.actions[idx].timeout_recipient == party:
                 self._sweep_when_due(idx)
@@ -567,19 +610,30 @@ def execute(actions, secrets, parties, chains, strategies, timing, *, safety,
     return _verdict(r, safety, bound, value(r) if value else [1.0] * len(chains))
 
 
+_EVENT_ORDER = operator.attrgetter("time", "chain_id", "tx_id")
+
+
 def _spender(r: _Run, idx: int) -> str:
     """Id of the confirmed transaction that spent lock ``idx`` ("" if none)."""
     return r.chains[r.actions[idx].chain].spent.get(r.refs.get(idx), "")
 
 
+def _totals(r: _Run, scale) -> tuple[dict[str, float], dict[str, float]]:
+    """What each party funded and received over all chains, each chain's
+    amounts weighted by its ``scale``."""
+    endow = dict.fromkeys(r.parties, 0.0)
+    recv = dict.fromkeys(r.parties, 0.0)
+    for f, c in zip(scale, r.chains):
+        for p, v in c.funded_total.items():
+            endow[p] += f * v
+        for p, v in c.balances.items():
+            recv[p] += f * v
+    return endow, recv
+
+
 def _verdict(r: _Run, safety, bound: float, scale) -> TraceVerdict:
     """Net value, Correctness, Safety, Liveness and conservation of a trace."""
-    endow = {p: 0.0 for p in r.parties}
-    recv = {p: 0.0 for p in r.parties}
-    for f, c in zip(scale, r.chains):
-        for p in r.parties:
-            endow[p] += f * c.funded_total.get(p, 0.0)
-            recv[p] += f * c.balances.get(p, 0.0)
+    endow, recv = _totals(r, scale)
     net = {p: recv[p] - endow[p] for p in r.parties}
 
     swapped = all(_spender(r, i).startswith("claim")
@@ -587,9 +641,17 @@ def _verdict(r: _Run, safety, bound: float, scale) -> TraceVerdict:
     kinds = [s.kind for s in r.strategies]
     outcome = "swapped" if swapped else ("griefed" if "grief" in kinds else "cancelled")
 
-    events = sorted((e for c in r.chains for e in c.events),
-                    key=lambda e: (e.time, e.chain_id, e.tx_id))
-    last_spend = max((e.time for e in events if e.kind == "confirmed"), default=0.0)
+    events = sorted((e for c in r.chains for e in c.events), key=_EVENT_ORDER)
+    last_spend = last = 0.0
+    sent = -math.inf  # latest broadcast of a transaction processed
+    for c in r.chains:
+        for e in c.events:
+            if e.time > last:
+                last = e.time
+            if e.time - c.confirm_delay > sent:
+                sent = e.time - c.confirm_delay
+            if e.kind == "confirmed" and e.time > last_spend:
+                last_spend = e.time
     witnesses: list[str] = []
     locks_left = sum(len(c.utxos) + len(c.mempool) for c in r.chains)
     liveness = locks_left == 0 and last_spend <= bound
@@ -605,14 +667,10 @@ def _verdict(r: _Run, safety, bound: float, scale) -> TraceVerdict:
         if not conservation_holds(c):
             safe = False
             witnesses.append(f"conservation violated on {c.id}")
-
-    # The run ends at the first poll that observes the last confirmation.
-    last = max((e.time for e in events), default=0.0)
-    delay = {c.id: c.confirm_delay for c in r.chains}
-    sent = max((e.time - delay[e.chain_id] for e in events), default=-math.inf)
     return TraceVerdict(
         outcome=outcome, net_value=net, correctness=correctness, safety=safe,
         liveness=liveness, witnesses=witnesses, events=events,
+        # The run ends at the first poll that observes the last confirmation.
         final_time=last if r.anchor is None else r.poll_at(last, sent),
     )
 
@@ -647,23 +705,19 @@ def recovers_locked(r: _Run, swapped: bool) -> tuple[bool, list[str]]:
     holds the incoming one; otherwise it gets back everything it locked
     (premium timeouts may add on top).  A success reveals only "Hbar"."""
     witnesses: list[str] = []
-    roles = {h: role for role, h in r.hashes.items()}
-    revealed = {roles[h] for c in r.chains for h in c.revealed if h in roles}
+    revealed = {r.roles[h] for c in r.chains for h in c.revealed if h in r.roles}
     if swapped and revealed != {"Hbar"}:
         witnesses.append(f"success trace revealed {sorted(revealed)}")
+    expected, recv = _totals(r, [1.0] * len(r.chains))
+    incoming = {a.hashlock_claimant: a.amount for a in r.actions if a.kind == "principal"}
+    for idx, a in enumerate(r.actions):
+        if a.kind == "principal" and _spender(r, idx).startswith("claim"):
+            p = r.parties[a.party]
+            expected[p] += incoming[a.party] - a.amount
     for i, s in enumerate(r.strategies):
-        if s.kind != "compliant":
-            continue
         p = r.parties[i]
-        recv = sum(c.balances.get(p, 0.0) for c in r.chains)
-        expected = sum(c.funded_total.get(p, 0.0) for c in r.chains)
-        for idx, a in enumerate(r.actions):
-            if a.party == i and a.kind == "principal" and _spender(r, idx).startswith("claim"):
-                incoming = next(b for b in r.actions
-                                if b.kind == "principal" and b.hashlock_claimant == i)
-                expected += incoming.amount - a.amount
-        if recv + 1e-9 < expected:
-            witnesses.append(f"safety: {p} received {recv:g} < expected {expected:g}")
+        if s.kind == "compliant" and recv[p] + 1e-9 < expected[p]:
+            witnesses.append(f"safety: {p} received {recv[p]:g} < expected {expected[p]:g}")
     return not any(w.startswith("safety") for w in witnesses), witnesses
 
 
@@ -703,7 +757,7 @@ def run(
     chains = [Chain("chain-a", b.tau_a), Chain("chain-b", b.tau_b)]
     # Net value in A-asset units; chain-b holdings scale with the final price.
     return execute(instance.actions, instance.secrets, ("A", "B"), chains, strategies,
-                   _two_party_timing(b), safety=partial(_compensated, rho=instance.rho),
+                   _two_party_timing(b), safety=functools.partial(_compensated, rho=instance.rho),
                    bound=liveness_bound(instance, profile), decide=decide,
                    value=lambda r: [1.0, price(r.clock) / b.x_yb_t1])
 
