@@ -19,6 +19,7 @@ from __future__ import annotations
 import bisect
 import functools
 import heapq
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -63,6 +64,7 @@ __all__ = [
 
 HTLC_PHASES = {"A": ("lock", "claim"), "B": ("lock", "claim")}
 QUICKSWAP_PHASES = {"A": ("lock", "claim"), "B": ("premium", "lock", "claim")}
+_PHASES = ("premium", "lock", "claim")  # every party's phases are in this order
 
 _SECRET_LEN = 32
 
@@ -92,16 +94,16 @@ class Strategy:
             raise ValueError("delay strategy needs positive hours")
 
     # -- automaton queries --------------------------------------------------
-    def acts_at(self, phase: str, order: tuple[str, ...]) -> bool:
+    def acts_at(self, phase: str) -> bool:
         """Whether the party performs this protocol phase at all."""
         if self.kind == "grief":
             if self.phase == "start":
                 return False
-            return order.index(phase) <= order.index(self.phase)
+            return _PHASES.index(phase) <= _PHASES.index(self.phase)
         if self.kind == "cancel":
             # Acts normally before the cancel phase; the cancel phase itself
-            # is handled specially by the automaton.
-            return order.index(phase) < order.index(self.phase)
+            # is handled specially by the engine.
+            return _PHASES.index(phase) < _PHASES.index(self.phase)
         return True
 
     def cancels_at(self, phase: str) -> bool:
@@ -245,21 +247,15 @@ class TraceVerdict:
 def liveness_bound(instance: ProtocolInstance, profile: StrategyProfile) -> float:
     """Analytic release deadline: every lock is spent by this hour.
 
-    Latest script timeout, plus the lock-graph start offsets, both
+    The longest timeout of a lock, plus the start of the last lock, both
     confirmation delays, one propagation lag, the compliant give-up slack,
     and any deliberate delay in the profile.
     """
     b = instance.base
-    if instance.kind == "quickswap":
-        q = instance.params
-        latest_timeout = max(b.t_a, b.t_b, q.D + q.Delta)
-        start_offset = b.tau_a + b.tau_b  # last lock starts at t3
-    else:
-        latest_timeout = max(b.t_a, b.t_b)
-        start_offset = b.tau_a
+    longest = max(a.timeout - a.start_time for a in instance.actions)
     extra = profile.strategy_A.hours + profile.strategy_B.hours
     slack = b.tau_b / 2.0  # compliant give-up wait
-    return latest_timeout + start_offset + b.tau_a + b.tau_b + b.t_eps + slack + extra
+    return longest + instance.actions[-1].start_time + b.tau_a + b.tau_b + b.t_eps + slack + extra
 
 
 # ---------------------------------------------------------------------------
@@ -272,22 +268,17 @@ class _Layout:
     its planned timeout.  Contracts are immutable, so traces share them."""
 
     def __init__(self, actions, secrets, parties) -> None:
-        self.steps: list[tuple[int, list[int]]] = []
-        for idx, a in enumerate(actions):
-            prev = self.steps[-1] if self.steps else None
-            if prev and prev[0] == a.party and actions[prev[1][0]].start_time == a.start_time:
-                prev[1].append(idx)
-            else:
-                self.steps.append((a.party, [idx]))
+        self.steps = [(party, [idx for idx, _ in group]) for (party, _), group in itertools.groupby(
+            enumerate(actions), key=lambda ia: (ia[1].party, ia[1].start_time))]
         self.phase = ["premium" if all(actions[i].kind == "premium" for i in idxs) else "lock"
                       for _, idxs in self.steps]
-        first = {p for (p, _), ph in zip(self.steps, self.phase) if ph == "premium"}
-        self.order = [("premium", "lock", "claim") if p in first else ("lock", "claim")
-                      for p in range(len(parties))]
         self.hashes = {role: hash_secret(pre) for role, pre in secrets}
         self.roles = {h: role for role, h in self.hashes.items()}
         self.actions, self.parties = actions, parties
         self.contracts = [self.contract(a, a.timeout) for a in actions]
+        # the principal each cancel secret refunds early
+        self.refunds = {a.early_refund_hash: idx for idx, a in enumerate(actions)
+                        if a.early_refund_hash is not None}
 
     def contract(self, a: LockAction, expiry: float) -> LockedOutput:
         names = self.parties
@@ -299,9 +290,7 @@ class _Layout:
         return LockedOutput(a.amount, branches, funder=names[a.party])
 
 
-@functools.lru_cache(maxsize=64)
-def _layout(actions: tuple[LockAction, ...], secrets: tuple, parties: tuple[str, ...]) -> _Layout:
-    return _Layout(actions, secrets, parties)
+_layout = functools.lru_cache(maxsize=64)(_Layout)  # one layout per plan
 
 
 class _Run:
@@ -326,13 +315,14 @@ class _Run:
 
     def __init__(self, actions, secrets, parties, chains, strategies, timing, decide):
         self.layout = _layout(actions, tuple(secrets.items()), tuple(parties))
-        self.actions, self.secrets = actions, secrets
         self.hashes, self.roles = self.layout.hashes, self.layout.roles
+        self.steps, self.phase = self.layout.steps, self.layout.phase
+        self.actions, self.secrets = actions, secrets
         self.parties, self.chains, self.strategies = parties, chains, strategies
         self.timing, self.decide = timing, decide
         self.clock = 0.0
         self.queue: list = []
-        self.seq = 0
+        self.seq = itertools.count()
         self.refs: dict[int, OutputRef] = {}
         self.expiry: dict[int, float] = {}
         self.grid: list[float] = []        # sorted timeouts of every lock made
@@ -341,16 +331,13 @@ class _Run:
         n = len(parties)
         self.cancelling, self.watching = [False] * n, [False] * n
         self.revealed = [False] * n        # the party broadcast a cancel
-        self.dead = False                  # a party with its principal in cancelled
-        self.steps, self.phase, self.order = self.layout.steps, self.layout.phase, self.layout.order
-        self.performed = 0
+        self.performed = 0                 # steps taken; the claim is the last
 
     # -- event loop ------------------------------------------------------------
     def at(self, time: float, fn, prio: int = 1) -> None:
         """Queue ``fn`` at ``time``: sweeps coming due (prio 0) run before
         party steps (1), the sweeps of a party that starts watching after them (2)."""
-        self.seq += 1
-        heapq.heappush(self.queue, (time, prio, self.seq, fn))
+        heapq.heappush(self.queue, (time, prio, next(self.seq), fn))
 
     def run(self) -> None:
         self._schedule(0, 0.0)
@@ -382,18 +369,13 @@ class _Run:
                     self.at(seen, lambda role=role: self._refund_early(role))
 
     def poll_at(self, t: float, after: float = -math.inf) -> float:
-        """First poll at or after ``t`` and later than ``after``.
-
-        Polls fall every hour from the first watch and on every timeout, and
-        the hourly count restarts at each timeout."""
-        p = self._poll_from(t)
-        return p if p > after else self._poll_from(after, strict=True)
-
-    def _poll_from(self, t: float, strict: bool = False) -> float:
-        i = bisect.bisect_right(self.grid, t)
+        """First poll at or after ``t`` and later than ``after``.  Polls fall
+        every hour from the first watch and on every timeout, and the hourly
+        count restarts at each timeout."""
+        i = bisect.bisect_right(self.grid, max(t, after))
         p = max(self.anchor, self.grid[i - 1]) if i else self.anchor
         timeout = self.grid[i] if i < len(self.grid) else math.inf
-        while p < t or (strict and p == t):
+        while p < t or p <= after:
             p = min(p + 1.0, timeout)
         return p
 
@@ -414,10 +396,6 @@ class _Run:
 
     def locked(self, party: int) -> bool:
         return any(self.actions[i].party == party for i in self.refs)
-
-    def locked_principal(self, party: int) -> bool:
-        return any(self.actions[i].party == party and self.actions[i].kind == "principal"
-                   for i in self.refs)
 
     def own(self, party: int, kind: str) -> list[int]:
         """The party's unspent locks of ``kind``."""
@@ -459,13 +437,14 @@ class _Run:
     def _lock(self, k: int, due: float, shift: float) -> None:
         party, idxs = self.steps[k]
         s, phase = self.strategies[party], self.phase[k]
-        if self.dead or s.cancels_at(phase) or (
-                s.kind == "threshold" and not self.decide(party, phase, self.clock)):
-            if not self.dead:
-                self._cancel(party, alert=True)
-            self._missed(k, due)
-            return
-        if not s.acts_at(phase, self.order[party]):
+        # Nobody locks once a party with its principal in has cancelled.
+        dead = any(self.revealed[self.actions[i].party] for i in self.refs
+                   if self.actions[i].kind == "principal")
+        cancels = not dead and (s.cancels_at(phase) or (
+            s.kind == "threshold" and not self.decide(party, phase, self.clock)))
+        if cancels:
+            self._cancel(party, alert=True)
+        if dead or cancels or not s.acts_at(phase):
             self._missed(k, due)
             return
         for idx in idxs:
@@ -480,7 +459,6 @@ class _Run:
             bisect.insort(self.grid, expiry)
             if self.watching[a.timeout_recipient]:
                 self._sweep_when_due(idx)
-        self.dead |= self.revealed[party] and self.locked_principal(party)
         self.performed = k + 1
         if self.performed < len(self.steps):
             self._schedule(self.performed, shift)
@@ -496,11 +474,11 @@ class _Run:
         for c in self.chains:
             self._observe(c)  # the locks are in
         s = self.strategies[0]
-        if s.cancels_at("claim") or (s.kind == "threshold" and not self.decide(0, "claim", self.clock)):
+        cancels = s.cancels_at("claim") or (
+            s.kind == "threshold" and not self.decide(0, "claim", self.clock))
+        if cancels:
             self._cancel(0, alert=True)
-            self._missed(len(self.steps), due)
-            return
-        if not s.acts_at("claim", self.order[0]):
+        if cancels or not s.acts_at("claim"):
             self._missed(len(self.steps), due)
             return
         last = len(self.actions) - 1
@@ -517,7 +495,7 @@ class _Run:
         """The payment secret is public: claim incoming principals, reclaim premiums."""
         for idx, a in enumerate(self.actions[:-1]):
             p = a.hashlock_claimant if a.kind == "principal" else a.party
-            if idx not in self.refs or not self.strategies[p].acts_at("claim", self.order[p]):
+            if idx not in self.refs or not self.strategies[p].acts_at("claim"):
                 continue
             if a.kind == "principal":
                 self._release(idx, p, f"claim-{idx}")
@@ -539,7 +517,6 @@ class _Run:
             self.cancelling[party] = True
             for idx in self.own(party, "premium"):
                 self.revealed[party] |= self.spend(idx, party, f"cancel-{idx}", f"H{party}")
-            self.dead |= self.revealed[party] and self.locked_principal(party)
             self._watch(party)
             for idx in self.own(party, "principal"):
                 self._refund_early(self.actions[idx].early_refund_hash)
@@ -562,28 +539,27 @@ class _Run:
     def _refund_early(self, role: str | None) -> None:
         """A cancelling party refunds the principal that ``role`` unlocks early,
         once the secret is seen."""
-        for idx in self.refs:
-            a = self.actions[idx]
-            if (role is not None and a.early_refund_hash == role and self.cancelling[a.party]
-                    and self.strategies[a.party].kind != "grief" and not self.spent(idx)
-                    and self.visible(role)):
-                self.spend(idx, a.party, f"early-refund-{idx}", role)
+        idx = self.layout.refunds.get(role)
+        if idx in self.refs:
+            party = self.actions[idx].party
+            if (self.cancelling[party] and self.strategies[party].kind != "grief"
+                    and not self.spent(idx) and self.visible(role)):
+                self.spend(idx, party, f"early-refund-{idx}", role)
 
     # -- timeouts --------------------------------------------------------------
     def _watch_all(self) -> None:
-        for p in range(len(self.parties)):
-            self._watch(p)
+        self._watch(*range(len(self.parties)))
 
-    def _watch(self, party: int) -> None:
-        """From now on the party sweeps every timeout owed to it."""
-        if self.watching[party]:
-            return
-        self.watching[party] = True
-        if self.anchor is None:
-            self.anchor = self.clock
-        for idx in self.refs:
-            if self.actions[idx].timeout_recipient == party:
-                self._sweep_when_due(idx)
+    def _watch(self, *parties: int) -> None:
+        """From now on the parties sweep every timeout owed to them."""
+        for party in parties:
+            if not self.watching[party]:
+                self.watching[party] = True
+                if self.anchor is None:
+                    self.anchor = self.clock
+                for idx in self.refs:
+                    if self.actions[idx].timeout_recipient == party:
+                        self._sweep_when_due(idx)
 
     def _sweep_when_due(self, idx: int) -> None:
         def sweep() -> None:
@@ -721,14 +697,6 @@ def recovers_locked(r: _Run, swapped: bool) -> tuple[bool, list[str]]:
     return not any(w.startswith("safety") for w in witnesses), witnesses
 
 
-def _two_party_timing(b: SwapParams) -> Timing:
-    # A party waits for the counterparty's lock to confirm and for A's claim
-    # to be seen on the slower chain, each plus half of B's confirmation delay.
-    slack = b.tau_b / 2.0
-    return Timing(t_eps=b.t_eps, wait=(b.tau_a, b.tau_b), slack=slack,
-                  claim_wait=max(b.tau_a, b.tau_b) + b.t_eps + slack, release_with_claim=True)
-
-
 def run(
     instance: ProtocolInstance,
     profile: StrategyProfile,
@@ -737,27 +705,29 @@ def run(
     """Execute one two-party trace and audit it.  Deterministic given inputs."""
     if instance.kind not in ("htlc", "quickswap"):
         raise ValueError(f"unknown protocol kind {instance.kind!r}")
-    b = instance.base
+    b, htlc = instance.base, instance.kind == "htlc"
     price = price_path or (lambda t: b.x_yb_t1)
     strategies = [profile.strategy_A, profile.strategy_B]
 
     def decide(party: int, phase: str, now: float) -> bool:
         """Threshold play: B locks inside its band, A claims above its threshold."""
-        s, x = strategies[party], price(now)
-        if party == 1 and phase == "lock":
-            band = (continuation_band_t2(b, 0.0) if instance.kind == "htlc"
-                    else continuation_band_t3(instance.params))
-            return s.interested and band is not None and band.lo < x <= band.hi
-        if party == 0 and phase == "claim":
-            x_star = (claim_threshold_t3(b) if instance.kind == "htlc"
-                      else claim_threshold_t4(instance.params))
-            return s.interested and x >= x_star
+        if (party, phase) == (1, "lock"):
+            band = continuation_band_t2(b, 0.0) if htlc else continuation_band_t3(instance.params)
+            return strategies[1].interested and band is not None and band.lo < price(now) <= band.hi
+        if (party, phase) == (0, "claim"):
+            x_star = claim_threshold_t3(b) if htlc else claim_threshold_t4(instance.params)
+            return strategies[0].interested and price(now) >= x_star
         return True
 
+    # A party waits for the counterparty's lock to confirm and for A's claim
+    # to be seen on the slower chain, each plus half of B's confirmation delay.
+    slack = b.tau_b / 2.0
+    timing = Timing(t_eps=b.t_eps, wait=(b.tau_a, b.tau_b), slack=slack,
+                    claim_wait=max(b.tau_a, b.tau_b) + b.t_eps + slack, release_with_claim=True)
     chains = [Chain("chain-a", b.tau_a), Chain("chain-b", b.tau_b)]
     # Net value in A-asset units; chain-b holdings scale with the final price.
-    return execute(instance.actions, instance.secrets, ("A", "B"), chains, strategies,
-                   _two_party_timing(b), safety=functools.partial(_compensated, rho=instance.rho),
+    return execute(instance.actions, instance.secrets, ("A", "B"), chains, strategies, timing,
+                   safety=functools.partial(_compensated, rho=instance.rho),
                    bound=liveness_bound(instance, profile), decide=decide,
                    value=lambda r: [1.0, price(r.clock) / b.x_yb_t1])
 
