@@ -1,11 +1,12 @@
-"""n-party cyclic swap generator, validator, and runner.
+"""n-party cyclic swap: plan generator and validator.
 
 Parties P0..P(n-1) sit on a cycle: Pi pays a_i coins on Chain-i to its
 successor P(i+1 mod n).  A single payment hash (held by P0) gates every
 principal; each party also holds a cancellation hash whose preimage lets its
 successor refund early.  Premiums ride a staggered timelock ladder D + k*Delta
 so that a griefing party's premium times out to the successor it damaged,
-and earlier victims are compensated no later than later ones.
+and earlier victims are compensated no later than later ones.  ``run_cyclic``
+executes a plan on the engine every protocol shares, ``protocol.execute``.
 """
 
 from __future__ import annotations

@@ -214,9 +214,9 @@ def build_quickswap_instance(params: QuickSwapParams) -> ProtocolInstance:
     q, b = params, params.base
     t2, t3 = b.tau_b, b.tau_b + b.tau_a
     actions = (
-        LockAction(1, 1, q.Q, "premium", 0.0, q.D + q.Delta, 0, 1, ("Hbar", "H1")),
+        LockAction(1, 1, q.premium_of("B"), "premium", 0.0, q.D + q.Delta, 0, 1, ("Hbar", "H1")),
         LockAction(0, 0, b.x_a, "principal", t2, t2 + b.t_a, 0, 1, ("Hbar",), "H1"),
-        LockAction(0, 0, 1.5 * q.Q, "premium", t2, t2 + q.D, 1, 0, ("Hbar", "H0")),
+        LockAction(0, 0, q.premium_of("A"), "premium", t2, t2 + q.D, 1, 0, ("Hbar", "H0")),
         LockAction(1, 1, b.x_yb_t1, "principal", t3, t3 + b.t_b, 1, 0, ("Hbar",), "H0"),
     )
     secrets = {
@@ -406,22 +406,17 @@ class _Run:
     def _schedule(self, k: int, shift: float) -> None:
         party, idxs = self.steps[k]
         due = self.actions[idxs[0]].start_time + shift
+        give_up = due + self.timing.wait[self.actions[idxs[0]].chain] + self.timing.slack
         lag = self.strategies[party].lag(self.phase[k])
-        self.at(due + lag, lambda: self._lock(k, due, shift + lag))
+        self.at(due + lag, lambda: self._lock(k, give_up, shift + lag))
         if lag:
-            self.at(due, lambda: self._missed(k, due))
+            self.at(due, lambda: self._missed(k, party, give_up))
 
-    def _missed(self, k: int, due: float) -> None:
-        """Step k (the claim if k is past the last lock step) was not taken
-        when due.  If its party has locks in, everyone watches from now on;
-        if it is still missing at its give-up time, the others cancel.  A
-        party that cancelled owes nothing more."""
-        if k < len(self.steps):
-            party = self.steps[k][0]
-            give_up = due + self.timing.wait[self.actions[self.steps[k][1][0]].chain] + self.timing.slack
-        else:
-            party, give_up = 0, due + self.timing.claim_wait
-
+    def _missed(self, k: int, party: int, give_up: float) -> None:
+        """``party`` did not take step k (the claim if k is past the last lock
+        step) when due.  If it has locks in, everyone watches from now on; if
+        the step is still missing at ``give_up``, the others cancel.  A party
+        that cancelled owes nothing more."""
         def abandon() -> None:
             if not (self.performed > k or self.revealed[party]):
                 for p, s in enumerate(self.strategies):
@@ -434,7 +429,7 @@ class _Run:
                 self._watch_all()
             self.at(give_up, abandon)
 
-    def _lock(self, k: int, due: float, shift: float) -> None:
+    def _lock(self, k: int, give_up: float, shift: float) -> None:
         party, idxs = self.steps[k]
         s, phase = self.strategies[party], self.phase[k]
         # Nobody locks once a party with its principal in has cancelled.
@@ -445,7 +440,7 @@ class _Run:
         if cancels:
             self._cancel(party, alert=True)
         if dead or cancels or not s.acts_at(phase):
-            self._missed(k, due)
+            self._missed(k, party, give_up)
             return
         for idx in idxs:
             a = self.actions[idx]
@@ -464,13 +459,13 @@ class _Run:
             self._schedule(self.performed, shift)
             return
         locked = self.clock + self.chains[self.actions[idxs[-1]].chain].confirm_delay
-        lag = self.strategies[0].lag("claim")
-        self.at(locked + lag, lambda: self._claim(locked))
+        give_up, lag = locked + self.timing.claim_wait, self.strategies[0].lag("claim")
+        self.at(locked + lag, lambda: self._claim(give_up))
         if lag:
-            self.at(locked, lambda: self._missed(k + 1, locked))
+            self.at(locked, lambda: self._missed(k + 1, 0, give_up))
 
     # -- success path ----------------------------------------------------------
-    def _claim(self, due: float) -> None:
+    def _claim(self, give_up: float) -> None:
         for c in self.chains:
             self._observe(c)  # the locks are in
         s = self.strategies[0]
@@ -479,7 +474,7 @@ class _Run:
         if cancels:
             self._cancel(0, alert=True)
         if cancels or not s.acts_at("claim"):
-            self._missed(len(self.steps), due)
+            self._missed(len(self.steps), 0, give_up)
             return
         last = len(self.actions) - 1
         self.spend(last, 0, "claim-final", "Hbar")
@@ -576,10 +571,11 @@ def execute(actions, secrets, parties, chains, strategies, timing, *, safety,
             bound: float = math.inf, decide=None, value=None) -> TraceVerdict:
     """Run a lock plan with one strategy per party and audit the trace.
 
-    ``safety(run, swapped)`` is the protocol's safety rule, ``bound`` the
-    hour by which every lock must be released, ``decide(party, phase, now)``
-    the threshold strategies' choice, and ``value(run)`` each chain's coin
-    value in the first chain's asset.
+    ``safety(run, swapped, endow, recv)`` is the protocol's safety rule, given
+    what each party funded and received; ``bound`` is the hour by which every
+    lock must be released; ``decide(party, phase, now)`` is the threshold
+    strategies' choice; ``value(run)`` gives each chain's coin value in the
+    first chain's asset.
     """
     r = _Run(actions, secrets, parties, chains, strategies, timing, decide)
     r.run()
@@ -594,9 +590,8 @@ def _spender(r: _Run, idx: int) -> str:
     return r.chains[r.actions[idx].chain].spent.get(r.refs.get(idx), "")
 
 
-def _totals(r: _Run, scale) -> tuple[dict[str, float], dict[str, float]]:
-    """What each party funded and received over all chains, each chain's
-    amounts weighted by its ``scale``."""
+def _verdict(r: _Run, safety, bound: float, scale) -> TraceVerdict:
+    """Net value, Correctness, Safety, Liveness and conservation of a trace."""
     endow = dict.fromkeys(r.parties, 0.0)
     recv = dict.fromkeys(r.parties, 0.0)
     for f, c in zip(scale, r.chains):
@@ -604,12 +599,6 @@ def _totals(r: _Run, scale) -> tuple[dict[str, float], dict[str, float]]:
             endow[p] += f * v
         for p, v in c.balances.items():
             recv[p] += f * v
-    return endow, recv
-
-
-def _verdict(r: _Run, safety, bound: float, scale) -> TraceVerdict:
-    """Net value, Correctness, Safety, Liveness and conservation of a trace."""
-    endow, recv = _totals(r, scale)
     net = {p: recv[p] - endow[p] for p in r.parties}
 
     swapped = all(_spender(r, i).startswith("claim")
@@ -637,7 +626,7 @@ def _verdict(r: _Run, safety, bound: float, scale) -> TraceVerdict:
     correctness = swapped or any(k != "compliant" for k in kinds)
     if not correctness:
         witnesses.append("correctness: compliant parties failed to swap")
-    safe, found = safety(r, swapped)
+    safe, found = safety(r, swapped, endow, recv)
     witnesses += found
     for c in r.chains:
         if not conservation_holds(c):
@@ -651,7 +640,7 @@ def _verdict(r: _Run, safety, bound: float, scale) -> TraceVerdict:
     )
 
 
-def _compensated(r: _Run, swapped: bool, rho: float) -> tuple[bool, list[str]]:
+def _compensated(r: _Run, swapped: bool, endow, recv, rho: float) -> tuple[bool, list[str]]:
     """Two-party rule: a compliant party griefed out of the swap is owed
     c(amount * locktime) = rho * amount * locktime for its locked principal,
     paid by the premiums that time out to it.  The plain HTLC pays none,
@@ -676,7 +665,7 @@ def _compensated(r: _Run, swapped: bool, rho: float) -> tuple[bool, list[str]]:
     return True, []
 
 
-def recovers_locked(r: _Run, swapped: bool) -> tuple[bool, list[str]]:
+def recovers_locked(r: _Run, swapped: bool, endow, recv) -> tuple[bool, list[str]]:
     """Cyclic rule: a compliant party whose outgoing principal was claimed
     holds the incoming one; otherwise it gets back everything it locked
     (premium timeouts may add on top).  A success reveals only "Hbar"."""
@@ -684,7 +673,7 @@ def recovers_locked(r: _Run, swapped: bool) -> tuple[bool, list[str]]:
     revealed = {r.roles[h] for c in r.chains for h in c.revealed if h in r.roles}
     if swapped and revealed != {"Hbar"}:
         witnesses.append(f"success trace revealed {sorted(revealed)}")
-    expected, recv = _totals(r, [1.0] * len(r.chains))
+    expected = dict(endow)
     incoming = {a.hashlock_claimant: a.amount for a in r.actions if a.kind == "principal"}
     for idx, a in enumerate(r.actions):
         if a.kind == "principal" and _spender(r, idx).startswith("claim"):
