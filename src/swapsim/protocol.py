@@ -279,6 +279,9 @@ class _Layout:
         # the principal each cancel secret refunds early
         self.refunds = {a.early_refund_hash: idx for idx, a in enumerate(actions)
                         if a.early_refund_hash is not None}
+        self.of = [[i for i, a in enumerate(actions) if a.party == p] for p in range(len(parties))]
+        self.owed = [[i for i, a in enumerate(actions) if a.timeout_recipient == p]
+                     for p in range(len(parties))]
 
     def contract(self, a: LockAction, expiry: float) -> LockedOutput:
         names = self.parties
@@ -395,11 +398,11 @@ class _Run:
         return self.broadcast(self.chains[a.chain], tx)
 
     def locked(self, party: int) -> bool:
-        return any(self.actions[i].party == party for i in self.refs)
+        return any(i in self.refs for i in self.layout.of[party])
 
     def own(self, party: int, kind: str) -> list[int]:
         """The party's unspent locks of ``kind``."""
-        return [i for i in self.refs if self.actions[i].party == party
+        return [i for i in self.layout.of[party] if i in self.refs
                 and self.actions[i].kind == kind and not self.spent(i)]
 
     # -- the schedule ----------------------------------------------------------
@@ -552,8 +555,8 @@ class _Run:
                 self.watching[party] = True
                 if self.anchor is None:
                     self.anchor = self.clock
-                for idx in self.refs:
-                    if self.actions[idx].timeout_recipient == party:
+                for idx in self.layout.owed[party]:
+                    if idx in self.refs:
                         self._sweep_when_due(idx)
 
     def _sweep_when_due(self, idx: int) -> None:
