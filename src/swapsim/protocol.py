@@ -93,7 +93,7 @@ class Strategy:
         if self.kind == "delay" and self.hours <= 0:
             raise ValueError("delay strategy needs positive hours")
 
-    # -- automaton queries --------------------------------------------------
+    # -- phase queries -------------------------------------------------------
     def acts_at(self, phase: str) -> bool:
         """Whether the party performs this protocol phase at all."""
         if self.kind == "grief":
