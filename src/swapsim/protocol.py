@@ -263,9 +263,10 @@ def liveness_bound(instance: ProtocolInstance, profile: StrategyProfile) -> floa
 
 class _Layout:
     """What a lock plan fixes for every trace of it: its steps (one party's
-    locks with one start time, in order), each step's phase, each party's
-    order of phases, the hash of every secret and each lock's contract at
-    its planned timeout.  Contracts are immutable, so traces share them."""
+    locks with one start time, in order), each step's phase, the hash of every
+    secret, each party's locks and the locks that time out to it, and each
+    lock's contract at its planned timeout.  Contracts are immutable, so
+    traces share them."""
 
     def __init__(self, actions, secrets, parties) -> None:
         self.steps = [(party, [idx for idx, _ in group]) for (party, _), group in itertools.groupby(
