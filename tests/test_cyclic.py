@@ -210,6 +210,42 @@ def test_settlement_loop_traces_unchanged():
     assert digest == SETTLEMENT_DIGEST
 
 
+def _zero_delay_records() -> list:
+    # Chains 0, 3, 6, ... confirm instantly (the last one too at n = 4 and 7)
+    # and preimages are seen at once: what such a chain confirms is observed
+    # at the next poll, except the last lock, which the claim sees at once.
+    records = []
+    for n in (2, 4, 7):
+        taus = tuple(0.0 if i % 3 == 0 else 1.3 for i in range(n))
+        plan = generate(CyclicSpec(
+            n=n, amounts=tuple(2.0 for _ in range(n)), taus=taus,
+            locktimes=tuple(5.5 + 0.75 * (n - 1) + 6.0 * (n - i) for i in range(n)),
+            D=5.5, Delta=0.75, rho=0.001, t_eps=0.0))
+        for label, strategies in _validate_strategies(n):
+            v = run_cyclic(plan, strategies)
+            records.append([
+                n, label, v.outcome, v.correctness, v.safety, v.liveness, v.witnesses,
+                sorted((p, repr(x)) for p, x in v.net_value.items()),
+                [(repr(e.time), e.chain_id, e.tx_id, e.kind, list(e.revealed), e.reason)
+                 for e in v.events],
+                repr(v.final_time),
+            ])
+    return records
+
+
+# sha256 of the zero-delay runs above, rejection reasons included, as the
+# hourly-polling settlement loop produced them.
+ZERO_DELAY_DIGEST = "ec203e6053a78492dfba51212ed70af9e008891db617a3ae256369419d2d539e"
+
+
+def test_zero_delay_traces_unchanged():
+    import hashlib
+    import json
+
+    digest = hashlib.sha256(json.dumps(_zero_delay_records()).encode()).hexdigest()
+    assert digest == ZERO_DELAY_DIGEST
+
+
 def _two_party_records() -> list:
     from swapsim.htlcgame import claim_threshold_t3, continuation_band_t2
     from swapsim.protocol import (
