@@ -213,7 +213,7 @@ def run_cyclic(
     if not set(strategies.values()) <= set(_STRATEGIES):
         raise ValueError("strategies must be compliant, grief-lock, or grief-claim")
     return execute(
-        plan.actions, plan.secrets, tuple(f"P{i}" for i in range(spec.n)),
+        plan, tuple(f"P{i}" for i in range(spec.n)),
         [Chain(f"chain-{i}", tau) for i, tau in enumerate(spec.taus)],
         [_STRATEGIES[strategies.get(i, "compliant")] for i in range(spec.n)],
         # Everyone gives up on a missing lock once it would have confirmed on

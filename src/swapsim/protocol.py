@@ -571,9 +571,11 @@ class _Run:
             self.at(self.clock, sweep, prio=2)
 
 
-def execute(actions, secrets, parties, chains, strategies, timing, *, safety,
+def execute(plan, parties, chains, strategies, timing, *, safety,
             bound: float = math.inf, decide=None, value=None) -> TraceVerdict:
-    """Run a lock plan with one strategy per party and audit the trace.
+    """Run a lock plan (anything with ``actions`` and role-keyed ``secrets``,
+    such as a ``ProtocolInstance`` or a ``cyclic.CyclicPlan``) with one
+    strategy per party and audit the trace.
 
     ``safety(run, swapped, endow, recv)`` is the protocol's safety rule, given
     what each party funded and received; ``bound`` is the hour by which every
@@ -581,7 +583,7 @@ def execute(actions, secrets, parties, chains, strategies, timing, *, safety,
     strategies' choice; ``value(run)`` gives each chain's coin value in the
     first chain's asset.
     """
-    r = _Run(actions, secrets, parties, chains, strategies, timing, decide)
+    r = _Run(plan.actions, plan.secrets, parties, chains, strategies, timing, decide)
     r.run()
     return _verdict(r, safety, bound, value(r) if value else [1.0] * len(chains))
 
@@ -719,7 +721,7 @@ def run(
                     claim_wait=max(b.tau_a, b.tau_b) + b.t_eps + slack, release_with_claim=True)
     chains = [Chain("chain-a", b.tau_a), Chain("chain-b", b.tau_b)]
     # Net value in A-asset units; chain-b holdings scale with the final price.
-    return execute(instance.actions, instance.secrets, ("A", "B"), chains, strategies, timing,
+    return execute(instance, ("A", "B"), chains, strategies, timing,
                    safety=functools.partial(_compensated, rho=instance.rho),
                    bound=liveness_bound(instance, profile), decide=decide,
                    value=lambda r: [1.0, price(r.clock) / b.x_yb_t1])
