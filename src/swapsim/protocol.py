@@ -425,12 +425,14 @@ class _Run:
             if not (self.performed > k or self.revealed[party]):
                 for p, s in enumerate(self.strategies):
                     if p != party and s.kind != "grief" and self.locked(p):
+                        # Giving up on the claim ends the swap and alerts the
+                        # others; giving up on a lock only withdraws a premium.
                         self._cancel(p, alert=k == len(self.steps))
-                self._watch_all()
+                self._watch()
 
         if not self.revealed[party]:
             if self.locked(party):
-                self._watch_all()
+                self._watch()
             self.at(give_up, abandon)
 
     def _lock(self, k: int, give_up: float, shift: float) -> None:
@@ -471,7 +473,7 @@ class _Run:
     # -- success path ----------------------------------------------------------
     def _claim(self, give_up: float) -> None:
         for c in self.chains:
-            self._observe(c)  # the locks are in
+            self._observe(c)  # the last lock is in, even on a zero-delay chain
         s = self.strategies[0]
         cancels = s.cancels_at("claim") or (
             s.kind == "threshold" and not self.decide(0, "claim", self.clock))
@@ -500,7 +502,7 @@ class _Run:
                 self._release(idx, p, f"claim-{idx}")
             elif not (p == 0 and self.timing.release_with_claim):
                 self._release(idx, p, f"reclaim-{idx}")
-        self._watch_all()
+        self._watch()
 
     def _release(self, idx: int, party: int, tx_id: str) -> None:
         """Spend with the payment secret, unless a timeout spend is already out."""
@@ -546,12 +548,10 @@ class _Run:
                 self.spend(idx, party, f"early-refund-{idx}", role)
 
     # -- timeouts --------------------------------------------------------------
-    def _watch_all(self) -> None:
-        self._watch(*range(len(self.parties)))
-
     def _watch(self, *parties: int) -> None:
-        """From now on the parties sweep every timeout owed to them."""
-        for party in parties:
+        """From now on the parties (all if none is named) sweep every timeout
+        owed to them."""
+        for party in parties or range(len(self.parties)):
             if not self.watching[party]:
                 self.watching[party] = True
                 if self.anchor is None:
