@@ -218,7 +218,7 @@ def run_cyclic(
         [_STRATEGIES[strategies.get(i, "compliant")] for i in range(spec.n)],
         # Everyone gives up on a missing lock once it would have confirmed on
         # the slowest chain and been seen, and on P0's claim at once.
-        Timing(t_eps=spec.t_eps, wait=(max(spec.taus),) * spec.n, slack=spec.t_eps,
+        Timing(t_eps=spec.t_eps, wait=((max(spec.taus), spec.t_eps),) * spec.n,
                claim_wait=0.0, release_with_claim=False),
         safety=recovers_locked,
     )

@@ -155,16 +155,19 @@ class LockAction:
 class Timing:
     """When honest parties act beyond the lock schedule (hours).
 
-    A party waiting for a lock on chain c gives up ``wait[c] + slack`` after
-    the lock was due, and on the initiator's claim ``claim_wait`` after every
-    lock is in.  ``release_with_claim`` says whether the initiator reclaims
-    its premium in its claim step or, like everyone else, once the payment
-    secret is public (``t_eps`` after the claim confirms).
+    A party waiting for a lock on chain c gives up once the hours in
+    ``wait[c]`` (a confirmation delay, then a grace) have passed since the
+    lock was due.  They are added one after another, so give-up hours match
+    the protocol's own hour arithmetic to the last bit; the cyclic traces
+    are pinned that exactly.  On the initiator's claim a party gives up
+    ``claim_wait`` after every lock is in.  ``release_with_claim`` says
+    whether the initiator reclaims its premium in its claim step or, like
+    everyone else, once the payment secret is public (``t_eps`` after the
+    claim confirms).
     """
 
     t_eps: float
-    wait: tuple[float, ...]
-    slack: float
+    wait: tuple[tuple[float, ...], ...]
     claim_wait: float
     release_with_claim: bool
 
@@ -410,7 +413,7 @@ class _Run:
     def _schedule(self, k: int, shift: float) -> None:
         party, idxs = self.steps[k]
         due = self.actions[idxs[0]].start_time + shift
-        give_up = due + self.timing.wait[self.actions[idxs[0]].chain] + self.timing.slack
+        give_up = sum(self.timing.wait[self.actions[idxs[0]].chain], due)
         lag = self.strategies[party].lag(self.phase[k])
         self.at(due + lag, lambda: self._lock(k, give_up, shift + lag))
         if lag:
@@ -580,12 +583,12 @@ def execute(plan, parties, chains, strategies, timing, *, safety,
     ``safety(run, swapped, endow, recv)`` is the protocol's safety rule, given
     what each party funded and received; ``bound`` is the hour by which every
     lock must be released; ``decide(party, phase, now)`` is the threshold
-    strategies' choice; ``value(run)`` gives each chain's coin value in the
-    first chain's asset.
+    strategies' choice; ``value`` lists each chain's coin value in the first
+    chain's asset (1 each if not given).
     """
     r = _Run(plan.actions, plan.secrets, parties, chains, strategies, timing, decide)
     r.run()
-    return _verdict(r, safety, bound, value(r) if value else [1.0] * len(chains))
+    return _verdict(r, safety, bound, value or [1.0] * len(chains))
 
 
 _EVENT_ORDER = operator.attrgetter("time", "chain_id", "tx_id")
@@ -717,14 +720,15 @@ def run(
     # A party waits for the counterparty's lock to confirm and for A's claim
     # to be seen on the slower chain, each plus half of B's confirmation delay.
     slack = b.tau_b / 2.0
-    timing = Timing(t_eps=b.t_eps, wait=(b.tau_a, b.tau_b), slack=slack,
+    timing = Timing(t_eps=b.t_eps, wait=((b.tau_a, slack), (b.tau_b, slack)),
                     claim_wait=max(b.tau_a, b.tau_b) + b.t_eps + slack, release_with_claim=True)
     chains = [Chain("chain-a", b.tau_a), Chain("chain-b", b.tau_b)]
-    # Net value in A-asset units; chain-b holdings scale with the final price.
+    bound = liveness_bound(instance, profile)
+    # Net value in A-asset units; chain-b holdings scale with the price an
+    # hour past the liveness bound, when every lock is released.
     return execute(instance, ("A", "B"), chains, strategies, timing,
                    safety=functools.partial(_compensated, rho=instance.rho),
-                   bound=liveness_bound(instance, profile), decide=decide,
-                   value=lambda r: [1.0, price(r.clock) / b.x_yb_t1])
+                   bound=bound, decide=decide, value=[1.0, price(bound + 1.0) / b.x_yb_t1])
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,49 @@ def test_two_party_verdicts_unchanged():
     assert digest == TWO_PARTY_DIGEST
 
 
+def _two_party_drift_records() -> list:
+    from swapsim.protocol import (
+        Strategy, StrategyProfile, build_htlc_instance, build_quickswap_instance, run,
+        strategy_grid,
+    )
+
+    thresholds = [Strategy("threshold"), Strategy("threshold", interested=False)]
+    records = []
+    for overrides in ({}, {"sigma": 0.2, "x_a": 2.4}):
+        b, q = baseline(**overrides), quick_baseline(**overrides)
+        for inst in (build_htlc_instance(b), build_quickswap_instance(q)):
+            grid = strategy_grid(inst.kind)
+            profiles = [StrategyProfile(a, bb) for a in grid["A"] for bb in grid["B"]]
+            profiles += [StrategyProfile(a, bb) for a in thresholds for bb in thresholds]
+            # Prices that drift up or down by 2% of B's amount an hour, so
+            # both the threshold decisions and the final valuation depend on
+            # the hour they are taken at.
+            for path, slope in (("rising", 0.02), ("falling", -0.02)):
+                def price(t, x=b.x_yb_t1, slope=slope):
+                    return x * (1.0 + slope * t)
+                for profile in profiles:
+                    v = run(inst, profile, price)
+                    records.append([
+                        inst.kind, sorted(overrides.items()), profile.label(), path,
+                        v.outcome, v.safety, v.liveness,
+                        sorted((p, f"{round(x, 9) + 0.0:.9f}") for p, x in v.net_value.items()),
+                    ])
+    return records
+
+
+# sha256 of the two-party strategy grid and threshold profiles on prices that
+# drift linearly in time, as the separate two-party automata produced them.
+TWO_PARTY_DRIFT_DIGEST = "fc76d42463675841b6ec8b9ba87c7da2fb24328c11ac68fd289212f527ea6c22"
+
+
+def test_two_party_verdicts_unchanged_on_drifting_prices():
+    import hashlib
+    import json
+
+    digest = hashlib.sha256(json.dumps(_two_party_drift_records()).encode()).hexdigest()
+    assert digest == TWO_PARTY_DRIFT_DIGEST
+
+
 def test_settlement_loop_skips_idle_polls(monkeypatch):
     from swapsim import ledgersim
 
