@@ -155,11 +155,9 @@ class LockAction:
 class Timing:
     """When honest parties act beyond the lock schedule (hours).
 
-    A party waiting for a lock on chain c gives up once the hours in
-    ``wait[c]`` (a confirmation delay, then a grace) have passed since the
-    lock was due.  They are added one after another, so give-up hours match
-    the protocol's own hour arithmetic to the last bit; the cyclic traces
-    are pinned that exactly.  On the initiator's claim a party gives up
+    A party gives up on a lock on chain c once the hours in ``wait[c]`` (a
+    confirmation delay, then a grace, added in that order as the protocol
+    adds them) have passed since it was due, and on the initiator's claim
     ``claim_wait`` after every lock is in.  ``release_with_claim`` says
     whether the initiator reclaims its premium in its claim step or, like
     everyone else, once the payment secret is public (``t_eps`` after the
@@ -724,8 +722,7 @@ def run(
                     claim_wait=max(b.tau_a, b.tau_b) + b.t_eps + slack, release_with_claim=True)
     chains = [Chain("chain-a", b.tau_a), Chain("chain-b", b.tau_b)]
     bound = liveness_bound(instance, profile)
-    # Net value in A-asset units; chain-b holdings scale with the price an
-    # hour past the liveness bound, when every lock is released.
+    # Net value in A-asset units at the price once every lock is released.
     return execute(instance, ("A", "B"), chains, strategies, timing,
                    safety=functools.partial(_compensated, rho=instance.rho),
                    bound=bound, decide=decide, value=[1.0, price(bound + 1.0) / b.x_yb_t1])
