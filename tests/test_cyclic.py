@@ -321,7 +321,7 @@ def _two_party_drift_records() -> list:
                     v = run(inst, profile, price)
                     records.append([
                         inst.kind, sorted(overrides.items()), profile.label(), path,
-                        v.outcome, v.safety, v.liveness,
+                        v.outcome, v.correctness, v.safety, v.liveness, v.witnesses,
                         sorted((p, f"{round(x, 9) + 0.0:.9f}") for p, x in v.net_value.items()),
                     ])
     return records
@@ -329,7 +329,7 @@ def _two_party_drift_records() -> list:
 
 # sha256 of the two-party strategy grid and threshold profiles on prices that
 # drift linearly in time, as the separate two-party automata produced them.
-TWO_PARTY_DRIFT_DIGEST = "fc76d42463675841b6ec8b9ba87c7da2fb24328c11ac68fd289212f527ea6c22"
+TWO_PARTY_DRIFT_DIGEST = "03f119282703c0d17155e94c4dbaa7b139e1a50bdbf415de6a1be9fe65688f9f"
 
 
 def test_two_party_verdicts_unchanged_on_drifting_prices():
