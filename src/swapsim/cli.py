@@ -166,8 +166,15 @@ def _quick_params(p: dict) -> quickswapgame.QuickSwapParams:
     )
 
 
+def _whole(p: dict, key: str) -> int:
+    value = p[key]
+    if type(value) not in (int, float) or not float(value).is_integer():
+        raise ConfigError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _cyclic_spec(p: dict) -> cyclic_mod.CyclicSpec:
-    n = int(p["n"])
+    n = _whole(p, "n")
     amounts = tuple(p["amounts"]) or tuple(2.0 for _ in range(n))
     taus = tuple(p["taus"]) or tuple(3.0 for _ in range(n))
     locktimes = tuple(p["locktimes"]) or tuple(48.0 - 6.0 * i for i in range(n))
@@ -179,6 +186,10 @@ def _cyclic_spec(p: dict) -> cyclic_mod.CyclicSpec:
 
 
 def _axis(lo: float, hi: float, step: float) -> np.ndarray:
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ConfigError(f"grid axis needs finite bounds with min <= max, got [{lo}, {hi}]")
+    if not step > 0:
+        raise ConfigError(f"grid step must be > 0, got {step}")
     count = int(round((hi - lo) / step)) + 1
     return np.round(lo + step * np.arange(count), 10)
 
@@ -375,10 +386,12 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 def cmd_montecarlo(cfg: RunConfig) -> int:
     p = cfg.params
-    paths = int(p["paths"])
+    paths = _whole(p, "paths")
     if paths < 1_000:
         raise ConfigError(f"paths must be >= 1000, got {paths}")
-    cells = int(p["cells"])
+    cells = _whole(p, "cells")
+    if cells < 1:
+        raise ConfigError(f"cells must be >= 1, got {cells}")
     rng = np.random.default_rng(cfg.seed)
     base = _swap_params(p)
     quick = _quick_params(p)

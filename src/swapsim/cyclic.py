@@ -48,6 +48,9 @@ class CyclicSpec:
         for name in ("amounts", "taus", "locktimes"):
             if len(getattr(self, name)) != self.n:
                 raise ValueError(f"{name} must have one entry per party")
+        if not all(map(math.isfinite, (self.D, self.Delta, self.rho, self.t_eps,
+                                       *self.amounts, *self.taus, *self.locktimes))):
+            raise ValueError("every number of a cyclic spec must be finite")
         if any(a <= 0 for a in self.amounts):
             raise ValueError("amounts must be > 0")
         if any(t < 0 for t in self.taus):
@@ -64,8 +67,8 @@ class CyclicSpec:
                 f"premium ladder exceeds shortest locktime: D + (n-1)*Delta = "
                 f"{ladder_top} >= T{self.n - 1} = {self.locktimes[-1]}"
             )
-        if self.rho < 0 or self.Delta < 0 or self.D <= 0:
-            raise ValueError("D must be > 0 and Delta, rho >= 0")
+        if self.rho < 0 or self.Delta < 0 or self.D <= 0 or self.t_eps < 0:
+            raise ValueError("D must be > 0 and Delta, rho, t_eps >= 0")
 
     def premium(self, i: int) -> float:
         """Premium locked by party i: c(successor principal * its locktime).

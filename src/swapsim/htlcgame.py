@@ -25,7 +25,6 @@ from .pricemodel import transition_cdf, transition_pdf
 
 __all__ = [
     "SwapParams",
-    "HtlcThresholds",
     "SRGrid",
     "payoff_t3",
     "claim_threshold_t3",
@@ -76,6 +75,9 @@ class SwapParams:
     quad: QuadratureSpec = field(default_factory=QuadratureSpec)
 
     def __post_init__(self) -> None:
+        bad = [k for k, v in vars(self).items() if isinstance(v, float) and not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"{', '.join(bad)} must be finite")
         if not self.t_a > self.t_b > 0:
             raise ValueError("locktimes must satisfy t_a > t_b > 0")
         for name in ("tau_a", "tau_b", "t_eps", "eps"):
@@ -109,28 +111,9 @@ class SwapParams:
 
 
 @dataclass(frozen=True)
-class HtlcThresholds:
-    """Decision thresholds: A's claim cutoff, B's continuation band, and the
-    x_a participation range (absent when the swap never starts)."""
-
-    x_t3_star: float
-    x1: float | None
-    x2: float | None
-
-    @property
-    def band(self) -> Bracket | None:
-        if self.x1 is None or self.x2 is None:
-            return None
-        return Bracket(self.x1, self.x2)
-
-
-@dataclass(frozen=True)
 class SRGrid:
     """Success-rate surface over (x_a, T, T') with NA marked by NaN."""
 
-    xa_axis: np.ndarray
-    t_axis: np.ndarray
-    tp_axis: np.ndarray
     raw: np.ndarray          # Eq-level value in [0, theta_1 * theta_2]; NaN where NA
     conditional: np.ndarray  # raw / (theta_1 * theta_2); NaN where NA
     na_mask: np.ndarray      # True exactly where the participation constraint fails
@@ -188,10 +171,7 @@ def _u_B_cont_t2(p: SwapParams, price_t2, T):
     )
     # Malicious A never claims; B is stuck refunding after t_b.
     outside = math.exp(-p.r_b * p.tau_b) * (arr * math.exp(p.gbm.mu * p.tau_b) * slope - p.f_b)
-    out = p.theta_1 * (cont + stop_int) + (1.0 - p.theta_1) * outside
-    if np.isscalar(price_t2):
-        return float(out)
-    return out
+    return p.theta_1 * (cont + stop_int) + (1.0 - p.theta_1) * outside
 
 
 def _u_A_cont_t2(p: SwapParams, price_t2, T):
@@ -211,10 +191,7 @@ def _u_A_cont_t2(p: SwapParams, price_t2, T):
     tail = 1.0 - cdf_from(x_star, arr, p.gbm, h_cont)
     claim_part = math_exp(-p.r_a * h_cont) * (a * above - p.f_b * tail)
     stop_part = math_exp(-p.r_a * h_stop) * cdf_from(x_star, arr, p.gbm, h_stop) * stop_val
-    out = claim_part + stop_part
-    if np.isscalar(price_t2):
-        return float(out)
-    return out
+    return claim_part + stop_part
 
 
 def payoff_t2(p: SwapParams, price_t2: float, T: float) -> tuple[float, float, float, float]:
@@ -245,8 +222,10 @@ def widest_band(g, scan: Bracket, rows: np.ndarray | None = None):
     When more than two crossings appear, the widest winning interval is
     kept; a row with no crossing has no band.
     """
-    roots = find_roots(lambda x: g(x, rows), scan, grid_points=_ROOT_SCAN_POINTS, tol=_ROOT_TOL,
-                       vectorized=True)
+    # The default scan's hi is 12x its largest price: the tolerance shrinks
+    # with small prices, so their bands do not drift, and never grows.
+    tol = _ROOT_TOL * min(1.0, scan.hi / 12.0)
+    roots = find_roots(lambda x: g(x, rows), scan, grid_points=_ROOT_SCAN_POINTS, tol=tol)
     if rows is None:
         roots = [roots]
     edges = [[scan.lo, *r, scan.hi] for r in roots]
@@ -301,15 +280,6 @@ def success_rate(p: SwapParams, T: float, Tp: float) -> float | None:
     return None if math.isnan(raw) else float(raw)
 
 
-def compute_thresholds(p: SwapParams, T: float = 0.0, Tp: float = 0.0) -> HtlcThresholds:
-    band = continuation_band_t2(p, T)
-    return HtlcThresholds(
-        x_t3_star=claim_threshold_t3(p),
-        x1=None if band is None else band.lo,
-        x2=None if band is None else band.hi,
-    )
-
-
 def sr_surface(
     p: SwapParams,
     xa_grid,
@@ -344,7 +314,7 @@ def sr_surface(
                     q, band, claim_threshold_t3(q), q.tau_a + tps[starts, None], q.tau_b + float(T))
 
     conditional = raw / norm if norm > 0 else np.where(np.isnan(raw), np.nan, 0.0)
-    return SRGrid(xa_axis=xa, t_axis=ts, tp_axis=tps, raw=raw, conditional=conditional, na_mask=na)
+    return SRGrid(raw=raw, conditional=conditional, na_mask=na)
 
 
 def payoff_t1_with_band(p: SwapParams, T, Tp, bands) -> tuple[np.ndarray, np.ndarray]:

@@ -118,7 +118,6 @@ class Transaction:
     id: str
     spends: list[SpendInput]
     creates: list  # LockedOutput or Payout entries
-    broadcast_time: float = -1.0
     confirm_time: float = -1.0
 
 
@@ -184,7 +183,6 @@ class Chain:
                 raise ValueError(f"unknown output {s.ref}")
             if not any(b.satisfied_by(s.claimant, s.preimages, now) for b in out.branches):
                 raise ValueError(f"no satisfied spend branch for {s.ref}")
-        tx.broadcast_time = now
         tx.confirm_time = now + self.confirm_delay
         self.mempool.append(tx)
         self._live_ids.add(tx.id)

@@ -115,16 +115,13 @@ def find_roots(
     scan: Bracket,
     grid_points: int = 256,
     tol: float = 1e-10,
-    *,
-    vectorized: bool = False,
 ) -> list[float] | list[list[float]]:
     """Scan a uniform grid for sign changes and bisect each to tolerance.
 
     Grid points that are exact roots are returned directly.  Returns an
-    ascending list; empty when no sign change is found.  A plain ``g`` is
-    called on floats.  With ``vectorized=True`` it is called on arrays: on
-    the (n,) grid it returns (n,) values, or a (K, n) array of K functions
-    sharing the grid, and then one root list per row is returned.
+    ascending list; empty when no sign change is found.  ``g`` is called on
+    arrays: on the (n,) grid it returns (n,) values, or a (K, n) array of K
+    functions sharing the grid, and then one root list per row is returned.
 
     All open brackets of all rows bisect in lockstep: each step is one call
     of ``g`` on the midpoints, an (R,) array for a one-row ``g`` and (K, R)
@@ -135,16 +132,10 @@ def find_roots(
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
-    if not vectorized:
-        scalar_g = g
-
-        def g(x):
-            return np.array([scalar_g(float(v)) for v in x], dtype=float)
-
     xs = np.linspace(scan.lo, scan.hi, grid_points)
     vals = np.asarray(g(xs), dtype=float)
     if vals.shape[-1:] != xs.shape or vals.ndim > 2:
-        raise ValueError(f"vectorized g returned shape {vals.shape}, expected (n,) or (K, n) for n={len(xs)}")
+        raise ValueError(f"g returned shape {vals.shape}, expected (n,) or (K, n) for n={len(xs)}")
     grid = np.atleast_2d(vals)
     left, right = grid[:, :-1], grid[:, 1:]
     hits = (left == 0.0) | (left * right < 0.0)

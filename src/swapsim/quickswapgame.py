@@ -27,7 +27,6 @@ from .pricemodel import PriceState, cdf_from, pe_below_from, transition_pdf  # n
 
 __all__ = [
     "QuickSwapParams",
-    "QuickThresholds",
     "payoff_t4",
     "claim_threshold_t4",
     "payoff_t3",
@@ -53,6 +52,8 @@ class QuickSwapParams:
 
     def __post_init__(self) -> None:
         b = self.base
+        if not all(map(math.isfinite, (self.D, self.Delta, self.rho))):
+            raise ValueError("D, Delta and rho must be finite")
         if self.rho < 0:
             raise ValueError("rho must be >= 0")
         if not self.D > b.tau_a + b.tau_b:
@@ -80,21 +81,6 @@ class QuickSwapParams:
 
     def with_x_a(self, x_a: float) -> "QuickSwapParams":
         return replace(self, base=self.base.with_x_a(x_a))
-
-
-@dataclass(frozen=True)
-class QuickThresholds:
-    """A's final claim cutoff and B's middle-node continuation band."""
-
-    x_t4_star: float
-    x3_1: float | None
-    x3_2: float | None
-
-    @property
-    def band(self) -> Bracket | None:
-        if self.x3_1 is None or self.x3_2 is None:
-            return None
-        return Bracket(self.x3_1, self.x3_2)
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +165,7 @@ def _u_B_cont_t3(q: QuickSwapParams, price_t3):
         + q.Q * math.exp(-b.r_b * (b.t_eps + d_wait + b.tau_b))
         - 2.0 * b.f_b
     )
-    out = b.theta_1 * honest + (1.0 - b.theta_1) * malicious
-    if np.isscalar(price_t3):
-        return float(out)
-    return out
+    return b.theta_1 * honest + (1.0 - b.theta_1) * malicious
 
 
 def _u_A_cont_t3(q: QuickSwapParams, price_t3):
@@ -193,12 +176,9 @@ def _u_A_cont_t3(q: QuickSwapParams, price_t3):
     slope = (1.0 + b.sp_a) * math.exp((b.gbm.mu - b.r_a) * b.tau_b)
     intercept = 1.5 * q.Q * math.exp(-b.r_a * b.tau_a) - b.f_a - b.f_b
     above = arr * math.exp(b.gbm.mu * b.tau_b) - pe_below_from(x4, arr, b.gbm, b.tau_b)
-    out = math.exp(-b.r_a * b.tau_b) * (
+    return math.exp(-b.r_a * b.tau_b) * (
         slope * above + intercept * (1.0 - cdf4) + _t4_cancel_A(q) * cdf4
     )
-    if np.isscalar(price_t3):
-        return float(out)
-    return out
 
 
 def _t3_stop_A(q: QuickSwapParams) -> float:
@@ -251,15 +231,6 @@ def continuation_band_t3(q: QuickSwapParams, scan: Bracket | None = None) -> Bra
     return widest_band(g, scan or _scan_bracket(q.base.x_yb_t1, q.base.x_a, claim_threshold_t4(q)))
 
 
-def compute_thresholds(q: QuickSwapParams) -> QuickThresholds:
-    band = continuation_band_t3(q)
-    return QuickThresholds(
-        x_t4_star=claim_threshold_t4(q),
-        x3_1=None if band is None else band.lo,
-        x3_2=None if band is None else band.hi,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Success rate of the premium swap.
 
@@ -278,11 +249,8 @@ def success_rate(q: QuickSwapParams) -> float:
 
 @dataclass(frozen=True)
 class ParticipationReport:
-    """Per-x_a success rates and the ranges over which each protocol clears."""
+    """Per-x_a premium success rates and the ranges over which each protocol clears."""
 
-    xa_axis: np.ndarray
-    htlc_sr_zero_delay: np.ndarray     # raw SR at T=T'=0; NaN where A never starts
-    htlc_sr_worst_delay: np.ndarray    # min raw SR over the delay grid (NA -> NaN)
     quick_sr: np.ndarray
     htlc_range_zero_delay: tuple[float, float] | None
     htlc_range_worst_delay: tuple[float, float] | None
@@ -331,22 +299,14 @@ def compare_participation(
     tps = np.linspace(0.0, h.lock_delay_window, delay_points)
     grid = sr_surface(h, xa, ts, tps)
 
-    htlc_zero = grid.raw[:, 0, 0]
-    worst = np.full(len(xa), np.nan)
-    for i in range(len(xa)):
-        cell = grid.raw[i]
-        # A cell where participation fails contributes zero completed swaps.
-        worst[i] = np.min(np.nan_to_num(cell, nan=0.0))
-
+    # A cell where participation fails contributes zero completed swaps.
+    worst = np.nan_to_num(grid.raw, nan=0.0).min(axis=(1, 2))
     quick = np.array([success_rate(q.with_x_a(float(x))) for x in xa])
 
-    r_zero = _nonzero_range(xa, htlc_zero)
+    r_zero = _nonzero_range(xa, grid.raw[:, 0, 0])
     r_worst = _nonzero_range(xa, worst)
     r_quick = _nonzero_range(xa, quick)
     return ParticipationReport(
-        xa_axis=xa,
-        htlc_sr_zero_delay=htlc_zero,
-        htlc_sr_worst_delay=worst,
         quick_sr=quick,
         htlc_range_zero_delay=r_zero,
         htlc_range_worst_delay=r_worst,

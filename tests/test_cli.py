@@ -54,12 +54,23 @@ def test_manifest_echoes_resolved_params(tmp_path):
 
 
 def test_rerun_is_byte_identical(tmp_path):
-    args = ("montecarlo", "--seed", "11", "--set", "paths=2000", "--set", "cells=2")
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run_cli(*args, "--out", str(out1)) == 0
-    assert run_cli(*args, "--out", str(out2)) == 0
-    for name in ("montecarlo.csv", "manifest.json"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    runs = [
+        ("montecarlo", "--seed", "11", "--set", "paths=2000", "--set", "cells=2"),
+        ("htlc-surface", "--set", "xa_step=0.5", "--set", "t_max=4", "--set", "tp_max=4",
+         "--set", "delay_step=2"),
+        ("quickswap-sr", "--set", "xa_step=0.5"),
+        ("validate", "--set", "kind=cyclic", "--set", "n=3", "--set", "Delta=1.0"),
+        ("cyclic-plan", "--set", "n=4", "--set", "Delta=1.0"),
+    ]
+    for i, args in enumerate(runs):
+        out1, out2 = tmp_path / f"{i}a", tmp_path / f"{i}b"
+        assert run_cli(*args, "--out", str(out1)) == 0
+        assert run_cli(*args, "--out", str(out2)) == 0
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == sorted(p.name for p in out2.iterdir())
+        assert "manifest.json" in names and len(names) > 1
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), (args[0], name)
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -73,6 +84,21 @@ def test_params_file_round_trip(tmp_path):
     assert run_cli("htlc-surface", "--params", str(cfg), "--out", str(out)) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["params"]["sigma"] == 0.2
+
+
+@pytest.mark.parametrize("args, says", [
+    (("htlc-surface", "--set", "xa_step=0"), "step must be > 0"),
+    (("htlc-surface", "--set", "delay_step=-1"), "step must be > 0"),
+    (("htlc-surface", "--set", "xa_min=3", "--set", "xa_max=1"), "min <= max"),
+    (("validate", "--set", "kind=htlc", "--set", "tau_a=nan"), "tau_a must be finite"),
+    (("validate", "--set", "kind=cyclic", "--set", "t_eps=-5"), "t_eps >= 0"),
+    (("cyclic-plan", "--set", "n=2.7"), "n must be a whole number"),
+    (("montecarlo", "--set", "cells=0"), "cells must be >= 1"),
+])
+def test_malformed_inputs_exit_2_with_an_error_line(tmp_path, capsys, args, says):
+    assert run_cli(*args, "--out", str(tmp_path / "run")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and says in err
 
 
 def test_montecarlo_rejects_tiny_path_counts(tmp_path):

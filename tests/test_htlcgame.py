@@ -8,7 +8,6 @@ from swapsim import htlcgame
 from swapsim.htlcgame import (
     SwapParams,
     claim_threshold_t3,
-    compute_thresholds,
     continuation_band_t2,
     payoff_t1_with_band,
     payoff_t2,
@@ -232,10 +231,9 @@ def test_delay_window_bounds_enforced():
 
 
 def test_thresholds_snapshot():
-    th = compute_thresholds(baseline())
-    assert th.band is not None
-    assert th.x1 < th.x2
-    assert th.x_t3_star == pytest.approx(claim_threshold_t3(baseline()), rel=1e-12)
+    band = continuation_band_t2(baseline(), 0.0)
+    assert band is not None
+    assert band.lo < band.hi
 
 
 def test_surface_shape_and_na_mask():
@@ -345,14 +343,14 @@ def test_surface_matches_per_cell_oracle(case, p):
         assert min(calls) == 3 < max(calls)
 
 
-@pytest.mark.parametrize("k", [1e6, 1e9])
+@pytest.mark.parametrize("k", [1e-6, 1e-3, 1e6, 1e9])
 def test_thresholds_and_success_rate_scale_with_prices(k):
     # With zero fees every payoff is homogeneous in the prices: scaling them
     # by k scales the thresholds by k and leaves the success rate unchanged.
     p, pk = baseline(), baseline(x_a=2.0 * k, x_yb_t1=2.0 * k)
+    assert claim_threshold_t3(pk) / k == pytest.approx(claim_threshold_t3(p), rel=1e-12)
     for T, Tp in [(0.0, 0.0), (5.0, 7.0)]:
-        th, thk = compute_thresholds(p, T), compute_thresholds(pk, T)
-        assert thk.x_t3_star / k == pytest.approx(th.x_t3_star, rel=1e-12)
-        assert thk.x1 / k == pytest.approx(th.x1, rel=1e-9)
-        assert thk.x2 / k == pytest.approx(th.x2, rel=1e-9)
+        band, band_k = continuation_band_t2(p, T), continuation_band_t2(pk, T)
+        assert band_k.lo / k == pytest.approx(band.lo, rel=1e-9)
+        assert band_k.hi / k == pytest.approx(band.hi, rel=1e-9)
         assert success_rate(pk, T, Tp) == pytest.approx(success_rate(p, T, Tp), abs=1e-9)

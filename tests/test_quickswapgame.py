@@ -9,7 +9,6 @@ from swapsim.quickswapgame import (
     QuickSwapParams,
     claim_threshold_t4,
     compare_participation,
-    compute_thresholds,
     continuation_band_t3,
     payoff_t3,
     payoff_t4,
@@ -94,10 +93,9 @@ def test_lock_band_brackets_and_brute_force():
 
 def test_thresholds_snapshot():
     q = quick_baseline()
-    th = compute_thresholds(q)
-    assert th.band is not None
-    assert th.x3_1 < q.base.x_yb_t1 < th.x3_2
-    assert th.x_t4_star == pytest.approx(claim_threshold_t4(q), rel=1e-12)
+    band = continuation_band_t3(q)
+    assert band is not None
+    assert band.lo < q.base.x_yb_t1 < band.hi
 
 
 def test_success_rate_baseline():
@@ -115,16 +113,16 @@ def test_success_rate_zero_when_band_empty():
     assert success_rate(q) == 0.0
 
 
-@pytest.mark.parametrize("k", [1e6, 1e9])
+@pytest.mark.parametrize("k", [1e-6, 1e-3, 1e6, 1e9])
 def test_success_rate_invariant_under_price_scaling(k):
     # Zero fees: the premium and every payoff scale with the prices, so the
     # thresholds scale by k and the success rate is unchanged.
     scaled = quick_baseline(x_a=2.0 * k, x_yb_t1=2.0 * k)
     assert success_rate(scaled) == pytest.approx(success_rate(quick_baseline()), abs=1e-9)
-    th, thk = compute_thresholds(quick_baseline()), compute_thresholds(scaled)
-    assert thk.x_t4_star / k == pytest.approx(th.x_t4_star, rel=1e-12)
-    assert thk.x3_1 / k == pytest.approx(th.x3_1, rel=1e-9)
-    assert thk.x3_2 / k == pytest.approx(th.x3_2, rel=1e-9)
+    assert claim_threshold_t4(scaled) / k == pytest.approx(claim_threshold_t4(quick_baseline()), rel=1e-12)
+    band, band_k = continuation_band_t3(quick_baseline()), continuation_band_t3(scaled)
+    assert band_k.lo / k == pytest.approx(band.lo, rel=1e-9)
+    assert band_k.hi / k == pytest.approx(band.hi, rel=1e-9)
 
 
 @pytest.mark.parametrize("sigma", [0.05, 0.1, 0.2])
