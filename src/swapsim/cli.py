@@ -60,6 +60,8 @@ _GRID_DEFAULTS: dict = {
     "t_min": 0.0, "t_max": 20.0, "tp_min": 0.0, "tp_max": 21.0, "delay_step": 1.0,
 }
 _MC_DEFAULTS: dict = {"paths": 100_000, "cells": 5}
+# The HTLC cells ``montecarlo`` can draw: x_a 1.5..2.4 by 0.1, T and T' 0..3.
+_MC_HTLC_CELLS = 10 * 4 * 4
 _CYCLIC_DEFAULTS: dict = {
     "n": 3, "amounts": (), "taus": (), "locktimes": (),
     "D": 12.0, "Delta": 2.0, "rho": 0.001, "t_eps": 1.0,
@@ -399,15 +401,22 @@ def cmd_montecarlo(cfg: RunConfig) -> int:
     worst = 0.0
 
     picked = 0
+    seen: dict = {}  # (x_a, T, T') -> (band, analytic SR), so no cell is solved twice
     while picked < cells:  # plain-swap cells, skipping non-participating ones
         x_a = float(np.round(rng.uniform(1.5, 2.4), 1))
         T = float(rng.integers(0, 4))
         Tp = float(rng.integers(0, 4))
         g = base.with_x_a(x_a)
-        analytic = htlcgame.success_rate(g, T, Tp)
+        if (x_a, T, Tp) not in seen:
+            band = htlcgame.continuation_band_t2(g, T)
+            seen[x_a, T, Tp] = band, htlcgame.success_rate(g, T, Tp, band)
+        band, analytic = seen[x_a, T, Tp]
         if analytic is None:
+            if len(seen) == _MC_HTLC_CELLS and all(sr is None for _, sr in seen.values()):
+                raise ConfigError(f"A never starts the HTLC swap at any of the {_MC_HTLC_CELLS} "
+                                  "cells montecarlo draws (x_a 1.5..2.4, T and T' 0..3)")
             continue
-        freq, se = mc_success_rate_htlc(g, T, Tp, paths, int(rng.integers(2**31)))
+        freq, se = mc_success_rate_htlc(g, T, Tp, paths, int(rng.integers(2**31)), band)
         z = (freq - analytic) / se if se > 0 else 0.0
         rows.append(["htlc", x_a, T, Tp, analytic, freq, se, z])
         worst = max(worst, abs(z))
@@ -416,8 +425,9 @@ def cmd_montecarlo(cfg: RunConfig) -> int:
     for _ in range(cells):
         x_a = float(np.round(rng.uniform(1.2, 2.6), 1))
         g = quick.with_x_a(x_a)
-        analytic = quickswapgame.success_rate(g)
-        freq, se = mc_success_rate_quickswap(g, paths, int(rng.integers(2**31)))
+        band = quickswapgame.continuation_band_t3(g)
+        analytic = quickswapgame.success_rate(g, band)
+        freq, se = mc_success_rate_quickswap(g, paths, int(rng.integers(2**31)), band)
         z = (freq - analytic) / se if se > 0 else 0.0
         rows.append(["quickswap", x_a, 0.0, 0.0, analytic, freq, se, z])
         worst = max(worst, abs(z))

@@ -12,6 +12,7 @@ price law.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 
@@ -37,6 +38,13 @@ __all__ = [
 
 _ROOT_SCAN_POINTS = 256
 _ROOT_TOL = 1e-10
+# Most band rows ``sr_surface`` solves in one lockstep call.  Wider blocks
+# save no time (the scan is bound by the elementwise erfc) but raise peak
+# memory: all 441 rows of the default surface at once cost about 6 MB more.
+_BAND_BLOCK_ROWS = 128
+# Default of the ``band`` parameters: solve B's band in the callee.  None
+# already means that B never locks.
+_SOLVE = object()
 
 
 @dataclass(frozen=True)
@@ -108,6 +116,19 @@ class SwapParams:
 
     def with_x_a(self, x_a: float) -> "SwapParams":
         return replace(self, x_a=x_a)
+
+
+def _xa_column(p: SwapParams, xa) -> SwapParams:
+    """``p`` with ``x_a`` set to the (K, 1) column of the values ``xa``.
+
+    The kernels broadcast it like a column of delays, so K rows that differ
+    in x_a evaluate in one call with the arithmetic of K scalar calls.  The
+    values are not validated here: callers pass x_a values that
+    ``with_x_a`` has accepted.
+    """
+    col = copy.copy(p)
+    object.__setattr__(col, "x_a", np.asarray(xa, dtype=float).reshape(-1, 1))
+    return col
 
 
 @dataclass(frozen=True)
@@ -211,25 +232,27 @@ def _scan_bracket(*prices: float) -> Bracket:
     return Bracket(ref * 1e-3, ref * 12.0)
 
 
-def widest_band(g, scan: Bracket, rows: np.ndarray | None = None):
-    """Widest interval of ``scan`` on which ``g > 0``, for each row of ``g``.
+def widest_band(g, scan, rows: np.ndarray | None = None):
+    """Widest interval of the scan on which ``g > 0``, for each row of ``g``.
 
     ``g(x, rows)`` evaluates B's continue-minus-exit value of the rows
     ``rows`` (an index array) at prices ``x``: (len(rows), n) values, one
-    row each, sharing one scan grid and bisecting in lockstep.  With
-    ``rows=None`` there is a single row and ``g`` returns an array shaped
+    row each.  ``scan`` then holds one Bracket per row, each row scans its
+    own grid, and all rows bisect in lockstep.  With ``rows=None`` there is
+    a single row, ``scan`` is one Bracket and ``g`` returns an array shaped
     like ``x``; then one band (or None) is returned instead of a list.
     When more than two crossings appear, the widest winning interval is
     kept; a row with no crossing has no band.
     """
+    scans = [scan] if rows is None else list(scan)
     # The default scan's hi is 12x its largest price: the tolerance shrinks
     # with small prices, so their bands do not drift, and never grows.
-    tol = _ROOT_TOL * min(1.0, scan.hi / 12.0)
-    roots = find_roots(lambda x: g(x, rows), scan, grid_points=_ROOT_SCAN_POINTS, tol=tol)
+    tols = [_ROOT_TOL * min(1.0, s.hi / 12.0) for s in scans]
+    roots = find_roots(lambda x: g(x, rows), scan, grid_points=_ROOT_SCAN_POINTS, tol=tols)
     if rows is None:
         roots = [roots]
-    edges = [[scan.lo, *r, scan.hi] for r in roots]
-    mids = np.full((len(edges), max(map(len, edges)) - 1), scan.lo)
+    edges = [[s.lo, *r, s.hi] for s, r in zip(scans, roots)]
+    mids = np.repeat([[s.lo] for s in scans], max(map(len, edges)) - 1, axis=1)
     for row, e in zip(mids, edges):
         row[:len(e) - 1] = 0.5 * np.add(e[:-1], e[1:])
     wins = g(mids, rows) > 0.0
@@ -242,42 +265,62 @@ def widest_band(g, scan: Bracket, rows: np.ndarray | None = None):
         bands.append(None if best is None else Bracket(*best))
     # Open-ended winning region at a scan edge means the scan missed a
     # crossing; widen those rows rather than report a fake endpoint.
-    edge = [k for k, b in enumerate(bands) if b is not None and (b.lo == scan.lo or b.hi == scan.hi)]
-    if edge and scan.hi / max(scan.lo, 1e-12) <= 1e8:
-        wider = Bracket(scan.lo * 0.1, scan.hi * 10.0)
+    edge = [k for k, (s, b) in enumerate(zip(scans, bands))
+            if b is not None and (b.lo == s.lo or b.hi == s.hi) and s.hi / max(s.lo, 1e-12) <= 1e8]
+    if edge:
+        wider = [Bracket(scans[k].lo * 0.1, scans[k].hi * 10.0) for k in edge]
         if rows is None:
-            return widest_band(g, wider)
+            return widest_band(g, wider[0])
         for k, band in zip(edge, widest_band(g, wider, rows[edge])):
             bands[k] = band
     return bands[0] if rows is None else bands
 
 
-def continuation_band_t2(p: SwapParams, T, scan: Bracket | None = None) -> Bracket | None | list[Bracket | None]:
+def _default_scan(p: SwapParams) -> Bracket:
+    return _scan_bracket(p.x_yb_t1, p.x_a, claim_threshold_t3(p))
+
+
+def continuation_band_t2(p: SwapParams, T, scan: Bracket | None = None, x_a=None) -> Bracket | None | list:
     """Price band over which B prefers locking at the middle node.
 
     Roots of u_B(continue) - u_B(stop), solved by ``widest_band``.  ``T``
     may be a 1-D array of claim delays; then one band (or None) is returned
-    per delay.  The scan bracket depends only on x_a, so all delays share
-    one grid and bisect in lockstep.
+    per delay.  With ``x_a``, a 1-D array, the bands of every (x_a, T) pair
+    are solved in one lockstep call and one list of bands is returned per
+    x_a.  Each x_a has its own scan bracket, which ``scan`` overrides for
+    every row.
     """
     _check_delay("claim delay T", T, p.claim_delay_window)
+    if x_a is None and np.ndim(T) == 0:
+        # A scalar delay keeps scalar arithmetic in the payoff, which is
+        # cheaper on the few midpoints of a bisection step.
+        return widest_band(lambda x, rows: _u_B_cont_t2(p, x, T) - x, scan or _default_scan(p))
     ts = np.asarray(T, dtype=float)
+    qs = [p] if x_a is None else [p.with_x_a(x) for x in np.asarray(x_a, dtype=float).tolist()]
+    # Row i * len(ts) + j pairs the i-th x_a with the j-th delay.
+    row_xa = np.repeat([q.x_a for q in qs], len(ts))
+    row_t = np.tile(ts, len(qs))[:, None]
 
-    # A scalar delay keeps scalar arithmetic in the payoff, which is cheaper
-    # on the few midpoints of a bisection step; several delays form a column.
     def g(x, rows):
-        return _u_B_cont_t2(p, x, T if rows is None else ts[rows, None]) - x
+        return _u_B_cont_t2(_xa_column(p, row_xa[rows]), x, row_t[rows]) - x
 
-    scan = scan or _scan_bracket(p.x_yb_t1, p.x_a, claim_threshold_t3(p))
-    return widest_band(g, scan, None if ts.ndim == 0 else np.arange(len(ts)))
+    scans = [s for q in qs for s in [scan or _default_scan(q)] * len(ts)]
+    bands = widest_band(g, scans, np.arange(len(scans)))
+    if x_a is None:
+        return bands
+    return [bands[i:i + len(ts)] for i in range(0, len(bands), len(ts))]
 
 
-def success_rate(p: SwapParams, T: float, Tp: float) -> float | None:
+def success_rate(p: SwapParams, T: float, Tp: float, band=_SOLVE) -> float | None:
     """Probability the swap completes once started; None when A never starts.
 
-    One cell of ``sr_surface``."""
-    raw = sr_surface(p, [p.x_a], [T], [Tp]).raw[0, 0, 0]
-    return None if math.isnan(raw) else float(raw)
+    One cell of ``sr_surface``.  ``band`` is B's middle-node band at ``T``
+    when the caller has solved it already.
+    """
+    if band is _SOLVE:
+        band = continuation_band_t2(p, T)
+    raw, _ = _sr_rows(p, np.array([float(T)]), np.array([float(Tp)]), [band])
+    return None if math.isnan(raw[0, 0]) else float(raw[0, 0])
 
 
 def sr_surface(
@@ -289,9 +332,10 @@ def sr_surface(
     """Evaluate the success rate over the full (x_a, T, T') grid.
 
     B's continuation band is independent of T', so the bands of every T of
-    one x_a are solved together, the root-node integral of one x_a covers
-    every (T, T') pair in one call, and the SR integral of each (x_a, T)
-    pair runs with T' as a batch axis.
+    a block of consecutive x_a values (at most ``_BAND_BLOCK_ROWS`` rows)
+    are solved together, the root-node integral of one x_a covers every
+    (T, T') pair in one call, and the SR integral of each (x_a, T) pair
+    runs with T' as a batch axis.
     """
     xa = np.asarray(xa_grid, dtype=float)
     ts = np.asarray(T_grid, dtype=float)
@@ -300,21 +344,29 @@ def sr_surface(
     raw = np.full((len(xa), len(ts), len(tps)), np.nan)
     na = np.zeros_like(raw, dtype=bool)
 
-    for i, x_a in enumerate(xa):
-        q = p.with_x_a(float(x_a))
-        bands = continuation_band_t2(q, ts)
-        u_cont, u_stop = payoff_t1_with_band(q, ts, tps, bands)
-        na[i] = u_cont < u_stop
-        for j, (T, band) in enumerate(zip(ts, bands)):
-            starts = ~na[i, j]
-            if band is None:
-                raw[i, j, starts] = 0.0
-            elif starts.any():
-                raw[i, j, starts] = _sr_integral(
-                    q, band, claim_threshold_t3(q), q.tau_a + tps[starts, None], q.tau_b + float(T))
+    block = max(1, _BAND_BLOCK_ROWS // max(1, len(ts)))
+    for start in range(0, len(xa), block):
+        rows = continuation_band_t2(p, ts, x_a=xa[start:start + block])
+        for i, bands in enumerate(rows, start):
+            raw[i], na[i] = _sr_rows(p.with_x_a(float(xa[i])), ts, tps, bands)
 
     conditional = raw / norm if norm > 0 else np.where(np.isnan(raw), np.nan, 0.0)
     return SRGrid(raw=raw, conditional=conditional, na_mask=na)
+
+
+def _sr_rows(p: SwapParams, ts: np.ndarray, tps: np.ndarray, bands) -> tuple[np.ndarray, np.ndarray]:
+    """Raw success rates and NA mask of one x_a: two (len(ts), len(tps)) arrays."""
+    u_cont, u_stop = payoff_t1_with_band(p, ts, tps, bands)
+    na = u_cont < u_stop
+    raw = np.full(na.shape, np.nan)
+    for j, (T, band) in enumerate(zip(ts, bands)):
+        starts = ~na[j]
+        if band is None:
+            raw[j, starts] = 0.0
+        elif starts.any():
+            raw[j, starts] = _sr_integral(
+                p, band, claim_threshold_t3(p), p.tau_a + tps[starts, None], p.tau_b + float(T))
+    return raw, na
 
 
 def payoff_t1_with_band(p: SwapParams, T, Tp, bands) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -112,34 +112,46 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], bracket: Bracket, spec: Qua
 
 def find_roots(
     g: Callable,
-    scan: Bracket,
+    scan: Bracket | Sequence[Bracket],
     grid_points: int = 256,
-    tol: float = 1e-10,
+    tol: float | Sequence[float] = 1e-10,
 ) -> list[float] | list[list[float]]:
     """Scan a uniform grid for sign changes and bisect each to tolerance.
 
     Grid points that are exact roots are returned directly.  Returns an
     ascending list; empty when no sign change is found.  ``g`` is called on
-    arrays: on the (n,) grid it returns (n,) values, or a (K, n) array of K
-    functions sharing the grid, and then one root list per row is returned.
+    arrays.  With one ``scan`` Bracket, ``g`` maps the (n,) grid to (n,)
+    values, or to a (K, n) array of K functions sharing the grid, and then
+    one root list per row is returned.  With a sequence of K Brackets, each
+    row scans its own grid: ``g`` maps the (K, n) grids to (K, n) values and
+    one root list per row is returned.  ``tol`` is one tolerance, or one per
+    row.
 
     All open brackets of all rows bisect in lockstep: each step is one call
     of ``g`` on the midpoints, an (R,) array for a one-row ``g`` and (K, R)
     for K rows, where R is the most open brackets in any row (idle slots
-    hold ``scan.lo``; their values are discarded).  A bracket returns its
-    midpoint once the midpoint equals an endpoint (adjacent floats), the
-    bracket is at most ``tol`` wide, or |g(midpoint)| <= tol.
+    hold the row's own scan ``lo``; their values are discarded).  A bracket
+    returns its midpoint once the midpoint equals an endpoint (adjacent
+    floats), the bracket is at most ``tol`` wide, or |g(midpoint)| <= tol.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
-    xs = np.linspace(scan.lo, scan.hi, grid_points)
+    if isinstance(scan, Bracket):
+        lo = [scan.lo]
+        xs = np.linspace(scan.lo, scan.hi, grid_points)
+    else:
+        lo = [b.lo for b in scan]
+        xs = np.linspace(lo, [b.hi for b in scan], grid_points, axis=-1)
     vals = np.asarray(g(xs), dtype=float)
-    if vals.shape[-1:] != xs.shape or vals.ndim > 2:
-        raise ValueError(f"g returned shape {vals.shape}, expected (n,) or (K, n) for n={len(xs)}")
+    if vals.ndim > 2 or vals.shape[-1:] != xs.shape[-1:] or (xs.ndim == 2 and vals.shape != xs.shape):
+        raise ValueError(f"g returned shape {vals.shape}, expected (n,) or (K, n) for grid {xs.shape}")
     grid = np.atleast_2d(vals)
+    xs = np.broadcast_to(xs, grid.shape)
     left, right = grid[:, :-1], grid[:, 1:]
     hits = (left == 0.0) | (left * right < 0.0)
     hits[:, -1] |= right[:, -1] == 0.0
+    tols = np.broadcast_to(np.asarray(tol, dtype=float), len(grid)).tolist()
+    lo_col = np.broadcast_to(np.reshape(lo, (-1, 1)), (len(grid), 1))
     roots: list[list] = [[] for _ in grid]
     # Open brackets as [row, index in roots[row], a, b, g(a)].  The few
     # brackets per step are cheaper to track in Python than in numpy.
@@ -147,9 +159,9 @@ def find_roots(
     for k, i in zip(*np.nonzero(hits)):
         fa, fb = float(left[k, i]), float(right[k, i])
         if fa == 0.0 or fb == 0.0:
-            roots[k].append(float(xs[i] if fa == 0.0 else xs[i + 1]))
+            roots[k].append(float(xs[k, i] if fa == 0.0 else xs[k, i + 1]))
         else:
-            live.append([k, len(roots[k]), float(xs[i]), float(xs[i + 1]), fa])
+            live.append([k, len(roots[k]), float(xs[k, i]), float(xs[k, i + 1]), fa])
             roots[k].append(None)
     while live:
         steps, mids = [], []
@@ -158,7 +170,7 @@ def find_roots(
             m = 0.5 * (a + b)
             # Adjacent floats: the bracket cannot shrink further, even when
             # the float spacing at the root exceeds ``tol`` (large price scales).
-            if m == a or m == b or b - a <= tol:
+            if m == a or m == b or b - a <= tols[k]:
                 roots[k][pos] = m
             else:
                 steps.append(br)
@@ -168,14 +180,17 @@ def find_roots(
         if vals.ndim == 1:
             fms = np.asarray(g(np.array(mids)), dtype=float).tolist()
         else:
-            rows = [br[0] for br in steps]
-            slots = [j - rows.index(k) for j, k in enumerate(rows)]  # rows ascend
-            padded = np.full((len(grid), max(slots) + 1), scan.lo)
+            rows, slots, used = [], [], [0] * len(grid)
+            for br in steps:
+                rows.append(br[0])
+                slots.append(used[br[0]])
+                used[br[0]] += 1
+            padded = np.repeat(lo_col, max(used), axis=1)
             padded[rows, slots] = mids
             fms = np.asarray(g(padded), dtype=float)[rows, slots].tolist()
         live = []
         for br, m, fm in zip(steps, mids, fms):
-            if abs(fm) <= tol:
+            if abs(fm) <= tols[br[0]]:
                 roots[br[0]][br[1]] = m
                 continue
             if br[4] * fm < 0.0:

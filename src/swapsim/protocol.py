@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .htlcgame import SwapParams, claim_threshold_t3, continuation_band_t2
+from .htlcgame import _SOLVE, SwapParams, claim_threshold_t3, continuation_band_t2
 from .ledgersim import (
     Chain,
     ConfirmationEvent,
@@ -183,6 +183,14 @@ class ProtocolInstance:
     @property
     def base(self) -> SwapParams:
         return self.params.base if isinstance(self.params, QuickSwapParams) else self.params
+
+    @functools.cached_property
+    def thresholds(self) -> tuple[Bracket | None, float]:
+        """B's lock band (at claim delay 0 for the HTLC) and A's claim
+        threshold, which ``threshold`` strategies play; solved on first use."""
+        if self.kind == "htlc":
+            return continuation_band_t2(self.params, 0.0), claim_threshold_t3(self.params)
+        return continuation_band_t3(self.params), claim_threshold_t4(self.params)
 
 
 def _mk_secret(tag: bytes) -> bytes:
@@ -701,18 +709,17 @@ def run(
     """Execute one two-party trace and audit it.  Deterministic given inputs."""
     if instance.kind not in ("htlc", "quickswap"):
         raise ValueError(f"unknown protocol kind {instance.kind!r}")
-    b, htlc = instance.base, instance.kind == "htlc"
+    b = instance.base
     price = price_path or (lambda t: b.x_yb_t1)
     strategies = [profile.strategy_A, profile.strategy_B]
 
     def decide(party: int, phase: str, now: float) -> bool:
         """Threshold play: B locks inside its band, A claims above its threshold."""
         if (party, phase) == (1, "lock"):
-            band = continuation_band_t2(b, 0.0) if htlc else continuation_band_t3(instance.params)
+            band = instance.thresholds[0]
             return strategies[1].interested and band is not None and band.lo < price(now) <= band.hi
         if (party, phase) == (0, "claim"):
-            x_star = claim_threshold_t3(b) if htlc else claim_threshold_t4(instance.params)
-            return strategies[0].interested and price(now) >= x_star
+            return strategies[0].interested and price(now) >= instance.thresholds[1]
         return True
 
     # A party waits for the counterparty's lock to confirm and for A's claim
@@ -797,7 +804,7 @@ def check_properties(instance: ProtocolInstance, profiles: list[StrategyProfile]
 # Monte Carlo oracles (threshold strategies over sampled prices).
 
 def mc_success_rate_htlc(
-    p: SwapParams, T: float, Tp: float, n_paths: int, seed: int
+    p: SwapParams, T: float, Tp: float, n_paths: int, seed: int, band=_SOLVE
 ) -> tuple[float, float]:
     """Empirical completion frequency under threshold strategies.
 
@@ -805,19 +812,25 @@ def mc_success_rate_htlc(
     claim decision (a further tau_b + T), applies the analytic band and
     threshold, and draws each party's interested type.  Returns
     (frequency, standard error); the mean estimates the raw success rate.
+    ``band`` is B's band at ``T`` when the caller has solved it already.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    band = continuation_band_t2(p, T)
+    if band is _SOLVE:
+        band = continuation_band_t2(p, T)
     return _mc_two_stage(p, band, claim_threshold_t3(p), p.tau_a + Tp, p.tau_b + T, n_paths, seed)
 
 
-def mc_success_rate_quickswap(q: QuickSwapParams, n_paths: int, seed: int) -> tuple[float, float]:
-    """Empirical completion frequency for the premium protocol (delay-free)."""
+def mc_success_rate_quickswap(
+    q: QuickSwapParams, n_paths: int, seed: int, band=_SOLVE
+) -> tuple[float, float]:
+    """Empirical completion frequency for the premium protocol (delay-free);
+    ``band`` is B's t3 band when the caller has solved it already."""
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     b = q.base
-    band = continuation_band_t3(q)
+    if band is _SOLVE:
+        band = continuation_band_t3(q)
     return _mc_two_stage(b, band, claim_threshold_t4(q), b.tau_a, b.tau_b, n_paths, seed)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .htlcgame import SwapParams, _scan_bracket, _sr_integral, sr_surface, widest_band
+from .htlcgame import _SOLVE, SwapParams, _scan_bracket, _sr_integral, _xa_column, sr_surface, widest_band
 # ``find_roots``, ``integrate`` and ``transition_pdf`` are no longer called
 # here (the band and SR solvers are shared with htlcgame); the bindings stay
 # for perfbench, which wraps them by name.
@@ -218,26 +218,42 @@ def payoff_t3(q: QuickSwapParams, price_t3: float, action: str) -> tuple[float, 
     raise ValueError(f"unknown action {action!r}")
 
 
-def continuation_band_t3(q: QuickSwapParams, scan: Bracket | None = None) -> Bracket | None:
+def _default_scan(q: QuickSwapParams) -> Bracket:
+    return _scan_bracket(q.base.x_yb_t1, q.base.x_a, claim_threshold_t4(q))
+
+
+def continuation_band_t3(
+    q: QuickSwapParams, scan: Bracket | None = None, x_a=None
+) -> Bracket | None | list[Bracket | None]:
     """Price band over which B prefers continuing to canceling at t3.
 
     Cancel strictly dominates stop (the stop path forfeits B's premium), so
-    the relevant comparison is continue vs cancel.
+    the relevant comparison is continue vs cancel.  With ``x_a``, a 1-D
+    array, the bands of every x_a are solved in one lockstep call, each on
+    its own scan bracket (which ``scan`` overrides), and a list of bands is
+    returned.
     """
+    if x_a is None:
+        return widest_band(lambda x, rows: _u_B_cont_t3(q, x) - _t3_cancel_B(q, x), scan or _default_scan(q))
+    qs = [q.with_x_a(x) for x in np.asarray(x_a, dtype=float).tolist()]
+    row_xa = np.array([r.base.x_a for r in qs])
 
     def g(x, rows):
-        return _u_B_cont_t3(q, x) - _t3_cancel_B(q, x)
+        c = replace(q, base=_xa_column(q.base, row_xa[rows]))
+        return _u_B_cont_t3(c, x) - _t3_cancel_B(c, x)
 
-    return widest_band(g, scan or _scan_bracket(q.base.x_yb_t1, q.base.x_a, claim_threshold_t4(q)))
+    return widest_band(g, [scan or _default_scan(r) for r in qs], np.arange(len(qs)))
 
 
 # ---------------------------------------------------------------------------
 # Success rate of the premium swap.
 
-def success_rate(q: QuickSwapParams) -> float:
+def success_rate(q: QuickSwapParams, band=_SOLVE) -> float:
     """Probability the premium swap completes; a single number per parameter
-    set — no delay axes, by construction of the cancel provisions."""
-    band = continuation_band_t3(q)
+    set — no delay axes, by construction of the cancel provisions.  ``band``
+    is B's t3 band when the caller has solved it already."""
+    if band is _SOLVE:
+        band = continuation_band_t3(q)
     if band is None:
         return 0.0
     b = q.base
@@ -301,7 +317,8 @@ def compare_participation(
 
     # A cell where participation fails contributes zero completed swaps.
     worst = np.nan_to_num(grid.raw, nan=0.0).min(axis=(1, 2))
-    quick = np.array([success_rate(q.with_x_a(float(x))) for x in xa])
+    bands = continuation_band_t3(q, x_a=xa)
+    quick = np.array([success_rate(q.with_x_a(float(x)), band) for x, band in zip(xa, bands)])
 
     r_zero = _nonzero_range(xa, grid.raw[:, 0, 0])
     r_worst = _nonzero_range(xa, worst)

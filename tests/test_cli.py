@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,18 @@ def test_malformed_inputs_exit_2_with_an_error_line(tmp_path, capsys, args, says
     assert run_cli(*args, "--out", str(tmp_path / "run")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and says in err
+
+
+@pytest.mark.parametrize("setting", ["theta_2=0", "t1_stop_value=discounted"])
+def test_montecarlo_exits_2_when_no_drawable_cell_participates(tmp_path, capsys, setting):
+    # A never starts at any of the 160 HTLC cells the draw can produce; the
+    # command used to redraw forever.
+    start = time.perf_counter()
+    code = run_cli("montecarlo", "--out", str(tmp_path), "--set", setting,
+                   "--set", "paths=1000", "--set", "cells=1")
+    assert code == 2 and time.perf_counter() - start < 10.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "any of the 160 cells" in err
 
 
 def test_montecarlo_rejects_tiny_path_counts(tmp_path):

@@ -354,3 +354,44 @@ def test_thresholds_and_success_rate_scale_with_prices(k):
         assert band_k.lo / k == pytest.approx(band.lo, rel=1e-9)
         assert band_k.hi / k == pytest.approx(band.hi, rel=1e-9)
         assert success_rate(pk, T, Tp) == pytest.approx(success_rate(p, T, Tp), abs=1e-9)
+
+
+@pytest.mark.parametrize("case, p, k, scan", [
+    ("sigma 0.05", baseline(0.05), 1.0, None),
+    ("sigma 0.1", baseline(), 1.0, None),
+    ("sigma 0.2", baseline(0.2), 1.0, None),
+    ("fees", baseline(0.2, f_a=0.01, f_b=0.02), 1.0, None),
+    ("empty band rows", baseline(r_b=0.01, theta_1=0.3), 1.0, None),
+    ("narrow scan", baseline(), 1.0, Bracket(0.3, 2.0)),
+    ("price scale 1e-6", baseline(x_a=2e-6, x_yb_t1=2e-6), 1e-6, None),
+    ("price scale 1e6", baseline(x_a=2e6, x_yb_t1=2e6), 1e6, None),
+])
+def test_band_grid_matches_scalar_solves(case, p, k, scan):
+    # Every (x_a, T) row of the grid has its own scan and tolerance, and
+    # equals the single-row solve of that pair bit for bit.
+    xa = k * np.round(np.arange(1.0, 3.0 + 1e-9, 0.1), 10)
+    ts = np.linspace(0.0, p.claim_delay_window, 5)
+    got = continuation_band_t2(p, ts, scan, x_a=xa)
+    assert got == [[continuation_band_t2(p.with_x_a(x), T, scan) for T in ts] for x in xa.tolist()]
+    bands = [b for row in got for b in row]
+    if case == "empty band rows":
+        assert {b is None for b in bands} == {True, False}
+    elif case == "narrow scan":
+        # Only the rows whose band reaches past the scan edge are widened.
+        assert {b.hi > scan.hi for b in bands if b is not None} == {True, False}
+
+
+def test_surface_solves_bands_in_blocks(monkeypatch):
+    rows = []
+    find_roots = htlcgame.find_roots
+
+    def counted(g, scan, *args, **kwargs):
+        rows.append(len(scan))
+        return find_roots(g, scan, *args, **kwargs)
+
+    monkeypatch.setattr(htlcgame, "find_roots", counted)
+    xa = np.round(np.arange(1.0, 3.0 + 1e-9, 0.1), 10)
+    sr_surface(baseline(), xa, np.arange(21.0), [0.0])
+    # Consecutive x_a values share a solve of at most 128 rows (6 x_a of 21
+    # delays); no row of the default config widens.
+    assert rows == [126, 126, 126, 63]

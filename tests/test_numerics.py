@@ -138,3 +138,37 @@ def test_find_roots_stops_at_float_resolution():
     got = find_roots(lambda x: np.copysign(1.0, x - root), Bracket(1e9, 5e9), tol=1e-10)
     assert len(got) == 1
     assert abs(got[0] - root) <= 2 * math.ulp(root)
+
+
+def test_find_roots_per_row_scans_match_rows_solved_alone():
+    # Each row scans its own grid: the scans differ by decades, and the
+    # log row would warn (an error here) if an idle slot held another row's
+    # negative ``lo``.
+    rows = [
+        (Bracket(-3.0, 3.0), lambda x: x * x + 1.0),                 # no root
+        (Bracket(0.5, 10.5), np.sin),                                # three bisected roots
+        (Bracket(0.5, 10.5), lambda x: x - 4.0),                     # exact root at a grid point
+        (Bracket(1e3, 1e5), lambda x: 12345.678 * np.log(x / 12345.678)),
+        (Bracket(1e-4, 2e-3), lambda x: np.exp(x * 1e3) - 5.0),
+    ]
+    scans = [scan for scan, _ in rows]
+    tols = [1e-10, 1e-10, 1e-10, 1e-7, 1e-14]
+    calls = []
+
+    def g(x):
+        calls.append(np.array(x))
+        return np.array([f(row) for (_, f), row in zip(rows, x)])
+
+    got = find_roots(g, scans, grid_points=21, tol=tols)
+    assert got == [find_roots(f, scan, grid_points=21, tol=tol) for (scan, f), tol in zip(rows, tols)]
+    assert [len(r) for r in got] == [0, 3, 1, 1, 1]
+    assert got[2] == [4.0]
+    assert got[3][0] == pytest.approx(12345.678, abs=1e-6)
+    assert got[4][0] == pytest.approx(math.log(5.0) * 1e-3, rel=1e-9)
+    # One (K, n) grid call, then one (K, R) call per bisection step; every
+    # value a row sees lies on its own scan.
+    assert calls[0].shape == (len(rows), 21)
+    assert calls[1].shape == (len(rows), 3)
+    for x in calls:
+        for scan, row in zip(scans, x):
+            assert ((scan.lo <= row) & (row <= scan.hi)).all()

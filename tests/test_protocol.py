@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import baseline, quick_baseline
+from swapsim import protocol
 from swapsim.htlcgame import claim_threshold_t3, continuation_band_t2, success_rate
 from swapsim.protocol import (
     Strategy,
@@ -133,6 +134,22 @@ def test_threshold_strategies_follow_price():
     v = run(inst, profile, price_path=lambda t: band.lo * 0.5)
     assert v.outcome == "cancelled"
     assert v.safety and v.liveness
+
+
+@pytest.mark.parametrize("kind", ["htlc", "quickswap"])
+def test_thresholds_solved_once_per_instance(monkeypatch, kind):
+    calls = []
+    for name in ("continuation_band_t2", "continuation_band_t3"):
+        solve = getattr(protocol, name)
+        monkeypatch.setattr(protocol, name, lambda *a, solve=solve: calls.append(a) or solve(*a))
+    inst = build_htlc_instance(baseline()) if kind == "htlc" else build_quickswap_instance(quick_baseline())
+    # Strategies without a threshold never ask for the band.
+    check_properties(inst)
+    assert calls == []
+    threshold = StrategyProfile(Strategy("threshold"), Strategy("threshold"))
+    outcomes = {run(inst, threshold, price_path=lambda t, k=k: 1.5 + 0.02 * k).outcome for k in range(50)}
+    assert len(calls) == 1
+    assert outcomes == {"swapped", "cancelled"}
 
 
 def test_mc_oracle_matches_analytic_htlc():

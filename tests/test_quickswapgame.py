@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import baseline, quick_baseline
+from swapsim import htlcgame
 from swapsim.numerics import Bracket
 from swapsim.quickswapgame import (
     QuickSwapParams,
@@ -152,3 +153,40 @@ def test_participation_comparison_rejects_mismatched_economics():
     q = quick_baseline()
     with pytest.raises(ValueError):
         compare_participation(baseline(t_b=20.0), q, [2.0])
+
+
+@pytest.mark.parametrize("sigma, k, fees", [
+    (0.05, 1.0, {}),
+    (0.1, 1.0, {}),
+    (0.2, 1.0, {}),
+    (0.2, 1.0, {"f_a": 0.01, "f_b": 0.02}),
+    (0.1, 1e-6, {}),
+    (0.1, 1e6, {}),
+])
+def test_participation_matches_per_xa_solves(sigma, k, fees):
+    # One lockstep solve over the x_a axis gives every x_a the band and the
+    # success rate of its own solve, bit for bit.
+    q = quick_baseline(sigma, x_a=2.0 * k, x_yb_t1=2.0 * k, **fees)
+    xa = k * np.array([0.05, *np.round(np.arange(0.2, 3.0 + 1e-9, 0.2), 10)])
+    alone = [q.with_x_a(x) for x in xa.tolist()]
+    bands = continuation_band_t3(q, x_a=xa)
+    assert bands == [continuation_band_t3(r) for r in alone]
+    assert bands[0] is None and bands[-1] is not None
+    report = compare_participation(q.base, q, xa)
+    assert report.quick_sr.tolist() == [success_rate(r) for r in alone]
+
+
+def test_participation_solves_each_game_once(monkeypatch):
+    rows = []
+    find_roots = htlcgame.find_roots
+
+    def counted(g, scan, *args, **kwargs):
+        rows.append(len(scan))
+        return find_roots(g, scan, *args, **kwargs)
+
+    monkeypatch.setattr(htlcgame, "find_roots", counted)
+    xa = np.round(np.arange(1.0, 3.0 + 1e-9, 0.1), 10)
+    compare_participation(baseline(), quick_baseline(), xa)
+    # No row widens on the default config: one HTLC solve of 21 x_a by 5
+    # delays and one Quick Swap solve of 21 rows.
+    assert rows == [21 * 5, 21]
