@@ -60,8 +60,11 @@ _GRID_DEFAULTS: dict = {
     "t_min": 0.0, "t_max": 20.0, "tp_min": 0.0, "tp_max": 21.0, "delay_step": 1.0,
 }
 _MC_DEFAULTS: dict = {"paths": 100_000, "cells": 5}
-# The HTLC cells ``montecarlo`` can draw: x_a 1.5..2.4 by 0.1, T and T' 0..3.
-_MC_HTLC_CELLS = 10 * 4 * 4
+# The HTLC cells ``montecarlo`` can draw: x_a from _MC_XA rounded to 0.1,
+# T and T' whole numbers below _MC_DELAYS.
+_MC_XA = (1.5, 2.4)
+_MC_DELAYS = 4
+_MC_HTLC_CELLS = (round((_MC_XA[1] - _MC_XA[0]) / 0.1) + 1) * _MC_DELAYS ** 2
 _CYCLIC_DEFAULTS: dict = {
     "n": 3, "amounts": (), "taus": (), "locktimes": (),
     "D": 12.0, "Delta": 2.0, "rho": 0.001, "t_eps": 1.0,
@@ -401,20 +404,26 @@ def cmd_montecarlo(cfg: RunConfig) -> int:
     worst = 0.0
 
     picked = 0
-    seen: dict = {}  # (x_a, T, T') -> (band, analytic SR), so no cell is solved twice
+    # Each band (it depends on x_a and T only) and each cell's analytic SR
+    # is solved once per job.
+    bands: dict = {}  # (x_a, T) -> band
+    srs: dict = {}  # (x_a, T, T') -> analytic SR
     while picked < cells:  # plain-swap cells, skipping non-participating ones
-        x_a = float(np.round(rng.uniform(1.5, 2.4), 1))
-        T = float(rng.integers(0, 4))
-        Tp = float(rng.integers(0, 4))
+        x_a = float(np.round(rng.uniform(*_MC_XA), 1))
+        T = float(rng.integers(0, _MC_DELAYS))
+        Tp = float(rng.integers(0, _MC_DELAYS))
         g = base.with_x_a(x_a)
-        if (x_a, T, Tp) not in seen:
-            band = htlcgame.continuation_band_t2(g, T)
-            seen[x_a, T, Tp] = band, htlcgame.success_rate(g, T, Tp, band)
-        band, analytic = seen[x_a, T, Tp]
+        if (x_a, T) not in bands:
+            bands[x_a, T] = htlcgame.continuation_band_t2(g, T)
+        band = bands[x_a, T]
+        if (x_a, T, Tp) not in srs:
+            srs[x_a, T, Tp] = htlcgame.success_rate(g, T, Tp, band)
+        analytic = srs[x_a, T, Tp]
         if analytic is None:
-            if len(seen) == _MC_HTLC_CELLS and all(sr is None for _, sr in seen.values()):
-                raise ConfigError(f"A never starts the HTLC swap at any of the {_MC_HTLC_CELLS} "
-                                  "cells montecarlo draws (x_a 1.5..2.4, T and T' 0..3)")
+            if len(srs) == _MC_HTLC_CELLS and all(sr is None for sr in srs.values()):
+                raise ConfigError(
+                    f"A never starts the HTLC swap at any of the {_MC_HTLC_CELLS} cells montecarlo "
+                    f"draws (x_a {_MC_XA[0]}..{_MC_XA[1]}, T and T' 0..{_MC_DELAYS - 1})")
             continue
         freq, se = mc_success_rate_htlc(g, T, Tp, paths, int(rng.integers(2**31)), band)
         z = (freq - analytic) / se if se > 0 else 0.0

@@ -287,15 +287,15 @@ def continuation_band_t2(p: SwapParams, T, scan: Bracket | None = None, x_a=None
     may be a 1-D array of claim delays; then one band (or None) is returned
     per delay.  With ``x_a``, a 1-D array, the bands of every (x_a, T) pair
     are solved in one lockstep call and one list of bands is returned per
-    x_a.  Each x_a has its own scan bracket, which ``scan`` overrides for
-    every row.
+    x_a (one band per x_a when ``T`` is a scalar).  Each x_a has its own
+    scan bracket, which ``scan`` overrides for every row.
     """
     _check_delay("claim delay T", T, p.claim_delay_window)
     if x_a is None and np.ndim(T) == 0:
         # A scalar delay keeps scalar arithmetic in the payoff, which is
         # cheaper on the few midpoints of a bisection step.
         return widest_band(lambda x, rows: _u_B_cont_t2(p, x, T) - x, scan or _default_scan(p))
-    ts = np.asarray(T, dtype=float)
+    ts = np.atleast_1d(np.asarray(T, dtype=float))
     qs = [p] if x_a is None else [p.with_x_a(x) for x in np.asarray(x_a, dtype=float).tolist()]
     # Row i * len(ts) + j pairs the i-th x_a with the j-th delay.
     row_xa = np.repeat([q.x_a for q in qs], len(ts))
@@ -306,7 +306,7 @@ def continuation_band_t2(p: SwapParams, T, scan: Bracket | None = None, x_a=None
 
     scans = [s for q in qs for s in [scan or _default_scan(q)] * len(ts)]
     bands = widest_band(g, scans, np.arange(len(scans)))
-    if x_a is None:
+    if x_a is None or np.ndim(T) == 0:
         return bands
     return [bands[i:i + len(ts)] for i in range(0, len(bands), len(ts))]
 

@@ -121,37 +121,33 @@ def find_roots(
     Grid points that are exact roots are returned directly.  Returns an
     ascending list; empty when no sign change is found.  ``g`` is called on
     arrays.  With one ``scan`` Bracket, ``g`` maps the (n,) grid to (n,)
-    values, or to a (K, n) array of K functions sharing the grid, and then
-    one root list per row is returned.  With a sequence of K Brackets, each
-    row scans its own grid: ``g`` maps the (K, n) grids to (K, n) values and
-    one root list per row is returned.  ``tol`` is one tolerance, or one per
-    row.
+    values.  With a sequence of K Brackets, each row scans its own grid:
+    ``g`` maps the (K, n) grids to (K, n) values and one root list per row
+    is returned.  ``tol`` is one tolerance, or one per row.
 
     All open brackets of all rows bisect in lockstep: each step is one call
-    of ``g`` on the midpoints, an (R,) array for a one-row ``g`` and (K, R)
-    for K rows, where R is the most open brackets in any row (idle slots
-    hold the row's own scan ``lo``; their values are discarded).  A bracket
-    returns its midpoint once the midpoint equals an endpoint (adjacent
-    floats), the bracket is at most ``tol`` wide, or |g(midpoint)| <= tol.
+    of ``g`` on the midpoints, an (R,) array for one Bracket and (K, R) for
+    K, where R is the most open brackets in any row (idle slots hold the
+    row's own scan ``lo``; their values are discarded).  A bracket returns
+    its midpoint once the midpoint equals an endpoint (adjacent floats), the
+    bracket is at most ``tol`` wide, or |g(midpoint)| <= tol.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
-    if isinstance(scan, Bracket):
-        lo = [scan.lo]
+    single = isinstance(scan, Bracket)
+    if single:
         xs = np.linspace(scan.lo, scan.hi, grid_points)
     else:
-        lo = [b.lo for b in scan]
-        xs = np.linspace(lo, [b.hi for b in scan], grid_points, axis=-1)
+        lo_col = np.array([[b.lo] for b in scan])
+        xs = np.linspace(lo_col[:, 0], [b.hi for b in scan], grid_points, axis=-1)
     vals = np.asarray(g(xs), dtype=float)
-    if vals.ndim > 2 or vals.shape[-1:] != xs.shape[-1:] or (xs.ndim == 2 and vals.shape != xs.shape):
-        raise ValueError(f"g returned shape {vals.shape}, expected (n,) or (K, n) for grid {xs.shape}")
-    grid = np.atleast_2d(vals)
-    xs = np.broadcast_to(xs, grid.shape)
+    if vals.shape != xs.shape:
+        raise ValueError(f"g returned shape {vals.shape}, expected {xs.shape}")
+    grid, xs = np.atleast_2d(vals), np.atleast_2d(xs)
     left, right = grid[:, :-1], grid[:, 1:]
     hits = (left == 0.0) | (left * right < 0.0)
     hits[:, -1] |= right[:, -1] == 0.0
     tols = np.broadcast_to(np.asarray(tol, dtype=float), len(grid)).tolist()
-    lo_col = np.broadcast_to(np.reshape(lo, (-1, 1)), (len(grid), 1))
     roots: list[list] = [[] for _ in grid]
     # Open brackets as [row, index in roots[row], a, b, g(a)].  The few
     # brackets per step are cheaper to track in Python than in numpy.
@@ -177,7 +173,7 @@ def find_roots(
                 mids.append(m)
         if not steps:
             break
-        if vals.ndim == 1:
+        if single:
             fms = np.asarray(g(np.array(mids)), dtype=float).tolist()
         else:
             rows, slots, used = [], [], [0] * len(grid)
@@ -198,4 +194,4 @@ def find_roots(
             else:
                 br[2], br[4] = m, fm
             live.append(br)
-    return roots if vals.ndim == 2 else roots[0]
+    return roots[0] if single else roots

@@ -373,6 +373,8 @@ def test_band_grid_matches_scalar_solves(case, p, k, scan):
     ts = np.linspace(0.0, p.claim_delay_window, 5)
     got = continuation_band_t2(p, ts, scan, x_a=xa)
     assert got == [[continuation_band_t2(p.with_x_a(x), T, scan) for T in ts] for x in xa.tolist()]
+    # A scalar delay gives one band per x_a.
+    assert continuation_band_t2(p, ts[1], scan, x_a=xa) == [row[1] for row in got]
     bands = [b for row in got for b in row]
     if case == "empty band rows":
         assert {b is None for b in bands} == {True, False}

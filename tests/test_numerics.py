@@ -115,17 +115,16 @@ def test_find_roots_rows_match_rows_solved_alone():
 
     def g(x):
         calls.append(np.shape(x))
-        rows = np.broadcast_to(x, (len(fs),) + np.shape(x)[-1:])
-        return np.array([f(row) for f, row in zip(fs, rows)])
+        return np.array([f(row) for f, row in zip(fs, x)])
 
-    got = find_roots(g, scan, grid_points=21)
+    got = find_roots(g, [scan] * len(fs), grid_points=21)
     assert got == [find_roots(f, scan, grid_points=21) for f in fs]
     assert [len(r) for r in got] == [0, 3, 1, 1, 1]
     assert got[2] == [4.0] and got[4] == [10.5]
     assert got[3][0] == pytest.approx(math.log(5.0), abs=1e-9)
     # One grid call, then each bisection step is one (K, R) call where R is
     # the most open brackets in any row.
-    assert calls[0] == (21,)
+    assert calls[0] == (len(fs), 21)
     assert calls[1] == (len(fs), 3)
     assert all(len(shape) == 2 and shape[0] == len(fs) for shape in calls[1:])
 
