@@ -31,13 +31,11 @@ from . import cyclic as cyclic_mod
 from . import htlcgame, quickswapgame
 from .pricemodel import GbmParams
 from .protocol import (
-    StrategyProfile,
     build_htlc_instance,
     build_quickswap_instance,
     check_properties,
     mc_success_rate_htlc,
     mc_success_rate_quickswap,
-    strategy_grid,
 )
 
 __all__ = ["main", "RunConfig"]
@@ -70,13 +68,19 @@ _CYCLIC_DEFAULTS: dict = {
     "D": 12.0, "Delta": 2.0, "rho": 0.001, "t_eps": 1.0,
 }
 
-_ALLOWED_KEYS: dict[str, set] = {
-    "htlc-surface": set(_BASE_DEFAULTS) | set(_GRID_DEFAULTS),
-    "quickswap-sr": set(_BASE_DEFAULTS) | set(_QUICK_DEFAULTS) | set(_GRID_DEFAULTS),
-    "validate": set(_BASE_DEFAULTS) | set(_QUICK_DEFAULTS) | set(_CYCLIC_DEFAULTS) | {"kind"},
-    "montecarlo": set(_BASE_DEFAULTS) | set(_QUICK_DEFAULTS) | set(_MC_DEFAULTS),
-    "cyclic-plan": set(_CYCLIC_DEFAULTS),
+# Every key a subcommand accepts, with its default; a value given for a key is
+# parsed as the type of that key's default (see _parse).
+_PARAMS: dict[str, dict] = {
+    "htlc-surface": {**_BASE_DEFAULTS, **_GRID_DEFAULTS},
+    "quickswap-sr": {**_BASE_DEFAULTS, **_QUICK_DEFAULTS, **_GRID_DEFAULTS},
+    "validate": {**_BASE_DEFAULTS, **_QUICK_DEFAULTS, **_CYCLIC_DEFAULTS, "kind": "quickswap"},
+    "montecarlo": {**_BASE_DEFAULTS, **_QUICK_DEFAULTS, **_MC_DEFAULTS},
+    "cyclic-plan": _CYCLIC_DEFAULTS,
 }
+# Largest grid htlc-surface or quickswap-sr may ask for, in cells.  The cost
+# per cell is set by quickswap-sr, which solves its whole x_a axis in one band
+# block: at the limit it ran 74 s and peaked at 529 MB on a 2-CPU x86 host.
+_MAX_GRID_CELLS = 20_000
 
 
 @dataclass
@@ -97,25 +101,45 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_value(text: str):
-    """Flat key-value coercion: bool, int, float, comma-list, or string."""
+def _number(s: str) -> int | float:
+    """An int literal stays an int, so the manifest echoes it as given."""
+    try:
+        value = int(s)
+    except ValueError:
+        return float(s)
+    float(value)  # OverflowError for an int no float can hold
+    return value
+
+
+def _whole(s: str) -> int:
+    value = _number(s)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(s)
+    return int(value)
+
+
+# Default's type -> (what a value must be, parser of its stripped text).
+_RULES = {
+    bool: ("true or false", lambda s: {"true": True, "false": False}[s.lower()]),
+    int: ("a whole number", _whole),
+    float: ("a number", _number),
+    tuple: ("a comma list of numbers", lambda s: tuple(float(x) for x in s.split(",") if x.strip())),
+    str: ("text", str),
+}
+
+
+def _parse(key: str, text: str, default):
+    what, parse = _RULES[type(default)]
     s = text.strip()
-    low = s.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    if "," in s:
-        return tuple(float(part) for part in s.split(",") if part.strip())
-    for cast in (int, float):
-        try:
-            return cast(s)
-        except ValueError:
-            continue
-    return s
+    try:
+        return parse(s)
+    except (KeyError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be {what}, got '{s}'") from None
 
 
-def _read_params_file(path: str) -> dict:
-    """Flat ``key = value`` lines; '#' starts a comment."""
-    out: dict = {}
+def _read_params_file(path: str) -> dict[str, str]:
+    """Flat ``key = value`` lines; '#' starts a comment.  Values stay text."""
+    out: dict[str, str] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -123,80 +147,57 @@ def _read_params_file(path: str) -> dict:
         if "=" not in body:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = body.partition("=")
-        out[key.strip()] = _parse_value(value)
+        out[key.strip()] = value
     return out
 
 
 def _resolve_params(subcommand: str, file_path: str | None, sets: list[str]) -> dict:
-    defaults: dict = {}
-    for chunk in (_BASE_DEFAULTS, _QUICK_DEFAULTS, _GRID_DEFAULTS,
-                  _MC_DEFAULTS, _CYCLIC_DEFAULTS, {"kind": "quickswap"}):
-        for k, v in chunk.items():
-            if k in _ALLOWED_KEYS[subcommand]:
-                defaults.setdefault(k, v)
-    overrides: dict = {}
-    if file_path:
-        overrides.update(_read_params_file(file_path))
+    defaults = _PARAMS[subcommand]
+    texts = _read_params_file(file_path) if file_path else {}
     for item in sets:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
-        overrides[key.strip()] = _parse_value(value)
-    unknown = sorted(set(overrides) - _ALLOWED_KEYS[subcommand])
+        texts[key.strip()] = value
+    unknown = sorted(set(texts) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown parameter(s) for {subcommand}: {', '.join(unknown)}")
-    defaults.update(overrides)
-    return defaults
+    return {**defaults, **{k: _parse(k, text, defaults[k]) for k, text in texts.items()}}
 
 
 def _swap_params(p: dict) -> htlcgame.SwapParams:
-    return htlcgame.SwapParams(
-        x_a=float(p["x_a"]), x_yb_t1=float(p["x_yb_t1"]),
-        t_a=float(p["t_a"]), t_b=float(p["t_b"]),
-        tau_a=float(p["tau_a"]), tau_b=float(p["tau_b"]),
-        t_eps=float(p["t_eps"]), eps=float(p["eps"]),
-        sp_a=float(p["sp_a"]), sp_b=float(p["sp_b"]),
-        r_a=float(p["r_a"]), r_b=float(p["r_b"]),
-        f_a=float(p["f_a"]), f_b=float(p["f_b"]),
-        theta_1=float(p["theta_1"]), theta_2=float(p["theta_2"]),
-        gbm=GbmParams(mu=float(p["mu"]), sigma=float(p["sigma"])),
-        uniform_delay_discounting=bool(p["uniform_delay_discounting"]),
-        t1_stop_value=str(p["t1_stop_value"]),
-    )
+    fields = {k: p[k] for k in _BASE_DEFAULTS if k not in ("mu", "sigma")}
+    return htlcgame.SwapParams(**fields, gbm=GbmParams(mu=p["mu"], sigma=p["sigma"]))
 
 
 def _quick_params(p: dict) -> quickswapgame.QuickSwapParams:
     return quickswapgame.QuickSwapParams(
-        base=_swap_params(p), D=float(p["D"]), Delta=float(p["Delta"]), rho=float(p["rho"]),
-    )
-
-
-def _whole(p: dict, key: str) -> int:
-    value = p[key]
-    if type(value) not in (int, float) or not float(value).is_integer():
-        raise ConfigError(f"{key} must be a whole number, got {value!r}")
-    return int(value)
+        base=_swap_params(p), D=p["D"], Delta=p["Delta"], rho=p["rho"])
 
 
 def _cyclic_spec(p: dict) -> cyclic_mod.CyclicSpec:
-    n = _whole(p, "n")
-    amounts = tuple(p["amounts"]) or tuple(2.0 for _ in range(n))
-    taus = tuple(p["taus"]) or tuple(3.0 for _ in range(n))
-    locktimes = tuple(p["locktimes"]) or tuple(48.0 - 6.0 * i for i in range(n))
+    n = p["n"]
     return cyclic_mod.CyclicSpec(
-        n=n, amounts=amounts, taus=taus, locktimes=locktimes,
-        D=float(p["D"]), Delta=float(p["Delta"]), rho=float(p["rho"]),
-        t_eps=float(p["t_eps"]),
+        n=n, amounts=p["amounts"] or (2.0,) * n, taus=p["taus"] or (3.0,) * n,
+        locktimes=p["locktimes"] or tuple(48.0 - 6.0 * i for i in range(n)),
+        D=p["D"], Delta=p["Delta"], rho=p["rho"], t_eps=p["t_eps"],
     )
 
 
-def _axis(lo: float, hi: float, step: float) -> np.ndarray:
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise ConfigError(f"grid axis needs finite bounds with min <= max, got [{lo}, {hi}]")
-    if not step > 0:
-        raise ConfigError(f"grid step must be > 0, got {step}")
-    count = int(round((hi - lo) / step)) + 1
-    return np.round(lo + step * np.arange(count), 10)
+def _grid(*axes: tuple[float, float, float]) -> list[np.ndarray]:
+    """One array per ``(min, max, step)`` axis, refusing grids above _MAX_GRID_CELLS."""
+    counts = []
+    for lo, hi, step in axes:
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ConfigError(f"grid axis needs finite bounds with min <= max, got [{lo}, {hi}]")
+        if not (step > 0 and math.isfinite(step)):
+            raise ConfigError(f"grid step must be > 0 and finite, got {step}")
+        span = (hi - lo) / step
+        counts.append(round(span) + 1 if math.isfinite(span) else math.inf)
+    cells = math.prod(counts)
+    if cells > _MAX_GRID_CELLS:
+        raise ConfigError(f"grid of {cells} cells is above the limit of {_MAX_GRID_CELLS}")
+    return [np.round(lo + step * np.arange(count), 10) for (lo, _, step), count in zip(axes, counts)]
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +272,9 @@ def _write_manifest(cfg: RunConfig) -> None:
 def cmd_htlc_surface(cfg: RunConfig) -> int:
     p = cfg.params
     base = _swap_params(p)
-    xa = _axis(p["xa_min"], p["xa_max"], p["xa_step"])
-    ts = _axis(p["t_min"], min(p["t_max"], base.claim_delay_window), p["delay_step"])
-    tps = _axis(p["tp_min"], min(p["tp_max"], base.lock_delay_window), p["delay_step"])
+    xa, ts, tps = _grid((p["xa_min"], p["xa_max"], p["xa_step"]),
+                        (p["t_min"], min(p["t_max"], base.claim_delay_window), p["delay_step"]),
+                        (p["tp_min"], min(p["tp_max"], base.lock_delay_window), p["delay_step"]))
     grid = htlcgame.sr_surface(base, xa, ts, tps)
     rows = []
     for i, x_a in enumerate(xa):
@@ -300,7 +301,7 @@ def cmd_htlc_surface(cfg: RunConfig) -> int:
 def cmd_quickswap_sr(cfg: RunConfig) -> int:
     p = cfg.params
     q = _quick_params(p)
-    xa = _axis(p["xa_min"], p["xa_max"], p["xa_step"])
+    (xa,) = _grid((p["xa_min"], p["xa_max"], p["xa_step"]))
     norm = q.base.theta_1 * q.base.theta_2
     # The report already holds the premium SR per x_a; reuse it rather than
     # solving each band again.
@@ -329,46 +330,29 @@ def cmd_quickswap_sr(cfg: RunConfig) -> int:
     return 0
 
 
-def _property_rows(report) -> list[list]:
-    return [
-        [r.profile, r.outcome, r.correctness, r.safety, r.liveness, len(r.witnesses)]
-        for r in report.rows
-    ]
-
-
-_PROPERTY_HEADER = ["profile", "outcome", "correctness", "safety", "liveness", "witnesses"]
-
-
 def cmd_validate(cfg: RunConfig) -> int:
-    kind = cfg.params["kind"]
-    if kind == "quickswap":
-        report = check_properties(build_quickswap_instance(_quick_params(cfg.params)))
-        ok = (not report.safety_violations) and report.liveness_ok and report.correctness_ok
-        cfg.summary = {
-            "kind": kind, "rows": len(report.rows),
-            "safety_violations": len(report.safety_violations),
-            "liveness_ok": report.liveness_ok, "passed": ok,
-        }
-        _write_table(cfg, "validate", _PROPERTY_HEADER, _property_rows(report))
-    elif kind == "htlc":
-        rho = float(cfg.params["rho"])
-        report = check_properties(build_htlc_instance(_swap_params(cfg.params), rho=rho))
+    p, kind = cfg.params, cfg.params["kind"]
+    if kind in ("quickswap", "htlc"):
+        instance = (build_quickswap_instance(_quick_params(p)) if kind == "quickswap"
+                    else build_htlc_instance(_swap_params(p), rho=p["rho"]))
+        report = check_properties(instance)
         violations = report.safety_violations
-        # The plain swap pays no premium, so it is *expected* to fail safety on
-        # grief profiles exactly when a lockup costs the victim something
-        # (rho > 0); the check passes when violations appear iff rho > 0 and
-        # are confined to grief profiles.
-        confined = all("grief" in r.profile for r in violations)
-        ok = bool(violations) == (rho > 0) and confined and report.liveness_ok and report.correctness_ok
-        cfg.summary = {
-            "kind": kind, "rows": len(report.rows),
-            "safety_violations": len(violations),
-            "violations_confined_to_grief": confined,
-            "liveness_ok": report.liveness_ok, "passed": ok,
-        }
-        _write_table(cfg, "validate", _PROPERTY_HEADER, _property_rows(report))
+        cfg.summary = {"kind": kind, "rows": len(report.rows),
+                       "safety_violations": len(violations), "liveness_ok": report.liveness_ok}
+        ok = not violations
+        if kind == "htlc":
+            # The plain swap pays no premium, so it is *expected* to fail safety
+            # on grief profiles exactly when a lockup costs the victim something
+            # (rho > 0); the check passes when violations appear iff rho > 0 and
+            # are confined to grief profiles.
+            confined = all("grief" in r.profile for r in violations)
+            cfg.summary["violations_confined_to_grief"] = confined
+            ok = bool(violations) == (p["rho"] > 0) and confined
+        cfg.summary["passed"] = ok and report.liveness_ok and report.correctness_ok
+        rows = [[r.profile, r.outcome, r.correctness, r.safety, r.liveness, len(r.witnesses)]
+                for r in report.rows]
     elif kind == "cyclic":
-        spec = _cyclic_spec(cfg.params)
+        spec = _cyclic_spec(p)
         plan = cyclic_mod.generate(spec)
         problems = cyclic_mod.validate_plan(plan)
         rows, ok = [], not problems
@@ -380,29 +364,37 @@ def cmd_validate(cfg: RunConfig) -> int:
             rows.append([label, v.outcome, v.correctness, v.safety, v.liveness,
                          len(v.witnesses)])
             ok = ok and v.safety and v.liveness and v.correctness
-        _write_table(cfg, "validate", _PROPERTY_HEADER, rows)
         cfg.summary = {"kind": kind, "rows": len(rows),
                        "plan_problems": len(problems), "passed": ok}
     else:
         raise ConfigError(f"kind must be htlc, quickswap, or cyclic, got {kind!r}")
+    _write_table(cfg, "validate",
+                 ["profile", "outcome", "correctness", "safety", "liveness", "witnesses"], rows)
     _write_manifest(cfg)
     return 0 if cfg.summary["passed"] else 1
 
 
+def _z_score(freq: float, analytic: float, paths: int) -> float:
+    # The standard error is the binomial one at the analytic rate, not at
+    # ``freq``: no success at a rare cell is a likely draw, not a huge z.
+    var = analytic * (1.0 - analytic)
+    if var > 0:
+        return (freq - analytic) / math.sqrt(var / paths)
+    return 0.0 if freq == analytic else math.copysign(math.inf, freq - analytic)
+
+
 def cmd_montecarlo(cfg: RunConfig) -> int:
     p = cfg.params
-    paths = _whole(p, "paths")
+    paths = p["paths"]
     if paths < 1_000:
         raise ConfigError(f"paths must be >= 1000, got {paths}")
-    cells = _whole(p, "cells")
+    cells = p["cells"]
     if cells < 1:
         raise ConfigError(f"cells must be >= 1, got {cells}")
     rng = np.random.default_rng(cfg.seed)
     base = _swap_params(p)
     quick = _quick_params(p)
     rows = []
-    worst = 0.0
-
     picked = 0
     # Each band (it depends on x_a and T only) and each cell's analytic SR
     # is solved once per job.
@@ -426,9 +418,7 @@ def cmd_montecarlo(cfg: RunConfig) -> int:
                     f"draws (x_a {_MC_XA[0]}..{_MC_XA[1]}, T and T' 0..{_MC_DELAYS - 1})")
             continue
         freq, se = mc_success_rate_htlc(g, T, Tp, paths, int(rng.integers(2**31)), band)
-        z = (freq - analytic) / se if se > 0 else 0.0
-        rows.append(["htlc", x_a, T, Tp, analytic, freq, se, z])
-        worst = max(worst, abs(z))
+        rows.append(["htlc", x_a, T, Tp, analytic, freq, se, _z_score(freq, analytic, paths)])
         picked += 1
 
     for _ in range(cells):
@@ -437,10 +427,9 @@ def cmd_montecarlo(cfg: RunConfig) -> int:
         band = quickswapgame.continuation_band_t3(g)
         analytic = quickswapgame.success_rate(g, band)
         freq, se = mc_success_rate_quickswap(g, paths, int(rng.integers(2**31)), band)
-        z = (freq - analytic) / se if se > 0 else 0.0
-        rows.append(["quickswap", x_a, 0.0, 0.0, analytic, freq, se, z])
-        worst = max(worst, abs(z))
+        rows.append(["quickswap", x_a, 0.0, 0.0, analytic, freq, se, _z_score(freq, analytic, paths)])
 
+    worst = max(abs(row[-1]) for row in rows)
     _write_table(cfg, "montecarlo",
                  ["kind", "x_a", "T", "T_prime", "analytic", "empirical", "se", "z"],
                  rows)

@@ -147,7 +147,6 @@ class Chain:
         self.confirm_delay = confirm_delay
         self.clock = 0.0
         self.mempool: list[Transaction] = []
-        self.confirmed: list[Transaction] = []
         self._live_ids: set[str] = set()  # ids in the mempool or confirmed
         self._next_due = math.inf  # earliest confirm_time in the mempool
         self.utxos: dict[OutputRef, LockedOutput] = {}
@@ -156,13 +155,6 @@ class Chain:
         self.funded_total: dict[str, float] = {}
         self.revealed: dict[str, tuple[bytes, float]] = {}  # hash id -> (preimage, reveal time)
         self.events: list[ConfirmationEvent] = []
-
-    # -- funding -----------------------------------------------------------
-    def fund(self, tx: Transaction, now: float) -> None:
-        """Inject a funding transaction (lock creation with no spends)."""
-        if tx.spends:
-            raise ValueError("funding transactions must not spend outputs")
-        self.broadcast(tx, now)
 
     # -- broadcast / validation -------------------------------------------
     def broadcast(self, tx: Transaction, now: float) -> None:
@@ -244,7 +236,6 @@ class Chain:
                     self.funded_total[created.funder] = (
                         self.funded_total.get(created.funder, 0.0) + created.amount
                     )
-        self.confirmed.append(tx)
         return ConfirmationEvent(now, self.id, tx.id, "confirmed", revealed=tuple(revealed))
 
     # -- queries -----------------------------------------------------------
@@ -263,8 +254,8 @@ class Chain:
         return self._next_due if self.mempool else None
 
 
-def conservation_holds(chain: Chain, tol: float = 1e-9) -> bool:
+def conservation_holds(chain: Chain) -> bool:
     """Total value created by funders equals payouts plus unspent locks."""
     funded = sum(chain.funded_total.values())
     paid = sum(chain.balances.values())
-    return abs(funded - (paid + chain.locked_value())) <= tol
+    return abs(funded - (paid + chain.locked_value())) <= 1e-9

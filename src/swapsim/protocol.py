@@ -766,7 +766,7 @@ class PropertyReport:
         return all(r.correctness for r in self.rows)
 
 
-def strategy_grid(kind: str, delays=(1.0, 6.0, 12.0)) -> list[Strategy]:
+def strategy_grid(kind: str) -> list[Strategy]:
     phases = HTLC_PHASES if kind == "htlc" else QUICKSWAP_PHASES
     out: dict[str, list[Strategy]] = {}
     for party, order in phases.items():
@@ -774,20 +774,16 @@ def strategy_grid(kind: str, delays=(1.0, 6.0, 12.0)) -> list[Strategy]:
         opts += [Strategy("grief", phase="start")]
         opts += [Strategy("grief", phase=ph) for ph in order[:-1]]
         opts += [Strategy("cancel", phase=ph) for ph in order]
-        opts += [Strategy("delay", phase=ph, hours=h) for ph in order for h in delays]
+        opts += [Strategy("delay", phase=ph, hours=h) for ph in order for h in (1.0, 6.0, 12.0)]
         out[party] = opts
     return out
 
 
-def check_properties(instance: ProtocolInstance, profiles: list[StrategyProfile] | None = None) -> PropertyReport:
+def check_properties(instance: ProtocolInstance) -> PropertyReport:
     """Run every profile in the grid and collect per-trace verdicts."""
-    if profiles is None:
-        grid = strategy_grid(instance.kind)
-        profiles = [
-            StrategyProfile(a, bb) for a in grid["A"] for bb in grid["B"]
-        ]
+    grid = strategy_grid(instance.kind)
     rows = []
-    for profile in profiles:
+    for profile in (StrategyProfile(a, b) for a in grid["A"] for b in grid["B"]):
         v = run(instance, profile)
         rows.append(PropertyRow(
             profile=profile.label(),

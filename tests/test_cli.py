@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from swapsim import cli
 from swapsim.cli import main
 
 
@@ -95,11 +97,61 @@ def test_params_file_round_trip(tmp_path):
     (("validate", "--set", "kind=cyclic", "--set", "t_eps=-5"), "t_eps >= 0"),
     (("cyclic-plan", "--set", "n=2.7"), "n must be a whole number"),
     (("montecarlo", "--set", "cells=0"), "cells must be >= 1"),
+    (("htlc-surface", "--set", "x_a=1,2"), "x_a must be a number, got '1,2'"),
+    (("htlc-surface", "--set", "xa_step=1,2"), "xa_step must be a number"),
+    (("validate", "--set", "kind=cyclic", "--set", "amounts=2"), "amounts must have one entry"),
+    (("cyclic-plan", "--set", "amounts=abc"), "amounts must be a comma list of numbers"),
+    (("htlc-surface", "--set", "uniform_delay_discounting=no"),
+     "uniform_delay_discounting must be true or false, got 'no'"),
+    (("htlc-surface", "--set", "x_a=true"), "x_a must be a number, got 'true'"),
+    (("htlc-surface", "--set", "x_a=1" + "0" * 400), "x_a must be a number"),
+    (("htlc-surface", "--set", "delay_step=inf"), "step must be > 0 and finite"),
+    # One x_a cell past the limit; the grid is refused before any solve.
+    (("htlc-surface", "--set", "xa_step=0.0001", "--set", "t_max=0", "--set", "tp_max=0"),
+     "grid of 20001 cells is above the limit of 20000"),
 ])
 def test_malformed_inputs_exit_2_with_an_error_line(tmp_path, capsys, args, says):
     assert run_cli(*args, "--out", str(tmp_path / "run")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and says in err
+
+
+def test_grid_limit_counts_the_cells_of_every_axis(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_MAX_GRID_CELLS", 8)
+    small = ("--set", "xa_min=2", "--set", "xa_max=2.5", "--set", "xa_step=0.5",
+             "--set", "t_max=1", "--set", "tp_max=1")
+    assert run_cli("htlc-surface", "--out", str(tmp_path / "a"), *small) == 0
+    assert run_cli("htlc-surface", "--out", str(tmp_path / "b"), *small, "--set", "tp_max=2") == 2
+    assert run_cli("quickswap-sr", "--out", str(tmp_path / "c"), "--set", "xa_step=0.25") == 2
+
+
+def test_z_score_uses_the_analytic_standard_error():
+    assert cli._z_score(0.26, 0.25, 10_000) == pytest.approx(0.01 / math.sqrt(0.1875 / 10_000))
+    assert cli._z_score(0.0, 0.0, 1_000) == 0.0
+    assert cli._z_score(0.001, 0.0, 1_000) == math.inf
+    assert cli._z_score(0.999, 1.0, 1_000) == -math.inf
+
+
+def test_montecarlo_rare_cell_without_successes_is_not_a_failure(tmp_path):
+    # The Quick Swap cell x_a = 1.4 has rate 1.98e-4: no success in 1,000
+    # paths is a likely draw, and used to read as z = -6259.7.
+    out = tmp_path / "mc"
+    assert run_cli("montecarlo", "--out", str(out), "--seed", "0",
+                   "--set", "sigma=0.03", "--set", "paths=1000") == 0
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    assert summary["all_within_3se"] is True and summary["max_abs_z"] < 3.0
+
+
+def test_params_file_and_set_give_the_same_manifest(tmp_path):
+    settings = ["sigma=0.2", "xa_step=1", "t_max=0", "tp_max=0", "uniform_delay_discounting=true"]
+    cfg = tmp_path / "params.txt"
+    cfg.write_text("".join(f"{s.replace('=', ' = ')}  # note\n" for s in settings))
+    assert run_cli("htlc-surface", "--params", str(cfg), "--out", str(tmp_path / "file")) == 0
+    sets = [arg for s in settings for arg in ("--set", s)]
+    assert run_cli("htlc-surface", *sets, "--out", str(tmp_path / "set")) == 0
+    manifests = [(tmp_path / d / "manifest.json").read_bytes() for d in ("file", "set")]
+    assert manifests[0] == manifests[1]
+    assert json.loads(manifests[0])["params"]["xa_step"] == 1
 
 
 @pytest.mark.parametrize("setting", ["theta_2=0", "t1_stop_value=discounted"])

@@ -26,7 +26,7 @@ def _lock(tx_id="lock", amount=2.0, funder="A", claimant="B", timeout=48.0,
 
 def test_deterministic_confirmation_delay():
     c = Chain("a", confirm_delay=3.0)
-    c.fund(_lock(), now=1.0)
+    c.broadcast(_lock(), now=1.0)
     assert c.advance(3.9) == []
     events = c.advance(4.0)
     assert len(events) == 1 and events[0].kind == "confirmed"
@@ -36,7 +36,7 @@ def test_deterministic_confirmation_delay():
 
 def test_claim_with_preimage_reveals_it():
     c = Chain("a", 3.0)
-    c.fund(_lock(), 0.0)
+    c.broadcast(_lock(), 0.0)
     c.advance(3.0)
     claim = Transaction("claim", [SpendInput(OutputRef("lock", 0), "B", {H: SECRET})],
                         [Payout("B", 2.0)])
@@ -50,7 +50,7 @@ def test_claim_with_preimage_reveals_it():
 
 def test_wrong_claimant_and_early_timeout_rejected():
     c = Chain("a", 3.0)
-    c.fund(_lock(), 0.0)
+    c.broadcast(_lock(), 0.0)
     c.advance(3.0)
     with pytest.raises(ValueError):
         c.broadcast(Transaction("steal", [SpendInput(OutputRef("lock", 0), "C", {H: SECRET})],
@@ -68,7 +68,7 @@ def test_wrong_claimant_and_early_timeout_rejected():
 
 def test_wrong_preimage_rejected():
     c = Chain("a", 3.0)
-    c.fund(_lock(), 0.0)
+    c.broadcast(_lock(), 0.0)
     c.advance(3.0)
     with pytest.raises(ValueError):
         c.broadcast(Transaction("bad", [SpendInput(OutputRef("lock", 0), "B", {H: b"x" * 32})],
@@ -77,7 +77,7 @@ def test_wrong_preimage_rejected():
 
 def test_double_spend_earlier_broadcast_wins():
     c = Chain("a", 3.0)
-    c.fund(_lock(timeout=4.0, claimant="B"), 0.0)
+    c.broadcast(_lock(timeout=4.0, claimant="B"), 0.0)
     c.advance(3.0)
     c.broadcast(Transaction("claim", [SpendInput(OutputRef("lock", 0), "B", {H: SECRET})],
                             [Payout("B", 2.0)]), 3.5)
@@ -92,7 +92,7 @@ def test_double_spend_earlier_broadcast_wins():
 
 def test_double_spend_exact_tie_breaks_lexicographically():
     c = Chain("a", 3.0)
-    c.fund(_lock(timeout=4.0), 0.0)
+    c.broadcast(_lock(timeout=4.0), 0.0)
     c.advance(4.0)
     c.broadcast(Transaction("z-claim", [SpendInput(OutputRef("lock", 0), "B", {H: SECRET})],
                             [Payout("B", 2.0)]), 4.0)
@@ -105,9 +105,9 @@ def test_double_spend_exact_tie_breaks_lexicographically():
 
 def test_duplicate_id_and_unknown_output_rejected():
     c = Chain("a", 3.0)
-    c.fund(_lock(), 0.0)
+    c.broadcast(_lock(), 0.0)
     with pytest.raises(ValueError):
-        c.fund(_lock(), 0.5)  # duplicate id
+        c.broadcast(_lock(), 0.5)  # duplicate id
     with pytest.raises(ValueError):
         c.broadcast(Transaction("spend", [SpendInput(OutputRef("nope", 0), "B", {H: SECRET})],
                                 [Payout("B", 1.0)]), 0.5)
@@ -118,7 +118,7 @@ def test_duplicate_id_and_unknown_output_rejected():
 
 def test_conservation_through_relock_and_payout():
     c = Chain("a", 2.0)
-    c.fund(_lock(amount=5.0), 0.0)
+    c.broadcast(_lock(amount=5.0), 0.0)
     c.advance(2.0)
     assert conservation_holds(c)
     # Spend into a new lock plus change: conserves value, no new funding.
@@ -141,7 +141,7 @@ def test_branch_requires_condition():
 
 def test_idle_advance_only_moves_clock():
     c = Chain("a", 3.0)
-    c.fund(_lock(), 0.0)
+    c.broadcast(_lock(), 0.0)
     assert c.advance(2.0) == []
     assert c.clock == 2.0 and c.events == [] and len(c.mempool) == 1
     assert c.next_confirm_time() == 3.0
@@ -156,7 +156,7 @@ def test_idle_advance_only_moves_clock():
 
 def test_rejected_transaction_id_can_be_broadcast_again():
     c = Chain("a", 3.0)
-    c.fund(_lock(timeout=4.0), 0.0)
+    c.broadcast(_lock(timeout=4.0), 0.0)
     c.advance(4.0)
     c.broadcast(Transaction("claim", [SpendInput(OutputRef("lock", 0), "B", {H: SECRET})],
                             [Payout("B", 2.0)]), 4.0)
@@ -165,7 +165,7 @@ def test_rejected_transaction_id_can_be_broadcast_again():
     events = c.advance(8.0)
     assert [(e.tx_id, e.kind) for e in events] == [("claim", "confirmed"), ("refund", "rejected")]
     # The loser's id is free again; it now spends a fresh output.
-    c.fund(_lock(tx_id="lock-2", timeout=8.0), 8.0)
+    c.broadcast(_lock(tx_id="lock-2", timeout=8.0), 8.0)
     c.advance(11.0)
     c.broadcast(Transaction("refund", [SpendInput(OutputRef("lock-2", 0), "A")],
                             [Payout("A", 2.0)]), 11.0)
@@ -176,12 +176,12 @@ def test_rejected_transaction_id_can_be_broadcast_again():
 
 def test_pending_and_confirmed_ids_refused():
     c = Chain("a", 3.0)
-    c.fund(_lock(), 0.0)
-    c.fund(_lock(tx_id="lock-2"), 1.0)
+    c.broadcast(_lock(), 0.0)
+    c.broadcast(_lock(tx_id="lock-2"), 1.0)
     with pytest.raises(ValueError, match="duplicate"):
-        c.fund(_lock(tx_id="lock-2"), 1.5)  # pending
+        c.broadcast(_lock(tx_id="lock-2"), 1.5)  # pending
     c.advance(4.0)
-    assert [t.id for t in c.confirmed] == ["lock", "lock-2"]
+    assert [e.tx_id for e in c.events if e.kind == "confirmed"] == ["lock", "lock-2"]
     with pytest.raises(ValueError, match="duplicate"):
-        c.fund(_lock(), 4.0)  # confirmed
+        c.broadcast(_lock(), 4.0)  # confirmed
     assert not c.try_broadcast(_lock(tx_id="lock-2"), 4.0)
