@@ -58,15 +58,24 @@ _GRID_DEFAULTS: dict = {
     "t_min": 0.0, "t_max": 20.0, "tp_min": 0.0, "tp_max": 21.0, "delay_step": 1.0,
 }
 _MC_DEFAULTS: dict = {"paths": 100_000, "cells": 5}
-# The HTLC cells ``montecarlo`` can draw: x_a from _MC_XA rounded to 0.1,
-# T and T' whole numbers below _MC_DELAYS.
+# The oracles hold every path of a cell at once, about 40 B a path: 4e6
+# paths peaked at 199 MB on a 2-CPU x86 host.
+_MAX_MC_PATHS = 4_000_000
+# The cells ``montecarlo`` can draw: HTLC x_a from _MC_XA and Quick Swap x_a
+# from _MC_QS_XA, both rounded to 0.1; HTLC T and T' whole numbers below
+# _MC_DELAYS.
 _MC_XA = (1.5, 2.4)
+_MC_QS_XA = (1.2, 2.6)
 _MC_DELAYS = 4
 _MC_HTLC_CELLS = (round((_MC_XA[1] - _MC_XA[0]) / 0.1) + 1) * _MC_DELAYS ** 2
 _CYCLIC_DEFAULTS: dict = {
     "n": 3, "amounts": (), "taus": (), "locktimes": (),
     "D": 12.0, "Delta": 2.0, "rho": 0.001, "t_eps": 1.0,
 }
+# Most parties a cyclic spec may have.  ``validate kind=cyclic`` runs 2n + 1
+# traces whose cost grows faster than n**2: 17 s at this limit on a 2-CPU x86
+# host.  Checked before the default per-party tuples are built.
+_MAX_CYCLIC_N = 256
 
 # Every key a subcommand accepts, with its default; a value given for a key is
 # parsed as the type of that key's default (see _parse).
@@ -177,6 +186,8 @@ def _quick_params(p: dict) -> quickswapgame.QuickSwapParams:
 
 def _cyclic_spec(p: dict) -> cyclic_mod.CyclicSpec:
     n = p["n"]
+    if n > _MAX_CYCLIC_N:
+        raise ConfigError(f"n must be <= {_MAX_CYCLIC_N}, got {n}")
     return cyclic_mod.CyclicSpec(
         n=n, amounts=p["amounts"] or (2.0,) * n, taus=p["taus"] or (3.0,) * n,
         locktimes=p["locktimes"] or tuple(48.0 - 6.0 * i for i in range(n)),
@@ -228,26 +239,52 @@ def _jsonable(value):
     return value
 
 
-def _write_table(cfg: RunConfig, name: str, header: list[str], rows: list[list]) -> None:
+def _csv_cells(col) -> list[str]:
+    if isinstance(col, np.ndarray) and col.dtype == bool:
+        return ["1" if v else "0" for v in col.tolist()]
+    if isinstance(col, np.ndarray):
+        # Format each distinct bit pattern once (so -0.0 and 0.0 stay apart):
+        # a grid's axis columns repeat a few values thousands of times.
+        bits = np.ascontiguousarray(col, dtype=float).view(np.int64)
+        uniq, inverse = np.unique(bits, return_inverse=True)
+        texts = ["NA" if math.isnan(v) else format(v, ".12g") for v in uniq.view(float).tolist()]
+        return [texts[i] for i in inverse.tolist()]
+    texts = [_fmt(v) for v in col]
+    return ['"' + t.replace('"', '""') + '"' if "," in t or '"' in t else t for t in texts]
+
+
+def _json_cells(col) -> list:
+    if isinstance(col, np.ndarray) and col.dtype == bool:
+        return col.tolist()
+    if isinstance(col, np.ndarray):
+        return [None if math.isnan(v) else v for v in col.tolist()]
+    return [_jsonable(v) for v in col]
+
+
+def _write_columns(cfg: RunConfig, name: str, columns: dict) -> None:
+    """Write one table, given as header -> column.
+
+    A column is a float ndarray (NaN written as NA, or null in JSON), a bool
+    ndarray, or a list of cells of any type ``_fmt``/``_jsonable`` take.
+    """
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    header = list(columns)
     if cfg.format == "csv":
         path = cfg.out_dir / f"{name}.csv"
-
-        def cell(v) -> str:
-            text = _fmt(v)
-            if "," in text or '"' in text:
-                return '"' + text.replace('"', '""') + '"'
-            return text
-
         lines = [",".join(header)]
-        lines += [",".join(cell(v) for v in row) for row in rows]
+        lines += map(",".join, zip(*map(_csv_cells, columns.values())))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     else:
         path = cfg.out_dir / f"{name}.json"
-        payload = [dict(zip(header, (_jsonable(v) for v in row))) for row in rows]
+        payload = [dict(zip(header, row)) for row in zip(*map(_json_cells, columns.values()))]
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                         encoding="utf-8", newline="\n")
     cfg.outputs.append(path.name)
+
+
+def _write_table(cfg: RunConfig, name: str, header: list[str], rows: list[list]) -> None:
+    """Write one table given as a header and a list of rows."""
+    _write_columns(cfg, name, {h: [row[i] for row in rows] for i, h in enumerate(header)})
 
 
 def _write_manifest(cfg: RunConfig) -> None:
@@ -276,17 +313,16 @@ def cmd_htlc_surface(cfg: RunConfig) -> int:
                         (p["t_min"], min(p["t_max"], base.claim_delay_window), p["delay_step"]),
                         (p["tp_min"], min(p["tp_max"], base.lock_delay_window), p["delay_step"]))
     grid = htlcgame.sr_surface(base, xa, ts, tps)
-    rows = []
-    for i, x_a in enumerate(xa):
-        for j, T in enumerate(ts):
-            for k, Tp in enumerate(tps):
-                na = bool(grid.na_mask[i, j, k])
-                raw = None if na else float(grid.raw[i, j, k])
-                cond = None if na else float(grid.conditional[i, j, k])
-                rows.append([float(x_a), float(T), float(Tp), raw, cond, not na])
-    _write_table(cfg, "htlc_surface",
-                 ["x_a", "T", "T_prime", "sr_raw", "sr_conditional", "participation_flag"],
-                 rows)
+    # Cells in (x_a, T, T') row-major order; sr_raw and sr_conditional are
+    # NaN exactly where participation fails.
+    _write_columns(cfg, "htlc_surface", {
+        "x_a": np.repeat(xa, len(ts) * len(tps)),
+        "T": np.tile(np.repeat(ts, len(tps)), len(xa)),
+        "T_prime": np.tile(tps, len(xa) * len(ts)),
+        "sr_raw": grid.raw.ravel(),
+        "sr_conditional": grid.conditional.ravel(),
+        "participation_flag": ~grid.na_mask.ravel(),
+    })
     col = grid.conditional if cfg.normalization == "conditional" else grid.raw
     finite = col[~np.isnan(col)]
     cfg.summary = {
@@ -306,13 +342,12 @@ def cmd_quickswap_sr(cfg: RunConfig) -> int:
     # The report already holds the premium SR per x_a; reuse it rather than
     # solving each band again.
     report = quickswapgame.compare_participation(q.base, q, xa)
-    rows = []
-    for x_a, sr in zip(xa, report.quick_sr):
-        sr = float(sr)
-        rows.append([float(x_a), sr, sr / norm if norm > 0 else 0.0,
-                     quickswapgame.claim_threshold_t4(q.with_x_a(float(x_a)))])
-    _write_table(cfg, "quickswap_sr",
-                 ["x_a", "sr_raw", "sr_conditional", "x_t4_star"], rows)
+    _write_columns(cfg, "quickswap_sr", {
+        "x_a": xa,
+        "sr_raw": report.quick_sr,
+        "sr_conditional": report.quick_sr / norm if norm > 0 else np.zeros(len(xa)),
+        "x_t4_star": np.array([quickswapgame.claim_threshold_t4(q.with_x_a(x)) for x in xa.tolist()]),
+    })
 
     report_payload = {
         "htlc_range_zero_delay": _jsonable(report.htlc_range_zero_delay),
@@ -383,11 +418,17 @@ def _z_score(freq: float, analytic: float, paths: int) -> float:
     return 0.0 if freq == analytic else math.copysign(math.inf, freq - analytic)
 
 
+def _mc_xa(bounds: tuple[float, float]) -> np.ndarray:
+    """Every value ``round(uniform(*bounds), 1)`` can take."""
+    lo, hi = bounds
+    return np.round(np.linspace(lo, hi, round((hi - lo) / 0.1) + 1), 1)
+
+
 def cmd_montecarlo(cfg: RunConfig) -> int:
     p = cfg.params
     paths = p["paths"]
-    if paths < 1_000:
-        raise ConfigError(f"paths must be >= 1000, got {paths}")
+    if not 1_000 <= paths <= _MAX_MC_PATHS:
+        raise ConfigError(f"paths must be in [1000, {_MAX_MC_PATHS}], got {paths}")
     cells = p["cells"]
     if cells < 1:
         raise ConfigError(f"cells must be >= 1, got {cells}")
@@ -397,9 +438,17 @@ def cmd_montecarlo(cfg: RunConfig) -> int:
     rows = []
     picked = 0
     # Each band (it depends on x_a and T only) and each cell's analytic SR
-    # is solved once per job.
+    # is solved once per job.  The bands of every drawable (x_a, T) are
+    # solved up front in one lockstep call; a T outside the claim-delay
+    # window is left to its own solve, which raises.
     bands: dict = {}  # (x_a, T) -> band
     srs: dict = {}  # (x_a, T, T') -> analytic SR
+    xa = _mc_xa(_MC_XA)
+    ts = np.arange(float(_MC_DELAYS))
+    ts = ts[ts <= base.claim_delay_window]
+    if ts.size:
+        for x_a, row in zip(xa.tolist(), htlcgame.continuation_band_t2(base, ts, x_a=xa)):
+            bands.update(((x_a, T), band) for T, band in zip(ts.tolist(), row))
     while picked < cells:  # plain-swap cells, skipping non-participating ones
         x_a = float(np.round(rng.uniform(*_MC_XA), 1))
         T = float(rng.integers(0, _MC_DELAYS))
@@ -421,10 +470,12 @@ def cmd_montecarlo(cfg: RunConfig) -> int:
         rows.append(["htlc", x_a, T, Tp, analytic, freq, se, _z_score(freq, analytic, paths)])
         picked += 1
 
+    xa = _mc_xa(_MC_QS_XA)
+    quick_bands = dict(zip(xa.tolist(), quickswapgame.continuation_band_t3(quick, x_a=xa)))
     for _ in range(cells):
-        x_a = float(np.round(rng.uniform(1.2, 2.6), 1))
+        x_a = float(np.round(rng.uniform(*_MC_QS_XA), 1))
         g = quick.with_x_a(x_a)
-        band = quickswapgame.continuation_band_t3(g)
+        band = quick_bands[x_a]
         analytic = quickswapgame.success_rate(g, band)
         freq, se = mc_success_rate_quickswap(g, paths, int(rng.integers(2**31)), band)
         rows.append(["quickswap", x_a, 0.0, 0.0, analytic, freq, se, _z_score(freq, analytic, paths)])

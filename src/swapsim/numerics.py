@@ -147,51 +147,45 @@ def find_roots(
     left, right = grid[:, :-1], grid[:, 1:]
     hits = (left == 0.0) | (left * right < 0.0)
     hits[:, -1] |= right[:, -1] == 0.0
-    tols = np.broadcast_to(np.asarray(tol, dtype=float), len(grid)).tolist()
-    roots: list[list] = [[] for _ in grid]
-    # Open brackets as [row, index in roots[row], a, b, g(a)].  The few
-    # brackets per step are cheaper to track in Python than in numpy.
-    live = []
-    for k, i in zip(*np.nonzero(hits)):
-        fa, fb = float(left[k, i]), float(right[k, i])
-        if fa == 0.0 or fb == 0.0:
-            roots[k].append(float(xs[k, i] if fa == 0.0 else xs[k, i + 1]))
-        else:
-            live.append([k, len(roots[k]), float(xs[k, i]), float(xs[k, i + 1]), fa])
-            roots[k].append(None)
-    while live:
-        steps, mids = [], []
-        for br in live:
-            k, pos, a, b, _ = br
-            m = 0.5 * (a + b)
-            # Adjacent floats: the bracket cannot shrink further, even when
-            # the float spacing at the root exceeds ``tol`` (large price scales).
-            if m == a or m == b or b - a <= tols[k]:
-                roots[k][pos] = m
-            else:
-                steps.append(br)
-                mids.append(m)
-        if not steps:
-            break
+    # Every sign change in row-major order: its row, and its root in ``found``.
+    rows, cols = np.nonzero(hits)
+    a, b = xs[rows, cols], xs[rows, cols + 1]
+    fa, fb = left[rows, cols], right[rows, cols]
+    found = np.where(fa == 0.0, a, b)
+    counts = np.bincount(rows, minlength=len(grid))
+    # Open brackets, one array entry each; ``rows`` stays ascending.
+    live = (fa != 0.0) & (fb != 0.0)
+    tols = np.broadcast_to(np.asarray(tol, dtype=float), len(grid))
+    rows, pos = rows[live], np.flatnonzero(live)
+    a, b, fa = a[live], b[live], fa[live]
+    tl = tols[rows]
+    while rows.size:
+        m = 0.5 * (a + b)
+        # Adjacent floats: the bracket cannot shrink further, even when
+        # the float spacing at the root exceeds ``tol`` (large price scales).
+        done = (m == a) | (m == b) | (b - a <= tl)
+        if done.any():
+            found[pos[done]] = m[done]
+            go = ~done
+            rows, pos, a, b, fa, tl, m = (v[go] for v in (rows, pos, a, b, fa, tl, m))
+            if not rows.size:
+                break
         if single:
-            fms = np.asarray(g(np.array(mids)), dtype=float).tolist()
+            fm = np.asarray(g(m), dtype=float)
         else:
-            rows, slots, used = [], [], [0] * len(grid)
-            for br in steps:
-                rows.append(br[0])
-                slots.append(used[br[0]])
-                used[br[0]] += 1
-            padded = np.repeat(lo_col, max(used), axis=1)
-            padded[rows, slots] = mids
-            fms = np.asarray(g(padded), dtype=float)[rows, slots].tolist()
-        live = []
-        for br, m, fm in zip(steps, mids, fms):
-            if abs(fm) <= tols[br[0]]:
-                roots[br[0]][br[1]] = m
-                continue
-            if br[4] * fm < 0.0:
-                br[3] = m
-            else:
-                br[2], br[4] = m, fm
-            live.append(br)
+            # Slot of each bracket among its row's open brackets.
+            slots = np.arange(len(rows)) - np.searchsorted(rows, rows)
+            padded = np.repeat(lo_col, slots.max() + 1, axis=1)
+            padded[rows, slots] = m
+            fm = np.asarray(g(padded), dtype=float)[rows, slots]
+        left_of = fa * fm < 0.0
+        b = np.where(left_of, m, b)
+        a = np.where(left_of, a, m)
+        fa = np.where(left_of, fa, fm)
+        done = np.abs(fm) <= tl
+        if done.any():
+            found[pos[done]] = m[done]
+            go = ~done
+            rows, pos, a, b, fa, tl = (v[go] for v in (rows, pos, a, b, fa, tl))
+    roots = [r.tolist() for r in np.split(found, np.cumsum(counts)[:-1])]
     return roots[0] if single else roots

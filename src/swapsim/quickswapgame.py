@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .htlcgame import _SOLVE, SwapParams, _scan_bracket, _sr_integral, _xa_column, sr_surface, widest_band
+from .htlcgame import (_BAND_BLOCK_ROWS, _SOLVE, SwapParams, _scan_bracket, _sr_integral, _xa_column,
+                       sr_surface, widest_band)
 # ``find_roots``, ``integrate`` and ``transition_pdf`` are no longer called
 # here (the band and SR solvers are shared with htlcgame); the bindings stay
 # for perfbench, which wraps them by name.
@@ -317,7 +318,10 @@ def compare_participation(
 
     # A cell where participation fails contributes zero completed swaps.
     worst = np.nan_to_num(grid.raw, nan=0.0).min(axis=(1, 2))
-    bands = continuation_band_t3(q, x_a=xa)
+    # Bands in blocks of at most _BAND_BLOCK_ROWS x_a, as in sr_surface: one
+    # block over a long axis costs about 26 KB of scan arrays per x_a.
+    bands = [band for start in range(0, len(xa), _BAND_BLOCK_ROWS)
+             for band in continuation_band_t3(q, x_a=xa[start:start + _BAND_BLOCK_ROWS])]
     quick = np.array([success_rate(q.with_x_a(float(x)), band) for x, band in zip(xa, bands)])
 
     r_zero = _nonzero_range(xa, grid.raw[:, 0, 0])

@@ -1,14 +1,18 @@
+import hashlib
+import importlib
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from swapsim import cli
+from swapsim import cli, htlcgame, quickswapgame
 from swapsim.cli import main
 
 
@@ -109,6 +113,13 @@ def test_params_file_round_trip(tmp_path):
     # One x_a cell past the limit; the grid is refused before any solve.
     (("htlc-surface", "--set", "xa_step=0.0001", "--set", "t_max=0", "--set", "tp_max=0"),
      "grid of 20001 cells is above the limit of 20000"),
+    (("montecarlo", "--set", "paths=4000001"), "paths must be in [1000, 4000000], got 4000001"),
+    # No claim delay fits the window: the up-front band solve is skipped and
+    # the first drawn T raises alone.
+    (("montecarlo", "--set", "t_b=4", "--set", "tau_b=1", "--set", "tau_a=1", "--set", "eps=4",
+      "--set", "D=2.5", "--set", "Delta=1"), "outside [0, -1]"),
+    (("cyclic-plan", "--set", "n=257"), "n must be <= 256, got 257"),
+    (("validate", "--set", "kind=cyclic", "--set", "n=257"), "n must be <= 256, got 257"),
 ])
 def test_malformed_inputs_exit_2_with_an_error_line(tmp_path, capsys, args, says):
     assert run_cli(*args, "--out", str(tmp_path / "run")) == 2
@@ -169,6 +180,121 @@ def test_montecarlo_exits_2_when_no_drawable_cell_participates(tmp_path, capsys,
 def test_montecarlo_rejects_tiny_path_counts(tmp_path):
     assert run_cli("montecarlo", "--out", str(tmp_path), "--set", "paths=0") == 2
     assert run_cli("montecarlo", "--out", str(tmp_path), "--set", "paths=999") == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("montecarlo", "--set", "paths=5e6", "--set", "cells=1"),
+    ("cyclic-plan", "--set", "n=2000000"),
+    ("validate", "--set", "kind=cyclic", "--set", "n=2000000"),
+])
+def test_size_limits_refuse_before_allocating(tmp_path, capsys, args):
+    # Refused while the traced peak stays under 1 MB: the oracles hold about
+    # 40 B a path and the default cyclic tuples about 100 B a party.
+    tracemalloc.start()
+    try:
+        code = run_cli(*args, "--out", str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and capsys.readouterr().err.startswith("error: ")
+    assert peak < 1_000_000
+
+
+def _digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("csv", "71247fd3e7a8e4763c0862b5d5679eb3fd36a7fd6f911c038f13ab2d89473ac4"),
+    ("json", "268484ae46c3b875cd826fc3df48b94c9e3b5c391b7d552bc5141cea0edc766f"),
+])
+def test_default_surface_bytes_are_pinned(tmp_path, fmt, digest):
+    assert run_cli("htlc-surface", "--out", str(tmp_path), "--format", fmt) == 0
+    assert _digest(tmp_path / f"htlc_surface.{fmt}") == digest
+
+
+def test_table_writer_edge_cases(tmp_path):
+    nan = float("nan")
+    columns = {
+        "f": np.array([nan, -0.0, 0.0, 2e12, 1 / 3, 2e12]),
+        "b": np.array([True, False, True, False, True, False]),
+        "cell": [None, nan, 2_000_000_000_000, 2e12, "A=delay(lock,6h) B=compliant", 'say "hi"'],
+        "any": [True, np.bool_(False), 1, -0.0, np.float64(0.5), np.int64(7)],
+    }
+    cfg = cli.RunConfig("test", {}, tmp_path)
+    cli._write_columns(cfg, "t", columns)
+    assert (tmp_path / "t.csv").read_text() == (
+        "f,b,cell,any\n"
+        "NA,1,NA,1\n"
+        "-0,0,NA,0\n"
+        "0,1,2000000000000,1\n"
+        "2e+12,0,2e+12,-0\n"
+        '0.333333333333,1,"A=delay(lock,6h) B=compliant",0.5\n'
+        '2e+12,0,"say ""hi""",7\n')
+    cfg.format = "json"
+    cli._write_columns(cfg, "t", columns)
+    rows = json.loads((tmp_path / "t.json").read_text())
+    assert [list(r.values()) for r in rows] == [  # keys sorted: any, b, cell, f
+        [True, True, None, None],
+        [False, False, None, -0.0],
+        [1, True, 2_000_000_000_000, 0.0],
+        [-0.0, False, 2e12, 2e12],
+        [0.5, True, "A=delay(lock,6h) B=compliant", 1 / 3],
+        [7, False, 'say "hi"', 2e12],
+    ]
+    assert '"cell": 2000000000000,' in (tmp_path / "t.json").read_text()
+    assert math.copysign(1.0, rows[1]["f"]) == -1.0
+    cli._write_columns(cfg, "empty", {"x": np.array([]), "y": []})
+    assert (tmp_path / "empty.json").read_text() == "[]\n"
+    cfg.format = "csv"
+    cli._write_columns(cfg, "empty", {"x": np.array([]), "y": []})
+    assert (tmp_path / "empty.csv").read_text() == "x,y\n"
+    assert cfg.outputs == ["t.csv", "t.json", "empty.json", "empty.csv"]
+
+
+def test_row_table_writer_matches_column_writer(tmp_path):
+    header = ["kind", "x", "flag", "label"]
+    rows = [["htlc", 1.5, True, None], ["quickswap", -0.0, False, "a,b"]]
+    cfg = cli.RunConfig("test", {}, tmp_path / "rows")
+    cli._write_table(cfg, "t", header, rows)
+    cli._write_table(cfg, "empty", header, [])
+    cfg_cols = cli.RunConfig("test", {}, tmp_path / "cols")
+    cli._write_columns(cfg_cols, "t", {h: [r[i] for r in rows] for i, h in enumerate(header)})
+    assert (tmp_path / "rows" / "t.csv").read_bytes() == (tmp_path / "cols" / "t.csv").read_bytes()
+    assert (tmp_path / "rows" / "t.csv").read_text() == (
+        "kind,x,flag,label\nhtlc,1.5,1,NA\nquickswap,-0,0,\"a,b\"\n")
+    assert (tmp_path / "rows" / "empty.csv").read_text() == "kind,x,flag,label\n"
+
+
+def test_reference_script_rewrites_montecarlo_cells(tmp_path, monkeypatch):
+    # perfbench/make_reference.py writes its Monte Carlo table through
+    # _write_table(cfg, name, header, rows); with no workload jobs it writes
+    # only that table, which must match the committed reference.
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    jobs = importlib.import_module("jobs")
+    make_reference = importlib.import_module("make_reference")
+    monkeypatch.setattr(jobs, "REFERENCE_DIR", tmp_path / "ref")
+    monkeypatch.setattr(jobs, "WORKLOADS", ())
+    assert make_reference.main() == 0
+    name = "montecarlo-analytic.csv"
+    assert (tmp_path / "ref" / name).read_bytes() == (bench / "reference" / name).read_bytes()
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "964369b4ed6552507ad3441e9641cc367e0b5afee9649fb932d1f49759745a31"),
+    (5, "8715236d87c0069148353378ac45c4260e05e0fa57f0d72808eb1105e96ba05f"),
+])
+def test_montecarlo_solves_every_band_in_one_call_per_game(tmp_path, monkeypatch, seed, digest):
+    calls = []
+    for module, name in ((htlcgame, "continuation_band_t2"), (quickswapgame, "continuation_band_t3")):
+        def counted(*args, _solve=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    assert run_cli("montecarlo", "--out", str(tmp_path), "--seed", str(seed)) == 0
+    assert calls == ["continuation_band_t2", "continuation_band_t3"]
+    assert _digest(tmp_path / "montecarlo.csv") == digest
 
 
 def test_validate_quickswap_passes(tmp_path):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import baseline
+from swapsim import htlcgame
 from swapsim.numerics import (
     Bracket,
     QuadratureDepthError,
@@ -171,3 +173,118 @@ def test_find_roots_per_row_scans_match_rows_solved_alone():
     for x in calls:
         for scan, row in zip(scans, x):
             assert ((scan.lo <= row) & (row <= scan.hi)).all()
+
+
+def _find_roots_loop(g, scan, grid_points=256, tol=1e-10):
+    """The bracket bookkeeping of ``find_roots`` as a plain Python loop.
+
+    The reference ``find_roots`` must match call for call: the same ``g``
+    inputs, in the same order, and the same roots.
+    """
+    single = isinstance(scan, Bracket)
+    if single:
+        xs = np.linspace(scan.lo, scan.hi, grid_points)
+    else:
+        lo_col = np.array([[b.lo] for b in scan])
+        xs = np.linspace(lo_col[:, 0], [b.hi for b in scan], grid_points, axis=-1)
+    grid, xs = np.atleast_2d(np.asarray(g(xs), dtype=float)), np.atleast_2d(xs)
+    left, right = grid[:, :-1], grid[:, 1:]
+    hits = (left == 0.0) | (left * right < 0.0)
+    hits[:, -1] |= right[:, -1] == 0.0
+    tols = np.broadcast_to(np.asarray(tol, dtype=float), len(grid)).tolist()
+    roots = [[] for _ in grid]
+    live = []
+    for k, i in zip(*np.nonzero(hits)):
+        fa, fb = float(left[k, i]), float(right[k, i])
+        if fa == 0.0 or fb == 0.0:
+            roots[k].append(float(xs[k, i] if fa == 0.0 else xs[k, i + 1]))
+        else:
+            live.append([k, len(roots[k]), float(xs[k, i]), float(xs[k, i + 1]), fa])
+            roots[k].append(None)
+    while live:
+        steps, mids = [], []
+        for br in live:
+            k, pos, a, b, _ = br
+            m = 0.5 * (a + b)
+            if m == a or m == b or b - a <= tols[k]:
+                roots[k][pos] = m
+            else:
+                steps.append(br)
+                mids.append(m)
+        if not steps:
+            break
+        if single:
+            fms = np.asarray(g(np.array(mids)), dtype=float).tolist()
+        else:
+            rows, slots, used = [], [], [0] * len(grid)
+            for br in steps:
+                rows.append(br[0])
+                slots.append(used[br[0]])
+                used[br[0]] += 1
+            padded = np.repeat(lo_col, max(used), axis=1)
+            padded[rows, slots] = mids
+            fms = np.asarray(g(padded), dtype=float)[rows, slots].tolist()
+        live = []
+        for br, m, fm in zip(steps, mids, fms):
+            if abs(fm) <= tols[br[0]]:
+                roots[br[0]][br[1]] = m
+                continue
+            if br[4] * fm < 0.0:
+                br[3] = m
+            else:
+                br[2], br[4] = m, fm
+            live.append(br)
+    return roots[0] if single else roots
+
+
+def _band_solves():
+    """(g, scan, kwargs) of the first 126-row band block of the default
+    surface (6 x_a by 21 claim delays) and of one single-row band solve."""
+    solves = []
+
+    def capture(g, scan, **kwargs):
+        solves.append((g, scan, kwargs))
+        return find_roots(g, scan, **kwargs)
+
+    p = baseline()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(htlcgame, "find_roots", capture)
+        htlcgame.continuation_band_t2(p, np.arange(21.0), x_a=np.round(1.0 + 0.1 * np.arange(6), 10))
+        htlcgame.continuation_band_t2(p, 0.0)
+    return solves
+
+
+def _recorded(solver, g, scan, **kwargs):
+    inputs = []
+
+    def recording(x):
+        inputs.append(np.array(x))
+        return g(x)
+
+    return solver(recording, scan, **kwargs), inputs
+
+
+def test_find_roots_calls_g_as_the_loop_reference_does():
+    cases = _band_solves() + [
+        (np.sin, Bracket(0.5, 10.5), {"grid_points": 21}),
+        (lambda x: np.copysign(1.0, x - (3e9 + 0.123)), Bracket(1e9, 5e9), {}),
+        (lambda x: np.stack([np.sin(x[0]), x[1] - 4.0, x[2] * x[2] + 1.0, np.cos(x[3])]),
+         [Bracket(0.5, 10.5)] * 3 + [Bracket(-7.0, 30.0)],
+         {"grid_points": 21, "tol": [1e-10, 1e-10, 1e-10, 1e-3]}),
+    ]
+    for g, scan, kwargs in cases:
+        got, seen = _recorded(find_roots, g, scan, **kwargs)
+        want, expected = _recorded(_find_roots_loop, g, scan, **kwargs)
+        assert got == want
+        assert len(seen) == len(expected)
+        for x, y in zip(seen, expected):
+            assert x.shape == y.shape and np.array_equal(x, y)
+
+
+def test_band_solves_keep_their_g_call_shapes():
+    # One grid call, then one call per bisection step on the most open
+    # brackets of any row.
+    shapes = [[x.shape for x in _recorded(find_roots, g, scan, **kwargs)[1]]
+              for g, scan, kwargs in _band_solves()]
+    assert shapes == [[(126, 256)] + [(126, 2)] * 28 + [(126, 1)],
+                      [(256,)] + [(2,)] * 26 + [(1,)] * 2]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import baseline, quick_baseline
-from swapsim import htlcgame
+from swapsim import htlcgame, quickswapgame
 from swapsim.numerics import Bracket
 from swapsim.quickswapgame import (
     QuickSwapParams,
@@ -190,3 +190,23 @@ def test_participation_solves_each_game_once(monkeypatch):
     # No row widens on the default config: one HTLC solve of 21 x_a by 5
     # delays and one Quick Swap solve of 21 rows.
     assert rows == [21 * 5, 21]
+
+
+def test_participation_solves_quick_swap_bands_in_blocks(monkeypatch):
+    q = quick_baseline()
+    xa = np.round(np.arange(1.0, 3.0 + 1e-9, 0.1), 10)
+    whole = continuation_band_t3(q, x_a=xa)
+    blocks = []
+    solve = quickswapgame.continuation_band_t3
+
+    def recorded(*args, **kwargs):
+        blocks.append(solve(*args, **kwargs))
+        return blocks[-1]
+
+    monkeypatch.setattr(quickswapgame, "continuation_band_t3", recorded)
+    monkeypatch.setattr(quickswapgame, "_BAND_BLOCK_ROWS", 8)
+    report = compare_participation(q.base, q, xa)
+    assert [len(b) for b in blocks] == [8, 8, 5]
+    assert [band for b in blocks for band in b] == whole
+    assert report.quick_sr.tolist() == [success_rate(q.with_x_a(x), band)
+                                        for x, band in zip(xa.tolist(), whole)]
