@@ -86,9 +86,12 @@ _PARAMS: dict[str, dict] = {
     "montecarlo": {**_BASE_DEFAULTS, **_QUICK_DEFAULTS, **_MC_DEFAULTS},
     "cyclic-plan": _CYCLIC_DEFAULTS,
 }
-# Largest grid htlc-surface or quickswap-sr may ask for, in cells.  The cost
-# per cell is set by quickswap-sr, which solves its whole x_a axis in one band
-# block: at the limit it ran 74 s and peaked at 529 MB on a 2-CPU x86 host.
+# Largest grid htlc-surface or quickswap-sr may ask for, in cells.  Bands are
+# solved in blocks of at most 128 rows, so the limit is loose.  On a 2-CPU x86
+# host, quickswap-sr at the limit (20,000 x_a) ran 28 s and peaked at 61 MB,
+# and the limit refuses htlc-surface grids that run well: xa_step=0.01 (92,862
+# cells) took 0.9 s and 56 MB in CSV and 184 MB in JSON, and xa_step=0.002
+# (462,462 cells) took 4.7 s and 125 MB in CSV.
 _MAX_GRID_CELLS = 20_000
 
 
@@ -261,25 +264,30 @@ def _json_cells(col) -> list:
     return [_jsonable(v) for v in col]
 
 
+def _write_json(cfg: RunConfig, name: str, payload) -> None:
+    """Write ``payload`` to ``name`` in the output directory as sorted, indented JSON."""
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    (cfg.out_dir / name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                                    encoding="utf-8", newline="\n")
+
+
 def _write_columns(cfg: RunConfig, name: str, columns: dict) -> None:
     """Write one table, given as header -> column.
 
     A column is a float ndarray (NaN written as NA, or null in JSON), a bool
     ndarray, or a list of cells of any type ``_fmt``/``_jsonable`` take.
     """
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     header = list(columns)
     if cfg.format == "csv":
-        path = cfg.out_dir / f"{name}.csv"
+        name += ".csv"
         lines = [",".join(header)]
         lines += map(",".join, zip(*map(_csv_cells, columns.values())))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        (cfg.out_dir / name).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     else:
-        path = cfg.out_dir / f"{name}.json"
-        payload = [dict(zip(header, row)) for row in zip(*map(_json_cells, columns.values()))]
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8", newline="\n")
-    cfg.outputs.append(path.name)
+        name += ".json"
+        _write_json(cfg, name, [dict(zip(header, row)) for row in zip(*map(_json_cells, columns.values()))])
+    cfg.outputs.append(name)
 
 
 def _write_table(cfg: RunConfig, name: str, header: list[str], rows: list[list]) -> None:
@@ -288,8 +296,7 @@ def _write_table(cfg: RunConfig, name: str, header: list[str], rows: list[list])
 
 
 def _write_manifest(cfg: RunConfig) -> None:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {
+    _write_json(cfg, "manifest.json", {
         "subcommand": cfg.subcommand,
         "seed": cfg.seed,
         "format": cfg.format,
@@ -297,10 +304,7 @@ def _write_manifest(cfg: RunConfig) -> None:
         "params": {k: _jsonable(v) for k, v in sorted(cfg.params.items())},
         "outputs": sorted(cfg.outputs),
         "summary": {k: _jsonable(v) for k, v in sorted(cfg.summary.items())},
-    }
-    path = cfg.out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8", newline="\n")
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +360,8 @@ def cmd_quickswap_sr(cfg: RunConfig) -> int:
         "quick_contains_htlc": report.quick_contains_htlc,
         "quick_strictly_contains_worst": report.quick_strictly_contains_worst,
     }
-    path = cfg.out_dir / "participation.json"
-    path.write_text(json.dumps(report_payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8", newline="\n")
-    cfg.outputs.append(path.name)
+    _write_json(cfg, "participation.json", report_payload)
+    cfg.outputs.append("participation.json")
     cfg.summary = dict(report_payload)
     _write_manifest(cfg)
     return 0
@@ -435,27 +437,26 @@ def cmd_montecarlo(cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     base = _swap_params(p)
     quick = _quick_params(p)
-    rows = []
-    picked = 0
+    # Both windows must hold every delay the draw can produce, so whether a
+    # config is accepted does not depend on the seed.
+    htlcgame._check_delay("claim delay T", _MC_DELAYS - 1, base.claim_delay_window)
+    htlcgame._check_delay("lock delay T'", _MC_DELAYS - 1, base.lock_delay_window)
     # Each band (it depends on x_a and T only) and each cell's analytic SR
-    # is solved once per job.  The bands of every drawable (x_a, T) are
-    # solved up front in one lockstep call; a T outside the claim-delay
-    # window is left to its own solve, which raises.
-    bands: dict = {}  # (x_a, T) -> band
-    srs: dict = {}  # (x_a, T, T') -> analytic SR
+    # is solved once per job: the bands of every drawable (x_a, T), keyed
+    # by that pair, in one lockstep call.
     xa = _mc_xa(_MC_XA)
     ts = np.arange(float(_MC_DELAYS))
-    ts = ts[ts <= base.claim_delay_window]
-    if ts.size:
-        for x_a, row in zip(xa.tolist(), htlcgame.continuation_band_t2(base, ts, x_a=xa)):
-            bands.update(((x_a, T), band) for T, band in zip(ts.tolist(), row))
+    bands = {(x_a, T): band
+             for x_a, row in zip(xa.tolist(), htlcgame.continuation_band_t2(base, ts, x_a=xa))
+             for T, band in zip(ts.tolist(), row)}
+    srs: dict = {}  # (x_a, T, T') -> analytic SR
+    rows = []
+    picked = 0
     while picked < cells:  # plain-swap cells, skipping non-participating ones
         x_a = float(np.round(rng.uniform(*_MC_XA), 1))
         T = float(rng.integers(0, _MC_DELAYS))
         Tp = float(rng.integers(0, _MC_DELAYS))
         g = base.with_x_a(x_a)
-        if (x_a, T) not in bands:
-            bands[x_a, T] = htlcgame.continuation_band_t2(g, T)
         band = bands[x_a, T]
         if (x_a, T, Tp) not in srs:
             srs[x_a, T, Tp] = htlcgame.success_rate(g, T, Tp, band)

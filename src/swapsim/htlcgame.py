@@ -38,7 +38,7 @@ __all__ = [
 
 _ROOT_SCAN_POINTS = 256
 _ROOT_TOL = 1e-10
-# Most band rows ``sr_surface`` solves in one lockstep call.  Wider blocks
+# Most band rows ``widest_band`` solves in one lockstep call.  Wider blocks
 # save no time (the scan is bound by the elementwise erfc) but raise peak
 # memory: all 441 rows of the default surface at once cost about 6 MB more.
 _BAND_BLOCK_ROWS = 128
@@ -232,25 +232,26 @@ def _scan_bracket(*prices: float) -> Bracket:
     return Bracket(ref * 1e-3, ref * 12.0)
 
 
-def widest_band(g, scan, rows: np.ndarray | None = None):
-    """Widest interval of the scan on which ``g > 0``, for each row of ``g``.
+def widest_band(g, scans: list[Bracket], rows: np.ndarray) -> list[Bracket | None]:
+    """Widest interval of its scan on which ``g > 0``, for each row of ``g``.
 
     ``g(x, rows)`` evaluates B's continue-minus-exit value of the rows
     ``rows`` (an index array) at prices ``x``: (len(rows), n) values, one
-    row each.  ``scan`` then holds one Bracket per row, each row scans its
-    own grid, and all rows bisect in lockstep.  With ``rows=None`` there is
-    a single row, ``scan`` is one Bracket and ``g`` returns an array shaped
-    like ``x``; then one band (or None) is returned instead of a list.
-    When more than two crossings appear, the widest winning interval is
-    kept; a row with no crossing has no band.
+    row each.  ``scans`` holds one Bracket per row and each row scans its
+    own grid; blocks of at most ``_BAND_BLOCK_ROWS`` rows bisect in
+    lockstep.  When more than two crossings appear, the widest winning
+    interval is kept; a row with no crossing has no band (None).
     """
-    scans = [scan] if rows is None else list(scan)
+    if len(rows) > _BAND_BLOCK_ROWS:
+        return [band for start in range(0, len(rows), _BAND_BLOCK_ROWS)
+                for band in widest_band(g, scans[start:start + _BAND_BLOCK_ROWS],
+                                        rows[start:start + _BAND_BLOCK_ROWS])]
+    if not scans:
+        return []
     # The default scan's hi is 12x its largest price: the tolerance shrinks
     # with small prices, so their bands do not drift, and never grows.
     tols = [_ROOT_TOL * min(1.0, s.hi / 12.0) for s in scans]
-    roots = find_roots(lambda x: g(x, rows), scan, grid_points=_ROOT_SCAN_POINTS, tol=tols)
-    if rows is None:
-        roots = [roots]
+    roots = find_roots(lambda x: g(x, rows), scans, grid_points=_ROOT_SCAN_POINTS, tol=tols)
     edges = [[s.lo, *r, s.hi] for s, r in zip(scans, roots)]
     mids = np.repeat([[s.lo] for s in scans], max(map(len, edges)) - 1, axis=1)
     for row, e in zip(mids, edges):
@@ -269,11 +270,9 @@ def widest_band(g, scan, rows: np.ndarray | None = None):
             if b is not None and (b.lo == s.lo or b.hi == s.hi) and s.hi / max(s.lo, 1e-12) <= 1e8]
     if edge:
         wider = [Bracket(scans[k].lo * 0.1, scans[k].hi * 10.0) for k in edge]
-        if rows is None:
-            return widest_band(g, wider[0])
         for k, band in zip(edge, widest_band(g, wider, rows[edge])):
             bands[k] = band
-    return bands[0] if rows is None else bands
+    return bands
 
 
 def _default_scan(p: SwapParams) -> Bracket:
@@ -283,32 +282,28 @@ def _default_scan(p: SwapParams) -> Bracket:
 def continuation_band_t2(p: SwapParams, T, scan: Bracket | None = None, x_a=None) -> Bracket | None | list:
     """Price band over which B prefers locking at the middle node.
 
-    Roots of u_B(continue) - u_B(stop), solved by ``widest_band``.  ``T``
-    may be a 1-D array of claim delays; then one band (or None) is returned
-    per delay.  With ``x_a``, a 1-D array, the bands of every (x_a, T) pair
-    are solved in one lockstep call and one list of bands is returned per
-    x_a (one band per x_a when ``T`` is a scalar).  Each x_a has its own
-    scan bracket, which ``scan`` overrides for every row.
+    Roots of u_B(continue) - u_B(stop), solved by ``widest_band`` for every
+    (x_a, T) pair at once.  ``T`` is a claim delay or a 1-D array of them,
+    and ``x_a`` None (``p.x_a`` alone) or a 1-D array.  The bands (None
+    where B never locks) come back nested like ``x_a`` by ``T``: one band
+    for a scalar ``T`` without ``x_a``, one list per x_a when both are
+    arrays.  Each x_a has its own scan bracket, which ``scan`` overrides
+    for every row.
     """
     _check_delay("claim delay T", T, p.claim_delay_window)
-    if x_a is None and np.ndim(T) == 0:
-        # A scalar delay keeps scalar arithmetic in the payoff, which is
-        # cheaper on the few midpoints of a bisection step.
-        return widest_band(lambda x, rows: _u_B_cont_t2(p, x, T) - x, scan or _default_scan(p))
     ts = np.atleast_1d(np.asarray(T, dtype=float))
-    qs = [p] if x_a is None else [p.with_x_a(x) for x in np.asarray(x_a, dtype=float).tolist()]
+    xs = np.atleast_1d(np.asarray(p.x_a if x_a is None else x_a, dtype=float))
     # Row i * len(ts) + j pairs the i-th x_a with the j-th delay.
-    row_xa = np.repeat([q.x_a for q in qs], len(ts))
-    row_t = np.tile(ts, len(qs))[:, None]
+    row_xa = np.repeat(xs, len(ts))
+    row_t = np.tile(ts, len(xs))[:, None]
 
     def g(x, rows):
         return _u_B_cont_t2(_xa_column(p, row_xa[rows]), x, row_t[rows]) - x
 
-    scans = [s for q in qs for s in [scan or _default_scan(q)] * len(ts)]
+    # The lazy map validates each x_a without holding one SwapParams per x_a.
+    scans = [s for q in map(p.with_x_a, xs.tolist()) for s in [scan or _default_scan(q)] * len(ts)]
     bands = widest_band(g, scans, np.arange(len(scans)))
-    if x_a is None or np.ndim(T) == 0:
-        return bands
-    return [bands[i:i + len(ts)] for i in range(0, len(bands), len(ts))]
+    return np.array(bands, dtype=object).reshape(np.shape(x_a) + np.shape(T)).tolist()
 
 
 def success_rate(p: SwapParams, T: float, Tp: float, band=_SOLVE) -> float | None:
@@ -331,11 +326,10 @@ def sr_surface(
 ) -> SRGrid:
     """Evaluate the success rate over the full (x_a, T, T') grid.
 
-    B's continuation band is independent of T', so the bands of every T of
-    a block of consecutive x_a values (at most ``_BAND_BLOCK_ROWS`` rows)
-    are solved together, the root-node integral of one x_a covers every
-    (T, T') pair in one call, and the SR integral of each (x_a, T) pair
-    runs with T' as a batch axis.
+    B's continuation band is independent of T', so the bands of every
+    (x_a, T) pair are solved in one ``continuation_band_t2`` call, the
+    root-node integral of one x_a covers every (T, T') pair in one call,
+    and the SR integral of each (x_a, T) pair runs with T' as a batch axis.
     """
     xa = np.asarray(xa_grid, dtype=float)
     ts = np.asarray(T_grid, dtype=float)
@@ -344,11 +338,8 @@ def sr_surface(
     raw = np.full((len(xa), len(ts), len(tps)), np.nan)
     na = np.zeros_like(raw, dtype=bool)
 
-    block = max(1, _BAND_BLOCK_ROWS // max(1, len(ts)))
-    for start in range(0, len(xa), block):
-        rows = continuation_band_t2(p, ts, x_a=xa[start:start + block])
-        for i, bands in enumerate(rows, start):
-            raw[i], na[i] = _sr_rows(p.with_x_a(float(xa[i])), ts, tps, bands)
+    for i, bands in enumerate(continuation_band_t2(p, ts, x_a=xa)):
+        raw[i], na[i] = _sr_rows(p.with_x_a(float(xa[i])), ts, tps, bands)
 
     conditional = raw / norm if norm > 0 else np.where(np.isnan(raw), np.nan, 0.0)
     return SRGrid(raw=raw, conditional=conditional, na_mask=na)

@@ -45,7 +45,8 @@ class QuadratureSpec:
             raise ValueError("max_depth must be >= 1")
 
 
-@dataclass(frozen=True)
+# Slots: a band table of 100,000 rows holds as many Brackets, 4 MB less.
+@dataclass(frozen=True, slots=True)
 class Bracket:
     lo: float
     hi: float
@@ -112,38 +113,31 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], bracket: Bracket, spec: Qua
 
 def find_roots(
     g: Callable,
-    scan: Bracket | Sequence[Bracket],
+    scans: Sequence[Bracket],
     grid_points: int = 256,
     tol: float | Sequence[float] = 1e-10,
-) -> list[float] | list[list[float]]:
-    """Scan a uniform grid for sign changes and bisect each to tolerance.
+) -> list[list[float]]:
+    """Scan a uniform grid per row for sign changes and bisect each to tolerance.
 
-    Grid points that are exact roots are returned directly.  Returns an
-    ascending list; empty when no sign change is found.  ``g`` is called on
-    arrays.  With one ``scan`` Bracket, ``g`` maps the (n,) grid to (n,)
-    values.  With a sequence of K Brackets, each row scans its own grid:
-    ``g`` maps the (K, n) grids to (K, n) values and one root list per row
-    is returned.  ``tol`` is one tolerance, or one per row.
+    Each of the K ``scans`` is one row with its own grid: ``g`` maps (K, n)
+    arrays to (K, n) values, and one ascending root list is returned per row
+    (empty when no sign change is found).  Grid points that are exact roots
+    are returned directly.  ``tol`` is one tolerance, or one per row.
 
-    All open brackets of all rows bisect in lockstep: each step is one call
-    of ``g`` on the midpoints, an (R,) array for one Bracket and (K, R) for
-    K, where R is the most open brackets in any row (idle slots hold the
-    row's own scan ``lo``; their values are discarded).  A bracket returns
-    its midpoint once the midpoint equals an endpoint (adjacent floats), the
-    bracket is at most ``tol`` wide, or |g(midpoint)| <= tol.
+    All open brackets of all rows bisect in lockstep: each step is one (K, R)
+    call of ``g`` on the midpoints, where R is the most open brackets in any
+    row (idle slots hold the row's own scan ``lo``; their values are
+    discarded).  A bracket returns its midpoint once the midpoint equals an
+    endpoint (adjacent floats), the bracket is at most ``tol`` wide, or
+    |g(midpoint)| <= tol.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
-    single = isinstance(scan, Bracket)
-    if single:
-        xs = np.linspace(scan.lo, scan.hi, grid_points)
-    else:
-        lo_col = np.array([[b.lo] for b in scan])
-        xs = np.linspace(lo_col[:, 0], [b.hi for b in scan], grid_points, axis=-1)
-    vals = np.asarray(g(xs), dtype=float)
-    if vals.shape != xs.shape:
-        raise ValueError(f"g returned shape {vals.shape}, expected {xs.shape}")
-    grid, xs = np.atleast_2d(vals), np.atleast_2d(xs)
+    lo_col = np.array([[b.lo] for b in scans])
+    xs = np.linspace(lo_col[:, 0], [b.hi for b in scans], grid_points, axis=-1)
+    grid = np.asarray(g(xs), dtype=float)
+    if grid.shape != xs.shape:
+        raise ValueError(f"g returned shape {grid.shape}, expected {xs.shape}")
     left, right = grid[:, :-1], grid[:, 1:]
     hits = (left == 0.0) | (left * right < 0.0)
     hits[:, -1] |= right[:, -1] == 0.0
@@ -170,14 +164,11 @@ def find_roots(
             rows, pos, a, b, fa, tl, m = (v[go] for v in (rows, pos, a, b, fa, tl, m))
             if not rows.size:
                 break
-        if single:
-            fm = np.asarray(g(m), dtype=float)
-        else:
-            # Slot of each bracket among its row's open brackets.
-            slots = np.arange(len(rows)) - np.searchsorted(rows, rows)
-            padded = np.repeat(lo_col, slots.max() + 1, axis=1)
-            padded[rows, slots] = m
-            fm = np.asarray(g(padded), dtype=float)[rows, slots]
+        # Slot of each bracket among its row's open brackets.
+        slots = np.arange(len(rows)) - np.searchsorted(rows, rows)
+        padded = np.repeat(lo_col, slots.max() + 1, axis=1)
+        padded[rows, slots] = m
+        fm = np.asarray(g(padded), dtype=float)[rows, slots]
         left_of = fa * fm < 0.0
         b = np.where(left_of, m, b)
         a = np.where(left_of, a, m)
@@ -187,5 +178,4 @@ def find_roots(
             found[pos[done]] = m[done]
             go = ~done
             rows, pos, a, b, fa, tl = (v[go] for v in (rows, pos, a, b, fa, tl))
-    roots = [r.tolist() for r in np.split(found, np.cumsum(counts)[:-1])]
-    return roots[0] if single else roots
+    return [r.tolist() for r in np.split(found, np.cumsum(counts)[:-1])]

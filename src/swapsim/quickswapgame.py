@@ -18,8 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .htlcgame import (_BAND_BLOCK_ROWS, _SOLVE, SwapParams, _scan_bracket, _sr_integral, _xa_column,
-                       sr_surface, widest_band)
+from .htlcgame import _SOLVE, SwapParams, _scan_bracket, _sr_integral, _xa_column, sr_surface, widest_band
 # ``find_roots``, ``integrate`` and ``transition_pdf`` are no longer called
 # here (the band and SR solvers are shared with htlcgame); the bindings stay
 # for perfbench, which wraps them by name.
@@ -75,10 +74,6 @@ class QuickSwapParams:
         if party == "B":
             return self.Q
         raise ValueError(f"unknown party {party!r}")
-
-    def cost(self, amount: float, hours: float) -> float:
-        """Opportunity cost c(amount * hours) = rho * amount * hours."""
-        return self.rho * amount * hours
 
     def with_x_a(self, x_a: float) -> "QuickSwapParams":
         return replace(self, base=self.base.with_x_a(x_a))
@@ -229,21 +224,21 @@ def continuation_band_t3(
     """Price band over which B prefers continuing to canceling at t3.
 
     Cancel strictly dominates stop (the stop path forfeits B's premium), so
-    the relevant comparison is continue vs cancel.  With ``x_a``, a 1-D
-    array, the bands of every x_a are solved in one lockstep call, each on
-    its own scan bracket (which ``scan`` overrides), and a list of bands is
-    returned.
+    the relevant comparison is continue vs cancel.  Solved by
+    ``widest_band``: one band (or None) for ``q`` alone, or, with ``x_a`` a
+    1-D array, a list of one band per x_a, each on its own scan bracket
+    (which ``scan`` overrides).
     """
-    if x_a is None:
-        return widest_band(lambda x, rows: _u_B_cont_t3(q, x) - _t3_cancel_B(q, x), scan or _default_scan(q))
-    qs = [q.with_x_a(x) for x in np.asarray(x_a, dtype=float).tolist()]
-    row_xa = np.array([r.base.x_a for r in qs])
+    xs = np.atleast_1d(np.asarray(q.base.x_a if x_a is None else x_a, dtype=float))
 
     def g(x, rows):
-        c = replace(q, base=_xa_column(q.base, row_xa[rows]))
+        c = replace(q, base=_xa_column(q.base, xs[rows]))
         return _u_B_cont_t3(c, x) - _t3_cancel_B(c, x)
 
-    return widest_band(g, [scan or _default_scan(r) for r in qs], np.arange(len(qs)))
+    # The lazy map validates each x_a, as in continuation_band_t2.
+    scans = [scan or _default_scan(r) for r in map(q.with_x_a, xs.tolist())]
+    bands = widest_band(g, scans, np.arange(len(xs)))
+    return bands[0] if x_a is None else bands
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +313,7 @@ def compare_participation(
 
     # A cell where participation fails contributes zero completed swaps.
     worst = np.nan_to_num(grid.raw, nan=0.0).min(axis=(1, 2))
-    # Bands in blocks of at most _BAND_BLOCK_ROWS x_a, as in sr_surface: one
-    # block over a long axis costs about 26 KB of scan arrays per x_a.
-    bands = [band for start in range(0, len(xa), _BAND_BLOCK_ROWS)
-             for band in continuation_band_t3(q, x_a=xa[start:start + _BAND_BLOCK_ROWS])]
+    bands = continuation_band_t3(q, x_a=xa)
     quick = np.array([success_rate(q.with_x_a(float(x)), band) for x, band in zip(xa, bands)])
 
     r_zero = _nonzero_range(xa, grid.raw[:, 0, 0])

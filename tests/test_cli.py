@@ -114,8 +114,7 @@ def test_params_file_round_trip(tmp_path):
     (("htlc-surface", "--set", "xa_step=0.0001", "--set", "t_max=0", "--set", "tp_max=0"),
      "grid of 20001 cells is above the limit of 20000"),
     (("montecarlo", "--set", "paths=4000001"), "paths must be in [1000, 4000000], got 4000001"),
-    # No claim delay fits the window: the up-front band solve is skipped and
-    # the first drawn T raises alone.
+    # No claim delay fits the window: refused before any draw.
     (("montecarlo", "--set", "t_b=4", "--set", "tau_b=1", "--set", "tau_a=1", "--set", "eps=4",
       "--set", "D=2.5", "--set", "Delta=1"), "outside [0, -1]"),
     (("cyclic-plan", "--set", "n=257"), "n must be <= 256, got 257"),
@@ -267,18 +266,30 @@ def test_row_table_writer_matches_column_writer(tmp_path):
 
 
 def test_reference_script_rewrites_montecarlo_cells(tmp_path, monkeypatch):
-    # perfbench/make_reference.py writes its Monte Carlo table through
-    # _write_table(cfg, name, header, rows); with no workload jobs it writes
-    # only that table, which must match the committed reference.
+    # perfbench/make_reference.py reruns every job of every workload and
+    # writes its Monte Carlo table through _write_table(cfg, name, header,
+    # rows).  Every file it writes must pass the benchmark's own reference
+    # check against the committed one, and the Monte Carlo table must match
+    # byte for byte.
     bench = Path(__file__).resolve().parent.parent / "perfbench"
     monkeypatch.syspath_prepend(str(bench))
     jobs = importlib.import_module("jobs")
     make_reference = importlib.import_module("make_reference")
-    monkeypatch.setattr(jobs, "REFERENCE_DIR", tmp_path / "ref")
-    monkeypatch.setattr(jobs, "WORKLOADS", ())
+    ref, committed = tmp_path / "ref", bench / "reference"
+    monkeypatch.setattr(jobs, "REFERENCE_DIR", ref)
     assert make_reference.main() == 0
+    names = sorted(path.relative_to(committed) for path in committed.rglob("*") if path.is_file())
+    assert names == sorted(path.relative_to(ref) for path in ref.rglob("*") if path.is_file())
+    dev = jobs.Deviation()
+    for name in names:
+        got, want = ((d / name).read_text(encoding="utf-8") for d in (ref, committed))
+        if name.suffix == ".csv":
+            jobs.compare_csv(got, want, dev, str(name))
+        else:
+            jobs.compare_json(json.loads(got), json.loads(want), dev, str(name))
+    assert dev.max_abs <= jobs.FLOAT_TOL
     name = "montecarlo-analytic.csv"
-    assert (tmp_path / "ref" / name).read_bytes() == (bench / "reference" / name).read_bytes()
+    assert (ref / name).read_bytes() == (committed / name).read_bytes()
 
 
 @pytest.mark.parametrize("seed, digest", [
@@ -295,6 +306,35 @@ def test_montecarlo_solves_every_band_in_one_call_per_game(tmp_path, monkeypatch
     assert run_cli("montecarlo", "--out", str(tmp_path), "--seed", str(seed)) == 0
     assert calls == ["continuation_band_t2", "continuation_band_t3"]
     assert _digest(tmp_path / "montecarlo.csv") == digest
+
+
+def test_montecarlo_band_table_holds_every_drawable_cell(tmp_path, monkeypatch):
+    rows = []
+    solve = htlcgame.continuation_band_t2
+
+    def counted(p, T, scan=None, x_a=None):
+        rows.append(np.size(x_a) * np.size(T))
+        return solve(p, T, scan, x_a)
+
+    monkeypatch.setattr(htlcgame, "continuation_band_t2", counted)
+    assert run_cli("montecarlo", "--out", str(tmp_path), "--set", "paths=1000", "--set", "cells=2") == 0
+    # x_a 1.5..2.4 by T 0..3 in one call, and no band solved per draw.
+    assert rows == [40]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("settings, says", [
+    (("t_a=29.5",), "lock delay T'=3 outside [0, 2.5]"),
+    (("t_b=4.5", "tau_b=1", "tau_a=1", "eps=1", "D=2.5", "Delta=1"), "claim delay T=3 outside [0, 2.5]"),
+])
+def test_montecarlo_refuses_a_window_narrower_than_its_draws(tmp_path, capsys, settings, says, seed):
+    # Both windows must hold every delay the draw can produce (0..3).  These
+    # configs used to run or exit 2 depending on whether the seed drew a
+    # delay of 3.
+    sets = [arg for setting in settings for arg in ("--set", setting)]
+    assert run_cli("montecarlo", "--out", str(tmp_path), "--seed", str(seed), *sets) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and says in err
 
 
 def test_validate_quickswap_passes(tmp_path):

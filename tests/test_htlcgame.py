@@ -394,6 +394,6 @@ def test_surface_solves_bands_in_blocks(monkeypatch):
     monkeypatch.setattr(htlcgame, "find_roots", counted)
     xa = np.round(np.arange(1.0, 3.0 + 1e-9, 0.1), 10)
     sr_surface(baseline(), xa, np.arange(21.0), [0.0])
-    # Consecutive x_a values share a solve of at most 128 rows (6 x_a of 21
-    # delays); no row of the default config widens.
-    assert rows == [126, 126, 126, 63]
+    # widest_band solves the 441 (x_a, T) rows in blocks of at most 128
+    # consecutive rows; no row of the default config widens.
+    assert rows == [128, 128, 128, 57]

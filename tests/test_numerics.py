@@ -69,15 +69,15 @@ def test_bracket_validation():
 
 
 def test_find_roots_simple_and_double():
-    roots = find_roots(lambda x: (x - 1.0) * (x - 2.5), Bracket(0.0, 4.0))
+    roots = find_roots(lambda x: (x - 1.0) * (x - 2.5), [Bracket(0.0, 4.0)])[0]
     assert len(roots) == 2
     assert roots[0] == pytest.approx(1.0, abs=1e-8)
     assert roots[1] == pytest.approx(2.5, abs=1e-8)
-    assert find_roots(lambda x: x * x + 1.0, Bracket(-3.0, 3.0)) == []
+    assert find_roots(lambda x: x * x + 1.0, [Bracket(-3.0, 3.0)]) == [[]]
 
 
 def test_find_roots_returns_sorted():
-    roots = find_roots(np.sin, Bracket(0.5, 10.0))
+    roots = find_roots(np.sin, [Bracket(0.5, 10.0)])[0]
     assert roots == sorted(roots)
     assert len(roots) == 3  # pi, 2*pi, 3*pi
     for r, expect in zip(roots, (math.pi, 2 * math.pi, 3 * math.pi)):
@@ -91,13 +91,13 @@ def test_find_roots_vectorized_scan_matches_scalar_scan():
         calls.append(np.shape(x))
         return np.sin(x)
 
-    roots = find_roots(g, Bracket(0.5, 10.0))
+    (roots,) = find_roots(g, [Bracket(0.5, 10.0)])
     # One grid call, then one array call per bisection step holding the
     # midpoints of every open bracket: the three brackets start together
     # and only close.
-    assert calls[0] == (256,)
-    sizes = [shape[0] for shape in calls[1:]]
-    assert all(len(shape) == 1 for shape in calls[1:])
+    assert calls[0] == (1, 256)
+    sizes = [shape[1] for shape in calls[1:]]
+    assert all(len(shape) == 2 and shape[0] == 1 for shape in calls[1:])
     assert sizes[0] == 3 and sizes == sorted(sizes, reverse=True)
     assert len(roots) == 3
     for r, expect in zip(roots, (math.pi, 2 * math.pi, 3 * math.pi)):
@@ -120,7 +120,7 @@ def test_find_roots_rows_match_rows_solved_alone():
         return np.array([f(row) for f, row in zip(fs, x)])
 
     got = find_roots(g, [scan] * len(fs), grid_points=21)
-    assert got == [find_roots(f, scan, grid_points=21) for f in fs]
+    assert got == [find_roots(f, [scan], grid_points=21)[0] for f in fs]
     assert [len(r) for r in got] == [0, 3, 1, 1, 1]
     assert got[2] == [4.0] and got[4] == [10.5]
     assert got[3][0] == pytest.approx(math.log(5.0), abs=1e-9)
@@ -136,7 +136,7 @@ def test_find_roots_stops_at_float_resolution():
     # drops below tol: bisection must stop once the bracket holds two
     # adjacent floats.
     root = 3e9 + 0.123
-    got = find_roots(lambda x: np.copysign(1.0, x - root), Bracket(1e9, 5e9), tol=1e-10)
+    (got,) = find_roots(lambda x: np.copysign(1.0, x - root), [Bracket(1e9, 5e9)], tol=1e-10)
     assert len(got) == 1
     assert abs(got[0] - root) <= 2 * math.ulp(root)
 
@@ -161,7 +161,7 @@ def test_find_roots_per_row_scans_match_rows_solved_alone():
         return np.array([f(row) for (_, f), row in zip(rows, x)])
 
     got = find_roots(g, scans, grid_points=21, tol=tols)
-    assert got == [find_roots(f, scan, grid_points=21, tol=tol) for (scan, f), tol in zip(rows, tols)]
+    assert got == [find_roots(f, [scan], grid_points=21, tol=tol)[0] for (scan, f), tol in zip(rows, tols)]
     assert [len(r) for r in got] == [0, 3, 1, 1, 1]
     assert got[2] == [4.0]
     assert got[3][0] == pytest.approx(12345.678, abs=1e-6)
@@ -175,19 +175,15 @@ def test_find_roots_per_row_scans_match_rows_solved_alone():
             assert ((scan.lo <= row) & (row <= scan.hi)).all()
 
 
-def _find_roots_loop(g, scan, grid_points=256, tol=1e-10):
+def _find_roots_loop(g, scans, grid_points=256, tol=1e-10):
     """The bracket bookkeeping of ``find_roots`` as a plain Python loop.
 
     The reference ``find_roots`` must match call for call: the same ``g``
     inputs, in the same order, and the same roots.
     """
-    single = isinstance(scan, Bracket)
-    if single:
-        xs = np.linspace(scan.lo, scan.hi, grid_points)
-    else:
-        lo_col = np.array([[b.lo] for b in scan])
-        xs = np.linspace(lo_col[:, 0], [b.hi for b in scan], grid_points, axis=-1)
-    grid, xs = np.atleast_2d(np.asarray(g(xs), dtype=float)), np.atleast_2d(xs)
+    lo_col = np.array([[b.lo] for b in scans])
+    xs = np.linspace(lo_col[:, 0], [b.hi for b in scans], grid_points, axis=-1)
+    grid = np.asarray(g(xs), dtype=float)
     left, right = grid[:, :-1], grid[:, 1:]
     hits = (left == 0.0) | (left * right < 0.0)
     hits[:, -1] |= right[:, -1] == 0.0
@@ -213,17 +209,14 @@ def _find_roots_loop(g, scan, grid_points=256, tol=1e-10):
                 mids.append(m)
         if not steps:
             break
-        if single:
-            fms = np.asarray(g(np.array(mids)), dtype=float).tolist()
-        else:
-            rows, slots, used = [], [], [0] * len(grid)
-            for br in steps:
-                rows.append(br[0])
-                slots.append(used[br[0]])
-                used[br[0]] += 1
-            padded = np.repeat(lo_col, max(used), axis=1)
-            padded[rows, slots] = mids
-            fms = np.asarray(g(padded), dtype=float)[rows, slots].tolist()
+        rows, slots, used = [], [], [0] * len(grid)
+        for br in steps:
+            rows.append(br[0])
+            slots.append(used[br[0]])
+            used[br[0]] += 1
+        padded = np.repeat(lo_col, max(used), axis=1)
+        padded[rows, slots] = mids
+        fms = np.asarray(g(padded), dtype=float)[rows, slots].tolist()
         live = []
         for br, m, fm in zip(steps, mids, fms):
             if abs(fm) <= tols[br[0]]:
@@ -234,12 +227,13 @@ def _find_roots_loop(g, scan, grid_points=256, tol=1e-10):
             else:
                 br[2], br[4] = m, fm
             live.append(br)
-    return roots[0] if single else roots
+    return roots
 
 
 def _band_solves():
-    """(g, scan, kwargs) of the first 126-row band block of the default
-    surface (6 x_a by 21 claim delays) and of one single-row band solve."""
+    """(g, scans, kwargs) of the band solves of 147 rows of the default
+    surface (x_a 1.0 to 1.6 by 21 claim delays), one 128-row block and one
+    19-row block, and of one single-row band solve."""
     solves = []
 
     def capture(g, scan, **kwargs):
@@ -249,7 +243,7 @@ def _band_solves():
     p = baseline()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(htlcgame, "find_roots", capture)
-        htlcgame.continuation_band_t2(p, np.arange(21.0), x_a=np.round(1.0 + 0.1 * np.arange(6), 10))
+        htlcgame.continuation_band_t2(p, np.arange(21.0), x_a=np.round(1.0 + 0.1 * np.arange(7), 10))
         htlcgame.continuation_band_t2(p, 0.0)
     return solves
 
@@ -266,8 +260,8 @@ def _recorded(solver, g, scan, **kwargs):
 
 def test_find_roots_calls_g_as_the_loop_reference_does():
     cases = _band_solves() + [
-        (np.sin, Bracket(0.5, 10.5), {"grid_points": 21}),
-        (lambda x: np.copysign(1.0, x - (3e9 + 0.123)), Bracket(1e9, 5e9), {}),
+        (np.sin, [Bracket(0.5, 10.5)], {"grid_points": 21}),
+        (lambda x: np.copysign(1.0, x - (3e9 + 0.123)), [Bracket(1e9, 5e9)], {}),
         (lambda x: np.stack([np.sin(x[0]), x[1] - 4.0, x[2] * x[2] + 1.0, np.cos(x[3])]),
          [Bracket(0.5, 10.5)] * 3 + [Bracket(-7.0, 30.0)],
          {"grid_points": 21, "tol": [1e-10, 1e-10, 1e-10, 1e-3]}),
@@ -286,5 +280,6 @@ def test_band_solves_keep_their_g_call_shapes():
     # brackets of any row.
     shapes = [[x.shape for x in _recorded(find_roots, g, scan, **kwargs)[1]]
               for g, scan, kwargs in _band_solves()]
-    assert shapes == [[(126, 256)] + [(126, 2)] * 28 + [(126, 1)],
-                      [(256,)] + [(2,)] * 26 + [(1,)] * 2]
+    assert shapes == [[(128, 256)] + [(128, 2)] * 28 + [(128, 1)],
+                      [(19, 256)] + [(19, 2)] * 28,
+                      [(1, 256)] + [(1, 2)] * 26 + [(1, 1)] * 2]

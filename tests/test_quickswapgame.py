@@ -37,7 +37,6 @@ def test_premium_sizing():
     assert q.Q == pytest.approx(q.rho * q.base.x_a * q.base.t_a, rel=1e-12)
     assert q.premium_of("B") == pytest.approx(q.Q, rel=1e-12)
     assert q.premium_of("A") == pytest.approx(1.5 * q.Q, rel=1e-12)
-    assert q.cost(2.0, 24.0) == pytest.approx(q.rho * 48.0, rel=1e-12)
 
 
 def test_timing_invariants_enforced():
@@ -196,17 +195,25 @@ def test_participation_solves_quick_swap_bands_in_blocks(monkeypatch):
     q = quick_baseline()
     xa = np.round(np.arange(1.0, 3.0 + 1e-9, 0.1), 10)
     whole = continuation_band_t3(q, x_a=xa)
-    blocks = []
-    solve = quickswapgame.continuation_band_t3
+    rows, blocks, solved = [], [], []
+    find_roots, solve = htlcgame.find_roots, quickswapgame.continuation_band_t3
+
+    def counted(g, scans, *args, **kwargs):
+        rows.append(len(scans))
+        return find_roots(g, scans, *args, **kwargs)
 
     def recorded(*args, **kwargs):
-        blocks.append(solve(*args, **kwargs))
-        return blocks[-1]
+        # Only the find_roots rows of the Quick Swap solve count.
+        rows.clear()
+        solved.append(solve(*args, **kwargs))
+        blocks.extend(rows)
+        return solved[-1]
 
+    monkeypatch.setattr(htlcgame, "find_roots", counted)
     monkeypatch.setattr(quickswapgame, "continuation_band_t3", recorded)
-    monkeypatch.setattr(quickswapgame, "_BAND_BLOCK_ROWS", 8)
+    monkeypatch.setattr(htlcgame, "_BAND_BLOCK_ROWS", 8)
     report = compare_participation(q.base, q, xa)
-    assert [len(b) for b in blocks] == [8, 8, 5]
-    assert [band for b in blocks for band in b] == whole
+    assert blocks == [8, 8, 5]
+    assert solved == [whole]
     assert report.quick_sr.tolist() == [success_rate(q.with_x_a(x), band)
                                         for x, band in zip(xa.tolist(), whole)]
