@@ -23,6 +23,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -58,8 +59,8 @@ _GRID_DEFAULTS: dict = {
     "t_min": 0.0, "t_max": 20.0, "tp_min": 0.0, "tp_max": 21.0, "delay_step": 1.0,
 }
 _MC_DEFAULTS: dict = {"paths": 100_000, "cells": 5}
-# The oracles hold every path of a cell at once, about 40 B a path: 4e6
-# paths peaked at 199 MB on a 2-CPU x86 host.
+# The oracles hold every path of a cell at once in two float arrays and one
+# mask, about 18 B a path: 4e6 paths peaked at 108 MB on a 2-CPU x86 host.
 _MAX_MC_PATHS = 4_000_000
 # The cells ``montecarlo`` can draw: HTLC x_a from _MC_XA and Quick Swap x_a
 # from _MC_QS_XA, both rounded to 0.1; HTLC T and T' whole numbers below
@@ -87,11 +88,12 @@ _PARAMS: dict[str, dict] = {
     "cyclic-plan": _CYCLIC_DEFAULTS,
 }
 # Largest grid htlc-surface or quickswap-sr may ask for, in cells.  Bands are
-# solved in blocks of at most 128 rows, so the limit is loose.  On a 2-CPU x86
-# host, quickswap-sr at the limit (20,000 x_a) ran 28 s and peaked at 61 MB,
-# and the limit refuses htlc-surface grids that run well: xa_step=0.01 (92,862
-# cells) took 0.9 s and 56 MB in CSV and 184 MB in JSON, and xa_step=0.002
-# (462,462 cells) took 4.7 s and 125 MB in CSV.
+# solved in lockstep blocks of at most 4,096 rows, and JSON tables are written
+# a row at a time, so the limit is loose.  On a 2-CPU x86 host, quickswap-sr at
+# the limit (20,000 x_a) ran 43-50 s and peaked at 58 MB, and the limit refuses
+# htlc-surface grids that run well: xa_step=0.01 (92,862 cells) took 1.1 s and
+# 55 MB in CSV and 1.5 s and 56 MB in JSON, and xa_step=0.002 (462,462 cells)
+# took 6.0 s and 124 MB in CSV.
 _MAX_GRID_CELLS = 20_000
 
 
@@ -286,7 +288,17 @@ def _write_columns(cfg: RunConfig, name: str, columns: dict) -> None:
         (cfg.out_dir / name).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     else:
         name += ".json"
-        _write_json(cfg, name, [dict(zip(header, row)) for row in zip(*map(_json_cells, columns.values()))])
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        # The bytes of _write_json(rows), written 256 row objects at a time
+        # without the brackets of each chunk's list, so that neither the rows
+        # nor the text of the whole table is held.
+        rows = zip(*map(_json_cells, columns.values()))
+        with open(cfg.out_dir / name, "w", encoding="utf-8", newline="\n") as out:
+            sep = "["
+            while chunk := [dict(zip(header, row)) for row in islice(rows, 256)]:
+                out.write(sep + json.dumps(chunk, indent=2, sort_keys=True)[1:-2])
+                sep = ","
+            out.write("[]\n" if sep == "[" else "\n]\n")
     cfg.outputs.append(name)
 
 

@@ -15,9 +15,11 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
+from . import numerics
 from .numerics import Bracket, QuadratureSpec, find_roots, integrate
 # ``erfc`` is no longer called here (the price-law kernels call it inside
 # pricemodel); the binding stays for perfbench's per-layer kernel counters.
@@ -38,10 +40,6 @@ __all__ = [
 
 _ROOT_SCAN_POINTS = 256
 _ROOT_TOL = 1e-10
-# Most band rows ``widest_band`` solves in one lockstep call.  Wider blocks
-# save no time (the scan is bound by the elementwise erfc) but raise peak
-# memory: all 441 rows of the default surface at once cost about 6 MB more.
-_BAND_BLOCK_ROWS = 128
 # Default of the ``band`` parameters: solve B's band in the callee.  None
 # already means that B never locks.
 _SOLVE = object()
@@ -119,15 +117,15 @@ class SwapParams:
 
 
 def _xa_column(p: SwapParams, xa) -> SwapParams:
-    """``p`` with ``x_a`` set to the (K, 1) column of the values ``xa``.
+    """``p`` with ``x_a`` set to the (G, 1, 1) column of the values ``xa``.
 
-    The kernels broadcast it like a column of delays, so K rows that differ
-    in x_a evaluate in one call with the arithmetic of K scalar calls.  The
-    values are not validated here: callers pass x_a values that
+    The kernels broadcast it against (G, R, n) prices, so G groups of rows
+    that differ in x_a evaluate in one call with the arithmetic of G scalar
+    calls.  The values are not validated here: callers pass x_a values that
     ``with_x_a`` has accepted.
     """
     col = copy.copy(p)
-    object.__setattr__(col, "x_a", np.asarray(xa, dtype=float).reshape(-1, 1))
+    object.__setattr__(col, "x_a", np.asarray(xa, dtype=float).reshape(-1, 1, 1))
     return col
 
 
@@ -176,8 +174,11 @@ def _check_delay(name: str, delay, window: float) -> None:
 def _u_B_cont_t2(p: SwapParams, price_t2, T):
     """B's expected continuation value at the middle node.
 
-    Vectorized over prices and claim delays: a (K, 1) column of delays
-    against (n,) or (K, n) prices gives (K, n) values.
+    Vectorized over prices and claim delays: an (R, 1) column of delays
+    against (n,) prices gives (R, n) values, and against (G, 1, n) or
+    (G, R, n) prices, with x_a a (G, 1, 1) column, (G, R, n) values.  Terms
+    that do not depend on T keep the shape of the prices, so on a (G, 1, n)
+    grid they are evaluated once per x_a.
     """
     x_star = claim_threshold_t3(p)
     h_cont = p.tau_b + T
@@ -232,46 +233,66 @@ def _scan_bracket(*prices: float) -> Bracket:
     return Bracket(ref * 1e-3, ref * 12.0)
 
 
-def widest_band(g, scans: list[Bracket], rows: np.ndarray) -> list[Bracket | None]:
+def widest_band(g, scans: list[Bracket], rows: int = 1) -> list[Bracket | None]:
     """Widest interval of its scan on which ``g > 0``, for each row of ``g``.
 
-    ``g(x, rows)`` evaluates B's continue-minus-exit value of the rows
-    ``rows`` (an index array) at prices ``x``: (len(rows), n) values, one
-    row each.  ``scans`` holds one Bracket per row and each row scans its
-    own grid; blocks of at most ``_BAND_BLOCK_ROWS`` rows bisect in
-    lockstep.  When more than two crossings appear, the widest winning
-    interval is kept; a row with no crossing has no band (None).
+    Rows come in groups of ``rows`` that share one scan: ``scans`` holds one
+    Bracket per group, and ``g(x, groups)`` evaluates B's continue-minus-exit
+    value of the groups ``groups`` (an index array) at prices ``x``, which
+    are (len(groups), 1, n) points per group or (len(groups), rows, n)
+    points per row, as (len(groups), rows, n) values.  Each row is one
+    ``find_roots`` row, and up to ``_CALL_BUDGET / 8`` rows (4,096) bisect
+    in one lockstep, so that its bisection steps and midpoint call stay
+    within the budget on rows of fewer than 8 roots; a larger table is
+    solved in blocks of whole groups (one lockstep over the 100,000 rows of
+    a 20,000-x_a quickswap-sr doubled the traced peak).  When more than two
+    crossings appear, the widest winning interval is kept; a row with no
+    crossing has no band (None).  The bands come back one per row, group by
+    group.
     """
-    if len(rows) > _BAND_BLOCK_ROWS:
-        return [band for start in range(0, len(rows), _BAND_BLOCK_ROWS)
-                for band in widest_band(g, scans[start:start + _BAND_BLOCK_ROWS],
-                                        rows[start:start + _BAND_BLOCK_ROWS])]
+    per = max(1, numerics._CALL_BUDGET // 8 // rows)
+    if len(scans) > per:
+        return [band for first in range(0, len(scans), per)
+                for band in widest_band(lambda x, sub, first=first: g(x, sub + first),
+                                        scans[first:first + per], rows)]
     if not scans:
         return []
+    groups = np.arange(len(scans))
+    lo = np.repeat([s.lo for s in scans], rows)
+    hi = np.repeat([s.hi for s in scans], rows)
     # The default scan's hi is 12x its largest price: the tolerance shrinks
     # with small prices, so their bands do not drift, and never grows.
-    tols = [_ROOT_TOL * min(1.0, s.hi / 12.0) for s in scans]
-    roots = find_roots(lambda x: g(x, rows), scans, grid_points=_ROOT_SCAN_POINTS, tol=tols)
-    edges = [[s.lo, *r, s.hi] for s, r in zip(scans, roots)]
-    mids = np.repeat([[s.lo] for s in scans], max(map(len, edges)) - 1, axis=1)
-    for row, e in zip(mids, edges):
-        row[:len(e) - 1] = 0.5 * np.add(e[:-1], e[1:])
-    wins = g(mids, rows) > 0.0
-    bands: list[Bracket | None] = []
-    for r, e, win in zip(roots, edges, wins):
-        best: tuple[float, float] | None = None
-        for lo, hi, w in zip(e[:-1], e[1:], win):
-            if r and w and (best is None or hi - lo > best[1] - best[0]):
-                best = (lo, hi)
-        bands.append(None if best is None else Bracket(*best))
+    roots = find_roots(lambda x: g(x, groups), [s for s in scans for _ in range(rows)],
+                       grid_points=_ROOT_SCAN_POINTS, tol=_ROOT_TOL * np.minimum(1.0, hi / 12.0), group=rows)
+    # Each row's interval ends: its scan's lo, its roots, then hi repeated.
+    counts = np.fromiter(map(len, roots), int, len(roots))
+    flat = np.fromiter(chain.from_iterable(roots), float, counts.sum())
+    del roots
+    edges = np.repeat(hi[:, None], counts.max() + 2, axis=1)
+    edges[:, 0] = lo
+    row_of = np.repeat(np.arange(len(counts)), counts)
+    edges[row_of, 1 + np.arange(len(flat)) - np.searchsorted(row_of, row_of)] = flat
+    mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    wins = g(mids.reshape(len(scans), rows, -1), groups).reshape(mids.shape) > 0.0
+    # A row's winning intervals, of which the first widest is its band.
+    ok = wins & (np.arange(mids.shape[1]) <= counts[:, None]) & (counts[:, None] > 0)
+    best = np.argmax(np.where(ok, edges[:, 1:] - edges[:, :-1], -np.inf), axis=1)
+    won = np.flatnonzero(ok.any(axis=1))
+    band_lo, band_hi = edges[won, best[won]], edges[won, best[won] + 1]
+    bands: list[Bracket | None] = [None] * len(counts)
+    for k, b_lo, b_hi in zip(won.tolist(), band_lo.tolist(), band_hi.tolist()):
+        bands[k] = Bracket(b_lo, b_hi)
     # Open-ended winning region at a scan edge means the scan missed a
-    # crossing; widen those rows rather than report a fake endpoint.
-    edge = [k for k, (s, b) in enumerate(zip(scans, bands))
-            if b is not None and (b.lo == s.lo or b.hi == s.hi) and s.hi / max(s.lo, 1e-12) <= 1e8]
-    if edge:
-        wider = [Bracket(scans[k].lo * 0.1, scans[k].hi * 10.0) for k in edge]
-        for k, band in zip(edge, widest_band(g, wider, rows[edge])):
-            bands[k] = band
+    # crossing; widen those rows rather than report a fake endpoint.  Their
+    # groups are solved again on the wider scan, and only the edge rows
+    # take its bands.
+    edge = won[((band_lo == lo[won]) | (band_hi == hi[won])) & (hi[won] / np.maximum(lo[won], 1e-12) <= 1e8)]
+    if edge.size:
+        wide = np.unique(edge // rows)
+        again = widest_band(lambda x, sub: g(x, wide[sub]),
+                            [Bracket(scans[j].lo * 0.1, scans[j].hi * 10.0) for j in wide.tolist()], rows)
+        for k in edge.tolist():
+            bands[k] = again[np.searchsorted(wide, k // rows) * rows + k % rows]
     return bands
 
 
@@ -293,16 +314,16 @@ def continuation_band_t2(p: SwapParams, T, scan: Bracket | None = None, x_a=None
     _check_delay("claim delay T", T, p.claim_delay_window)
     ts = np.atleast_1d(np.asarray(T, dtype=float))
     xs = np.atleast_1d(np.asarray(p.x_a if x_a is None else x_a, dtype=float))
-    # Row i * len(ts) + j pairs the i-th x_a with the j-th delay.
-    row_xa = np.repeat(xs, len(ts))
-    row_t = np.tile(ts, len(xs))[:, None]
+    t_col = ts[:, None]
 
-    def g(x, rows):
-        return _u_B_cont_t2(_xa_column(p, row_xa[rows]), x, row_t[rows]) - x
+    # One group per x_a, one row per delay: the T-free terms of B's value
+    # are evaluated once per x_a on its (G, 1, n) grid.
+    def g(x, groups):
+        return _u_B_cont_t2(_xa_column(p, xs[groups]), x, t_col) - x
 
     # The lazy map validates each x_a without holding one SwapParams per x_a.
-    scans = [s for q in map(p.with_x_a, xs.tolist()) for s in [scan or _default_scan(q)] * len(ts)]
-    bands = widest_band(g, scans, np.arange(len(scans)))
+    scans = [scan or _default_scan(q) for q in map(p.with_x_a, xs.tolist())]
+    bands = widest_band(g, scans, len(ts))
     return np.array(bands, dtype=object).reshape(np.shape(x_a) + np.shape(T)).tolist()
 
 

@@ -111,48 +111,89 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], bracket: Bracket, spec: Qua
     return result if np.ndim(first) else float(result[0])
 
 
+# Most values one call of a root function computes.  ``find_roots`` scans K
+# rows in chunks of max(1, _CALL_BUDGET // K) grid columns, so it never holds
+# a K x grid_points table, and the band solver puts at most _CALL_BUDGET / 8
+# rows in one lockstep.  2**15 is the 128 x 256 block that the band solver
+# once scanned at a time.
+_CALL_BUDGET = 1 << 15
+
+
 def find_roots(
     g: Callable,
     scans: Sequence[Bracket],
     grid_points: int = 256,
     tol: float | Sequence[float] = 1e-10,
+    group: int = 1,
 ) -> list[list[float]]:
     """Scan a uniform grid per row for sign changes and bisect each to tolerance.
 
-    Each of the K ``scans`` is one row with its own grid: ``g`` maps (K, n)
-    arrays to (K, n) values, and one ascending root list is returned per row
-    (empty when no sign change is found).  Grid points that are exact roots
-    are returned directly.  ``tol`` is one tolerance, or one per row.
+    Each of the K ``scans`` is one row.  Rows come in groups of ``group``
+    consecutive rows that share one scan, the Bracket of the group's first
+    row: ``g`` maps the (G, 1, n) grid points of the G groups, or the
+    (G, group, n) points of every row, to (G, group, n) values.  One
+    ascending root list is returned per row (empty when no sign change is
+    found).  Grid points that are exact roots are returned directly.
+    ``tol`` is one tolerance, or one per row.
 
-    All open brackets of all rows bisect in lockstep: each step is one (K, R)
-    call of ``g`` on the midpoints, where R is the most open brackets in any
-    row (idle slots hold the row's own scan ``lo``; their values are
-    discarded).  A bracket returns its midpoint once the midpoint equals an
-    endpoint (adjacent floats), the bracket is at most ``tol`` wide, or
-    |g(midpoint)| <= tol.
+    Grid point i of a group is ``i * step + lo``, and the last one ``hi``,
+    bit for bit as ``np.linspace`` places them.  The scan runs in chunks of
+    grid columns, one ``g`` call of at most ``_CALL_BUDGET`` values each (at
+    least one column), and keeps only the sign changes it finds.  Then all
+    open brackets of all rows bisect in lockstep: each step is one
+    (G, group, R) call of ``g`` on the midpoints, where R is the most open
+    brackets in any row (idle slots hold the row's own scan ``lo``; their
+    values are discarded).  A bracket returns its midpoint once the midpoint
+    equals an endpoint (adjacent floats), the bracket is at most ``tol``
+    wide, or |g(midpoint)| <= tol.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
-    lo_col = np.array([[b.lo] for b in scans])
-    xs = np.linspace(lo_col[:, 0], [b.hi for b in scans], grid_points, axis=-1)
-    grid = np.asarray(g(xs), dtype=float)
-    if grid.shape != xs.shape:
-        raise ValueError(f"g returned shape {grid.shape}, expected {xs.shape}")
-    left, right = grid[:, :-1], grid[:, 1:]
-    hits = (left == 0.0) | (left * right < 0.0)
-    hits[:, -1] |= right[:, -1] == 0.0
+    n_rows = len(scans)
+    if group < 1 or n_rows % group:
+        raise ValueError(f"{n_rows} rows do not split into groups of {group}")
+    if not n_rows:
+        return []
+    heads = scans[::group]
+    shape = (len(heads), group, -1)
+    lo = np.array([b.lo for b in heads])
+    hi = np.array([b.hi for b in heads])
+    step = (hi - lo) / (grid_points - 1)
+    # Each chunk's sign changes: row, left grid index, ends, and g at both.
+    parts = []
+    width = max(1, _CALL_BUDGET // n_rows)
+    prev_x, prev_f = np.empty((len(heads), 0)), np.empty((n_rows, 0))
+    for first in range(0, grid_points, width):
+        stop = min(first + width, grid_points)
+        x = np.arange(first, stop, dtype=float) * step[:, None] + lo[:, None]
+        if stop == grid_points:
+            x[:, -1] = hi
+        f = np.asarray(g(x[:, None, :]), dtype=float)
+        if f.shape != (len(heads), group, stop - first):
+            raise ValueError(f"g returned shape {f.shape}, expected {(len(heads), group, stop - first)}")
+        # The pair across the chunk boundary starts at the previous last column.
+        x, f = np.hstack([prev_x, x]), np.hstack([prev_f, f.reshape(n_rows, -1)])
+        prev_x, prev_f = x[:, -1:], f[:, -1:]
+        left, right = f[:, :-1], f[:, 1:]
+        hits = (left == 0.0) | (left * right < 0.0)
+        if stop == grid_points:
+            hits[:, -1] |= right[:, -1] == 0.0
+        rows, cols = np.nonzero(hits)
+        head = rows // group
+        parts.append((rows, cols + stop - x.shape[1], x[head, cols], x[head, cols + 1],
+                      left[rows, cols], right[rows, cols]))
+    rows, cols, a, b, fa, fb = map(np.concatenate, zip(*parts))
     # Every sign change in row-major order: its row, and its root in ``found``.
-    rows, cols = np.nonzero(hits)
-    a, b = xs[rows, cols], xs[rows, cols + 1]
-    fa, fb = left[rows, cols], right[rows, cols]
+    order = np.lexsort((cols, rows))
+    rows, a, b, fa, fb = (v[order] for v in (rows, a, b, fa, fb))
     found = np.where(fa == 0.0, a, b)
-    counts = np.bincount(rows, minlength=len(grid))
+    counts = np.bincount(rows, minlength=n_rows)
     # Open brackets, one array entry each; ``rows`` stays ascending.
     live = (fa != 0.0) & (fb != 0.0)
-    tols = np.broadcast_to(np.asarray(tol, dtype=float), len(grid))
     rows, pos = rows[live], np.flatnonzero(live)
     a, b, fa = a[live], b[live], fa[live]
-    tl = tols[rows]
+    tl = np.broadcast_to(np.asarray(tol, dtype=float), n_rows)[rows]
+    lo_col = np.repeat(lo, group)[:, None]
     while rows.size:
         m = 0.5 * (a + b)
         # Adjacent floats: the bracket cannot shrink further, even when
@@ -168,7 +209,7 @@ def find_roots(
         slots = np.arange(len(rows)) - np.searchsorted(rows, rows)
         padded = np.repeat(lo_col, slots.max() + 1, axis=1)
         padded[rows, slots] = m
-        fm = np.asarray(g(padded), dtype=float)[rows, slots]
+        fm = np.asarray(g(padded.reshape(shape)), dtype=float).reshape(padded.shape)[rows, slots]
         left_of = fa * fm < 0.0
         b = np.where(left_of, m, b)
         a = np.where(left_of, a, m)

@@ -841,18 +841,23 @@ def _mc_two_stage(
     if band is None:
         return 0.0, 0.0
     mu, sig = p.gbm.mu, p.gbm.sigma
-    z1 = rng.standard_normal(n_paths)
-    z2 = rng.standard_normal(n_paths)
-    at_lock = p.x_yb_t1 * np.exp((mu - 0.5 * sig**2) * h_lock + sig * math.sqrt(h_lock) * z1)
-    at_claim = at_lock * np.exp((mu - 0.5 * sig**2) * h_claim + sig * math.sqrt(h_claim) * z2)
-    b_interested = rng.random(n_paths) < p.theta_2
-    a_interested = rng.random(n_paths) < p.theta_1
-    success = (
-        b_interested
-        & (at_lock > band.lo) & (at_lock <= band.hi)
-        & a_interested
-        & (at_claim >= threshold)
-    )
+    # Two float arrays and one mask: the prices go into the buffers their
+    # normals were drawn into, and both uniform draws (B's interest, then
+    # A's) reuse the lock-price buffer.
+    at_lock = rng.standard_normal(n_paths)
+    at_claim = rng.standard_normal(n_paths)
+    for price, h in ((at_lock, h_lock), (at_claim, h_claim)):
+        price *= sig * math.sqrt(h)
+        price += (mu - 0.5 * sig**2) * h
+        np.exp(price, out=price)
+    at_lock *= p.x_yb_t1
+    at_claim *= at_lock
+    success = at_claim >= threshold
+    success &= at_lock > band.lo
+    success &= at_lock <= band.hi
+    for theta in (p.theta_2, p.theta_1):
+        rng.random(out=at_lock)
+        success &= at_lock < theta
     freq = float(np.mean(success))
     se = math.sqrt(max(freq * (1.0 - freq), 1e-12) / n_paths)
     return freq, se

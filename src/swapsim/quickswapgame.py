@@ -231,13 +231,14 @@ def continuation_band_t3(
     """
     xs = np.atleast_1d(np.asarray(q.base.x_a if x_a is None else x_a, dtype=float))
 
-    def g(x, rows):
-        c = replace(q, base=_xa_column(q.base, xs[rows]))
+    # One group of one row per x_a.
+    def g(x, groups):
+        c = replace(q, base=_xa_column(q.base, xs[groups]))
         return _u_B_cont_t3(c, x) - _t3_cancel_B(c, x)
 
     # The lazy map validates each x_a, as in continuation_band_t2.
     scans = [scan or _default_scan(r) for r in map(q.with_x_a, xs.tolist())]
-    bands = widest_band(g, scans, np.arange(len(xs)))
+    bands = widest_band(g, scans)
     return bands[0] if x_a is None else bands
 
 

@@ -251,6 +251,30 @@ def test_table_writer_edge_cases(tmp_path):
     assert cfg.outputs == ["t.csv", "t.json", "empty.json", "empty.csv"]
 
 
+def test_json_table_streams_its_rows(tmp_path):
+    # 10,000 rows are written 256 row objects at a time, with the bytes of one
+    # json.dumps of the whole list: the traced peak stays below 3x the file.
+    n = 10_000
+    columns = {
+        "x_a": np.round(1.0 + 0.0001 * np.arange(n), 10),
+        "T": np.tile(np.arange(20.0), n // 20),
+        "sr_raw": np.where(np.arange(n) % 7 == 0, np.nan, np.linspace(0.0, 0.25, n)),
+        "participation_flag": np.arange(n) % 7 != 0,
+        "kind": ["htlc", "quickswap"] * (n // 2),
+    }
+    cfg = cli.RunConfig("test", {}, tmp_path, format="json")
+    tracemalloc.start()
+    try:
+        cli._write_columns(cfg, "t", columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = (tmp_path / "t.json").read_text(encoding="utf-8")
+    assert peak < 3 * len(text)
+    rows = [dict(zip(columns, row)) for row in zip(*map(cli._json_cells, columns.values()))]
+    assert text == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+
+
 def test_row_table_writer_matches_column_writer(tmp_path):
     header = ["kind", "x", "flag", "label"]
     rows = [["htlc", 1.5, True, None], ["quickswap", -0.0, False, "a,b"]]

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import baseline
-from swapsim import htlcgame
+from swapsim import htlcgame, numerics, pricemodel
 from swapsim.htlcgame import (
     SwapParams,
     claim_threshold_t3,
@@ -365,6 +366,7 @@ def test_thresholds_and_success_rate_scale_with_prices(k):
     ("narrow scan", baseline(), 1.0, Bracket(0.3, 2.0)),
     ("price scale 1e-6", baseline(x_a=2e-6, x_yb_t1=2e-6), 1e-6, None),
     ("price scale 1e6", baseline(x_a=2e6, x_yb_t1=2e6), 1e6, None),
+    ("uniform delay discounting", baseline(uniform_delay_discounting=True), 1.0, None),
 ])
 def test_band_grid_matches_scalar_solves(case, p, k, scan):
     # Every (x_a, T) row of the grid has its own scan and tolerance, and
@@ -384,16 +386,95 @@ def test_band_grid_matches_scalar_solves(case, p, k, scan):
 
 
 def test_surface_solves_bands_in_blocks(monkeypatch):
-    rows = []
+    calls = []
     find_roots = htlcgame.find_roots
 
     def counted(g, scan, *args, **kwargs):
-        rows.append(len(scan))
-        return find_roots(g, scan, *args, **kwargs)
+        shapes = []
+
+        def recording(x):
+            shapes.append(np.shape(x))
+            return g(x)
+
+        calls.append((len(scan), kwargs["group"], shapes))
+        return find_roots(recording, scan, *args, **kwargs)
 
     monkeypatch.setattr(htlcgame, "find_roots", counted)
     xa = np.round(np.arange(1.0, 3.0 + 1e-9, 0.1), 10)
     sr_surface(baseline(), xa, np.arange(21.0), [0.0])
-    # widest_band solves the 441 (x_a, T) rows in blocks of at most 128
-    # consecutive rows; no row of the default config widens.
-    assert rows == [128, 128, 128, 57]
+    # widest_band solves the 441 (x_a, T) rows in one call, one group of 21
+    # delays per x_a; no row of the default config widens.
+    ((rows, group, shapes),) = calls
+    assert (rows, group) == (441, 21)
+    # The scan evaluates each x_a's grid once, in column blocks of at most
+    # _CALL_BUDGET values; then each bisection step is one call on all rows.
+    assert numerics._CALL_BUDGET // 441 == 74
+    assert shapes[:4] == [(21, 1, 74)] * 3 + [(21, 1, 34)]
+    assert all(shape[:2] == (21, 21) for shape in shapes[4:])
+    assert len(shapes) <= 40
+
+
+def test_band_tables_above_the_lockstep_cap_solve_in_group_blocks(monkeypatch):
+    # With a budget of 336 values, one lockstep holds 336 / 8 = 42 rows, two
+    # x_a of 21 delays, and scans 8 grid columns at a time: the bands are
+    # those of the one-call solve, bit for bit.
+    p = baseline(0.2)
+    xa = np.round(np.arange(1.2, 2.8 + 1e-9, 0.4), 10)
+    ts = np.arange(21.0)
+    whole = continuation_band_t2(p, ts, x_a=xa)
+    calls = []
+    find_roots = htlcgame.find_roots
+
+    def counted(g, scans, *args, **kwargs):
+        calls.append(len(scans))
+        return find_roots(g, scans, *args, **kwargs)
+
+    monkeypatch.setattr(htlcgame, "find_roots", counted)
+    monkeypatch.setattr(numerics, "_CALL_BUDGET", 336)
+    assert continuation_band_t2(p, ts, x_a=xa) == whole
+    assert calls == [42, 42, 21]
+
+
+def test_band_solve_holds_no_rows_by_grid_table():
+    # 10,000 rows in 500 groups of 20, each row with the band (c, c + 1) of
+    # its own c.  A rows x 256 float table alone would take 20.5 MB.
+    shift = np.linspace(0.0, 0.5, 20)[:, None]
+
+    def g(x, groups):
+        c = 1.0 + 1e-3 * groups[:, None, None] + shift
+        return (x - c) * (c + 1.0 - x)
+
+    tracemalloc.start()
+    try:
+        bands = htlcgame.widest_band(g, [Bracket(0.1, 5.0)] * 500, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000 * 256 * 8 / 4
+    assert len(bands) == 10_000
+    for k in (0, 19, 5_010, 9_999):
+        c = 1.0 + 1e-3 * (k // 20) + shift[k % 20, 0]
+        assert bands[k].lo == pytest.approx(c, abs=1e-9)
+        assert bands[k].hi == pytest.approx(c + 1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("uniform, shared", [(False, 2), (True, 0)])
+def test_band_scan_evaluates_t_free_terms_once_per_x_a(monkeypatch, uniform, shared):
+    # B's stop branch at horizon tau_b (two erfc kernels) does not depend on
+    # T, so the scan evaluates it on each x_a's (G, 1, n) grid; at the
+    # T-dependent horizon tau_b + T every kernel runs on all (G, R, n) rows.
+    shapes = []
+    erfc = pricemodel.erfc
+
+    def recorded(x):
+        shapes.append(np.shape(x))
+        return erfc(x)
+
+    monkeypatch.setattr(pricemodel, "erfc", recorded)
+    p = baseline(uniform_delay_discounting=uniform)
+    continuation_band_t2(p, np.arange(21.0), x_a=np.round(1.0 + 0.1 * np.arange(7), 10))
+    # The scan's two column chunks; bisection and midpoint calls hold at
+    # most 3 points a row.
+    scan = [shape for shape in shapes if shape[-1] > 3]
+    assert sorted(scan) == sorted([(7, 1, c) for c in (222, 34)] * shared
+                                  + [(7, 21, c) for c in (222, 34)] * (3 - shared))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import baseline
-from swapsim import htlcgame
+from swapsim import htlcgame, numerics
 from swapsim.numerics import (
     Bracket,
     QuadratureDepthError,
@@ -95,9 +95,9 @@ def test_find_roots_vectorized_scan_matches_scalar_scan():
     # One grid call, then one array call per bisection step holding the
     # midpoints of every open bracket: the three brackets start together
     # and only close.
-    assert calls[0] == (1, 256)
-    sizes = [shape[1] for shape in calls[1:]]
-    assert all(len(shape) == 2 and shape[0] == 1 for shape in calls[1:])
+    assert calls[0] == (1, 1, 256)
+    sizes = [shape[2] for shape in calls[1:]]
+    assert all(len(shape) == 3 and shape[:2] == (1, 1) for shape in calls[1:])
     assert sizes[0] == 3 and sizes == sorted(sizes, reverse=True)
     assert len(roots) == 3
     for r, expect in zip(roots, (math.pi, 2 * math.pi, 3 * math.pi)):
@@ -124,11 +124,11 @@ def test_find_roots_rows_match_rows_solved_alone():
     assert [len(r) for r in got] == [0, 3, 1, 1, 1]
     assert got[2] == [4.0] and got[4] == [10.5]
     assert got[3][0] == pytest.approx(math.log(5.0), abs=1e-9)
-    # One grid call, then each bisection step is one (K, R) call where R is
-    # the most open brackets in any row.
-    assert calls[0] == (len(fs), 21)
-    assert calls[1] == (len(fs), 3)
-    assert all(len(shape) == 2 and shape[0] == len(fs) for shape in calls[1:])
+    # One grid call, then each bisection step is one (K, 1, R) call where R
+    # is the most open brackets in any row.
+    assert calls[0] == (len(fs), 1, 21)
+    assert calls[1] == (len(fs), 1, 3)
+    assert all(len(shape) == 3 and shape[0] == len(fs) for shape in calls[1:])
 
 
 def test_find_roots_stops_at_float_resolution():
@@ -166,24 +166,30 @@ def test_find_roots_per_row_scans_match_rows_solved_alone():
     assert got[2] == [4.0]
     assert got[3][0] == pytest.approx(12345.678, abs=1e-6)
     assert got[4][0] == pytest.approx(math.log(5.0) * 1e-3, rel=1e-9)
-    # One (K, n) grid call, then one (K, R) call per bisection step; every
-    # value a row sees lies on its own scan.
-    assert calls[0].shape == (len(rows), 21)
-    assert calls[1].shape == (len(rows), 3)
+    # One (K, 1, n) grid call, then one (K, 1, R) call per bisection step;
+    # every value a row sees lies on its own scan.
+    assert calls[0].shape == (len(rows), 1, 21)
+    assert calls[1].shape == (len(rows), 1, 3)
     for x in calls:
         for scan, row in zip(scans, x):
             assert ((scan.lo <= row) & (row <= scan.hi)).all()
 
 
-def _find_roots_loop(g, scans, grid_points=256, tol=1e-10):
+def _find_roots_loop(g, scans, grid_points=256, tol=1e-10, group=1):
     """The bracket bookkeeping of ``find_roots`` as a plain Python loop.
 
     The reference ``find_roots`` must match call for call: the same ``g``
-    inputs, in the same order, and the same roots.
+    inputs, in the same order, and the same roots.  The scan takes the
+    ``np.linspace`` grid of each group in chunks of the same number of
+    columns.
     """
-    lo_col = np.array([[b.lo] for b in scans])
-    xs = np.linspace(lo_col[:, 0], [b.hi for b in scans], grid_points, axis=-1)
-    grid = np.asarray(g(xs), dtype=float)
+    heads = scans[::group]
+    xs = np.linspace([b.lo for b in heads], [b.hi for b in heads], grid_points, axis=-1)
+    width = max(1, numerics._CALL_BUDGET // len(scans))
+    grid = np.concatenate([np.asarray(g(xs[:, None, c:c + width]), dtype=float).reshape(len(scans), -1)
+                           for c in range(0, grid_points, width)], axis=1)
+    xs = np.repeat(xs, group, axis=0)
+    lo_col = xs[:, :1]
     left, right = grid[:, :-1], grid[:, 1:]
     hits = (left == 0.0) | (left * right < 0.0)
     hits[:, -1] |= right[:, -1] == 0.0
@@ -216,7 +222,8 @@ def _find_roots_loop(g, scans, grid_points=256, tol=1e-10):
             used[br[0]] += 1
         padded = np.repeat(lo_col, max(used), axis=1)
         padded[rows, slots] = mids
-        fms = np.asarray(g(padded), dtype=float)[rows, slots].tolist()
+        fms = np.asarray(g(padded.reshape(len(heads), group, -1)), dtype=float).reshape(padded.shape)
+        fms = fms[rows, slots].tolist()
         live = []
         for br, m, fm in zip(steps, mids, fms):
             if abs(fm) <= tols[br[0]]:
@@ -231,9 +238,9 @@ def _find_roots_loop(g, scans, grid_points=256, tol=1e-10):
 
 
 def _band_solves():
-    """(g, scans, kwargs) of the band solves of 147 rows of the default
-    surface (x_a 1.0 to 1.6 by 21 claim delays), one 128-row block and one
-    19-row block, and of one single-row band solve."""
+    """(g, scans, kwargs) of the band solve of 147 rows of the default
+    surface (x_a 1.0 to 1.6 by 21 claim delays: 7 groups of 21 rows, scanned
+    in two column chunks), and of one single-row band solve."""
     solves = []
 
     def capture(g, scan, **kwargs):
@@ -276,10 +283,46 @@ def test_find_roots_calls_g_as_the_loop_reference_does():
 
 
 def test_band_solves_keep_their_g_call_shapes():
-    # One grid call, then one call per bisection step on the most open
-    # brackets of any row.
+    # The 147 rows scan each group's grid once, with a singleton delay axis,
+    # in two column chunks of at most _CALL_BUDGET values; then one call per
+    # bisection step on the most open brackets of any row, for all rows.
+    assert numerics._CALL_BUDGET // 147 == 222
     shapes = [[x.shape for x in _recorded(find_roots, g, scan, **kwargs)[1]]
               for g, scan, kwargs in _band_solves()]
-    assert shapes == [[(128, 256)] + [(128, 2)] * 28 + [(128, 1)],
-                      [(19, 256)] + [(19, 2)] * 28,
-                      [(1, 256)] + [(1, 2)] * 26 + [(1, 1)] * 2]
+    assert shapes == [[(7, 1, 222), (7, 1, 34)] + [(7, 21, 2)] * 28 + [(7, 21, 1)],
+                      [(1, 1, 256)] + [(1, 1, 2)] * 26 + [(1, 1, 1)] * 2]
+
+
+def _two_groups(x):
+    """Two groups of two rows, each row its own function of its group's
+    points: x - 4 and 4 - x (exact grid roots), sin x, and x - 9 (a root on
+    the last grid point of its scan)."""
+    x = np.broadcast_to(x, (2, 2, x.shape[2]))
+    return np.array([[x[0, 0] - 4.0, 4.0 - x[0, 1]], [np.sin(x[1, 0]), x[1, 1] - 9.0]])
+
+
+@pytest.mark.parametrize("budget", [1, 40, 600])
+def test_find_roots_chunked_scan_matches_the_loop_reference(monkeypatch, budget):
+    # Narrow chunks put sign changes and exact grid roots on chunk
+    # boundaries; at budget 1 every chunk is one column.
+    monkeypatch.setattr(numerics, "_CALL_BUDGET", budget)
+    cases = [
+        (lambda x: np.stack([np.sin(x[0]), x[1] - 4.0, x[2] * x[2] + 1.0, np.cos(x[3])]),
+         [Bracket(0.5, 10.5)] * 3 + [Bracket(-7.0, 30.0)], {"grid_points": 21}),
+        (_two_groups, [Bracket(0.5, 10.5)] * 2 + [Bracket(-3.0, 9.0)] * 2,
+         {"grid_points": 21, "group": 2}),
+        (np.sin, [Bracket(0.5, 10.5)], {}),
+    ]
+    for g, scans, kwargs in cases:
+        got, seen = _recorded(find_roots, g, scans, **kwargs)
+        want, expected = _recorded(_find_roots_loop, g, scans, **kwargs)
+        assert got == want
+        assert len(seen) == len(expected)
+        for x, y in zip(seen, expected):
+            assert x.shape == y.shape and np.array_equal(x, y)
+        # The scan's chunks hold at most the budget, but at least one column.
+        rows = len(scans)
+        width = max(1, budget // rows)
+        grid = kwargs.get("grid_points", 256)
+        assert [x.shape[2] for x in seen[:-(-grid // width)]] == [
+            min(width, grid - c) for c in range(0, grid, width)]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import baseline, quick_baseline
-from swapsim import htlcgame, quickswapgame
+from swapsim import htlcgame, numerics, quickswapgame
 from swapsim.numerics import Bracket
 from swapsim.quickswapgame import (
     QuickSwapParams,
@@ -195,25 +195,33 @@ def test_participation_solves_quick_swap_bands_in_blocks(monkeypatch):
     q = quick_baseline()
     xa = np.round(np.arange(1.0, 3.0 + 1e-9, 0.1), 10)
     whole = continuation_band_t3(q, x_a=xa)
-    rows, blocks, solved = [], [], []
+    calls, blocks, solved = [], [], []
     find_roots, solve = htlcgame.find_roots, quickswapgame.continuation_band_t3
 
     def counted(g, scans, *args, **kwargs):
-        rows.append(len(scans))
-        return find_roots(g, scans, *args, **kwargs)
+        def recording(x):
+            calls[-1].append(np.shape(x))
+            return g(x)
+
+        calls.append([len(scans), kwargs["group"]])
+        return find_roots(recording, scans, *args, **kwargs)
 
     def recorded(*args, **kwargs):
-        # Only the find_roots rows of the Quick Swap solve count.
-        rows.clear()
+        # Only the find_roots calls of the Quick Swap solve count.
+        calls.clear()
         solved.append(solve(*args, **kwargs))
-        blocks.extend(rows)
+        blocks.extend(calls)
         return solved[-1]
 
     monkeypatch.setattr(htlcgame, "find_roots", counted)
     monkeypatch.setattr(quickswapgame, "continuation_band_t3", recorded)
-    monkeypatch.setattr(htlcgame, "_BAND_BLOCK_ROWS", 8)
+    monkeypatch.setattr(numerics, "_CALL_BUDGET", 21 * 100)
     report = compare_participation(q.base, q, xa)
-    assert blocks == [8, 8, 5]
+    # One call of 21 one-row groups, whose scan runs in column blocks of
+    # 100 grid points.
+    ((rows, group, *shapes),) = blocks
+    assert (rows, group) == (21, 1)
+    assert shapes[:3] == [(21, 1, 100), (21, 1, 100), (21, 1, 56)]
     assert solved == [whole]
     assert report.quick_sr.tolist() == [success_rate(q.with_x_a(x), band)
                                         for x, band in zip(xa.tolist(), whole)]
