@@ -68,7 +68,6 @@ _MAX_MC_PATHS = 4_000_000
 _MC_XA = (1.5, 2.4)
 _MC_QS_XA = (1.2, 2.6)
 _MC_DELAYS = 4
-_MC_HTLC_CELLS = (round((_MC_XA[1] - _MC_XA[0]) / 0.1) + 1) * _MC_DELAYS ** 2
 _CYCLIC_DEFAULTS: dict = {
     "n": 3, "amounts": (), "taus": (), "locktimes": (),
     "D": 12.0, "Delta": 2.0, "rho": 0.001, "t_eps": 1.0,
@@ -88,12 +87,12 @@ _PARAMS: dict[str, dict] = {
     "cyclic-plan": _CYCLIC_DEFAULTS,
 }
 # Largest grid htlc-surface or quickswap-sr may ask for, in cells.  Bands are
-# solved in lockstep blocks of at most 4,096 rows, and JSON tables are written
-# a row at a time, so the limit is loose.  On a 2-CPU x86 host, quickswap-sr at
-# the limit (20,000 x_a) ran 43-50 s and peaked at 58 MB, and the limit refuses
-# htlc-surface grids that run well: xa_step=0.01 (92,862 cells) took 1.1 s and
-# 55 MB in CSV and 1.5 s and 56 MB in JSON, and xa_step=0.002 (462,462 cells)
-# took 6.0 s and 124 MB in CSV.
+# solved in lockstep blocks of at most 4,096 rows, and tables are written a
+# block of rows at a time, so the limit is loose.  On a 2-CPU x86 host,
+# quickswap-sr at the limit (20,000 x_a) ran 32 s and peaked at 67 MB, and the
+# limit refuses htlc-surface grids that run well: xa_step=0.01 (92,862 cells)
+# took 0.9 s and 43 MB in CSV and 1.9 s and 57 MB in JSON, and xa_step=0.002
+# (462,462 cells) took 5.2 s and 60 MB in CSV.
 _MAX_GRID_CELLS = 20_000
 
 
@@ -249,7 +248,7 @@ def _csv_cells(col) -> list[str]:
         return ["1" if v else "0" for v in col.tolist()]
     if isinstance(col, np.ndarray):
         # Format each distinct bit pattern once (so -0.0 and 0.0 stay apart):
-        # a grid's axis columns repeat a few values thousands of times.
+        # a grid's axis columns repeat a few values hundreds of times.
         bits = np.ascontiguousarray(col, dtype=float).view(np.int64)
         uniq, inverse = np.unique(bits, return_inverse=True)
         texts = ["NA" if math.isnan(v) else format(v, ".12g") for v in uniq.view(float).tolist()]
@@ -282,10 +281,16 @@ def _write_columns(cfg: RunConfig, name: str, columns: dict) -> None:
     header = list(columns)
     if cfg.format == "csv":
         name += ".csv"
-        lines = [",".join(header)]
-        lines += map(",".join, zip(*map(_csv_cells, columns.values())))
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        (cfg.out_dir / name).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        # The bytes of one join of every line, written 1,024 lines at a time
+        # so that the text of the table is never held; each block formats
+        # the distinct bit patterns of its part of a column once.
+        n_rows = min(map(len, columns.values()), default=0)
+        with open(cfg.out_dir / name, "w", encoding="utf-8", newline="\n") as out:
+            out.write(",".join(header) + "\n")
+            for first in range(0, n_rows, 1024):
+                cells = [_csv_cells(col[first:first + 1024]) for col in columns.values()]
+                out.write("\n".join(map(",".join, zip(*cells))) + "\n")
     else:
         name += ".json"
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -453,44 +458,43 @@ def cmd_montecarlo(cfg: RunConfig) -> int:
     # config is accepted does not depend on the seed.
     htlcgame._check_delay("claim delay T", _MC_DELAYS - 1, base.claim_delay_window)
     htlcgame._check_delay("lock delay T'", _MC_DELAYS - 1, base.lock_delay_window)
-    # Each band (it depends on x_a and T only) and each cell's analytic SR
-    # is solved once per job: the bands of every drawable (x_a, T), keyed
-    # by that pair, in one lockstep call.
+    # The bands (they depend on x_a and T only) and the analytic SR of every
+    # drawable cell are solved once per job, before the first draw: the
+    # bands in one lockstep call and the rates as one surface table.
     xa = _mc_xa(_MC_XA)
     ts = np.arange(float(_MC_DELAYS))
-    bands = {(x_a, T): band
-             for x_a, row in zip(xa.tolist(), htlcgame.continuation_band_t2(base, ts, x_a=xa))
-             for T, band in zip(ts.tolist(), row)}
-    srs: dict = {}  # (x_a, T, T') -> analytic SR
+    bands = htlcgame.continuation_band_t2(base, ts, x_a=xa)
+    surface = htlcgame.sr_surface(base, xa, ts, ts, bands)
+    if surface.na_mask.all():
+        raise ConfigError(
+            f"A never starts the HTLC swap at any of the {surface.na_mask.size} cells montecarlo "
+            f"draws (x_a {_MC_XA[0]}..{_MC_XA[1]}, T and T' 0..{_MC_DELAYS - 1})")
+    row_of = {x_a: i for i, x_a in enumerate(xa.tolist())}
     rows = []
     picked = 0
     while picked < cells:  # plain-swap cells, skipping non-participating ones
         x_a = float(np.round(rng.uniform(*_MC_XA), 1))
-        T = float(rng.integers(0, _MC_DELAYS))
-        Tp = float(rng.integers(0, _MC_DELAYS))
-        g = base.with_x_a(x_a)
-        band = bands[x_a, T]
-        if (x_a, T, Tp) not in srs:
-            srs[x_a, T, Tp] = htlcgame.success_rate(g, T, Tp, band)
-        analytic = srs[x_a, T, Tp]
-        if analytic is None:
-            if len(srs) == _MC_HTLC_CELLS and all(sr is None for sr in srs.values()):
-                raise ConfigError(
-                    f"A never starts the HTLC swap at any of the {_MC_HTLC_CELLS} cells montecarlo "
-                    f"draws (x_a {_MC_XA[0]}..{_MC_XA[1]}, T and T' 0..{_MC_DELAYS - 1})")
+        T = int(rng.integers(0, _MC_DELAYS))
+        Tp = int(rng.integers(0, _MC_DELAYS))
+        i = row_of[x_a]
+        if surface.na_mask[i, T, Tp]:
             continue
-        freq, se = mc_success_rate_htlc(g, T, Tp, paths, int(rng.integers(2**31)), band)
-        rows.append(["htlc", x_a, T, Tp, analytic, freq, se, _z_score(freq, analytic, paths)])
+        analytic = float(surface.raw[i, T, Tp])
+        freq, se = mc_success_rate_htlc(base.with_x_a(x_a), float(T), float(Tp), paths,
+                                        int(rng.integers(2**31)), bands[i][T])
+        rows.append(["htlc", x_a, float(T), float(Tp), analytic, freq, se, _z_score(freq, analytic, paths)])
         picked += 1
 
     xa = _mc_xa(_MC_QS_XA)
-    quick_bands = dict(zip(xa.tolist(), quickswapgame.continuation_band_t3(quick, x_a=xa)))
+    quick_bands = quickswapgame.continuation_band_t3(quick, x_a=xa)
+    quick_srs = quickswapgame.success_rate(quick, quick_bands, x_a=xa)
+    row_of = {x_a: i for i, x_a in enumerate(xa.tolist())}
     for _ in range(cells):
         x_a = float(np.round(rng.uniform(*_MC_QS_XA), 1))
-        g = quick.with_x_a(x_a)
-        band = quick_bands[x_a]
-        analytic = quickswapgame.success_rate(g, band)
-        freq, se = mc_success_rate_quickswap(g, paths, int(rng.integers(2**31)), band)
+        i = row_of[x_a]
+        analytic = float(quick_srs[i])
+        freq, se = mc_success_rate_quickswap(quick.with_x_a(x_a), paths, int(rng.integers(2**31)),
+                                             quick_bands[i])
         rows.append(["quickswap", x_a, 0.0, 0.0, analytic, freq, se, _z_score(freq, analytic, paths)])
 
     worst = max(abs(row[-1]) for row in rows)

@@ -330,13 +330,14 @@ def continuation_band_t2(p: SwapParams, T, scan: Bracket | None = None, x_a=None
 def success_rate(p: SwapParams, T: float, Tp: float, band=_SOLVE) -> float | None:
     """Probability the swap completes once started; None when A never starts.
 
-    One cell of ``sr_surface``.  ``band`` is B's middle-node band at ``T``
-    when the caller has solved it already.
+    One cell of ``sr_surface``, solved as a one-cell table on the same path.
+    ``band`` is B's middle-node band at ``T`` when the caller has solved it
+    already.
     """
     if band is _SOLVE:
         band = continuation_band_t2(p, T)
-    raw, _ = _sr_rows(p, np.array([float(T)]), np.array([float(Tp)]), [band])
-    return None if math.isnan(raw[0, 0]) else float(raw[0, 0])
+    raw = sr_surface(p, [p.x_a], [T], [Tp], [[band]]).raw[0, 0, 0]
+    return None if math.isnan(raw) else float(raw)
 
 
 def sr_surface(
@@ -344,41 +345,42 @@ def sr_surface(
     xa_grid,
     T_grid,
     Tp_grid,
+    bands=_SOLVE,
 ) -> SRGrid:
     """Evaluate the success rate over the full (x_a, T, T') grid.
 
     B's continuation band is independent of T', so the bands of every
-    (x_a, T) pair are solved in one ``continuation_band_t2`` call, the
-    root-node integral of one x_a covers every (T, T') pair in one call,
-    and the SR integral of each (x_a, T) pair runs with T' as a batch axis.
+    (x_a, T) pair are solved in one ``continuation_band_t2`` call; ``bands``
+    holds them when the caller has solved them already, nested x_a by T as
+    that call returns them.  The root-node integral of one x_a covers every
+    (T, T') pair in one call.  Every cell where A starts and B has a band is
+    then one row of one success-rate table (``_sr_table``), whose rows equal
+    the cells solved alone bit for bit.
     """
     xa = np.asarray(xa_grid, dtype=float)
     ts = np.asarray(T_grid, dtype=float)
     tps = np.asarray(Tp_grid, dtype=float)
+    if bands is _SOLVE:
+        bands = continuation_band_t2(p, ts, x_a=xa)
     norm = p.theta_1 * p.theta_2
-    raw = np.full((len(xa), len(ts), len(tps)), np.nan)
-    na = np.zeros_like(raw, dtype=bool)
-
-    for i, bands in enumerate(continuation_band_t2(p, ts, x_a=xa)):
-        raw[i], na[i] = _sr_rows(p.with_x_a(float(xa[i])), ts, tps, bands)
-
+    na = np.zeros((len(xa), len(ts), len(tps)), dtype=bool)
+    x_star = np.empty(len(xa))
+    for i, row in enumerate(bands):
+        q = p.with_x_a(float(xa[i]))
+        u_cont, u_stop = payoff_t1_with_band(q, ts, tps, row)
+        na[i] = u_cont < u_stop
+        x_star[i] = claim_threshold_t3(q)
+    # A cell where A starts but B never locks completes with probability 0.
+    raw = np.where(na, np.nan, 0.0)
+    locks = np.array([[band is not None for band in row] for row in bands], dtype=bool)
+    # The other cells are the table's rows; each one's group is its (x_a, T)
+    # band, numbered x_a-major as in ``bands``.
+    cells = ~na & locks.reshape(len(xa), len(ts), 1)
+    pair, k = np.divmod(np.flatnonzero(cells), len(tps))
+    raw[cells] = _sr_table(p, [band for row in bands for band in row], np.repeat(x_star, len(ts)),
+                           np.tile(p.tau_b + ts, len(xa)), p.tau_a + tps[k], pair)
     conditional = raw / norm if norm > 0 else np.where(np.isnan(raw), np.nan, 0.0)
     return SRGrid(raw=raw, conditional=conditional, na_mask=na)
-
-
-def _sr_rows(p: SwapParams, ts: np.ndarray, tps: np.ndarray, bands) -> tuple[np.ndarray, np.ndarray]:
-    """Raw success rates and NA mask of one x_a: two (len(ts), len(tps)) arrays."""
-    u_cont, u_stop = payoff_t1_with_band(p, ts, tps, bands)
-    na = u_cont < u_stop
-    raw = np.full(na.shape, np.nan)
-    for j, (T, band) in enumerate(zip(ts, bands)):
-        starts = ~na[j]
-        if band is None:
-            raw[j, starts] = 0.0
-        elif starts.any():
-            raw[j, starts] = _sr_integral(
-                p, band, claim_threshold_t3(p), p.tau_a + tps[starts, None], p.tau_b + float(T))
-    return raw, na
 
 
 def payoff_t1_with_band(p: SwapParams, T, Tp, bands) -> tuple[np.ndarray, np.ndarray]:
@@ -429,18 +431,36 @@ def payoff_t1_with_band(p: SwapParams, T, Tp, bands) -> tuple[np.ndarray, np.nda
     return u_cont, u_stop
 
 
-def _sr_integral(p: SwapParams, band: Bracket, threshold: float, h_lock, h_claim: float):
-    """Two-stage success rate: B locks inside ``band`` after ``h_lock`` hours,
-    then A claims above ``threshold`` after a further ``h_claim`` hours.
+def _sr_table(p: SwapParams, bands: list[Bracket], threshold: np.ndarray, h_claim: np.ndarray,
+              h_lock: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """Two-stage success rates, one per row: B locks inside the band after
+    ``h_lock`` hours, then A claims above the threshold after a further
+    ``h_claim`` hours.
 
-    ``h_lock`` is a (K, 1) column of lock horizons, giving one rate per row,
-    or a scalar, giving one float.
+    Rows come in groups of consecutive rows that share a band: ``group``
+    gives each row's group, ascending, which indexes ``bands``,
+    ``threshold`` and ``h_claim``; ``h_lock`` holds one entry per row.  Each
+    row integrates over its group's band, with one bracket per row in
+    ``integrate``, so a row's rate does not depend on the rows it is solved
+    with.  The claim tail does not depend on the lock horizon: it is
+    evaluated once per group on the nodes of the group's first row, which
+    are those of all its rows.  The rows go through one ``integrate`` call
+    per block of at most ``_CALL_BUDGET`` integrand values.
     """
     st1 = PriceState(p.x_yb_t1)
+    rates = np.empty(len(group))
+    per = max(1, numerics._CALL_BUDGET // numerics._GL_ORDER)
+    for first in range(0, len(group), per):
+        rows = slice(first, first + per)
+        block = group[rows]
+        new_group = np.diff(block, prepend=-1) != 0
+        heads, local = np.flatnonzero(new_group), np.cumsum(new_group) - 1
+        x_star, h_c, h_l = threshold[block[heads], None], h_claim[block[heads], None], h_lock[rows, None]
 
-    def integrand(price):
-        dens = p.theta_2 * transition_pdf(price, st1, p.gbm, h_lock)
-        tails = 1.0 - cdf_from(threshold, price, p.gbm, h_claim)
-        return dens * p.theta_1 * tails
+        def integrand(price):
+            dens = p.theta_2 * transition_pdf(price, st1, p.gbm, h_l)
+            tails = 1.0 - cdf_from(x_star, price[heads], p.gbm, h_c)
+            return dens * p.theta_1 * tails[local]
 
-    return np.maximum(0.0, integrate(integrand, band, p.quad))
+        rates[rows] = integrate(integrand, [bands[g] for g in block.tolist()], p.quad)
+    return np.maximum(0.0, rates, out=rates)

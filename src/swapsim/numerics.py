@@ -60,46 +60,69 @@ class Bracket:
         return self.hi - self.lo
 
 
-def fixed_gauss(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float):
+def fixed_gauss(f: Callable[[np.ndarray], np.ndarray], lo, hi):
     """Single-panel Gauss-Legendre estimate; no adaptivity, no error control.
 
-    Returns a float, or one estimate per row when ``f`` returns a (K, n) array.
+    ``lo`` and ``hi`` are floats, and ``f`` maps the (n,) nodes to (n,)
+    values (a float is returned) or to a (K, n) array (one estimate per
+    row); or they are (K,) arrays of per-row panel ends, and ``f`` maps the
+    (K, n) nodes, row k on [lo[k], hi[k]], to (K, n) values.  Each estimate
+    is the numpy sum of its own row, whose bits do not depend on the other
+    rows (a BLAS dot product of a (K, n) table does not give that).
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
+    if np.ndim(half):
+        half, mid = half[:, None], mid[:, None]
     vals = np.asarray(f(mid + half * _GL_NODES), dtype=float)
-    est = half * np.dot(vals, _GL_WEIGHTS)
-    return float(est) if vals.ndim == 1 else est
+    est = np.reshape(half, -1) * (vals * _GL_WEIGHTS).sum(axis=-1)
+    return float(est[0]) if vals.ndim == 1 else est
 
 
-def integrate(f: Callable[[np.ndarray], np.ndarray], bracket: Bracket, spec: QuadratureSpec = QuadratureSpec()):
+def integrate(f: Callable[[np.ndarray], np.ndarray], bracket: Bracket | Sequence[Bracket],
+              spec: QuadratureSpec = QuadratureSpec()):
     """Adaptive panel-bisection quadrature over the bracket.
 
     A panel is accepted when its whole-panel estimate agrees with the sum of
     its two halves within the (locally scaled) tolerance; otherwise both
     halves are refined.  Deterministic for a given integrand and spec.
 
-    ``f`` maps the (n,) node vector to (n,) values, and then a float is
-    returned; or to a (K, n) array of K integrands over the same bracket, and
-    then a length-K array is returned.  Each row has its own scale,
-    acceptance test and refinement, so row k equals the scalar result for
-    row k alone (up to rounding); only rows that fail a panel are refined.
+    With one ``Bracket``, ``f`` maps the (n,) node vector to (n,) values,
+    and then a float is returned; or to a (K, n) array of K integrands over
+    the same bracket, and then a length-K array is returned.  With a
+    sequence of K Brackets, one per row, ``f`` maps a (K, n) node array,
+    row k on a panel of its own bracket, to (K, n) values, and a length-K
+    array is returned.  Each row has its own scale, acceptance test and
+    refinement, on panels that split its own bracket as a lone call would,
+    so row k equals the result for row k alone bit for bit.  Only rows that
+    fail a panel are refined, but ``f`` evaluates every row on each panel.
     """
-    first = fixed_gauss(f, bracket.lo, bracket.hi)
+    if isinstance(bracket, Bracket):
+        lo, hi = bracket.lo, bracket.hi
+    else:
+        lo = np.array([b.lo for b in bracket], dtype=float)
+        hi = np.array([b.hi for b in bracket], dtype=float)
+    width = hi - lo
+    first = fixed_gauss(f, lo, hi)
     whole = np.atleast_1d(first)
     bound = np.maximum(spec.abs_tol, spec.rel_tol * np.maximum(np.abs(whole), 1.0e-300))
 
-    def recurse(lo: float, hi: float, whole: np.ndarray, rows: np.ndarray, depth: int) -> np.ndarray:
+    def at(v, rows):
+        # Per-row panel ends are arrays; shared ones are floats.
+        return v[rows] if np.ndim(v) else v
+
+    def recurse(lo, hi, whole: np.ndarray, rows: np.ndarray, depth: int) -> np.ndarray:
         mid = 0.5 * (lo + hi)
         left = np.atleast_1d(fixed_gauss(f, lo, mid))[rows]
         right = np.atleast_1d(fixed_gauss(f, mid, hi))[rows]
         out = left + right
         err = np.abs(whole - out)
-        failed = ~(err <= bound[rows] * (hi - lo) / bracket.width)
+        failed = ~(err <= bound[rows] * at(hi - lo, rows) / at(width, rows))
         if failed.any():
             if depth >= spec.max_depth:
+                k = rows[failed][0]
                 raise QuadratureDepthError(
-                    f"quadrature failed to converge on [{lo}, {hi}] at depth {depth} "
+                    f"quadrature failed to converge on [{at(lo, k)}, {at(hi, k)}] at depth {depth} "
                     f"(err={np.max(err[failed]):.3e})"
                 )
             sub = rows[failed]
@@ -107,7 +130,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], bracket: Bracket, spec: Qua
                            + recurse(mid, hi, right[failed], sub, depth + 1))
         return out
 
-    result = recurse(bracket.lo, bracket.hi, whole, np.arange(len(whole)), 0)
+    result = recurse(lo, hi, whole, np.arange(len(whole)), 0)
     return result if np.ndim(first) else float(result[0])
 
 

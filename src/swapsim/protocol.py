@@ -834,7 +834,7 @@ def _mc_two_stage(
     p: SwapParams, band: Bracket | None, threshold: float, h_lock: float, h_claim: float,
     n_paths: int, seed: int,
 ) -> tuple[float, float]:
-    """Monte Carlo twin of ``htlcgame._sr_integral``: B locks when the price
+    """Monte Carlo twin of ``htlcgame._sr_table``: B locks when the price
     after ``h_lock`` hours lies in ``band``, then A claims when the price a
     further ``h_claim`` hours on is at least ``threshold``.  No band: (0, 0)."""
     rng = np.random.default_rng(seed)

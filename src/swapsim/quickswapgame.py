@@ -8,7 +8,7 @@ counterparty for the full locktime.  The game has the plain-HTLC shape:
 closed forms at the final node, a continuation band for B at the middle
 node, and a delay-free success rate that depends only on x_a; the band and
 the success rate come from htlcgame's shared ``widest_band`` and
-``_sr_integral``.
+``_sr_table``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .htlcgame import _SOLVE, SwapParams, _scan_bracket, _sr_integral, _xa_column, sr_surface, widest_band
+from .htlcgame import _SOLVE, SwapParams, _scan_bracket, _sr_table, _xa_column, sr_surface, widest_band
 # ``find_roots``, ``integrate`` and ``transition_pdf`` are no longer called
 # here (the band and SR solvers are shared with htlcgame); the bindings stay
 # for perfbench, which wraps them by name.
@@ -245,16 +245,26 @@ def continuation_band_t3(
 # ---------------------------------------------------------------------------
 # Success rate of the premium swap.
 
-def success_rate(q: QuickSwapParams, band=_SOLVE) -> float:
+def success_rate(q: QuickSwapParams, band=_SOLVE, x_a=None):
     """Probability the premium swap completes; a single number per parameter
-    set — no delay axes, by construction of the cancel provisions.  ``band``
-    is B's t3 band when the caller has solved it already."""
+    set — no delay axes, by construction of the cancel provisions.
+
+    With ``x_a`` a 1-D array, an array of one rate per x_a, every x_a one
+    row of one success-rate table (htlcgame's ``_sr_table``).  ``band`` is
+    B's t3 band, or with ``x_a`` the list of one band per x_a, when the
+    caller has solved it already.
+    """
+    xs = np.atleast_1d(np.asarray(q.base.x_a if x_a is None else x_a, dtype=float))
     if band is _SOLVE:
-        band = continuation_band_t3(q)
-    if band is None:
-        return 0.0
+        bands = continuation_band_t3(q, x_a=xs)
+    else:
+        bands = [band] if x_a is None else band
+    rows = np.flatnonzero([band is not None for band in bands])
     b = q.base
-    return float(_sr_integral(b, band, claim_threshold_t4(q), b.tau_a, b.tau_b))
+    rates = np.zeros(len(xs))
+    rates[rows] = _sr_table(b, bands, np.array([claim_threshold_t4(q.with_x_a(x)) for x in xs.tolist()]),
+                            np.full(len(xs), b.tau_b), np.full(len(rows), b.tau_a), rows)
+    return float(rates[0]) if x_a is None else rates
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +310,9 @@ def compare_participation(
 ) -> ParticipationReport:
     """Contrast the x_a ranges with non-zero success rate under each protocol.
 
-    The premium protocol has no delay axes; the plain HTLC rate is evaluated
-    at zero delay and minimized over a coarse delay grid.
+    The premium protocol has no delay axes: its rates of every x_a are the
+    rows of one ``success_rate`` table.  The plain HTLC rate is evaluated at
+    zero delay and minimized over a coarse delay grid of ``sr_surface``.
     """
     if (h.x_yb_t1, h.t_a, h.t_b, h.tau_a, h.tau_b, h.gbm) != (
         q.base.x_yb_t1, q.base.t_a, q.base.t_b, q.base.tau_a, q.base.tau_b, q.base.gbm
@@ -314,8 +325,7 @@ def compare_participation(
 
     # A cell where participation fails contributes zero completed swaps.
     worst = np.nan_to_num(grid.raw, nan=0.0).min(axis=(1, 2))
-    bands = continuation_band_t3(q, x_a=xa)
-    quick = np.array([success_rate(q.with_x_a(float(x)), band) for x, band in zip(xa, bands)])
+    quick = success_rate(q, continuation_band_t3(q, x_a=xa), x_a=xa)
 
     r_zero = _nonzero_range(xa, grid.raw[:, 0, 0])
     r_worst = _nonzero_range(xa, worst)

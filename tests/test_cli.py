@@ -188,7 +188,7 @@ def test_montecarlo_rejects_tiny_path_counts(tmp_path):
 ])
 def test_size_limits_refuse_before_allocating(tmp_path, capsys, args):
     # Refused while the traced peak stays under 1 MB: the oracles hold about
-    # 40 B a path and the default cyclic tuples about 100 B a party.
+    # 18 B a path and the default cyclic tuples about 100 B a party.
     tracemalloc.start()
     try:
         code = run_cli(*args, "--out", str(tmp_path))
@@ -205,7 +205,7 @@ def _digest(path: Path) -> str:
 
 @pytest.mark.parametrize("fmt, digest", [
     ("csv", "71247fd3e7a8e4763c0862b5d5679eb3fd36a7fd6f911c038f13ab2d89473ac4"),
-    ("json", "268484ae46c3b875cd826fc3df48b94c9e3b5c391b7d552bc5141cea0edc766f"),
+    ("json", "b0f5440b95455f6bcf74ddec12dfeaa8379b7f4659759fdd90d753452206916f"),
 ])
 def test_default_surface_bytes_are_pinned(tmp_path, fmt, digest):
     assert run_cli("htlc-surface", "--out", str(tmp_path), "--format", fmt) == 0
@@ -273,6 +273,32 @@ def test_json_table_streams_its_rows(tmp_path):
     assert peak < 3 * len(text)
     rows = [dict(zip(columns, row)) for row in zip(*map(cli._json_cells, columns.values()))]
     assert text == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+
+
+def test_csv_table_streams_its_rows(tmp_path):
+    # 10,000 rows are written in blocks of lines, with the bytes of one join
+    # of every line: the traced peak stays below 3x the file, where holding
+    # every line took over 7x.
+    n = 10_000
+    columns = {
+        "x_a": np.round(1.0 + 0.0001 * np.arange(n), 10),
+        "T": np.tile(np.arange(20.0), n // 20),
+        "sr_raw": np.where(np.arange(n) % 7 == 0, np.nan, np.linspace(0.0, 0.25, n)),
+        "participation_flag": np.arange(n) % 7 != 0,
+        "kind": ["htlc", "quickswap,1"] * (n // 2),
+    }
+    cfg = cli.RunConfig("test", {}, tmp_path)
+    tracemalloc.start()
+    try:
+        cli._write_columns(cfg, "t", columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = (tmp_path / "t.csv").read_text(encoding="utf-8")
+    assert peak < 3 * len(text)
+    lines = [",".join(columns)] + [",".join(row) for row in zip(*map(cli._csv_cells, columns.values()))]
+    assert text == "\n".join(lines) + "\n"
+    assert text.count("\n") == n + 1 and '"quickswap,1"' in text
 
 
 def test_row_table_writer_matches_column_writer(tmp_path):
@@ -344,6 +370,21 @@ def test_montecarlo_band_table_holds_every_drawable_cell(tmp_path, monkeypatch):
     assert run_cli("montecarlo", "--out", str(tmp_path), "--set", "paths=1000", "--set", "cells=2") == 0
     # x_a 1.5..2.4 by T 0..3 in one call, and no band solved per draw.
     assert rows == [40]
+
+
+def test_montecarlo_solves_its_analytic_rates_as_one_table_per_game(tmp_path, monkeypatch):
+    calls = []
+    for module, name in ((htlcgame, "sr_surface"), (htlcgame, "success_rate"),
+                         (quickswapgame, "success_rate")):
+        def counted(*args, _solve=getattr(module, name), _name=f"{module.__name__}.{name}", **kwargs):
+            result = _solve(*args, **kwargs)
+            calls.append((_name, np.shape(result.raw if hasattr(result, "raw") else result)))
+            return result
+        monkeypatch.setattr(module, name, counted)
+    assert run_cli("montecarlo", "--out", str(tmp_path), "--set", "paths=1000", "--set", "cells=3") == 0
+    # Every drawable cell before the first draw: 10 x_a by T by T' for the
+    # HTLC, 15 x_a for Quick Swap, and no rate solved per draw.
+    assert calls == [("swapsim.htlcgame.sr_surface", (10, 4, 4)), ("swapsim.quickswapgame.success_rate", (15,))]
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -478,3 +478,53 @@ def test_band_scan_evaluates_t_free_terms_once_per_x_a(monkeypatch, uniform, sha
     scan = [shape for shape in shapes if shape[-1] > 3]
     assert sorted(scan) == sorted([(7, 1, c) for c in (222, 34)] * shared
                                   + [(7, 21, c) for c in (222, 34)] * (3 - shared))
+
+
+@pytest.mark.parametrize("case, p", [
+    ("sigma 0.05", baseline(0.05)),
+    ("sigma 0.2", baseline(0.2)),
+    ("uniform delay discounting", baseline(uniform_delay_discounting=True)),
+    ("tight quadrature", baseline(0.02, quad=QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12))),
+])
+def test_surface_cells_equal_cells_solved_alone(case, p):
+    # The surface's one success-rate table gives every cell the bits of its
+    # own one-cell table.
+    xa, ts, tps = [1.6, 2.0, 2.4], [0.0, 10.0, 20.0], [0.0, 7.0, 14.0, 21.0]
+    grid = sr_surface(p, xa, ts, tps)
+    finite = np.argwhere(~np.isnan(grid.raw))
+    assert len(finite) and (grid.raw[~np.isnan(grid.raw)] > 0.0).any()
+    for i, j, k in finite.tolist():
+        assert grid.raw[i, j, k] == success_rate(p.with_x_a(xa[i]), ts[j], tps[k])
+
+
+def test_default_surface_makes_one_success_rate_call(monkeypatch):
+    xa = np.round(np.arange(1.0, 3.0 + 1e-9, 0.1), 10)
+    ts, tps = np.arange(21.0), np.arange(22.0)
+    bands = continuation_band_t2(baseline(), ts, x_a=xa)
+    calls = []  # the integrand call shapes of each per-row-bracket call
+
+    def counted(f, bracket, spec):
+        if isinstance(bracket, Bracket):
+            return integrate(f, bracket, spec)
+        calls.append([])
+
+        def g(x):
+            calls[-1].append(x.shape)
+            return f(x)
+
+        return integrate(g, bracket, spec)
+
+    monkeypatch.setattr(htlcgame, "integrate", counted)
+    grid = sr_surface(baseline(), xa, ts, tps)
+    locks = np.array([[band is not None for band in row] for row in bands])
+    rows = int((~grid.na_mask & locks[:, :, None]).sum())
+    # One call on every cell with a band: the whole panel and its halves.
+    assert calls == [[(rows, 32)] * 3]
+    assert rows * 32 <= numerics._CALL_BUDGET
+    # With a budget of 100 rows the table splits into blocks of 100 rows,
+    # one integrate call each; no row's bits change.
+    calls.clear()
+    monkeypatch.setattr(numerics, "_CALL_BUDGET", 32 * 100)
+    assert np.array_equal(sr_surface(baseline(), xa, ts, tps).raw, grid.raw, equal_nan=True)
+    assert [len(c) for c in calls] == [3] * -(-rows // 100)
+    assert [c[0][0] for c in calls] == [100] * (rows // 100) + [rows % 100] * bool(rows % 100)

@@ -55,6 +55,34 @@ def test_batched_integrate_single_row_returns_array():
     assert got[0] == integrate(np.sin, Bracket(0.0, math.pi))
 
 
+@pytest.mark.parametrize("spec", [QuadratureSpec(), QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)])
+def test_per_row_brackets_match_rows_integrated_alone(spec):
+    # Each row subdivides its own bracket as a lone call would, and each
+    # panel sum is a row sum that does not depend on the other rows.
+    rng = np.random.default_rng(7)
+    lo = rng.uniform(0.01, 2.0, 40)
+    brackets = [Bracket(a, a + w) for a, w in zip(lo, rng.uniform(0.1, 3.0, 40))]
+    for f in (np.sqrt, np.exp, lambda x: np.exp(-((x - 1.5) ** 2) * 50.0)):
+        got = integrate(f, brackets, spec)
+        assert got.shape == (len(brackets),)
+        assert got.tolist() == [integrate(f, b, spec) for b in brackets]
+        # Any subset of the rows, in any order, gives the same bits.
+        pick = rng.permutation(len(brackets))[:13]
+        assert integrate(f, [brackets[k] for k in pick], spec).tolist() == got[pick].tolist()
+    # Rows with integrands of their own: refined ones and accepted ones.
+    rows = [lambda x: np.exp(-((x - 0.7) ** 2) * 1e4), lambda x: x**1.5, np.sqrt, np.exp]
+    own = [Bracket(0.0, 1.0), Bracket(0.5, 2.0), Bracket(1e-6, 0.3), Bracket(-1.0, 1.0)]
+    calls = []
+
+    def table(x):
+        calls.append(x.shape)
+        return np.stack([f(row) for f, row in zip(rows, x)])
+
+    got = integrate(table, own, spec)
+    assert got.tolist() == [integrate(f, b, spec) for f, b in zip(rows, own)]
+    assert all(shape == (len(rows), 32) for shape in calls) and len(calls) > 3
+
+
 def test_integrate_depth_exhaustion_raises():
     spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-16, max_depth=3)
     with pytest.raises(QuadratureDepthError):

@@ -225,3 +225,25 @@ def test_participation_solves_quick_swap_bands_in_blocks(monkeypatch):
     assert solved == [whole]
     assert report.quick_sr.tolist() == [success_rate(q.with_x_a(x), band)
                                         for x, band in zip(xa.tolist(), whole)]
+
+
+def test_participation_solves_quick_swap_rates_in_one_table(monkeypatch):
+    # The Quick Swap rates of every x_a are the rows of one integrate call
+    # with one bracket per row, as the HTLC surface's success rates are.
+    tables = []
+    integrate = htlcgame.integrate
+
+    def counted(f, bracket, spec):
+        if not isinstance(bracket, Bracket):
+            tables.append(len(bracket))
+        return integrate(f, bracket, spec)
+
+    monkeypatch.setattr(htlcgame, "integrate", counted)
+    q = quick_baseline()
+    xa = np.round(np.arange(1.0, 3.0 + 1e-9, 0.1), 10)
+    report = compare_participation(q.base, q, xa)
+    _, quick_rows = tables
+    assert quick_rows == int((report.quick_sr > 0.0).sum()) == 21
+    rates = success_rate(q, x_a=xa)
+    assert tables[2:] == [21]
+    assert rates.tolist() == report.quick_sr.tolist() == [success_rate(q.with_x_a(x)) for x in xa.tolist()]
