@@ -22,7 +22,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from pathlib import Path
 
@@ -89,7 +89,7 @@ _PARAMS: dict[str, dict] = {
 # Largest grid htlc-surface or quickswap-sr may ask for, in cells.  Bands are
 # solved in lockstep blocks of at most 4,096 rows, and tables are written a
 # block of rows at a time, so the limit is loose.  On a 2-CPU x86 host,
-# quickswap-sr at the limit (20,000 x_a) ran 32 s and peaked at 67 MB, and the
+# quickswap-sr at the limit (20,000 x_a) ran 16 s and peaked at 63 MB, and the
 # limit refuses htlc-surface grids that run well: xa_step=0.01 (92,862 cells)
 # took 0.9 s and 43 MB in CSV and 1.9 s and 57 MB in JSON, and xa_step=0.002
 # (462,462 cells) took 5.2 s and 60 MB in CSV.
@@ -367,7 +367,8 @@ def cmd_quickswap_sr(cfg: RunConfig) -> int:
         "x_a": xa,
         "sr_raw": report.quick_sr,
         "sr_conditional": report.quick_sr / norm if norm > 0 else np.zeros(len(xa)),
-        "x_t4_star": np.array([quickswapgame.claim_threshold_t4(q.with_x_a(x)) for x in xa.tolist()]),
+        "x_t4_star": quickswapgame.claim_threshold_t4(
+            replace(q, base=htlcgame._xa_column(q.base, xa))).ravel(),
     })
 
     report_payload = {

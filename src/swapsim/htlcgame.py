@@ -15,6 +15,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from itertools import chain
 
 import numpy as np
@@ -116,13 +117,26 @@ class SwapParams:
         return replace(self, x_a=x_a)
 
 
+def _xa_axis(p: SwapParams, x_a) -> np.ndarray:
+    """``x_a`` (``p.x_a`` when None) as a 1-D float array.
+
+    Each value is checked as ``with_x_a`` checks it, with the same error, so
+    that the x_a axis needs no ``SwapParams`` per value.
+    """
+    xs = np.atleast_1d(np.asarray(p.x_a if x_a is None else x_a, dtype=float))
+    bad = np.flatnonzero(~np.isfinite(xs) | (xs < 0.0))
+    if bad.size:
+        raise ValueError("x_a must be >= 0" if np.isfinite(xs[bad[0]]) else "x_a must be finite")
+    return xs
+
+
 def _xa_column(p: SwapParams, xa) -> SwapParams:
     """``p`` with ``x_a`` set to the (G, 1, 1) column of the values ``xa``.
 
     The kernels broadcast it against (G, R, n) prices, so G groups of rows
     that differ in x_a evaluate in one call with the arithmetic of G scalar
     calls.  The values are not validated here: callers pass x_a values that
-    ``with_x_a`` has accepted.
+    ``_xa_axis`` has accepted.
     """
     col = copy.copy(p)
     object.__setattr__(col, "x_a", np.asarray(xa, dtype=float).reshape(-1, 1, 1))
@@ -227,10 +241,11 @@ def payoff_t2(p: SwapParams, price_t2: float, T: float) -> tuple[float, float, f
     return float(u_a_cont), float(u_b_cont), u_a_stop, u_b_stop
 
 
-def _scan_bracket(*prices: float) -> Bracket:
-    """Default band scan: three decades below to 12x above the largest price."""
-    ref = max(prices)
-    return Bracket(ref * 1e-3, ref * 12.0)
+def _scan_brackets(*prices) -> list[Bracket]:
+    """Default band scans, one per x_a: three decades below to 12x above the
+    largest of ``prices``, which broadcast to one value per x_a."""
+    ref = reduce(np.maximum, prices)
+    return list(map(Bracket, (ref * 1e-3).tolist(), (ref * 12.0).tolist()))
 
 
 def widest_band(g, scans: list[Bracket], rows: int = 1) -> list[Bracket | None]:
@@ -296,10 +311,6 @@ def widest_band(g, scans: list[Bracket], rows: int = 1) -> list[Bracket | None]:
     return bands
 
 
-def _default_scan(p: SwapParams) -> Bracket:
-    return _scan_bracket(p.x_yb_t1, p.x_a, claim_threshold_t3(p))
-
-
 def continuation_band_t2(p: SwapParams, T, scan: Bracket | None = None, x_a=None) -> Bracket | None | list:
     """Price band over which B prefers locking at the middle node.
 
@@ -313,7 +324,7 @@ def continuation_band_t2(p: SwapParams, T, scan: Bracket | None = None, x_a=None
     """
     _check_delay("claim delay T", T, p.claim_delay_window)
     ts = np.atleast_1d(np.asarray(T, dtype=float))
-    xs = np.atleast_1d(np.asarray(p.x_a if x_a is None else x_a, dtype=float))
+    xs = _xa_axis(p, x_a)
     t_col = ts[:, None]
 
     # One group per x_a, one row per delay: the T-free terms of B's value
@@ -321,8 +332,8 @@ def continuation_band_t2(p: SwapParams, T, scan: Bracket | None = None, x_a=None
     def g(x, groups):
         return _u_B_cont_t2(_xa_column(p, xs[groups]), x, t_col) - x
 
-    # The lazy map validates each x_a without holding one SwapParams per x_a.
-    scans = [scan or _default_scan(q) for q in map(p.with_x_a, xs.tolist())]
+    x_star = claim_threshold_t3(_xa_column(p, xs)).ravel()
+    scans = _scan_brackets(p.x_yb_t1, xs, x_star) if scan is None else [scan] * len(xs)
     bands = widest_band(g, scans, len(ts))
     return np.array(bands, dtype=object).reshape(np.shape(x_a) + np.shape(T)).tolist()
 
@@ -352,115 +363,150 @@ def sr_surface(
     B's continuation band is independent of T', so the bands of every
     (x_a, T) pair are solved in one ``continuation_band_t2`` call; ``bands``
     holds them when the caller has solved them already, nested x_a by T as
-    that call returns them.  The root-node integral of one x_a covers every
-    (T, T') pair in one call.  Every cell where A starts and B has a band is
-    then one row of one success-rate table (``_sr_table``), whose rows equal
-    the cells solved alone bit for bit.
+    that call returns them.  The root node runs in blocks of whole x_a
+    groups, one ``payoff_t1_with_band`` call each, of at most
+    ``_CALL_BUDGET`` integrand values; of each block only the NA mask is
+    kept.  Every cell where A starts and B has a band is then one row of one
+    success-rate table (``_sr_table``), whose rows equal the cells solved
+    alone bit for bit.
     """
-    xa = np.asarray(xa_grid, dtype=float)
     ts = np.asarray(T_grid, dtype=float)
     tps = np.asarray(Tp_grid, dtype=float)
+    xa = _xa_axis(p, xa_grid)
     if bands is _SOLVE:
         bands = continuation_band_t2(p, ts, x_a=xa)
+    locks = np.fromiter((band is not None for band in chain.from_iterable(bands)), bool)
+    locks = locks.reshape(len(xa), len(ts))
+    # A block holds ``per`` x_a that have a band; one without rides along
+    # with its predecessors, as it adds no integrand rows.
+    per = max(1, numerics._CALL_BUDGET // max(1, len(ts) * len(tps) * numerics._GL_ORDER))
+    block = np.maximum(np.cumsum(locks.any(axis=1)) - 1, 0) // per
+    ends = np.append(np.flatnonzero(np.diff(block)) + 1, len(xa)).tolist()
+    na = np.empty((len(xa), len(ts), len(tps)), dtype=bool)
+    for first, last in zip([0] + ends[:-1], ends):
+        u_cont, u_stop = payoff_t1_with_band(p, ts, tps, bands[first:last], x_a=xa[first:last])
+        na[first:last] = u_cont < u_stop
+    # The table's rows are the other cells; each one's group is its (x_a, T)
+    # band, numbered x_a-major as in ``bands``.  A cell where A starts but B
+    # never locks keeps the table's 0.
+    cells = ~na & locks[:, :, None]
+    x_star = claim_threshold_t3(_xa_column(p, xa)).ravel()
+    raw = _sr_table(p, list(chain.from_iterable(bands)), np.repeat(x_star, len(ts)),
+                    np.tile(p.tau_b + ts, len(xa)), p.tau_a + tps,
+                    cells.reshape(-1, len(tps))).reshape(na.shape)
+    raw[na] = np.nan
     norm = p.theta_1 * p.theta_2
-    na = np.zeros((len(xa), len(ts), len(tps)), dtype=bool)
-    x_star = np.empty(len(xa))
-    for i, row in enumerate(bands):
-        q = p.with_x_a(float(xa[i]))
-        u_cont, u_stop = payoff_t1_with_band(q, ts, tps, row)
-        na[i] = u_cont < u_stop
-        x_star[i] = claim_threshold_t3(q)
-    # A cell where A starts but B never locks completes with probability 0.
-    raw = np.where(na, np.nan, 0.0)
-    locks = np.array([[band is not None for band in row] for row in bands], dtype=bool)
-    # The other cells are the table's rows; each one's group is its (x_a, T)
-    # band, numbered x_a-major as in ``bands``.
-    cells = ~na & locks.reshape(len(xa), len(ts), 1)
-    pair, k = np.divmod(np.flatnonzero(cells), len(tps))
-    raw[cells] = _sr_table(p, [band for row in bands for band in row], np.repeat(x_star, len(ts)),
-                           np.tile(p.tau_b + ts, len(xa)), p.tau_a + tps[k], pair)
     conditional = raw / norm if norm > 0 else np.where(np.isnan(raw), np.nan, 0.0)
     return SRGrid(raw=raw, conditional=conditional, na_mask=na)
 
 
-def payoff_t1_with_band(p: SwapParams, T, Tp, bands) -> tuple[np.ndarray, np.ndarray]:
+def payoff_t1_with_band(p: SwapParams, T, Tp, bands, x_a=None) -> tuple[np.ndarray, np.ndarray]:
     """Root-node values (A continue, A stop) with precomputed middle-node bands.
 
-    ``T`` is a 1-D array of K claim delays and ``bands`` their K bands (None
-    where B never locks); ``Tp`` is a 1-D array of lock delays.  Returns two
-    (K, len(Tp)) arrays.  Each band is mapped onto u in [0, 1] (price =
-    lo + u * (hi - lo), Jacobian hi - lo), so the integrands of every
-    (T, T') pair run through one ``integrate`` call with row-wise
-    refinement.  A's t2 value does not depend on T', so it is evaluated once
-    per (T, node) and only the transition density carries the T' axis.
+    ``T`` is a 1-D array of K claim delays and ``Tp`` one of lock delays.
+    ``x_a`` follows ``continuation_band_t2``: without it, ``bands`` holds
+    the K bands of ``p.x_a`` (None where B never locks) and two
+    (K, len(Tp)) arrays are returned; with a 1-D ``x_a``, ``bands`` is
+    nested x_a by T and the arrays are (len(x_a), K, len(Tp)).  A's stop
+    value is x_a, returned as a read-only broadcast.
+
+    Each band is mapped onto u in [0, 1] (price = lo + u * (hi - lo),
+    Jacobian hi - lo), so the integrands of every (x_a, T, T') cell run
+    through one ``integrate`` call with row-wise refinement; ``sr_surface``
+    keeps that call within ``_CALL_BUDGET`` by passing blocks of x_a.  x_a
+    is a (G, 1, 1) column, so A's claim threshold and exit value are
+    evaluated once per x_a.  An x_a without a band adds no rows; the
+    band-less delays of the others ride along as zero-width rows, whose
+    integrand is 0 and never refines.  A's t2 value does not depend on T',
+    so it is evaluated once per (x_a, T, node) and only the transition
+    density carries the T' axis.
     """
     _check_delay("claim delay T", T, p.claim_delay_window)
     _check_delay("lock delay T'", Tp, p.lock_delay_window)
     ts = np.atleast_1d(np.asarray(T, dtype=float))
     tps = np.atleast_1d(np.asarray(Tp, dtype=float))
+    xs = _xa_axis(p, x_a)
+    nested = [bands] if x_a is None else bands
+    col = _xa_column(p, xs)
     if p.t1_stop_value == "principal":
-        u_a_stop_t2 = p.x_a - p.f_a
+        u_a_stop_t2 = col.x_a - p.f_a
     else:
-        u_a_stop_t2 = p.x_a * math.exp(-p.r_a * p.t_a) - p.f_a
+        u_a_stop_t2 = col.x_a * math.exp(-p.r_a * p.t_a) - p.f_a
     exit_value = u_a_stop_t2 * math.exp(-p.r_a * p.tau_a)
-    u_cont = np.full((len(ts), len(tps)), exit_value)
-    u_stop = np.full_like(u_cont, p.x_a)
-    rows = [k for k, band in enumerate(bands) if band is not None]
-    if not rows:
-        return u_cont, u_stop
-    lo = np.array([[bands[k].lo] for k in rows])
-    hi = np.array([[bands[k].hi] for k in rows])
-    width = hi - lo
-    t_col = ts[rows, None]
-    st1 = PriceState(p.x_yb_t1)
-    h = p.tau_a + tps
+    shape = (len(xs), len(ts), len(tps))
+    u_cont = np.array(np.broadcast_to(exit_value, shape))
+    u_stop = np.broadcast_to(col.x_a, shape)
+    locks = np.fromiter((band is not None for band in chain.from_iterable(nested)), bool).reshape(shape[:2])
+    groups = np.flatnonzero(locks.any(axis=1))
+    if groups.size:
+        # A band-less row is the zero-width band at a valid price.
+        lo = np.array([[[p.x_yb_t1 if b is None else b.lo] for b in nested[i]] for i in groups.tolist()])
+        hi = np.array([[[p.x_yb_t1 if b is None else b.hi] for b in nested[i]] for i in groups.tolist()])
+        width = hi - lo
+        q = _xa_column(p, xs[groups])
+        st1 = PriceState(p.x_yb_t1)
+        h = p.tau_a + tps
+        t_col = ts[:, None]
 
-    def integrand(u):
-        price = lo + u * width
-        u_a = width * _u_A_cont_t2(p, price, t_col)  # Jacobian folded into the T'-free factor
-        dens = transition_pdf(price[:, None, :], st1, p.gbm, h[:, None])
-        return (dens * u_a[:, None, :]).reshape(-1, len(u))
+        def integrand(u):
+            price = lo + u * width
+            u_a = width * _u_A_cont_t2(q, price, t_col)  # Jacobian folded into the T'-free factor
+            dens = transition_pdf(price[:, :, None, :], st1, p.gbm, h[:, None])
+            return (dens * u_a[:, :, None, :]).reshape(-1, len(u))
 
-    cont_int = integrate(integrand, Bracket(0.0, 1.0), p.quad).reshape(len(rows), len(tps))
-    # Complement of the band under the same tau_a + T' law as the integral,
-    # so the two branch weights sum to one.
-    mass_outside = 1.0 - transition_cdf(hi, st1, p.gbm, h) + transition_cdf(lo, st1, p.gbm, h)
-    u_cont[rows] = p.theta_2 * (
-        cont_int * np.exp(-p.r_a * h) + mass_outside * exit_value
-    ) + (1.0 - p.theta_2) * exit_value
+        cont_int = integrate(integrand, Bracket(0.0, 1.0), p.quad).reshape(len(groups), len(ts), len(tps))
+        # Complement of the band under the same tau_a + T' law as the
+        # integral, so the two branch weights sum to one.
+        mass_outside = 1.0 - transition_cdf(hi, st1, p.gbm, h) + transition_cdf(lo, st1, p.gbm, h)
+        exit_g = exit_value[groups]
+        value = p.theta_2 * (
+            cont_int * np.exp(-p.r_a * h) + mass_outside * exit_g
+        ) + (1.0 - p.theta_2) * exit_g
+        u_cont[groups] = np.where(locks[groups, :, None], value, u_cont[groups])
+    if x_a is None:
+        return u_cont[0], u_stop[0]
     return u_cont, u_stop
 
 
 def _sr_table(p: SwapParams, bands: list[Bracket], threshold: np.ndarray, h_claim: np.ndarray,
-              h_lock: np.ndarray, group: np.ndarray) -> np.ndarray:
-    """Two-stage success rates, one per row: B locks inside the band after
-    ``h_lock`` hours, then A claims above the threshold after a further
-    ``h_claim`` hours.
+              h_lock: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Two-stage success rates: B locks inside a band after a lock horizon,
+    then A claims above the threshold after a further claim horizon.
 
-    Rows come in groups of consecutive rows that share a band: ``group``
-    gives each row's group, ascending, which indexes ``bands``,
-    ``threshold`` and ``h_claim``; ``h_lock`` holds one entry per row.  Each
-    row integrates over its group's band, with one bracket per row in
+    ``cells`` is a (groups, L) mask whose True entries are the table's rows,
+    in row-major order.  A row's group is its mask row, which indexes
+    ``bands``, ``threshold`` and ``h_claim``; its column indexes the L lock
+    horizons ``h_lock``.  Returns the (groups, L) rates, 0 outside the mask.
+    Each row integrates over its group's band, with one bracket per row in
     ``integrate``, so a row's rate does not depend on the rows it is solved
     with.  The claim tail does not depend on the lock horizon: it is
     evaluated once per group on the nodes of the group's first row, which
     are those of all its rows.  The rows go through one ``integrate`` call
-    per block of at most ``_CALL_BUDGET`` integrand values.
+    per block of at most ``_CALL_BUDGET`` integrand values, and each block's
+    row indices are taken from the mask when the block is solved, so no
+    per-row array spans the table.
     """
     st1 = PriceState(p.x_yb_t1)
-    rates = np.empty(len(group))
+    rates = np.zeros(cells.shape)
+    flat = rates.reshape(-1)
+    width = cells.shape[1]
+    ends = np.cumsum(np.count_nonzero(cells, axis=1))  # rows up to each group's end
     per = max(1, numerics._CALL_BUDGET // numerics._GL_ORDER)
-    for first in range(0, len(group), per):
-        rows = slice(first, first + per)
-        block = group[rows]
+    for first in range(0, int(ends[-1]) if ends.size else 0, per):
+        # The block's rows lie in groups g0..g1 and skip the first ``skip``
+        # rows of g0.
+        g0, g1 = np.searchsorted(ends, [first, first + per - 1], side="right").tolist()
+        skip = first - (int(ends[g0 - 1]) if g0 else 0)
+        pos = np.flatnonzero(cells[g0:g1 + 1])[skip:skip + per] + g0 * width
+        block, col = np.divmod(pos, width)
         new_group = np.diff(block, prepend=-1) != 0
         heads, local = np.flatnonzero(new_group), np.cumsum(new_group) - 1
-        x_star, h_c, h_l = threshold[block[heads], None], h_claim[block[heads], None], h_lock[rows, None]
+        x_star, h_c, h_l = threshold[block[heads], None], h_claim[block[heads], None], h_lock[col, None]
 
         def integrand(price):
             dens = p.theta_2 * transition_pdf(price, st1, p.gbm, h_l)
             tails = 1.0 - cdf_from(x_star, price[heads], p.gbm, h_c)
             return dens * p.theta_1 * tails[local]
 
-        rates[rows] = integrate(integrand, [bands[g] for g in block.tolist()], p.quad)
+        flat[pos] = integrate(integrand, [bands[g] for g in block.tolist()], p.quad)
     return np.maximum(0.0, rates, out=rates)

@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .htlcgame import _SOLVE, SwapParams, _scan_bracket, _sr_table, _xa_column, sr_surface, widest_band
+from .htlcgame import (_SOLVE, SwapParams, _scan_brackets, _sr_table, _xa_axis, _xa_column, sr_surface,
+                       widest_band)
 # ``find_roots``, ``integrate`` and ``transition_pdf`` are no longer called
 # here (the band and SR solvers are shared with htlcgame); the bindings stay
 # for perfbench, which wraps them by name.
@@ -214,10 +215,6 @@ def payoff_t3(q: QuickSwapParams, price_t3: float, action: str) -> tuple[float, 
     raise ValueError(f"unknown action {action!r}")
 
 
-def _default_scan(q: QuickSwapParams) -> Bracket:
-    return _scan_bracket(q.base.x_yb_t1, q.base.x_a, claim_threshold_t4(q))
-
-
 def continuation_band_t3(
     q: QuickSwapParams, scan: Bracket | None = None, x_a=None
 ) -> Bracket | None | list[Bracket | None]:
@@ -229,15 +226,15 @@ def continuation_band_t3(
     1-D array, a list of one band per x_a, each on its own scan bracket
     (which ``scan`` overrides).
     """
-    xs = np.atleast_1d(np.asarray(q.base.x_a if x_a is None else x_a, dtype=float))
+    xs = _xa_axis(q.base, x_a)
 
     # One group of one row per x_a.
     def g(x, groups):
         c = replace(q, base=_xa_column(q.base, xs[groups]))
         return _u_B_cont_t3(c, x) - _t3_cancel_B(c, x)
 
-    # The lazy map validates each x_a, as in continuation_band_t2.
-    scans = [scan or _default_scan(r) for r in map(q.with_x_a, xs.tolist())]
+    x_star = claim_threshold_t4(replace(q, base=_xa_column(q.base, xs))).ravel()
+    scans = _scan_brackets(q.base.x_yb_t1, xs, x_star) if scan is None else [scan] * len(xs)
     bands = widest_band(g, scans)
     return bands[0] if x_a is None else bands
 
@@ -254,16 +251,15 @@ def success_rate(q: QuickSwapParams, band=_SOLVE, x_a=None):
     B's t3 band, or with ``x_a`` the list of one band per x_a, when the
     caller has solved it already.
     """
-    xs = np.atleast_1d(np.asarray(q.base.x_a if x_a is None else x_a, dtype=float))
+    xs = _xa_axis(q.base, x_a)
     if band is _SOLVE:
         bands = continuation_band_t3(q, x_a=xs)
     else:
         bands = [band] if x_a is None else band
-    rows = np.flatnonzero([band is not None for band in bands])
     b = q.base
-    rates = np.zeros(len(xs))
-    rates[rows] = _sr_table(b, bands, np.array([claim_threshold_t4(q.with_x_a(x)) for x in xs.tolist()]),
-                            np.full(len(xs), b.tau_b), np.full(len(rows), b.tau_a), rows)
+    locks = np.array([band is not None for band in bands], dtype=bool)
+    x_star = claim_threshold_t4(replace(q, base=_xa_column(b, xs))).ravel()
+    rates = _sr_table(b, bands, x_star, np.full(len(xs), b.tau_b), np.array([b.tau_a]), locks[:, None])[:, 0]
     return float(rates[0]) if x_a is None else rates
 
 

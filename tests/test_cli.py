@@ -493,3 +493,24 @@ def test_module_entry_point_prints_no_runpy_warning():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0
     assert "found in sys.modules" not in proc.stderr
+
+
+def test_montecarlo_solves_its_htlc_root_nodes_in_one_call(tmp_path, monkeypatch):
+    roots = []
+    solve = htlcgame.payoff_t1_with_band
+
+    def counted(p, T, Tp, bands, x_a=None):
+        roots.append((np.size(x_a), len(T), len(Tp)))
+        return solve(p, T, Tp, bands, x_a)
+
+    monkeypatch.setattr(htlcgame, "payoff_t1_with_band", counted)
+    assert run_cli("montecarlo", "--out", str(tmp_path), "--set", "paths=1000", "--set", "cells=3") == 0
+    # Every x_a of the up-front table, not one call per x_a.
+    assert roots == [(10, 4, 4)]
+
+
+@pytest.mark.parametrize("subcommand", ["htlc-surface", "quickswap-sr"])
+def test_a_negative_x_a_axis_exits_2(tmp_path, capsys, subcommand):
+    # The x_a axis is checked as an array, with the error of one SwapParams.
+    assert run_cli(subcommand, "--out", str(tmp_path / "run"), "--set", "xa_min=-1") == 2
+    assert capsys.readouterr().err == "error: x_a must be >= 0\n"

@@ -528,3 +528,147 @@ def test_default_surface_makes_one_success_rate_call(monkeypatch):
     assert np.array_equal(sr_surface(baseline(), xa, ts, tps).raw, grid.raw, equal_nan=True)
     assert [len(c) for c in calls] == [3] * -(-rows // 100)
     assert [c[0][0] for c in calls] == [100] * (rows // 100) + [rows % 100] * bool(rows % 100)
+
+
+@pytest.mark.parametrize("case, p", [
+    ("sigma 0.05", baseline(0.05)),
+    ("sigma 0.2", baseline(0.2)),
+    ("uniform delay discounting", baseline(uniform_delay_discounting=True)),
+    ("discounted stop value", baseline(t1_stop_value="discounted")),
+    ("tight quadrature", baseline(0.02, quad=QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12))),
+    ("theta_2 0.3", baseline(theta_2=0.3)),
+])
+def test_root_payoffs_of_every_x_a_equal_per_x_a_calls(case, p):
+    # One call over an x_a axis gives each x_a the bits of its own call,
+    # also an x_a without a band and one with band-less delays.
+    xa = np.array([1.6, 2.0, 2.4, 2.8])
+    ts, tps = np.array([0.0, 5.0, 10.0, 20.0]), np.array([0.0, 7.0, 21.0])
+    bands = continuation_band_t2(p, ts, x_a=xa)
+    assert all(band is not None for row in bands for band in row)
+    bands[0][1] = bands[0][3] = None
+    bands[2] = [None] * len(ts)
+    u_cont, u_stop = payoff_t1_with_band(p, ts, tps, bands, x_a=xa)
+    assert u_cont.shape == u_stop.shape == (len(xa), len(ts), len(tps))
+    for i, x in enumerate(xa.tolist()):
+        one_cont, one_stop = payoff_t1_with_band(p.with_x_a(x), ts, tps, bands[i])
+        assert np.array_equal(u_cont[i], one_cont)
+        assert np.array_equal(u_stop[i], one_stop) and (one_stop == x).all()
+    # Where B never locks, A's value is her exit value exactly.
+    stop = xa - p.f_a if p.t1_stop_value == "principal" else xa * math.exp(-p.r_a * p.t_a) - p.f_a
+    exit_value = stop * math.exp(-p.r_a * p.tau_a)
+    assert (u_cont[2] == exit_value[2]).all() and (u_cont[0, [1, 3]] == exit_value[0]).all()
+    assert (u_cont[0, [0, 2]] != exit_value[0]).all()
+
+
+def _root_node_calls(monkeypatch):
+    """Record the root node's calls: the x_a count of each
+    ``payoff_t1_with_band`` call, and each shared-bracket ``integrate`` call
+    as the rows of its integrand calls."""
+    roots, calls = [], []
+    solve = htlcgame.payoff_t1_with_band
+
+    def root(p, T, Tp, bands, x_a=None):
+        roots.append(np.size(x_a))
+        return solve(p, T, Tp, bands, x_a)
+
+    def counted(f, bracket, spec):
+        if not isinstance(bracket, Bracket):
+            return integrate(f, bracket, spec)
+        rows = []
+        calls.append(rows)
+
+        def g(u):
+            values = f(u)
+            rows.append(len(values))
+            return values
+
+        return integrate(g, bracket, spec)
+
+    monkeypatch.setattr(htlcgame, "payoff_t1_with_band", root)
+    monkeypatch.setattr(htlcgame, "integrate", counted)
+    return roots, calls
+
+
+def test_default_surface_solves_its_root_node_in_blocks_of_whole_x_a(monkeypatch):
+    xa = np.round(np.arange(1.0, 3.0 + 1e-9, 0.1), 10)
+    ts, tps = np.arange(21.0), np.arange(22.0)
+    roots, calls = _root_node_calls(monkeypatch)
+    sr_surface(baseline(), xa, ts, tps)
+    # One x_a group is 21 x 22 rows of 32 nodes (14,784 values), so a block
+    # of _CALL_BUDGET values holds two groups: 11 root-node calls, each one
+    # integrate call of three integrand calls.
+    group = 21 * 22
+    assert numerics._CALL_BUDGET // (group * 32) == 2
+    assert roots == [2] * 10 + [1]
+    assert calls == [[2 * group] * 3] * 10 + [[group] * 3]
+
+
+@pytest.mark.parametrize("budget, blocks, banded", [
+    (3 * 4 * 3 * 32, [4, 3], [3, 3]),
+    (100, [1, 1, 2, 1, 1, 1], [1] * 6),
+])
+def test_root_node_blocks_hold_whole_x_a_groups(monkeypatch, budget, blocks, banded):
+    p = baseline(0.2)
+    xa = np.round(np.linspace(1.4, 2.6, 7), 10)
+    ts, tps = np.array([0.0, 5.0, 10.0, 20.0]), np.array([0.0, 7.0, 21.0])
+    bands = continuation_band_t2(p, ts, x_a=xa)
+    bands[3] = [None] * len(ts)  # rides along with the x_a before it
+    bands[5][1] = None
+    whole = sr_surface(p, xa, ts, tps, bands)
+    roots, calls = _root_node_calls(monkeypatch)
+    monkeypatch.setattr(numerics, "_CALL_BUDGET", budget)
+    blocked = sr_surface(p, xa, ts, tps, bands)
+    assert np.array_equal(blocked.raw, whole.raw, equal_nan=True)
+    assert np.array_equal(blocked.na_mask, whole.na_mask)
+    assert roots == blocks
+    # A block of g x_a with a band is one integrate call on g x 4 x 3 rows:
+    # the whole panel and its two halves, none of which refines.
+    assert calls == [[g * 4 * 3] * 3 for g in banded]
+
+
+@pytest.mark.parametrize("x_a, says", [
+    ([2.0, -1.0], "x_a must be >= 0"),
+    ([2.0, math.nan], "x_a must be finite"),
+    ([math.inf, -1.0], "x_a must be finite"),
+    ([-1.0, math.nan], "x_a must be >= 0"),
+])
+def test_x_a_axis_is_checked_as_with_x_a_checks_it(x_a, says):
+    p = baseline()
+    with pytest.raises(ValueError, match=says):
+        for x in x_a:
+            p.with_x_a(x)
+    ts = np.array([0.0, 10.0])
+    with pytest.raises(ValueError, match=says):
+        continuation_band_t2(p, ts, x_a=x_a)
+    with pytest.raises(ValueError, match=says):
+        payoff_t1_with_band(p, ts, ts, [[None, None]] * 2, x_a=x_a)
+    with pytest.raises(ValueError, match=says):
+        sr_surface(p, x_a, ts, ts, [[None, None]] * 2)
+
+
+def test_success_rate_table_holds_no_per_row_array(monkeypatch):
+    # Tables of 1,000 and 2,000 groups of 10 lock horizons, solved 64 rows
+    # at a time.  The 10,000 more rows grow the peak by their 8-byte rates;
+    # one per-row index array spanning the table would add as much again.
+    p = baseline()
+    monkeypatch.setattr(numerics, "_CALL_BUDGET", 64 * 32)
+    peaks, tables = [], []
+    for groups in (1_000, 2_000):
+        cells = np.ones((groups, 10), dtype=bool)
+        cells[::7, 3] = False
+        bands = [Bracket(1.5, 2.5 + 1e-4 * g) for g in range(groups)]
+        args = (bands, np.full(groups, 2.0), np.full(groups, 3.0), p.tau_a + np.arange(10.0))
+        tracemalloc.start()
+        try:
+            rates = htlcgame._sr_table(p, *args, cells)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        tables.append(rates)
+    assert peaks[1] - peaks[0] < 1.5 * (tables[1].nbytes - tables[0].nbytes)
+    assert (rates[~cells] == 0.0).all() and (rates[cells] > 0.0).all()
+    # Each row has the bits of its own one-row table.
+    for g, k in [(0, 0), (7, 2), (7, 4), (1_999, 9)]:
+        one = np.zeros(cells.shape, dtype=bool)
+        one[g, k] = True
+        assert htlcgame._sr_table(p, *args, one)[g, k] == rates[g, k]

@@ -247,3 +247,28 @@ def test_participation_solves_quick_swap_rates_in_one_table(monkeypatch):
     rates = success_rate(q, x_a=xa)
     assert tables[2:] == [21]
     assert rates.tolist() == report.quick_sr.tolist() == [success_rate(q.with_x_a(x)) for x in xa.tolist()]
+
+
+def test_participation_solves_the_htlc_root_node_in_one_call(monkeypatch):
+    # The 21 x_a by 5 delays by 5 lock delays of the HTLC grid are one
+    # payoff_t1_with_band call and, at 16,800 integrand values, one
+    # integrate call.
+    roots, panels = [], []
+    solve, integrate = htlcgame.payoff_t1_with_band, htlcgame.integrate
+
+    def counted(p, T, Tp, bands, x_a=None):
+        roots.append((np.size(x_a), len(T), len(Tp)))
+        return solve(p, T, Tp, bands, x_a)
+
+    def shared(f, bracket, spec):
+        if isinstance(bracket, Bracket):
+            panels.append(bracket)
+        return integrate(f, bracket, spec)
+
+    monkeypatch.setattr(htlcgame, "payoff_t1_with_band", counted)
+    monkeypatch.setattr(htlcgame, "integrate", shared)
+    xa = np.round(np.arange(1.0, 3.0 + 1e-9, 0.1), 10)
+    compare_participation(baseline(), quick_baseline(), xa)
+    assert roots == [(21, 5, 5)]
+    assert panels == [Bracket(0.0, 1.0)]
+    assert 21 * 5 * 5 * 32 <= numerics._CALL_BUDGET
