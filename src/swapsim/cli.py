@@ -73,8 +73,8 @@ _CYCLIC_DEFAULTS: dict = {
     "D": 12.0, "Delta": 2.0, "rho": 0.001, "t_eps": 1.0,
 }
 # Most parties a cyclic spec may have.  ``validate kind=cyclic`` runs 2n + 1
-# traces whose cost grows faster than n**2: 17 s at this limit on a 2-CPU x86
-# host.  Checked before the default per-party tuples are built.
+# traces of O(n) events each: about 11 s at this limit on a 2-CPU x86 host.
+# Checked before the default per-party tuples are built.
 _MAX_CYCLIC_N = 256
 
 # Every key a subcommand accepts, with its default; a value given for a key is

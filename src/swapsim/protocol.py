@@ -9,9 +9,13 @@ one simulated chain per asset with one ``Strategy`` per party: ``compliant``
 acts at the earliest permitted time, ``grief`` stops cooperating after a
 phase ("start" means never act), ``delay`` shifts one action, ``cancel``
 takes the cancellation path at a phase, and ``threshold`` consults the game
-solvers against a price path.  ``_verdict`` audits every trace for net
-value, Correctness, Safety, Liveness and conservation, and the property
-checker sweeps an exhaustive strategy grid.
+solvers against a price path.  The engine asks the strategies questions
+(``_Run.ask``) and is otherwise deterministic, so ``run`` keeps one trace per
+distinct list of answers in the instance's ``answer_tree`` and runs the engine
+only for answers it has not seen.  ``_facts`` keeps what a verdict reads of a
+trace and ``_judge`` audits it per profile for net value, Correctness,
+Safety, Liveness and conservation; the property checker sweeps an exhaustive
+strategy grid.
 """
 
 from __future__ import annotations
@@ -90,6 +94,11 @@ class Strategy:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if self.kind in ("grief", "delay", "cancel") and self.phase is None:
             raise ValueError(f"{self.kind} strategy needs a phase")
+        if self.phase is not None and self.phase not in _PHASES + (
+                ("start",) if self.kind == "grief" else ()):
+            raise ValueError(f"{self.kind} strategy has no phase {self.phase!r}")
+        if not math.isfinite(self.hours):
+            raise ValueError(f"strategy hours must be finite, got {self.hours}")
         if self.kind == "delay" and self.hours <= 0:
             raise ValueError("delay strategy needs positive hours")
 
@@ -191,6 +200,12 @@ class ProtocolInstance:
         if self.kind == "htlc":
             return continuation_band_t2(self.params, 0.0), claim_threshold_t3(self.params)
         return continuation_band_t3(self.params), claim_threshold_t4(self.params)
+
+    @functools.cached_property
+    def answer_tree(self) -> dict:
+        """Every trace ``run`` has made of this plan, keyed by the answers its
+        strategies gave (see ``_replay``)."""
+        return {}
 
 
 def _mk_secret(tag: bytes) -> bytes:
@@ -324,6 +339,9 @@ class _Run:
     once they watch: when a step is missed, after their last success step,
     or once they cancel or give up.  Actions waiting for a secret to be seen
     run on the poll grid: every hour and every timeout from the first watch.
+
+    The run consults its strategies only through ``ask``, which records every
+    question and answer in ``asked``.
     """
 
     def __init__(self, actions, secrets, parties, chains, strategies, timing, decide):
@@ -344,7 +362,17 @@ class _Run:
         n = len(parties)
         self.cancelling, self.watching = [False] * n, [False] * n
         self.revealed = [False] * n        # the party broadcast a cancel
+        self.dead = False                  # a party with a principal in did so
+        self.seen: dict[str, float] = {}   # hash -> earliest confirmed reveal
         self.performed = 0                 # steps taken; the claim is the last
+        self.asked: list = []              # (question, answer) in the order asked
+
+    def ask(self, party: int, question: str, phase: str | None = None):
+        """``party``'s strategy's answer to ``question`` now (see ``_answer``)."""
+        key = (party, question, phase, self.clock)
+        answer = _answer(self.strategies, self.decide, *key)
+        self.asked.append((key, answer))
+        return answer
 
     # -- event loop ------------------------------------------------------------
     def at(self, time: float, fn, prio: int = 1) -> None:
@@ -376,6 +404,8 @@ class _Run:
             return
         for e in chain.advance(self.clock):
             for h in e.revealed:
+                if e.time < self.seen.get(h, math.inf):
+                    self.seen[h] = e.time
                 role = self.roles[h]
                 if role != "Hbar" and self.anchor is not None:
                     seen = self.poll_at(e.time + self.timing.t_eps, e.time - chain.confirm_delay)
@@ -394,9 +424,7 @@ class _Run:
 
     # -- ledger helpers --------------------------------------------------------
     def visible(self, role: str) -> bool:
-        h = self.hashes[role]
-        return any(c.preimage_visible(h, self.timing.t_eps, self.clock) is not None
-                   for c in self.chains)
+        return self.clock >= self.seen.get(self.hashes[role], math.inf) + self.timing.t_eps
 
     def spent(self, idx: int) -> bool:
         return self.refs[idx] in self.chains[self.actions[idx].chain].spent
@@ -420,7 +448,7 @@ class _Run:
         party, idxs = self.steps[k]
         due = self.actions[idxs[0]].start_time + shift
         give_up = sum(self.timing.wait[self.actions[idxs[0]].chain], due)
-        lag = self.strategies[party].lag(self.phase[k])
+        lag = self.ask(party, "lag", self.phase[k])
         self.at(due + lag, lambda: self._lock(k, give_up, shift + lag))
         if lag:
             self.at(due, lambda: self._missed(k, party, give_up))
@@ -432,8 +460,8 @@ class _Run:
         that cancelled owes nothing more."""
         def abandon() -> None:
             if not (self.performed > k or self.revealed[party]):
-                for p, s in enumerate(self.strategies):
-                    if p != party and s.kind != "grief" and self.locked(p):
+                for p in range(len(self.parties)):
+                    if p != party and self.locked(p) and not self.ask(p, "grief"):
                         # Giving up on the claim ends the swap and alerts the
                         # others; giving up on a lock only withdraws a premium.
                         self._cancel(p, alert=k == len(self.steps))
@@ -446,19 +474,16 @@ class _Run:
 
     def _lock(self, k: int, give_up: float, shift: float) -> None:
         party, idxs = self.steps[k]
-        s, phase = self.strategies[party], self.phase[k]
         # Nobody locks once a party with its principal in has cancelled.
-        dead = any(self.revealed[self.actions[i].party] for i in self.refs
-                   if self.actions[i].kind == "principal")
-        cancels = not dead and (s.cancels_at(phase) or (
-            s.kind == "threshold" and not self.decide(party, phase, self.clock)))
-        if cancels:
+        move = "skip" if self.dead else self.ask(party, "move", self.phase[k])
+        if move == "cancel":
             self._cancel(party, alert=True)
-        if dead or cancels or not s.acts_at(phase):
+        if move != "act":
             self._missed(k, party, give_up)
             return
         for idx in idxs:
             a = self.actions[idx]
+            self.dead |= a.kind == "principal" and self.revealed[party]
             expiry = a.timeout + (self.clock - a.start_time)
             contract = (self.layout.contracts[idx] if expiry == a.timeout
                         else self.layout.contract(a, expiry))
@@ -474,7 +499,7 @@ class _Run:
             self._schedule(self.performed, shift)
             return
         locked = self.clock + self.chains[self.actions[idxs[-1]].chain].confirm_delay
-        give_up, lag = locked + self.timing.claim_wait, self.strategies[0].lag("claim")
+        give_up, lag = locked + self.timing.claim_wait, self.ask(0, "lag", "claim")
         self.at(locked + lag, lambda: self._claim(give_up))
         if lag:
             self.at(locked, lambda: self._missed(k + 1, 0, give_up))
@@ -483,12 +508,10 @@ class _Run:
     def _claim(self, give_up: float) -> None:
         for c in self.chains:
             self._observe(c)  # the last lock is in, even on a zero-delay chain
-        s = self.strategies[0]
-        cancels = s.cancels_at("claim") or (
-            s.kind == "threshold" and not self.decide(0, "claim", self.clock))
-        if cancels:
+        move = self.ask(0, "move", "claim")
+        if move == "cancel":
             self._cancel(0, alert=True)
-        if cancels or not s.acts_at("claim"):
+        if move != "act":
             self._missed(len(self.steps), 0, give_up)
             return
         last = len(self.actions) - 1
@@ -505,7 +528,7 @@ class _Run:
         """The payment secret is public: claim incoming principals, reclaim premiums."""
         for idx, a in enumerate(self.actions[:-1]):
             p = a.hashlock_claimant if a.kind == "principal" else a.party
-            if idx not in self.refs or not self.strategies[p].acts_at("claim"):
+            if idx not in self.refs or not self.ask(p, "acts", "claim"):
                 continue
             if a.kind == "principal":
                 self._release(idx, p, f"claim-{idx}")
@@ -527,10 +550,13 @@ class _Run:
             self.cancelling[party] = True
             for idx in self.own(party, "premium"):
                 self.revealed[party] |= self.spend(idx, party, f"cancel-{idx}", f"H{party}")
+            self.dead |= self.revealed[party] and any(
+                i in self.refs for i in self.layout.of[party] if self.actions[i].kind == "principal")
             self._watch(party)
             for idx in self.own(party, "principal"):
                 self._refund_early(self.actions[idx].early_refund_hash)
-        premiums = [a.chain for a in self.actions if a.party == party and a.kind == "premium"]
+        premiums = [self.actions[i].chain for i in self.layout.of[party]
+                    if self.actions[i].kind == "premium"]
         if alert and premiums:
             seen = self.clock + self.chains[premiums[0]].confirm_delay + self.timing.t_eps
             self.at(self.poll_at(seen), lambda: self._alerted(party))
@@ -539,21 +565,20 @@ class _Run:
         """The others follow a cancel once the canceller's secret is seen."""
         if not self.visible(f"H{canceller}"):
             return
-        for p, s in enumerate(self.strategies):
+        for p in range(len(self.parties)):
             if p != canceller and not self.cancelling[p]:
-                if s.kind == "grief":
+                if self.ask(p, "grief"):
                     self._watch(p)
                 else:
                     self._cancel(p, alert=True)
 
     def _refund_early(self, role: str | None) -> None:
         """A cancelling party refunds the principal that ``role`` unlocks early,
-        once the secret is seen."""
+        once the secret is seen.  (A party that griefs never cancels.)"""
         idx = self.layout.refunds.get(role)
         if idx in self.refs:
             party = self.actions[idx].party
-            if (self.cancelling[party] and self.strategies[party].kind != "grief"
-                    and not self.spent(idx) and self.visible(role)):
+            if self.cancelling[party] and not self.spent(idx) and self.visible(role):
                 self.spend(idx, party, f"early-refund-{idx}", role)
 
     # -- timeouts --------------------------------------------------------------
@@ -580,48 +605,71 @@ class _Run:
             self.at(self.clock, sweep, prio=2)
 
 
+def _answer(strategies, decide, party: int, question: str, phase: str | None, clock: float):
+    """What ``party``'s strategy answers the engine at hour ``clock``.
+
+    "move" at a step (``phase``): "act", "cancel" (a ``threshold`` party's
+    refusal is a cancel) or "skip"; "lag": its delay at ``phase``; "acts":
+    whether it performs ``phase`` (asked of claims in ``_redeem``); "grief":
+    whether it griefs.
+    """
+    s = strategies[party]
+    if question == "move":
+        if s.cancels_at(phase) or (s.kind == "threshold" and not decide(party, phase, clock)):
+            return "cancel"
+        return "act" if s.acts_at(phase) else "skip"
+    if question == "lag":
+        return s.lag(phase)
+    if question == "acts":
+        return s.acts_at(phase)
+    return s.kind == "grief"
+
+
 def execute(plan, parties, chains, strategies, timing, *, safety,
             bound: float = math.inf, decide=None, value=None) -> TraceVerdict:
     """Run a lock plan (anything with ``actions`` and role-keyed ``secrets``,
     such as a ``ProtocolInstance`` or a ``cyclic.CyclicPlan``) with one
     strategy per party and audit the trace.
 
-    ``safety(run, swapped, endow, recv)`` is the protocol's safety rule, given
-    what each party funded and received; ``bound`` is the hour by which every
-    lock must be released; ``decide(party, phase, now)`` is the threshold
-    strategies' choice; ``value`` lists each chain's coin value in the first
-    chain's asset (1 each if not given).
+    ``safety(trace, kinds, endow, recv)`` is the protocol's safety rule, given
+    the trace's facts, each party's strategy kind, and what each party funded
+    and received; ``bound`` is the hour by which every lock must be released;
+    ``decide(party, phase, now)`` is the threshold strategies' choice;
+    ``value`` lists each chain's coin value in the first chain's asset (1 each
+    if not given).
     """
     r = _Run(plan.actions, plan.secrets, parties, chains, strategies, timing, decide)
     r.run()
-    return _verdict(r, safety, bound, value or [1.0] * len(chains))
+    return _judge(_facts(r), [s.kind for s in strategies], safety, bound,
+                  value or [1.0] * len(chains))
 
 
 _EVENT_ORDER = operator.attrgetter("time", "chain_id", "tx_id")
 
 
-def _spender(r: _Run, idx: int) -> str:
-    """Id of the confirmed transaction that spent lock ``idx`` ("" if none)."""
-    return r.chains[r.actions[idx].chain].spent.get(r.refs.get(idx), "")
+@dataclass(frozen=True)
+class _Trace:
+    """What a verdict reads of one finished trace; it holds no strategy, so
+    every profile whose answers lead to it can be judged on it."""
+
+    parties: tuple[str, ...]
+    actions: tuple[LockAction, ...]
+    swapped: bool                         # every principal was claimed
+    spender: tuple[str | None, ...]       # per lock: its confirmed spend's id, "" if
+                                          # unspent, None if never made
+    revealed: frozenset[str]              # roles revealed on any chain
+    holdings: tuple                       # per chain: (funded_total, balances) items
+    events: tuple[ConfirmationEvent, ...]  # sorted by time, chain, tx
+    locks_left: int
+    last_spend: float
+    unconserved: tuple[str, ...]          # chains whose value is not conserved
+    final_time: float
 
 
-def _verdict(r: _Run, safety, bound: float, scale) -> TraceVerdict:
-    """Net value, Correctness, Safety, Liveness and conservation of a trace."""
-    endow = dict.fromkeys(r.parties, 0.0)
-    recv = dict.fromkeys(r.parties, 0.0)
-    for f, c in zip(scale, r.chains):
-        for p, v in c.funded_total.items():
-            endow[p] += f * v
-        for p, v in c.balances.items():
-            recv[p] += f * v
-    net = {p: recv[p] - endow[p] for p in r.parties}
-
-    swapped = all(_spender(r, i).startswith("claim")
-                  for i, a in enumerate(r.actions) if a.kind == "principal")
-    kinds = [s.kind for s in r.strategies]
-    outcome = "swapped" if swapped else ("griefed" if "grief" in kinds else "cancelled")
-
-    events = sorted((e for c in r.chains for e in c.events), key=_EVENT_ORDER)
+def _facts(r: _Run) -> _Trace:
+    """The trace facts of a finished run."""
+    spender = tuple(r.chains[a.chain].spent.get(r.refs[i], "") if i in r.refs else None
+                    for i, a in enumerate(r.actions))
     last_spend = last = 0.0
     sent = -math.inf  # latest broadcast of a transaction processed
     for c in r.chains:
@@ -632,73 +680,119 @@ def _verdict(r: _Run, safety, bound: float, scale) -> TraceVerdict:
                 sent = e.time - c.confirm_delay
             if e.kind == "confirmed" and e.time > last_spend:
                 last_spend = e.time
-    witnesses: list[str] = []
-    locks_left = sum(len(c.utxos) + len(c.mempool) for c in r.chains)
-    liveness = locks_left == 0 and last_spend <= bound
-    if not liveness:
-        witnesses.append(f"liveness: {locks_left} unreleased locks, last release at "
-                         f"{last_spend:g}h (bound {bound:g}h)")
-    correctness = swapped or any(k != "compliant" for k in kinds)
-    if not correctness:
-        witnesses.append("correctness: compliant parties failed to swap")
-    safe, found = safety(r, swapped, endow, recv)
-    witnesses += found
-    for c in r.chains:
-        if not conservation_holds(c):
-            safe = False
-            witnesses.append(f"conservation violated on {c.id}")
-    return TraceVerdict(
-        outcome=outcome, net_value=net, correctness=correctness, safety=safe,
-        liveness=liveness, witnesses=witnesses, events=events,
+    return _Trace(
+        parties=tuple(r.parties), actions=r.actions,
+        swapped=all((spender[i] or "").startswith("claim")
+                    for i, a in enumerate(r.actions) if a.kind == "principal"),
+        spender=spender,
+        revealed=frozenset(r.roles[h] for c in r.chains for h in c.revealed if h in r.roles),
+        holdings=tuple((tuple(c.funded_total.items()), tuple(c.balances.items()))
+                       for c in r.chains),
+        events=tuple(sorted((e for c in r.chains for e in c.events), key=_EVENT_ORDER)),
+        locks_left=sum(len(c.utxos) + len(c.mempool) for c in r.chains),
+        last_spend=last_spend,
+        unconserved=tuple(c.id for c in r.chains if not conservation_holds(c)),
         # The run ends at the first poll that observes the last confirmation.
         final_time=last if r.anchor is None else r.poll_at(last, sent),
     )
 
 
-def _compensated(r: _Run, swapped: bool, endow, recv, rho: float) -> tuple[bool, list[str]]:
+def _judge(t: _Trace, kinds, safety, bound: float, scale) -> TraceVerdict:
+    """Net value, Correctness, Safety, Liveness and conservation of a trace
+    played by strategies of these kinds."""
+    endow = dict.fromkeys(t.parties, 0.0)
+    recv = dict.fromkeys(t.parties, 0.0)
+    for f, (funded, held) in zip(scale, t.holdings):
+        for p, v in funded:
+            endow[p] += f * v
+        for p, v in held:
+            recv[p] += f * v
+    net = {p: recv[p] - endow[p] for p in t.parties}
+    outcome = "swapped" if t.swapped else ("griefed" if "grief" in kinds else "cancelled")
+
+    witnesses: list[str] = []
+    liveness = t.locks_left == 0 and t.last_spend <= bound
+    if not liveness:
+        witnesses.append(f"liveness: {t.locks_left} unreleased locks, last release at "
+                         f"{t.last_spend:g}h (bound {bound:g}h)")
+    correctness = t.swapped or any(k != "compliant" for k in kinds)
+    if not correctness:
+        witnesses.append("correctness: compliant parties failed to swap")
+    safe, found = safety(t, kinds, endow, recv)
+    witnesses += found
+    for chain_id in t.unconserved:
+        safe = False
+        witnesses.append(f"conservation violated on {chain_id}")
+    return TraceVerdict(
+        outcome=outcome, net_value=net, correctness=correctness, safety=safe,
+        liveness=liveness, witnesses=witnesses, events=list(t.events), final_time=t.final_time,
+    )
+
+
+def _compensated(t: _Trace, kinds, endow, recv, rho: float) -> tuple[bool, list[str]]:
     """Two-party rule: a compliant party griefed out of the swap is owed
     c(amount * locktime) = rho * amount * locktime for its locked principal,
     paid by the premiums that time out to it.  The plain HTLC pays none,
     which is exactly the violation the checker is expected to surface
     whenever ``rho`` is positive."""
-    kinds = [s.kind for s in r.strategies]
     for victim in (0, 1):
-        if swapped or kinds[victim] != "compliant" or kinds[1 - victim] != "grief":
+        if t.swapped or kinds[victim] != "compliant" or kinds[1 - victim] != "grief":
             continue
-        idx = next(i for i, a in enumerate(r.actions) if a.party == victim and a.kind == "principal")
-        if idx not in r.refs:
+        idx = next(i for i, a in enumerate(t.actions) if a.party == victim and a.kind == "principal")
+        if t.spender[idx] is None:
             continue
-        a = r.actions[idx]
+        a = t.actions[idx]
         hours = a.timeout - a.start_time
         required = rho * a.amount * hours
-        received = sum(p.amount for i, p in enumerate(r.actions)
+        received = sum(p.amount for i, p in enumerate(t.actions)
                        if p.kind == "premium" and p.timeout_recipient == victim
-                       and _spender(r, i) == f"timeout-{i}")
+                       and t.spender[i] == f"timeout-{i}")
         if received + 1e-9 < required:
-            return False, [f"safety: {r.parties[victim]} griefed with {a.amount:g} locked for "
+            return False, [f"safety: {t.parties[victim]} griefed with {a.amount:g} locked for "
                            f"{hours:g}h, compensation {received:g} < required {required:g}"]
     return True, []
 
 
-def recovers_locked(r: _Run, swapped: bool, endow, recv) -> tuple[bool, list[str]]:
+def recovers_locked(t: _Trace, kinds, endow, recv) -> tuple[bool, list[str]]:
     """Cyclic rule: a compliant party whose outgoing principal was claimed
     holds the incoming one; otherwise it gets back everything it locked
     (premium timeouts may add on top).  A success reveals only "Hbar"."""
     witnesses: list[str] = []
-    revealed = {r.roles[h] for c in r.chains for h in c.revealed if h in r.roles}
-    if swapped and revealed != {"Hbar"}:
-        witnesses.append(f"success trace revealed {sorted(revealed)}")
+    if t.swapped and t.revealed != {"Hbar"}:
+        witnesses.append(f"success trace revealed {sorted(t.revealed)}")
     expected = dict(endow)
-    incoming = {a.hashlock_claimant: a.amount for a in r.actions if a.kind == "principal"}
-    for idx, a in enumerate(r.actions):
-        if a.kind == "principal" and _spender(r, idx).startswith("claim"):
-            p = r.parties[a.party]
+    incoming = {a.hashlock_claimant: a.amount for a in t.actions if a.kind == "principal"}
+    for idx, a in enumerate(t.actions):
+        if a.kind == "principal" and (t.spender[idx] or "").startswith("claim"):
+            p = t.parties[a.party]
             expected[p] += incoming[a.party] - a.amount
-    for i, s in enumerate(r.strategies):
-        p = r.parties[i]
-        if s.kind == "compliant" and recv[p] + 1e-9 < expected[p]:
+    for p, kind in zip(t.parties, kinds):
+        if kind == "compliant" and recv[p] + 1e-9 < expected[p]:
             witnesses.append(f"safety: {p} received {recv[p]:g} < expected {expected[p]:g}")
     return not any(w.startswith("safety") for w in witnesses), witnesses
+
+
+def _replay(tree: dict, answer) -> _Trace | None:
+    """The trace ``tree`` holds for these answers, or None where it has none.
+
+    A tree node is ``(question, {answer: node})`` and a leaf a ``_Trace``;
+    the root sits under the key None.  ``answer(*question)`` answers a
+    recorded question for the profile being replayed.
+    """
+    node = tree.get(None)
+    while type(node) is tuple:
+        question, branches = node
+        node = branches.get(answer(*question))
+    return node
+
+
+def _grow(tree: dict, asked, trace: _Trace) -> None:
+    """Add a run's questions and answers, ending at its trace, to ``tree``."""
+    branches, key = tree, None
+    for question, answer in asked:
+        _, branches = branches.setdefault(key, (question, {}))
+        key = answer
+    branches[key] = trace
 
 
 def run(
@@ -706,12 +800,15 @@ def run(
     profile: StrategyProfile,
     price_path=None,
 ) -> TraceVerdict:
-    """Execute one two-party trace and audit it.  Deterministic given inputs."""
+    """Execute one two-party trace and audit it.  Deterministic given inputs.
+
+    The engine runs only when the profile's answers leave the instance's
+    ``answer_tree``; otherwise the trace found there is judged afresh."""
     if instance.kind not in ("htlc", "quickswap"):
         raise ValueError(f"unknown protocol kind {instance.kind!r}")
     b = instance.base
     price = price_path or (lambda t: b.x_yb_t1)
-    strategies = [profile.strategy_A, profile.strategy_B]
+    strategies = (profile.strategy_A, profile.strategy_B)
 
     def decide(party: int, phase: str, now: float) -> bool:
         """Threshold play: B locks inside its band, A claims above its threshold."""
@@ -722,17 +819,25 @@ def run(
             return strategies[0].interested and price(now) >= instance.thresholds[1]
         return True
 
-    # A party waits for the counterparty's lock to confirm and for A's claim
-    # to be seen on the slower chain, each plus half of B's confirmation delay.
-    slack = b.tau_b / 2.0
-    timing = Timing(t_eps=b.t_eps, wait=((b.tau_a, slack), (b.tau_b, slack)),
-                    claim_wait=max(b.tau_a, b.tau_b) + b.t_eps + slack, release_with_claim=True)
-    chains = [Chain("chain-a", b.tau_a), Chain("chain-b", b.tau_b)]
+    trace = _replay(instance.answer_tree, functools.partial(_answer, strategies, decide))
+    if trace is None:
+        # A party waits for the counterparty's lock to confirm and for A's
+        # claim to be seen on the slower chain, each plus half of B's
+        # confirmation delay.
+        slack = b.tau_b / 2.0
+        timing = Timing(t_eps=b.t_eps, wait=((b.tau_a, slack), (b.tau_b, slack)),
+                        claim_wait=max(b.tau_a, b.tau_b) + b.t_eps + slack,
+                        release_with_claim=True)
+        chains = [Chain("chain-a", b.tau_a), Chain("chain-b", b.tau_b)]
+        r = _Run(instance.actions, instance.secrets, ("A", "B"), chains, strategies, timing, decide)
+        r.run()
+        trace = _facts(r)
+        _grow(instance.answer_tree, r.asked, trace)
     bound = liveness_bound(instance, profile)
     # Net value in A-asset units at the price once every lock is released.
-    return execute(instance, ("A", "B"), chains, strategies, timing,
-                   safety=functools.partial(_compensated, rho=instance.rho),
-                   bound=bound, decide=decide, value=[1.0, price(bound + 1.0) / b.x_yb_t1])
+    return _judge(trace, [s.kind for s in strategies],
+                  functools.partial(_compensated, rho=instance.rho),
+                  bound, [1.0, price(bound + 1.0) / b.x_yb_t1])
 
 
 # ---------------------------------------------------------------------------

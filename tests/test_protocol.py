@@ -1,5 +1,8 @@
+import gc
 import math
 import tracemalloc
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,12 +10,16 @@ import pytest
 from conftest import baseline, quick_baseline
 from swapsim import protocol
 from swapsim.htlcgame import claim_threshold_t3, continuation_band_t2, success_rate
+from swapsim.ledgersim import Chain
 from swapsim.protocol import (
+    LockAction,
     Strategy,
     StrategyProfile,
+    Timing,
     build_htlc_instance,
     build_quickswap_instance,
     check_properties,
+    execute,
     liveness_bound,
     mc_success_rate_htlc,
     mc_success_rate_quickswap,
@@ -90,6 +97,21 @@ def test_liveness_bound_grows_with_delays():
     inst = build_htlc_instance(baseline())
     slow = StrategyProfile(Strategy("delay", phase="claim", hours=12.0), Strategy("compliant"))
     assert liveness_bound(inst, slow) > liveness_bound(inst, COMPLIANT)
+
+
+@pytest.mark.parametrize("kind, kwargs", [
+    ("grief", {"phase": "bogus"}),
+    ("cancel", {"phase": "claimm"}),
+    ("delay", {"phase": "lokc", "hours": 2.0}),
+    ("delay", {"phase": "lock", "hours": math.nan}),
+    ("delay", {"phase": "lock", "hours": math.inf}),
+], ids=["grief-bogus-phase", "cancel-misspelt-phase", "delay-misspelt-phase",
+        "nan-hours", "infinite-hours"])
+def test_strategy_rejects_bad_inputs_when_built(kind, kwargs):
+    # Each of these used to fail mid-run, play compliant, print "bound nanh"
+    # or hang in the poll loop.
+    with pytest.raises(ValueError, match="phase|finite"):
+        Strategy(kind, **kwargs)
 
 
 def test_strategy_grid_composition():
@@ -201,3 +223,106 @@ def test_mc_cells_fill_their_draw_buffers_in_place():
     freq = float(np.mean(success))
     assert got == (freq, math.sqrt(max(freq * (1.0 - freq), 1e-12) / n))
     assert 0.0 < freq < 1.0
+
+
+def _instance(kind: str, **overrides):
+    if kind == "htlc":
+        return build_htlc_instance(baseline(**overrides))
+    return build_quickswap_instance(quick_baseline(**overrides))
+
+
+def _profiles(kind: str) -> list[StrategyProfile]:
+    grid = strategy_grid(kind)
+    return [StrategyProfile(a, b) for a in grid["A"] for b in grid["B"]]
+
+
+THRESHOLDS = [StrategyProfile(a, b)
+              for a in (Strategy("threshold"), Strategy("threshold", interested=False))
+              for b in (Strategy("threshold"), Strategy("threshold", interested=False))]
+
+
+@pytest.mark.parametrize("overrides", [{}, {"sigma": 0.2, "x_a": 2.4}, {"tau_a": 0.0, "tau_b": 0.0}],
+                         ids=["default", "sigma0.2-xa2.4", "zero-delays"])
+@pytest.mark.parametrize("kind", ["htlc", "quickswap"])
+def test_shared_instance_verdicts_equal_fresh_runs(kind, overrides):
+    # One instance serves the grid and the threshold profiles on prices that
+    # drift up and down in time; every verdict field, events and final_time
+    # included, equals a run of the same profile on a fresh instance.
+    def drift(slope):
+        return lambda t: 2.0 * (1.0 + slope * t)
+
+    shared = _instance(kind, **overrides)
+    runs = [(pr, drift(0.02)) for pr in THRESHOLDS]
+    runs += [(pr, None) for pr in _profiles(kind)]
+    runs += [(pr, drift(-0.02)) for pr in THRESHOLDS]
+    outcomes = set()
+    # At zero delays the band solvers divide by a zero price spread on their
+    # way to the right limit brackets; that warning is not this test's subject.
+    with np.errstate(divide="ignore" if overrides.get("tau_a") == 0.0 else "warn"):
+        for profile, price in runs:
+            got = run(shared, profile, price)
+            assert got == run(_instance(kind, **overrides), profile, price), profile.label()
+            outcomes.add(got.outcome)
+    assert outcomes == {"swapped", "cancelled", "griefed"}
+
+
+@pytest.mark.parametrize("kind, profiles, engine_runs", [("htlc", 121, 59), ("quickswap", 176, 90)])
+def test_check_properties_runs_each_answer_list_once(monkeypatch, kind, profiles, engine_runs):
+    counted = []
+    engine = protocol._Run.run
+    monkeypatch.setattr(protocol._Run, "run", lambda self: counted.append(1) or engine(self))
+    inst = _instance(kind)
+    assert len(check_properties(inst).rows) == profiles
+    assert len(counted) == engine_runs
+    check_properties(inst)  # every trace is in the tree now
+    assert len(counted) == engine_runs
+
+
+def test_trace_cache_keeps_no_cycle_to_its_instance():
+    # Leaves that held the threshold strategies' ``decide`` closure made a
+    # cycle instance -> tree -> leaf -> closure -> instance, which only the
+    # cyclic garbage collector frees.
+    gc.disable()
+    try:
+        inst = _instance("quickswap")
+        ref = weakref.ref(inst)
+        check_properties(inst)
+        for profile in THRESHOLDS:
+            run(inst, profile, lambda t: 2.0 + 0.01 * t)
+        del inst
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_verdicts_served_from_one_trace_do_not_share_state():
+    inst = build_htlc_instance(baseline())
+    griefed = StrategyProfile(Strategy("compliant"), Strategy("grief", phase="lock"))
+    expected = run(build_htlc_instance(baseline()), griefed)
+    first = run(inst, griefed)
+    assert first.witnesses and first.events
+    first.events.clear()
+    first.witnesses.append("edited")
+    first.net_value["A"] = 99.0
+    assert run(inst, griefed) == expected
+
+
+def test_no_lock_after_a_cancelled_party_locks_its_principal():
+    # P0 posts a premium, P1 locks late, so P0 gives up and reveals H0; P1's
+    # late lock and then P0's principal still go in.  From then on a party
+    # with its principal in has cancelled, so P1's premium is never locked.
+    actions = (
+        LockAction(0, 0, 0.1, "premium", 0.0, 40.0, 1, 0, ("Hbar", "H0")),
+        LockAction(1, 1, 2.0, "principal", 3.0, 27.0, 1, 0, ("Hbar",), "H0"),
+        LockAction(0, 0, 2.0, "principal", 6.0, 54.0, 0, 1, ("Hbar",), "H1"),
+        LockAction(1, 1, 0.1, "premium", 9.0, 40.0, 0, 0, ("Hbar", "H1")),
+    )
+    secrets = {role: f"{role}-secret".encode().ljust(32, b"\x00") for role in ("Hbar", "H0", "H1")}
+    v = execute(SimpleNamespace(actions=actions, secrets=secrets), ("P0", "P1"), [Chain("chain-0", 3.0), Chain("chain-1", 3.0)],
+                [Strategy("compliant"), Strategy("delay", phase="lock", hours=10.0)],
+                Timing(t_eps=1.0, wait=((3.0, 1.5), (3.0, 1.5)), claim_wait=7.0,
+                       release_with_claim=True),
+                safety=lambda *facts: (True, []))
+    made = {e.tx_id for e in v.events if e.tx_id.startswith("lock-")}
+    assert made == {"lock-0", "lock-1", "lock-2"}
+    assert any(e.tx_id == "cancel-0" and e.kind == "confirmed" for e in v.events)
