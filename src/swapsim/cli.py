@@ -22,7 +22,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
 
@@ -188,6 +188,19 @@ def _quick_params(p: dict) -> quickswapgame.QuickSwapParams:
         base=_swap_params(p), D=p["D"], Delta=p["Delta"], rho=p["rho"])
 
 
+def _check_horizons(base: htlcgame.SwapParams, tp_min: float = 0.0) -> None:
+    """Refuse, before any band solve, a success rate with a zero horizon: A
+    decides tau_b hours after B's lock and B locks tau_a + T' hours after the
+    start.  Over no hours the price law is a point, and the integrand steps
+    at A's claim threshold and at B's band edges, where quadrature cannot
+    converge."""
+    if base.tau_b == 0:
+        raise ConfigError("tau_b must be > 0: the success rate needs a claim horizon")
+    if base.tau_a + tp_min == 0:
+        name = "tau_a" if tp_min == 0 else "tau_a + tp_min"
+        raise ConfigError(f"{name} must be > 0: the success rate needs a lock horizon")
+
+
 def _cyclic_spec(p: dict) -> cyclic_mod.CyclicSpec:
     n = p["n"]
     if n > _MAX_CYCLIC_N:
@@ -330,6 +343,7 @@ def _write_manifest(cfg: RunConfig) -> None:
 def cmd_htlc_surface(cfg: RunConfig) -> int:
     p = cfg.params
     base = _swap_params(p)
+    _check_horizons(base, p["tp_min"])
     xa, ts, tps = _grid((p["xa_min"], p["xa_max"], p["xa_step"]),
                         (p["t_min"], min(p["t_max"], base.claim_delay_window), p["delay_step"]),
                         (p["tp_min"], min(p["tp_max"], base.lock_delay_window), p["delay_step"]))
@@ -358,6 +372,7 @@ def cmd_htlc_surface(cfg: RunConfig) -> int:
 def cmd_quickswap_sr(cfg: RunConfig) -> int:
     p = cfg.params
     q = _quick_params(p)
+    _check_horizons(q.base)
     (xa,) = _grid((p["xa_min"], p["xa_max"], p["xa_step"]))
     norm = q.base.theta_1 * q.base.theta_2
     # The report already holds the premium SR per x_a; reuse it rather than
@@ -367,8 +382,7 @@ def cmd_quickswap_sr(cfg: RunConfig) -> int:
         "x_a": xa,
         "sr_raw": report.quick_sr,
         "sr_conditional": report.quick_sr / norm if norm > 0 else np.zeros(len(xa)),
-        "x_t4_star": quickswapgame.claim_threshold_t4(
-            replace(q, base=htlcgame._xa_column(q.base, xa))).ravel(),
+        "x_t4_star": quickswapgame.claim_threshold_t4(q, x_a=xa),
     })
 
     report_payload = {
@@ -455,6 +469,7 @@ def cmd_montecarlo(cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     base = _swap_params(p)
     quick = _quick_params(p)
+    _check_horizons(base)
     # Both windows must hold every delay the draw can produce, so whether a
     # config is accepted does not depend on the seed.
     htlcgame._check_delay("claim delay T", _MC_DELAYS - 1, base.claim_delay_window)

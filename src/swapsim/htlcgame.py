@@ -6,17 +6,20 @@ and A locks or stops at the start (t1).  Continuation values are expected,
 time-discounted payoffs under the log-normal price transitions; the
 thresholds (A's claim threshold, B's continuation price band, A's
 participation constraint) fall out of comparing continue vs stop at each
-node.  The success-rate surface integrates the resulting policy over the
-price law.
+node.  Every final-node payoff is linear in the final price, so the last two
+nodes are a table of coefficients and horizons (``_Game``, built by
+``_htlc`` here and by quickswapgame's ``_quick``), solved for both games by
+one kernel: ``_threshold``, ``_value_b`` and ``_value_a``.  The
+success-rate surface integrates the resulting policy over the price law.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +35,6 @@ __all__ = [
     "SRGrid",
     "payoff_t3",
     "claim_threshold_t3",
-    "payoff_t2",
     "continuation_band_t2",
     "widest_band",
     "success_rate",
@@ -130,19 +132,6 @@ def _xa_axis(p: SwapParams, x_a) -> np.ndarray:
     return xs
 
 
-def _xa_column(p: SwapParams, xa) -> SwapParams:
-    """``p`` with ``x_a`` set to the (G, 1, 1) column of the values ``xa``.
-
-    The kernels broadcast it against (G, R, n) prices, so G groups of rows
-    that differ in x_a evaluate in one call with the arithmetic of G scalar
-    calls.  The values are not validated here: callers pass x_a values that
-    ``_xa_axis`` has accepted.
-    """
-    col = copy.copy(p)
-    object.__setattr__(col, "x_a", np.asarray(xa, dtype=float).reshape(-1, 1, 1))
-    return col
-
-
 @dataclass(frozen=True)
 class SRGrid:
     """Success-rate surface over (x_a, T, T') with NA marked by NaN."""
@@ -152,31 +141,100 @@ class SRGrid:
     na_mask: np.ndarray      # True exactly where the participation constraint fails
 
 
-def _t3_stop_A(p: SwapParams) -> float:
-    return p.x_a * math.exp(-p.r_a * p.t_a) - p.f_a
+class _Game(NamedTuple):
+    """One game's last two nodes as lines in a price.
+
+    A pair is the line ``slope * price + intercept``; the other entries do
+    not depend on the price.  Entries may be (G, 1, 1) x_a columns and the
+    horizons (R, 1) delay columns: they broadcast against the prices.
+    """
+
+    claim_a: tuple      # A's claim payoff in the final price
+    exit_a: float       # A's exit payoff: stop (HTLC) or cancel (Quick Swap)
+    claim_b: float      # B's payoff when A claims
+    exit_b: tuple       # B's payoff in the final price when A exits
+    dishonest_b: tuple  # B's value in the middle price when A never claims
+    stay_b: tuple       # B's value in the middle price when he does not lock
+    h_claim: float      # hours from the middle node to A's claim
+    h_stop: float       # hours from the middle node to A's exit
 
 
-def _t3_stop_B(p: SwapParams, price_t3) -> float:
-    # B's refund arrives after his full locktime; price drifts meanwhile.
-    return price_t3 * math.exp((p.gbm.mu - p.r_b) * p.t_b) - p.f_b
+def _htlc(p: SwapParams, T, x_a) -> _Game:
+    """The HTLC's final (t3) and middle (t2) nodes at claim delay ``T``."""
+    h_claim = p.tau_b + T
+    refund = math.exp((p.gbm.mu - p.r_b) * p.t_b)  # B's refund arrives after his full locktime
+    early = math.exp(-p.r_b * p.tau_b)
+    return _Game(
+        claim_a=((1.0 + p.sp_a) * math.exp((p.gbm.mu - p.r_a) * p.tau_b), -p.f_b),
+        exit_a=x_a * math.exp(-p.r_a * p.t_a) - p.f_a,
+        claim_b=(1.0 + p.sp_b) * x_a * math.exp(-p.r_b * (p.tau_a + p.t_eps)) - p.f_a,
+        exit_b=(refund, -p.f_b),
+        # A dishonest A never claims; B is stuck refunding after t_b.
+        dishonest_b=(early * math.exp(p.gbm.mu * p.tau_b) * refund, -early * p.f_b),
+        stay_b=(1.0, 0.0),
+        h_claim=h_claim,
+        h_stop=h_claim if p.uniform_delay_discounting else p.tau_b,
+    )
+
+
+def _line(line: tuple, price):
+    slope, intercept = line
+    return slope * price + intercept
+
+
+def _threshold(g: _Game):
+    """Price above which A claims: where her claim line meets her exit value."""
+    slope, intercept = g.claim_a
+    return (g.exit_a - intercept) / slope
+
+
+def _value_b(g: _Game, p: SwapParams, price):
+    """B's value at the middle node once he has locked.
+
+    An honest A (weight theta_1) claims above the threshold after
+    ``h_claim`` hours and exits below it after ``h_stop``; B's exit payoff
+    is linear in the final price, so its expectation below the threshold is
+    the log-normal partial expectation in closed form.
+    """
+    x_star = _threshold(g)
+    slope, intercept = g.exit_b
+    claim = (1.0 - cdf_from(x_star, price, p.gbm, g.h_claim)) * g.claim_b * math_exp(-p.r_b * g.h_claim)
+    exit_ = math_exp(-p.r_b * g.h_stop) * (
+        slope * pe_below_from(x_star, price, p.gbm, g.h_stop) + intercept * cdf_from(x_star, price, p.gbm, g.h_stop)
+    )
+    return p.theta_1 * (claim + exit_) + (1.0 - p.theta_1) * _line(g.dishonest_b, price)
+
+
+def _value_a(g: _Game, p: SwapParams, price):
+    """A's value at the middle node once B has locked: her claim line above
+    the threshold after ``h_claim`` hours, her exit value below it after
+    ``h_stop``."""
+    x_star = _threshold(g)
+    slope, intercept = g.claim_a
+    above = price * math_exp(p.gbm.mu * g.h_claim) - pe_below_from(x_star, price, p.gbm, g.h_claim)
+    tail = 1.0 - cdf_from(x_star, price, p.gbm, g.h_claim)
+    claim = math_exp(-p.r_a * g.h_claim) * (slope * above + intercept * tail)
+    return claim + math_exp(-p.r_a * g.h_stop) * cdf_from(x_star, price, p.gbm, g.h_stop) * g.exit_a
+
+
+def _final_payoffs(g: _Game, price: float, action: str, exit_action: str) -> tuple[float, float]:
+    """Final-node payoffs (A, B) of ``continue`` (A claims) or of A's exit."""
+    PriceState(price)  # rejects a price <= 0
+    if action == "continue":
+        return _line(g.claim_a, price), g.claim_b
+    if action == exit_action:
+        return g.exit_a, _line(g.exit_b, price)
+    raise ValueError(f"unknown action {action!r}")
 
 
 def payoff_t3(p: SwapParams, price_t3: float, action: str) -> tuple[float, float]:
     """Final-node payoffs (A, B) for ``continue`` (A claims) or ``stop``."""
-    PriceState(price_t3)  # rejects a price <= 0
-    if action == "continue":
-        u_a = (1.0 + p.sp_a) * price_t3 * math.exp(p.gbm.mu * p.tau_b) * math.exp(-p.r_a * p.tau_b) - p.f_b
-        u_b = (1.0 + p.sp_b) * p.x_a * math.exp(-p.r_b * (p.tau_a + p.t_eps)) - p.f_a
-        return u_a, u_b
-    if action == "stop":
-        return _t3_stop_A(p), _t3_stop_B(p, price_t3)
-    raise ValueError(f"unknown action {action!r}")
+    return _final_payoffs(_htlc(p, 0.0, p.x_a), price_t3, action, "stop")
 
 
 def claim_threshold_t3(p: SwapParams) -> float:
     """Price above which A prefers claiming at the final node (closed form)."""
-    num = p.x_a * math.exp(-p.r_a * (p.t_a - p.tau_b)) - (p.f_a - p.f_b) * math.exp(p.r_a * p.tau_b)
-    return num * math.exp(-p.gbm.mu * p.tau_b) / (1.0 + p.sp_a)
+    return _threshold(_htlc(p, 0.0, p.x_a))
 
 
 def _check_delay(name: str, delay, window: float) -> None:
@@ -185,67 +243,23 @@ def _check_delay(name: str, delay, window: float) -> None:
         raise ValueError(f"{name}={delay} outside [0, {window}]")
 
 
-def _u_B_cont_t2(p: SwapParams, price_t2, T):
-    """B's expected continuation value at the middle node.
-
-    Vectorized over prices and claim delays: an (R, 1) column of delays
-    against (n,) prices gives (R, n) values, and against (G, 1, n) or
-    (G, R, n) prices, with x_a a (G, 1, 1) column, (G, R, n) values.  Terms
-    that do not depend on T keep the shape of the prices, so on a (G, 1, n)
-    grid they are evaluated once per x_a.
-    """
-    x_star = claim_threshold_t3(p)
-    h_cont = p.tau_b + T
-    h_stop = h_cont if p.uniform_delay_discounting else p.tau_b
-    arr = np.asarray(price_t2, dtype=float)
-    u_b_cont_t3 = (1.0 + p.sp_b) * p.x_a * math.exp(-p.r_b * (p.tau_a + p.t_eps)) - p.f_a
-    slope = math.exp((p.gbm.mu - p.r_b) * p.t_b)  # stop payoff is linear in the t3 price
-
-    cont = (1.0 - cdf_from(x_star, arr, p.gbm, h_cont)) * u_b_cont_t3 * math_exp(-p.r_b * h_cont)
-    stop_int = math_exp(-p.r_b * h_stop) * (
-        slope * pe_below_from(x_star, arr, p.gbm, h_stop) - p.f_b * cdf_from(x_star, arr, p.gbm, h_stop)
-    )
-    # Malicious A never claims; B is stuck refunding after t_b.
-    outside = math.exp(-p.r_b * p.tau_b) * (arr * math.exp(p.gbm.mu * p.tau_b) * slope - p.f_b)
-    return p.theta_1 * (cont + stop_int) + (1.0 - p.theta_1) * outside
-
-
-def _u_A_cont_t2(p: SwapParams, price_t2, T):
-    """A's expected continuation value at the middle node.
-
-    Vectorized like ``_u_B_cont_t2``: a (K, 1) column of delays against
-    (K, n) prices gives (K, n) values.
-    """
-    x_star = claim_threshold_t3(p)
-    h_cont = p.tau_b + T
-    h_stop = h_cont if p.uniform_delay_discounting else p.tau_b
-    arr = np.asarray(price_t2, dtype=float)
-    a = (1.0 + p.sp_a) * math.exp((p.gbm.mu - p.r_a) * p.tau_b)  # claim payoff slope in the t3 price
-    stop_val = _t3_stop_A(p)
-
-    above = arr * math_exp(p.gbm.mu * h_cont) - pe_below_from(x_star, arr, p.gbm, h_cont)
-    tail = 1.0 - cdf_from(x_star, arr, p.gbm, h_cont)
-    claim_part = math_exp(-p.r_a * h_cont) * (a * above - p.f_b * tail)
-    stop_part = math_exp(-p.r_a * h_stop) * cdf_from(x_star, arr, p.gbm, h_stop) * stop_val
-    return claim_part + stop_part
-
-
-def payoff_t2(p: SwapParams, price_t2: float, T: float) -> tuple[float, float, float, float]:
-    """Middle-node values: (A continue, B continue, A stop, B stop)."""
-    PriceState(price_t2)  # rejects a price <= 0
-    _check_delay("claim delay T", T, p.claim_delay_window)
-    u_a_cont = _u_A_cont_t2(p, price_t2, T)
-    u_b_cont = _u_B_cont_t2(p, price_t2, T)
-    u_a_stop = p.x_a * math.exp(-p.r_a * p.t_a) - p.f_a
-    u_b_stop = price_t2
-    return float(u_a_cont), float(u_b_cont), u_a_stop, u_b_stop
-
-
 def _scan_brackets(*prices) -> list[Bracket]:
     """Default band scans, one per x_a: three decades below to 12x above the
     largest of ``prices``, which broadcast to one value per x_a."""
     ref = reduce(np.maximum, prices)
     return list(map(Bracket, (ref * 1e-3).tolist(), (ref * 12.0).tolist()))
+
+
+def _lock_bands(game, p: SwapParams, xs: np.ndarray, scan: Bracket | None, rows: int = 1) -> list[Bracket | None]:
+    """B's bands, ``rows`` per x_a of ``xs``: where ``_value_b`` beats his
+    ``stay_b`` line.  ``game(x_a)`` builds the table of an x_a column; each
+    x_a has its own scan bracket, which ``scan`` overrides for every row."""
+    def g(x, groups):
+        table = game(xs[groups, None, None])
+        return _value_b(table, p, x) - _line(table.stay_b, x)
+
+    scans = _scan_brackets(p.x_yb_t1, xs, _threshold(game(xs))) if scan is None else [scan] * len(xs)
+    return widest_band(g, scans, rows)
 
 
 def widest_band(g, scans: list[Bracket], rows: int = 1) -> list[Bracket | None]:
@@ -314,7 +328,7 @@ def widest_band(g, scans: list[Bracket], rows: int = 1) -> list[Bracket | None]:
 def continuation_band_t2(p: SwapParams, T, scan: Bracket | None = None, x_a=None) -> Bracket | None | list:
     """Price band over which B prefers locking at the middle node.
 
-    Roots of u_B(continue) - u_B(stop), solved by ``widest_band`` for every
+    Roots of B's lock-minus-stop value, solved by ``_lock_bands`` for every
     (x_a, T) pair at once.  ``T`` is a claim delay or a 1-D array of them,
     and ``x_a`` None (``p.x_a`` alone) or a 1-D array.  The bands (None
     where B never locks) come back nested like ``x_a`` by ``T``: one band
@@ -329,12 +343,7 @@ def continuation_band_t2(p: SwapParams, T, scan: Bracket | None = None, x_a=None
 
     # One group per x_a, one row per delay: the T-free terms of B's value
     # are evaluated once per x_a on its (G, 1, n) grid.
-    def g(x, groups):
-        return _u_B_cont_t2(_xa_column(p, xs[groups]), x, t_col) - x
-
-    x_star = claim_threshold_t3(_xa_column(p, xs)).ravel()
-    scans = _scan_brackets(p.x_yb_t1, xs, x_star) if scan is None else [scan] * len(xs)
-    bands = widest_band(g, scans, len(ts))
+    bands = _lock_bands(lambda col: _htlc(p, t_col, col), p, xs, scan, len(ts))
     return np.array(bands, dtype=object).reshape(np.shape(x_a) + np.shape(T)).tolist()
 
 
@@ -390,9 +399,9 @@ def sr_surface(
     # band, numbered x_a-major as in ``bands``.  A cell where A starts but B
     # never locks keeps the table's 0.
     cells = ~na & locks[:, :, None]
-    x_star = claim_threshold_t3(_xa_column(p, xa)).ravel()
-    raw = _sr_table(p, list(chain.from_iterable(bands)), np.repeat(x_star, len(ts)),
-                    np.tile(p.tau_b + ts, len(xa)), p.tau_a + tps,
+    game = _htlc(p, ts, xa[:, None])
+    raw = _sr_table(p, list(chain.from_iterable(bands)), np.repeat(_threshold(game), len(ts)),
+                    np.tile(game.h_claim, len(xa)), p.tau_a + tps,
                     cells.reshape(-1, len(tps))).reshape(na.shape)
     raw[na] = np.nan
     norm = p.theta_1 * p.theta_2
@@ -427,15 +436,13 @@ def payoff_t1_with_band(p: SwapParams, T, Tp, bands, x_a=None) -> tuple[np.ndarr
     tps = np.atleast_1d(np.asarray(Tp, dtype=float))
     xs = _xa_axis(p, x_a)
     nested = [bands] if x_a is None else bands
-    col = _xa_column(p, xs)
-    if p.t1_stop_value == "principal":
-        u_a_stop_t2 = col.x_a - p.f_a
-    else:
-        u_a_stop_t2 = col.x_a * math.exp(-p.r_a * p.t_a) - p.f_a
+    col = xs[:, None, None]
+    # A's principal back at face value, or her t3 stop payoff.
+    u_a_stop_t2 = col - p.f_a if p.t1_stop_value == "principal" else _htlc(p, 0.0, col).exit_a
     exit_value = u_a_stop_t2 * math.exp(-p.r_a * p.tau_a)
     shape = (len(xs), len(ts), len(tps))
     u_cont = np.array(np.broadcast_to(exit_value, shape))
-    u_stop = np.broadcast_to(col.x_a, shape)
+    u_stop = np.broadcast_to(col, shape)
     locks = np.fromiter((band is not None for band in chain.from_iterable(nested)), bool).reshape(shape[:2])
     groups = np.flatnonzero(locks.any(axis=1))
     if groups.size:
@@ -443,14 +450,13 @@ def payoff_t1_with_band(p: SwapParams, T, Tp, bands, x_a=None) -> tuple[np.ndarr
         lo = np.array([[[p.x_yb_t1 if b is None else b.lo] for b in nested[i]] for i in groups.tolist()])
         hi = np.array([[[p.x_yb_t1 if b is None else b.hi] for b in nested[i]] for i in groups.tolist()])
         width = hi - lo
-        q = _xa_column(p, xs[groups])
+        game = _htlc(p, ts[:, None], xs[groups, None, None])
         st1 = PriceState(p.x_yb_t1)
         h = p.tau_a + tps
-        t_col = ts[:, None]
 
         def integrand(u):
             price = lo + u * width
-            u_a = width * _u_A_cont_t2(q, price, t_col)  # Jacobian folded into the T'-free factor
+            u_a = width * _value_a(game, p, price)  # Jacobian folded into the T'-free factor
             dens = transition_pdf(price[:, :, None, :], st1, p.gbm, h[:, None])
             return (dens * u_a[:, :, None, :]).reshape(-1, len(u))
 

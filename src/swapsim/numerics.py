@@ -130,7 +130,12 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], bracket: Bracket | Sequence
                            + recurse(mid, hi, right[failed], sub, depth + 1))
         return out
 
-    result = recurse(lo, hi, whole, np.arange(len(whole)), 0)
+    try:
+        result = recurse(lo, hi, whole, np.arange(len(whole)), 0)
+    finally:
+        # ``recurse`` refers to itself; without the cycle the integrand and
+        # the arrays it holds are freed now, not at the next collection.
+        del recurse
     return result if np.ndim(first) else float(result[0])
 
 

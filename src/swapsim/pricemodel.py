@@ -97,11 +97,20 @@ def math_exp(x):
     return math.exp(x)
 
 
+def _standardized(d, s):
+    """``d / s``, or its limit where the spread ``s`` is 0 (a zero horizon or
+    no volatility): the price law is then a point, and the kernels step from
+    0 to their full value at ``d = 0``."""
+    if s.min() > 0:
+        return d / s
+    return np.where(s > 0, d / np.where(s > 0, s, 1.0), np.where(d >= 0.0, math.inf, -math.inf))
+
+
 def cdf_from(target, start, params: GbmParams, lam):
     """Unchecked transition_cdf kernel: broadcasts ``target``, the start price
     ``start`` and the horizon ``lam`` against each other."""
     m, s = _log_moments(params, lam)
-    z = (np.log(target / np.asarray(start, dtype=float)) - m) / s
+    z = _standardized(np.log(target / np.asarray(start, dtype=float)) - m, s)
     return 0.5 * erfc(-z / math.sqrt(2.0))
 
 
@@ -109,7 +118,7 @@ def pe_below_from(target, start, params: GbmParams, lam):
     """Unchecked partial_expectation_below kernel; broadcasts like cdf_from."""
     start = np.asarray(start, dtype=float)
     _, s = _log_moments(params, lam)
-    z = (np.log(target / start) - (params.mu + 0.5 * params.sigma**2) * lam) / s
+    z = _standardized(np.log(target / start) - (params.mu + 0.5 * params.sigma**2) * lam, s)
     return start * math_exp(params.mu * lam) * 0.5 * erfc(-z / math.sqrt(2.0))
 
 

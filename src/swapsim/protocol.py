@@ -415,10 +415,18 @@ class _Run:
         """First poll at or after ``t`` and later than ``after``.  Polls fall
         every hour from the first watch and on every timeout, and the hourly
         count restarts at each timeout."""
-        i = bisect.bisect_right(self.grid, max(t, after))
+        goal = max(t, after)
+        i = bisect.bisect_right(self.grid, goal)
         p = max(self.anchor, self.grid[i - 1]) if i else self.anchor
         timeout = self.grid[i] if i < len(self.grid) else math.inf
         while p < t or p <= after:
+            if goal - p > 8.0 and p < 2.0**53:
+                # Skip the whole hours that stay short of ``goal`` and of the
+                # next power of two: there they add exactly, as hourly steps
+                # would.  A power of two is crossed by a step, which may round.
+                p += max(0.0, math.floor(min(goal, math.ldexp(1.0, math.frexp(p)[1])) - p) - 1.0)
+            if p + 1.0 == p:
+                raise ValueError(f"no hourly poll reaches {goal:g}h: past 2**53 a float has no whole hours")
             p = min(p + 1.0, timeout)
         return p
 

@@ -4,11 +4,11 @@ Both parties escrow a griefing premium alongside the principal: B locks Q,
 A locks 1.5Q.  Every decision node offers an explicit cancel action that
 releases a cancellation secret and unwinds the swap early, so a party who
 finds the deal unfavorable pays at most the premium instead of griefing the
-counterparty for the full locktime.  The game has the plain-HTLC shape:
-closed forms at the final node, a continuation band for B at the middle
-node, and a delay-free success rate that depends only on x_a; the band and
-the success rate come from htlcgame's shared ``widest_band`` and
-``_sr_table``.
+counterparty for the full locktime.  The game has the plain-HTLC shape,
+so it is one more coefficient table (``_quick``) for htlcgame's node kernel:
+A's claim threshold at the final node, a continuation band for B at the
+middle node, and a delay-free success rate that depends only on x_a, from
+htlcgame's shared ``_lock_bands`` and ``_sr_table``.
 """
 
 from __future__ import annotations
@@ -18,19 +18,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .htlcgame import (_SOLVE, SwapParams, _scan_brackets, _sr_table, _xa_axis, _xa_column, sr_surface,
-                       widest_band)
+from .htlcgame import (_SOLVE, SwapParams, _final_payoffs, _Game, _lock_bands, _sr_table, _threshold, _xa_axis,
+                       sr_surface)
 # ``find_roots``, ``integrate`` and ``transition_pdf`` are no longer called
 # here (the band and SR solvers are shared with htlcgame); the bindings stay
 # for perfbench, which wraps them by name.
 from .numerics import Bracket, find_roots, integrate  # noqa: F401
-from .pricemodel import PriceState, cdf_from, pe_below_from, transition_pdf  # noqa: F401
+from .pricemodel import transition_pdf  # noqa: F401
 
 __all__ = [
     "QuickSwapParams",
     "payoff_t4",
     "claim_threshold_t4",
-    "payoff_t3",
     "continuation_band_t3",
     "success_rate",
     "compare_participation",
@@ -80,139 +79,41 @@ class QuickSwapParams:
         return replace(self, base=self.base.with_x_a(x_a))
 
 
-# ---------------------------------------------------------------------------
-# Final node (t4): A claims or cancels, B follows.
-
-def _t4_cont_A(q: QuickSwapParams, price):
+def _quick(q: QuickSwapParams, x_a) -> _Game:
+    """Quick Swap's final (t4) and middle (t3) nodes; the premium
+    Q = c(x_a * t_a) follows the x_a column."""
     b = q.base
-    return (
-        (1.0 + b.sp_a) * price * math.exp((b.gbm.mu - b.r_a) * b.tau_b)
-        + 1.5 * q.Q * math.exp(-b.r_a * b.tau_a)
-        - b.f_a
-        - b.f_b
-    )
-
-
-def _t4_cont_B(q: QuickSwapParams) -> float:
-    b = q.base
-    return (
-        (1.0 + b.sp_b) * b.x_a * math.exp(-b.r_b * (b.tau_a + b.t_eps))
-        + q.Q * math.exp(-b.r_b * (b.t_eps + b.tau_b))
-        - b.f_a
-        - b.f_b
-    )
-
-
-def _t4_cancel_A(q: QuickSwapParams) -> float:
-    b = q.base
-    return (
-        b.x_a * math.exp(-b.r_a * (2.0 * b.t_eps + b.tau_b + b.tau_a))
-        + 1.5 * q.Q * math.exp(-b.r_a * b.tau_a)
-        - 2.0 * b.f_a
-    )
-
-
-def _t4_cancel_B(q: QuickSwapParams, price):
-    b = q.base
-    return (
-        price * math.exp((b.gbm.mu - b.r_b) * (b.t_eps + b.tau_b))
-        + q.Q * math.exp(-b.r_b * (b.t_eps + 2.0 * b.tau_b))
-        - 2.0 * b.f_b
+    Q = q.rho * x_a * b.t_a
+    a_premium = 1.5 * Q * math.exp(-b.r_a * b.tau_a)
+    d_wait = q.D - b.eps
+    return _Game(
+        claim_a=((1.0 + b.sp_a) * math.exp((b.gbm.mu - b.r_a) * b.tau_b), a_premium - b.f_a - b.f_b),
+        exit_a=x_a * math.exp(-b.r_a * (2.0 * b.t_eps + b.tau_b + b.tau_a)) + a_premium - 2.0 * b.f_a,
+        claim_b=((1.0 + b.sp_b) * x_a * math.exp(-b.r_b * (b.tau_a + b.t_eps))
+                 + Q * math.exp(-b.r_b * (b.t_eps + b.tau_b)) - b.f_a - b.f_b),
+        exit_b=(math.exp((b.gbm.mu - b.r_b) * (b.t_eps + b.tau_b)),
+                Q * math.exp(-b.r_b * (b.t_eps + 2.0 * b.tau_b)) - 2.0 * b.f_b),
+        # A dishonest A sits on the claim until just before the premium timeout D.
+        dishonest_b=(math.exp(b.gbm.mu * (b.tau_b + b.t_eps + q.D)) * math.exp(-b.r_b * (d_wait + b.t_eps)),
+                     Q * math.exp(-b.r_b * (b.t_eps + d_wait + b.tau_b)) - 2.0 * b.f_b),
+        # B cancels: his coins back at once, plus his premium after tau_b.
+        stay_b=(1.0, Q * math.exp(-b.r_b * b.tau_b) - b.f_b),
+        h_claim=b.tau_b,
+        h_stop=b.tau_b,
     )
 
 
 def payoff_t4(q: QuickSwapParams, price_t4: float, action: str) -> tuple[float, float]:
     """Final-node payoffs (A, B) when A continues or cancels."""
-    PriceState(price_t4)  # rejects a price <= 0
-    if action == "continue":
-        return float(_t4_cont_A(q, price_t4)), _t4_cont_B(q)
-    if action == "cancel":
-        return _t4_cancel_A(q), float(_t4_cancel_B(q, price_t4))
-    raise ValueError(f"unknown action {action!r}")
+    return _final_payoffs(_quick(q, q.base.x_a), price_t4, action, "cancel")
 
 
-def claim_threshold_t4(q: QuickSwapParams) -> float:
-    """Price above which A claims at the final node; the premium cancels out."""
-    b = q.base
-    num = b.x_a * math.exp(-b.r_a * (2.0 * b.t_eps + b.tau_b + b.tau_a)) - b.f_a + b.f_b
-    return num / ((1.0 + b.sp_a) * math.exp((b.gbm.mu - b.r_a) * b.tau_b))
+def claim_threshold_t4(q: QuickSwapParams, x_a=None):
+    """Price above which A claims at the final node; the premium cancels out.
 
-
-# ---------------------------------------------------------------------------
-# Middle node (t3): B continues, cancels, or stops.
-
-def _u_B_cont_t3(q: QuickSwapParams, price_t3):
-    b = q.base
-    x4 = claim_threshold_t4(q)
-    arr = np.asarray(price_t3, dtype=float)
-    cdf4 = cdf_from(x4, arr, b.gbm, b.tau_b)
-    # A-cancels branch is linear in the t4 price: split into slope/intercept
-    # and use the log-normal partial expectation in closed form.
-    slope = math.exp((b.gbm.mu - b.r_b) * (b.t_eps + b.tau_b))
-    intercept = q.Q * math.exp(-b.r_b * (b.t_eps + 2.0 * b.tau_b)) - 2.0 * b.f_b
-    honest = math.exp(-b.r_b * b.tau_b) * (
-        (1.0 - cdf4) * _t4_cont_B(q)
-        + slope * pe_below_from(x4, arr, b.gbm, b.tau_b)
-        + intercept * cdf4
-    )
-    # Malicious A sits on the claim until just before the premium timeout D.
-    d_wait = q.D - b.eps
-    malicious = (
-        arr * math.exp(b.gbm.mu * (b.tau_b + b.t_eps + q.D)) * math.exp(-b.r_b * (d_wait + b.t_eps))
-        + q.Q * math.exp(-b.r_b * (b.t_eps + d_wait + b.tau_b))
-        - 2.0 * b.f_b
-    )
-    return b.theta_1 * honest + (1.0 - b.theta_1) * malicious
-
-
-def _u_A_cont_t3(q: QuickSwapParams, price_t3):
-    b = q.base
-    x4 = claim_threshold_t4(q)
-    arr = np.asarray(price_t3, dtype=float)
-    cdf4 = cdf_from(x4, arr, b.gbm, b.tau_b)
-    slope = (1.0 + b.sp_a) * math.exp((b.gbm.mu - b.r_a) * b.tau_b)
-    intercept = 1.5 * q.Q * math.exp(-b.r_a * b.tau_a) - b.f_a - b.f_b
-    above = arr * math.exp(b.gbm.mu * b.tau_b) - pe_below_from(x4, arr, b.gbm, b.tau_b)
-    return math.exp(-b.r_a * b.tau_b) * (
-        slope * above + intercept * (1.0 - cdf4) + _t4_cancel_A(q) * cdf4
-    )
-
-
-def _t3_stop_A(q: QuickSwapParams) -> float:
-    b = q.base
-    return (
-        b.x_a * math.exp(-b.r_a * (b.t_a + b.tau_a))
-        + 1.5 * q.Q * math.exp(-b.r_a * (b.t_b + b.tau_a))
-        - 2.0 * b.f_a
-        + q.Q * math.exp(-b.r_b * b.tau_b)
-        - b.f_b
-    )
-
-
-def _t3_cancel_A(q: QuickSwapParams) -> float:
-    b = q.base
-    return (
-        b.x_a * math.exp(-b.r_a * (b.tau_a + b.t_eps))
-        + 1.5 * q.Q * math.exp(-b.r_a * (b.t_eps + b.tau_a))
-        - 2.0 * b.f_a
-    )
-
-
-def _t3_cancel_B(q: QuickSwapParams, price_t3):
-    b = q.base
-    return price_t3 + q.Q * math.exp(-b.r_b * b.tau_b) - b.f_b
-
-
-def payoff_t3(q: QuickSwapParams, price_t3: float, action: str) -> tuple[float, float]:
-    """Middle-node payoffs (A, B) for B's continue/cancel/stop choice."""
-    PriceState(price_t3)  # rejects a price <= 0
-    if action == "continue":
-        return float(_u_A_cont_t3(q, price_t3)), float(_u_B_cont_t3(q, price_t3))
-    if action == "cancel":
-        return _t3_cancel_A(q), float(_t3_cancel_B(q, price_t3))
-    if action == "stop":
-        return _t3_stop_A(q), float(price_t3)
-    raise ValueError(f"unknown action {action!r}")
+    With ``x_a`` a 1-D array, an array of one threshold per x_a.
+    """
+    return _threshold(_quick(q, q.base.x_a if x_a is None else _xa_axis(q.base, x_a)))
 
 
 def continuation_band_t3(
@@ -222,20 +123,11 @@ def continuation_band_t3(
 
     Cancel strictly dominates stop (the stop path forfeits B's premium), so
     the relevant comparison is continue vs cancel.  Solved by
-    ``widest_band``: one band (or None) for ``q`` alone, or, with ``x_a`` a
+    ``_lock_bands``: one band (or None) for ``q`` alone, or, with ``x_a`` a
     1-D array, a list of one band per x_a, each on its own scan bracket
     (which ``scan`` overrides).
     """
-    xs = _xa_axis(q.base, x_a)
-
-    # One group of one row per x_a.
-    def g(x, groups):
-        c = replace(q, base=_xa_column(q.base, xs[groups]))
-        return _u_B_cont_t3(c, x) - _t3_cancel_B(c, x)
-
-    x_star = claim_threshold_t4(replace(q, base=_xa_column(q.base, xs))).ravel()
-    scans = _scan_brackets(q.base.x_yb_t1, xs, x_star) if scan is None else [scan] * len(xs)
-    bands = widest_band(g, scans)
+    bands = _lock_bands(lambda col: _quick(q, col), q.base, _xa_axis(q.base, x_a), scan)
     return bands[0] if x_a is None else bands
 
 
@@ -256,10 +148,10 @@ def success_rate(q: QuickSwapParams, band=_SOLVE, x_a=None):
         bands = continuation_band_t3(q, x_a=xs)
     else:
         bands = [band] if x_a is None else band
-    b = q.base
+    b, game = q.base, _quick(q, xs)
     locks = np.array([band is not None for band in bands], dtype=bool)
-    x_star = claim_threshold_t4(replace(q, base=_xa_column(b, xs))).ravel()
-    rates = _sr_table(b, bands, x_star, np.full(len(xs), b.tau_b), np.array([b.tau_a]), locks[:, None])[:, 0]
+    rates = _sr_table(b, bands, _threshold(game), np.full(len(xs), game.h_claim), np.array([b.tau_a]),
+                      locks[:, None])[:, 0]
     return float(rates[0]) if x_a is None else rates
 
 

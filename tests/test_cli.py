@@ -126,6 +126,36 @@ def test_malformed_inputs_exit_2_with_an_error_line(tmp_path, capsys, args, says
     assert err.startswith("error: ") and says in err
 
 
+@pytest.mark.parametrize("args, says", [
+    (("htlc-surface", "--set", "tau_b=0"), "tau_b must be > 0"),
+    (("htlc-surface", "--set", "tau_b=0", "--set", "t_min=1"), "tau_b must be > 0"),
+    (("quickswap-sr", "--set", "tau_b=0"), "tau_b must be > 0"),
+    (("montecarlo", "--set", "tau_b=0"), "tau_b must be > 0"),
+    (("htlc-surface", "--set", "tau_a=0"), "tau_a must be > 0"),
+    (("quickswap-sr", "--set", "tau_a=0"), "tau_a must be > 0"),
+    (("montecarlo", "--set", "tau_a=0"), "tau_a must be > 0"),
+])
+def test_zero_horizons_exit_2_before_any_band_solve(tmp_path, capsys, monkeypatch, args, says):
+    # Over a zero horizon the success-rate integrand is a step, on which
+    # quadrature cannot converge; these runs used to end in a traceback.
+    def solve(*args, **kwargs):
+        raise AssertionError("band solved")
+
+    monkeypatch.setattr(htlcgame, "continuation_band_t2", solve)
+    monkeypatch.setattr(quickswapgame, "continuation_band_t3", solve)
+    assert run_cli(*args, "--out", str(tmp_path / "run")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and says in err
+
+
+def test_zero_lock_delay_runs_when_the_lock_horizon_is_positive(tmp_path):
+    # tau_a = 0 leaves a lock horizon of T' >= tp_min > 0.
+    assert run_cli("htlc-surface", "--out", str(tmp_path), "--set", "tau_a=0", "--set", "tp_min=1",
+                   "--set", "xa_step=0.5", "--set", "t_max=2", "--set", "tp_max=3") == 0
+    lines = (tmp_path / "htlc_surface.csv").read_text().splitlines()
+    assert len(lines) == 1 + 5 * 3 * 3
+
+
 def test_grid_limit_counts_the_cells_of_every_axis(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_MAX_GRID_CELLS", 8)
     small = ("--set", "xa_min=2", "--set", "xa_max=2.5", "--set", "xa_step=0.5",
@@ -205,7 +235,7 @@ def _digest(path: Path) -> str:
 
 @pytest.mark.parametrize("fmt, digest", [
     ("csv", "71247fd3e7a8e4763c0862b5d5679eb3fd36a7fd6f911c038f13ab2d89473ac4"),
-    ("json", "b0f5440b95455f6bcf74ddec12dfeaa8379b7f4659759fdd90d753452206916f"),
+    ("json", "71530f88da017d9cce4622b92e157ecf9e5d823f3ac2eeeb08282c51e83c174a"),
 ])
 def test_default_surface_bytes_are_pinned(tmp_path, fmt, digest):
     assert run_cli("htlc-surface", "--out", str(tmp_path), "--format", fmt) == 0

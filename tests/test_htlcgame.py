@@ -4,14 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import baseline
-from swapsim import htlcgame, numerics, pricemodel
+from conftest import baseline, quick_baseline
+from swapsim import htlcgame, numerics, pricemodel, quickswapgame
 from swapsim.htlcgame import (
     SwapParams,
     claim_threshold_t3,
     continuation_band_t2,
     payoff_t1_with_band,
-    payoff_t2,
     payoff_t3,
     sr_surface,
     success_rate,
@@ -68,31 +67,39 @@ def test_claim_threshold_baseline_value():
 
 
 def test_middle_node_value_matches_quadrature():
-    """The closed-form continuation value equals the defining integral."""
+    """The closed-form middle-node values of both games equal their defining
+    integrals: the final-node payoffs over the transition density."""
     p = baseline()
-    x_star = claim_threshold_t3(p)
-    spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
     lam = p.tau_b  # zero claim delay
-    u_claim_b = payoff_t3(p, 1.0, "continue")[1]  # constant in the t3 price
     slope = math.exp((p.gbm.mu - p.r_b) * p.t_b)
-    for price_t2 in (1.6, 2.0, 2.4):
-        st = PriceState(price_t2)
+    q = quick_baseline()
+    quick = quickswapgame._quick(q, q.base.x_a)
+    games = [
+        # A dishonest A never claims; B unlocks after its full locktime.
+        (htlcgame._htlc(p, 0.0, p.x_a), "stop", lambda x, action: payoff_t3(p, x, action),
+         lambda price: math.exp(-p.r_b * lam) * (price * math.exp(p.gbm.mu * lam) * slope - p.f_b)),
+        (quick, "cancel", lambda x, action: quickswapgame.payoff_t4(q, x, action),
+         lambda price: htlcgame._line(quick.dishonest_b, price)),
+    ]
+    spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
+    for g, exit_action, final, outside in games:
+        assert g.h_claim == g.h_stop == lam
+        x_star = htlcgame._threshold(g)
+        for price_t2 in (1.6, 2.0, 2.4):
+            st = PriceState(price_t2)
 
-        def claim_part(x):
-            return u_claim_b * transition_pdf(x, st, p.gbm, lam)
+            def expect(party, action, lo, hi):
+                def f(x):
+                    return np.array([final(v, action)[party] for v in x.tolist()]) * transition_pdf(x, st, p.gbm, lam)
 
-        def refund_part(x):
-            # A refunds; B unlocks after its full locktime.
-            return (x * slope - p.f_b) * transition_pdf(x, st, p.gbm, lam)
+                return integrate(f, Bracket(lo, hi), spec)
 
-        honest = (integrate(refund_part, Bracket(1e-3, x_star), spec)
-                  + integrate(claim_part, Bracket(x_star, 12.0), spec))
-        outside = price_t2 * math.exp(p.gbm.mu * lam) * slope - p.f_b
-        direct = math.exp(-p.r_b * lam) * (
-            p.theta_1 * honest + (1 - p.theta_1) * outside
-        )
-        u_cont_b = payoff_t2(p, price_t2, 0.0)[1]
-        assert u_cont_b == pytest.approx(direct, rel=1e-6)
+            honest = expect(1, exit_action, 1e-3, x_star) + expect(1, "continue", x_star, 12.0)
+            direct = p.theta_1 * math.exp(-p.r_b * lam) * honest + (1 - p.theta_1) * outside(price_t2)
+            assert htlcgame._value_b(g, p, price_t2) == pytest.approx(direct, rel=1e-6)
+            direct_a = math.exp(-p.r_a * lam) * (expect(0, exit_action, 1e-3, x_star)
+                                                 + expect(0, "continue", x_star, 12.0))
+            assert htlcgame._value_a(g, p, price_t2) == pytest.approx(direct_a, rel=1e-6)
 
 
 def test_continuation_band_brackets_root_crossings():
@@ -100,7 +107,8 @@ def test_continuation_band_brackets_root_crossings():
     band = continuation_band_t2(p, 0.0)
     assert band is not None
     lo, hi = band.lo, band.hi
-    g = lambda x: payoff_t2(p, x, 0.0)[1] - payoff_t2(p, x, 0.0)[3]
+    # B's continue value minus his stop value, the t2 price.
+    g = lambda x: htlcgame._value_b(htlcgame._htlc(p, 0.0, p.x_a), p, x) - x
     # Inside the band B prefers locking; at the edges it is indifferent.
     assert g(0.5 * (lo + hi)) > 0
     assert abs(g(lo)) <= 1e-6 and abs(g(hi)) <= 1e-6
@@ -110,7 +118,7 @@ def test_continuation_band_brackets_root_crossings():
 def test_band_edges_match_brute_force():
     p = baseline()
     band = continuation_band_t2(p, 0.0)
-    g = lambda x: payoff_t2(p, x, 0.0)[1] - payoff_t2(p, x, 0.0)[3]
+    g = lambda x: htlcgame._value_b(htlcgame._htlc(p, 0.0, p.x_a), p, x) - x
     lo = _brute_force_threshold(g, 0.5, 0.5 * (band.lo + band.hi))
     hi = _brute_force_threshold(g, 0.5 * (band.lo + band.hi), 6.0)
     assert band.lo == pytest.approx(lo, abs=1e-6)
@@ -142,13 +150,13 @@ def test_band_rows_match_single_delay_solves(case, p, scan):
 
 def test_band_rows_share_one_scan(monkeypatch):
     calls = []
-    u_b = htlcgame._u_B_cont_t2
+    u_b = htlcgame._value_b
 
-    def counted(p, price, T):
+    def counted(g, p, price):
         calls.append(np.shape(price))
-        return u_b(p, price, T)
+        return u_b(g, p, price)
 
-    monkeypatch.setattr(htlcgame, "_u_B_cont_t2", counted)
+    monkeypatch.setattr(htlcgame, "_value_b", counted)
     p = baseline()
     bands = continuation_band_t2(p, np.linspace(0.0, p.claim_delay_window, 21))
     assert all(b is not None for b in bands)
@@ -182,7 +190,7 @@ def test_root_payoff_branch_weights_sum_to_one(monkeypatch):
     # only if the mapped band integral and mass_outside sum to one.
     p = baseline(0.2, r_a=0.0, quad=QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12))
     exit_value = p.x_a - p.f_a
-    monkeypatch.setattr(htlcgame, "_u_A_cont_t2", lambda q, price, T: np.full(np.shape(price), exit_value))
+    monkeypatch.setattr(htlcgame, "_value_a", lambda g, q, price: np.full(np.shape(price), exit_value))
     ts = np.array([0.0, 10.0, 20.0])
     tps = np.array([0.0, 7.0, 21.0])
     bands = continuation_band_t2(p, ts)
@@ -291,7 +299,7 @@ def _oracle_surface(p, xa, ts, tps):
         x_star = claim_threshold_t3(q)
         for j, T in enumerate(ts):
             band = continuation_band_t2(q, T)
-            u_a_t2 = np.vectorize(lambda x: payoff_t2(q, x, T)[0])
+            u_a_t2 = np.vectorize(lambda x: htlcgame._value_a(htlcgame._htlc(q, T, q.x_a), q, x))
             claimed = np.vectorize(
                 lambda x: 1.0 - transition_cdf(x_star, PriceState(x), q.gbm, q.tau_b + T))
             for k, Tp in enumerate(tps):
@@ -672,3 +680,43 @@ def test_success_rate_table_holds_no_per_row_array(monkeypatch):
         one = np.zeros(cells.shape, dtype=bool)
         one[g, k] = True
         assert htlcgame._sr_table(p, *args, one)[g, k] == rates[g, k]
+
+
+def _branch_weights(g, p, price):
+    """Claim weight plus stop weight at a middle node of a game table."""
+    x_star = htlcgame._threshold(g)
+    return ((1.0 - pricemodel.cdf_from(x_star, price, p.gbm, g.h_claim))
+            + pricemodel.cdf_from(x_star, price, p.gbm, g.h_stop))
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.1, 0.2])
+@pytest.mark.parametrize("game, delays", [
+    ("quickswap", None),
+    ("htlc", [0.0]),
+    ("htlc uniform delay discounting", [0.0, 5.0, 10.0, 20.0]),
+    pytest.param("htlc", [5.0, 10.0, 20.0], marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP.md item 4: the HTLC middle node weighs A's claim at tau_b + T "
+        "and her stop at tau_b"))),
+])
+def test_branch_weights_of_every_node_sum_to_one(game, delays, sigma):
+    xa = np.linspace(1.0, 3.0, 21)[:, None, None]
+    prices = np.linspace(1.0, 3.0, 41)
+    if game == "quickswap":
+        q = quick_baseline(sigma)
+        g, p = quickswapgame._quick(q, xa), q.base
+    else:
+        p = baseline(sigma, uniform_delay_discounting=game != "htlc")
+        g = htlcgame._htlc(p, np.array(delays)[:, None], xa)
+    weights = _branch_weights(g, p, prices)
+    assert weights.shape == (len(xa), 1 if delays is None else len(delays), len(prices))
+    np.testing.assert_allclose(weights, 1.0, rtol=0.0, atol=1e-15)
+
+
+def test_zero_delays_solve_bands_on_the_kernels_step_limits():
+    # At tau_a = tau_b = 0 the price law over A's claim horizon is a point:
+    # the kernels take their step limits, with no division warning (the
+    # suite turns warnings into errors).
+    htlc = continuation_band_t2(baseline(tau_a=0.0, tau_b=0.0), 0.0)
+    quick = quickswapgame.continuation_band_t3(quick_baseline(tau_a=0.0, tau_b=0.0))
+    assert (htlc.lo, htlc.hi) == (pytest.approx(1.2102, abs=5e-5), pytest.approx(2.4190, abs=5e-5))
+    assert (quick.lo, quick.hi) == (pytest.approx(1.5232, abs=5e-5), pytest.approx(2.4975, abs=5e-5))

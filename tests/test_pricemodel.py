@@ -168,3 +168,20 @@ def test_invalid_inputs_rejected():
         ]:
             with pytest.raises(ValueError):
                 law(target, STATE, params, lam)
+
+
+def test_kernels_take_their_step_limits_at_zero_spread():
+    # Over zero hours, or with no volatility, the price law is a point: the
+    # CDF steps from 0 to 1 and the partial expectation from 0 to the price
+    # there, with no division warning.  Rows of positive spread keep the bits
+    # of a call without the zero rows.
+    targets = np.array([1.5, 2.0, 2.5])
+    lam = np.array([[0.0], [3.0]])
+    cdf, pe = cdf_from(targets, 2.0, GBM, lam), pe_below_from(targets, 2.0, GBM, lam)
+    assert cdf[0].tolist() == [0.0, 1.0, 1.0] and pe[0].tolist() == [0.0, 2.0, 2.0]
+    assert np.array_equal(cdf[1], cdf_from(targets, 2.0, GBM, 3.0))
+    assert np.array_equal(pe[1], pe_below_from(targets, 2.0, GBM, 3.0))
+    still = GbmParams(mu=0.002, sigma=0.0)
+    at = 2.0 * math.exp(0.002 * 50.0)
+    assert cdf_from(np.array([at * 0.99, at * 1.01]), 2.0, still, 50.0).tolist() == [0.0, 1.0]
+    assert pe_below_from(np.array([at * 0.99, at * 1.01]), 2.0, still, 50.0).tolist() == [0.0, at]

@@ -1,5 +1,7 @@
+import bisect
 import gc
 import math
+import time
 import tracemalloc
 import weakref
 from types import SimpleNamespace
@@ -256,13 +258,10 @@ def test_shared_instance_verdicts_equal_fresh_runs(kind, overrides):
     runs += [(pr, None) for pr in _profiles(kind)]
     runs += [(pr, drift(-0.02)) for pr in THRESHOLDS]
     outcomes = set()
-    # At zero delays the band solvers divide by a zero price spread on their
-    # way to the right limit brackets; that warning is not this test's subject.
-    with np.errstate(divide="ignore" if overrides.get("tau_a") == 0.0 else "warn"):
-        for profile, price in runs:
-            got = run(shared, profile, price)
-            assert got == run(_instance(kind, **overrides), profile, price), profile.label()
-            outcomes.add(got.outcome)
+    for profile, price in runs:
+        got = run(shared, profile, price)
+        assert got == run(_instance(kind, **overrides), profile, price), profile.label()
+        outcomes.add(got.outcome)
     assert outcomes == {"swapped", "cancelled", "griefed"}
 
 
@@ -326,3 +325,55 @@ def test_no_lock_after_a_cancelled_party_locks_its_principal():
     made = {e.tx_id for e in v.events if e.tx_id.startswith("lock-")}
     assert made == {"lock-0", "lock-1", "lock-2"}
     assert any(e.tx_id == "cancel-0" and e.kind == "confirmed" for e in v.events)
+
+
+def _hourly_poll_at(self, t, after=-math.inf):
+    """The poll grid stepped one hour at a time."""
+    i = bisect.bisect_right(self.grid, max(t, after))
+    p = max(self.anchor, self.grid[i - 1]) if i else self.anchor
+    timeout = self.grid[i] if i < len(self.grid) else math.inf
+    while p < t or p <= after:
+        p = min(p + 1.0, timeout)
+    return p
+
+
+def _late_lockers(hours):
+    """(kind, profile) for A, then B, locking ``hours`` late on each game."""
+    late, compliant = Strategy("delay", phase="lock", hours=hours), Strategy("compliant")
+    return [(kind, profile) for kind in ("htlc", "quickswap")
+            for profile in (StrategyProfile(late, compliant), StrategyProfile(compliant, late))]
+
+
+@pytest.mark.parametrize("anchor", [0.0, 1.3, 2.0211352823184017, 2.903410405786061, 1000.7])
+def test_polls_skip_whole_hours_with_the_bits_of_hourly_steps(anchor):
+    # An hourly step rounds at every power of two it crosses, and rounding
+    # in steps differs from rounding once: from 2.903410405786061 a jump
+    # straight to hour 169 of the grid reads 169.90341040578605, the steps
+    # 169.90341040578608.  And 2.3 is 0.9999999999999998 hours after 1.3.
+    runs = SimpleNamespace(anchor=anchor, grid=[anchor + 1e4])
+    for goal in [anchor + 2.0**k + f for k in range(1, 13) for f in (-0.7, 0.0, 0.3)] + [2.3, 169.08846016236052]:
+        for t, after in [(goal, -math.inf), (goal, goal), (goal - 5.0, goal), (goal, goal - 0.5)]:
+            want = _hourly_poll_at(runs, t, after)
+            assert protocol._Run.poll_at(runs, t, after) == want, (anchor, t, after)
+
+
+@pytest.mark.parametrize("hours", [1e4 + 0.3, 65536.7])
+def test_late_locks_poll_as_hourly_steps_do(monkeypatch, hours):
+    timing = {"tau_a": 1.3, "tau_b": 0.7, "t_eps": 0.1}
+    fast = [run(_instance(kind, **timing), profile) for kind, profile in _late_lockers(hours)]
+    assert sum(v.final_time > hours for v in fast) == 3
+    monkeypatch.setattr(protocol._Run, "poll_at", _hourly_poll_at)
+    assert fast == [run(_instance(kind, **timing), profile) for kind, profile in _late_lockers(hours)]
+
+
+def test_a_lock_a_billion_hours_late_returns_at_once():
+    # Hourly polls from the first watch took about 1e9 steps.
+    for kind, profile in _late_lockers(1e9):
+        start = time.perf_counter()
+        v = run(_instance(kind), profile)
+        assert time.perf_counter() - start < 1.0, (kind, profile.label())
+        assert v.final_time > 1e9 or v.outcome == "cancelled"
+    # Past 2**53 hours a float has no whole hours, so no hourly poll can be
+    # reached: an error, not a poll loop that never ends.
+    with pytest.raises(ValueError, match="no hourly poll"):
+        run(_instance("htlc"), _late_lockers(1e17)[0][1])

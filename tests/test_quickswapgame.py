@@ -11,7 +11,6 @@ from swapsim.quickswapgame import (
     claim_threshold_t4,
     compare_participation,
     continuation_band_t3,
-    payoff_t3,
     payoff_t4,
     success_rate,
 )
@@ -74,8 +73,8 @@ def test_cancel_dominates_plain_stop_for_b():
     q = quick_baseline()
     # Cancelling returns B's coins plus the premium; stopping without the
     # cancel hash forfeits the premium claim.
-    _, cancel_b = payoff_t3(q, 2.0, "cancel")
-    _, stop_b = payoff_t3(q, 2.0, "stop")
+    cancel_b = htlcgame._line(quickswapgame._quick(q, q.base.x_a).stay_b, 2.0)
+    stop_b = 2.0  # B keeps his coins, worth the t3 price
     assert cancel_b > stop_b
 
 
@@ -83,7 +82,8 @@ def test_lock_band_brackets_and_brute_force():
     q = quick_baseline()
     band = continuation_band_t3(q)
     assert band is not None
-    g = lambda x: payoff_t3(q, x, "continue")[1] - payoff_t3(q, x, "cancel")[1]
+    game = quickswapgame._quick(q, q.base.x_a)
+    g = lambda x: htlcgame._value_b(game, q.base, x) - htlcgame._line(game.stay_b, x)
     assert g(0.5 * (band.lo + band.hi)) > 0
     lo = _brute_force_threshold(g, 0.5, 0.5 * (band.lo + band.hi))
     hi = _brute_force_threshold(g, 0.5 * (band.lo + band.hi), 6.0)
