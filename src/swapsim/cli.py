@@ -73,7 +73,7 @@ _CYCLIC_DEFAULTS: dict = {
     "D": 12.0, "Delta": 2.0, "rho": 0.001, "t_eps": 1.0,
 }
 # Most parties a cyclic spec may have.  ``validate kind=cyclic`` runs 2n + 1
-# traces of O(n) events each: about 11 s at this limit on a 2-CPU x86 host.
+# traces of O(n) events each: about 8.6 s at this limit on a 2-CPU x86 host.
 # Checked before the default per-party tuples are built.
 _MAX_CYCLIC_N = 256
 
@@ -561,17 +561,19 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="swapsim",
         description="Atomic-swap game solvers, protocol simulator, and validators.",
     )
+    # Every subcommand takes the same options: declared once, shared by all.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--params", help="flat key=value parameter file")
+    shared.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                        help="inline parameter override (repeatable)")
+    shared.add_argument("--out", default=".", help="output directory")
+    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("--format", choices=("csv", "json"), default="csv")
+    shared.add_argument("--normalization", choices=("raw", "conditional"),
+                        default="conditional")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in _COMMANDS:
-        s = sub.add_parser(name)
-        s.add_argument("--params", help="flat key=value parameter file")
-        s.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                       help="inline parameter override (repeatable)")
-        s.add_argument("--out", default=".", help="output directory")
-        s.add_argument("--seed", type=int, default=0)
-        s.add_argument("--format", choices=("csv", "json"), default="csv")
-        s.add_argument("--normalization", choices=("raw", "conditional"),
-                       default="conditional")
+        sub.add_parser(name, parents=[shared])
     return parser
 
 

@@ -11,11 +11,12 @@ executes a plan on the engine every protocol shares, ``protocol.execute``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 from .ledgersim import Chain
-from .protocol import LockAction, Strategy, Timing, TraceVerdict, execute, recovers_locked
+from .protocol import LockAction, Strategy, Timing, TraceVerdict, _Layout, execute, recovers_locked
 
 __all__ = [
     "CyclicSpec",
@@ -95,6 +96,11 @@ class CyclicPlan:
 
     def premium_actions(self) -> list[LockAction]:
         return [a for a in self.actions if a.kind == "premium"]
+
+    @functools.cached_property
+    def layout(self) -> _Layout:
+        """The plan compiled for parties P0..P(n-1); built on first run."""
+        return _Layout(self.actions, self.secrets, tuple(f"P{i}" for i in range(self.spec.n)))
 
 
 def generate(spec: CyclicSpec) -> CyclicPlan:
@@ -215,8 +221,11 @@ def run_cyclic(
     strategies = strategies or {}
     if not set(strategies.values()) <= set(_STRATEGIES):
         raise ValueError("strategies must be compliant, grief-lock, or grief-claim")
+    outside = [i for i in strategies if i not in range(spec.n)]
+    if outside:
+        raise ValueError(f"party indices {outside} are outside 0..{spec.n - 1}")
     return execute(
-        plan, tuple(f"P{i}" for i in range(spec.n)),
+        plan, plan.layout.parties,
         [Chain(f"chain-{i}", tau) for i, tau in enumerate(spec.taus)],
         [_STRATEGIES[strategies.get(i, "compliant")] for i in range(spec.n)],
         # Everyone gives up on a missing lock once it would have confirmed on

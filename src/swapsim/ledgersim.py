@@ -17,7 +17,9 @@ import functools
 import hashlib
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple
 
 __all__ = [
@@ -59,17 +61,16 @@ class SpendBranch:
         if not self.required_preimages and self.not_before <= 0.0:
             raise ValueError("branch needs a preimage set or a timelock")
 
-    def satisfied_by(self, claimant: str, preimages: dict[str, bytes], now: float) -> bool:
-        if claimant != self.claimant:
+    def satisfied_by(self, claimant: str, preimages: Mapping[str, bytes], now: float) -> bool:
+        if claimant != self.claimant or now < self.not_before:
             return False
-        if now < self.not_before:
-            return False
-        if self.required_preimages:
-            return any(
-                h in preimages and hash_secret(preimages[h]) == h
-                for h in self.required_preimages
-            )
-        return True
+        if not self.required_preimages:
+            return True
+        for h in self.required_preimages:
+            pre = preimages.get(h)
+            if pre is not None and hash_secret(pre) == h:
+                return True
+        return False
 
 
 class OutputRef(NamedTuple):
@@ -108,12 +109,20 @@ class Payout:
 
 @dataclass(frozen=True)
 class SpendInput:
+    """A claim on ``ref`` by ``claimant`` with the preimages it reveals.
+
+    The preimages are kept in a read-only copy, so one input can go into any
+    number of transactions without carrying state from one to the next."""
+
     ref: OutputRef
     claimant: str
-    preimages: dict[str, bytes] = field(default_factory=dict)
+    preimages: Mapping[str, bytes] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "preimages", MappingProxyType(dict(self.preimages)))
 
 
-@dataclass
+@dataclass(slots=True)
 class Transaction:
     id: str
     spends: list[SpendInput]
@@ -173,7 +182,10 @@ class Chain:
                 if s.ref in self.spent:
                     raise ValueError(f"output {s.ref} already spent by {self.spent[s.ref]}")
                 raise ValueError(f"unknown output {s.ref}")
-            if not any(b.satisfied_by(s.claimant, s.preimages, now) for b in out.branches):
+            for b in out.branches:
+                if b.satisfied_by(s.claimant, s.preimages, now):
+                    break
+            else:
                 raise ValueError(f"no satisfied spend branch for {s.ref}")
         tx.confirm_time = now + self.confirm_delay
         self.mempool.append(tx)
@@ -199,13 +211,16 @@ class Chain:
         self.clock = to
         if self._next_due > to:
             return []
-        pending = [t for t in self.mempool if t.confirm_time <= to]
-        if len(pending) == len(self.mempool):
-            self.mempool, self._next_due = [], math.inf
-        else:
-            self.mempool = [t for t in self.mempool if t.confirm_time > to]
-            self._next_due = min(t.confirm_time for t in self.mempool)
-        pending.sort(key=_CONFIRM_ORDER)
+        pending, waiting, next_due = [], [], math.inf
+        for t in self.mempool:
+            if t.confirm_time <= to:
+                pending.append(t)
+            else:
+                waiting.append(t)
+                next_due = min(next_due, t.confirm_time)
+        self.mempool, self._next_due = waiting, next_due
+        if len(pending) > 1:
+            pending.sort(key=_CONFIRM_ORDER)
         emitted = [self._confirm(tx) for tx in pending]
         self.events.extend(emitted)
         return emitted
@@ -216,14 +231,14 @@ class Chain:
         for s in tx.spends:
             if s.ref not in self.utxos:
                 self._live_ids.discard(tx.id)  # the id may be broadcast again
-                return ConfirmationEvent(now, self.id, tx.id, "rejected",
-                                         reason=f"output {s.ref} spent before confirmation")
+                return ConfirmationEvent(now, self.id, tx.id, "rejected", (),
+                                         f"output {s.ref} spent before confirmation")
         revealed: list[str] = []
         for s in tx.spends:
-            out = self.utxos.pop(s.ref)
+            del self.utxos[s.ref]
             self.spent[s.ref] = tx.id
             for h, pre in s.preimages.items():
-                if hash_secret(pre) == h and h not in self.revealed:
+                if h not in self.revealed and hash_secret(pre) == h:
                     self.revealed[h] = (pre, now)
                     revealed.append(h)
         for i, created in enumerate(tx.creates):
@@ -236,7 +251,7 @@ class Chain:
                     self.funded_total[created.funder] = (
                         self.funded_total.get(created.funder, 0.0) + created.amount
                     )
-        return ConfirmationEvent(now, self.id, tx.id, "confirmed", revealed=tuple(revealed))
+        return ConfirmationEvent(now, self.id, tx.id, "confirmed", tuple(revealed))
 
     # -- queries -----------------------------------------------------------
     def preimage_visible(self, hash_id: str, observer_delay: float, now: float) -> bytes | None:

@@ -27,6 +27,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,6 +122,17 @@ class Strategy:
     def lag(self, phase: str) -> float:
         return self.hours if (self.kind == "delay" and self.phase == phase) else 0.0
 
+    @functools.cached_property
+    def answer_table(self) -> dict:
+        """The answer (see ``_answer``) to every (question, phase) the engine
+        asks whose answer does not depend on the hour: all but a
+        ``threshold`` party's move.  Built on first use."""
+        table = {(q, ph): _answer((self,), None, 0, q, ph, 0.0)
+                 for q in ("move", "lag", "acts") for ph in _PHASES
+                 if not (q == "move" and self.kind == "threshold")}
+        table["grief", None] = _answer((self,), None, 0, "grief", None, 0.0)
+        return table
+
     def label(self) -> str:
         if self.kind == "compliant":
             return "compliant"
@@ -207,6 +219,11 @@ class ProtocolInstance:
         strategies gave (see ``_replay``)."""
         return {}
 
+    @functools.cached_property
+    def layout(self) -> _Layout:
+        """The plan compiled for parties A and B; built on first use."""
+        return _Layout(self.actions, self.secrets, ("A", "B"))
+
 
 def _mk_secret(tag: bytes) -> bytes:
     return tag.ljust(_SECRET_LEN, b"\x00")
@@ -276,37 +293,58 @@ def liveness_bound(instance: ProtocolInstance, profile: StrategyProfile) -> floa
     and any deliberate delay in the profile.
     """
     b = instance.base
-    longest = max(a.timeout - a.start_time for a in instance.actions)
     extra = profile.strategy_A.hours + profile.strategy_B.hours
     slack = b.tau_b / 2.0  # compliant give-up wait
-    return longest + instance.actions[-1].start_time + b.tau_a + b.tau_b + b.t_eps + slack + extra
+    return (instance.layout.longest + instance.actions[-1].start_time
+            + b.tau_a + b.tau_b + b.t_eps + slack + extra)
 
 
 # ---------------------------------------------------------------------------
 # The engine.
 
 class _Layout:
-    """What a lock plan fixes for every trace of it: its steps (one party's
-    locks with one start time, in order), each step's phase, the hash of every
-    secret, each party's locks and the locks that time out to it, and each
-    lock's contract at its planned timeout.  Contracts are immutable, so
-    traces share them."""
+    """A lock plan compiled for its parties: what the plan fixes for every
+    trace of it.  It holds the plan's steps (one party's locks with one start
+    time, in order), each step's phase, the hash of every secret, each party's
+    locks and the locks that time out to it, each lock's output ref and its
+    contract at its planned timeout, the longest lock, and, built on first
+    use, the input and payout of each spend.  All of these are immutable, so
+    traces share them.
+
+    ``ProtocolInstance`` and ``cyclic.CyclicPlan`` build their layout once
+    and keep it as their ``layout`` attribute, so it is freed with the plan;
+    it refers to nothing that refers back to the plan."""
 
     def __init__(self, actions, secrets, parties) -> None:
         self.steps = [(party, [idx for idx, _ in group]) for (party, _), group in itertools.groupby(
             enumerate(actions), key=lambda ia: (ia[1].party, ia[1].start_time))]
         self.phase = ["premium" if all(actions[i].kind == "premium" for i in idxs) else "lock"
                       for _, idxs in self.steps]
-        self.hashes = {role: hash_secret(pre) for role, pre in secrets}
+        self.hashes = {role: hash_secret(pre) for role, pre in secrets.items()}
         self.roles = {h: role for role, h in self.hashes.items()}
-        self.actions, self.parties = actions, parties
+        self.actions, self.secrets, self.parties = actions, secrets, parties
+        self.refs = [OutputRef(f"lock-{idx}", 0) for idx in range(len(actions))]
         self.contracts = [self.contract(a, a.timeout) for a in actions]
+        self.longest = max(a.timeout - a.start_time for a in actions)
         # the principal each cancel secret refunds early
         self.refunds = {a.early_refund_hash: idx for idx, a in enumerate(actions)
                         if a.early_refund_hash is not None}
         self.of = [[i for i, a in enumerate(actions) if a.party == p] for p in range(len(parties))]
         self.owed = [[i for i, a in enumerate(actions) if a.timeout_recipient == p]
                      for p in range(len(parties))]
+        self._spends: dict = {}  # (lock, spender, secret role) -> (SpendInput, Payout)
+
+    def spend_parts(self, idx: int, party: int, role: str | None) -> tuple[SpendInput, Payout]:
+        """The input and payout of ``party`` spending lock ``idx`` with the
+        secret of ``role`` (None for a timeout spend)."""
+        key = (idx, party, role)
+        parts = self._spends.get(key)
+        if parts is None:
+            name = self.parties[party]
+            pres = {self.hashes[role]: self.secrets[role]} if role else {}
+            parts = self._spends[key] = (SpendInput(self.refs[idx], name, pres),
+                                         Payout(name, self.actions[idx].amount))
+        return parts
 
     def contract(self, a: LockAction, expiry: float) -> LockedOutput:
         names = self.parties
@@ -316,9 +354,6 @@ class _Layout:
         if a.early_refund_hash is not None:
             branches += (SpendBranch(names[a.party], frozenset({self.hashes[a.early_refund_hash]})),)
         return LockedOutput(a.amount, branches, funder=names[a.party])
-
-
-_layout = functools.lru_cache(maxsize=64)(_Layout)  # one layout per plan
 
 
 class _Run:
@@ -344,13 +379,12 @@ class _Run:
     question and answer in ``asked``.
     """
 
-    def __init__(self, actions, secrets, parties, chains, strategies, timing, decide):
-        self.layout = _layout(actions, tuple(secrets.items()), tuple(parties))
-        self.hashes, self.roles = self.layout.hashes, self.layout.roles
-        self.steps, self.phase = self.layout.steps, self.layout.phase
-        self.actions, self.secrets = actions, secrets
-        self.parties, self.chains, self.strategies = parties, chains, strategies
-        self.timing, self.decide = timing, decide
+    def __init__(self, layout: _Layout, chains, answer, timing):
+        self.layout = layout
+        self.hashes, self.roles = layout.hashes, layout.roles
+        self.steps, self.phase = layout.steps, layout.phase
+        self.actions, self.parties = layout.actions, layout.parties
+        self.chains, self.answer, self.timing = chains, answer, timing
         self.clock = 0.0
         self.queue: list = []
         self.seq = itertools.count()
@@ -359,7 +393,7 @@ class _Run:
         self.grid: list[float] = []        # sorted timeouts of every lock made
         self.anchor: float | None = None   # first poll of the grid
         self.observing: dict[str, float] = {}  # chain id -> last confirmation queued
-        n = len(parties)
+        n = len(self.parties)
         self.cancelling, self.watching = [False] * n, [False] * n
         self.revealed = [False] * n        # the party broadcast a cancel
         self.dead = False                  # a party with a principal in did so
@@ -370,7 +404,7 @@ class _Run:
     def ask(self, party: int, question: str, phase: str | None = None):
         """``party``'s strategy's answer to ``question`` now (see ``_answer``)."""
         key = (party, question, phase, self.clock)
-        answer = _answer(self.strategies, self.decide, *key)
+        answer = self.answer(*key)
         self.asked.append((key, answer))
         return answer
 
@@ -438,10 +472,9 @@ class _Run:
         return self.refs[idx] in self.chains[self.actions[idx].chain].spent
 
     def spend(self, idx: int, party: int, tx_id: str, role: str | None = None) -> bool:
-        a, name = self.actions[idx], self.parties[party]
-        pres = {self.hashes[role]: self.secrets[role]} if role else {}
-        tx = Transaction(tx_id, [SpendInput(self.refs[idx], name, pres)], [Payout(name, a.amount)])
-        return self.broadcast(self.chains[a.chain], tx)
+        spend, payout = self.layout.spend_parts(idx, party, role)
+        tx = Transaction(tx_id, [spend], [payout])
+        return self.broadcast(self.chains[self.actions[idx].chain], tx)
 
     def locked(self, party: int) -> bool:
         return any(i in self.refs for i in self.layout.of[party])
@@ -495,9 +528,9 @@ class _Run:
             expiry = a.timeout + (self.clock - a.start_time)
             contract = (self.layout.contracts[idx] if expiry == a.timeout
                         else self.layout.contract(a, expiry))
-            tx = Transaction(f"lock-{idx}", [], [contract])
-            self.broadcast(self.chains[a.chain], tx)
-            self.refs[idx] = OutputRef(tx.id, 0)
+            ref = self.layout.refs[idx]
+            self.broadcast(self.chains[a.chain], Transaction(ref.tx_id, [], [contract]))
+            self.refs[idx] = ref
             self.expiry[idx] = expiry
             bisect.insort(self.grid, expiry)
             if self.watching[a.timeout_recipient]:
@@ -633,6 +666,19 @@ def _answer(strategies, decide, party: int, question: str, phase: str | None, cl
     return s.kind == "grief"
 
 
+def _answerer(strategies, decide):
+    """``answer(party, question, phase, clock)`` for these strategies: a
+    lookup in the party's ``answer_table``, or ``_answer`` where the answer
+    depends on the hour."""
+    tables = [s.answer_table for s in strategies]
+
+    def answer(party: int, question: str, phase: str | None, clock: float):
+        got = tables[party].get((question, phase))
+        return _answer(strategies, decide, party, question, phase, clock) if got is None else got
+
+    return answer
+
+
 def execute(plan, parties, chains, strategies, timing, *, safety,
             bound: float = math.inf, decide=None, value=None) -> TraceVerdict:
     """Run a lock plan (anything with ``actions`` and role-keyed ``secrets``,
@@ -646,7 +692,10 @@ def execute(plan, parties, chains, strategies, timing, *, safety,
     ``value`` lists each chain's coin value in the first chain's asset (1 each
     if not given).
     """
-    r = _Run(plan.actions, plan.secrets, parties, chains, strategies, timing, decide)
+    layout = getattr(plan, "layout", None)  # the plan's own, if it keeps one for these parties
+    if layout is None or layout.parties != tuple(parties):
+        layout = _Layout(plan.actions, plan.secrets, tuple(parties))
+    r = _Run(layout, chains, _answerer(strategies, decide), timing)
     r.run()
     return _judge(_facts(r), [s.kind for s in strategies], safety, bound,
                   value or [1.0] * len(chains))
@@ -655,10 +704,10 @@ def execute(plan, parties, chains, strategies, timing, *, safety,
 _EVENT_ORDER = operator.attrgetter("time", "chain_id", "tx_id")
 
 
-@dataclass(frozen=True)
-class _Trace:
+class _Trace(NamedTuple):
     """What a verdict reads of one finished trace; it holds no strategy, so
-    every profile whose answers lead to it can be judged on it."""
+    every profile whose answers lead to it can be judged on it.  A named
+    tuple: immutable, and quick to build once per trace."""
 
     parties: tuple[str, ...]
     actions: tuple[LockAction, ...]
@@ -681,15 +730,13 @@ def _facts(r: _Run) -> _Trace:
     last_spend = last = 0.0
     sent = -math.inf  # latest broadcast of a transaction processed
     for c in r.chains:
-        for e in c.events:
-            if e.time > last:
-                last = e.time
-            if e.time - c.confirm_delay > sent:
-                sent = e.time - c.confirm_delay
-            if e.kind == "confirmed" and e.time > last_spend:
-                last_spend = e.time
+        if c.events:  # a chain appends its events in time order
+            last = max(last, c.events[-1].time)
+            sent = max(sent, c.events[-1].time - c.confirm_delay)
+            last_spend = max(last_spend, next(
+                (e.time for e in reversed(c.events) if e.kind == "confirmed"), 0.0))
     return _Trace(
-        parties=tuple(r.parties), actions=r.actions,
+        parties=r.parties, actions=r.actions,
         swapped=all((spender[i] or "").startswith("claim")
                     for i, a in enumerate(r.actions) if a.kind == "principal"),
         spender=spender,
@@ -788,7 +835,7 @@ def _replay(tree: dict, answer) -> _Trace | None:
     recorded question for the profile being replayed.
     """
     node = tree.get(None)
-    while type(node) is tuple:
+    while type(node) is tuple:  # a _Trace is a tuple subclass, so it ends the walk
         question, branches = node
         node = branches.get(answer(*question))
     return node
@@ -827,7 +874,8 @@ def run(
             return strategies[0].interested and price(now) >= instance.thresholds[1]
         return True
 
-    trace = _replay(instance.answer_tree, functools.partial(_answer, strategies, decide))
+    answer = _answerer(strategies, decide)
+    trace = _replay(instance.answer_tree, answer)
     if trace is None:
         # A party waits for the counterparty's lock to confirm and for A's
         # claim to be seen on the slower chain, each plus half of B's
@@ -837,7 +885,7 @@ def run(
                         claim_wait=max(b.tau_a, b.tau_b) + b.t_eps + slack,
                         release_with_claim=True)
         chains = [Chain("chain-a", b.tau_a), Chain("chain-b", b.tau_b)]
-        r = _Run(instance.actions, instance.secrets, ("A", "B"), chains, strategies, timing, decide)
+        r = _Run(instance.layout, chains, answer, timing)
         r.run()
         trace = _facts(r)
         _grow(instance.answer_tree, r.asked, trace)

@@ -544,3 +544,50 @@ def test_a_negative_x_a_axis_exits_2(tmp_path, capsys, subcommand):
     # The x_a axis is checked as an array, with the error of one SwapParams.
     assert run_cli(subcommand, "--out", str(tmp_path / "run"), "--set", "xa_min=-1") == 2
     assert capsys.readouterr().err == "error: x_a must be >= 0\n"
+
+
+def _parser_with_options_per_subcommand():
+    """The CLI parser as it was declared before its subcommands shared one
+    set of options: each subcommand adding its own six."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="swapsim",
+        description="Atomic-swap game solvers, protocol simulator, and validators.",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name in cli._COMMANDS:
+        s = sub.add_parser(name)
+        s.add_argument("--params", help="flat key=value parameter file")
+        s.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                       help="inline parameter override (repeatable)")
+        s.add_argument("--out", default=".", help="output directory")
+        s.add_argument("--seed", type=int, default=0)
+        s.add_argument("--format", choices=("csv", "json"), default="csv")
+        s.add_argument("--normalization", choices=("raw", "conditional"),
+                       default="conditional")
+    return parser
+
+
+def test_help_texts_and_option_defaults_are_pinned(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in [["--help"]] + [[name, "--help"] for name in cli._COMMANDS]:
+        texts = []
+        for parser in (cli._build_parser(), _parser_with_options_per_subcommand()):
+            with pytest.raises(SystemExit) as exit_info:
+                parser.parse_args(argv)
+            assert exit_info.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1], argv
+        if argv != ["--help"]:
+            assert f"usage: swapsim {argv[0]} [-h] [--params PARAMS] [--set KEY=VALUE]" in texts[0]
+            assert "inline parameter override (repeatable)" in texts[0]
+    defaults = {"params": None, "set": [], "out": ".", "seed": 0, "format": "csv",
+                "normalization": "conditional"}
+    parser = cli._build_parser()
+    for name in cli._COMMANDS:
+        assert vars(parser.parse_args([name])) == {"subcommand": name, **defaults}
+    # The subcommands share one --set action: a list given to one parse is
+    # not the default of the next.
+    assert parser.parse_args(["validate", "--set", "n=3"]).set == ["n=3"]
+    assert parser.parse_args(["cyclic-plan"]).set == []

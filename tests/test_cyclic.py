@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from conftest import baseline, quick_baseline
@@ -362,3 +365,55 @@ def test_settlement_loop_skips_idle_polls(monkeypatch):
     for g in range(n):
         run_cyclic(plan, {g: "grief-claim"})
     assert calls[0] <= 6000  # 22,640 when polling every hour
+
+
+@pytest.mark.parametrize("strategies, says", [
+    ({7: "grief-lock", -1: "grief-claim"}, r"party indices \[7, -1\] are outside 0\.\.2"),
+    ({3: "grief-claim"}, r"party indices \[3\] are outside 0\.\.2"),
+    ({"0": "grief-lock"}, r"party indices \['0'\] are outside 0\.\.2"),
+])
+def test_run_cyclic_rejects_party_indices_outside_the_plan(strategies, says):
+    # Out-of-range indices used to be ignored: the run went all-compliant
+    # and reported a safe swap.
+    with pytest.raises(ValueError, match=says):
+        run_cyclic(generate(make_spec(3)), strategies)
+
+
+def test_a_cyclic_plan_is_freed_with_its_last_reference():
+    # The plan keeps its compiled layout; nothing the layout or a run holds
+    # refers back to the plan, so dropping the plan frees it at once.
+    gc.disable()
+    try:
+        n = 4
+        plan = generate(_ladder_spec(n, (3.0,) * n, 1.0))
+        ref = weakref.ref(plan)
+        assert run_cyclic(plan).outcome == "swapped"
+        for g in range(n):
+            for mode in ("grief-lock", "grief-claim"):
+                run_cyclic(plan, {g: mode})
+        assert plan.layout is plan.layout
+        del plan
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_plan_run_under_other_party_names_gets_its_own_layout():
+    # ``execute`` uses the layout a plan keeps only for the parties it was
+    # compiled for; under other names the contracts and payouts follow them.
+    from swapsim import cyclic
+    from swapsim.ledgersim import Chain
+    from swapsim.protocol import Timing, execute, recovers_locked
+
+    spec = make_spec(3)
+    plan = generate(spec)
+    want = run_cyclic(plan, {1: "grief-claim"})
+    names = ("X0", "X1", "X2")
+    got = execute(plan, names, [Chain(f"chain-{i}", tau) for i, tau in enumerate(spec.taus)],
+                  [cyclic._STRATEGIES["grief-claim" if i == 1 else "compliant"] for i in range(3)],
+                  Timing(t_eps=spec.t_eps, wait=((max(spec.taus), spec.t_eps),) * 3,
+                         claim_wait=0.0, release_with_claim=False),
+                  safety=recovers_locked)
+    assert got.net_value == {f"X{i}": want.net_value[f"P{i}"] for i in range(3)}
+    assert (got.events, got.outcome, got.safety) == (want.events, want.outcome, want.safety)
+    assert plan.layout.parties == ("P0", "P1", "P2")

@@ -185,3 +185,21 @@ def test_pending_and_confirmed_ids_refused():
     with pytest.raises(ValueError, match="duplicate"):
         c.broadcast(_lock(), 4.0)  # confirmed
     assert not c.try_broadcast(_lock(tx_id="lock-2"), 4.0)
+
+
+def test_spend_input_keeps_a_read_only_copy_of_its_preimages():
+    given = {H: SECRET}
+    spend = SpendInput(OutputRef("lock", 0), "B", given)
+    given[H] = b"x" * 32
+    assert spend.preimages == {H: SECRET}
+    with pytest.raises(TypeError):
+        spend.preimages[H] = b"x" * 32
+    # One input may go into two transactions: the second claim is checked
+    # (and rejected) on the same preimages as the first.
+    c = Chain("a", 0.0)
+    c.broadcast(_lock(), 0.0)
+    c.advance(0.0)
+    c.broadcast(Transaction("claim", [spend], [Payout("B", 2.0)]), 1.0)
+    c.advance(1.0)
+    with pytest.raises(ValueError, match="already spent"):
+        c.broadcast(Transaction("claim-again", [spend], [Payout("B", 2.0)]), 2.0)

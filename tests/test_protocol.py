@@ -377,3 +377,47 @@ def test_a_lock_a_billion_hours_late_returns_at_once():
     # reached: an error, not a poll loop that never ends.
     with pytest.raises(ValueError, match="no hourly poll"):
         run(_instance("htlc"), _late_lockers(1e17)[0][1])
+
+
+@pytest.mark.parametrize("kind", ["htlc", "quickswap"])
+def test_each_plan_is_compiled_once(monkeypatch, kind):
+    built = []
+    layout = protocol._Layout
+    monkeypatch.setattr(protocol, "_Layout", lambda *args: built.append(1) or layout(*args))
+    inst = _instance(kind)
+    check_properties(inst)
+    for profile in THRESHOLDS:
+        run(inst, profile, lambda t: 2.0 + 0.01 * t)
+    assert len(built) == 1
+    check_properties(_instance(kind))
+    assert len(built) == 2
+
+
+def test_answer_tables_agree_with_the_strategy_methods():
+    from swapsim.cyclic import _STRATEGIES
+
+    strategies = [s for kind in ("htlc", "quickswap") for opts in strategy_grid(kind).values()
+                  for s in opts]
+    strategies += list(_STRATEGIES.values())
+    for s in strategies:
+        want = {("grief", None): s.kind == "grief"}
+        for phase in protocol._PHASES:
+            want["move", phase] = ("cancel" if s.cancels_at(phase)
+                                   else "act" if s.acts_at(phase) else "skip")
+            want["lag", phase] = s.lag(phase)
+            want["acts", phase] = s.acts_at(phase)
+        assert s.answer_table == want, s.label()
+    # A threshold party's move depends on the hour, so its table leaves it out.
+    table = Strategy("threshold").answer_table
+    assert not any(question == "move" for question, _ in table)
+    assert table["grief", None] is False and table["lag", "lock"] == 0.0
+
+
+def test_spend_inputs_shared_by_traces_are_read_only():
+    inst = _instance("quickswap")
+    check_properties(inst)
+    spends = list(inst.layout._spends.values())
+    assert spends
+    for spend, _ in spends:
+        with pytest.raises(TypeError):
+            spend.preimages["forged"] = b"x" * 32
