@@ -242,6 +242,14 @@ def test_default_surface_bytes_are_pinned(tmp_path, fmt, digest):
     assert _digest(tmp_path / f"htlc_surface.{fmt}") == digest
 
 
+def test_default_quickswap_sr_bytes_are_pinned(tmp_path):
+    assert run_cli("quickswap-sr", "--out", str(tmp_path)) == 0
+    assert _digest(tmp_path / "quickswap_sr.csv") == \
+        "4655472e093b04c32bde21698b70d859b59b360dd7b56936fafcbb6706d3f321"
+    assert _digest(tmp_path / "participation.json") == \
+        "f93acc64ec56075c7bc45a79cd22a848941445f6a54aebe3fcd80c0beef00486"
+
+
 def test_table_writer_edge_cases(tmp_path):
     nan = float("nan")
     columns = {
