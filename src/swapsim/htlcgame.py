@@ -43,9 +43,6 @@ __all__ = [
 
 _ROOT_SCAN_POINTS = 256
 _ROOT_TOL = 1e-10
-# Default of the ``band`` parameters: solve B's band in the callee.  None
-# already means that B never locks.
-_SOLVE = object()
 
 
 @dataclass(frozen=True)
@@ -250,7 +247,7 @@ def _scan_brackets(*prices) -> list[Bracket]:
     return list(map(Bracket, (ref * 1e-3).tolist(), (ref * 12.0).tolist()))
 
 
-def _lock_bands(game, p: SwapParams, xs: np.ndarray, scan: Bracket | None, rows: int = 1) -> list[Bracket | None]:
+def _lock_bands(game, p: SwapParams, xs: np.ndarray, scan: Bracket | None, rows: int = 1) -> np.ndarray:
     """B's bands, ``rows`` per x_a of ``xs``: where ``_value_b`` beats his
     ``stay_b`` line.  ``game(x_a)`` builds the table of an x_a column; each
     x_a has its own scan bracket, which ``scan`` overrides for every row."""
@@ -262,7 +259,7 @@ def _lock_bands(game, p: SwapParams, xs: np.ndarray, scan: Bracket | None, rows:
     return widest_band(g, scans, rows)
 
 
-def widest_band(g, scans: list[Bracket], rows: int = 1) -> list[Bracket | None]:
+def widest_band(g, scans: list[Bracket], rows: int = 1) -> np.ndarray:
     """Widest interval of its scan on which ``g > 0``, for each row of ``g``.
 
     Rows come in groups of ``rows`` that share one scan: ``scans`` holds one
@@ -275,17 +272,17 @@ def widest_band(g, scans: list[Bracket], rows: int = 1) -> list[Bracket | None]:
     within the budget on rows of fewer than 8 roots; a larger table is
     solved in blocks of whole groups (one lockstep over the 100,000 rows of
     a 20,000-x_a quickswap-sr doubled the traced peak).  When more than two
-    crossings appear, the widest winning interval is kept; a row with no
-    crossing has no band (None).  The bands come back one per row, group by
-    group.
+    crossings appear, the widest winning interval is kept.  The bands come
+    back as a (rows per group x groups, 2) array of ``(lo, hi)`` pairs, one
+    per row, group by group; a row with no crossing has no band (NaN ends).
     """
     per = max(1, numerics._CALL_BUDGET // 8 // rows)
     if len(scans) > per:
-        return [band for first in range(0, len(scans), per)
-                for band in widest_band(lambda x, sub, first=first: g(x, sub + first),
-                                        scans[first:first + per], rows)]
+        return np.concatenate([widest_band(lambda x, sub, first=first: g(x, sub + first),
+                                           scans[first:first + per], rows)
+                               for first in range(0, len(scans), per)])
     if not scans:
-        return []
+        return np.empty((0, 2))
     groups = np.arange(len(scans))
     lo = np.repeat([s.lo for s in scans], rows)
     hi = np.repeat([s.hi for s in scans], rows)
@@ -308,9 +305,8 @@ def widest_band(g, scans: list[Bracket], rows: int = 1) -> list[Bracket | None]:
     best = np.argmax(np.where(ok, edges[:, 1:] - edges[:, :-1], -np.inf), axis=1)
     won = np.flatnonzero(ok.any(axis=1))
     band_lo, band_hi = edges[won, best[won]], edges[won, best[won] + 1]
-    bands: list[Bracket | None] = [None] * len(counts)
-    for k, b_lo, b_hi in zip(won.tolist(), band_lo.tolist(), band_hi.tolist()):
-        bands[k] = Bracket(b_lo, b_hi)
+    bands = np.full((len(counts), 2), np.nan)
+    bands[won, 0], bands[won, 1] = band_lo, band_hi
     # Open-ended winning region at a scan edge means the scan missed a
     # crossing; widen those rows rather than report a fake endpoint.  Their
     # groups are solved again on the wider scan, and only the edge rows
@@ -320,21 +316,19 @@ def widest_band(g, scans: list[Bracket], rows: int = 1) -> list[Bracket | None]:
         wide = np.unique(edge // rows)
         again = widest_band(lambda x, sub: g(x, wide[sub]),
                             [Bracket(scans[j].lo * 0.1, scans[j].hi * 10.0) for j in wide.tolist()], rows)
-        for k in edge.tolist():
-            bands[k] = again[np.searchsorted(wide, k // rows) * rows + k % rows]
+        bands[edge] = again[np.searchsorted(wide, edge // rows) * rows + edge % rows]
     return bands
 
 
-def continuation_band_t2(p: SwapParams, T, scan: Bracket | None = None, x_a=None) -> Bracket | None | list:
+def continuation_band_t2(p: SwapParams, T, scan: Bracket | None = None, x_a=None) -> np.ndarray:
     """Price band over which B prefers locking at the middle node.
 
     Roots of B's lock-minus-stop value, solved by ``_lock_bands`` for every
     (x_a, T) pair at once.  ``T`` is a claim delay or a 1-D array of them,
-    and ``x_a`` None (``p.x_a`` alone) or a 1-D array.  The bands (None
-    where B never locks) come back nested like ``x_a`` by ``T``: one band
-    for a scalar ``T`` without ``x_a``, one list per x_a when both are
-    arrays.  Each x_a has its own scan bracket, which ``scan`` overrides
-    for every row.
+    and ``x_a`` None (``p.x_a`` alone) or a 1-D array.  The bands come back
+    as an array of shape ``np.shape(x_a) + np.shape(T) + (2,)``: each band
+    is its ``(lo, hi)`` pair, NaN where B never locks.  Each x_a has its own
+    scan bracket, which ``scan`` overrides for every row.
     """
     _check_delay("claim delay T", T, p.claim_delay_window)
     ts = np.atleast_1d(np.asarray(T, dtype=float))
@@ -344,19 +338,19 @@ def continuation_band_t2(p: SwapParams, T, scan: Bracket | None = None, x_a=None
     # One group per x_a, one row per delay: the T-free terms of B's value
     # are evaluated once per x_a on its (G, 1, n) grid.
     bands = _lock_bands(lambda col: _htlc(p, t_col, col), p, xs, scan, len(ts))
-    return np.array(bands, dtype=object).reshape(np.shape(x_a) + np.shape(T)).tolist()
+    return bands.reshape(np.shape(x_a) + np.shape(T) + (2,))
 
 
-def success_rate(p: SwapParams, T: float, Tp: float, band=_SOLVE) -> float | None:
+def success_rate(p: SwapParams, T: float, Tp: float, band=None) -> float | None:
     """Probability the swap completes once started; None when A never starts.
 
     One cell of ``sr_surface``, solved as a one-cell table on the same path.
-    ``band`` is B's middle-node band at ``T`` when the caller has solved it
-    already.
+    ``band`` is B's middle-node band at ``T``, a ``(lo, hi)`` pair, when the
+    caller has solved it already (None: solved here).
     """
-    if band is _SOLVE:
+    if band is None:
         band = continuation_band_t2(p, T)
-    raw = sr_surface(p, [p.x_a], [T], [Tp], [[band]]).raw[0, 0, 0]
+    raw = sr_surface(p, [p.x_a], [T], [Tp], np.reshape(band, (1, 1, 2))).raw[0, 0, 0]
     return None if math.isnan(raw) else float(raw)
 
 
@@ -365,14 +359,14 @@ def sr_surface(
     xa_grid,
     T_grid,
     Tp_grid,
-    bands=_SOLVE,
+    bands=None,
 ) -> SRGrid:
     """Evaluate the success rate over the full (x_a, T, T') grid.
 
     B's continuation band is independent of T', so the bands of every
     (x_a, T) pair are solved in one ``continuation_band_t2`` call; ``bands``
-    holds them when the caller has solved them already, nested x_a by T as
-    that call returns them.  The root node runs in blocks of whole x_a
+    holds them when the caller has solved them already, the (x_a, T, 2)
+    array that call returns.  The root node runs in blocks of whole x_a
     groups, one ``payoff_t1_with_band`` call each, of at most
     ``_CALL_BUDGET`` integrand values; of each block only the NA mask is
     kept.  Every cell where A starts and B has a band is then one row of one
@@ -382,10 +376,8 @@ def sr_surface(
     ts = np.asarray(T_grid, dtype=float)
     tps = np.asarray(Tp_grid, dtype=float)
     xa = _xa_axis(p, xa_grid)
-    if bands is _SOLVE:
-        bands = continuation_band_t2(p, ts, x_a=xa)
-    locks = np.fromiter((band is not None for band in chain.from_iterable(bands)), bool)
-    locks = locks.reshape(len(xa), len(ts))
+    bands = continuation_band_t2(p, ts, x_a=xa) if bands is None else _band_table(bands, (len(xa), len(ts)))
+    locks = ~np.isnan(bands[..., 0])
     # A block holds ``per`` x_a that have a band; one without rides along
     # with its predecessors, as it adds no integrand rows.
     per = max(1, numerics._CALL_BUDGET // max(1, len(ts) * len(tps) * numerics._GL_ORDER))
@@ -400,7 +392,7 @@ def sr_surface(
     # never locks keeps the table's 0.
     cells = ~na & locks[:, :, None]
     game = _htlc(p, ts, xa[:, None])
-    raw = _sr_table(p, list(chain.from_iterable(bands)), np.repeat(_threshold(game), len(ts)),
+    raw = _sr_table(p, bands.reshape(-1, 2), np.repeat(_threshold(game), len(ts)),
                     np.tile(game.h_claim, len(xa)), p.tau_a + tps,
                     cells.reshape(-1, len(tps))).reshape(na.shape)
     raw[na] = np.nan
@@ -409,15 +401,23 @@ def sr_surface(
     return SRGrid(raw=raw, conditional=conditional, na_mask=na)
 
 
+def _band_table(bands, shape: tuple) -> np.ndarray:
+    """``bands`` as a float array of ``shape`` + (2,), or a ValueError."""
+    table = np.asarray(bands, dtype=float)
+    if table.shape != shape + (2,):
+        raise ValueError(f"band table has shape {table.shape}, expected {shape + (2,)}")
+    return table
+
+
 def payoff_t1_with_band(p: SwapParams, T, Tp, bands, x_a=None) -> tuple[np.ndarray, np.ndarray]:
     """Root-node values (A continue, A stop) with precomputed middle-node bands.
 
     ``T`` is a 1-D array of K claim delays and ``Tp`` one of lock delays.
-    ``x_a`` follows ``continuation_band_t2``: without it, ``bands`` holds
-    the K bands of ``p.x_a`` (None where B never locks) and two
-    (K, len(Tp)) arrays are returned; with a 1-D ``x_a``, ``bands`` is
-    nested x_a by T and the arrays are (len(x_a), K, len(Tp)).  A's stop
-    value is x_a, returned as a read-only broadcast.
+    ``x_a`` follows ``continuation_band_t2``: without it, ``bands`` is the
+    (K, 2) band table of ``p.x_a`` (NaN where B never locks) and two
+    (K, len(Tp)) arrays are returned; with a 1-D ``x_a``, ``bands`` is the
+    (len(x_a), K, 2) table and the arrays are (len(x_a), K, len(Tp)).  A's
+    stop value is x_a, returned as a read-only broadcast.
 
     Each band is mapped onto u in [0, 1] (price = lo + u * (hi - lo),
     Jacobian hi - lo), so the integrands of every (x_a, T, T') cell run
@@ -435,20 +435,20 @@ def payoff_t1_with_band(p: SwapParams, T, Tp, bands, x_a=None) -> tuple[np.ndarr
     ts = np.atleast_1d(np.asarray(T, dtype=float))
     tps = np.atleast_1d(np.asarray(Tp, dtype=float))
     xs = _xa_axis(p, x_a)
-    nested = [bands] if x_a is None else bands
+    shape = (len(xs), len(ts), len(tps))
+    table = _band_table(bands, shape[1:2] if x_a is None else shape[:2]).reshape(shape[:2] + (2,))
     col = xs[:, None, None]
     # A's principal back at face value, or her t3 stop payoff.
     u_a_stop_t2 = col - p.f_a if p.t1_stop_value == "principal" else _htlc(p, 0.0, col).exit_a
     exit_value = u_a_stop_t2 * math.exp(-p.r_a * p.tau_a)
-    shape = (len(xs), len(ts), len(tps))
     u_cont = np.array(np.broadcast_to(exit_value, shape))
     u_stop = np.broadcast_to(col, shape)
-    locks = np.fromiter((band is not None for band in chain.from_iterable(nested)), bool).reshape(shape[:2])
+    locks = ~np.isnan(table[..., 0])
     groups = np.flatnonzero(locks.any(axis=1))
     if groups.size:
         # A band-less row is the zero-width band at a valid price.
-        lo = np.array([[[p.x_yb_t1 if b is None else b.lo] for b in nested[i]] for i in groups.tolist()])
-        hi = np.array([[[p.x_yb_t1 if b is None else b.hi] for b in nested[i]] for i in groups.tolist()])
+        ends = np.where(locks[groups, :, None], table[groups], p.x_yb_t1)
+        lo, hi = ends[..., :1], ends[..., 1:]
         width = hi - lo
         game = _htlc(p, ts[:, None], xs[groups, None, None])
         st1 = PriceState(p.x_yb_t1)
@@ -474,15 +474,15 @@ def payoff_t1_with_band(p: SwapParams, T, Tp, bands, x_a=None) -> tuple[np.ndarr
     return u_cont, u_stop
 
 
-def _sr_table(p: SwapParams, bands: list[Bracket], threshold: np.ndarray, h_claim: np.ndarray,
+def _sr_table(p: SwapParams, bands: np.ndarray, threshold: np.ndarray, h_claim: np.ndarray,
               h_lock: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Two-stage success rates: B locks inside a band after a lock horizon,
     then A claims above the threshold after a further claim horizon.
 
     ``cells`` is a (groups, L) mask whose True entries are the table's rows,
-    in row-major order.  A row's group is its mask row, which indexes
-    ``bands``, ``threshold`` and ``h_claim``; its column indexes the L lock
-    horizons ``h_lock``.  Returns the (groups, L) rates, 0 outside the mask.
+    in row-major order.  A row's group is its mask row, which indexes the
+    (groups, 2) band table ``bands``, ``threshold`` and ``h_claim``; its
+    column indexes the L lock horizons ``h_lock``.  Returns the (groups, L) rates, 0 outside the mask.
     Each row integrates over its group's band, with one bracket per row in
     ``integrate``, so a row's rate does not depend on the rows it is solved
     with.  The claim tail does not depend on the lock horizon: it is
@@ -514,5 +514,5 @@ def _sr_table(p: SwapParams, bands: list[Bracket], threshold: np.ndarray, h_clai
             tails = 1.0 - cdf_from(x_star, price[heads], p.gbm, h_c)
             return dens * p.theta_1 * tails[local]
 
-        flat[pos] = integrate(integrand, [bands[g] for g in block.tolist()], p.quad)
+        flat[pos] = integrate(integrand, bands[block], p.quad)
     return np.maximum(0.0, rates, out=rates)

@@ -45,7 +45,6 @@ class QuadratureSpec:
             raise ValueError("max_depth must be >= 1")
 
 
-# Slots: a band table of 100,000 rows holds as many Brackets, 4 MB less.
 @dataclass(frozen=True, slots=True)
 class Bracket:
     lo: float
@@ -54,10 +53,6 @@ class Bracket:
     def __post_init__(self) -> None:
         if not self.lo < self.hi:
             raise ValueError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
 
 
 def fixed_gauss(f: Callable[[np.ndarray], np.ndarray], lo, hi):
@@ -79,7 +74,7 @@ def fixed_gauss(f: Callable[[np.ndarray], np.ndarray], lo, hi):
     return float(est[0]) if vals.ndim == 1 else est
 
 
-def integrate(f: Callable[[np.ndarray], np.ndarray], bracket: Bracket | Sequence[Bracket],
+def integrate(f: Callable[[np.ndarray], np.ndarray], bracket: Bracket | np.ndarray,
               spec: QuadratureSpec = QuadratureSpec()):
     """Adaptive panel-bisection quadrature over the bracket.
 
@@ -89,19 +84,20 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], bracket: Bracket | Sequence
 
     With one ``Bracket``, ``f`` maps the (n,) node vector to (n,) values,
     and then a float is returned; or to a (K, n) array of K integrands over
-    the same bracket, and then a length-K array is returned.  With a
-    sequence of K Brackets, one per row, ``f`` maps a (K, n) node array,
-    row k on a panel of its own bracket, to (K, n) values, and a length-K
-    array is returned.  Each row has its own scale, acceptance test and
-    refinement, on panels that split its own bracket as a lone call would,
-    so row k equals the result for row k alone bit for bit.  Only rows that
+    the same bracket, and then a length-K array is returned.  With a (K, 2)
+    array of brackets, one ``(lo, hi)`` per row, ``f`` maps a (K, n) node
+    array, row k on a panel of its own bracket, to (K, n) values, and a
+    length-K array is returned.  Each row has its own scale, acceptance
+    test and refinement, on panels that split its own bracket as a lone call
+    would, so row k equals the result for row k alone bit for bit.  Only rows that
     fail a panel are refined, but ``f`` evaluates every row on each panel.
     """
     if isinstance(bracket, Bracket):
         lo, hi = bracket.lo, bracket.hi
     else:
-        lo = np.array([b.lo for b in bracket], dtype=float)
-        hi = np.array([b.hi for b in bracket], dtype=float)
+        lo, hi = np.asarray(bracket, dtype=float).T
+        if not np.all(lo < hi):
+            raise ValueError("every bracket requires lo < hi")
     width = hi - lo
     first = fixed_gauss(f, lo, hi)
     whole = np.atleast_1d(first)

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .htlcgame import _SOLVE, SwapParams, claim_threshold_t3, continuation_band_t2
+from .htlcgame import SwapParams, claim_threshold_t3, continuation_band_t2
 from .ledgersim import (
     Chain,
     ConfirmationEvent,
@@ -44,7 +44,6 @@ from .ledgersim import (
     conservation_holds,
     hash_secret,
 )
-from .numerics import Bracket
 from .quickswapgame import QuickSwapParams, claim_threshold_t4, continuation_band_t3
 
 __all__ = [
@@ -206,9 +205,10 @@ class ProtocolInstance:
         return self.params.base if isinstance(self.params, QuickSwapParams) else self.params
 
     @functools.cached_property
-    def thresholds(self) -> tuple[Bracket | None, float]:
-        """B's lock band (at claim delay 0 for the HTLC) and A's claim
-        threshold, which ``threshold`` strategies play; solved on first use."""
+    def thresholds(self) -> tuple[np.ndarray, float]:
+        """B's lock band (at claim delay 0 for the HTLC), a ``(lo, hi)`` pair
+        with NaN ends where B never locks, and A's claim threshold, which
+        ``threshold`` strategies play; solved on first use."""
         if self.kind == "htlc":
             return continuation_band_t2(self.params, 0.0), claim_threshold_t3(self.params)
         return continuation_band_t3(self.params), claim_threshold_t4(self.params)
@@ -868,8 +868,8 @@ def run(
     def decide(party: int, phase: str, now: float) -> bool:
         """Threshold play: B locks inside its band, A claims above its threshold."""
         if (party, phase) == (1, "lock"):
-            band = instance.thresholds[0]
-            return strategies[1].interested and band is not None and band.lo < price(now) <= band.hi
+            lo, hi = instance.thresholds[0]
+            return strategies[1].interested and lo < price(now) <= hi
         if (party, phase) == (0, "claim"):
             return strategies[0].interested and price(now) >= instance.thresholds[1]
         return True
@@ -961,7 +961,7 @@ def check_properties(instance: ProtocolInstance) -> PropertyReport:
 # Monte Carlo oracles (threshold strategies over sampled prices).
 
 def mc_success_rate_htlc(
-    p: SwapParams, T: float, Tp: float, n_paths: int, seed: int, band=_SOLVE
+    p: SwapParams, T: float, Tp: float, n_paths: int, seed: int, band=None
 ) -> tuple[float, float]:
     """Empirical completion frequency under threshold strategies.
 
@@ -973,33 +973,35 @@ def mc_success_rate_htlc(
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    if band is _SOLVE:
+    if band is None:
         band = continuation_band_t2(p, T)
     return _mc_two_stage(p, band, claim_threshold_t3(p), p.tau_a + Tp, p.tau_b + T, n_paths, seed)
 
 
 def mc_success_rate_quickswap(
-    q: QuickSwapParams, n_paths: int, seed: int, band=_SOLVE
+    q: QuickSwapParams, n_paths: int, seed: int, band=None
 ) -> tuple[float, float]:
     """Empirical completion frequency for the premium protocol (delay-free);
     ``band`` is B's t3 band when the caller has solved it already."""
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     b = q.base
-    if band is _SOLVE:
+    if band is None:
         band = continuation_band_t3(q)
     return _mc_two_stage(b, band, claim_threshold_t4(q), b.tau_a, b.tau_b, n_paths, seed)
 
 
 def _mc_two_stage(
-    p: SwapParams, band: Bracket | None, threshold: float, h_lock: float, h_claim: float,
+    p: SwapParams, band: np.ndarray, threshold: float, h_lock: float, h_claim: float,
     n_paths: int, seed: int,
 ) -> tuple[float, float]:
     """Monte Carlo twin of ``htlcgame._sr_table``: B locks when the price
-    after ``h_lock`` hours lies in ``band``, then A claims when the price a
-    further ``h_claim`` hours on is at least ``threshold``.  No band: (0, 0)."""
+    after ``h_lock`` hours lies in ``band`` (a ``(lo, hi)`` pair), then A
+    claims when the price a further ``h_claim`` hours on is at least
+    ``threshold``.  No band (NaN ends): (0, 0)."""
     rng = np.random.default_rng(seed)
-    if band is None:
+    lo, hi = band
+    if math.isnan(lo):
         return 0.0, 0.0
     mu, sig = p.gbm.mu, p.gbm.sigma
     # Two float arrays and one mask: the prices go into the buffers their
@@ -1014,8 +1016,8 @@ def _mc_two_stage(
     at_lock *= p.x_yb_t1
     at_claim *= at_lock
     success = at_claim >= threshold
-    success &= at_lock > band.lo
-    success &= at_lock <= band.hi
+    success &= at_lock > lo
+    success &= at_lock <= hi
     for theta in (p.theta_2, p.theta_1):
         rng.random(out=at_lock)
         success &= at_lock < theta

@@ -18,8 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .htlcgame import (_SOLVE, SwapParams, _final_payoffs, _Game, _lock_bands, _sr_table, _threshold, _xa_axis,
-                       sr_surface)
+from .htlcgame import SwapParams, _final_payoffs, _Game, _lock_bands, _sr_table, _threshold, _xa_axis, sr_surface
 # ``find_roots``, ``integrate`` and ``transition_pdf`` are no longer called
 # here (the band and SR solvers are shared with htlcgame); the bindings stay
 # for perfbench, which wraps them by name.
@@ -116,42 +115,37 @@ def claim_threshold_t4(q: QuickSwapParams, x_a=None):
     return _threshold(_quick(q, q.base.x_a if x_a is None else _xa_axis(q.base, x_a)))
 
 
-def continuation_band_t3(
-    q: QuickSwapParams, scan: Bracket | None = None, x_a=None
-) -> Bracket | None | list[Bracket | None]:
+def continuation_band_t3(q: QuickSwapParams, scan: Bracket | None = None, x_a=None) -> np.ndarray:
     """Price band over which B prefers continuing to canceling at t3.
 
     Cancel strictly dominates stop (the stop path forfeits B's premium), so
     the relevant comparison is continue vs cancel.  Solved by
-    ``_lock_bands``: one band (or None) for ``q`` alone, or, with ``x_a`` a
-    1-D array, a list of one band per x_a, each on its own scan bracket
-    (which ``scan`` overrides).
+    ``_lock_bands``: one ``(lo, hi)`` pair for ``q`` alone, or, with ``x_a``
+    a 1-D array, a (len(x_a), 2) array of one band per x_a, each on its own
+    scan bracket (which ``scan`` overrides).  NaN ends: B never continues.
     """
     bands = _lock_bands(lambda col: _quick(q, col), q.base, _xa_axis(q.base, x_a), scan)
-    return bands[0] if x_a is None else bands
+    return bands.reshape(np.shape(x_a) + (2,))
 
 
 # ---------------------------------------------------------------------------
 # Success rate of the premium swap.
 
-def success_rate(q: QuickSwapParams, band=_SOLVE, x_a=None):
+def success_rate(q: QuickSwapParams, band=None, x_a=None):
     """Probability the premium swap completes; a single number per parameter
     set — no delay axes, by construction of the cancel provisions.
 
     With ``x_a`` a 1-D array, an array of one rate per x_a, every x_a one
     row of one success-rate table (htlcgame's ``_sr_table``).  ``band`` is
-    B's t3 band, or with ``x_a`` the list of one band per x_a, when the
-    caller has solved it already.
+    B's t3 band, or with ``x_a`` the table of one band per x_a, as
+    ``continuation_band_t3`` returns it, when the caller has solved it
+    already (None: solved here).
     """
     xs = _xa_axis(q.base, x_a)
-    if band is _SOLVE:
-        bands = continuation_band_t3(q, x_a=xs)
-    else:
-        bands = [band] if x_a is None else band
+    bands = continuation_band_t3(q, x_a=xs) if band is None else np.reshape(band, (len(xs), 2))
     b, game = q.base, _quick(q, xs)
-    locks = np.array([band is not None for band in bands], dtype=bool)
     rates = _sr_table(b, bands, _threshold(game), np.full(len(xs), game.h_claim), np.array([b.tau_a]),
-                      locks[:, None])[:, 0]
+                      ~np.isnan(bands[:, :1]))[:, 0]
     return float(rates[0]) if x_a is None else rates
 
 

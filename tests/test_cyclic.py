@@ -269,11 +269,12 @@ def _two_party_records() -> list:
                 (build_quickswap_instance(q), continuation_band_t3(q), claim_threshold_t4(q))):
             grid = strategy_grid(inst.kind)
             runs = [(StrategyProfile(a, bb), "grid", None) for a in grid["A"] for bb in grid["B"]]
+            lo, hi = band.tolist()
             # Constant prices below B's band, inside it above A's claim
             # threshold, and inside it below the threshold.
-            for path, price in (("below-band", 0.5 * band.lo),
-                                ("above-claim", 0.5 * (max(band.lo, x_star) + band.hi)),
-                                ("below-claim", 0.5 * (band.lo + x_star))):
+            for path, price in (("below-band", 0.5 * lo),
+                                ("above-claim", 0.5 * (max(lo, x_star) + hi)),
+                                ("below-claim", 0.5 * (lo + x_star))):
                 runs += [(StrategyProfile(a, bb), path, lambda t, x=price: x)
                          for a in thresholds for bb in thresholds]
             for profile, path, price_path in runs:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -105,8 +106,8 @@ def test_middle_node_value_matches_quadrature():
 def test_continuation_band_brackets_root_crossings():
     p = baseline()
     band = continuation_band_t2(p, 0.0)
-    assert band is not None
-    lo, hi = band.lo, band.hi
+    assert not np.isnan(band).any()
+    lo, hi = band
     # B's continue value minus his stop value, the t2 price.
     g = lambda x: htlcgame._value_b(htlcgame._htlc(p, 0.0, p.x_a), p, x) - x
     # Inside the band B prefers locking; at the edges it is indifferent.
@@ -117,12 +118,12 @@ def test_continuation_band_brackets_root_crossings():
 
 def test_band_edges_match_brute_force():
     p = baseline()
-    band = continuation_band_t2(p, 0.0)
+    band_lo, band_hi = continuation_band_t2(p, 0.0)
     g = lambda x: htlcgame._value_b(htlcgame._htlc(p, 0.0, p.x_a), p, x) - x
-    lo = _brute_force_threshold(g, 0.5, 0.5 * (band.lo + band.hi))
-    hi = _brute_force_threshold(g, 0.5 * (band.lo + band.hi), 6.0)
-    assert band.lo == pytest.approx(lo, abs=1e-6)
-    assert band.hi == pytest.approx(hi, abs=1e-6)
+    lo = _brute_force_threshold(g, 0.5, 0.5 * (band_lo + band_hi))
+    hi = _brute_force_threshold(g, 0.5 * (band_lo + band_hi), 6.0)
+    assert band_lo == pytest.approx(lo, abs=1e-6)
+    assert band_hi == pytest.approx(hi, abs=1e-6)
 
 
 @pytest.mark.parametrize("case, p, scan", [
@@ -136,16 +137,18 @@ def test_band_edges_match_brute_force():
 def test_band_rows_match_single_delay_solves(case, p, scan):
     ts = np.arange(21.0)
     rows = continuation_band_t2(p, ts, scan)
-    # Bracket equality compares both edges exactly.
-    assert rows == [continuation_band_t2(p, float(T), scan) for T in ts]
+    assert rows.shape == (len(ts), 2)
+    # Both edges compare exactly; NaN (no band) equals NaN.
+    assert np.array_equal(rows, [continuation_band_t2(p, float(T), scan) for T in ts], equal_nan=True)
+    locks = ~np.isnan(rows[:, 0])
     if case == "empty band row":
-        assert rows[0] is not None and all(b is None for b in rows[1:])
+        assert locks[0] and not locks[1:].any()
     elif case == "narrow scan":
         # Rows whose band reaches past the scan edge are solved again on a
         # wider scan; the rest keep the first scan.
-        assert {b.hi > scan.hi for b in rows} == {True, False}
+        assert set(rows[:, 1] > scan.hi) == {True, False}
     else:
-        assert all(b is not None for b in rows)
+        assert locks.all()
 
 
 def test_band_rows_share_one_scan(monkeypatch):
@@ -159,7 +162,7 @@ def test_band_rows_share_one_scan(monkeypatch):
     monkeypatch.setattr(htlcgame, "_value_b", counted)
     p = baseline()
     bands = continuation_band_t2(p, np.linspace(0.0, p.claim_delay_window, 21))
-    assert all(b is not None for b in bands)
+    assert not np.isnan(bands).any()
     assert len(calls) <= 60
 
 
@@ -168,8 +171,8 @@ def test_root_payoff_rows_match_single_row_calls():
     ts = np.array([0.0, 5.0, 10.0, 20.0])
     tps = np.array([0.0, 7.0, 21.0])
     bands = continuation_band_t2(p, ts)
-    assert all(b is not None for b in bands)
-    bands[1] = bands[3] = None
+    assert not np.isnan(bands).any()
+    bands[1] = bands[3] = np.nan
     u_cont, u_stop = payoff_t1_with_band(p, ts, tps, bands)
     assert u_cont.shape == u_stop.shape == (len(ts), len(tps))
     exit_value = (p.x_a - p.f_a) * math.exp(-p.r_a * p.tau_a)
@@ -177,7 +180,7 @@ def test_root_payoff_rows_match_single_row_calls():
         one_cont, one_stop = payoff_t1_with_band(p, [T], tps, [band])
         np.testing.assert_allclose(u_cont[k], one_cont[0], rtol=0.0, atol=1e-12)
         assert np.array_equal(u_stop[k], one_stop[0])
-        if band is None:
+        if np.isnan(band).all():
             assert (u_cont[k] == exit_value).all()
         else:
             assert (u_cont[k] != exit_value).all()
@@ -194,7 +197,7 @@ def test_root_payoff_branch_weights_sum_to_one(monkeypatch):
     ts = np.array([0.0, 10.0, 20.0])
     tps = np.array([0.0, 7.0, 21.0])
     bands = continuation_band_t2(p, ts)
-    assert all(b is not None for b in bands)
+    assert not np.isnan(bands).any()
     u_cont, _ = payoff_t1_with_band(p, ts, tps, bands)
     np.testing.assert_allclose(u_cont, exit_value, rtol=0.0, atol=1e-10)
 
@@ -241,8 +244,8 @@ def test_delay_window_bounds_enforced():
 
 def test_thresholds_snapshot():
     band = continuation_band_t2(baseline(), 0.0)
-    assert band is not None
-    assert band.lo < band.hi
+    assert band.shape == (2,)
+    assert band[0] < band[1]
 
 
 def test_surface_shape_and_na_mask():
@@ -298,7 +301,8 @@ def _oracle_surface(p, xa, ts, tps):
         st1 = PriceState(q.x_yb_t1)
         x_star = claim_threshold_t3(q)
         for j, T in enumerate(ts):
-            band = continuation_band_t2(q, T)
+            lo, hi = continuation_band_t2(q, T)
+            band = None if math.isnan(lo) else Bracket(lo, hi)
             u_a_t2 = np.vectorize(lambda x: htlcgame._value_a(htlcgame._htlc(q, T, q.x_a), q, x))
             claimed = np.vectorize(
                 lambda x: 1.0 - transition_cdf(x_star, PriceState(x), q.gbm, q.tau_b + T))
@@ -309,8 +313,8 @@ def _oracle_surface(p, xa, ts, tps):
                 else:
                     cont = counted_integrate(
                         lambda x: transition_pdf(x, st1, q.gbm, h) * u_a_t2(x), band, q.quad)
-                    outside = (1.0 - transition_cdf(band.hi, st1, q.gbm, h)
-                               + transition_cdf(band.lo, st1, q.gbm, h))
+                    outside = (1.0 - transition_cdf(hi, st1, q.gbm, h)
+                               + transition_cdf(lo, st1, q.gbm, h))
                     u_cont = q.theta_2 * (cont * math.exp(-q.r_a * h) + outside * stop_t1) \
                         + (1.0 - q.theta_2) * stop_t1
                 if u_cont < q.x_a:
@@ -342,7 +346,7 @@ def test_surface_matches_per_cell_oracle(case, p):
     if case == "discounted root stop":
         assert grid.na_mask.all()
     elif case == "empty band":
-        assert continuation_band_t2(p, 0.0) is None
+        assert np.isnan(continuation_band_t2(p, 0.0)).all()
         assert (grid.raw == 0.0).all()
     else:
         assert np.nanmax(grid.raw) > 0.0
@@ -359,9 +363,9 @@ def test_thresholds_and_success_rate_scale_with_prices(k):
     p, pk = baseline(), baseline(x_a=2.0 * k, x_yb_t1=2.0 * k)
     assert claim_threshold_t3(pk) / k == pytest.approx(claim_threshold_t3(p), rel=1e-12)
     for T, Tp in [(0.0, 0.0), (5.0, 7.0)]:
-        band, band_k = continuation_band_t2(p, T), continuation_band_t2(pk, T)
-        assert band_k.lo / k == pytest.approx(band.lo, rel=1e-9)
-        assert band_k.hi / k == pytest.approx(band.hi, rel=1e-9)
+        (lo, hi), (lo_k, hi_k) = continuation_band_t2(p, T), continuation_band_t2(pk, T)
+        assert lo_k / k == pytest.approx(lo, rel=1e-9)
+        assert hi_k / k == pytest.approx(hi, rel=1e-9)
         assert success_rate(pk, T, Tp) == pytest.approx(success_rate(p, T, Tp), abs=1e-9)
 
 
@@ -382,15 +386,18 @@ def test_band_grid_matches_scalar_solves(case, p, k, scan):
     xa = k * np.round(np.arange(1.0, 3.0 + 1e-9, 0.1), 10)
     ts = np.linspace(0.0, p.claim_delay_window, 5)
     got = continuation_band_t2(p, ts, scan, x_a=xa)
-    assert got == [[continuation_band_t2(p.with_x_a(x), T, scan) for T in ts] for x in xa.tolist()]
+    assert got.shape == (len(xa), len(ts), 2)
+    want = [[continuation_band_t2(p.with_x_a(x), T, scan) for T in ts] for x in xa.tolist()]
+    assert np.array_equal(got, want, equal_nan=True)
     # A scalar delay gives one band per x_a.
-    assert continuation_band_t2(p, ts[1], scan, x_a=xa) == [row[1] for row in got]
-    bands = [b for row in got for b in row]
+    assert np.array_equal(continuation_band_t2(p, ts[1], scan, x_a=xa), got[:, 1], equal_nan=True)
+    bands = got.reshape(-1, 2)
+    locks = ~np.isnan(bands[:, 0])
     if case == "empty band rows":
-        assert {b is None for b in bands} == {True, False}
+        assert set(locks) == {True, False}
     elif case == "narrow scan":
         # Only the rows whose band reaches past the scan edge are widened.
-        assert {b.hi > scan.hi for b in bands if b is not None} == {True, False}
+        assert set(bands[locks, 1] > scan.hi) == {True, False}
 
 
 def test_surface_solves_bands_in_blocks(monkeypatch):
@@ -439,7 +446,7 @@ def test_band_tables_above_the_lockstep_cap_solve_in_group_blocks(monkeypatch):
 
     monkeypatch.setattr(htlcgame, "find_roots", counted)
     monkeypatch.setattr(numerics, "_CALL_BUDGET", 336)
-    assert continuation_band_t2(p, ts, x_a=xa) == whole
+    assert np.array_equal(continuation_band_t2(p, ts, x_a=xa), whole, equal_nan=True)
     assert calls == [42, 42, 21]
 
 
@@ -455,15 +462,18 @@ def test_band_solve_holds_no_rows_by_grid_table():
     tracemalloc.start()
     try:
         bands = htlcgame.widest_band(g, [Bracket(0.1, 5.0)] * 500, 20)
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 10_000 * 256 * 8 / 4
-    assert len(bands) == 10_000
+    # The table is one float array: its 160 kB of band ends and no Python
+    # object per band (a Bracket per row held about 1 MB).
+    assert isinstance(bands, np.ndarray) and bands.shape == (10_000, 2) and bands.dtype == float
+    assert held < 2 * 10_000 * 2 * 8
     for k in (0, 19, 5_010, 9_999):
         c = 1.0 + 1e-3 * (k // 20) + shift[k % 20, 0]
-        assert bands[k].lo == pytest.approx(c, abs=1e-9)
-        assert bands[k].hi == pytest.approx(c + 1.0, abs=1e-9)
+        assert bands[k, 0] == pytest.approx(c, abs=1e-9)
+        assert bands[k, 1] == pytest.approx(c + 1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("uniform, shared", [(False, 2), (True, 0)])
@@ -524,7 +534,7 @@ def test_default_surface_makes_one_success_rate_call(monkeypatch):
 
     monkeypatch.setattr(htlcgame, "integrate", counted)
     grid = sr_surface(baseline(), xa, ts, tps)
-    locks = np.array([[band is not None for band in row] for row in bands])
+    locks = ~np.isnan(bands[..., 0])
     rows = int((~grid.na_mask & locks[:, :, None]).sum())
     # One call on every cell with a band: the whole panel and its halves.
     assert calls == [[(rows, 32)] * 3]
@@ -552,9 +562,9 @@ def test_root_payoffs_of_every_x_a_equal_per_x_a_calls(case, p):
     xa = np.array([1.6, 2.0, 2.4, 2.8])
     ts, tps = np.array([0.0, 5.0, 10.0, 20.0]), np.array([0.0, 7.0, 21.0])
     bands = continuation_band_t2(p, ts, x_a=xa)
-    assert all(band is not None for row in bands for band in row)
-    bands[0][1] = bands[0][3] = None
-    bands[2] = [None] * len(ts)
+    assert not np.isnan(bands).any()
+    bands[0, [1, 3]] = np.nan
+    bands[2] = np.nan
     u_cont, u_stop = payoff_t1_with_band(p, ts, tps, bands, x_a=xa)
     assert u_cont.shape == u_stop.shape == (len(xa), len(ts), len(tps))
     for i, x in enumerate(xa.tolist()):
@@ -620,8 +630,8 @@ def test_root_node_blocks_hold_whole_x_a_groups(monkeypatch, budget, blocks, ban
     xa = np.round(np.linspace(1.4, 2.6, 7), 10)
     ts, tps = np.array([0.0, 5.0, 10.0, 20.0]), np.array([0.0, 7.0, 21.0])
     bands = continuation_band_t2(p, ts, x_a=xa)
-    bands[3] = [None] * len(ts)  # rides along with the x_a before it
-    bands[5][1] = None
+    bands[3] = np.nan  # rides along with the x_a before it
+    bands[5, 1] = np.nan
     whole = sr_surface(p, xa, ts, tps, bands)
     roots, calls = _root_node_calls(monkeypatch)
     monkeypatch.setattr(numerics, "_CALL_BUDGET", budget)
@@ -649,9 +659,25 @@ def test_x_a_axis_is_checked_as_with_x_a_checks_it(x_a, says):
     with pytest.raises(ValueError, match=says):
         continuation_band_t2(p, ts, x_a=x_a)
     with pytest.raises(ValueError, match=says):
-        payoff_t1_with_band(p, ts, ts, [[None, None]] * 2, x_a=x_a)
+        payoff_t1_with_band(p, ts, ts, np.full((2, 2, 2), np.nan), x_a=x_a)
     with pytest.raises(ValueError, match=says):
-        sr_surface(p, x_a, ts, ts, [[None, None]] * 2)
+        sr_surface(p, x_a, ts, ts, np.full((2, 2, 2), np.nan))
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 2), (3, 1, 2), (3, 2, 3), (6, 2)])
+def test_band_table_of_the_wrong_shape_is_refused(shape):
+    # 3 x_a by 2 delays need a (3, 2, 2) table; a transposed or short one
+    # used to end in an IndexError or a failed reshape.
+    p = baseline()
+    xa, ts = [1.6, 2.0, 2.4], np.array([0.0, 10.0])
+    bands = np.full(shape, 2.0)
+    says = re.escape(f"band table has shape {shape}, expected (3, 2, 2)")
+    with pytest.raises(ValueError, match=says):
+        sr_surface(p, xa, ts, ts, bands)
+    with pytest.raises(ValueError, match=says):
+        payoff_t1_with_band(p, ts, ts, bands, x_a=xa)
+    with pytest.raises(ValueError, match=re.escape(f"band table has shape {shape}, expected (2, 2)")):
+        payoff_t1_with_band(p, ts, ts, bands)
 
 
 def test_success_rate_table_holds_no_per_row_array(monkeypatch):
@@ -664,7 +690,7 @@ def test_success_rate_table_holds_no_per_row_array(monkeypatch):
     for groups in (1_000, 2_000):
         cells = np.ones((groups, 10), dtype=bool)
         cells[::7, 3] = False
-        bands = [Bracket(1.5, 2.5 + 1e-4 * g) for g in range(groups)]
+        bands = np.column_stack([np.full(groups, 1.5), 2.5 + 1e-4 * np.arange(groups)])
         args = (bands, np.full(groups, 2.0), np.full(groups, 3.0), p.tau_a + np.arange(10.0))
         tracemalloc.start()
         try:
@@ -718,5 +744,5 @@ def test_zero_delays_solve_bands_on_the_kernels_step_limits():
     # suite turns warnings into errors).
     htlc = continuation_band_t2(baseline(tau_a=0.0, tau_b=0.0), 0.0)
     quick = quickswapgame.continuation_band_t3(quick_baseline(tau_a=0.0, tau_b=0.0))
-    assert (htlc.lo, htlc.hi) == (pytest.approx(1.2102, abs=5e-5), pytest.approx(2.4190, abs=5e-5))
-    assert (quick.lo, quick.hi) == (pytest.approx(1.5232, abs=5e-5), pytest.approx(2.4975, abs=5e-5))
+    assert tuple(htlc.tolist()) == (pytest.approx(1.2102, abs=5e-5), pytest.approx(2.4190, abs=5e-5))
+    assert tuple(quick.tolist()) == (pytest.approx(1.5232, abs=5e-5), pytest.approx(2.4975, abs=5e-5))

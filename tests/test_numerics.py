@@ -61,17 +61,17 @@ def test_per_row_brackets_match_rows_integrated_alone(spec):
     # panel sum is a row sum that does not depend on the other rows.
     rng = np.random.default_rng(7)
     lo = rng.uniform(0.01, 2.0, 40)
-    brackets = [Bracket(a, a + w) for a, w in zip(lo, rng.uniform(0.1, 3.0, 40))]
+    brackets = np.column_stack([lo, lo + rng.uniform(0.1, 3.0, 40)])
     for f in (np.sqrt, np.exp, lambda x: np.exp(-((x - 1.5) ** 2) * 50.0)):
         got = integrate(f, brackets, spec)
         assert got.shape == (len(brackets),)
-        assert got.tolist() == [integrate(f, b, spec) for b in brackets]
+        assert got.tolist() == [integrate(f, Bracket(*b), spec) for b in brackets.tolist()]
         # Any subset of the rows, in any order, gives the same bits.
         pick = rng.permutation(len(brackets))[:13]
-        assert integrate(f, [brackets[k] for k in pick], spec).tolist() == got[pick].tolist()
+        assert integrate(f, brackets[pick], spec).tolist() == got[pick].tolist()
     # Rows with integrands of their own: refined ones and accepted ones.
     rows = [lambda x: np.exp(-((x - 0.7) ** 2) * 1e4), lambda x: x**1.5, np.sqrt, np.exp]
-    own = [Bracket(0.0, 1.0), Bracket(0.5, 2.0), Bracket(1e-6, 0.3), Bracket(-1.0, 1.0)]
+    own = np.array([(0.0, 1.0), (0.5, 2.0), (1e-6, 0.3), (-1.0, 1.0)])
     calls = []
 
     def table(x):
@@ -79,7 +79,7 @@ def test_per_row_brackets_match_rows_integrated_alone(spec):
         return np.stack([f(row) for f, row in zip(rows, x)])
 
     got = integrate(table, own, spec)
-    assert got.tolist() == [integrate(f, b, spec) for f, b in zip(rows, own)]
+    assert got.tolist() == [integrate(f, Bracket(*b), spec) for f, b in zip(rows, own.tolist())]
     assert all(shape == (len(rows), 32) for shape in calls) and len(calls) > 3
 
 

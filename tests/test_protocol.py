@@ -154,12 +154,12 @@ def test_threshold_strategies_follow_price():
     p = baseline()
     inst = build_htlc_instance(p)
     profile = StrategyProfile(Strategy("threshold"), Strategy("threshold"))
-    band = continuation_band_t2(p, 0.0)
+    lo, hi = continuation_band_t2(p, 0.0).tolist()
     x_star = claim_threshold_t3(p)
-    good = 0.5 * (band.lo + band.hi)
+    good = 0.5 * (lo + hi)
     assert run(inst, profile, price_path=lambda t: max(good, x_star + 0.1)).outcome == "swapped"
     # A price below B's lock band keeps B out.
-    v = run(inst, profile, price_path=lambda t: band.lo * 0.5)
+    v = run(inst, profile, price_path=lambda t: lo * 0.5)
     assert v.outcome == "cancelled"
     assert v.safety and v.liveness
 
@@ -220,7 +220,7 @@ def test_mc_cells_fill_their_draw_buffers_in_place():
     z1, z2 = rng.standard_normal(n), rng.standard_normal(n)
     at_lock = p.x_yb_t1 * np.exp((mu - 0.5 * sig**2) * h_lock + sig * math.sqrt(h_lock) * z1)
     at_claim = at_lock * np.exp((mu - 0.5 * sig**2) * h_claim + sig * math.sqrt(h_claim) * z2)
-    success = ((rng.random(n) < p.theta_2) & (at_lock > band.lo) & (at_lock <= band.hi)
+    success = ((rng.random(n) < p.theta_2) & (at_lock > band[0]) & (at_lock <= band[1])
                & (rng.random(n) < p.theta_1) & (at_claim >= threshold))
     freq = float(np.mean(success))
     assert got == (freq, math.sqrt(max(freq * (1.0 - freq), 1e-12) / n))

@@ -80,22 +80,22 @@ def test_cancel_dominates_plain_stop_for_b():
 
 def test_lock_band_brackets_and_brute_force():
     q = quick_baseline()
-    band = continuation_band_t3(q)
-    assert band is not None
+    band_lo, band_hi = continuation_band_t3(q)
+    assert not math.isnan(band_lo)
     game = quickswapgame._quick(q, q.base.x_a)
     g = lambda x: htlcgame._value_b(game, q.base, x) - htlcgame._line(game.stay_b, x)
-    assert g(0.5 * (band.lo + band.hi)) > 0
-    lo = _brute_force_threshold(g, 0.5, 0.5 * (band.lo + band.hi))
-    hi = _brute_force_threshold(g, 0.5 * (band.lo + band.hi), 6.0)
-    assert band.lo == pytest.approx(lo, abs=1e-6)
-    assert band.hi == pytest.approx(hi, abs=1e-6)
+    assert g(0.5 * (band_lo + band_hi)) > 0
+    lo = _brute_force_threshold(g, 0.5, 0.5 * (band_lo + band_hi))
+    hi = _brute_force_threshold(g, 0.5 * (band_lo + band_hi), 6.0)
+    assert band_lo == pytest.approx(lo, abs=1e-6)
+    assert band_hi == pytest.approx(hi, abs=1e-6)
 
 
 def test_thresholds_snapshot():
     q = quick_baseline()
     band = continuation_band_t3(q)
-    assert band is not None
-    assert band.lo < q.base.x_yb_t1 < band.hi
+    assert band.shape == (2,)
+    assert band[0] < q.base.x_yb_t1 < band[1]
 
 
 def test_success_rate_baseline():
@@ -109,7 +109,7 @@ def test_success_rate_baseline():
 def test_success_rate_zero_when_band_empty():
     # A near-worthless principal leaves B no price at which locking pays.
     q = quick_baseline().with_x_a(0.05)
-    assert continuation_band_t3(q) is None
+    assert np.isnan(continuation_band_t3(q)).all()
     assert success_rate(q) == 0.0
 
 
@@ -120,9 +120,9 @@ def test_success_rate_invariant_under_price_scaling(k):
     scaled = quick_baseline(x_a=2.0 * k, x_yb_t1=2.0 * k)
     assert success_rate(scaled) == pytest.approx(success_rate(quick_baseline()), abs=1e-9)
     assert claim_threshold_t4(scaled) / k == pytest.approx(claim_threshold_t4(quick_baseline()), rel=1e-12)
-    band, band_k = continuation_band_t3(quick_baseline()), continuation_band_t3(scaled)
-    assert band_k.lo / k == pytest.approx(band.lo, rel=1e-9)
-    assert band_k.hi / k == pytest.approx(band.hi, rel=1e-9)
+    (lo, hi), (lo_k, hi_k) = continuation_band_t3(quick_baseline()), continuation_band_t3(scaled)
+    assert lo_k / k == pytest.approx(lo, rel=1e-9)
+    assert hi_k / k == pytest.approx(hi, rel=1e-9)
 
 
 @pytest.mark.parametrize("sigma", [0.05, 0.1, 0.2])
@@ -132,10 +132,10 @@ def test_lock_band_widens_a_narrow_scan(sigma):
     # scan's to the bisection tolerance.
     q = quick_baseline(sigma)
     scan = Bracket(0.3, 2.0)
-    band, want = continuation_band_t3(q, scan), continuation_band_t3(q)
-    assert band.hi > scan.hi
-    assert band.lo == pytest.approx(want.lo, abs=1e-8)
-    assert band.hi == pytest.approx(want.hi, abs=1e-8)
+    (lo, hi), (want_lo, want_hi) = continuation_band_t3(q, scan), continuation_band_t3(q)
+    assert hi > scan.hi
+    assert lo == pytest.approx(want_lo, abs=1e-8)
+    assert hi == pytest.approx(want_hi, abs=1e-8)
 
 
 def test_participation_comparison_contains_plain_swap():
@@ -169,8 +169,9 @@ def test_participation_matches_per_xa_solves(sigma, k, fees):
     xa = k * np.array([0.05, *np.round(np.arange(0.2, 3.0 + 1e-9, 0.2), 10)])
     alone = [q.with_x_a(x) for x in xa.tolist()]
     bands = continuation_band_t3(q, x_a=xa)
-    assert bands == [continuation_band_t3(r) for r in alone]
-    assert bands[0] is None and bands[-1] is not None
+    assert bands.shape == (len(xa), 2)
+    assert np.array_equal(bands, [continuation_band_t3(r) for r in alone], equal_nan=True)
+    assert np.isnan(bands[0]).all() and not np.isnan(bands[-1]).any()
     report = compare_participation(q.base, q, xa)
     assert report.quick_sr.tolist() == [success_rate(r) for r in alone]
 
@@ -222,7 +223,7 @@ def test_participation_solves_quick_swap_bands_in_blocks(monkeypatch):
     ((rows, group, *shapes),) = blocks
     assert (rows, group) == (21, 1)
     assert shapes[:3] == [(21, 1, 100), (21, 1, 100), (21, 1, 56)]
-    assert solved == [whole]
+    assert len(solved) == 1 and np.array_equal(solved[0], whole, equal_nan=True)
     assert report.quick_sr.tolist() == [success_rate(q.with_x_a(x), band)
                                         for x, band in zip(xa.tolist(), whole)]
 
