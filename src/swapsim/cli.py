@@ -213,7 +213,8 @@ def _cyclic_spec(p: dict) -> cyclic_mod.CyclicSpec:
 
 
 def _grid(*axes: tuple[float, float, float]) -> list[np.ndarray]:
-    """One array per ``(min, max, step)`` axis, refusing grids above _MAX_GRID_CELLS."""
+    """One array per ``(min, max, step)`` axis, refusing grids above _MAX_GRID_CELLS.
+    An axis holds ``min + k * step`` up to ``max`` (within 1e-9 steps), never past it."""
     counts = []
     for lo, hi, step in axes:
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
@@ -221,7 +222,7 @@ def _grid(*axes: tuple[float, float, float]) -> list[np.ndarray]:
         if not (step > 0 and math.isfinite(step)):
             raise ConfigError(f"grid step must be > 0 and finite, got {step}")
         span = (hi - lo) / step
-        counts.append(round(span) + 1 if math.isfinite(span) else math.inf)
+        counts.append(math.floor(span + 1e-9) + 1 if math.isfinite(span) else math.inf)
     cells = math.prod(counts)
     if cells > _MAX_GRID_CELLS:
         raise ConfigError(f"grid of {cells} cells is above the limit of {_MAX_GRID_CELLS}")

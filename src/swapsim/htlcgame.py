@@ -18,13 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import reduce
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from . import numerics
-from .numerics import Bracket, QuadratureSpec, find_roots, integrate
+from .numerics import QuadratureSpec, find_roots, integrate
 # ``erfc`` is no longer called here (the price-law kernels call it inside
 # pricemodel); the binding stays for perfbench's per-layer kernel counters.
 from .pricemodel import GbmParams, PriceState, cdf_from, erfc, math_exp, pe_below_from  # noqa: F401
@@ -240,37 +239,38 @@ def _check_delay(name: str, delay, window: float) -> None:
         raise ValueError(f"{name}={delay} outside [0, {window}]")
 
 
-def _scan_brackets(*prices) -> list[Bracket]:
-    """Default band scans, one per x_a: three decades below to 12x above the
-    largest of ``prices``, which broadcast to one value per x_a."""
+def _scan_brackets(*prices) -> np.ndarray:
+    """Default band scans, a ``(lo, hi)`` row per x_a: three decades below to
+    12x above the largest of ``prices``, which broadcast to one value per x_a."""
     ref = reduce(np.maximum, prices)
-    return list(map(Bracket, (ref * 1e-3).tolist(), (ref * 12.0).tolist()))
+    return np.stack([ref * 1e-3, ref * 12.0], axis=-1)
 
 
-def _lock_bands(game, p: SwapParams, xs: np.ndarray, scan: Bracket | None, rows: int = 1) -> np.ndarray:
+def _lock_bands(game, p: SwapParams, xs: np.ndarray, scan, rows: int = 1) -> np.ndarray:
     """B's bands, ``rows`` per x_a of ``xs``: where ``_value_b`` beats his
     ``stay_b`` line.  ``game(x_a)`` builds the table of an x_a column; each
-    x_a has its own scan bracket, which ``scan`` overrides for every row."""
+    x_a has its own scan, which the ``(lo, hi)`` pair ``scan`` overrides."""
     def g(x, groups):
         table = game(xs[groups, None, None])
         return _value_b(table, p, x) - _line(table.stay_b, x)
 
-    scans = _scan_brackets(p.x_yb_t1, xs, _threshold(game(xs))) if scan is None else [scan] * len(xs)
+    scans = (_scan_brackets(p.x_yb_t1, xs, _threshold(game(xs))) if scan is None
+             else np.full((len(xs), 2), scan, dtype=float))
     return widest_band(g, scans, rows)
 
 
-def widest_band(g, scans: list[Bracket], rows: int = 1) -> np.ndarray:
+def widest_band(g, scans: np.ndarray, rows: int = 1) -> np.ndarray:
     """Widest interval of its scan on which ``g > 0``, for each row of ``g``.
 
-    Rows come in groups of ``rows`` that share one scan: ``scans`` holds one
-    Bracket per group, and ``g(x, groups)`` evaluates B's continue-minus-exit
-    value of the groups ``groups`` (an index array) at prices ``x``, which
-    are (len(groups), 1, n) points per group or (len(groups), rows, n)
-    points per row, as (len(groups), rows, n) values.  Each row is one
-    ``find_roots`` row, and up to ``_CALL_BUDGET / 8`` rows (4,096) bisect
-    in one lockstep, so that its bisection steps and midpoint call stay
-    within the budget on rows of fewer than 8 roots; a larger table is
-    solved in blocks of whole groups (one lockstep over the 100,000 rows of
+    Rows come in groups of ``rows`` that share one scan, a row of the
+    (groups, 2) ``(lo, hi)`` table ``scans``; ``g(x, groups)`` evaluates B's
+    continue-minus-exit value of the groups ``groups`` (an index array) at
+    prices ``x``, which are (len(groups), 1, n) points per group or
+    (len(groups), rows, n) points per row, as (len(groups), rows, n) values.
+    Each row is one ``find_roots`` row, and up to ``_CALL_BUDGET / 8`` rows
+    (4,096) bisect in one lockstep, so that its bisection steps and midpoint
+    call stay within the budget on rows of fewer than 8 roots; a larger table
+    is solved in blocks of whole groups (one lockstep over the 100,000 rows of
     a 20,000-x_a quickswap-sr doubled the traced peak).  When more than two
     crossings appear, the widest winning interval is kept.  The bands come
     back as a (rows per group x groups, 2) array of ``(lo, hi)`` pairs, one
@@ -281,19 +281,15 @@ def widest_band(g, scans: list[Bracket], rows: int = 1) -> np.ndarray:
         return np.concatenate([widest_band(lambda x, sub, first=first: g(x, sub + first),
                                            scans[first:first + per], rows)
                                for first in range(0, len(scans), per)])
-    if not scans:
+    if not len(scans):
         return np.empty((0, 2))
     groups = np.arange(len(scans))
-    lo = np.repeat([s.lo for s in scans], rows)
-    hi = np.repeat([s.hi for s in scans], rows)
+    lo, hi = np.repeat(scans, rows, axis=0).T
     # The default scan's hi is 12x its largest price: the tolerance shrinks
     # with small prices, so their bands do not drift, and never grows.
-    roots = find_roots(lambda x: g(x, groups), [s for s in scans for _ in range(rows)],
-                       grid_points=_ROOT_SCAN_POINTS, tol=_ROOT_TOL * np.minimum(1.0, hi / 12.0), group=rows)
+    flat, counts = find_roots(lambda x: g(x, groups), scans, grid_points=_ROOT_SCAN_POINTS,
+                              tol=_ROOT_TOL * np.minimum(1.0, hi / 12.0), group=rows)
     # Each row's interval ends: its scan's lo, its roots, then hi repeated.
-    counts = np.fromiter(map(len, roots), int, len(roots))
-    flat = np.fromiter(chain.from_iterable(roots), float, counts.sum())
-    del roots
     edges = np.repeat(hi[:, None], counts.max() + 2, axis=1)
     edges[:, 0] = lo
     row_of = np.repeat(np.arange(len(counts)), counts)
@@ -314,13 +310,12 @@ def widest_band(g, scans: list[Bracket], rows: int = 1) -> np.ndarray:
     edge = won[((band_lo == lo[won]) | (band_hi == hi[won])) & (hi[won] / np.maximum(lo[won], 1e-12) <= 1e8)]
     if edge.size:
         wide = np.unique(edge // rows)
-        again = widest_band(lambda x, sub: g(x, wide[sub]),
-                            [Bracket(scans[j].lo * 0.1, scans[j].hi * 10.0) for j in wide.tolist()], rows)
+        again = widest_band(lambda x, sub: g(x, wide[sub]), scans[wide] * (0.1, 10.0), rows)
         bands[edge] = again[np.searchsorted(wide, edge // rows) * rows + edge % rows]
     return bands
 
 
-def continuation_band_t2(p: SwapParams, T, scan: Bracket | None = None, x_a=None) -> np.ndarray:
+def continuation_band_t2(p: SwapParams, T, scan=None, x_a=None) -> np.ndarray:
     """Price band over which B prefers locking at the middle node.
 
     Roots of B's lock-minus-stop value, solved by ``_lock_bands`` for every
@@ -328,7 +323,7 @@ def continuation_band_t2(p: SwapParams, T, scan: Bracket | None = None, x_a=None
     and ``x_a`` None (``p.x_a`` alone) or a 1-D array.  The bands come back
     as an array of shape ``np.shape(x_a) + np.shape(T) + (2,)``: each band
     is its ``(lo, hi)`` pair, NaN where B never locks.  Each x_a has its own
-    scan bracket, which ``scan`` overrides for every row.
+    scan bracket, which the ``(lo, hi)`` pair ``scan`` overrides for every row.
     """
     _check_delay("claim delay T", T, p.claim_delay_window)
     ts = np.atleast_1d(np.asarray(T, dtype=float))
@@ -460,7 +455,7 @@ def payoff_t1_with_band(p: SwapParams, T, Tp, bands, x_a=None) -> tuple[np.ndarr
             dens = transition_pdf(price[:, :, None, :], st1, p.gbm, h[:, None])
             return (dens * u_a[:, :, None, :]).reshape(-1, len(u))
 
-        cont_int = integrate(integrand, Bracket(0.0, 1.0), p.quad).reshape(len(groups), len(ts), len(tps))
+        cont_int = integrate(integrand, (0.0, 1.0), p.quad).reshape(len(groups), len(ts), len(tps))
         # Complement of the band under the same tau_a + T' law as the
         # integral, so the two branch weights sum to one.
         mass_outside = 1.0 - transition_cdf(hi, st1, p.gbm, h) + transition_cdf(lo, st1, p.gbm, h)

@@ -9,6 +9,7 @@ vector of each panel).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -45,14 +46,15 @@ class QuadratureSpec:
             raise ValueError("max_depth must be >= 1")
 
 
-@dataclass(frozen=True, slots=True)
-class Bracket:
-    lo: float
-    hi: float
+class Bracket(namedtuple("Bracket", "lo hi")):
+    """A ``(lo, hi)`` pair with ``lo < hi``, the form of every interval here."""
 
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise ValueError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
+    __slots__ = ()
+
+    def __new__(cls, lo: float, hi: float) -> Bracket:
+        if not lo < hi:
+            raise ValueError(f"bracket requires lo < hi, got [{lo}, {hi}]")
+        return super().__new__(cls, lo, hi)
 
 
 def fixed_gauss(f: Callable[[np.ndarray], np.ndarray], lo, hi):
@@ -74,7 +76,7 @@ def fixed_gauss(f: Callable[[np.ndarray], np.ndarray], lo, hi):
     return float(est[0]) if vals.ndim == 1 else est
 
 
-def integrate(f: Callable[[np.ndarray], np.ndarray], bracket: Bracket | np.ndarray,
+def integrate(f: Callable[[np.ndarray], np.ndarray], bracket,
               spec: QuadratureSpec = QuadratureSpec()):
     """Adaptive panel-bisection quadrature over the bracket.
 
@@ -82,22 +84,19 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], bracket: Bracket | np.ndarr
     its two halves within the (locally scaled) tolerance; otherwise both
     halves are refined.  Deterministic for a given integrand and spec.
 
-    With one ``Bracket``, ``f`` maps the (n,) node vector to (n,) values,
-    and then a float is returned; or to a (K, n) array of K integrands over
-    the same bracket, and then a length-K array is returned.  With a (K, 2)
-    array of brackets, one ``(lo, hi)`` per row, ``f`` maps a (K, n) node
+    With one ``(lo, hi)`` pair, ``f`` maps the (n,) node vector to (n,)
+    values, and then a float is returned; or to a (K, n) array of K
+    integrands over the same bracket, and then a length-K array is returned.
+    With a (K, 2) table of pairs, one per row, ``f`` maps a (K, n) node
     array, row k on a panel of its own bracket, to (K, n) values, and a
     length-K array is returned.  Each row has its own scale, acceptance
     test and refinement, on panels that split its own bracket as a lone call
     would, so row k equals the result for row k alone bit for bit.  Only rows that
     fail a panel are refined, but ``f`` evaluates every row on each panel.
     """
-    if isinstance(bracket, Bracket):
-        lo, hi = bracket.lo, bracket.hi
-    else:
-        lo, hi = np.asarray(bracket, dtype=float).T
-        if not np.all(lo < hi):
-            raise ValueError("every bracket requires lo < hi")
+    lo, hi = np.asarray(bracket, dtype=float).T
+    if not np.all(lo < hi):
+        raise ValueError("every bracket requires lo < hi")
     width = hi - lo
     first = fixed_gauss(f, lo, hi)
     whole = np.atleast_1d(first)
@@ -145,20 +144,19 @@ _CALL_BUDGET = 1 << 15
 
 def find_roots(
     g: Callable,
-    scans: Sequence[Bracket],
+    scans,
     grid_points: int = 256,
     tol: float | Sequence[float] = 1e-10,
     group: int = 1,
-) -> list[list[float]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Scan a uniform grid per row for sign changes and bisect each to tolerance.
 
-    Each of the K ``scans`` is one row.  Rows come in groups of ``group``
-    consecutive rows that share one scan, the Bracket of the group's first
-    row: ``g`` maps the (G, 1, n) grid points of the G groups, or the
-    (G, group, n) points of every row, to (G, group, n) values.  One
-    ascending root list is returned per row (empty when no sign change is
-    found).  Grid points that are exact roots are returned directly.
-    ``tol`` is one tolerance, or one per row.
+    ``scans`` is a (G, 2) table of ``(lo, hi)`` pairs, one scan per group of
+    ``group`` rows: ``g`` maps the (G, 1, n) grid points of the G groups, or
+    the (G, group, n) points of every row, to (G, group, n) values.  Returns
+    every row's roots in one array, row by row and ascending, and the
+    (G * group,) count of each row's roots.  Grid points that are exact
+    roots are returned directly.  ``tol`` is one tolerance, or one per row.
 
     Grid point i of a group is ``i * step + lo``, and the last one ``hi``,
     bit for bit as ``np.linspace`` places them.  The scan runs in chunks of
@@ -173,28 +171,28 @@ def find_roots(
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
-    n_rows = len(scans)
-    if group < 1 or n_rows % group:
-        raise ValueError(f"{n_rows} rows do not split into groups of {group}")
+    if group < 1:
+        raise ValueError(f"group must be >= 1, got {group}")
+    lo, hi = np.asarray(scans, dtype=float).T
+    if not np.all(lo < hi):
+        raise ValueError("every scan requires lo < hi")
+    n_groups, n_rows = len(lo), len(lo) * group
     if not n_rows:
-        return []
-    heads = scans[::group]
-    shape = (len(heads), group, -1)
-    lo = np.array([b.lo for b in heads])
-    hi = np.array([b.hi for b in heads])
+        return np.empty(0), np.zeros(0, dtype=np.intp)
+    shape = (n_groups, group, -1)
     step = (hi - lo) / (grid_points - 1)
     # Each chunk's sign changes: row, left grid index, ends, and g at both.
     parts = []
     width = max(1, _CALL_BUDGET // n_rows)
-    prev_x, prev_f = np.empty((len(heads), 0)), np.empty((n_rows, 0))
+    prev_x, prev_f = np.empty((n_groups, 0)), np.empty((n_rows, 0))
     for first in range(0, grid_points, width):
         stop = min(first + width, grid_points)
         x = np.arange(first, stop, dtype=float) * step[:, None] + lo[:, None]
         if stop == grid_points:
             x[:, -1] = hi
         f = np.asarray(g(x[:, None, :]), dtype=float)
-        if f.shape != (len(heads), group, stop - first):
-            raise ValueError(f"g returned shape {f.shape}, expected {(len(heads), group, stop - first)}")
+        if f.shape != (n_groups, group, stop - first):
+            raise ValueError(f"g returned shape {f.shape}, expected {(n_groups, group, stop - first)}")
         # The pair across the chunk boundary starts at the previous last column.
         x, f = np.hstack([prev_x, x]), np.hstack([prev_f, f.reshape(n_rows, -1)])
         prev_x, prev_f = x[:, -1:], f[:, -1:]
@@ -243,4 +241,4 @@ def find_roots(
             found[pos[done]] = m[done]
             go = ~done
             rows, pos, a, b, fa, tl = (v[go] for v in (rows, pos, a, b, fa, tl))
-    return [r.tolist() for r in np.split(found, np.cumsum(counts)[:-1])]
+    return found, counts

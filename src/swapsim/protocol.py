@@ -306,10 +306,10 @@ class _Layout:
     """A lock plan compiled for its parties: what the plan fixes for every
     trace of it.  It holds the plan's steps (one party's locks with one start
     time, in order), each step's phase, the hash of every secret, each party's
-    locks and the locks that time out to it, each lock's output ref and its
-    contract at its planned timeout, the longest lock, and, built on first
-    use, the input and payout of each spend.  All of these are immutable, so
-    traces share them.
+    locks and the locks that time out to it, each lock's output ref, the
+    longest lock, and, built on first use, each lock's contract at each
+    expiry it is made with and the input and payout of each spend.  All of
+    these are immutable, so traces share them.
 
     ``ProtocolInstance`` and ``cyclic.CyclicPlan`` build their layout once
     and keep it as their ``layout`` attribute, so it is freed with the plan;
@@ -324,7 +324,6 @@ class _Layout:
         self.roles = {h: role for role, h in self.hashes.items()}
         self.actions, self.secrets, self.parties = actions, secrets, parties
         self.refs = [OutputRef(f"lock-{idx}", 0) for idx in range(len(actions))]
-        self.contracts = [self.contract(a, a.timeout) for a in actions]
         self.longest = max(a.timeout - a.start_time for a in actions)
         # the principal each cancel secret refunds early
         self.refunds = {a.early_refund_hash: idx for idx, a in enumerate(actions)
@@ -333,6 +332,7 @@ class _Layout:
         self.owed = [[i for i, a in enumerate(actions) if a.timeout_recipient == p]
                      for p in range(len(parties))]
         self._spends: dict = {}  # (lock, spender, secret role) -> (SpendInput, Payout)
+        self._contracts: dict = {}  # (lock, expiry) -> LockedOutput
 
     def spend_parts(self, idx: int, party: int, role: str | None) -> tuple[SpendInput, Payout]:
         """The input and payout of ``party`` spending lock ``idx`` with the
@@ -346,14 +346,18 @@ class _Layout:
                                          Payout(name, self.actions[idx].amount))
         return parts
 
-    def contract(self, a: LockAction, expiry: float) -> LockedOutput:
-        names = self.parties
-        branches = (SpendBranch(names[a.hashlock_claimant],
-                                frozenset(self.hashes[r] for r in a.hashlocks)),
-                    SpendBranch(names[a.timeout_recipient], not_before=expiry))
-        if a.early_refund_hash is not None:
-            branches += (SpendBranch(names[a.party], frozenset({self.hashes[a.early_refund_hash]})),)
-        return LockedOutput(a.amount, branches, funder=names[a.party])
+    def contract(self, idx: int, expiry: float) -> LockedOutput:
+        """Lock ``idx``'s contract, its timeout branch open at ``expiry``."""
+        out = self._contracts.get((idx, expiry))
+        if out is None:
+            a, names = self.actions[idx], self.parties
+            branches = (SpendBranch(names[a.hashlock_claimant],
+                                    frozenset(self.hashes[r] for r in a.hashlocks)),
+                        SpendBranch(names[a.timeout_recipient], not_before=expiry))
+            if a.early_refund_hash is not None:
+                branches += (SpendBranch(names[a.party], frozenset({self.hashes[a.early_refund_hash]})),)
+            out = self._contracts[idx, expiry] = LockedOutput(a.amount, branches, funder=names[a.party])
+        return out
 
 
 class _Run:
@@ -526,9 +530,7 @@ class _Run:
             a = self.actions[idx]
             self.dead |= a.kind == "principal" and self.revealed[party]
             expiry = a.timeout + (self.clock - a.start_time)
-            contract = (self.layout.contracts[idx] if expiry == a.timeout
-                        else self.layout.contract(a, expiry))
-            ref = self.layout.refs[idx]
+            ref, contract = self.layout.refs[idx], self.layout.contract(idx, expiry)
             self.broadcast(self.chains[a.chain], Transaction(ref.tx_id, [], [contract]))
             self.refs[idx] = ref
             self.expiry[idx] = expiry

@@ -165,6 +165,19 @@ def test_grid_limit_counts_the_cells_of_every_axis(tmp_path, monkeypatch):
     assert run_cli("quickswap-sr", "--out", str(tmp_path / "c"), "--set", "xa_step=0.25") == 2
 
 
+def test_grid_axes_end_at_or_below_their_max(tmp_path):
+    # A step that does not divide its axis's span stops short of max.
+    assert run_cli("quickswap-sr", "--out", str(tmp_path / "q"), "--set", "xa_step=0.3") == 0
+    rows = (tmp_path / "q" / "quickswap_sr.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == [1.0, 1.3, 1.6, 1.9, 2.2, 2.5, 2.8]
+    assert run_cli("htlc-surface", "--out", str(tmp_path / "h"), "--set", "delay_step=3") == 0
+    rows = [r.split(",") for r in (tmp_path / "h" / "htlc_surface.csv").read_text().splitlines()[1:]]
+    assert sorted({float(r[1]) for r in rows}) == [0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0]
+    assert sorted({float(r[2]) for r in rows}) == [3.0 * k for k in range(8)]
+    # Spans a float hair off a whole number still end on max.
+    assert [len(axis) for axis in cli._grid((1.0, 3.0, 0.1), (0.0, 0.3, 0.1), (0.0, 20.0, 1.0))] == [21, 4, 21]
+
+
 def test_z_score_uses_the_analytic_standard_error():
     assert cli._z_score(0.26, 0.25, 10_000) == pytest.approx(0.01 / math.sqrt(0.1875 / 10_000))
     assert cli._z_score(0.0, 0.0, 1_000) == 0.0

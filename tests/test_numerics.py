@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -96,16 +98,58 @@ def test_bracket_validation():
         Bracket(1.0, 1.0)
 
 
+def _rows(roots, counts) -> list[list[float]]:
+    """``find_roots``' flat roots split into one list per row."""
+    return [r.tolist() for r in np.split(roots, np.cumsum(counts)[:-1])]
+
+
 def test_find_roots_simple_and_double():
-    roots = find_roots(lambda x: (x - 1.0) * (x - 2.5), [Bracket(0.0, 4.0)])[0]
+    roots = _rows(*find_roots(lambda x: (x - 1.0) * (x - 2.5), [Bracket(0.0, 4.0)]))[0]
     assert len(roots) == 2
     assert roots[0] == pytest.approx(1.0, abs=1e-8)
     assert roots[1] == pytest.approx(2.5, abs=1e-8)
-    assert find_roots(lambda x: x * x + 1.0, [Bracket(-3.0, 3.0)]) == [[]]
+    assert _rows(*find_roots(lambda x: x * x + 1.0, [Bracket(-3.0, 3.0)])) == [[]]
+
+
+def test_find_roots_returns_flat_roots_and_per_row_counts():
+    # Two groups of two rows: the scan table has one row per group.
+    def g(x):
+        x = np.broadcast_to(x, (2, 2, x.shape[2]))
+        return np.array([[np.sin(x[0, 0]), x[0, 1] - 4.0], [x[1, 0] * x[1, 0] + 1.0, np.cos(x[1, 1])]])
+
+    scans = np.array([[0.5, 10.5], [-7.0, 30.0]])
+    roots, counts = find_roots(g, scans, grid_points=21, group=2)
+    assert isinstance(roots, np.ndarray) and roots.dtype == float
+    assert isinstance(counts, np.ndarray) and counts.dtype.kind == "i"
+    assert counts.tolist() == [3, 1, 0, 12] and roots.shape == (16,)
+    # Split by the counts, the roots are the rows solved alone, ascending.
+    alone = [np.sin, lambda x: x - 4.0, lambda x: x * x + 1.0, np.cos]
+    assert _rows(roots, counts) == [_rows(*find_roots(f, [scans[k // 2]], grid_points=21))[0]
+                                    for k, f in enumerate(alone)]
+    assert all(r == sorted(r) for r in _rows(roots, counts))
+    # No groups: no roots, and no rows to count.
+    roots, counts = find_roots(g, np.empty((0, 2)), group=2)
+    assert roots.shape == counts.shape == (0,)
+
+
+@pytest.mark.parametrize("scan", [(2.0, 0.3), (1.0, 1.0), (math.nan, 1.0), (0.5, math.nan)],
+                         ids=["inverted", "empty", "nan-lo", "nan-hi"])
+def test_find_roots_refuses_a_scan_row_without_lo_below_hi(scan):
+    scans = np.array([(0.5, 10.5), scan])
+    with pytest.raises(ValueError, match="lo < hi"):
+        find_roots(np.sin, scans, grid_points=21)
+
+
+def test_bracket_is_a_validated_pair():
+    b = Bracket(0.5, 10.5)
+    assert (b.lo, b.hi) == b == (0.5, 10.5)
+    assert np.array_equal(np.asarray([b, Bracket(-7.0, 30.0)]), [[0.5, 10.5], [-7.0, 30.0]])
+    assert copy.deepcopy(b) == b and type(copy.copy(b)) is Bracket
+    assert pickle.loads(pickle.dumps(b)) == b
 
 
 def test_find_roots_returns_sorted():
-    roots = find_roots(np.sin, [Bracket(0.5, 10.0)])[0]
+    roots = _rows(*find_roots(np.sin, [Bracket(0.5, 10.0)]))[0]
     assert roots == sorted(roots)
     assert len(roots) == 3  # pi, 2*pi, 3*pi
     for r, expect in zip(roots, (math.pi, 2 * math.pi, 3 * math.pi)):
@@ -119,7 +163,7 @@ def test_find_roots_vectorized_scan_matches_scalar_scan():
         calls.append(np.shape(x))
         return np.sin(x)
 
-    (roots,) = find_roots(g, [Bracket(0.5, 10.0)])
+    (roots,) = _rows(*find_roots(g, [Bracket(0.5, 10.0)]))
     # One grid call, then one array call per bisection step holding the
     # midpoints of every open bracket: the three brackets start together
     # and only close.
@@ -147,8 +191,8 @@ def test_find_roots_rows_match_rows_solved_alone():
         calls.append(np.shape(x))
         return np.array([f(row) for f, row in zip(fs, x)])
 
-    got = find_roots(g, [scan] * len(fs), grid_points=21)
-    assert got == [find_roots(f, [scan], grid_points=21)[0] for f in fs]
+    got = _rows(*find_roots(g, [scan] * len(fs), grid_points=21))
+    assert got == [_rows(*find_roots(f, [scan], grid_points=21))[0] for f in fs]
     assert [len(r) for r in got] == [0, 3, 1, 1, 1]
     assert got[2] == [4.0] and got[4] == [10.5]
     assert got[3][0] == pytest.approx(math.log(5.0), abs=1e-9)
@@ -164,7 +208,7 @@ def test_find_roots_stops_at_float_resolution():
     # drops below tol: bisection must stop once the bracket holds two
     # adjacent floats.
     root = 3e9 + 0.123
-    (got,) = find_roots(lambda x: np.copysign(1.0, x - root), [Bracket(1e9, 5e9)], tol=1e-10)
+    (got,) = _rows(*find_roots(lambda x: np.copysign(1.0, x - root), [Bracket(1e9, 5e9)], tol=1e-10))
     assert len(got) == 1
     assert abs(got[0] - root) <= 2 * math.ulp(root)
 
@@ -188,8 +232,9 @@ def test_find_roots_per_row_scans_match_rows_solved_alone():
         calls.append(np.array(x))
         return np.array([f(row) for (_, f), row in zip(rows, x)])
 
-    got = find_roots(g, scans, grid_points=21, tol=tols)
-    assert got == [find_roots(f, [scan], grid_points=21, tol=tol)[0] for (scan, f), tol in zip(rows, tols)]
+    got = _rows(*find_roots(g, scans, grid_points=21, tol=tols))
+    assert got == [_rows(*find_roots(f, [scan], grid_points=21, tol=tol))[0]
+                   for (scan, f), tol in zip(rows, tols)]
     assert [len(r) for r in got] == [0, 3, 1, 1, 1]
     assert got[2] == [4.0]
     assert got[3][0] == pytest.approx(12345.678, abs=1e-6)
@@ -207,14 +252,16 @@ def _find_roots_loop(g, scans, grid_points=256, tol=1e-10, group=1):
     """The bracket bookkeeping of ``find_roots`` as a plain Python loop.
 
     The reference ``find_roots`` must match call for call: the same ``g``
-    inputs, in the same order, and the same roots.  The scan takes the
+    inputs, in the same order, and the same roots, here one list per row.
+    ``scans`` holds one ``(lo, hi)`` per group.  The scan takes the
     ``np.linspace`` grid of each group in chunks of the same number of
     columns.
     """
-    heads = scans[::group]
-    xs = np.linspace([b.lo for b in heads], [b.hi for b in heads], grid_points, axis=-1)
-    width = max(1, numerics._CALL_BUDGET // len(scans))
-    grid = np.concatenate([np.asarray(g(xs[:, None, c:c + width]), dtype=float).reshape(len(scans), -1)
+    heads = np.asarray(scans, dtype=float)
+    n_rows = len(heads) * group
+    xs = np.linspace(heads[:, 0], heads[:, 1], grid_points, axis=-1)
+    width = max(1, numerics._CALL_BUDGET // n_rows)
+    grid = np.concatenate([np.asarray(g(xs[:, None, c:c + width]), dtype=float).reshape(n_rows, -1)
                            for c in range(0, grid_points, width)], axis=1)
     xs = np.repeat(xs, group, axis=0)
     lo_col = xs[:, :1]
@@ -284,21 +331,23 @@ def _band_solves():
 
 
 def _recorded(solver, g, scan, **kwargs):
+    """``solver``'s roots, one list per row, and the inputs it gave ``g``."""
     inputs = []
 
     def recording(x):
         inputs.append(np.array(x))
         return g(x)
 
-    return solver(recording, scan, **kwargs), inputs
+    got = solver(recording, scan, **kwargs)
+    return (got if solver is _find_roots_loop else _rows(*got)), inputs
 
 
 def test_find_roots_calls_g_as_the_loop_reference_does():
     cases = _band_solves() + [
-        (np.sin, [Bracket(0.5, 10.5)], {"grid_points": 21}),
-        (lambda x: np.copysign(1.0, x - (3e9 + 0.123)), [Bracket(1e9, 5e9)], {}),
+        (np.sin, [(0.5, 10.5)], {"grid_points": 21}),
+        (lambda x: np.copysign(1.0, x - (3e9 + 0.123)), [(1e9, 5e9)], {}),
         (lambda x: np.stack([np.sin(x[0]), x[1] - 4.0, x[2] * x[2] + 1.0, np.cos(x[3])]),
-         [Bracket(0.5, 10.5)] * 3 + [Bracket(-7.0, 30.0)],
+         [(0.5, 10.5)] * 3 + [(-7.0, 30.0)],
          {"grid_points": 21, "tol": [1e-10, 1e-10, 1e-10, 1e-3]}),
     ]
     for g, scan, kwargs in cases:
@@ -336,10 +385,9 @@ def test_find_roots_chunked_scan_matches_the_loop_reference(monkeypatch, budget)
     monkeypatch.setattr(numerics, "_CALL_BUDGET", budget)
     cases = [
         (lambda x: np.stack([np.sin(x[0]), x[1] - 4.0, x[2] * x[2] + 1.0, np.cos(x[3])]),
-         [Bracket(0.5, 10.5)] * 3 + [Bracket(-7.0, 30.0)], {"grid_points": 21}),
-        (_two_groups, [Bracket(0.5, 10.5)] * 2 + [Bracket(-3.0, 9.0)] * 2,
-         {"grid_points": 21, "group": 2}),
-        (np.sin, [Bracket(0.5, 10.5)], {}),
+         [(0.5, 10.5)] * 3 + [(-7.0, 30.0)], {"grid_points": 21}),
+        (_two_groups, [(0.5, 10.5), (-3.0, 9.0)], {"grid_points": 21, "group": 2}),
+        (np.sin, [(0.5, 10.5)], {}),
     ]
     for g, scans, kwargs in cases:
         got, seen = _recorded(find_roots, g, scans, **kwargs)
@@ -349,7 +397,7 @@ def test_find_roots_chunked_scan_matches_the_loop_reference(monkeypatch, budget)
         for x, y in zip(seen, expected):
             assert x.shape == y.shape and np.array_equal(x, y)
         # The scan's chunks hold at most the budget, but at least one column.
-        rows = len(scans)
+        rows = len(scans) * kwargs.get("group", 1)
         width = max(1, budget // rows)
         grid = kwargs.get("grid_points", 256)
         assert [x.shape[2] for x in seen[:-(-grid // width)]] == [

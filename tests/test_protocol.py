@@ -306,6 +306,28 @@ def test_verdicts_served_from_one_trace_do_not_share_state():
     assert run(inst, griefed) == expected
 
 
+def test_traces_that_lock_equally_late_share_the_contract(monkeypatch):
+    # B locks an hour late in both traces; A claims at once in the first and
+    # six hours late in the second, so the engine runs each trace itself.
+    made = []
+    try_broadcast = Chain.try_broadcast
+
+    def recording(chain, tx, now):
+        if tx.id.startswith("lock-"):
+            made.append((tx.id, tx.creates[0]))
+        return try_broadcast(chain, tx, now)
+
+    monkeypatch.setattr(Chain, "try_broadcast", recording)
+    inst = build_htlc_instance(baseline())
+    late = Strategy("delay", phase="lock", hours=1.0)
+    for a in (Strategy("compliant"), Strategy("delay", phase="claim", hours=6.0)):
+        assert run(inst, StrategyProfile(a, late)).outcome == "swapped"
+    (first_a, first_b), (second_a, second_b) = made[:2], made[2:]
+    assert first_a[0] == second_a[0] == "lock-0" and first_b[0] == second_b[0] == "lock-1"
+    assert first_b[1].branches[1].not_before == baseline().tau_a + baseline().t_b + 1.0
+    assert first_a[1] is second_a[1] and first_b[1] is second_b[1]
+
+
 def test_no_lock_after_a_cancelled_party_locks_its_principal():
     # P0 posts a premium, P1 locks late, so P0 gives up and reveals H0; P1's
     # late lock and then P0's principal still go in.  From then on a party
