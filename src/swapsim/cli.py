@@ -51,7 +51,7 @@ _BASE_DEFAULTS: dict = {
     "sp_a": 0.3, "sp_b": 0.3, "r_a": 0.005, "r_b": 0.005,
     "f_a": 0.0, "f_b": 0.0, "theta_1": 0.5, "theta_2": 0.5,
     "mu": 0.002, "sigma": 0.1,
-    "uniform_delay_discounting": False, "t1_stop_value": "principal",
+    "uniform_delay_discounting": False,
 }
 _QUICK_DEFAULTS: dict = {"D": 12.0, "Delta": 2.0, "rho": 0.001}
 _GRID_DEFAULTS: dict = {
@@ -252,8 +252,6 @@ def _jsonable(value):
         return int(value)
     if isinstance(value, tuple):
         return list(value)
-    if isinstance(value, Path):
-        return str(value)
     return value
 
 

@@ -15,7 +15,6 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-from .ledgersim import Chain
 from .protocol import LockAction, Strategy, Timing, TraceVerdict, _Layout, execute, recovers_locked
 
 __all__ = [
@@ -226,7 +225,7 @@ def run_cyclic(
         raise ValueError(f"party indices {outside} are outside 0..{spec.n - 1}")
     return execute(
         plan, plan.layout.parties,
-        [Chain(f"chain-{i}", tau) for i, tau in enumerate(spec.taus)],
+        [(f"chain-{i}", tau) for i, tau in enumerate(spec.taus)],
         [_STRATEGIES[strategies.get(i, "compliant")] for i in range(spec.n)],
         # Everyone gives up on a missing lock once it would have confirmed on
         # the slowest chain and been seen, and on P0's claim at once.

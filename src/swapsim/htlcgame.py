@@ -72,11 +72,6 @@ class SwapParams:
     theta_2: float
     gbm: GbmParams
     uniform_delay_discounting: bool = False
-    # Value A assigns, at the root node, to the branch where B never locks:
-    # "principal" treats her coins as recovered at face value (the only
-    # reading under which the baseline swap ever starts), "discounted"
-    # applies the full t_a lockup discount to that branch as well.
-    t1_stop_value: str = "principal"
     quad: QuadratureSpec = field(default_factory=QuadratureSpec)
 
     def __post_init__(self) -> None:
@@ -98,8 +93,6 @@ class SwapParams:
             raise ValueError("sp_a must exceed -1")
         if self.t_a < self.t_b + self.eps + self.t_eps + self.tau_a:
             raise ValueError("delay windows ill-formed: need t_a >= t_b + eps + t_eps + tau_a")
-        if self.t1_stop_value not in ("principal", "discounted"):
-            raise ValueError("t1_stop_value must be 'principal' or 'discounted'")
 
     @property
     def claim_delay_window(self) -> float:
@@ -276,13 +269,13 @@ def widest_band(g, scans: np.ndarray, rows: int = 1) -> np.ndarray:
     back as a (rows per group x groups, 2) array of ``(lo, hi)`` pairs, one
     per row, group by group; a row with no crossing has no band (NaN ends).
     """
+    if not (len(scans) and rows):
+        return np.empty((0, 2))
     per = max(1, numerics._CALL_BUDGET // 8 // rows)
     if len(scans) > per:
         return np.concatenate([widest_band(lambda x, sub, first=first: g(x, sub + first),
                                            scans[first:first + per], rows)
                                for first in range(0, len(scans), per)])
-    if not len(scans):
-        return np.empty((0, 2))
     groups = np.arange(len(scans))
     lo, hi = np.repeat(scans, rows, axis=0).T
     # The default scan's hi is 12x its largest price: the tolerance shrinks
@@ -389,7 +382,7 @@ def sr_surface(
     game = _htlc(p, ts, xa[:, None])
     raw = _sr_table(p, bands.reshape(-1, 2), np.repeat(_threshold(game), len(ts)),
                     np.tile(game.h_claim, len(xa)), p.tau_a + tps,
-                    cells.reshape(-1, len(tps))).reshape(na.shape)
+                    cells.reshape(len(xa) * len(ts), len(tps))).reshape(na.shape)
     raw[na] = np.nan
     norm = p.theta_1 * p.theta_2
     conditional = raw / norm if norm > 0 else np.where(np.isnan(raw), np.nan, 0.0)
@@ -433,9 +426,8 @@ def payoff_t1_with_band(p: SwapParams, T, Tp, bands, x_a=None) -> tuple[np.ndarr
     shape = (len(xs), len(ts), len(tps))
     table = _band_table(bands, shape[1:2] if x_a is None else shape[:2]).reshape(shape[:2] + (2,))
     col = xs[:, None, None]
-    # A's principal back at face value, or her t3 stop payoff.
-    u_a_stop_t2 = col - p.f_a if p.t1_stop_value == "principal" else _htlc(p, 0.0, col).exit_a
-    exit_value = u_a_stop_t2 * math.exp(-p.r_a * p.tau_a)
+    # Where B never locks, A has her principal back at face value.
+    exit_value = (col - p.f_a) * math.exp(-p.r_a * p.tau_a)
     u_cont = np.array(np.broadcast_to(exit_value, shape))
     u_stop = np.broadcast_to(col, shape)
     locks = ~np.isnan(table[..., 0])

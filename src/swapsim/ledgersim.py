@@ -254,14 +254,6 @@ class Chain:
         return ConfirmationEvent(now, self.id, tx.id, "confirmed", tuple(revealed))
 
     # -- queries -----------------------------------------------------------
-    def preimage_visible(self, hash_id: str, observer_delay: float, now: float) -> bytes | None:
-        """Preimage revealed on-chain, once the observer's propagation lag passes."""
-        entry = self.revealed.get(hash_id)
-        if entry is None:
-            return None
-        pre, at = entry
-        return pre if now >= at + observer_delay else None
-
     def locked_value(self) -> float:
         return sum(o.amount for o in self.utxos.values())
 

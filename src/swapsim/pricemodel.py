@@ -101,7 +101,7 @@ def _standardized(d, s):
     """``d / s``, or its limit where the spread ``s`` is 0 (a zero horizon or
     no volatility): the price law is then a point, and the kernels step from
     0 to their full value at ``d = 0``."""
-    if s.min() > 0:
+    if s.min(initial=math.inf) > 0:
         return d / s
     return np.where(s > 0, d / np.where(s > 0, s, 1.0), np.where(d >= 0.0, math.inf, -math.inf))
 

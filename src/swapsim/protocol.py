@@ -10,11 +10,12 @@ acts at the earliest permitted time, ``grief`` stops cooperating after a
 phase ("start" means never act), ``delay`` shifts one action, ``cancel``
 takes the cancellation path at a phase, and ``threshold`` consults the game
 solvers against a price path.  The engine asks the strategies questions
-(``_Run.ask``) and is otherwise deterministic, so ``run`` keeps one trace per
-distinct list of answers in the instance's ``answer_tree`` and runs the engine
-only for answers it has not seen.  ``_facts`` keeps what a verdict reads of a
-trace and ``_judge`` audits it per profile for net value, Correctness,
-Safety, Liveness and conservation; the property checker sweeps an exhaustive
+(``_Run.ask``) and is otherwise deterministic, so ``execute`` can keep one
+trace per distinct list of answers in an answer tree and run the engine only
+for answers it has not seen; ``run``, the two-party entry, passes it the
+instance's ``answer_tree``.  ``_facts`` keeps what a verdict reads of a trace
+and ``_judge`` audits it per profile for net value, Correctness, Safety,
+Liveness and conservation; the property checker sweeps an exhaustive
 strategy grid.
 """
 
@@ -68,6 +69,7 @@ __all__ = [
 
 HTLC_PHASES = {"A": ("lock", "claim"), "B": ("lock", "claim")}
 QUICKSWAP_PHASES = {"A": ("lock", "claim"), "B": ("premium", "lock", "claim")}
+_PARTY_PHASES = {"htlc": HTLC_PHASES, "quickswap": QUICKSWAP_PHASES}
 _PHASES = ("premium", "lock", "claim")  # every party's phases are in this order
 
 _SECRET_LEN = 32
@@ -223,6 +225,17 @@ class ProtocolInstance:
     def layout(self) -> _Layout:
         """The plan compiled for parties A and B; built on first use."""
         return _Layout(self.actions, self.secrets, ("A", "B"))
+
+    @functools.cached_property
+    def timing(self) -> Timing:
+        """When A and B act beyond the lock schedule: each waits for the
+        counterparty's lock to confirm and for A's claim to be seen on the
+        slower chain, each plus half of B's confirmation delay."""
+        b = self.base
+        slack = b.tau_b / 2.0
+        return Timing(t_eps=b.t_eps, wait=((b.tau_a, slack), (b.tau_b, slack)),
+                      claim_wait=max(b.tau_a, b.tau_b) + b.t_eps + slack,
+                      release_with_claim=True)
 
 
 def _mk_secret(tag: bytes) -> bytes:
@@ -682,24 +695,34 @@ def _answerer(strategies, decide):
 
 
 def execute(plan, parties, chains, strategies, timing, *, safety,
-            bound: float = math.inf, decide=None, value=None) -> TraceVerdict:
+            bound: float = math.inf, decide=None, value=None, tree=None) -> TraceVerdict:
     """Run a lock plan (anything with ``actions`` and role-keyed ``secrets``,
     such as a ``ProtocolInstance`` or a ``cyclic.CyclicPlan``) with one
     strategy per party and audit the trace.
 
+    ``chains`` lists each chain as an ``(id, confirmation delay)`` pair;
     ``safety(trace, kinds, endow, recv)`` is the protocol's safety rule, given
     the trace's facts, each party's strategy kind, and what each party funded
     and received; ``bound`` is the hour by which every lock must be released;
     ``decide(party, phase, now)`` is the threshold strategies' choice;
     ``value`` lists each chain's coin value in the first chain's asset (1 each
-    if not given).
+    if not given).  ``tree`` is an answer tree (see ``_replay``) of earlier
+    traces of this plan with these chains and timing: where it holds the
+    strategies' answers the engine does not run, and a new trace is added to
+    it.
     """
-    layout = getattr(plan, "layout", None)  # the plan's own, if it keeps one for these parties
-    if layout is None or layout.parties != tuple(parties):
-        layout = _Layout(plan.actions, plan.secrets, tuple(parties))
-    r = _Run(layout, chains, _answerer(strategies, decide), timing)
-    r.run()
-    return _judge(_facts(r), [s.kind for s in strategies], safety, bound,
+    answer = _answerer(strategies, decide)
+    trace = None if tree is None else _replay(tree, answer)
+    if trace is None:
+        layout = getattr(plan, "layout", None)  # the plan's own, if it keeps one for these parties
+        if layout is None or layout.parties != tuple(parties):
+            layout = _Layout(plan.actions, plan.secrets, tuple(parties))
+        r = _Run(layout, [Chain(*chain) for chain in chains], answer, timing)
+        r.run()
+        trace = _facts(r)
+        if tree is not None:
+            _grow(tree, r.asked, trace)
+    return _judge(trace, [s.kind for s in strategies], safety, bound,
                   value or [1.0] * len(chains))
 
 
@@ -857,15 +880,23 @@ def run(
     profile: StrategyProfile,
     price_path=None,
 ) -> TraceVerdict:
-    """Execute one two-party trace and audit it.  Deterministic given inputs.
+    """Execute one two-party trace with ``execute`` and audit it.
+    Deterministic given inputs.
 
     The engine runs only when the profile's answers leave the instance's
-    ``answer_tree``; otherwise the trace found there is judged afresh."""
-    if instance.kind not in ("htlc", "quickswap"):
+    ``answer_tree``; otherwise the trace found there is judged afresh.  A
+    strategy that names a phase its party does not have in the protocol is
+    refused."""
+    phases = _PARTY_PHASES.get(instance.kind)
+    if phases is None:
         raise ValueError(f"unknown protocol kind {instance.kind!r}")
+    strategies = (profile.strategy_A, profile.strategy_B)
+    for party, s in zip("AB", strategies):
+        if s.phase not in (None, "start", *phases[party]):
+            raise ValueError(f"{party}={s.label()}: {party} has no {s.phase} phase in "
+                             f"the {instance.kind} protocol")
     b = instance.base
     price = price_path or (lambda t: b.x_yb_t1)
-    strategies = (profile.strategy_A, profile.strategy_B)
 
     def decide(party: int, phase: str, now: float) -> bool:
         """Threshold play: B locks inside its band, A claims above its threshold."""
@@ -876,26 +907,12 @@ def run(
             return strategies[0].interested and price(now) >= instance.thresholds[1]
         return True
 
-    answer = _answerer(strategies, decide)
-    trace = _replay(instance.answer_tree, answer)
-    if trace is None:
-        # A party waits for the counterparty's lock to confirm and for A's
-        # claim to be seen on the slower chain, each plus half of B's
-        # confirmation delay.
-        slack = b.tau_b / 2.0
-        timing = Timing(t_eps=b.t_eps, wait=((b.tau_a, slack), (b.tau_b, slack)),
-                        claim_wait=max(b.tau_a, b.tau_b) + b.t_eps + slack,
-                        release_with_claim=True)
-        chains = [Chain("chain-a", b.tau_a), Chain("chain-b", b.tau_b)]
-        r = _Run(instance.layout, chains, answer, timing)
-        r.run()
-        trace = _facts(r)
-        _grow(instance.answer_tree, r.asked, trace)
     bound = liveness_bound(instance, profile)
     # Net value in A-asset units at the price once every lock is released.
-    return _judge(trace, [s.kind for s in strategies],
-                  functools.partial(_compensated, rho=instance.rho),
-                  bound, [1.0, price(bound + 1.0) / b.x_yb_t1])
+    value = [1.0, price(bound + 1.0) / b.x_yb_t1]
+    return execute(instance, instance.layout.parties, (("chain-a", b.tau_a), ("chain-b", b.tau_b)),
+                   strategies, instance.timing, safety=functools.partial(_compensated, rho=instance.rho),
+                   bound=bound, decide=decide, value=value, tree=instance.answer_tree)
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,8 @@ class QuickSwapParams:
         b = self.base
         if not all(map(math.isfinite, (self.D, self.Delta, self.rho))):
             raise ValueError("D, Delta and rho must be finite")
-        if self.rho < 0:
-            raise ValueError("rho must be >= 0")
+        if self.rho < 0 or self.Delta < 0:
+            raise ValueError("Delta and rho must be >= 0")
         if not self.D > b.tau_a + b.tau_b:
             raise ValueError("premium locktime too short: need D > tau_a + tau_b")
         if not b.tau_a + 2.0 * b.tau_b < self.D + self.Delta < b.t_b:

@@ -207,12 +207,6 @@ def test_unwilling_counterparty_kills_participation():
     assert success_rate(p, 0.0, 0.0) is None
 
 
-def test_literal_discounted_stop_never_participates():
-    p = baseline(t1_stop_value="discounted")
-    for x_a in np.linspace(1.0, 3.0, 11):
-        assert success_rate(p.with_x_a(float(x_a)), 0.0, 0.0) is None
-
-
 def test_success_rate_semantics_and_normalization():
     p = baseline()
     raw = success_rate(p, 0.0, 0.0)
@@ -267,8 +261,6 @@ def test_invalid_params_rejected():
         baseline(t_a=10.0)  # violates t_a > t_b
     with pytest.raises(ValueError):
         baseline(theta_1=1.5)
-    with pytest.raises(ValueError):
-        baseline(t1_stop_value="bogus")
 
 
 def _oracle_surface(p, xa, ts, tps):
@@ -293,11 +285,7 @@ def _oracle_surface(p, xa, ts, tps):
 
     for i, x_a in enumerate(xa):
         q = p.with_x_a(x_a)
-        if q.t1_stop_value == "principal":
-            stop_t2 = q.x_a - q.f_a
-        else:
-            stop_t2 = q.x_a * math.exp(-q.r_a * q.t_a) - q.f_a
-        stop_t1 = stop_t2 * math.exp(-q.r_a * q.tau_a)
+        stop_t1 = (q.x_a - q.f_a) * math.exp(-q.r_a * q.tau_a)
         st1 = PriceState(q.x_yb_t1)
         x_star = claim_threshold_t3(q)
         for j, T in enumerate(ts):
@@ -328,13 +316,15 @@ def _oracle_surface(p, xa, ts, tps):
     return raw, calls
 
 
+# The ids keep their numbers, so a case keeps its id when another is dropped.
 @pytest.mark.parametrize("case, p", [
-    ("sigma 0.05", baseline(0.05)),
-    ("sigma 0.2", baseline(0.2)),
-    ("discounted root stop", baseline(t1_stop_value="discounted")),
-    ("uniform delay discounting", baseline(uniform_delay_discounting=True)),
-    ("empty band", baseline(theta_1=0.0, r_a=0.0)),
-    ("tight quadrature", baseline(0.02, quad=QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12))),
+    pytest.param("sigma 0.05", baseline(0.05), id="sigma 0.05-p0"),
+    pytest.param("sigma 0.2", baseline(0.2), id="sigma 0.2-p1"),
+    pytest.param("uniform delay discounting", baseline(uniform_delay_discounting=True),
+                 id="uniform delay discounting-p3"),
+    pytest.param("empty band", baseline(theta_1=0.0, r_a=0.0), id="empty band-p4"),
+    pytest.param("tight quadrature", baseline(0.02, quad=QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)),
+                 id="tight quadrature-p5"),
 ])
 def test_surface_matches_per_cell_oracle(case, p):
     xa, ts, tps = [1.6, 2.0, 2.4], [0.0, 10.0, 20.0], [0.0, 7.0, 14.0, 21.0]
@@ -412,6 +402,32 @@ def test_scan_row_without_lo_below_hi_is_refused(scan):
         continuation_band_t2(baseline(), [0.0, 5.0], scan=scan)
     with pytest.raises(ValueError, match="lo < hi"):
         continuation_band_t2(baseline(), 0.0, scan=scan, x_a=[1.5, 2.0])
+
+
+def _surface_shapes(grid):
+    return {grid.raw.shape, grid.conditional.shape, grid.na_mask.shape}
+
+
+def test_empty_claim_delay_axis_gives_empty_tables():
+    p = baseline()
+    assert continuation_band_t2(p, []).shape == (0, 2)
+    assert continuation_band_t2(p, [], x_a=[1.6, 2.0]).shape == (2, 0, 2)
+    assert _surface_shapes(sr_surface(p, [1.6, 2.0], [], [0.0, 7.0])) == {(2, 0, 2)}
+
+
+def test_empty_lock_delay_axis_gives_empty_tables():
+    p = baseline()
+    bands = continuation_band_t2(p, [0.0, 10.0], x_a=[1.6, 2.0])
+    u_cont, u_stop = payoff_t1_with_band(p, [0.0, 10.0], [], bands, x_a=[1.6, 2.0])
+    assert u_cont.shape == u_stop.shape == (2, 2, 0)
+    assert _surface_shapes(sr_surface(p, [1.6, 2.0], [0.0, 10.0], [])) == {(2, 2, 0)}
+
+
+def test_empty_x_a_axis_gives_empty_tables():
+    p = baseline()
+    assert continuation_band_t2(p, [0.0, 10.0], x_a=[]).shape == (0, 2, 2)
+    assert _surface_shapes(sr_surface(p, [], [0.0, 10.0], [0.0, 7.0])) == {(0, 2, 2)}
+    assert _surface_shapes(sr_surface(p, [], [], [])) == {(0, 0, 0)}
 
 
 def test_surface_solves_bands_in_blocks(monkeypatch):
@@ -562,13 +578,15 @@ def test_default_surface_makes_one_success_rate_call(monkeypatch):
     assert [c[0][0] for c in calls] == [100] * (rows // 100) + [rows % 100] * bool(rows % 100)
 
 
+# The ids keep their numbers, so a case keeps its id when another is dropped.
 @pytest.mark.parametrize("case, p", [
-    ("sigma 0.05", baseline(0.05)),
-    ("sigma 0.2", baseline(0.2)),
-    ("uniform delay discounting", baseline(uniform_delay_discounting=True)),
-    ("discounted stop value", baseline(t1_stop_value="discounted")),
-    ("tight quadrature", baseline(0.02, quad=QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12))),
-    ("theta_2 0.3", baseline(theta_2=0.3)),
+    pytest.param("sigma 0.05", baseline(0.05), id="sigma 0.05-p0"),
+    pytest.param("sigma 0.2", baseline(0.2), id="sigma 0.2-p1"),
+    pytest.param("uniform delay discounting", baseline(uniform_delay_discounting=True),
+                 id="uniform delay discounting-p2"),
+    pytest.param("tight quadrature", baseline(0.02, quad=QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)),
+                 id="tight quadrature-p4"),
+    pytest.param("theta_2 0.3", baseline(theta_2=0.3), id="theta_2 0.3-p5"),
 ])
 def test_root_payoffs_of_every_x_a_equal_per_x_a_calls(case, p):
     # One call over an x_a axis gives each x_a the bits of its own call,
@@ -586,8 +604,7 @@ def test_root_payoffs_of_every_x_a_equal_per_x_a_calls(case, p):
         assert np.array_equal(u_cont[i], one_cont)
         assert np.array_equal(u_stop[i], one_stop) and (one_stop == x).all()
     # Where B never locks, A's value is her exit value exactly.
-    stop = xa - p.f_a if p.t1_stop_value == "principal" else xa * math.exp(-p.r_a * p.t_a) - p.f_a
-    exit_value = stop * math.exp(-p.r_a * p.tau_a)
+    exit_value = (xa - p.f_a) * math.exp(-p.r_a * p.tau_a)
     assert (u_cont[2] == exit_value[2]).all() and (u_cont[0, [1, 3]] == exit_value[0]).all()
     assert (u_cont[0, [0, 2]] != exit_value[0]).all()
 

@@ -44,8 +44,7 @@ def test_claim_with_preimage_reveals_it():
     (ev,) = c.advance(6.0)
     assert ev.revealed == (H,)
     assert c.balances["B"] == 2.0
-    assert c.preimage_visible(H, observer_delay=1.0, now=6.5) is None
-    assert c.preimage_visible(H, observer_delay=1.0, now=7.0) == SECRET
+    assert c.revealed[H] == (SECRET, 6.0)
 
 
 def test_wrong_claimant_and_early_timeout_rejected():

@@ -1,6 +1,7 @@
 import bisect
 import gc
 import math
+import re
 import time
 import tracemalloc
 import weakref
@@ -339,7 +340,7 @@ def test_no_lock_after_a_cancelled_party_locks_its_principal():
         LockAction(1, 1, 0.1, "premium", 9.0, 40.0, 0, 0, ("Hbar", "H1")),
     )
     secrets = {role: f"{role}-secret".encode().ljust(32, b"\x00") for role in ("Hbar", "H0", "H1")}
-    v = execute(SimpleNamespace(actions=actions, secrets=secrets), ("P0", "P1"), [Chain("chain-0", 3.0), Chain("chain-1", 3.0)],
+    v = execute(SimpleNamespace(actions=actions, secrets=secrets), ("P0", "P1"), [("chain-0", 3.0), ("chain-1", 3.0)],
                 [Strategy("compliant"), Strategy("delay", phase="lock", hours=10.0)],
                 Timing(t_eps=1.0, wait=((3.0, 1.5), (3.0, 1.5)), claim_wait=7.0,
                        release_with_claim=True),
@@ -413,6 +414,24 @@ def test_each_plan_is_compiled_once(monkeypatch, kind):
     assert len(built) == 1
     check_properties(_instance(kind))
     assert len(built) == 2
+
+
+@pytest.mark.parametrize("kind, party, strategy", [
+    ("quickswap", "A", Strategy("delay", phase="premium", hours=6.0)),
+    ("quickswap", "A", Strategy("cancel", phase="premium")),
+    ("quickswap", "A", Strategy("grief", phase="premium")),
+    ("htlc", "A", Strategy("delay", phase="premium", hours=6.0)),
+    ("htlc", "B", Strategy("cancel", phase="premium")),
+    ("htlc", "B", Strategy("grief", phase="premium")),
+])
+def test_run_refuses_a_phase_the_party_does_not_have(kind, party, strategy):
+    # Such a strategy used to replay another profile: A=delay(premium, 6h)
+    # gave A=compliant's verdict.
+    other = Strategy("compliant")
+    profile = StrategyProfile(strategy, other) if party == "A" else StrategyProfile(other, strategy)
+    says = f"{party}={strategy.label()}: {party} has no premium phase in the {kind} protocol"
+    with pytest.raises(ValueError, match=re.escape(says)):
+        run(_instance(kind), profile)
 
 
 def test_answer_tables_agree_with_the_strategy_methods():

@@ -45,6 +45,8 @@ def test_timing_invariants_enforced():
         quick_baseline(D=23.0, Delta=2.0)  # D + Delta >= t_b
     with pytest.raises(ValueError):
         quick_baseline(rho=-0.1)
+    with pytest.raises(ValueError):
+        quick_baseline(Delta=-1.0)       # D + Delta = 11 is in range, but Delta < 0
 
 
 def test_final_claim_threshold_matches_brute_force():
