@@ -105,7 +105,6 @@ class RunConfig:
     out_dir: Path
     seed: int = 0
     format: str = "csv"
-    normalization: str = "conditional"
     outputs: list[str] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
 
@@ -329,7 +328,6 @@ def _write_manifest(cfg: RunConfig) -> None:
         "subcommand": cfg.subcommand,
         "seed": cfg.seed,
         "format": cfg.format,
-        "normalization": cfg.normalization,
         "params": {k: _jsonable(v) for k, v in sorted(cfg.params.items())},
         "outputs": sorted(cfg.outputs),
         "summary": {k: _jsonable(v) for k, v in sorted(cfg.summary.items())},
@@ -357,7 +355,7 @@ def cmd_htlc_surface(cfg: RunConfig) -> int:
         "sr_conditional": grid.conditional.ravel(),
         "participation_flag": ~grid.na_mask.ravel(),
     })
-    col = grid.conditional if cfg.normalization == "conditional" else grid.raw
+    col = grid.conditional
     finite = col[~np.isnan(col)]
     cfg.summary = {
         "cells": int(col.size),
@@ -568,8 +566,6 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--out", default=".", help="output directory")
     shared.add_argument("--seed", type=int, default=0)
     shared.add_argument("--format", choices=("csv", "json"), default="csv")
-    shared.add_argument("--normalization", choices=("raw", "conditional"),
-                        default="conditional")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in _COMMANDS:
         sub.add_parser(name, parents=[shared])
@@ -589,7 +585,6 @@ def main(argv: list[str] | None = None) -> int:
             out_dir=Path(args.out),
             seed=args.seed,
             format=args.format,
-            normalization=args.normalization,
         )
         return _COMMANDS[args.subcommand](cfg)
     except (ConfigError, ValueError, OSError) as exc:

@@ -15,7 +15,8 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-from .protocol import LockAction, Strategy, Timing, TraceVerdict, _Layout, execute, recovers_locked
+from .protocol import (LockAction, Strategy, Timing, TraceVerdict, _Layout, _mk_secret, execute,
+                       recovers_locked)
 
 __all__ = [
     "CyclicSpec",
@@ -25,8 +26,6 @@ __all__ = [
     "validate_plan",
     "run_cyclic",
 ]
-
-_SECRET_LEN = 32
 
 
 @dataclass(frozen=True)
@@ -111,10 +110,10 @@ def generate(spec: CyclicSpec) -> CyclicPlan:
     """
     n = spec.n
     last = n - 1
-    secrets = {"Hbar": b"cyclic-payment-secret".ljust(_SECRET_LEN, b"\x00")}
+    secrets = {"Hbar": _mk_secret(b"cyclic-payment-secret")}
     owners = {"Hbar": 0}
     for i in range(n):
-        secrets[f"H{i}"] = f"cyclic-cancel-secret-{i}".encode().ljust(_SECRET_LEN, b"\x00")
+        secrets[f"H{i}"] = _mk_secret(f"cyclic-cancel-secret-{i}".encode())
         owners[f"H{i}"] = i
 
     actions: list[LockAction] = []
@@ -224,7 +223,7 @@ def run_cyclic(
     if outside:
         raise ValueError(f"party indices {outside} are outside 0..{spec.n - 1}")
     return execute(
-        plan, plan.layout.parties,
+        plan.layout,
         [(f"chain-{i}", tau) for i, tau in enumerate(spec.taus)],
         [_STRATEGIES[strategies.get(i, "compliant")] for i in range(spec.n)],
         # Everyone gives up on a missing lock once it would have confirmed on

@@ -86,9 +86,11 @@ class SwapParams:
         for name in ("theta_1", "theta_2"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        for name in ("x_a", "x_yb_t1", "f_a", "f_b"):
+        for name in ("x_a", "f_a", "f_b"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        if self.x_yb_t1 <= 0:  # a price: the engine values B's coins per unit of it
+            raise ValueError("x_yb_t1 must be > 0")
         if self.sp_a <= -1.0:
             raise ValueError("sp_a must exceed -1")
         if self.t_a < self.t_b + self.eps + self.t_eps + self.tau_a:

@@ -63,13 +63,10 @@ __all__ = [
     "liveness_bound",
     "mc_success_rate_htlc",
     "mc_success_rate_quickswap",
-    "HTLC_PHASES",
-    "QUICKSWAP_PHASES",
 ]
 
-HTLC_PHASES = {"A": ("lock", "claim"), "B": ("lock", "claim")}
-QUICKSWAP_PHASES = {"A": ("lock", "claim"), "B": ("premium", "lock", "claim")}
-_PARTY_PHASES = {"htlc": HTLC_PHASES, "quickswap": QUICKSWAP_PHASES}
+_PARTY_PHASES = {"htlc": {"A": ("lock", "claim"), "B": ("lock", "claim")},
+                 "quickswap": {"A": ("lock", "claim"), "B": ("premium", "lock", "claim")}}
 _PHASES = ("premium", "lock", "claim")  # every party's phases are in this order
 
 _SECRET_LEN = 32
@@ -125,13 +122,15 @@ class Strategy:
 
     @functools.cached_property
     def answer_table(self) -> dict:
-        """The answer (see ``_answer``) to every (question, phase) the engine
-        asks whose answer does not depend on the hour: all but a
+        """The answer (see ``_answerer``) to every (question, phase) the
+        engine asks whose answer does not depend on the hour: all but a
         ``threshold`` party's move.  Built on first use."""
-        table = {(q, ph): _answer((self,), None, 0, q, ph, 0.0)
-                 for q in ("move", "lag", "acts") for ph in _PHASES
-                 if not (q == "move" and self.kind == "threshold")}
-        table["grief", None] = _answer((self,), None, 0, "grief", None, 0.0)
+        table = {("grief", None): self.kind == "grief"}
+        for ph in _PHASES:
+            table["lag", ph], table["acts", ph] = self.lag(ph), self.acts_at(ph)
+            if self.kind != "threshold":
+                table["move", ph] = ("cancel" if self.cancels_at(ph)
+                                     else "act" if self.acts_at(ph) else "skip")
         return table
 
     def label(self) -> str:
@@ -419,7 +418,7 @@ class _Run:
         self.asked: list = []              # (question, answer) in the order asked
 
     def ask(self, party: int, question: str, phase: str | None = None):
-        """``party``'s strategy's answer to ``question`` now (see ``_answer``)."""
+        """``party``'s strategy's answer to ``question`` now (see ``_answerer``)."""
         key = (party, question, phase, self.clock)
         answer = self.answer(*key)
         self.asked.append((key, answer))
@@ -661,44 +660,32 @@ class _Run:
             self.at(self.clock, sweep, prio=2)
 
 
-def _answer(strategies, decide, party: int, question: str, phase: str | None, clock: float):
-    """What ``party``'s strategy answers the engine at hour ``clock``.
-
-    "move" at a step (``phase``): "act", "cancel" (a ``threshold`` party's
-    refusal is a cancel) or "skip"; "lag": its delay at ``phase``; "acts":
-    whether it performs ``phase`` (asked of claims in ``_redeem``); "grief":
-    whether it griefs.
-    """
-    s = strategies[party]
-    if question == "move":
-        if s.cancels_at(phase) or (s.kind == "threshold" and not decide(party, phase, clock)):
-            return "cancel"
-        return "act" if s.acts_at(phase) else "skip"
-    if question == "lag":
-        return s.lag(phase)
-    if question == "acts":
-        return s.acts_at(phase)
-    return s.kind == "grief"
-
-
 def _answerer(strategies, decide):
-    """``answer(party, question, phase, clock)`` for these strategies: a
-    lookup in the party's ``answer_table``, or ``_answer`` where the answer
-    depends on the hour."""
+    """``answer(party, question, phase, clock)``: what ``party``'s strategy
+    answers the engine at hour ``clock``.
+
+    "move" at a step (``phase``): "act", "cancel" or "skip"; "lag": its delay
+    at ``phase``; "acts": whether it performs ``phase`` (asked of claims in
+    ``_redeem``); "grief": whether it griefs.  Each is a lookup in the party's
+    ``answer_table`` but a ``threshold`` party's move, which ``decide`` makes
+    at the hour: "act", or "cancel" on a refusal.
+    """
     tables = [s.answer_table for s in strategies]
 
     def answer(party: int, question: str, phase: str | None, clock: float):
         got = tables[party].get((question, phase))
-        return _answer(strategies, decide, party, question, phase, clock) if got is None else got
+        if got is None:  # a threshold party's move
+            return "act" if decide(party, phase, clock) else "cancel"
+        return got
 
     return answer
 
 
-def execute(plan, parties, chains, strategies, timing, *, safety,
+def execute(layout: _Layout, chains, strategies, timing, *, safety,
             bound: float = math.inf, decide=None, value=None, tree=None) -> TraceVerdict:
-    """Run a lock plan (anything with ``actions`` and role-keyed ``secrets``,
-    such as a ``ProtocolInstance`` or a ``cyclic.CyclicPlan``) with one
-    strategy per party and audit the trace.
+    """Run a lock plan compiled for its parties (the ``layout`` of a
+    ``ProtocolInstance`` or a ``cyclic.CyclicPlan``) with one strategy per
+    party and audit the trace.
 
     ``chains`` lists each chain as an ``(id, confirmation delay)`` pair;
     ``safety(trace, kinds, endow, recv)`` is the protocol's safety rule, given
@@ -714,9 +701,6 @@ def execute(plan, parties, chains, strategies, timing, *, safety,
     answer = _answerer(strategies, decide)
     trace = None if tree is None else _replay(tree, answer)
     if trace is None:
-        layout = getattr(plan, "layout", None)  # the plan's own, if it keeps one for these parties
-        if layout is None or layout.parties != tuple(parties):
-            layout = _Layout(plan.actions, plan.secrets, tuple(parties))
         r = _Run(layout, [Chain(*chain) for chain in chains], answer, timing)
         r.run()
         trace = _facts(r)
@@ -887,9 +871,7 @@ def run(
     ``answer_tree``; otherwise the trace found there is judged afresh.  A
     strategy that names a phase its party does not have in the protocol is
     refused."""
-    phases = _PARTY_PHASES.get(instance.kind)
-    if phases is None:
-        raise ValueError(f"unknown protocol kind {instance.kind!r}")
+    phases = _party_phases(instance.kind)
     strategies = (profile.strategy_A, profile.strategy_B)
     for party, s in zip("AB", strategies):
         if s.phase not in (None, "start", *phases[party]):
@@ -910,7 +892,7 @@ def run(
     bound = liveness_bound(instance, profile)
     # Net value in A-asset units at the price once every lock is released.
     value = [1.0, price(bound + 1.0) / b.x_yb_t1]
-    return execute(instance, instance.layout.parties, (("chain-a", b.tau_a), ("chain-b", b.tau_b)),
+    return execute(instance.layout, (("chain-a", b.tau_a), ("chain-b", b.tau_b)),
                    strategies, instance.timing, safety=functools.partial(_compensated, rho=instance.rho),
                    bound=bound, decide=decide, value=value, tree=instance.answer_tree)
 
@@ -946,10 +928,16 @@ class PropertyReport:
         return all(r.correctness for r in self.rows)
 
 
-def strategy_grid(kind: str) -> list[Strategy]:
-    phases = HTLC_PHASES if kind == "htlc" else QUICKSWAP_PHASES
+def _party_phases(kind: str) -> dict[str, tuple[str, ...]]:
+    """Each party's phases in the two-party protocol ``kind``."""
+    if kind not in _PARTY_PHASES:
+        raise ValueError(f"unknown protocol kind {kind!r}")
+    return _PARTY_PHASES[kind]
+
+
+def strategy_grid(kind: str) -> dict[str, list[Strategy]]:
     out: dict[str, list[Strategy]] = {}
-    for party, order in phases.items():
+    for party, order in _party_phases(kind).items():
         opts = [Strategy("compliant")]
         opts += [Strategy("grief", phase="start")]
         opts += [Strategy("grief", phase=ph) for ph in order[:-1]]

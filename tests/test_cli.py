@@ -126,6 +126,10 @@ def test_params_file_round_trip(tmp_path):
     (("validate", "--set", "kind=quickswap", "--set", "Delta=-2"), "Delta and rho must be >= 0"),
     (("montecarlo", "--set", "Delta=-2"), "Delta and rho must be >= 0"),
     (("cyclic-plan", "--set", "Delta=-2"), "Delta, rho, t_eps >= 0"),
+    # A price of 0 used to end validate in a ZeroDivisionError with exit 1.
+    (("validate", "--set", "kind=htlc", "--set", "x_yb_t1=0"), "x_yb_t1 must be > 0"),
+    (("validate", "--set", "kind=quickswap", "--set", "x_yb_t1=0"), "x_yb_t1 must be > 0"),
+    (("montecarlo", "--set", "x_yb_t1=0"), "x_yb_t1 must be > 0"),
 ])
 def test_malformed_inputs_exit_2_with_an_error_line(tmp_path, capsys, args, says):
     assert run_cli(*args, "--out", str(tmp_path / "run")) == 2
@@ -576,7 +580,7 @@ def test_a_negative_x_a_axis_exits_2(tmp_path, capsys, subcommand):
 
 def _parser_with_options_per_subcommand():
     """The CLI parser as it was declared before its subcommands shared one
-    set of options: each subcommand adding its own six."""
+    set of options: each subcommand adding its own five."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -592,8 +596,6 @@ def _parser_with_options_per_subcommand():
         s.add_argument("--out", default=".", help="output directory")
         s.add_argument("--seed", type=int, default=0)
         s.add_argument("--format", choices=("csv", "json"), default="csv")
-        s.add_argument("--normalization", choices=("raw", "conditional"),
-                       default="conditional")
     return parser
 
 
@@ -610,8 +612,7 @@ def test_help_texts_and_option_defaults_are_pinned(monkeypatch, capsys):
         if argv != ["--help"]:
             assert f"usage: swapsim {argv[0]} [-h] [--params PARAMS] [--set KEY=VALUE]" in texts[0]
             assert "inline parameter override (repeatable)" in texts[0]
-    defaults = {"params": None, "set": [], "out": ".", "seed": 0, "format": "csv",
-                "normalization": "conditional"}
+    defaults = {"params": None, "set": [], "out": ".", "seed": 0, "format": "csv"}
     parser = cli._build_parser()
     for name in cli._COMMANDS:
         assert vars(parser.parse_args([name])) == {"subcommand": name, **defaults}
@@ -619,3 +620,12 @@ def test_help_texts_and_option_defaults_are_pinned(monkeypatch, capsys):
     # not the default of the next.
     assert parser.parse_args(["validate", "--set", "n=3"]).set == ["n=3"]
     assert parser.parse_args(["cyclic-plan"]).set == []
+
+
+def test_the_normalization_option_is_gone(capsys):
+    # Both SR columns are always written; the option only picked the column
+    # of htlc-surface's max_sr summary.
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("htlc-surface", "--normalization", "raw")
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --normalization raw" in capsys.readouterr().err

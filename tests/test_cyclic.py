@@ -400,16 +400,17 @@ def test_a_cyclic_plan_is_freed_with_its_last_reference():
 
 
 def test_a_plan_run_under_other_party_names_gets_its_own_layout():
-    # ``execute`` uses the layout a plan keeps only for the parties it was
-    # compiled for; under other names the contracts and payouts follow them.
+    # The plan compiled for other party names: the contracts and payouts
+    # follow them, and the layout the plan keeps is left as it is.
     from swapsim import cyclic
-    from swapsim.protocol import Timing, execute, recovers_locked
+    from swapsim.protocol import Timing, _Layout, execute, recovers_locked
 
     spec = make_spec(3)
     plan = generate(spec)
     want = run_cyclic(plan, {1: "grief-claim"})
     names = ("X0", "X1", "X2")
-    got = execute(plan, names, [(f"chain-{i}", tau) for i, tau in enumerate(spec.taus)],
+    got = execute(_Layout(plan.actions, plan.secrets, names),
+                  [(f"chain-{i}", tau) for i, tau in enumerate(spec.taus)],
                   [cyclic._STRATEGIES["grief-claim" if i == 1 else "compliant"] for i in range(3)],
                   Timing(t_eps=spec.t_eps, wait=((max(spec.taus), spec.t_eps),) * 3,
                          claim_wait=0.0, release_with_claim=False),

@@ -126,6 +126,13 @@ def test_strategy_grid_composition():
     assert "compliant" in labels and "grief(start)" in labels
 
 
+@pytest.mark.parametrize("kind", ["cyclic", "HTLC"])
+def test_strategy_grid_refuses_an_unknown_kind(kind):
+    # "cyclic" used to give B the 16 Quick Swap options.
+    with pytest.raises(ValueError, match=re.escape(f"unknown protocol kind {kind!r}")):
+        strategy_grid(kind)
+
+
 def test_check_properties_quickswap_clean():
     report = check_properties(build_quickswap_instance(quick_baseline()))
     assert report.safety_violations == []
@@ -340,7 +347,7 @@ def test_no_lock_after_a_cancelled_party_locks_its_principal():
         LockAction(1, 1, 0.1, "premium", 9.0, 40.0, 0, 0, ("Hbar", "H1")),
     )
     secrets = {role: f"{role}-secret".encode().ljust(32, b"\x00") for role in ("Hbar", "H0", "H1")}
-    v = execute(SimpleNamespace(actions=actions, secrets=secrets), ("P0", "P1"), [("chain-0", 3.0), ("chain-1", 3.0)],
+    v = execute(protocol._Layout(actions, secrets, ("P0", "P1")), [("chain-0", 3.0), ("chain-1", 3.0)],
                 [Strategy("compliant"), Strategy("delay", phase="lock", hours=10.0)],
                 Timing(t_eps=1.0, wait=((3.0, 1.5), (3.0, 1.5)), claim_wait=7.0,
                        release_with_claim=True),
