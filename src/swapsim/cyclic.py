@@ -100,6 +100,17 @@ class CyclicPlan:
         """The plan compiled for parties P0..P(n-1); built on first run."""
         return _Layout(self.actions, self.secrets, tuple(f"P{i}" for i in range(self.spec.n)))
 
+    @functools.cached_property
+    def engine(self) -> tuple:
+        """The chains, one per party, and the timing every run of the plan
+        hands ``execute``; built on first run.  Everyone gives up on a
+        missing lock once it would have confirmed on the slowest chain and
+        been seen, and on P0's claim at once."""
+        spec = self.spec
+        return (tuple((f"chain-{i}", tau) for i, tau in enumerate(spec.taus)),
+                Timing(t_eps=spec.t_eps, wait=((max(spec.taus), spec.t_eps),) * spec.n,
+                       claim_wait=0.0, release_with_claim=False))
+
 
 def generate(spec: CyclicSpec) -> CyclicPlan:
     """Lay out the full lock schedule for the cycle.
@@ -222,13 +233,7 @@ def run_cyclic(
     outside = [i for i in strategies if i not in range(spec.n)]
     if outside:
         raise ValueError(f"party indices {outside} are outside 0..{spec.n - 1}")
-    return execute(
-        plan.layout,
-        [(f"chain-{i}", tau) for i, tau in enumerate(spec.taus)],
-        [_STRATEGIES[strategies.get(i, "compliant")] for i in range(spec.n)],
-        # Everyone gives up on a missing lock once it would have confirmed on
-        # the slowest chain and been seen, and on P0's claim at once.
-        Timing(t_eps=spec.t_eps, wait=((max(spec.taus), spec.t_eps),) * spec.n,
-               claim_wait=0.0, release_with_claim=False),
-        safety=recovers_locked,
-    )
+    chains, timing = plan.engine
+    return execute(plan.layout, chains,
+                   [_STRATEGIES[strategies.get(i, "compliant")] for i in range(spec.n)], timing,
+                   safety=recovers_locked)

@@ -150,7 +150,7 @@ class Chain:
     """
 
     def __init__(self, chain_id: str, confirm_delay: float):
-        if confirm_delay < 0:
+        if not confirm_delay >= 0:  # NaN too: a transaction must come due
             raise ValueError("confirm_delay must be >= 0")
         self.id = chain_id
         self.confirm_delay = confirm_delay
@@ -158,6 +158,7 @@ class Chain:
         self.mempool: list[Transaction] = []
         self._live_ids: set[str] = set()  # ids in the mempool or confirmed
         self._next_due = math.inf  # earliest confirm_time in the mempool
+        self._last_due = -math.inf  # latest confirm_time in the mempool
         self.utxos: dict[OutputRef, LockedOutput] = {}
         self.spent: dict[OutputRef, str] = {}  # ref -> spending tx id
         self.balances: dict[str, float] = {}
@@ -174,6 +175,8 @@ class Chain:
         """
         if now < self.clock:
             raise ValueError("broadcast in the past")
+        if math.isnan(now):  # it would never come due, nor order the mempool
+            raise ValueError("broadcast at a NaN hour")
         if tx.id in self._live_ids:
             raise ValueError(f"duplicate transaction id {tx.id}")
         for s in tx.spends:
@@ -187,10 +190,13 @@ class Chain:
                     break
             else:
                 raise ValueError(f"no satisfied spend branch for {s.ref}")
-        tx.confirm_time = now + self.confirm_delay
+        due = tx.confirm_time = now + self.confirm_delay
         self.mempool.append(tx)
         self._live_ids.add(tx.id)
-        self._next_due = min(self._next_due, tx.confirm_time)
+        if due < self._next_due:
+            self._next_due = due
+        if due > self._last_due:
+            self._last_due = due
 
     def try_broadcast(self, tx: Transaction, now: float) -> bool:
         try:
@@ -211,14 +217,18 @@ class Chain:
         self.clock = to
         if self._next_due > to:
             return []
-        pending, waiting, next_due = [], [], math.inf
-        for t in self.mempool:
-            if t.confirm_time <= to:
-                pending.append(t)
-            else:
-                waiting.append(t)
-                next_due = min(next_due, t.confirm_time)
-        self.mempool, self._next_due = waiting, next_due
+        if self._last_due <= to:  # the usual case: everything pending is due
+            pending, self.mempool = self.mempool, []
+            self._next_due, self._last_due = math.inf, -math.inf
+        else:  # the latest stays pending
+            pending, waiting, next_due = [], [], math.inf
+            for t in self.mempool:
+                if t.confirm_time <= to:
+                    pending.append(t)
+                else:
+                    waiting.append(t)
+                    next_due = min(next_due, t.confirm_time)
+            self.mempool, self._next_due = waiting, next_due
         if len(pending) > 1:
             pending.sort(key=_CONFIRM_ORDER)
         emitted = [self._confirm(tx) for tx in pending]
@@ -226,32 +236,34 @@ class Chain:
         return emitted
 
     def _confirm(self, tx: Transaction) -> ConfirmationEvent:
-        now = tx.confirm_time
-        # Re-check spends: a racing transaction may have confirmed first.
-        for s in tx.spends:
-            if s.ref not in self.utxos:
-                self._live_ids.discard(tx.id)  # the id may be broadcast again
-                return ConfirmationEvent(now, self.id, tx.id, "rejected", (),
-                                         f"output {s.ref} spent before confirmation")
-        revealed: list[str] = []
-        for s in tx.spends:
-            del self.utxos[s.ref]
-            self.spent[s.ref] = tx.id
-            for h, pre in s.preimages.items():
-                if h not in self.revealed and hash_secret(pre) == h:
-                    self.revealed[h] = (pre, now)
-                    revealed.append(h)
+        now, spends, revealed = tx.confirm_time, tx.spends, ()
+        if spends:  # a funding transaction spends and reveals nothing
+            # Re-check spends: a racing transaction may have confirmed first.
+            for s in spends:
+                if s.ref not in self.utxos:
+                    self._live_ids.discard(tx.id)  # the id may be broadcast again
+                    return ConfirmationEvent(now, self.id, tx.id, "rejected", (),
+                                             f"output {s.ref} spent before confirmation")
+            found: list[str] = []
+            for s in spends:
+                del self.utxos[s.ref]
+                self.spent[s.ref] = tx.id
+                for h, pre in s.preimages.items():  # none for a timeout spend
+                    if h not in self.revealed and hash_secret(pre) == h:
+                        self.revealed[h] = (pre, now)
+                        found.append(h)
+            revealed = tuple(found)
         for i, created in enumerate(tx.creates):
             if isinstance(created, Payout):
                 self.balances[created.party] = self.balances.get(created.party, 0.0) + created.amount
             else:
                 self.utxos[OutputRef(tx.id, i)] = created
                 # Only spend-less (funding) transactions inject new value.
-                if not tx.spends:
+                if not spends:
                     self.funded_total[created.funder] = (
                         self.funded_total.get(created.funder, 0.0) + created.amount
                     )
-        return ConfirmationEvent(now, self.id, tx.id, "confirmed", tuple(revealed))
+        return ConfirmationEvent(now, self.id, tx.id, "confirmed", revealed)
 
     # -- queries -----------------------------------------------------------
     def locked_value(self) -> float:

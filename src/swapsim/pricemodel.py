@@ -106,11 +106,23 @@ def _standardized(d, s):
     return np.where(s > 0, d / np.where(s > 0, s, 1.0), np.where(d >= 0.0, math.inf, -math.inf))
 
 
+def _log_ratio(target, start):
+    """``log(target / start)``, and -inf where ``target`` is <= 0: such a
+    target lies below every price, and both kernels below are exactly 0
+    there.  The check reads ``target`` alone (a threshold per row), not the
+    result broadcast against ``start``."""
+    target = np.asarray(target, dtype=float)
+    if target.min(initial=math.inf) > 0:
+        return np.log(target / start)
+    with np.errstate(divide="ignore"):
+        return np.log(np.maximum(target, 0.0) / start)
+
+
 def cdf_from(target, start, params: GbmParams, lam):
     """Unchecked transition_cdf kernel: broadcasts ``target``, the start price
     ``start`` and the horizon ``lam`` against each other."""
     m, s = _log_moments(params, lam)
-    z = _standardized(np.log(target / np.asarray(start, dtype=float)) - m, s)
+    z = _standardized(_log_ratio(target, np.asarray(start, dtype=float)) - m, s)
     return 0.5 * erfc(-z / math.sqrt(2.0))
 
 
@@ -118,7 +130,7 @@ def pe_below_from(target, start, params: GbmParams, lam):
     """Unchecked partial_expectation_below kernel; broadcasts like cdf_from."""
     start = np.asarray(start, dtype=float)
     _, s = _log_moments(params, lam)
-    z = _standardized(np.log(target / start) - (params.mu + 0.5 * params.sigma**2) * lam, s)
+    z = _standardized(_log_ratio(target, start) - (params.mu + 0.5 * params.sigma**2) * lam, s)
     return start * math_exp(params.mu * lam) * 0.5 * erfc(-z / math.sqrt(2.0))
 
 

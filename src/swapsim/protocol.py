@@ -26,7 +26,6 @@ import functools
 import heapq
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -122,7 +121,7 @@ class Strategy:
 
     @functools.cached_property
     def answer_table(self) -> dict:
-        """The answer (see ``_answerer``) to every (question, phase) the
+        """The answer (see ``_Run.ask``) to every (question, phase) the
         engine asks whose answer does not depend on the hour: all but a
         ``threshold`` party's move.  Built on first use."""
         table = {("grief", None): self.kind == "grief"}
@@ -226,6 +225,18 @@ class ProtocolInstance:
         return _Layout(self.actions, self.secrets, ("A", "B"))
 
     @functools.cached_property
+    def engine(self) -> tuple:
+        """What ``run`` hands ``execute`` for every profile: the two chains,
+        the safety rule, each party's phases with None and "start", and the
+        hour ``liveness_bound`` adds the profile's delays to."""
+        b = self.base
+        return ((("chain-a", b.tau_a), ("chain-b", b.tau_b)),
+                functools.partial(_compensated, rho=self.rho),
+                {p: (None, "start", *ph) for p, ph in _party_phases(self.kind).items()},
+                self.layout.longest + self.actions[-1].start_time
+                + b.tau_a + b.tau_b + b.t_eps + b.tau_b / 2.0)  # last, the compliant give-up wait
+
+    @functools.cached_property
     def timing(self) -> Timing:
         """When A and B act beyond the lock schedule: each waits for the
         counterparty's lock to confirm and for A's claim to be seen on the
@@ -241,12 +252,21 @@ def _mk_secret(tag: bytes) -> bytes:
     return tag.ljust(_SECRET_LEN, b"\x00")
 
 
+def _lockable(**amounts) -> None:
+    """Refuse, naming it, a parameter that would make the plan lock nothing:
+    the ledger takes no lock of 0 coins."""
+    for name, value in amounts.items():
+        if not value > 0:
+            raise ValueError(f"{name} must be > 0, or the plan locks 0 coins")
+
+
 def build_htlc_instance(params: SwapParams, rho: float = 0.001) -> ProtocolInstance:
     """Plain two-lock HTLC swap: one payment hash held by A.
 
     The plain swap pays no premium; ``rho`` only sets the lockup cost the
     safety check requires as compensation when a party is griefed."""
     b = params
+    _lockable(x_a=b.x_a)
     actions = (
         LockAction(0, 0, b.x_a, "principal", 0.0, b.t_a, 0, 1, ("Hbar",)),
         # y_b is denominated at its t1 value in A's asset.
@@ -265,6 +285,7 @@ def build_quickswap_instance(params: QuickSwapParams) -> ProtocolInstance:
     posted, A's D after A locks); each principal refunds early on the other
     side's cancellation secret."""
     q, b = params, params.base
+    _lockable(x_a=b.x_a, rho=q.rho)  # the premiums are rho * x_a * t_a and 1.5 times that
     t2, t3 = b.tau_b, b.tau_b + b.tau_a
     actions = (
         LockAction(1, 1, q.premium_of("B"), "premium", 0.0, q.D + q.Delta, 0, 1, ("Hbar", "H1")),
@@ -304,11 +325,7 @@ def liveness_bound(instance: ProtocolInstance, profile: StrategyProfile) -> floa
     confirmation delays, one propagation lag, the compliant give-up slack,
     and any deliberate delay in the profile.
     """
-    b = instance.base
-    extra = profile.strategy_A.hours + profile.strategy_B.hours
-    slack = b.tau_b / 2.0  # compliant give-up wait
-    return (instance.layout.longest + instance.actions[-1].start_time
-            + b.tau_a + b.tau_b + b.t_eps + slack + extra)
+    return instance.engine[3] + (profile.strategy_A.hours + profile.strategy_B.hours)
 
 
 # ---------------------------------------------------------------------------
@@ -395,12 +412,12 @@ class _Run:
     question and answer in ``asked``.
     """
 
-    def __init__(self, layout: _Layout, chains, answer, timing):
+    def __init__(self, layout: _Layout, chains, tables, decide, timing):
         self.layout = layout
-        self.hashes, self.roles = layout.hashes, layout.roles
+        self.roles = layout.roles
         self.steps, self.phase = layout.steps, layout.phase
         self.actions, self.parties = layout.actions, layout.parties
-        self.chains, self.answer, self.timing = chains, answer, timing
+        self.chains, self.tables, self.decide, self.timing = chains, tables, decide, timing
         self.clock = 0.0
         self.queue: list = []
         self.seq = itertools.count()
@@ -418,23 +435,32 @@ class _Run:
         self.asked: list = []              # (question, answer) in the order asked
 
     def ask(self, party: int, question: str, phase: str | None = None):
-        """``party``'s strategy's answer to ``question`` now (see ``_answerer``)."""
-        key = (party, question, phase, self.clock)
-        answer = self.answer(*key)
-        self.asked.append((key, answer))
+        """``party``'s strategy's answer to ``question`` now.
+
+        "move" at a step (``phase``): "act", "cancel" or "skip"; "lag": its
+        delay at ``phase``; "acts": whether it performs ``phase`` (asked of
+        claims in ``_redeem``); "grief": whether it griefs.  Each is a lookup
+        in the party's ``answer_table`` but a ``threshold`` party's move,
+        which ``decide`` makes at the hour: "act", or "cancel" on a refusal.
+        ``_replay`` answers recorded questions the same way."""
+        key = (question, phase)
+        answer = self.tables[party].get(key)
+        if answer is None:
+            answer = "act" if self.decide(party, phase, self.clock) else "cancel"
+        self.asked.append(((party, key, self.clock), answer))
         return answer
 
     # -- event loop ------------------------------------------------------------
-    def at(self, time: float, fn, prio: int = 1) -> None:
-        """Queue ``fn`` at ``time``: sweeps coming due (prio 0) run before
+    def at(self, time: float, fn, *args, prio: int = 1) -> None:
+        """Queue ``fn(*args)`` at ``time``: sweeps coming due (prio 0) run before
         party steps (1), the sweeps of a party that starts watching after them (2)."""
-        heapq.heappush(self.queue, (time, prio, next(self.seq), fn))
+        heapq.heappush(self.queue, (time, prio, next(self.seq), fn, args))
 
     def run(self) -> None:
         self._schedule(0, 0.0)
         while self.queue:
-            self.clock, _, _, fn = heapq.heappop(self.queue)
-            fn()
+            self.clock, _, _, fn, args = heapq.heappop(self.queue)
+            fn(*args)
 
     def broadcast(self, chain: Chain, tx: Transaction) -> bool:
         """Broadcast and queue the confirmation.  A chain with a delay
@@ -444,7 +470,7 @@ class _Run:
             return False
         if self.observing.get(chain.id) != tx.confirm_time:
             self.observing[chain.id] = tx.confirm_time
-            self.at(tx.confirm_time, lambda: self._observe(chain), -1 if chain.confirm_delay else 3)
+            self.at(tx.confirm_time, self._observe, chain, prio=-1 if chain.confirm_delay else 3)
         return True
 
     def _observe(self, chain: Chain) -> None:
@@ -459,7 +485,7 @@ class _Run:
                 role = self.roles[h]
                 if role != "Hbar" and self.anchor is not None:
                     seen = self.poll_at(e.time + self.timing.t_eps, e.time - chain.confirm_delay)
-                    self.at(seen, lambda role=role: self._refund_early(role))
+                    self.at(seen, self._refund_early, role)
 
     def poll_at(self, t: float, after: float = -math.inf) -> float:
         """First poll at or after ``t`` and later than ``after``.  Polls fall
@@ -482,7 +508,7 @@ class _Run:
 
     # -- ledger helpers --------------------------------------------------------
     def visible(self, role: str) -> bool:
-        return self.clock >= self.seen.get(self.hashes[role], math.inf) + self.timing.t_eps
+        return self.clock >= self.seen.get(self.layout.hashes[role], math.inf) + self.timing.t_eps
 
     def spent(self, idx: int) -> bool:
         return self.refs[idx] in self.chains[self.actions[idx].chain].spent
@@ -506,9 +532,9 @@ class _Run:
         due = self.actions[idxs[0]].start_time + shift
         give_up = sum(self.timing.wait[self.actions[idxs[0]].chain], due)
         lag = self.ask(party, "lag", self.phase[k])
-        self.at(due + lag, lambda: self._lock(k, give_up, shift + lag))
+        self.at(due + lag, self._lock, k, give_up, shift + lag)
         if lag:
-            self.at(due, lambda: self._missed(k, party, give_up))
+            self.at(due, self._missed, k, party, give_up)
 
     def _missed(self, k: int, party: int, give_up: float) -> None:
         """``party`` did not take step k (the claim if k is past the last lock
@@ -555,9 +581,9 @@ class _Run:
             return
         locked = self.clock + self.chains[self.actions[idxs[-1]].chain].confirm_delay
         give_up, lag = locked + self.timing.claim_wait, self.ask(0, "lag", "claim")
-        self.at(locked + lag, lambda: self._claim(give_up))
+        self.at(locked + lag, self._claim, give_up)
         if lag:
-            self.at(locked, lambda: self._missed(k + 1, 0, give_up))
+            self.at(locked, self._missed, k + 1, 0, give_up)
 
     # -- success path ----------------------------------------------------------
     def _claim(self, give_up: float) -> None:
@@ -614,7 +640,7 @@ class _Run:
                     if self.actions[i].kind == "premium"]
         if alert and premiums:
             seen = self.clock + self.chains[premiums[0]].confirm_delay + self.timing.t_eps
-            self.at(self.poll_at(seen), lambda: self._alerted(party))
+            self.at(self.poll_at(seen), self._alerted, party)
 
     def _alerted(self, canceller: int) -> None:
         """The others follow a cancel once the canceller's secret is seen."""
@@ -660,27 +686,6 @@ class _Run:
             self.at(self.clock, sweep, prio=2)
 
 
-def _answerer(strategies, decide):
-    """``answer(party, question, phase, clock)``: what ``party``'s strategy
-    answers the engine at hour ``clock``.
-
-    "move" at a step (``phase``): "act", "cancel" or "skip"; "lag": its delay
-    at ``phase``; "acts": whether it performs ``phase`` (asked of claims in
-    ``_redeem``); "grief": whether it griefs.  Each is a lookup in the party's
-    ``answer_table`` but a ``threshold`` party's move, which ``decide`` makes
-    at the hour: "act", or "cancel" on a refusal.
-    """
-    tables = [s.answer_table for s in strategies]
-
-    def answer(party: int, question: str, phase: str | None, clock: float):
-        got = tables[party].get((question, phase))
-        if got is None:  # a threshold party's move
-            return "act" if decide(party, phase, clock) else "cancel"
-        return got
-
-    return answer
-
-
 def execute(layout: _Layout, chains, strategies, timing, *, safety,
             bound: float = math.inf, decide=None, value=None, tree=None) -> TraceVerdict:
     """Run a lock plan compiled for its parties (the ``layout`` of a
@@ -698,19 +703,15 @@ def execute(layout: _Layout, chains, strategies, timing, *, safety,
     strategies' answers the engine does not run, and a new trace is added to
     it.
     """
-    answer = _answerer(strategies, decide)
-    trace = None if tree is None else _replay(tree, answer)
+    tables = [s.answer_table for s in strategies]
+    trace = None if tree is None else _replay(tree, tables, decide)
     if trace is None:
-        r = _Run(layout, [Chain(*chain) for chain in chains], answer, timing)
+        r = _Run(layout, [Chain(*chain) for chain in chains], tables, decide, timing)
         r.run()
         trace = _facts(r)
         if tree is not None:
             _grow(tree, r.asked, trace)
-    return _judge(trace, [s.kind for s in strategies], safety, bound,
-                  value or [1.0] * len(chains))
-
-
-_EVENT_ORDER = operator.attrgetter("time", "chain_id", "tx_id")
+    return _judge(trace, [s.kind for s in strategies], safety, bound, value)
 
 
 class _Trace(NamedTuple):
@@ -733,40 +734,51 @@ class _Trace(NamedTuple):
 
 
 def _facts(r: _Run) -> _Trace:
-    """The trace facts of a finished run."""
-    spender = tuple(r.chains[a.chain].spent.get(r.refs[i], "") if i in r.refs else None
-                    for i, a in enumerate(r.actions))
+    """The trace facts of a finished run, in one pass over its locks and one
+    over its chains.
+
+    Events never tie on (time, chain, tx): each transaction id spends one
+    lock, so one rejected is never confirmed later.  Their own tuple order
+    is then the trace order."""
+    spender, swapped = [], True
+    for i, a in enumerate(r.actions):
+        ref = r.refs.get(i)
+        spender.append(None if ref is None else r.chains[a.chain].spent.get(ref, ""))
+        if a.kind == "principal" and not (spender[i] or "").startswith("claim"):
+            swapped = False
     last_spend = last = 0.0
     sent = -math.inf  # latest broadcast of a transaction processed
+    events, revealed, holdings, unconserved, locks_left = [], set(), [], [], 0
     for c in r.chains:
         if c.events:  # a chain appends its events in time order
             last = max(last, c.events[-1].time)
             sent = max(sent, c.events[-1].time - c.confirm_delay)
-            last_spend = max(last_spend, next(
-                (e.time for e in reversed(c.events) if e.kind == "confirmed"), 0.0))
-    return _Trace(
-        parties=r.parties, actions=r.actions,
-        swapped=all((spender[i] or "").startswith("claim")
-                    for i, a in enumerate(r.actions) if a.kind == "principal"),
-        spender=spender,
-        revealed=frozenset(r.roles[h] for c in r.chains for h in c.revealed if h in r.roles),
-        holdings=tuple((tuple(c.funded_total.items()), tuple(c.balances.items()))
-                       for c in r.chains),
-        events=tuple(sorted((e for c in r.chains for e in c.events), key=_EVENT_ORDER)),
-        locks_left=sum(len(c.utxos) + len(c.mempool) for c in r.chains),
-        last_spend=last_spend,
-        unconserved=tuple(c.id for c in r.chains if not conservation_holds(c)),
+            for e in reversed(c.events):
+                if e.kind == "confirmed":
+                    last_spend = max(last_spend, e.time)
+                    break
+            events += c.events
+        revealed.update(r.roles[h] for h in c.revealed if h in r.roles)
+        holdings.append((tuple(c.funded_total.items()), tuple(c.balances.items())))
+        locks_left += len(c.utxos) + len(c.mempool)
+        if not conservation_holds(c):
+            unconserved.append(c.id)
+    events.sort()
+    return _Trace(  # the fields in order
+        r.parties, r.actions, swapped, tuple(spender), frozenset(revealed), tuple(holdings),
+        tuple(events), locks_left,
+        last_spend, tuple(unconserved),
         # The run ends at the first poll that observes the last confirmation.
-        final_time=last if r.anchor is None else r.poll_at(last, sent),
-    )
+        last if r.anchor is None else r.poll_at(last, sent))
 
 
 def _judge(t: _Trace, kinds, safety, bound: float, scale) -> TraceVerdict:
     """Net value, Correctness, Safety, Liveness and conservation of a trace
-    played by strategies of these kinds."""
+    played by strategies of these kinds; ``scale`` values each chain's coins
+    (1 each if None)."""
     endow = dict.fromkeys(t.parties, 0.0)
     recv = dict.fromkeys(t.parties, 0.0)
-    for f, (funded, held) in zip(scale, t.holdings):
+    for f, (funded, held) in zip(scale or [1.0] * len(t.holdings), t.holdings):
         for p, v in funded:
             endow[p] += f * v
         for p, v in held:
@@ -787,10 +799,8 @@ def _judge(t: _Trace, kinds, safety, bound: float, scale) -> TraceVerdict:
     for chain_id in t.unconserved:
         safe = False
         witnesses.append(f"conservation violated on {chain_id}")
-    return TraceVerdict(
-        outcome=outcome, net_value=net, correctness=correctness, safety=safe,
-        liveness=liveness, witnesses=witnesses, events=list(t.events), final_time=t.final_time,
-    )
+    return TraceVerdict(outcome, net, correctness, safe, liveness, witnesses, list(t.events),
+                        t.final_time)
 
 
 def _compensated(t: _Trace, kinds, endow, recv, rho: float) -> tuple[bool, list[str]]:
@@ -836,17 +846,21 @@ def recovers_locked(t: _Trace, kinds, endow, recv) -> tuple[bool, list[str]]:
     return not any(w.startswith("safety") for w in witnesses), witnesses
 
 
-def _replay(tree: dict, answer) -> _Trace | None:
-    """The trace ``tree`` holds for these answers, or None where it has none.
+def _replay(tree: dict, tables, decide) -> _Trace | None:
+    """The trace ``tree`` holds for the answers of strategies with these
+    answer tables, or None where it has none.
 
     A tree node is ``(question, {answer: node})`` and a leaf a ``_Trace``;
-    the root sits under the key None.  ``answer(*question)`` answers a
-    recorded question for the profile being replayed.
+    the root sits under the key None.  A question is ``(party, (question,
+    phase), hour)``, answered as ``_Run.ask`` answers it.
     """
     node = tree.get(None)
     while type(node) is tuple:  # a _Trace is a tuple subclass, so it ends the walk
-        question, branches = node
-        node = branches.get(answer(*question))
+        (party, key, clock), branches = node
+        answer = tables[party].get(key)
+        if answer is None:
+            answer = "act" if decide(party, key[1], clock) else "cancel"
+        node = branches.get(answer)
     return node
 
 
@@ -870,30 +884,32 @@ def run(
     The engine runs only when the profile's answers leave the instance's
     ``answer_tree``; otherwise the trace found there is judged afresh.  A
     strategy that names a phase its party does not have in the protocol is
-    refused."""
-    phases = _party_phases(instance.kind)
+    refused.  At the constant price (no ``price_path``) each coin is worth 1,
+    which ``execute`` assumes when it is given no values, and no ``decide``
+    is made unless a strategy is ``threshold``."""
+    chains, safety, phases, _ = instance.engine
     strategies = (profile.strategy_A, profile.strategy_B)
     for party, s in zip("AB", strategies):
-        if s.phase not in (None, "start", *phases[party]):
+        if s.phase not in phases[party]:
             raise ValueError(f"{party}={s.label()}: {party} has no {s.phase} phase in "
                              f"the {instance.kind} protocol")
-    b = instance.base
-    price = price_path or (lambda t: b.x_yb_t1)
-
-    def decide(party: int, phase: str, now: float) -> bool:
-        """Threshold play: B locks inside its band, A claims above its threshold."""
-        if (party, phase) == (1, "lock"):
-            lo, hi = instance.thresholds[0]
-            return strategies[1].interested and lo < price(now) <= hi
-        if (party, phase) == (0, "claim"):
-            return strategies[0].interested and price(now) >= instance.thresholds[1]
-        return True
-
+    x = instance.base.x_yb_t1
+    price = price_path or (lambda t: x)
     bound = liveness_bound(instance, profile)
     # Net value in A-asset units at the price once every lock is released.
-    value = [1.0, price(bound + 1.0) / b.x_yb_t1]
-    return execute(instance.layout, (("chain-a", b.tau_a), ("chain-b", b.tau_b)),
-                   strategies, instance.timing, safety=functools.partial(_compensated, rho=instance.rho),
+    value = price_path and [1.0, price(bound + 1.0) / x]
+    decide = None
+    if "threshold" in (strategies[0].kind, strategies[1].kind):
+        def decide(party: int, phase: str, now: float) -> bool:
+            """Threshold play: B locks inside its band, A claims above its threshold."""
+            if (party, phase) == (1, "lock"):
+                lo, hi = instance.thresholds[0]
+                return strategies[1].interested and lo < price(now) <= hi
+            if (party, phase) == (0, "claim"):
+                return strategies[0].interested and price(now) >= instance.thresholds[1]
+            return True
+
+    return execute(instance.layout, chains, strategies, instance.timing, safety=safety,
                    bound=bound, decide=decide, value=value, tree=instance.answer_tree)
 
 
@@ -938,30 +954,24 @@ def _party_phases(kind: str) -> dict[str, tuple[str, ...]]:
 def strategy_grid(kind: str) -> dict[str, list[Strategy]]:
     out: dict[str, list[Strategy]] = {}
     for party, order in _party_phases(kind).items():
-        opts = [Strategy("compliant")]
-        opts += [Strategy("grief", phase="start")]
-        opts += [Strategy("grief", phase=ph) for ph in order[:-1]]
-        opts += [Strategy("cancel", phase=ph) for ph in order]
-        opts += [Strategy("delay", phase=ph, hours=h) for ph in order for h in (1.0, 6.0, 12.0)]
-        out[party] = opts
+        out[party] = ([Strategy("compliant"), Strategy("grief", phase="start")]
+                      + [Strategy("grief", phase=ph) for ph in order[:-1]]
+                      + [Strategy("cancel", phase=ph) for ph in order]
+                      + [Strategy("delay", phase=ph, hours=h) for ph in order for h in (1.0, 6.0, 12.0)])
     return out
 
 
 def check_properties(instance: ProtocolInstance) -> PropertyReport:
     """Run every profile in the grid and collect per-trace verdicts."""
     grid = strategy_grid(instance.kind)
+    a_opts, b_opts = ([(s, s.label()) for s in grid[p]] for p in "AB")
     rows = []
-    for profile in (StrategyProfile(a, b) for a in grid["A"] for b in grid["B"]):
-        v = run(instance, profile)
-        rows.append(PropertyRow(
-            profile=profile.label(),
-            outcome=v.outcome,
-            correctness=v.correctness,
-            safety=v.safety,
-            liveness=v.liveness,
-            witnesses=v.witnesses,
-        ))
-    return PropertyReport(kind=instance.kind, rows=rows)
+    for a, la in a_opts:
+        for b, lb in b_opts:  # each row labelled as StrategyProfile.label does
+            v = run(instance, StrategyProfile(a, b))
+            rows.append(PropertyRow(f"A={la} B={lb}", v.outcome, v.correctness, v.safety,
+                                    v.liveness, v.witnesses))
+    return PropertyReport(instance.kind, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -130,11 +130,37 @@ def test_params_file_round_trip(tmp_path):
     (("validate", "--set", "kind=htlc", "--set", "x_yb_t1=0"), "x_yb_t1 must be > 0"),
     (("validate", "--set", "kind=quickswap", "--set", "x_yb_t1=0"), "x_yb_t1 must be > 0"),
     (("montecarlo", "--set", "x_yb_t1=0"), "x_yb_t1 must be > 0"),
+    # A lock of 0 coins used to end validate with the ledger's "output
+    # amount must be > 0", which names no parameter.
+    (("validate", "--set", "kind=quickswap", "--set", "rho=0"), "rho must be > 0"),
+    (("validate", "--set", "kind=htlc", "--set", "x_a=0"), "x_a must be > 0"),
+    (("validate", "--set", "kind=quickswap", "--set", "x_a=0"), "x_a must be > 0"),
 ])
 def test_malformed_inputs_exit_2_with_an_error_line(tmp_path, capsys, args, says):
     assert run_cli(*args, "--out", str(tmp_path / "run")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and says in err
+
+
+def test_a_free_htlc_lockup_still_validates(tmp_path):
+    # The plain swap locks no premium, so rho = 0 leaves every lock funded:
+    # nothing is owed to a griefed party and no profile violates safety.
+    out = tmp_path / "run"
+    assert run_cli("validate", "--set", "kind=htlc", "--set", "rho=0", "--out", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["summary"]["safety_violations"] == 0 and manifest["summary"]["rows"] == 121
+
+
+@pytest.mark.parametrize("args, code", [
+    (("htlc-surface", "--set", "f_a=5"), 0),
+    (("montecarlo", "--set", "f_a=5", "--set", "paths=1000"), 2),  # A never starts
+    (("quickswap-sr", "--set", "xa_min=0"), 0),
+])
+def test_a_claim_threshold_at_or_below_zero_warns_nothing(tmp_path, args, code):
+    # A's claim threshold is <= 0 at these configs.  The price kernels took
+    # its log, which warned ("invalid value", "divide by zero"); under the
+    # suite's warnings-as-errors the run then failed.
+    assert run_cli(*args, "--out", str(tmp_path / "run")) == code
 
 
 @pytest.mark.parametrize("args, says", [

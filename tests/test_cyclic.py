@@ -249,7 +249,10 @@ def test_zero_delay_traces_unchanged():
     assert digest == ZERO_DELAY_DIGEST
 
 
-def _two_party_records() -> list:
+def _two_party_records(events: bool = False) -> list:
+    """A record per run of both strategy grids and the threshold profiles on
+    three constant price paths, on two configs: its verdict, or with
+    ``events`` its events and final time."""
     from swapsim.htlcgame import claim_threshold_t3, continuation_band_t2
     from swapsim.protocol import (
         Strategy, StrategyProfile, build_htlc_instance, build_quickswap_instance, run,
@@ -279,11 +282,11 @@ def _two_party_records() -> list:
                          for a in thresholds for bb in thresholds]
             for profile, path, price_path in runs:
                 v = run(inst, profile, price_path)
-                records.append([
-                    inst.kind, sorted(overrides.items()), profile.label(), path,
-                    v.outcome, v.correctness, v.safety, v.liveness, v.witnesses,
-                    sorted((p, net(x)) for p, x in v.net_value.items()),
-                ])
+                records.append([inst.kind, sorted(overrides.items()), profile.label(), path] + (
+                    [[(repr(e.time), e.chain_id, e.tx_id, e.kind, list(e.revealed), e.reason)
+                      for e in v.events], repr(v.final_time)] if events else
+                    [v.outcome, v.correctness, v.safety, v.liveness, v.witnesses,
+                     sorted((p, net(x)) for p, x in v.net_value.items())]))
     return records
 
 
@@ -299,6 +302,19 @@ def test_two_party_verdicts_unchanged():
 
     digest = hashlib.sha256(json.dumps(_two_party_records()).encode()).hexdigest()
     assert digest == TWO_PARTY_DIGEST
+
+
+# sha256 of the same runs' events, rejection reasons included, and final
+# times; any change in what the ledger confirms, or when, moves it.
+TWO_PARTY_EVENTS_DIGEST = "b797d692ac9834ed2a26137f49fb03614db87c797ffcadaa73789c5042ca1df2"
+
+
+def test_two_party_traces_unchanged():
+    import hashlib
+    import json
+
+    digest = hashlib.sha256(json.dumps(_two_party_records(events=True)).encode()).hexdigest()
+    assert digest == TWO_PARTY_EVENTS_DIGEST
 
 
 def _two_party_drift_records() -> list:

@@ -202,3 +202,28 @@ def test_spend_input_keeps_a_read_only_copy_of_its_preimages():
     c.advance(1.0)
     with pytest.raises(ValueError, match="already spent"):
         c.broadcast(Transaction("claim-again", [spend], [Payout("B", 2.0)]), 2.0)
+
+
+def test_advance_confirms_only_what_is_due_in_any_broadcast_order():
+    # The mempool is not kept in confirm-time order: a broadcast may name an
+    # earlier hour than the one before it.  Only the due transaction
+    # confirms; the later one stays pending, and is confirmed once due.
+    c = Chain("a", 3.0)
+    c.broadcast(_lock(tx_id="late"), 2.0)
+    c.broadcast(_lock(tx_id="early"), 1.0)
+    assert [e.tx_id for e in c.advance(4.0)] == ["early"]
+    assert [t.id for t in c.mempool] == ["late"] and c.next_confirm_time() == 5.0
+    c.broadcast(_lock(tx_id="next"), 4.5)
+    assert [e.tx_id for e in c.advance(5.0)] == ["late"]
+    assert [e.tx_id for e in c.advance(7.5)] == ["next"] and c.next_confirm_time() is None
+
+
+def test_nan_hours_are_refused():
+    # A NaN hour never comes due: the transaction would sit in the mempool
+    # for good, and the ledger could not order it against the others.
+    with pytest.raises(ValueError, match="confirm_delay"):
+        Chain("a", float("nan"))
+    c = Chain("a", 3.0)
+    with pytest.raises(ValueError, match="NaN hour"):
+        c.broadcast(_lock(), float("nan"))
+    assert not c.mempool and not c.try_broadcast(_lock(), float("nan"))

@@ -185,3 +185,17 @@ def test_kernels_take_their_step_limits_at_zero_spread():
     at = 2.0 * math.exp(0.002 * 50.0)
     assert cdf_from(np.array([at * 0.99, at * 1.01]), 2.0, still, 50.0).tolist() == [0.0, 1.0]
     assert pe_below_from(np.array([at * 0.99, at * 1.01]), 2.0, still, 50.0).tolist() == [0.0, at]
+
+
+def test_kernels_are_zero_below_a_target_at_or_below_zero():
+    # A target <= 0 lies below every price: both kernels are exactly 0 there,
+    # with no log warning, at zero spread too, and the positive targets of
+    # the same call keep the bits of a call without the others.
+    targets = np.array([[-1.5], [0.0], [-0.0], [2.5]])
+    starts = np.linspace(0.5, 4.0, 9)
+    for params, lam in ((GBM, 3.0), (GBM, np.array([[[0.0]], [[3.0]]])), (GbmParams(0.002, 0.0), 3.0)):
+        cdf, pe = cdf_from(targets, starts, params, lam), pe_below_from(targets, starts, params, lam)
+        assert not cdf[..., :3, :].any() and not pe[..., :3, :].any()
+        assert np.array_equal(cdf[..., 3:, :], cdf_from(targets[3:], starts, params, lam))
+        assert np.array_equal(pe[..., 3:, :], pe_below_from(targets[3:], starts, params, lam))
+    assert cdf_from(-1.0, 2.0, GBM, 3.0) == 0.0 and pe_below_from(0.0, 2.0, GBM, 3.0) == 0.0

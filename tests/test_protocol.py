@@ -285,6 +285,14 @@ def test_check_properties_runs_each_answer_list_once(monkeypatch, kind, profiles
     assert len(counted) == engine_runs
 
 
+@pytest.mark.parametrize("kind", ["htlc", "quickswap"])
+def test_property_rows_are_labelled_as_their_profiles(kind):
+    # check_properties labels each grid strategy once, not each profile; every
+    # row still reads as StrategyProfile.label, in grid order.
+    want = [profile.label() for profile in _profiles(kind)]
+    assert [row.profile for row in check_properties(_instance(kind)).rows] == want
+
+
 def test_trace_cache_keeps_no_cycle_to_its_instance():
     # Leaves that held the threshold strategies' ``decide`` closure made a
     # cycle instance -> tree -> leaf -> closure -> instance, which only the
