@@ -68,6 +68,12 @@ _MAX_MC_PATHS = 4_000_000
 _MC_XA = (1.5, 2.4)
 _MC_QS_XA = (1.2, 2.6)
 _MC_DELAYS = 4
+# Decimals z is written to.  z = (freq - analytic) / se is ill-conditioned in
+# the analytic rate: at 1e5 paths a 1-ulp move of a rate moves z by about
+# 4e-14, and the rates are gated to 1e-9 only, which moves z by up to 1e-6.
+# The table, max_abs_z, all_within_3se and the exit status all use the
+# written z.
+_Z_DECIMALS = 6
 _CYCLIC_DEFAULTS: dict = {
     "n": 3, "amounts": (), "taus": (), "locktimes": (),
     "D": 12.0, "Delta": 2.0, "rho": 0.001, "t_eps": 1.0,
@@ -265,7 +271,12 @@ def _csv_cells(col) -> list[str]:
         uniq, inverse = np.unique(bits, return_inverse=True)
         texts = ["NA" if math.isnan(v) else format(v, ".12g") for v in uniq.view(float).tolist()]
         return [texts[i] for i in inverse.tolist()]
-    texts = [_fmt(v) for v in col]
+    # A column of one type needs no per-cell dispatch: validate's verdict
+    # columns are all bool, its labels all text.
+    kinds = set(map(type, col))
+    if kinds == {bool}:
+        return ["1" if v else "0" for v in col]
+    texts = col if kinds == {str} else [_fmt(v) for v in col]
     return ['"' + t.replace('"', '""') + '"' if "," in t or '"' in t else t for t in texts]
 
 
@@ -320,8 +331,9 @@ def _write_columns(cfg: RunConfig, name: str, columns: dict) -> None:
 
 
 def _write_table(cfg: RunConfig, name: str, header: list[str], rows: list[list]) -> None:
-    """Write one table given as a header and a list of rows."""
-    _write_columns(cfg, name, {h: [row[i] for row in rows] for i, h in enumerate(header)})
+    """Write one table given as a header and a list of rows of its length."""
+    columns = map(list, zip(*rows)) if rows else ([] for _ in header)
+    _write_columns(cfg, name, dict(zip(header, columns)))
 
 
 def _write_manifest(cfg: RunConfig) -> None:
@@ -450,6 +462,11 @@ def _z_score(freq: float, analytic: float, paths: int) -> float:
     return 0.0 if freq == analytic else math.copysign(math.inf, freq - analytic)
 
 
+def _written_z(freq: float, analytic: float, paths: int) -> float:
+    """z as written: rounded to _Z_DECIMALS, with no negative zero."""
+    return round(_z_score(freq, analytic, paths), _Z_DECIMALS) + 0.0
+
+
 def _mc_xa(bounds: tuple[float, float]) -> np.ndarray:
     """Every value ``round(uniform(*bounds), 1)`` can take."""
     lo, hi = bounds
@@ -496,7 +513,8 @@ def cmd_montecarlo(cfg: RunConfig) -> int:
         analytic = float(surface.raw[i, T, Tp])
         freq, se = mc_success_rate_htlc(base.with_x_a(x_a), float(T), float(Tp), paths,
                                         int(rng.integers(2**31)), bands[i][T])
-        rows.append(["htlc", x_a, float(T), float(Tp), analytic, freq, se, _z_score(freq, analytic, paths)])
+        rows.append(["htlc", x_a, float(T), float(Tp), analytic, freq, se,
+                     _written_z(freq, analytic, paths)])
         picked += 1
 
     xa = _mc_xa(_MC_QS_XA)
@@ -509,7 +527,8 @@ def cmd_montecarlo(cfg: RunConfig) -> int:
         analytic = float(quick_srs[i])
         freq, se = mc_success_rate_quickswap(quick.with_x_a(x_a), paths, int(rng.integers(2**31)),
                                              quick_bands[i])
-        rows.append(["quickswap", x_a, 0.0, 0.0, analytic, freq, se, _z_score(freq, analytic, paths)])
+        rows.append(["quickswap", x_a, 0.0, 0.0, analytic, freq, se,
+                     _written_z(freq, analytic, paths)])
 
     worst = max(abs(row[-1]) for row in rows)
     _write_table(cfg, "montecarlo",
@@ -554,27 +573,37 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(names=tuple(_COMMANDS)) -> argparse.ArgumentParser:
+    """The CLI parser with the subparsers of ``names`` (all by default).
+
+    Built with fewer, it lists every subcommand as the metavar of the
+    subcommand argument, so that an error after the subcommand prints the
+    full parser's usage line.  The full parser needs no metavar, and must
+    have none: an error about the subcommand itself would name it."""
     parser = argparse.ArgumentParser(
         prog="swapsim",
         description="Atomic-swap game solvers, protocol simulator, and validators.",
     )
-    # Every subcommand takes the same options: declared once, shared by all.
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--params", help="flat key=value parameter file")
-    shared.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                        help="inline parameter override (repeatable)")
-    shared.add_argument("--out", default=".", help="output directory")
-    shared.add_argument("--seed", type=int, default=0)
-    shared.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _COMMANDS:
-        sub.add_parser(name, parents=[shared])
+    metavar = None if set(names) == set(_COMMANDS) else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
+    # Every subcommand takes the same options.
+    for name in names:
+        s = sub.add_parser(name)
+        s.add_argument("--params", help="flat key=value parameter file")
+        s.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                       help="inline parameter override (repeatable)")
+        s.add_argument("--out", default=".", help="output directory")
+        s.add_argument("--seed", type=int, default=0)
+        s.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A call builds only its subcommand's parser; the top-level help, and an
+    # unknown or missing subcommand, get every subparser.
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    args = _build_parser(names).parse_args(argv)
     if args.seed < 0:
         print("error: --seed must be a non-negative integer", file=sys.stderr)
         return 2

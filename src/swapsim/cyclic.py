@@ -15,8 +15,8 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-from .protocol import (LockAction, Strategy, Timing, TraceVerdict, _Layout, _mk_secret, execute,
-                       recovers_locked)
+from .protocol import (LockAction, Strategy, Timing, TraceVerdict, _Layout, _lockable, _mk_secret,
+                       execute, recovers_locked)
 
 __all__ = [
     "CyclicSpec",
@@ -117,8 +117,11 @@ def generate(spec: CyclicSpec) -> CyclicPlan:
 
     The last party leads with its premium; then P0..P(n-2) each lock
     principal + premium in ring order; the last party's principal closes the
-    schedule.  Each lock starts when the previous lock has confirmed.
+    schedule.  Each lock starts when the previous lock has confirmed.  Every
+    premium is ``rho`` times a principal-hour, so ``rho`` must be > 0, as the
+    two-party builders require.
     """
+    _lockable(rho=spec.rho)
     n = spec.n
     last = n - 1
     secrets = {"Hbar": _mk_secret(b"cyclic-payment-secret")}

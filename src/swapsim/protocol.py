@@ -32,36 +32,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .htlcgame import SwapParams, claim_threshold_t3, continuation_band_t2
-from .ledgersim import (
-    Chain,
-    ConfirmationEvent,
-    LockedOutput,
-    OutputRef,
-    Payout,
-    SpendBranch,
-    SpendInput,
-    Transaction,
-    conservation_holds,
-    hash_secret,
-)
+from .ledgersim import (Chain, ConfirmationEvent, LockedOutput, OutputRef, Payout, SpendBranch,
+                        SpendInput, Transaction, conservation_holds, hash_secret)
 from .quickswapgame import QuickSwapParams, claim_threshold_t4, continuation_band_t3
 
 __all__ = [
-    "Strategy",
-    "StrategyProfile",
-    "LockAction",
-    "Timing",
-    "ProtocolInstance",
-    "TraceVerdict",
-    "build_htlc_instance",
-    "build_quickswap_instance",
-    "execute",
-    "run",
-    "check_properties",
-    "PropertyReport",
-    "liveness_bound",
-    "mc_success_rate_htlc",
-    "mc_success_rate_quickswap",
+    "Strategy", "StrategyProfile", "LockAction", "Timing", "ProtocolInstance", "TraceVerdict",
+    "build_htlc_instance", "build_quickswap_instance", "execute", "run", "check_properties",
+    "PropertyReport", "liveness_bound", "mc_success_rate_htlc", "mc_success_rate_quickswap",
 ]
 
 _PARTY_PHASES = {"htlc": {"A": ("lock", "claim"), "B": ("lock", "claim")},
@@ -102,16 +80,11 @@ class Strategy:
 
     # -- phase queries -------------------------------------------------------
     def acts_at(self, phase: str) -> bool:
-        """Whether the party performs this protocol phase at all."""
+        """Whether the party performs this protocol phase at all.  A canceller
+        acts normally before its cancel phase, which the engine handles."""
         if self.kind == "grief":
-            if self.phase == "start":
-                return False
-            return _PHASES.index(phase) <= _PHASES.index(self.phase)
-        if self.kind == "cancel":
-            # Acts normally before the cancel phase; the cancel phase itself
-            # is handled specially by the engine.
-            return _PHASES.index(phase) < _PHASES.index(self.phase)
-        return True
+            return self.phase != "start" and _PHASES.index(phase) <= _PHASES.index(self.phase)
+        return self.kind != "cancel" or _PHASES.index(phase) < _PHASES.index(self.phase)
 
     def cancels_at(self, phase: str) -> bool:
         return self.kind == "cancel" and self.phase == phase
@@ -227,25 +200,21 @@ class ProtocolInstance:
     @functools.cached_property
     def engine(self) -> tuple:
         """What ``run`` hands ``execute`` for every profile: the two chains,
-        the safety rule, each party's phases with None and "start", and the
-        hour ``liveness_bound`` adds the profile's delays to."""
+        the safety rule, each party's phases with None and "start", the hour
+        ``liveness_bound`` adds the profile's delays to, and the timing: A
+        and B each wait for the counterparty's lock to confirm and for A's
+        claim to be seen on the slower chain, each plus half of B's
+        confirmation delay."""
         b = self.base
+        slack = b.tau_b / 2.0
         return ((("chain-a", b.tau_a), ("chain-b", b.tau_b)),
                 functools.partial(_compensated, rho=self.rho),
                 {p: (None, "start", *ph) for p, ph in _party_phases(self.kind).items()},
                 self.layout.longest + self.actions[-1].start_time
-                + b.tau_a + b.tau_b + b.t_eps + b.tau_b / 2.0)  # last, the compliant give-up wait
-
-    @functools.cached_property
-    def timing(self) -> Timing:
-        """When A and B act beyond the lock schedule: each waits for the
-        counterparty's lock to confirm and for A's claim to be seen on the
-        slower chain, each plus half of B's confirmation delay."""
-        b = self.base
-        slack = b.tau_b / 2.0
-        return Timing(t_eps=b.t_eps, wait=((b.tau_a, slack), (b.tau_b, slack)),
-                      claim_wait=max(b.tau_a, b.tau_b) + b.t_eps + slack,
-                      release_with_claim=True)
+                + b.tau_a + b.tau_b + b.t_eps + slack,  # last, the compliant give-up wait
+                Timing(t_eps=b.t_eps, wait=((b.tau_a, slack), (b.tau_b, slack)),
+                       claim_wait=max(b.tau_a, b.tau_b) + b.t_eps + slack,
+                       release_with_claim=True))
 
 
 def _mk_secret(tag: bytes) -> bytes:
@@ -336,7 +305,8 @@ class _Layout:
     trace of it.  It holds the plan's steps (one party's locks with one start
     time, in order), each step's phase, the hash of every secret, each party's
     locks and the locks that time out to it, each lock's output ref, the
-    longest lock, and, built on first use, each lock's contract at each
+    longest lock, the principals and the principal each party is to receive,
+    and, built on first use, each lock's contract at each
     expiry it is made with and the input and payout of each spend.  All of
     these are immutable, so traces share them.
 
@@ -360,6 +330,8 @@ class _Layout:
         self.of = [[i for i, a in enumerate(actions) if a.party == p] for p in range(len(parties))]
         self.owed = [[i for i, a in enumerate(actions) if a.timeout_recipient == p]
                      for p in range(len(parties))]
+        self.principals = [i for i, a in enumerate(actions) if a.kind == "principal"]
+        self.incoming = {a.hashlock_claimant: a.amount for a in actions if a.kind == "principal"}
         self._spends: dict = {}  # (lock, spender, secret role) -> (SpendInput, Payout)
         self._contracts: dict = {}  # (lock, expiry) -> LockedOutput
 
@@ -409,12 +381,16 @@ class _Run:
     run on the poll grid: every hour and every timeout from the first watch.
 
     The run consults its strategies only through ``ask``, which records every
-    question and answer in ``asked``.
+    question and answer in ``asked``.  It queues no event that provably does
+    nothing: no sweep or early refund of a lock with a spend out (in
+    ``closing``) that confirms before the event's hour, as the spend then
+    confirms, or loses to one that did, in the observation queued at its
+    hour; and no alert from a party that broadcast no secret, or once
+    everyone cancels.
     """
 
     def __init__(self, layout: _Layout, chains, tables, decide, timing):
         self.layout = layout
-        self.roles = layout.roles
         self.steps, self.phase = layout.steps, layout.phase
         self.actions, self.parties = layout.actions, layout.parties
         self.chains, self.tables, self.decide, self.timing = chains, tables, decide, timing
@@ -431,6 +407,7 @@ class _Run:
         self.revealed = [False] * n        # the party broadcast a cancel
         self.dead = False                  # a party with a principal in did so
         self.seen: dict[str, float] = {}   # hash -> earliest confirmed reveal
+        self.closing = {}                  # lock -> confirmation hour of its first spend out
         self.performed = 0                 # steps taken; the claim is the last
         self.asked: list = []              # (question, answer) in the order asked
 
@@ -482,10 +459,11 @@ class _Run:
             for h in e.revealed:
                 if e.time < self.seen.get(h, math.inf):
                     self.seen[h] = e.time
-                role = self.roles[h]
+                role = self.layout.roles[h]
                 if role != "Hbar" and self.anchor is not None:
                     seen = self.poll_at(e.time + self.timing.t_eps, e.time - chain.confirm_delay)
-                    self.at(seen, self._refund_early, role)
+                    if self.closing.get(self.layout.refunds.get(role), math.inf) >= seen:
+                        self.at(seen, self._refund_early, role)
 
     def poll_at(self, t: float, after: float = -math.inf) -> float:
         """First poll at or after ``t`` and later than ``after``.  Polls fall
@@ -516,7 +494,10 @@ class _Run:
     def spend(self, idx: int, party: int, tx_id: str, role: str | None = None) -> bool:
         spend, payout = self.layout.spend_parts(idx, party, role)
         tx = Transaction(tx_id, [spend], [payout])
-        return self.broadcast(self.chains[self.actions[idx].chain], tx)
+        sent = self.broadcast(self.chains[self.actions[idx].chain], tx)
+        if sent:
+            self.closing.setdefault(idx, tx.confirm_time)
+        return sent
 
     def locked(self, party: int) -> bool:
         return any(i in self.refs for i in self.layout.of[party])
@@ -626,7 +607,9 @@ class _Run:
 
     # -- cancelling ------------------------------------------------------------
     def _cancel(self, party: int, alert: bool) -> None:
-        """Reveal the party's cancel secret through its premium; refund early."""
+        """Reveal the party's cancel secret through its premium; refund early.
+        An alert follows unless everyone cancels, or the party broadcast no
+        secret, which it does through a premium (so it has one if it did)."""
         if not self.cancelling[party]:
             self.cancelling[party] = True
             for idx in self.own(party, "premium"):
@@ -636,10 +619,10 @@ class _Run:
             self._watch(party)
             for idx in self.own(party, "principal"):
                 self._refund_early(self.actions[idx].early_refund_hash)
-        premiums = [self.actions[i].chain for i in self.layout.of[party]
-                    if self.actions[i].kind == "premium"]
-        if alert and premiums:
-            seen = self.clock + self.chains[premiums[0]].confirm_delay + self.timing.t_eps
+        if alert and self.revealed[party] and not all(self.cancelling):
+            chain = next(self.actions[i].chain for i in self.layout.of[party]
+                         if self.actions[i].kind == "premium")
+            seen = self.clock + self.chains[chain].confirm_delay + self.timing.t_eps
             self.at(self.poll_at(seen), self._alerted, party)
 
     def _alerted(self, canceller: int) -> None:
@@ -680,10 +663,9 @@ class _Run:
             if not self.spent(idx):
                 self.spend(idx, self.actions[idx].timeout_recipient, f"timeout-{idx}")
 
-        if self.expiry[idx] > self.clock:
-            self.at(self.expiry[idx], sweep, prio=0)
-        else:
-            self.at(self.clock, sweep, prio=2)
+        due, prio = (self.expiry[idx], 0) if self.expiry[idx] > self.clock else (self.clock, 2)
+        if self.closing.get(idx, math.inf) >= due:
+            self.at(due, sweep, prio=prio)
 
 
 def execute(layout: _Layout, chains, strategies, timing, *, safety,
@@ -717,57 +699,54 @@ def execute(layout: _Layout, chains, strategies, timing, *, safety,
 class _Trace(NamedTuple):
     """What a verdict reads of one finished trace; it holds no strategy, so
     every profile whose answers lead to it can be judged on it.  A named
-    tuple: immutable, and quick to build once per trace."""
+    tuple, quick to build once per trace; nothing changes it, its lists or
+    the maps of its finished chains."""
 
-    parties: tuple[str, ...]
-    actions: tuple[LockAction, ...]
-    swapped: bool                         # every principal was claimed
-    spender: tuple[str | None, ...]       # per lock: its confirmed spend's id, "" if
-                                          # unspent, None if never made
-    revealed: frozenset[str]              # roles revealed on any chain
-    holdings: tuple                       # per chain: (funded_total, balances) items
-    events: tuple[ConfirmationEvent, ...]  # sorted by time, chain, tx
+    layout: _Layout
+    holdings: list         # per chain: its funded_total and balances
+    swapped: bool          # every principal was claimed
+    spender: list          # per lock: its confirmed spend's id, "" if unspent, None if never made
+    revealed: frozenset    # roles revealed on any chain
+    worth: tuple           # per party: funded, received; a coin worth 1
+    events: list           # sorted by time, chain, tx
     locks_left: int
     last_spend: float
-    unconserved: tuple[str, ...]          # chains whose value is not conserved
+    unconserved: list      # chains whose value is not conserved
     final_time: float
 
 
 def _facts(r: _Run) -> _Trace:
     """The trace facts of a finished run, in one pass over its locks and one
-    over its chains.
+    over its chains; every reveal a chain confirms is in the run's ``seen``.
 
     Events never tie on (time, chain, tx): each transaction id spends one
     lock, so one rejected is never confirmed later.  Their own tuple order
     is then the trace order."""
-    spender, swapped = [], True
-    for i, a in enumerate(r.actions):
-        ref = r.refs.get(i)
-        spender.append(None if ref is None else r.chains[a.chain].spent.get(ref, ""))
-        if a.kind == "principal" and not (spender[i] or "").startswith("claim"):
-            swapped = False
-    last_spend = last = 0.0
+    lay = r.layout
+    spender = [None] * len(r.actions)
+    for i in r.refs:
+        spender[i] = r.chains[r.actions[i].chain].spent.get(lay.refs[i], "")
     sent = -math.inf  # latest broadcast of a transaction processed
-    events, revealed, holdings, unconserved, locks_left = [], set(), [], [], 0
+    events, unconserved, locks_left = [], [], 0
+    endow, recv = dict.fromkeys(lay.parties, 0.0), dict.fromkeys(lay.parties, 0.0)
     for c in r.chains:
         if c.events:  # a chain appends its events in time order
-            last = max(last, c.events[-1].time)
             sent = max(sent, c.events[-1].time - c.confirm_delay)
-            for e in reversed(c.events):
-                if e.kind == "confirmed":
-                    last_spend = max(last_spend, e.time)
-                    break
             events += c.events
-        revealed.update(r.roles[h] for h in c.revealed if h in r.roles)
-        holdings.append((tuple(c.funded_total.items()), tuple(c.balances.items())))
+        for p, v in c.funded_total.items():
+            endow[p] += v
+        for p, v in c.balances.items():
+            recv[p] += v
         locks_left += len(c.utxos) + len(c.mempool)
         if not conservation_holds(c):
             unconserved.append(c.id)
     events.sort()
+    last = events[-1].time if events else 0.0
     return _Trace(  # the fields in order
-        r.parties, r.actions, swapped, tuple(spender), frozenset(revealed), tuple(holdings),
-        tuple(events), locks_left,
-        last_spend, tuple(unconserved),
+        lay, [(c.funded_total, c.balances) for c in r.chains],
+        all((spender[i] or "").startswith("claim") for i in lay.principals),
+        spender, frozenset(map(lay.roles.get, r.seen)), (endow, recv), events, locks_left,
+        next((e.time for e in reversed(events) if e.kind == "confirmed"), 0.0), unconserved,
         # The run ends at the first poll that observes the last confirmation.
         last if r.anchor is None else r.poll_at(last, sent))
 
@@ -775,15 +754,16 @@ def _facts(r: _Run) -> _Trace:
 def _judge(t: _Trace, kinds, safety, bound: float, scale) -> TraceVerdict:
     """Net value, Correctness, Safety, Liveness and conservation of a trace
     played by strategies of these kinds; ``scale`` values each chain's coins
-    (1 each if None)."""
-    endow = dict.fromkeys(t.parties, 0.0)
-    recv = dict.fromkeys(t.parties, 0.0)
-    for f, (funded, held) in zip(scale or [1.0] * len(t.holdings), t.holdings):
-        for p, v in funded:
-            endow[p] += f * v
-        for p, v in held:
-            recv[p] += f * v
-    net = {p: recv[p] - endow[p] for p in t.parties}
+    (1 each if None, as the trace's facts hold them)."""
+    endow, recv = t.worth
+    if scale:  # what each party funded and received, a coin of chain i worth scale[i]
+        endow, recv = dict.fromkeys(endow, 0.0), dict.fromkeys(recv, 0.0)
+        for f, (funded, held) in zip(scale, t.holdings):
+            for p, v in funded.items():
+                endow[p] += f * v
+            for p, v in held.items():
+                recv[p] += f * v
+    net = {p: recv[p] - endow[p] for p in endow}
     outcome = "swapped" if t.swapped else ("griefed" if "grief" in kinds else "cancelled")
 
     witnesses: list[str] = []
@@ -809,21 +789,22 @@ def _compensated(t: _Trace, kinds, endow, recv, rho: float) -> tuple[bool, list[
     paid by the premiums that time out to it.  The plain HTLC pays none,
     which is exactly the violation the checker is expected to surface
     whenever ``rho`` is positive."""
+    actions = t.layout.actions
     for victim in (0, 1):
         if t.swapped or kinds[victim] != "compliant" or kinds[1 - victim] != "grief":
             continue
-        idx = next(i for i, a in enumerate(t.actions) if a.party == victim and a.kind == "principal")
+        idx = next(i for i in t.layout.principals if actions[i].party == victim)
         if t.spender[idx] is None:
             continue
-        a = t.actions[idx]
+        a = actions[idx]
         hours = a.timeout - a.start_time
         required = rho * a.amount * hours
-        received = sum(p.amount for i, p in enumerate(t.actions)
+        received = sum(p.amount for i, p in enumerate(actions)
                        if p.kind == "premium" and p.timeout_recipient == victim
                        and t.spender[i] == f"timeout-{i}")
         if received + 1e-9 < required:
-            return False, [f"safety: {t.parties[victim]} griefed with {a.amount:g} locked for "
-                           f"{hours:g}h, compensation {received:g} < required {required:g}"]
+            return False, [f"safety: {t.layout.parties[victim]} griefed with {a.amount:g} locked "
+                           f"for {hours:g}h, compensation {received:g} < required {required:g}"]
     return True, []
 
 
@@ -831,16 +812,15 @@ def recovers_locked(t: _Trace, kinds, endow, recv) -> tuple[bool, list[str]]:
     """Cyclic rule: a compliant party whose outgoing principal was claimed
     holds the incoming one; otherwise it gets back everything it locked
     (premium timeouts may add on top).  A success reveals only "Hbar"."""
-    witnesses: list[str] = []
+    lay, witnesses = t.layout, []
     if t.swapped and t.revealed != {"Hbar"}:
         witnesses.append(f"success trace revealed {sorted(t.revealed)}")
     expected = dict(endow)
-    incoming = {a.hashlock_claimant: a.amount for a in t.actions if a.kind == "principal"}
-    for idx, a in enumerate(t.actions):
-        if a.kind == "principal" and (t.spender[idx] or "").startswith("claim"):
-            p = t.parties[a.party]
-            expected[p] += incoming[a.party] - a.amount
-    for p, kind in zip(t.parties, kinds):
+    for idx in lay.principals:
+        if (t.spender[idx] or "").startswith("claim"):
+            a = lay.actions[idx]
+            expected[lay.parties[a.party]] += lay.incoming[a.party] - a.amount
+    for p, kind in zip(lay.parties, kinds):
         if kind == "compliant" and recv[p] + 1e-9 < expected[p]:
             witnesses.append(f"safety: {p} received {recv[p]:g} < expected {expected[p]:g}")
     return not any(w.startswith("safety") for w in witnesses), witnesses
@@ -887,7 +867,7 @@ def run(
     refused.  At the constant price (no ``price_path``) each coin is worth 1,
     which ``execute`` assumes when it is given no values, and no ``decide``
     is made unless a strategy is ``threshold``."""
-    chains, safety, phases, _ = instance.engine
+    chains, safety, phases, _, timing = instance.engine
     strategies = (profile.strategy_A, profile.strategy_B)
     for party, s in zip("AB", strategies):
         if s.phase not in phases[party]:
@@ -909,7 +889,7 @@ def run(
                 return strategies[0].interested and price(now) >= instance.thresholds[1]
             return True
 
-    return execute(instance.layout, chains, strategies, instance.timing, safety=safety,
+    return execute(instance.layout, chains, strategies, timing, safety=safety,
                    bound=bound, decide=decide, value=value, tree=instance.answer_tree)
 
 

@@ -135,6 +135,11 @@ def test_params_file_round_trip(tmp_path):
     (("validate", "--set", "kind=quickswap", "--set", "rho=0"), "rho must be > 0"),
     (("validate", "--set", "kind=htlc", "--set", "x_a=0"), "x_a must be > 0"),
     (("validate", "--set", "kind=quickswap", "--set", "x_a=0"), "x_a must be > 0"),
+    # One rule for a plan's premiums: the cyclic plan refuses rho = 0 as the
+    # two-party builders do, so that neither writes nor runs zero premiums.
+    (("validate", "--set", "kind=cyclic", "--set", "rho=0"),
+     "rho must be > 0, or the plan locks 0 coins"),
+    (("cyclic-plan", "--set", "rho=0"), "rho must be > 0, or the plan locks 0 coins"),
 ])
 def test_malformed_inputs_exit_2_with_an_error_line(tmp_path, capsys, args, says):
     assert run_cli(*args, "--out", str(tmp_path / "run")) == 2
@@ -222,6 +227,19 @@ def test_z_score_uses_the_analytic_standard_error():
     assert cli._z_score(0.999, 1.0, 1_000) == -math.inf
 
 
+def test_montecarlo_judges_the_z_it_writes(tmp_path, monkeypatch):
+    # A z that rounds to 3 at the written precision passes, as the table reads.
+    monkeypatch.setattr(cli, "_z_score", lambda freq, analytic, paths: 3.0000004)
+    out = tmp_path / "mc"
+    assert run_cli("montecarlo", "--out", str(out), "--set", "paths=1000", "--set", "cells=1") == 0
+    rows = (out / "montecarlo.csv").read_text().split()[1:]
+    assert {row.rsplit(",", 1)[1] for row in rows} == {"3"}
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    assert summary["max_abs_z"] == 3.0 and summary["all_within_3se"] is True
+    monkeypatch.setattr(cli, "_z_score", lambda freq, analytic, paths: -3.0000006)
+    assert run_cli("montecarlo", "--out", str(out), "--set", "paths=1000", "--set", "cells=1") == 1
+
+
 def test_montecarlo_rare_cell_without_successes_is_not_a_failure(tmp_path):
     # The Quick Swap cell x_a = 1.4 has rate 1.98e-4: no success in 1,000
     # paths is a likely draw, and used to read as z = -6259.7.
@@ -298,6 +316,27 @@ def test_default_quickswap_sr_bytes_are_pinned(tmp_path):
         "4655472e093b04c32bde21698b70d859b59b360dd7b56936fafcbb6706d3f321"
     assert _digest(tmp_path / "participation.json") == \
         "f93acc64ec56075c7bc45a79cd22a848941445f6a54aebe3fcd80c0beef00486"
+
+
+@pytest.mark.parametrize("args, table, table_digest, manifest_digest", [
+    (("validate", "--set", "kind=htlc"), "validate.csv",
+     "d5dc04cc4a7055fe4c92ad3462bdfb05d3627ca1dc9d229d92501d4f1f0f1aaa",
+     "5f10a89729f7fa2df37e3c46dbd91007f1ef3fff3426ac7506fe38d05ef17c6b"),
+    (("validate", "--set", "kind=quickswap"), "validate.csv",
+     "dd94819abea9324988a0e0ecdecf0fab30a86be31fbad23063e0a77c48326fb1",
+     "6f84ee6423ef6aff979b08a1e1bde2906d2ed5f6c05c66d271163b131469d4cf"),
+    (("validate", "--set", "kind=cyclic"), "validate.csv",
+     "57bd4180574e4c3c5715600f6cd8ffb20e662e381f92adf4925e6f1a669248c5",
+     "2a620da6c63c55e3561656216a8412b6c0f10b94191b86b74aef6a7c5b40653f"),
+    (("cyclic-plan", "--set", "n=4"), "cyclic_plan.csv",
+     "14b5c2d0e14370561b0e589327e3b5d314ca7ddb30aad191c783a853764cb50e",
+     "790bab460d59e2ec43398764cb6421dee128704676a5db4400bb65136bae27ce"),
+])
+def test_default_validate_and_plan_bytes_are_pinned(tmp_path, args, table, table_digest,
+                                                    manifest_digest):
+    assert run_cli(*args, "--out", str(tmp_path)) == 0
+    assert _digest(tmp_path / table) == table_digest
+    assert _digest(tmp_path / "manifest.json") == manifest_digest
 
 
 def test_table_writer_edge_cases(tmp_path):
@@ -431,8 +470,9 @@ def test_reference_script_rewrites_montecarlo_cells(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("seed, digest", [
-    (0, "964369b4ed6552507ad3441e9641cc367e0b5afee9649fb932d1f49759745a31"),
-    (5, "8715236d87c0069148353378ac45c4260e05e0fa57f0d72808eb1105e96ba05f"),
+    # z is written to 6 decimals; every other cell is as before.
+    (0, "541d32137c3a6a7d59e6cc1e8863ea19b028dcb9233bc0cf60478b55293e14d3"),
+    (5, "324f72f5b81a13e45a0ce73e001f624ff3401d33f9ba8d81a08519e1ddd7827e"),
 ])
 def test_montecarlo_solves_every_band_in_one_call_per_game(tmp_path, monkeypatch, seed, digest):
     calls = []
@@ -655,3 +695,55 @@ def test_the_normalization_option_is_gone(capsys):
         run_cli("htlc-surface", "--normalization", "raw")
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --normalization raw" in capsys.readouterr().err
+
+
+def _parse_outcome(parser, argv, capsys):
+    """(namespace, stdout, stderr, exit code) of one parse; the namespace is
+    None when argparse exits."""
+    try:
+        namespace, code = vars(parser.parse_args(argv)), None
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    out, err = capsys.readouterr()
+    return namespace, out, err, code
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+@pytest.mark.parametrize("rest", [
+    ["--set", "n=3", "--set", "x_a=2", "--out", "run", "--seed", "7", "--format", "json"],
+    ["--help"],
+    ["--bogus"],
+    ["--out", "run", "--normalization", "raw"],
+    ["--format", "xml"],
+    ["--seed", "x"],
+    ["--seed"],
+    ["validate"],
+])
+def test_one_subparser_parses_as_the_full_parser(monkeypatch, capsys, name, rest):
+    # main builds only the invoked subcommand's parser; its namespace, output
+    # and exit status must be the full parser's, usage line included: an
+    # unknown argument after the subcommand is reported by the top-level
+    # parser, which lists every subcommand.
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [name] + rest
+    one = _parse_outcome(cli._build_parser([name]), argv, capsys)
+    assert one == _parse_outcome(cli._build_parser(), argv, capsys)
+    if one[3] == 2 and rest[0] not in ("--format", "--seed"):  # reported by the top level
+        assert "swapsim [-h]" in one[2] and "{" + ",".join(cli._COMMANDS) + "} ..." in one[2]
+
+
+def test_main_builds_only_the_invoked_subparser(monkeypatch, tmp_path, capsys):
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda *names: built.append(list(*names)) or build(*names))
+    assert main(["cyclic-plan", "--out", str(tmp_path)]) == 0
+    # An installed console script calls main() with no argv: sys.argv is read.
+    monkeypatch.setattr(sys, "argv", ["swapsim", "validate", "--bogus"])
+    with pytest.raises(SystemExit):
+        main()
+    assert "{" + ",".join(cli._COMMANDS) + "} ...\nswapsim: error:" in capsys.readouterr().err
+    for argv in (["--help"], [], ["bogus"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert built == [["cyclic-plan"], ["validate"]] + [list(cli._COMMANDS)] * 3
