@@ -11,17 +11,15 @@ executes a plan on the engine every protocol shares, ``protocol.execute``.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .protocol import (LockAction, Strategy, Timing, TraceVerdict, _Layout, _lockable, _mk_secret,
-                       execute, recovers_locked)
+from .protocol import (LockAction, ProtocolInstance, Strategy, Timing, TraceVerdict, _lockable,
+                       _mk_secret, execute, recovers_locked)
 
 __all__ = [
     "CyclicSpec",
     "LockAction",
-    "CyclicPlan",
     "generate",
     "validate_plan",
     "run_cyclic",
@@ -82,53 +80,24 @@ class CyclicSpec:
         return base
 
 
-@dataclass(frozen=True)
-class CyclicPlan:
-    spec: CyclicSpec
-    actions: tuple[LockAction, ...]
-    secrets: dict[str, bytes] = field(default_factory=dict)   # role -> preimage
-    owners: dict[str, int] = field(default_factory=dict)      # role -> party
-
-    def principal_actions(self) -> list[LockAction]:
-        return [a for a in self.actions if a.kind == "principal"]
-
-    def premium_actions(self) -> list[LockAction]:
-        return [a for a in self.actions if a.kind == "premium"]
-
-    @functools.cached_property
-    def layout(self) -> _Layout:
-        """The plan compiled for parties P0..P(n-1); built on first run."""
-        return _Layout(self.actions, self.secrets, tuple(f"P{i}" for i in range(self.spec.n)))
-
-    @functools.cached_property
-    def engine(self) -> tuple:
-        """The chains, one per party, and the timing every run of the plan
-        hands ``execute``; built on first run.  Everyone gives up on a
-        missing lock once it would have confirmed on the slowest chain and
-        been seen, and on P0's claim at once."""
-        spec = self.spec
-        return (tuple((f"chain-{i}", tau) for i, tau in enumerate(spec.taus)),
-                Timing(t_eps=spec.t_eps, wait=((max(spec.taus), spec.t_eps),) * spec.n,
-                       claim_wait=0.0, release_with_claim=False))
-
-
-def generate(spec: CyclicSpec) -> CyclicPlan:
-    """Lay out the full lock schedule for the cycle.
+def generate(spec: CyclicSpec) -> ProtocolInstance:
+    """Lay out the full lock schedule for the cycle: a "cyclic" plan of
+    parties P0..P(n-1), one chain each, safe by ``recovers_locked``.
 
     The last party leads with its premium; then P0..P(n-2) each lock
     principal + premium in ring order; the last party's principal closes the
     schedule.  Each lock starts when the previous lock has confirmed.  Every
     premium is ``rho`` times a principal-hour, so ``rho`` must be > 0, as the
-    two-party builders require.
+    two-party builders require.  Everyone gives up on a missing lock once it
+    would have confirmed on the slowest chain and been seen, and on P0's
+    claim at once.
     """
     _lockable(rho=spec.rho)
     n = spec.n
     last = n - 1
     secrets = {"Hbar": _mk_secret(b"cyclic-payment-secret")}
-    owners = {"Hbar": 0}
     for i in range(n):
         secrets[f"H{i}"] = _mk_secret(f"cyclic-cancel-secret-{i}".encode())
-        owners[f"H{i}"] = i
 
     actions: list[LockAction] = []
     t = 0.0
@@ -160,16 +129,22 @@ def generate(spec: CyclicSpec) -> CyclicPlan:
         hashlock_claimant=0, hashlocks=("Hbar",),
         early_refund_hash=f"H{(last - 1) % n}",
     ))
-    return CyclicPlan(spec=spec, actions=tuple(actions), secrets=secrets, owners=owners)
+    return ProtocolInstance(
+        "cyclic", spec, tuple(actions), secrets, tuple(f"P{i}" for i in range(n)),
+        tuple((f"chain-{i}", tau) for i, tau in enumerate(spec.taus)),
+        Timing(t_eps=spec.t_eps, wait=((max(spec.taus), spec.t_eps),) * n,
+               claim_wait=0.0, release_with_claim=False),
+        recovers_locked)
 
 
-def validate_plan(plan: CyclicPlan) -> list[str]:
-    """Structural audit; returns a list of violations (empty when sound)."""
-    spec = plan.spec
+def validate_plan(plan: ProtocolInstance) -> list[str]:
+    """Structural audit of a cyclic plan; returns a list of violations
+    (empty when sound)."""
+    spec = plan.params
     n = spec.n
     problems: list[str] = []
 
-    principals = plan.principal_actions()
+    principals = [a for a in plan.actions if a.kind == "principal"]
     if len(principals) != n:
         problems.append(f"expected {n} principal locks, found {len(principals)}")
     lock_horizons = [a.timeout - a.start_time for a in sorted(principals, key=lambda a: a.party)]
@@ -195,7 +170,8 @@ def validate_plan(plan: CyclicPlan) -> list[str]:
             problems.append(f"cancellation hash {a.early_refund_hash} reused")
         else:
             cancel_hashes.add(a.early_refund_hash)
-        owner = plan.owners.get(a.early_refund_hash)
+        role = a.early_refund_hash  # party i holds "H{i}", and P0 the payment secret "Hbar"
+        owner = None if role is None else 0 if role == "Hbar" else int(role[1:])
         if owner is not None and owner != (a.party - 1) % n:
             problems.append(
                 f"principal of party {a.party} refundable by hash of party {owner}, "
@@ -217,7 +193,7 @@ _STRATEGIES = {
 
 
 def run_cyclic(
-    plan: CyclicPlan,
+    plan: ProtocolInstance,
     strategies: dict[int, str] | None = None,
 ) -> TraceVerdict:
     """Execute the plan on n simulated chains with ``protocol.execute``.
@@ -229,14 +205,11 @@ def run_cyclic(
     secret, refund early once their predecessor's secret appears, and
     collect any premium timeout owed to them.
     """
-    spec = plan.spec
+    n = len(plan.parties)
     strategies = strategies or {}
     if not set(strategies.values()) <= set(_STRATEGIES):
         raise ValueError("strategies must be compliant, grief-lock, or grief-claim")
-    outside = [i for i in strategies if i not in range(spec.n)]
+    outside = [i for i in strategies if i not in range(n)]
     if outside:
-        raise ValueError(f"party indices {outside} are outside 0..{spec.n - 1}")
-    chains, timing = plan.engine
-    return execute(plan.layout, chains,
-                   [_STRATEGIES[strategies.get(i, "compliant")] for i in range(spec.n)], timing,
-                   safety=recovers_locked)
+        raise ValueError(f"party indices {outside} are outside 0..{n - 1}")
+    return execute(plan.layout, [_STRATEGIES[strategies.get(i, "compliant")] for i in range(n)])

@@ -16,6 +16,7 @@ success-rate surface integrates the resulting policy over the price law.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import NamedTuple
@@ -42,6 +43,12 @@ __all__ = [
 
 _ROOT_SCAN_POINTS = 256
 _ROOT_TOL = 1e-10
+# Most that |mu|, |r_a| or |r_b| times the longest horizon may be.  A factor
+# of either game's table is the exponential of at most two rate-hour terms,
+# and the node kernel multiplies two factors: at an eighth of the largest
+# float's log a term, such a product stays below the square root of the
+# largest float, which leaves room for the prices it scales.
+_MAX_RATE_HOURS = math.log(sys.float_info.max) / 8
 
 
 @dataclass(frozen=True)
@@ -95,6 +102,12 @@ class SwapParams:
             raise ValueError("sp_a must exceed -1")
         if self.t_a < self.t_b + self.eps + self.t_eps + self.tau_a:
             raise ValueError("delay windows ill-formed: need t_a >= t_b + eps + t_eps + tau_a")
+        # No horizon of either game is longer than t_a + t_b + tau_a + tau_b.
+        hours = self.t_a + self.t_b + self.tau_a + self.tau_b
+        for name, rate in (("mu", self.gbm.mu), ("r_a", self.r_a), ("r_b", self.r_b)):
+            if not abs(rate) * hours <= _MAX_RATE_HOURS:
+                raise ValueError(f"{name} must be within +-{_MAX_RATE_HOURS / hours:.6g} per hour over "
+                                 f"t_a + t_b + tau_a + tau_b = {hours:g}h, got {rate:g}")
 
     @property
     def claim_delay_window(self) -> float:
@@ -241,17 +254,15 @@ def _scan_brackets(*prices) -> np.ndarray:
     return np.stack([ref * 1e-3, ref * 12.0], axis=-1)
 
 
-def _lock_bands(game, p: SwapParams, xs: np.ndarray, scan, rows: int = 1) -> np.ndarray:
+def _lock_bands(game, p: SwapParams, xs: np.ndarray, rows: int = 1) -> np.ndarray:
     """B's bands, ``rows`` per x_a of ``xs``: where ``_value_b`` beats his
     ``stay_b`` line.  ``game(x_a)`` builds the table of an x_a column; each
-    x_a has its own scan, which the ``(lo, hi)`` pair ``scan`` overrides."""
+    x_a has its own scan."""
     def g(x, groups):
         table = game(xs[groups, None, None])
         return _value_b(table, p, x) - _line(table.stay_b, x)
 
-    scans = (_scan_brackets(p.x_yb_t1, xs, _threshold(game(xs))) if scan is None
-             else np.full((len(xs), 2), scan, dtype=float))
-    return widest_band(g, scans, rows)
+    return widest_band(g, _scan_brackets(p.x_yb_t1, xs, _threshold(game(xs))), rows)
 
 
 def widest_band(g, scans: np.ndarray, rows: int = 1) -> np.ndarray:
@@ -310,7 +321,7 @@ def widest_band(g, scans: np.ndarray, rows: int = 1) -> np.ndarray:
     return bands
 
 
-def continuation_band_t2(p: SwapParams, T, scan=None, x_a=None) -> np.ndarray:
+def continuation_band_t2(p: SwapParams, T, x_a=None) -> np.ndarray:
     """Price band over which B prefers locking at the middle node.
 
     Roots of B's lock-minus-stop value, solved by ``_lock_bands`` for every
@@ -318,7 +329,7 @@ def continuation_band_t2(p: SwapParams, T, scan=None, x_a=None) -> np.ndarray:
     and ``x_a`` None (``p.x_a`` alone) or a 1-D array.  The bands come back
     as an array of shape ``np.shape(x_a) + np.shape(T) + (2,)``: each band
     is its ``(lo, hi)`` pair, NaN where B never locks.  Each x_a has its own
-    scan bracket, which the ``(lo, hi)`` pair ``scan`` overrides for every row.
+    scan bracket.
     """
     _check_delay("claim delay T", T, p.claim_delay_window)
     ts = np.atleast_1d(np.asarray(T, dtype=float))
@@ -327,7 +338,7 @@ def continuation_band_t2(p: SwapParams, T, scan=None, x_a=None) -> np.ndarray:
 
     # One group per x_a, one row per delay: the T-free terms of B's value
     # are evaluated once per x_a on its (G, 1, n) grid.
-    bands = _lock_bands(lambda col: _htlc(p, t_col, col), p, xs, scan, len(ts))
+    bands = _lock_bands(lambda col: _htlc(p, t_col, col), p, xs, len(ts))
     return bands.reshape(np.shape(x_a) + np.shape(T) + (2,))
 
 

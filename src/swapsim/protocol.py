@@ -27,7 +27,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -165,17 +165,23 @@ class Timing:
 
 @dataclass(frozen=True)
 class ProtocolInstance:
-    """A concrete two-party swap: kind, parameters and lock plan."""
+    """A swap plan: its kind ("htlc", "quickswap" or "cyclic"), parameters,
+    parties, lock plan and secrets, its chains as ``(id, confirmation
+    delay)`` pairs, its ``Timing`` and its safety rule ``safety(trace, kinds,
+    endow, recv)``, given the trace's facts, each party's strategy kind, and
+    what each party funded and received."""
 
-    kind: str  # "htlc" | "quickswap"
-    params: SwapParams | QuickSwapParams
+    kind: str
+    params: SwapParams | QuickSwapParams  # or a cyclic.CyclicSpec
     actions: tuple[LockAction, ...]
     secrets: dict[str, bytes]       # role -> preimage
-    rho: float = 0.001              # rate of the lockup cost c(amount * hours) owed to a griefed party
+    parties: tuple[str, ...]
+    chains: tuple
+    timing: Timing
+    safety: Callable
 
-    @property
-    def base(self) -> SwapParams:
-        return self.params.base if isinstance(self.params, QuickSwapParams) else self.params
+    def premium_actions(self) -> list[LockAction]:
+        return [a for a in self.actions if a.kind == "premium"]
 
     @functools.cached_property
     def thresholds(self) -> tuple[np.ndarray, float]:
@@ -194,27 +200,8 @@ class ProtocolInstance:
 
     @functools.cached_property
     def layout(self) -> _Layout:
-        """The plan compiled for parties A and B; built on first use."""
-        return _Layout(self.actions, self.secrets, ("A", "B"))
-
-    @functools.cached_property
-    def engine(self) -> tuple:
-        """What ``run`` hands ``execute`` for every profile: the two chains,
-        the safety rule, each party's phases with None and "start", the hour
-        ``liveness_bound`` adds the profile's delays to, and the timing: A
-        and B each wait for the counterparty's lock to confirm and for A's
-        claim to be seen on the slower chain, each plus half of B's
-        confirmation delay."""
-        b = self.base
-        slack = b.tau_b / 2.0
-        return ((("chain-a", b.tau_a), ("chain-b", b.tau_b)),
-                functools.partial(_compensated, rho=self.rho),
-                {p: (None, "start", *ph) for p, ph in _party_phases(self.kind).items()},
-                self.layout.longest + self.actions[-1].start_time
-                + b.tau_a + b.tau_b + b.t_eps + slack,  # last, the compliant give-up wait
-                Timing(t_eps=b.t_eps, wait=((b.tau_a, slack), (b.tau_b, slack)),
-                       claim_wait=max(b.tau_a, b.tau_b) + b.t_eps + slack,
-                       release_with_claim=True))
+        """The plan compiled; built on first use."""
+        return _Layout(self.actions, self.secrets, self.parties, self.chains, self.timing, self.safety)
 
 
 def _mk_secret(tag: bytes) -> bytes:
@@ -229,22 +216,32 @@ def _lockable(**amounts) -> None:
             raise ValueError(f"{name} must be > 0, or the plan locks 0 coins")
 
 
+def _two_party(kind, params, b, actions, secrets, rho) -> ProtocolInstance:
+    """A plan of parties A and B on "chain-a" and "chain-b", safe by
+    ``_compensated`` at ``rho``.  A and B each wait for the counterparty's
+    lock to confirm and for A's claim to be seen on the slower chain, each
+    plus half of B's confirmation delay."""
+    _lockable(x_a=b.x_a)
+    slack = b.tau_b / 2.0
+    return ProtocolInstance(
+        kind, params, actions, secrets, ("A", "B"), (("chain-a", b.tau_a), ("chain-b", b.tau_b)),
+        Timing(t_eps=b.t_eps, wait=((b.tau_a, slack), (b.tau_b, slack)),
+               claim_wait=max(b.tau_a, b.tau_b) + b.t_eps + slack, release_with_claim=True),
+        functools.partial(_compensated, rho=rho))
+
+
 def build_htlc_instance(params: SwapParams, rho: float = 0.001) -> ProtocolInstance:
     """Plain two-lock HTLC swap: one payment hash held by A.
 
     The plain swap pays no premium; ``rho`` only sets the lockup cost the
     safety check requires as compensation when a party is griefed."""
     b = params
-    _lockable(x_a=b.x_a)
     actions = (
         LockAction(0, 0, b.x_a, "principal", 0.0, b.t_a, 0, 1, ("Hbar",)),
         # y_b is denominated at its t1 value in A's asset.
         LockAction(1, 1, b.x_yb_t1, "principal", b.tau_a, b.tau_a + b.t_b, 1, 0, ("Hbar",)),
     )
-    return ProtocolInstance(
-        kind="htlc", params=params, actions=actions,
-        secrets={"Hbar": _mk_secret(b"htlc-payment-secret")}, rho=rho,
-    )
+    return _two_party("htlc", params, b, actions, {"Hbar": _mk_secret(b"htlc-payment-secret")}, rho)
 
 
 def build_quickswap_instance(params: QuickSwapParams) -> ProtocolInstance:
@@ -254,7 +251,7 @@ def build_quickswap_instance(params: QuickSwapParams) -> ProtocolInstance:
     posted, A's D after A locks); each principal refunds early on the other
     side's cancellation secret."""
     q, b = params, params.base
-    _lockable(x_a=b.x_a, rho=q.rho)  # the premiums are rho * x_a * t_a and 1.5 times that
+    _lockable(rho=q.rho)  # the premiums are rho * x_a * t_a and 1.5 times that
     t2, t3 = b.tau_b, b.tau_b + b.tau_a
     actions = (
         LockAction(1, 1, q.premium_of("B"), "premium", 0.0, q.D + q.Delta, 0, 1, ("Hbar", "H1")),
@@ -267,9 +264,7 @@ def build_quickswap_instance(params: QuickSwapParams) -> ProtocolInstance:
         "H0": _mk_secret(b"quick-cancel-secret-s3"),
         "H1": _mk_secret(b"quick-cancel-secret-s2"),
     }
-    return ProtocolInstance(
-        kind="quickswap", params=params, actions=actions, secrets=secrets, rho=params.rho,
-    )
+    return _two_party("quickswap", params, b, actions, secrets, q.rho)
 
 
 # ---------------------------------------------------------------------------
@@ -284,37 +279,40 @@ class TraceVerdict:
     liveness: bool
     witnesses: list[str]
     events: list[ConfirmationEvent]
-    final_time: float = 0.0
+    final_time: float
 
 
 def liveness_bound(instance: ProtocolInstance, profile: StrategyProfile) -> float:
-    """Analytic release deadline: every lock is spent by this hour.
+    """Analytic release deadline of a two-party plan: every lock is spent by
+    this hour.
 
     The longest timeout of a lock, plus the start of the last lock, both
     confirmation delays, one propagation lag, the compliant give-up slack,
     and any deliberate delay in the profile.
     """
-    return instance.engine[3] + (profile.strategy_A.hours + profile.strategy_B.hours)
+    _party_phases(instance.kind)  # refuses a plan that is not two-party
+    return instance.layout.release + (profile.strategy_A.hours + profile.strategy_B.hours)
 
 
 # ---------------------------------------------------------------------------
 # The engine.
 
 class _Layout:
-    """A lock plan compiled for its parties: what the plan fixes for every
-    trace of it.  It holds the plan's steps (one party's locks with one start
-    time, in order), each step's phase, the hash of every secret, each party's
-    locks and the locks that time out to it, each lock's output ref, the
-    longest lock, the principals and the principal each party is to receive,
+    """A lock plan compiled: what the plan fixes for every trace of it.  It
+    holds the plan's parties, chains, timing and safety rule, its steps (one
+    party's locks with one start time, in order), each step's phase, the hash
+    of every secret, each party's locks and the locks that time out to it,
+    each lock's output ref, the hour ``liveness_bound`` adds a profile's
+    delays to, the principals and the principal each party is to receive,
     and, built on first use, each lock's contract at each
     expiry it is made with and the input and payout of each spend.  All of
     these are immutable, so traces share them.
 
-    ``ProtocolInstance`` and ``cyclic.CyclicPlan`` build their layout once
-    and keep it as their ``layout`` attribute, so it is freed with the plan;
-    it refers to nothing that refers back to the plan."""
+    A ``ProtocolInstance`` builds its layout once and keeps it as its
+    ``layout`` attribute, so it is freed with the plan; it refers to nothing
+    that refers back to the plan."""
 
-    def __init__(self, actions, secrets, parties) -> None:
+    def __init__(self, actions, secrets, parties, chains, timing, safety) -> None:
         self.steps = [(party, [idx for idx, _ in group]) for (party, _), group in itertools.groupby(
             enumerate(actions), key=lambda ia: (ia[1].party, ia[1].start_time))]
         self.phase = ["premium" if all(actions[i].kind == "premium" for i in idxs) else "lock"
@@ -322,8 +320,14 @@ class _Layout:
         self.hashes = {role: hash_secret(pre) for role, pre in secrets.items()}
         self.roles = {h: role for role, h in self.hashes.items()}
         self.actions, self.secrets, self.parties = actions, secrets, parties
+        self.chains, self.timing, self.safety = chains, timing, safety
         self.refs = [OutputRef(f"lock-{idx}", 0) for idx in range(len(actions))]
-        self.longest = max(a.timeout - a.start_time for a in actions)
+        # The longest lock after the last lock's start, every confirmation
+        # delay, one propagation lag and the compliant give-up slack.
+        release = max(a.timeout - a.start_time for a in actions) + actions[-1].start_time
+        for _, delay in chains:
+            release += delay
+        self.release = release + timing.t_eps + timing.wait[-1][-1]
         # the principal each cancel secret refunds early
         self.refunds = {a.early_refund_hash: idx for idx, a in enumerate(actions)
                         if a.early_refund_hash is not None}
@@ -389,11 +393,12 @@ class _Run:
     everyone cancels.
     """
 
-    def __init__(self, layout: _Layout, chains, tables, decide, timing):
+    def __init__(self, layout: _Layout, tables, decide):
         self.layout = layout
         self.steps, self.phase = layout.steps, layout.phase
-        self.actions, self.parties = layout.actions, layout.parties
-        self.chains, self.tables, self.decide, self.timing = chains, tables, decide, timing
+        self.actions, self.parties, self.timing = layout.actions, layout.parties, layout.timing
+        self.chains = [Chain(*chain) for chain in layout.chains]
+        self.tables, self.decide = tables, decide
         self.clock = 0.0
         self.queue: list = []
         self.seq = itertools.count()
@@ -668,32 +673,27 @@ class _Run:
             self.at(due, sweep, prio=prio)
 
 
-def execute(layout: _Layout, chains, strategies, timing, *, safety,
-            bound: float = math.inf, decide=None, value=None, tree=None) -> TraceVerdict:
-    """Run a lock plan compiled for its parties (the ``layout`` of a
-    ``ProtocolInstance`` or a ``cyclic.CyclicPlan``) with one strategy per
-    party and audit the trace.
+def execute(layout: _Layout, strategies, *, bound: float = math.inf, decide=None, value=None,
+            tree=None) -> TraceVerdict:
+    """Run a compiled plan (a ``ProtocolInstance``'s ``layout``) with one
+    strategy per party and audit the trace by the plan's safety rule.
 
-    ``chains`` lists each chain as an ``(id, confirmation delay)`` pair;
-    ``safety(trace, kinds, endow, recv)`` is the protocol's safety rule, given
-    the trace's facts, each party's strategy kind, and what each party funded
-    and received; ``bound`` is the hour by which every lock must be released;
+    ``bound`` is the hour by which every lock must be released;
     ``decide(party, phase, now)`` is the threshold strategies' choice;
     ``value`` lists each chain's coin value in the first chain's asset (1 each
     if not given).  ``tree`` is an answer tree (see ``_replay``) of earlier
-    traces of this plan with these chains and timing: where it holds the
-    strategies' answers the engine does not run, and a new trace is added to
-    it.
+    traces of this plan: where it holds the strategies' answers the engine
+    does not run, and a new trace is added to it.
     """
     tables = [s.answer_table for s in strategies]
     trace = None if tree is None else _replay(tree, tables, decide)
     if trace is None:
-        r = _Run(layout, [Chain(*chain) for chain in chains], tables, decide, timing)
+        r = _Run(layout, tables, decide)
         r.run()
         trace = _facts(r)
         if tree is not None:
             _grow(tree, r.asked, trace)
-    return _judge(trace, [s.kind for s in strategies], safety, bound, value)
+    return _judge(trace, [s.kind for s in strategies], bound, value)
 
 
 class _Trace(NamedTuple):
@@ -751,7 +751,7 @@ def _facts(r: _Run) -> _Trace:
         last if r.anchor is None else r.poll_at(last, sent))
 
 
-def _judge(t: _Trace, kinds, safety, bound: float, scale) -> TraceVerdict:
+def _judge(t: _Trace, kinds, bound: float, scale) -> TraceVerdict:
     """Net value, Correctness, Safety, Liveness and conservation of a trace
     played by strategies of these kinds; ``scale`` values each chain's coins
     (1 each if None, as the trace's facts hold them)."""
@@ -774,7 +774,7 @@ def _judge(t: _Trace, kinds, safety, bound: float, scale) -> TraceVerdict:
     correctness = t.swapped or any(k != "compliant" for k in kinds)
     if not correctness:
         witnesses.append("correctness: compliant parties failed to swap")
-    safe, found = safety(t, kinds, endow, recv)
+    safe, found = t.layout.safety(t, kinds, endow, recv)
     witnesses += found
     for chain_id in t.unconserved:
         safe = False
@@ -863,17 +863,17 @@ def run(
 
     The engine runs only when the profile's answers leave the instance's
     ``answer_tree``; otherwise the trace found there is judged afresh.  A
-    strategy that names a phase its party does not have in the protocol is
-    refused.  At the constant price (no ``price_path``) each coin is worth 1,
+    plan that is not two-party, and a strategy that names a phase its party
+    does not have in the protocol, are refused.  At the constant price (no ``price_path``) each coin is worth 1,
     which ``execute`` assumes when it is given no values, and no ``decide``
     is made unless a strategy is ``threshold``."""
-    chains, safety, phases, _, timing = instance.engine
+    phases = _party_phases(instance.kind)
     strategies = (profile.strategy_A, profile.strategy_B)
     for party, s in zip("AB", strategies):
-        if s.phase not in phases[party]:
+        if s.phase in _PHASES and s.phase not in phases[party]:
             raise ValueError(f"{party}={s.label()}: {party} has no {s.phase} phase in "
                              f"the {instance.kind} protocol")
-    x = instance.base.x_yb_t1
+    x = instance.layout.incoming[0]  # B's principal, y_b at its t1 value in A's asset
     price = price_path or (lambda t: x)
     bound = liveness_bound(instance, profile)
     # Net value in A-asset units at the price once every lock is released.
@@ -889,8 +889,8 @@ def run(
                 return strategies[0].interested and price(now) >= instance.thresholds[1]
             return True
 
-    return execute(instance.layout, chains, strategies, timing, safety=safety,
-                   bound=bound, decide=decide, value=value, tree=instance.answer_tree)
+    return execute(instance.layout, strategies, bound=bound, decide=decide, value=value,
+                   tree=instance.answer_tree)
 
 
 # ---------------------------------------------------------------------------
@@ -908,7 +908,6 @@ class PropertyRow:
 
 @dataclass
 class PropertyReport:
-    kind: str
     rows: list[PropertyRow]
 
     @property
@@ -927,7 +926,7 @@ class PropertyReport:
 def _party_phases(kind: str) -> dict[str, tuple[str, ...]]:
     """Each party's phases in the two-party protocol ``kind``."""
     if kind not in _PARTY_PHASES:
-        raise ValueError(f"unknown protocol kind {kind!r}")
+        raise ValueError(f"unknown protocol kind {kind!r} for a two-party swap")
     return _PARTY_PHASES[kind]
 
 
@@ -951,7 +950,7 @@ def check_properties(instance: ProtocolInstance) -> PropertyReport:
             v = run(instance, StrategyProfile(a, b))
             rows.append(PropertyRow(f"A={la} B={lb}", v.outcome, v.correctness, v.safety,
                                     v.liveness, v.witnesses))
-    return PropertyReport(instance.kind, rows)
+    return PropertyReport(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -968,8 +967,6 @@ def mc_success_rate_htlc(
     (frequency, standard error); the mean estimates the raw success rate.
     ``band`` is B's band at ``T`` when the caller has solved it already.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
     if band is None:
         band = continuation_band_t2(p, T)
     return _mc_two_stage(p, band, claim_threshold_t3(p), p.tau_a + Tp, p.tau_b + T, n_paths, seed)
@@ -980,8 +977,6 @@ def mc_success_rate_quickswap(
 ) -> tuple[float, float]:
     """Empirical completion frequency for the premium protocol (delay-free);
     ``band`` is B's t3 band when the caller has solved it already."""
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
     b = q.base
     if band is None:
         band = continuation_band_t3(q)
@@ -996,6 +991,8 @@ def _mc_two_stage(
     after ``h_lock`` hours lies in ``band`` (a ``(lo, hi)`` pair), then A
     claims when the price a further ``h_claim`` hours on is at least
     ``threshold``.  No band (NaN ends): (0, 0)."""
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
     rng = np.random.default_rng(seed)
     lo, hi = band
     if math.isnan(lo):

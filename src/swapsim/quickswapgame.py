@@ -115,17 +115,16 @@ def claim_threshold_t4(q: QuickSwapParams, x_a=None):
     return _threshold(_quick(q, q.base.x_a if x_a is None else _xa_axis(q.base, x_a)))
 
 
-def continuation_band_t3(q: QuickSwapParams, scan=None, x_a=None) -> np.ndarray:
+def continuation_band_t3(q: QuickSwapParams, x_a=None) -> np.ndarray:
     """Price band over which B prefers continuing to canceling at t3.
 
     Cancel strictly dominates stop (the stop path forfeits B's premium), so
     the relevant comparison is continue vs cancel.  Solved by
     ``_lock_bands``: one ``(lo, hi)`` pair for ``q`` alone, or, with ``x_a``
     a 1-D array, a (len(x_a), 2) array of one band per x_a, each on its own
-    scan (which the ``(lo, hi)`` pair ``scan`` overrides).  NaN ends: B never
-    continues.
+    scan.  NaN ends: B never continues.
     """
-    bands = _lock_bands(lambda col: _quick(q, col), q.base, _xa_axis(q.base, x_a), scan)
+    bands = _lock_bands(lambda col: _quick(q, col), q.base, _xa_axis(q.base, x_a))
     return bands.reshape(np.shape(x_a) + (2,))
 
 

@@ -1,5 +1,8 @@
 """Shared baseline parameter sets for the test suite."""
 
+import numpy as np
+
+from swapsim import htlcgame
 from swapsim.htlcgame import SwapParams
 from swapsim.pricemodel import GbmParams
 from swapsim.quickswapgame import QuickSwapParams
@@ -22,3 +25,12 @@ def quick_baseline(sigma: float = 0.1, **overrides) -> QuickSwapParams:
     quick_keys = {"D", "Delta", "rho"}
     quick_kwargs = {k: overrides.pop(k) for k in list(overrides) if k in quick_keys}
     return QuickSwapParams(base=baseline(sigma, **overrides), **quick_kwargs)
+
+
+def start_scans_at(monkeypatch, scan) -> None:
+    """Start every band solve of either game from the ``(lo, hi)`` pair
+    ``scan`` for each x_a, in place of its default scan; a band that reaches
+    past it still widens it."""
+    default = htlcgame._scan_brackets
+    monkeypatch.setattr(htlcgame, "_scan_brackets",
+                        lambda *prices: np.full(default(*prices).shape, scan, dtype=float))

@@ -140,11 +140,51 @@ def test_params_file_round_trip(tmp_path):
     (("validate", "--set", "kind=cyclic", "--set", "rho=0"),
      "rho must be > 0, or the plan locks 0 coins"),
     (("cyclic-plan", "--set", "rho=0"), "rho must be > 0, or the plan locks 0 coins"),
+    # Rates whose discount or growth factors leave the float range used to
+    # end in an OverflowError, a RuntimeWarning, an error naming no
+    # parameter, or (validate, which never reads them) exit 0.
+    (("htlc-surface", "--set", "mu=30"), "mu must be within +-1.13747 per hour"),
+    (("quickswap-sr", "--set", "mu=30"), "mu must be within +-1.13747 per hour"),
+    (("montecarlo", "--set", "mu=30"), "mu must be within +-1.13747 per hour"),
+    (("htlc-surface", "--set", "r_b=-30"), "r_b must be within +-1.13747 per hour"),
+    (("htlc-surface", "--set", "mu=20"), "mu must be within"),
+    (("htlc-surface", "--set", "r_a=1e300"), "r_a must be within"),
+    (("validate", "--set", "kind=htlc", "--set", "mu=30"), "mu must be within"),
+    (("validate", "--set", "kind=quickswap", "--set", "t_a=480", "--set", "r_a=0.2"),
+     "r_a must be within +-0.173966 per hour over t_a + t_b + tau_a + tau_b = 510h, got 0.2"),
 ])
 def test_malformed_inputs_exit_2_with_an_error_line(tmp_path, capsys, args, says):
     assert run_cli(*args, "--out", str(tmp_path / "run")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and says in err
+
+
+@pytest.mark.parametrize("args", [
+    ("htlc-surface", "--set", "xa_step=0.5", "--set", "delay_step=1.5"),
+    ("quickswap-sr", "--set", "xa_step=0.25"),
+    ("montecarlo", "--set", "paths=1000"),
+    ("validate", "--set", "kind=htlc"),
+    ("validate", "--set", "kind=quickswap"),
+], ids=lambda args: "-".join(args[:1] + args[2:3]))
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["growth", "decay"])
+def test_largest_accepted_rates_run_clean(tmp_path, capsys, args, sign):
+    # mu = +-top and r_a = r_b = -+top over the defaults' 78 hours: every
+    # factor of either game's table grows (or decays) as fast as the bound
+    # lets it.  The suite turns warnings into errors, so an overflow fails.
+    hours = 48.0 + 24.0 + 3.0 + 3.0
+    top = htlcgame._MAX_RATE_HOURS / hours  # then the largest rate SwapParams accepts
+    while math.nextafter(top, math.inf) * hours <= htlcgame._MAX_RATE_HOURS:
+        top = math.nextafter(top, math.inf)
+    while top * hours > htlcgame._MAX_RATE_HOURS:
+        top = math.nextafter(top, 0.0)
+    rates = [f"mu={sign * top!r}", f"r_a={-sign * top!r}", f"r_b={-sign * top!r}"]
+    code = run_cli(*args, *(a for r in rates for a in ("--set", r)), "--out", str(tmp_path / "top"))
+    err = capsys.readouterr().err
+    # Decaying rates leave montecarlo no cell where A starts: an error line.
+    assert code in (0, 1) or (code == 2 and err.startswith("error: ") and err.count("\n") == 1), err
+    above = f"mu={math.nextafter(top, math.inf)!r}"
+    assert run_cli(*args, "--set", above, "--out", str(tmp_path / "above")) == 2
+    assert "mu must be within" in capsys.readouterr().err
 
 
 def test_a_free_htlc_lockup_still_validates(tmp_path):
@@ -490,9 +530,9 @@ def test_montecarlo_band_table_holds_every_drawable_cell(tmp_path, monkeypatch):
     rows = []
     solve = htlcgame.continuation_band_t2
 
-    def counted(p, T, scan=None, x_a=None):
+    def counted(p, T, x_a=None):
         rows.append(np.size(x_a) * np.size(T))
-        return solve(p, T, scan, x_a)
+        return solve(p, T, x_a)
 
     monkeypatch.setattr(htlcgame, "continuation_band_t2", counted)
     assert run_cli("montecarlo", "--out", str(tmp_path), "--set", "paths=1000", "--set", "cells=2") == 0

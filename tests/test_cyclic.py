@@ -37,7 +37,7 @@ def test_generated_plan_validates():
         plan = generate(make_spec(n))
         assert validate_plan(plan) == []
         assert len(plan.actions) == 2 * n
-        assert len(plan.principal_actions()) == n
+        assert sum(a.kind == "principal" for a in plan.actions) == n
         assert len(plan.premium_actions()) == n
 
 
@@ -51,7 +51,7 @@ def test_premium_ladder_strictly_staggered():
 
 def test_each_principal_has_predecessor_cancel_hash():
     plan = generate(make_spec(5))
-    for a in plan.principal_actions():
+    for a in [x for x in plan.actions if x.kind == "principal"]:
         pred = (a.party - 1) % 5
         assert a.early_refund_hash == f"H{pred}"
         assert a.hashlocks == ("Hbar",)
@@ -61,13 +61,21 @@ def test_validate_plan_reports_tampering():
     plan = generate(make_spec(3))
     from dataclasses import replace
 
-    bad_actions = tuple(
-        replace(a, early_refund_hash=None) if a.kind == "principal" and a.party == 1 else a
-        for a in plan.actions
-    )
-    bad = replace(plan, actions=bad_actions)
-    problems = validate_plan(bad)
+    def tampered(party, early_refund_hash):
+        """The plan with party's principal refunding early on ``early_refund_hash``."""
+        return replace(plan, actions=tuple(
+            replace(a, early_refund_hash=early_refund_hash)
+            if a.kind == "principal" and a.party == party else a
+            for a in plan.actions))
+
+    problems = validate_plan(tampered(1, None))
     assert any("party 1" in p for p in problems)
+    # P1's principal refunds on P2's secret, not on its predecessor P0's.
+    problems = validate_plan(tampered(1, "H2"))
+    assert "principal of party 1 refundable by hash of party 2, expected predecessor 0" in problems
+    # P0's principal takes H1, which already refunds P2's.
+    problems = validate_plan(tampered(0, "H1"))
+    assert "cancellation hash H1 reused" in problems
 
 
 def test_all_compliant_swaps_atomically():
@@ -134,7 +142,7 @@ def test_two_party_plan_matches_premium_protocol_structure():
     assert validate_plan(plan) == []
 
     premiums = {a.party: a for a in plan.premium_actions()}
-    principals = {a.party: a for a in plan.principal_actions()}
+    principals = {a.party: a for a in plan.actions if a.kind == "principal"}
     # Counterparty premium Q = c(x_a * t_a); initiator collateral 1.5Q.
     assert premiums[1].amount == pytest.approx(q.premium_of("B"), rel=1e-12)
     assert premiums[0].amount == pytest.approx(q.premium_of("A"), rel=1e-12)
@@ -396,6 +404,20 @@ def test_run_cyclic_rejects_party_indices_outside_the_plan(strategies, says):
         run_cyclic(generate(make_spec(3)), strategies)
 
 
+def test_two_party_entries_refuse_a_cyclic_plan():
+    # run used to end in an error that named neither the plan nor its kind.
+    from swapsim.protocol import Strategy, StrategyProfile, check_properties, liveness_bound, run
+
+    plan = generate(make_spec(2))
+    profile = StrategyProfile(Strategy(), Strategy())
+    says = "unknown protocol kind 'cyclic' for a two-party swap"
+    for entry in (run, liveness_bound):
+        with pytest.raises(ValueError, match=says):
+            entry(plan, profile)
+    with pytest.raises(ValueError, match=says):
+        check_properties(plan)
+
+
 def test_a_cyclic_plan_is_freed_with_its_last_reference():
     # The plan keeps its compiled layout; nothing the layout or a run holds
     # refers back to the plan, so dropping the plan frees it at once.
@@ -419,18 +441,14 @@ def test_a_plan_run_under_other_party_names_gets_its_own_layout():
     # The plan compiled for other party names: the contracts and payouts
     # follow them, and the layout the plan keeps is left as it is.
     from swapsim import cyclic
-    from swapsim.protocol import Timing, _Layout, execute, recovers_locked
+    from swapsim.protocol import _Layout, execute
 
     spec = make_spec(3)
     plan = generate(spec)
     want = run_cyclic(plan, {1: "grief-claim"})
     names = ("X0", "X1", "X2")
-    got = execute(_Layout(plan.actions, plan.secrets, names),
-                  [(f"chain-{i}", tau) for i, tau in enumerate(spec.taus)],
-                  [cyclic._STRATEGIES["grief-claim" if i == 1 else "compliant"] for i in range(3)],
-                  Timing(t_eps=spec.t_eps, wait=((max(spec.taus), spec.t_eps),) * 3,
-                         claim_wait=0.0, release_with_claim=False),
-                  safety=recovers_locked)
+    got = execute(_Layout(plan.actions, plan.secrets, names, plan.chains, plan.timing, plan.safety),
+                  [cyclic._STRATEGIES["grief-claim" if i == 1 else "compliant"] for i in range(3)])
     assert got.net_value == {f"X{i}": want.net_value[f"P{i}"] for i in range(3)}
     assert (got.events, got.outcome, got.safety) == (want.events, want.outcome, want.safety)
     assert plan.layout.parties == ("P0", "P1", "P2")

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import baseline, quick_baseline
+from conftest import baseline, quick_baseline, start_scans_at
 from swapsim import htlcgame, numerics, pricemodel, quickswapgame
 from swapsim.htlcgame import (
     SwapParams,
@@ -134,12 +134,14 @@ def test_band_edges_match_brute_force():
     ("empty band row", baseline(r_b=0.01, theta_1=0.3), None),
     ("narrow scan", baseline(), Bracket(0.3, 2.0)),
 ])
-def test_band_rows_match_single_delay_solves(case, p, scan):
+def test_band_rows_match_single_delay_solves(monkeypatch, case, p, scan):
+    if scan is not None:
+        start_scans_at(monkeypatch, scan)
     ts = np.arange(21.0)
-    rows = continuation_band_t2(p, ts, scan)
+    rows = continuation_band_t2(p, ts)
     assert rows.shape == (len(ts), 2)
     # Both edges compare exactly; NaN (no band) equals NaN.
-    assert np.array_equal(rows, [continuation_band_t2(p, float(T), scan) for T in ts], equal_nan=True)
+    assert np.array_equal(rows, [continuation_band_t2(p, float(T)) for T in ts], equal_nan=True)
     locks = ~np.isnan(rows[:, 0])
     if case == "empty band row":
         assert locks[0] and not locks[1:].any()
@@ -370,17 +372,19 @@ def test_thresholds_and_success_rate_scale_with_prices(k):
     ("price scale 1e6", baseline(x_a=2e6, x_yb_t1=2e6), 1e6, None),
     ("uniform delay discounting", baseline(uniform_delay_discounting=True), 1.0, None),
 ])
-def test_band_grid_matches_scalar_solves(case, p, k, scan):
+def test_band_grid_matches_scalar_solves(monkeypatch, case, p, k, scan):
     # Every (x_a, T) row of the grid has its own scan and tolerance, and
     # equals the single-row solve of that pair bit for bit.
+    if scan is not None:
+        start_scans_at(monkeypatch, scan)
     xa = k * np.round(np.arange(1.0, 3.0 + 1e-9, 0.1), 10)
     ts = np.linspace(0.0, p.claim_delay_window, 5)
-    got = continuation_band_t2(p, ts, scan, x_a=xa)
+    got = continuation_band_t2(p, ts, x_a=xa)
     assert got.shape == (len(xa), len(ts), 2)
-    want = [[continuation_band_t2(p.with_x_a(x), T, scan) for T in ts] for x in xa.tolist()]
+    want = [[continuation_band_t2(p.with_x_a(x), T) for T in ts] for x in xa.tolist()]
     assert np.array_equal(got, want, equal_nan=True)
     # A scalar delay gives one band per x_a.
-    assert np.array_equal(continuation_band_t2(p, ts[1], scan, x_a=xa), got[:, 1], equal_nan=True)
+    assert np.array_equal(continuation_band_t2(p, ts[1], x_a=xa), got[:, 1], equal_nan=True)
     bands = got.reshape(-1, 2)
     locks = ~np.isnan(bands[:, 0])
     if case == "empty band rows":
@@ -398,10 +402,6 @@ def test_scan_row_without_lo_below_hi_is_refused(scan):
 
     with pytest.raises(ValueError, match="lo < hi"):
         htlcgame.widest_band(g, np.array([(0.3, 2.0), scan]), 2)
-    with pytest.raises(ValueError, match="lo < hi"):
-        continuation_band_t2(baseline(), [0.0, 5.0], scan=scan)
-    with pytest.raises(ValueError, match="lo < hi"):
-        continuation_band_t2(baseline(), 0.0, scan=scan, x_a=[1.5, 2.0])
 
 
 def _surface_shapes(grid):

@@ -355,11 +355,11 @@ def test_no_lock_after_a_cancelled_party_locks_its_principal():
         LockAction(1, 1, 0.1, "premium", 9.0, 40.0, 0, 0, ("Hbar", "H1")),
     )
     secrets = {role: f"{role}-secret".encode().ljust(32, b"\x00") for role in ("Hbar", "H0", "H1")}
-    v = execute(protocol._Layout(actions, secrets, ("P0", "P1")), [("chain-0", 3.0), ("chain-1", 3.0)],
-                [Strategy("compliant"), Strategy("delay", phase="lock", hours=10.0)],
-                Timing(t_eps=1.0, wait=((3.0, 1.5), (3.0, 1.5)), claim_wait=7.0,
-                       release_with_claim=True),
-                safety=lambda *facts: (True, []))
+    v = execute(protocol._Layout(actions, secrets, ("P0", "P1"), [("chain-0", 3.0), ("chain-1", 3.0)],
+                                 Timing(t_eps=1.0, wait=((3.0, 1.5), (3.0, 1.5)), claim_wait=7.0,
+                                        release_with_claim=True),
+                                 lambda *facts: (True, [])),
+                [Strategy("compliant"), Strategy("delay", phase="lock", hours=10.0)])
     made = {e.tx_id for e in v.events if e.tx_id.startswith("lock-")}
     assert made == {"lock-0", "lock-1", "lock-2"}
     assert any(e.tx_id == "cancel-0" and e.kind == "confirmed" for e in v.events)

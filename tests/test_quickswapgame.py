@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import baseline, quick_baseline
+from conftest import baseline, quick_baseline, start_scans_at
 from swapsim import htlcgame, numerics, quickswapgame
 from swapsim.numerics import Bracket
 from swapsim.quickswapgame import (
@@ -128,19 +128,22 @@ def test_success_rate_invariant_under_price_scaling(k):
 
 
 @pytest.mark.parametrize("scan", [(2.0, 0.3), (math.nan, 2.0)], ids=["inverted", "nan"])
-def test_lock_band_refuses_a_scan_without_lo_below_hi(scan):
+def test_lock_band_refuses_a_scan_without_lo_below_hi(monkeypatch, scan):
+    start_scans_at(monkeypatch, scan)
     with pytest.raises(ValueError, match="lo < hi"):
-        continuation_band_t3(quick_baseline(), scan)
+        continuation_band_t3(quick_baseline())
 
 
 @pytest.mark.parametrize("sigma", [0.05, 0.1, 0.2])
-def test_lock_band_widens_a_narrow_scan(sigma):
+def test_lock_band_widens_a_narrow_scan(monkeypatch, sigma):
     # The band reaches past the scan's upper edge, so the scan is widened
     # until both roots lie inside; the roots then agree with the default
     # scan's to the bisection tolerance.
     q = quick_baseline(sigma)
+    want_lo, want_hi = continuation_band_t3(q)
     scan = Bracket(0.3, 2.0)
-    (lo, hi), (want_lo, want_hi) = continuation_band_t3(q, scan), continuation_band_t3(q)
+    start_scans_at(monkeypatch, scan)
+    lo, hi = continuation_band_t3(q)
     assert hi > scan.hi
     assert lo == pytest.approx(want_lo, abs=1e-8)
     assert hi == pytest.approx(want_hi, abs=1e-8)
