@@ -381,7 +381,7 @@ def sr_surface(
     locks = ~np.isnan(bands[..., 0])
     # A block holds ``per`` x_a that have a band; one without rides along
     # with its predecessors, as it adds no integrand rows.
-    per = max(1, numerics._CALL_BUDGET // max(1, len(ts) * len(tps) * numerics._GL_ORDER))
+    per = max(1, numerics._CALL_BUDGET // max(1, len(ts) * len(tps) * numerics._PANEL_NODES))
     block = np.maximum(np.cumsum(locks.any(axis=1)) - 1, 0) // per
     ends = np.append(np.flatnonzero(np.diff(block)) + 1, len(xa)).tolist()
     na = np.empty((len(xa), len(ts), len(tps)), dtype=bool)
@@ -458,7 +458,8 @@ def payoff_t1_with_band(p: SwapParams, T, Tp, bands, x_a=None) -> tuple[np.ndarr
             price = lo + u * width
             u_a = width * _value_a(game, p, price)  # Jacobian folded into the T'-free factor
             dens = transition_pdf(price[:, :, None, :], st1, p.gbm, h[:, None])
-            return (dens * u_a[:, :, None, :]).reshape(-1, len(u))
+            dens *= u_a[:, :, None, :]
+            return dens.reshape(-1, len(u))
 
         cont_int = integrate(integrand, (0.0, 1.0), p.quad).reshape(len(groups), len(ts), len(tps))
         # Complement of the band under the same tau_a + T' law as the
@@ -497,7 +498,7 @@ def _sr_table(p: SwapParams, bands: np.ndarray, threshold: np.ndarray, h_claim: 
     flat = rates.reshape(-1)
     width = cells.shape[1]
     ends = np.cumsum(np.count_nonzero(cells, axis=1))  # rows up to each group's end
-    per = max(1, numerics._CALL_BUDGET // numerics._GL_ORDER)
+    per = max(1, numerics._CALL_BUDGET // numerics._PANEL_NODES)
     for first in range(0, int(ends[-1]) if ends.size else 0, per):
         # The block's rows lie in groups g0..g1 and skip the first ``skip``
         # rows of g0.

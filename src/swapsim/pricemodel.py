@@ -158,9 +158,18 @@ def transition_pdf(target, state: PriceState, params: GbmParams, lam):
     """
     arr = _law_inputs(target, params, lam)
     m, s = _log_moments(params, lam)
-    z = (np.log(arr / state.value) - m) / s
-    out = np.exp(-0.5 * z * z) / (arr * s * math.sqrt(2.0 * math.pi))
-    return _as_result(out, target, lam)
+    # exp(-0.5 * z * z) / (arr * s * sqrt(2 pi)), z = (log(arr / x0) - m) / s,
+    # in that operation order on two arrays of the broadcast shape.
+    shape = np.broadcast_shapes(arr.shape, np.shape(s))
+    z = np.subtract(np.log(arr / state.value), m, out=np.empty(shape))
+    z /= s
+    out = np.multiply(z, -0.5, out=np.empty(shape))
+    out *= z
+    np.exp(out, out=out)
+    den = np.multiply(arr, s, out=z)
+    den *= math.sqrt(2.0 * math.pi)
+    out /= den
+    return _as_result(out[()], target, lam)  # a 0-d result as a scalar, as ufuncs give it
 
 
 def transition_cdf(target, state: PriceState, params: GbmParams, lam):

@@ -343,7 +343,7 @@ def _digest(path: Path) -> str:
 
 @pytest.mark.parametrize("fmt, digest", [
     ("csv", "71247fd3e7a8e4763c0862b5d5679eb3fd36a7fd6f911c038f13ab2d89473ac4"),
-    ("json", "71530f88da017d9cce4622b92e157ecf9e5d823f3ac2eeeb08282c51e83c174a"),
+    ("json", "6ab2da2b7c638ac5cb7bdc748003cb9a12c2c83bc34a287e41fa0917e929b4d7"),
 ])
 def test_default_surface_bytes_are_pinned(tmp_path, fmt, digest):
     assert run_cli("htlc-surface", "--out", str(tmp_path), "--format", fmt) == 0

@@ -269,7 +269,7 @@ def _oracle_surface(p, xa, ts, tps):
     """Per-cell success rates from scalar quadrature, one T' at a time.
 
     Returns the raw surface (NaN where A never starts) and the number of
-    integrand calls of every integral (3 means no panel was refined).
+    integrand calls of every integral (1 means no panel was refined).
     """
     raw = np.full((len(xa), len(ts), len(tps)), np.nan)
     calls = []
@@ -345,7 +345,7 @@ def test_surface_matches_per_cell_oracle(case, p):
     if case == "tight quadrature":
         # Some integrals refine and some do not, so rows of one batched
         # integral take different refinement paths.
-        assert min(calls) == 3 < max(calls)
+        assert min(calls) == 1 < max(calls)
 
 
 @pytest.mark.parametrize("k", [1e-6, 1e-3, 1e6, 1e9])
@@ -550,6 +550,12 @@ def test_default_surface_makes_one_success_rate_call(monkeypatch):
     ts, tps = np.arange(21.0), np.arange(22.0)
     bands = continuation_band_t2(baseline(), ts, x_a=xa)
     calls = []  # the integrand call shapes of each per-row-bracket call
+    tables = []
+    sr_table = htlcgame._sr_table
+
+    def one_table(*args):
+        tables.append(args[-1].sum())
+        return sr_table(*args)
 
     def counted(f, bracket, spec):
         if np.ndim(bracket) == 1:
@@ -563,18 +569,22 @@ def test_default_surface_makes_one_success_rate_call(monkeypatch):
         return integrate(g, bracket, spec)
 
     monkeypatch.setattr(htlcgame, "integrate", counted)
+    monkeypatch.setattr(htlcgame, "_sr_table", one_table)
     grid = sr_surface(baseline(), xa, ts, tps)
     locks = ~np.isnan(bands[..., 0])
     rows = int((~grid.na_mask & locks[:, :, None]).sum())
-    # One call on every cell with a band: the whole panel and its halves.
-    assert calls == [[(rows, 32)] * 3]
-    assert rows * 32 <= numerics._CALL_BUDGET
+    # One table of every cell with a band, solved in blocks of as many rows
+    # of 65 nodes as _CALL_BUDGET holds (504), one integrate call each; one
+    # integrand call per block, as no panel refines.
+    assert tables == [rows] and rows == 586
+    per = numerics._CALL_BUDGET // 65
+    assert calls == [[(per, 65)], [(rows - per, 65)]]
     # With a budget of 100 rows the table splits into blocks of 100 rows,
     # one integrate call each; no row's bits change.
     calls.clear()
-    monkeypatch.setattr(numerics, "_CALL_BUDGET", 32 * 100)
+    monkeypatch.setattr(numerics, "_CALL_BUDGET", 65 * 100)
     assert np.array_equal(sr_surface(baseline(), xa, ts, tps).raw, grid.raw, equal_nan=True)
-    assert [len(c) for c in calls] == [3] * -(-rows // 100)
+    assert [len(c) for c in calls] == [1] * -(-rows // 100)
     assert [c[0][0] for c in calls] == [100] * (rows // 100) + [rows % 100] * bool(rows % 100)
 
 
@@ -643,17 +653,17 @@ def test_default_surface_solves_its_root_node_in_blocks_of_whole_x_a(monkeypatch
     ts, tps = np.arange(21.0), np.arange(22.0)
     roots, calls = _root_node_calls(monkeypatch)
     sr_surface(baseline(), xa, ts, tps)
-    # One x_a group is 21 x 22 rows of 32 nodes (14,784 values), so a block
-    # of _CALL_BUDGET values holds two groups: 11 root-node calls, each one
-    # integrate call of three integrand calls.
+    # One x_a group is 21 x 22 rows of 65 nodes (30,030 values), so a block
+    # of _CALL_BUDGET values holds one group: 21 root-node calls, each one
+    # integrate call of one integrand call.
     group = 21 * 22
-    assert numerics._CALL_BUDGET // (group * 32) == 2
-    assert roots == [2] * 10 + [1]
-    assert calls == [[2 * group] * 3] * 10 + [[group] * 3]
+    assert numerics._CALL_BUDGET // (group * 65) == 1
+    assert roots == [1] * 21
+    assert calls == [[group]] * 21
 
 
 @pytest.mark.parametrize("budget, blocks, banded", [
-    (3 * 4 * 3 * 32, [4, 3], [3, 3]),
+    (3 * 4 * 3 * 65, [4, 3], [3, 3]),
     (100, [1, 1, 2, 1, 1, 1], [1] * 6),
 ])
 def test_root_node_blocks_hold_whole_x_a_groups(monkeypatch, budget, blocks, banded):
@@ -671,8 +681,8 @@ def test_root_node_blocks_hold_whole_x_a_groups(monkeypatch, budget, blocks, ban
     assert np.array_equal(blocked.na_mask, whole.na_mask)
     assert roots == blocks
     # A block of g x_a with a band is one integrate call on g x 4 x 3 rows:
-    # the whole panel and its two halves, none of which refines.
-    assert calls == [[g * 4 * 3] * 3 for g in banded]
+    # one panel, which does not refine.
+    assert calls == [[g * 4 * 3] for g in banded]
 
 
 @pytest.mark.parametrize("x_a, says", [

@@ -11,16 +11,65 @@ from swapsim.numerics import (
     Bracket,
     QuadratureDepthError,
     QuadratureSpec,
-    fixed_gauss,
     find_roots,
     integrate,
 )
+from swapsim.pricemodel import PriceState, transition_cdf, transition_pdf
 
 
-def test_fixed_gauss_exact_on_polynomials():
-    # 32-point Gauss-Legendre is exact up to degree 63.
-    got = fixed_gauss(lambda x: 3 * x**2 + x, 0.0, 2.0)
-    assert got == pytest.approx(8.0 + 2.0, abs=1e-12)
+def _monomial_errors(nodes, weights, degrees):
+    # Error of the rule on x^k over [-1, 1], in ulps of 2 / (k + 1).
+    return [abs((weights * nodes**k).sum() - (2.0 / (k + 1) if k % 2 == 0 else 0.0))
+            / np.spacing(2.0 / (k + 1)) for k in degrees]
+
+
+def test_kronrod_rule_is_exact_to_degree_97():
+    assert numerics._PANEL_NODES == len(numerics._KRONROD_WEIGHTS) == 2 * numerics._GL_ORDER + 1 == 65
+    assert max(_monomial_errors(numerics._NODES, numerics._KRONROD_WEIGHTS, range(98))) <= 8
+
+
+def test_kronrod_rule_embeds_the_32_point_gauss_rule():
+    # The Gauss-Legendre nodes sit at the odd positions of the Kronrod nodes.
+    gauss = numerics._NODES[1::2]
+    nodes, weights = np.polynomial.legendre.leggauss(numerics._GL_ORDER)
+    assert (np.abs(gauss - nodes) <= 2 * np.spacing(np.abs(nodes))).all()
+    # numpy's weights are off by up to 472 ulps (5.8e-14 relative) from
+    # the 80-digit ones, and their own errors on x^k reach 130 ulps.
+    assert np.allclose(numerics._GAUSS_WEIGHTS, weights, rtol=1e-13, atol=0.0)
+    assert max(_monomial_errors(gauss, numerics._GAUSS_WEIGHTS, range(64))) <= 8
+
+
+def test_kronrod_rule_is_symmetric_with_positive_weights():
+    x = numerics._NODES
+    assert (np.diff(x) > 0).all() and -1.0 < x[0] and x[-1] < 1.0
+    assert np.array_equal(x, -x[::-1])
+    for w in (numerics._KRONROD_WEIGHTS, numerics._GAUSS_WEIGHTS):
+        assert (w > 0).all() and np.array_equal(w, w[::-1])
+
+
+@pytest.mark.parametrize("sigma", [0.02, 0.1])
+def test_integrated_lock_density_matches_its_distribution_function(sigma):
+    # On every band of the default surface's grid, the tau_a + T' density
+    # integrates to the difference of its closed-form distribution function.
+    p = baseline(sigma)
+    xa = np.round(np.arange(1.0, 3.0 + 1e-9, 0.1), 10)
+    bands = htlcgame.continuation_band_t2(p, np.arange(21.0), x_a=xa).reshape(-1, 2)
+    bands = bands[~np.isnan(bands[:, 0])]
+    h = np.tile(p.tau_a + np.arange(22.0), len(bands))[:, None]
+    rows = np.repeat(bands, 22, axis=0)
+    st1 = PriceState(p.x_yb_t1)
+    got = integrate(lambda x: transition_pdf(x, st1, p.gbm, h), rows, p.quad)
+    want = transition_cdf(rows[:, 1:], st1, p.gbm, h) - transition_cdf(rows[:, :1], st1, p.gbm, h)
+    assert len(rows) > 1_000
+    assert np.max(np.abs(got - want[:, 0])) <= 1e-14
+
+
+@pytest.mark.parametrize("tol", [{"abs_tol": math.nan}, {"rel_tol": math.nan},
+                                 {"abs_tol": 0.0}, {"rel_tol": -1e-9}])
+def test_quadrature_spec_refuses_tolerances_not_above_zero(tol):
+    # A NaN tolerance used to build a spec on which every panel fails.
+    with pytest.raises(ValueError, match="tolerances must be > 0"):
+        QuadratureSpec(**tol)
 
 
 def test_integrate_known_values():
@@ -82,7 +131,8 @@ def test_per_row_brackets_match_rows_integrated_alone(spec):
 
     got = integrate(table, own, spec)
     assert got.tolist() == [integrate(f, Bracket(*b), spec) for f, b in zip(rows, own.tolist())]
-    assert all(shape == (len(rows), 32) for shape in calls) and len(calls) > 3
+    # Every call is one panel of every row; some rows refine.
+    assert all(shape == (len(rows), 65) for shape in calls) and len(calls) > 1
 
 
 def test_integrate_depth_exhaustion_raises():

@@ -262,9 +262,10 @@ def test_participation_solves_quick_swap_rates_in_one_table(monkeypatch):
 
 
 def test_participation_solves_the_htlc_root_node_in_one_call(monkeypatch):
-    # The 21 x_a by 5 delays by 5 lock delays of the HTLC grid are one
-    # payoff_t1_with_band call and, at 16,800 integrand values, one
-    # integrate call.
+    # The 21 x_a by 5 delays by 5 lock delays of the HTLC grid, at 34,125
+    # integrand values, are one payoff_t1_with_band call and one integrate
+    # call under a budget that holds them; the default budget of 32,768
+    # values takes them in blocks of 20 x_a.
     roots, panels = [], []
     solve, integrate = htlcgame.payoff_t1_with_band, htlcgame.integrate
 
@@ -281,6 +282,11 @@ def test_participation_solves_the_htlc_root_node_in_one_call(monkeypatch):
     monkeypatch.setattr(htlcgame, "integrate", shared)
     xa = np.round(np.arange(1.0, 3.0 + 1e-9, 0.1), 10)
     compare_participation(baseline(), quick_baseline(), xa)
+    assert roots == [(20, 5, 5), (1, 5, 5)]
+    assert panels == [Bracket(0.0, 1.0)] * 2
+    roots.clear()
+    panels.clear()
+    monkeypatch.setattr(numerics, "_CALL_BUDGET", 21 * 5 * 5 * 65)
+    compare_participation(baseline(), quick_baseline(), xa)
     assert roots == [(21, 5, 5)]
     assert panels == [Bracket(0.0, 1.0)]
-    assert 21 * 5 * 5 * 32 <= numerics._CALL_BUDGET
