@@ -30,6 +30,7 @@ import numpy as np
 
 from . import cyclic as cyclic_mod
 from . import htlcgame, quickswapgame
+from .numerics import QuadratureDepthError
 from .pricemodel import GbmParams
 from .protocol import (
     build_htlc_instance,
@@ -220,8 +221,10 @@ def _cyclic_spec(p: dict) -> cyclic_mod.CyclicSpec:
 
 def _grid(*axes: tuple[float, float, float]) -> list[np.ndarray]:
     """One array per ``(min, max, step)`` axis, refusing grids above _MAX_GRID_CELLS.
-    An axis holds ``min + k * step`` up to ``max`` (within 1e-9 steps), never past it."""
-    counts = []
+    An axis holds ``min + k * step`` up to ``max`` (within 1e-9 steps), never past it,
+    rounded to 10 decimals, or to 9 digits below the step's leading digit where
+    that is finer, so an axis keeps its points at any scale."""
+    counts, digits = [], []
     for lo, hi, step in axes:
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise ConfigError(f"grid axis needs finite bounds with min <= max, got [{lo}, {hi}]")
@@ -229,10 +232,12 @@ def _grid(*axes: tuple[float, float, float]) -> list[np.ndarray]:
             raise ConfigError(f"grid step must be > 0 and finite, got {step}")
         span = (hi - lo) / step
         counts.append(math.floor(span + 1e-9) + 1 if math.isfinite(span) else math.inf)
+        digits.append(max(10, 9 - math.floor(math.log10(step))))
     cells = math.prod(counts)
     if cells > _MAX_GRID_CELLS:
         raise ConfigError(f"grid of {cells} cells is above the limit of {_MAX_GRID_CELLS}")
-    return [np.round(lo + step * np.arange(count), 10) for (lo, _, step), count in zip(axes, counts)]
+    return [np.array([round(lo + step * k, d) for k in range(count)])
+            for (lo, _, step), count, d in zip(axes, counts, digits)]
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +622,7 @@ def main(argv: list[str] | None = None) -> int:
             format=args.format,
         )
         return _COMMANDS[args.subcommand](cfg)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, QuadratureDepthError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

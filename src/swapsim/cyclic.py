@@ -171,8 +171,10 @@ def validate_plan(plan: ProtocolInstance) -> list[str]:
         else:
             cancel_hashes.add(a.early_refund_hash)
         role = a.early_refund_hash  # party i holds "H{i}", and P0 the payment secret "Hbar"
-        owner = None if role is None else 0 if role == "Hbar" else int(role[1:])
-        if owner is not None and owner != (a.party - 1) % n:
+        owner = None if role in (None, "Hbar") else int(role[1:])
+        if role == "Hbar":
+            problems.append(f"principal of party {a.party} refundable early by the payment hash")
+        elif owner is not None and owner != (a.party - 1) % n:
             problems.append(
                 f"principal of party {a.party} refundable by hash of party {owner}, "
                 f"expected predecessor {(a.party - 1) % n}"
@@ -212,4 +214,5 @@ def run_cyclic(
     outside = [i for i in strategies if i not in range(n)]
     if outside:
         raise ValueError(f"party indices {outside} are outside 0..{n - 1}")
-    return execute(plan.layout, [_STRATEGIES[strategies.get(i, "compliant")] for i in range(n)])
+    return execute(plan, [_STRATEGIES[strategies.get(i, "compliant")] for i in range(n)],
+                   bound=plan.release)

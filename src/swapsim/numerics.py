@@ -182,6 +182,12 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], bracket,
 _CALL_BUDGET = 1 << 15
 
 
+def _opposite(x, y):
+    """Where ``x`` and ``y`` have opposite signs, neither 0 nor NaN.  Their
+    product would underflow to 0 or overflow at extreme price scales."""
+    return ((x < 0.0) & (y > 0.0)) | ((x > 0.0) & (y < 0.0))
+
+
 def find_roots(
     g: Callable,
     scans,
@@ -237,7 +243,7 @@ def find_roots(
         x, f = np.hstack([prev_x, x]), np.hstack([prev_f, f.reshape(n_rows, -1)])
         prev_x, prev_f = x[:, -1:], f[:, -1:]
         left, right = f[:, :-1], f[:, 1:]
-        hits = (left == 0.0) | (left * right < 0.0)
+        hits = (left == 0.0) | _opposite(left, right)
         if stop == grid_points:
             hits[:, -1] |= right[:, -1] == 0.0
         rows, cols = np.nonzero(hits)
@@ -272,7 +278,7 @@ def find_roots(
         padded = np.repeat(lo_col, slots.max() + 1, axis=1)
         padded[rows, slots] = m
         fm = np.asarray(g(padded.reshape(shape)), dtype=float).reshape(padded.shape)[rows, slots]
-        left_of = fa * fm < 0.0
+        left_of = _opposite(fa, fm)
         b = np.where(left_of, m, b)
         a = np.where(left_of, a, m)
         fa = np.where(left_of, fa, fm)

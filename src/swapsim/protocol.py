@@ -4,8 +4,10 @@ A protocol is a lock plan: an ordered list of hashed-timelock contracts
 (``LockAction``) and the secrets that gate them, as in Herlihy's model of a
 swap as a graph of such contracts ("Atomic Cross-Chain Swaps", PODC 2018).
 ``build_htlc_instance`` and ``build_quickswap_instance`` make the two-party
-plans and ``cyclic.generate`` the n-party one.  ``execute`` runs any plan on
-one simulated chain per asset with one ``Strategy`` per party: ``compliant``
+plans and ``cyclic.generate`` the n-party one; each is a
+``ProtocolInstance``, which compiles itself when it is made and is the one
+object the engine runs and judges.  ``execute`` runs any plan on one
+simulated chain per asset with one ``Strategy`` per party: ``compliant``
 acts at the earliest permitted time, ``grief`` stops cooperating after a
 phase ("start" means never act), ``delay`` shifts one action, ``cancel``
 takes the cancellation path at a phase, and ``threshold`` consults the game
@@ -13,10 +15,11 @@ solvers against a price path.  The engine asks the strategies questions
 (``_Run.ask``) and is otherwise deterministic, so ``execute`` can keep one
 trace per distinct list of answers in an answer tree and run the engine only
 for answers it has not seen; ``run``, the two-party entry, passes it the
-instance's ``answer_tree``.  ``_facts`` keeps what a verdict reads of a trace
-and ``_judge`` audits it per profile for net value, Correctness, Safety,
-Liveness and conservation; the property checker sweeps an exhaustive
-strategy grid.
+instance's ``answer_tree``.  ``_facts`` keeps what a verdict reads of a trace,
+which holds no plan, and ``_judge`` audits it against its plan per profile
+for net value, Correctness, Safety, Liveness (every lock released by the
+plan's release hour, plus any deliberate delay of a two-party profile) and
+conservation; the property checker sweeps an exhaustive strategy grid.
 """
 
 from __future__ import annotations
@@ -167,9 +170,18 @@ class Timing:
 class ProtocolInstance:
     """A swap plan: its kind ("htlc", "quickswap" or "cyclic"), parameters,
     parties, lock plan and secrets, its chains as ``(id, confirmation
-    delay)`` pairs, its ``Timing`` and its safety rule ``safety(trace, kinds,
-    endow, recv)``, given the trace's facts, each party's strategy kind, and
-    what each party funded and received."""
+    delay)`` pairs, its ``Timing`` and its safety rule ``safety(plan, trace,
+    kinds, endow, recv)``, given the plan, the trace's facts, each party's
+    strategy kind, and what each party funded and received.
+
+    A plan compiles itself when it is made: its steps (one party's locks with
+    one start time, in order), each step's phase, the hash of every secret,
+    each lock's output ref, the hour ``liveness_bound`` adds a profile's
+    delays to, the principal each cancel secret refunds early, each party's
+    locks and the locks that time out to it, the principals and the principal
+    each party is to receive, and, built on first use, each lock's contract
+    at each expiry it is made with and the input and payout of each spend.
+    Traces share all of these, and nothing changes them."""
 
     kind: str
     params: SwapParams | QuickSwapParams  # or a cyclic.CyclicSpec
@@ -179,6 +191,31 @@ class ProtocolInstance:
     chains: tuple
     timing: Timing
     safety: Callable
+
+    def __post_init__(self) -> None:
+        actions, n = self.actions, len(self.parties)
+        hashes = {role: hash_secret(pre) for role, pre in self.secrets.items()}
+        steps = [(party, [idx for idx, _ in group]) for (party, _), group in itertools.groupby(
+            enumerate(actions), key=lambda ia: (ia[1].party, ia[1].start_time))]
+        # The longest lock after the last lock's start, every confirmation
+        # delay, one propagation lag and the compliant give-up slack.
+        release = max(a.timeout - a.start_time for a in actions) + actions[-1].start_time
+        for _, delay in self.chains:
+            release += delay
+        vars(self).update(  # the plan is frozen; its compiled parts are set once, here
+            steps=steps, hashes=hashes, roles={h: role for role, h in hashes.items()},
+            phase=["premium" if all(actions[i].kind == "premium" for i in idxs) else "lock"
+                   for _, idxs in steps],
+            refs=[OutputRef(f"lock-{idx}", 0) for idx in range(len(actions))],
+            release=release + self.timing.t_eps + self.timing.wait[-1][-1],
+            refunds={a.early_refund_hash: idx for idx, a in enumerate(actions)
+                     if a.early_refund_hash is not None},
+            of=[[i for i, a in enumerate(actions) if a.party == p] for p in range(n)],
+            owed=[[i for i, a in enumerate(actions) if a.timeout_recipient == p] for p in range(n)],
+            principals=[i for i, a in enumerate(actions) if a.kind == "principal"],
+            incoming={a.hashlock_claimant: a.amount for a in actions if a.kind == "principal"},
+            _spends={},     # (lock, spender, secret role) -> (SpendInput, Payout)
+            _contracts={})  # (lock, expiry) -> LockedOutput
 
     def premium_actions(self) -> list[LockAction]:
         return [a for a in self.actions if a.kind == "premium"]
@@ -198,10 +235,30 @@ class ProtocolInstance:
         strategies gave (see ``_replay``)."""
         return {}
 
-    @functools.cached_property
-    def layout(self) -> _Layout:
-        """The plan compiled; built on first use."""
-        return _Layout(self.actions, self.secrets, self.parties, self.chains, self.timing, self.safety)
+    def spend_parts(self, idx: int, party: int, role: str | None) -> tuple[SpendInput, Payout]:
+        """The input and payout of ``party`` spending lock ``idx`` with the
+        secret of ``role`` (None for a timeout spend)."""
+        key = (idx, party, role)
+        parts = self._spends.get(key)
+        if parts is None:
+            name = self.parties[party]
+            pres = {self.hashes[role]: self.secrets[role]} if role else {}
+            parts = self._spends[key] = (SpendInput(self.refs[idx], name, pres),
+                                         Payout(name, self.actions[idx].amount))
+        return parts
+
+    def contract(self, idx: int, expiry: float) -> LockedOutput:
+        """Lock ``idx``'s contract, its timeout branch open at ``expiry``."""
+        out = self._contracts.get((idx, expiry))
+        if out is None:
+            a, names = self.actions[idx], self.parties
+            branches = (SpendBranch(names[a.hashlock_claimant],
+                                    frozenset(self.hashes[r] for r in a.hashlocks)),
+                        SpendBranch(names[a.timeout_recipient], not_before=expiry))
+            if a.early_refund_hash is not None:
+                branches += (SpendBranch(names[a.party], frozenset({self.hashes[a.early_refund_hash]})),)
+            out = self._contracts[idx, expiry] = LockedOutput(a.amount, branches, funder=names[a.party])
+        return out
 
 
 def _mk_secret(tag: bytes) -> bytes:
@@ -291,79 +348,11 @@ def liveness_bound(instance: ProtocolInstance, profile: StrategyProfile) -> floa
     and any deliberate delay in the profile.
     """
     _party_phases(instance.kind)  # refuses a plan that is not two-party
-    return instance.layout.release + (profile.strategy_A.hours + profile.strategy_B.hours)
+    return instance.release + (profile.strategy_A.hours + profile.strategy_B.hours)
 
 
 # ---------------------------------------------------------------------------
 # The engine.
-
-class _Layout:
-    """A lock plan compiled: what the plan fixes for every trace of it.  It
-    holds the plan's parties, chains, timing and safety rule, its steps (one
-    party's locks with one start time, in order), each step's phase, the hash
-    of every secret, each party's locks and the locks that time out to it,
-    each lock's output ref, the hour ``liveness_bound`` adds a profile's
-    delays to, the principals and the principal each party is to receive,
-    and, built on first use, each lock's contract at each
-    expiry it is made with and the input and payout of each spend.  All of
-    these are immutable, so traces share them.
-
-    A ``ProtocolInstance`` builds its layout once and keeps it as its
-    ``layout`` attribute, so it is freed with the plan; it refers to nothing
-    that refers back to the plan."""
-
-    def __init__(self, actions, secrets, parties, chains, timing, safety) -> None:
-        self.steps = [(party, [idx for idx, _ in group]) for (party, _), group in itertools.groupby(
-            enumerate(actions), key=lambda ia: (ia[1].party, ia[1].start_time))]
-        self.phase = ["premium" if all(actions[i].kind == "premium" for i in idxs) else "lock"
-                      for _, idxs in self.steps]
-        self.hashes = {role: hash_secret(pre) for role, pre in secrets.items()}
-        self.roles = {h: role for role, h in self.hashes.items()}
-        self.actions, self.secrets, self.parties = actions, secrets, parties
-        self.chains, self.timing, self.safety = chains, timing, safety
-        self.refs = [OutputRef(f"lock-{idx}", 0) for idx in range(len(actions))]
-        # The longest lock after the last lock's start, every confirmation
-        # delay, one propagation lag and the compliant give-up slack.
-        release = max(a.timeout - a.start_time for a in actions) + actions[-1].start_time
-        for _, delay in chains:
-            release += delay
-        self.release = release + timing.t_eps + timing.wait[-1][-1]
-        # the principal each cancel secret refunds early
-        self.refunds = {a.early_refund_hash: idx for idx, a in enumerate(actions)
-                        if a.early_refund_hash is not None}
-        self.of = [[i for i, a in enumerate(actions) if a.party == p] for p in range(len(parties))]
-        self.owed = [[i for i, a in enumerate(actions) if a.timeout_recipient == p]
-                     for p in range(len(parties))]
-        self.principals = [i for i, a in enumerate(actions) if a.kind == "principal"]
-        self.incoming = {a.hashlock_claimant: a.amount for a in actions if a.kind == "principal"}
-        self._spends: dict = {}  # (lock, spender, secret role) -> (SpendInput, Payout)
-        self._contracts: dict = {}  # (lock, expiry) -> LockedOutput
-
-    def spend_parts(self, idx: int, party: int, role: str | None) -> tuple[SpendInput, Payout]:
-        """The input and payout of ``party`` spending lock ``idx`` with the
-        secret of ``role`` (None for a timeout spend)."""
-        key = (idx, party, role)
-        parts = self._spends.get(key)
-        if parts is None:
-            name = self.parties[party]
-            pres = {self.hashes[role]: self.secrets[role]} if role else {}
-            parts = self._spends[key] = (SpendInput(self.refs[idx], name, pres),
-                                         Payout(name, self.actions[idx].amount))
-        return parts
-
-    def contract(self, idx: int, expiry: float) -> LockedOutput:
-        """Lock ``idx``'s contract, its timeout branch open at ``expiry``."""
-        out = self._contracts.get((idx, expiry))
-        if out is None:
-            a, names = self.actions[idx], self.parties
-            branches = (SpendBranch(names[a.hashlock_claimant],
-                                    frozenset(self.hashes[r] for r in a.hashlocks)),
-                        SpendBranch(names[a.timeout_recipient], not_before=expiry))
-            if a.early_refund_hash is not None:
-                branches += (SpendBranch(names[a.party], frozenset({self.hashes[a.early_refund_hash]})),)
-            out = self._contracts[idx, expiry] = LockedOutput(a.amount, branches, funder=names[a.party])
-        return out
-
 
 class _Run:
     """One trace of a lock plan.
@@ -393,11 +382,11 @@ class _Run:
     everyone cancels.
     """
 
-    def __init__(self, layout: _Layout, tables, decide):
-        self.layout = layout
-        self.steps, self.phase = layout.steps, layout.phase
-        self.actions, self.parties, self.timing = layout.actions, layout.parties, layout.timing
-        self.chains = [Chain(*chain) for chain in layout.chains]
+    def __init__(self, plan: ProtocolInstance, tables, decide):
+        self.plan = plan
+        self.steps, self.phase = plan.steps, plan.phase
+        self.actions, self.parties, self.timing = plan.actions, plan.parties, plan.timing
+        self.chains = [Chain(*chain) for chain in plan.chains]
         self.tables, self.decide = tables, decide
         self.clock = 0.0
         self.queue: list = []
@@ -464,10 +453,10 @@ class _Run:
             for h in e.revealed:
                 if e.time < self.seen.get(h, math.inf):
                     self.seen[h] = e.time
-                role = self.layout.roles[h]
+                role = self.plan.roles[h]
                 if role != "Hbar" and self.anchor is not None:
                     seen = self.poll_at(e.time + self.timing.t_eps, e.time - chain.confirm_delay)
-                    if self.closing.get(self.layout.refunds.get(role), math.inf) >= seen:
+                    if self.closing.get(self.plan.refunds.get(role), math.inf) >= seen:
                         self.at(seen, self._refund_early, role)
 
     def poll_at(self, t: float, after: float = -math.inf) -> float:
@@ -491,13 +480,13 @@ class _Run:
 
     # -- ledger helpers --------------------------------------------------------
     def visible(self, role: str) -> bool:
-        return self.clock >= self.seen.get(self.layout.hashes[role], math.inf) + self.timing.t_eps
+        return self.clock >= self.seen.get(self.plan.hashes[role], math.inf) + self.timing.t_eps
 
     def spent(self, idx: int) -> bool:
         return self.refs[idx] in self.chains[self.actions[idx].chain].spent
 
     def spend(self, idx: int, party: int, tx_id: str, role: str | None = None) -> bool:
-        spend, payout = self.layout.spend_parts(idx, party, role)
+        spend, payout = self.plan.spend_parts(idx, party, role)
         tx = Transaction(tx_id, [spend], [payout])
         sent = self.broadcast(self.chains[self.actions[idx].chain], tx)
         if sent:
@@ -505,11 +494,11 @@ class _Run:
         return sent
 
     def locked(self, party: int) -> bool:
-        return any(i in self.refs for i in self.layout.of[party])
+        return any(i in self.refs for i in self.plan.of[party])
 
     def own(self, party: int, kind: str) -> list[int]:
         """The party's unspent locks of ``kind``."""
-        return [i for i in self.layout.of[party] if i in self.refs
+        return [i for i in self.plan.of[party] if i in self.refs
                 and self.actions[i].kind == kind and not self.spent(i)]
 
     # -- the schedule ----------------------------------------------------------
@@ -554,7 +543,7 @@ class _Run:
             a = self.actions[idx]
             self.dead |= a.kind == "principal" and self.revealed[party]
             expiry = a.timeout + (self.clock - a.start_time)
-            ref, contract = self.layout.refs[idx], self.layout.contract(idx, expiry)
+            ref, contract = self.plan.refs[idx], self.plan.contract(idx, expiry)
             self.broadcast(self.chains[a.chain], Transaction(ref.tx_id, [], [contract]))
             self.refs[idx] = ref
             self.expiry[idx] = expiry
@@ -620,12 +609,12 @@ class _Run:
             for idx in self.own(party, "premium"):
                 self.revealed[party] |= self.spend(idx, party, f"cancel-{idx}", f"H{party}")
             self.dead |= self.revealed[party] and any(
-                i in self.refs for i in self.layout.of[party] if self.actions[i].kind == "principal")
+                i in self.refs for i in self.plan.of[party] if self.actions[i].kind == "principal")
             self._watch(party)
             for idx in self.own(party, "principal"):
                 self._refund_early(self.actions[idx].early_refund_hash)
         if alert and self.revealed[party] and not all(self.cancelling):
-            chain = next(self.actions[i].chain for i in self.layout.of[party]
+            chain = next(self.actions[i].chain for i in self.plan.of[party]
                          if self.actions[i].kind == "premium")
             seen = self.clock + self.chains[chain].confirm_delay + self.timing.t_eps
             self.at(self.poll_at(seen), self._alerted, party)
@@ -644,7 +633,7 @@ class _Run:
     def _refund_early(self, role: str | None) -> None:
         """A cancelling party refunds the principal that ``role`` unlocks early,
         once the secret is seen.  (A party that griefs never cancels.)"""
-        idx = self.layout.refunds.get(role)
+        idx = self.plan.refunds.get(role)
         if idx in self.refs:
             party = self.actions[idx].party
             if self.cancelling[party] and not self.spent(idx) and self.visible(role):
@@ -659,7 +648,7 @@ class _Run:
                 self.watching[party] = True
                 if self.anchor is None:
                     self.anchor = self.clock
-                for idx in self.layout.owed[party]:
+                for idx in self.plan.owed[party]:
                     if idx in self.refs:
                         self._sweep_when_due(idx)
 
@@ -673,10 +662,10 @@ class _Run:
             self.at(due, sweep, prio=prio)
 
 
-def execute(layout: _Layout, strategies, *, bound: float = math.inf, decide=None, value=None,
+def execute(plan: ProtocolInstance, strategies, *, bound: float, decide=None, value=None,
             tree=None) -> TraceVerdict:
-    """Run a compiled plan (a ``ProtocolInstance``'s ``layout``) with one
-    strategy per party and audit the trace by the plan's safety rule.
+    """Run a plan with one strategy per party and audit the trace by the
+    plan's safety rule.
 
     ``bound`` is the hour by which every lock must be released;
     ``decide(party, phase, now)`` is the threshold strategies' choice;
@@ -688,21 +677,21 @@ def execute(layout: _Layout, strategies, *, bound: float = math.inf, decide=None
     tables = [s.answer_table for s in strategies]
     trace = None if tree is None else _replay(tree, tables, decide)
     if trace is None:
-        r = _Run(layout, tables, decide)
+        r = _Run(plan, tables, decide)
         r.run()
         trace = _facts(r)
         if tree is not None:
             _grow(tree, r.asked, trace)
-    return _judge(trace, [s.kind for s in strategies], bound, value)
+    return _judge(plan, trace, [s.kind for s in strategies], bound, value)
 
 
 class _Trace(NamedTuple):
     """What a verdict reads of one finished trace; it holds no strategy, so
-    every profile whose answers lead to it can be judged on it.  A named
+    every profile whose answers lead to it can be judged on it, and no
+    plan, so nothing in an answer tree refers back to its plan.  A named
     tuple, quick to build once per trace; nothing changes it, its lists or
     the maps of its finished chains."""
 
-    layout: _Layout
     holdings: list         # per chain: its funded_total and balances
     swapped: bool          # every principal was claimed
     spender: list          # per lock: its confirmed spend's id, "" if unspent, None if never made
@@ -722,13 +711,13 @@ def _facts(r: _Run) -> _Trace:
     Events never tie on (time, chain, tx): each transaction id spends one
     lock, so one rejected is never confirmed later.  Their own tuple order
     is then the trace order."""
-    lay = r.layout
+    plan = r.plan
     spender = [None] * len(r.actions)
     for i in r.refs:
-        spender[i] = r.chains[r.actions[i].chain].spent.get(lay.refs[i], "")
+        spender[i] = r.chains[r.actions[i].chain].spent.get(plan.refs[i], "")
     sent = -math.inf  # latest broadcast of a transaction processed
     events, unconserved, locks_left = [], [], 0
-    endow, recv = dict.fromkeys(lay.parties, 0.0), dict.fromkeys(lay.parties, 0.0)
+    endow, recv = dict.fromkeys(plan.parties, 0.0), dict.fromkeys(plan.parties, 0.0)
     for c in r.chains:
         if c.events:  # a chain appends its events in time order
             sent = max(sent, c.events[-1].time - c.confirm_delay)
@@ -743,18 +732,18 @@ def _facts(r: _Run) -> _Trace:
     events.sort()
     last = events[-1].time if events else 0.0
     return _Trace(  # the fields in order
-        lay, [(c.funded_total, c.balances) for c in r.chains],
-        all((spender[i] or "").startswith("claim") for i in lay.principals),
-        spender, frozenset(map(lay.roles.get, r.seen)), (endow, recv), events, locks_left,
+        [(c.funded_total, c.balances) for c in r.chains],
+        all((spender[i] or "").startswith("claim") for i in plan.principals),
+        spender, frozenset(map(plan.roles.get, r.seen)), (endow, recv), events, locks_left,
         next((e.time for e in reversed(events) if e.kind == "confirmed"), 0.0), unconserved,
         # The run ends at the first poll that observes the last confirmation.
         last if r.anchor is None else r.poll_at(last, sent))
 
 
-def _judge(t: _Trace, kinds, bound: float, scale) -> TraceVerdict:
+def _judge(plan: ProtocolInstance, t: _Trace, kinds, bound: float, scale) -> TraceVerdict:
     """Net value, Correctness, Safety, Liveness and conservation of a trace
-    played by strategies of these kinds; ``scale`` values each chain's coins
-    (1 each if None, as the trace's facts hold them)."""
+    of ``plan`` played by strategies of these kinds; ``scale`` values each
+    chain's coins (1 each if None, as the trace's facts hold them)."""
     endow, recv = t.worth
     if scale:  # what each party funded and received, a coin of chain i worth scale[i]
         endow, recv = dict.fromkeys(endow, 0.0), dict.fromkeys(recv, 0.0)
@@ -774,7 +763,7 @@ def _judge(t: _Trace, kinds, bound: float, scale) -> TraceVerdict:
     correctness = t.swapped or any(k != "compliant" for k in kinds)
     if not correctness:
         witnesses.append("correctness: compliant parties failed to swap")
-    safe, found = t.layout.safety(t, kinds, endow, recv)
+    safe, found = plan.safety(plan, t, kinds, endow, recv)
     witnesses += found
     for chain_id in t.unconserved:
         safe = False
@@ -783,17 +772,18 @@ def _judge(t: _Trace, kinds, bound: float, scale) -> TraceVerdict:
                         t.final_time)
 
 
-def _compensated(t: _Trace, kinds, endow, recv, rho: float) -> tuple[bool, list[str]]:
+def _compensated(plan: ProtocolInstance, t: _Trace, kinds, endow, recv,
+                 rho: float) -> tuple[bool, list[str]]:
     """Two-party rule: a compliant party griefed out of the swap is owed
     c(amount * locktime) = rho * amount * locktime for its locked principal,
     paid by the premiums that time out to it.  The plain HTLC pays none,
     which is exactly the violation the checker is expected to surface
     whenever ``rho`` is positive."""
-    actions = t.layout.actions
+    actions = plan.actions
     for victim in (0, 1):
         if t.swapped or kinds[victim] != "compliant" or kinds[1 - victim] != "grief":
             continue
-        idx = next(i for i in t.layout.principals if actions[i].party == victim)
+        idx = next(i for i in plan.principals if actions[i].party == victim)
         if t.spender[idx] is None:
             continue
         a = actions[idx]
@@ -803,24 +793,24 @@ def _compensated(t: _Trace, kinds, endow, recv, rho: float) -> tuple[bool, list[
                        if p.kind == "premium" and p.timeout_recipient == victim
                        and t.spender[i] == f"timeout-{i}")
         if received + 1e-9 < required:
-            return False, [f"safety: {t.layout.parties[victim]} griefed with {a.amount:g} locked "
+            return False, [f"safety: {plan.parties[victim]} griefed with {a.amount:g} locked "
                            f"for {hours:g}h, compensation {received:g} < required {required:g}"]
     return True, []
 
 
-def recovers_locked(t: _Trace, kinds, endow, recv) -> tuple[bool, list[str]]:
+def recovers_locked(plan: ProtocolInstance, t: _Trace, kinds, endow, recv) -> tuple[bool, list[str]]:
     """Cyclic rule: a compliant party whose outgoing principal was claimed
     holds the incoming one; otherwise it gets back everything it locked
     (premium timeouts may add on top).  A success reveals only "Hbar"."""
-    lay, witnesses = t.layout, []
+    witnesses = []
     if t.swapped and t.revealed != {"Hbar"}:
         witnesses.append(f"success trace revealed {sorted(t.revealed)}")
     expected = dict(endow)
-    for idx in lay.principals:
+    for idx in plan.principals:
         if (t.spender[idx] or "").startswith("claim"):
-            a = lay.actions[idx]
-            expected[lay.parties[a.party]] += lay.incoming[a.party] - a.amount
-    for p, kind in zip(lay.parties, kinds):
+            a = plan.actions[idx]
+            expected[plan.parties[a.party]] += plan.incoming[a.party] - a.amount
+    for p, kind in zip(plan.parties, kinds):
         if kind == "compliant" and recv[p] + 1e-9 < expected[p]:
             witnesses.append(f"safety: {p} received {recv[p]:g} < expected {expected[p]:g}")
     return not any(w.startswith("safety") for w in witnesses), witnesses
@@ -873,7 +863,7 @@ def run(
         if s.phase in _PHASES and s.phase not in phases[party]:
             raise ValueError(f"{party}={s.label()}: {party} has no {s.phase} phase in "
                              f"the {instance.kind} protocol")
-    x = instance.layout.incoming[0]  # B's principal, y_b at its t1 value in A's asset
+    x = instance.incoming[0]  # B's principal, y_b at its t1 value in A's asset
     price = price_path or (lambda t: x)
     bound = liveness_bound(instance, profile)
     # Net value in A-asset units at the price once every lock is released.
@@ -889,7 +879,7 @@ def run(
                 return strategies[0].interested and price(now) >= instance.thresholds[1]
             return True
 
-    return execute(instance.layout, strategies, bound=bound, decide=decide, value=value,
+    return execute(instance, strategies, bound=bound, decide=decide, value=value,
                    tree=instance.answer_tree)
 
 

@@ -260,6 +260,29 @@ def test_grid_axes_end_at_or_below_their_max(tmp_path):
     assert [len(axis) for axis in cli._grid((1.0, 3.0, 0.1), (0.0, 0.3, 0.1), (0.0, 20.0, 1.0))] == [21, 4, 21]
 
 
+def test_grid_axes_keep_their_points_at_small_steps(tmp_path):
+    # Every axis was rounded to 10 decimals, so a 1e-12 axis read 0, 0, 0.
+    assert cli._grid((1e-12, 3e-12, 1e-12))[0].tolist() == [1e-12, 2e-12, 3e-12]
+    assert cli._grid((2e-200, 2.2e-200, 1e-201))[0].tolist() == [2e-200, 2.1e-200, 2.2e-200]
+    small = ("--set", "x_yb_t1=2e-12", "--set", "xa_min=1e-12", "--set", "xa_max=3e-12",
+             "--set", "xa_step=1e-12", "--set", "t_max=0", "--set", "tp_max=0")
+    assert run_cli("htlc-surface", "--out", str(tmp_path), *small) == 0
+    rows = (tmp_path / "htlc_surface.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["1e-12", "2e-12", "3e-12"]
+
+
+@pytest.mark.parametrize("subcommand", ["htlc-surface", "quickswap-sr"])
+def test_quadrature_that_fails_to_converge_is_an_error_line(tmp_path, capsys, subcommand):
+    # At price scale 2e160 the root node's integrand overflows to NaN, and
+    # the quadrature's depth error used to escape as a traceback.
+    scale = ("--set", "x_yb_t1=2e160", "--set", "xa_min=2e160", "--set", "xa_max=2e160",
+             "--set", "xa_step=1")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_cli(subcommand, "--out", str(tmp_path), *scale) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: quadrature failed to converge") and err.count("\n") == 1
+
+
 def test_z_score_uses_the_analytic_standard_error():
     assert cli._z_score(0.26, 0.25, 10_000) == pytest.approx(0.01 / math.sqrt(0.1875 / 10_000))
     assert cli._z_score(0.0, 0.0, 1_000) == 0.0

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -76,6 +77,10 @@ def test_validate_plan_reports_tampering():
     # P0's principal takes H1, which already refunds P2's.
     problems = validate_plan(tampered(0, "H1"))
     assert "cancellation hash H1 reused" in problems
+    # P0 holds the payment secret and is P1's predecessor, yet a principal
+    # refunded early on it could be taken back as the swap completes.
+    assert validate_plan(tampered(1, "Hbar")) == [
+        "principal of party 1 refundable early by the payment hash"]
 
 
 def test_all_compliant_swaps_atomically():
@@ -419,8 +424,8 @@ def test_two_party_entries_refuse_a_cyclic_plan():
 
 
 def test_a_cyclic_plan_is_freed_with_its_last_reference():
-    # The plan keeps its compiled layout; nothing the layout or a run holds
-    # refers back to the plan, so dropping the plan frees it at once.
+    # The plan compiles itself; nothing its compiled parts, its answer tree
+    # or a run holds refers back to the plan, so dropping it frees it at once.
     gc.disable()
     try:
         n = 4
@@ -430,7 +435,6 @@ def test_a_cyclic_plan_is_freed_with_its_last_reference():
         for g in range(n):
             for mode in ("grief-lock", "grief-claim"):
                 run_cyclic(plan, {g: mode})
-        assert plan.layout is plan.layout
         del plan
         assert ref() is None
     finally:
@@ -439,16 +443,28 @@ def test_a_cyclic_plan_is_freed_with_its_last_reference():
 
 def test_a_plan_run_under_other_party_names_gets_its_own_layout():
     # The plan compiled for other party names: the contracts and payouts
-    # follow them, and the layout the plan keeps is left as it is.
-    from swapsim import cyclic
-    from swapsim.protocol import _Layout, execute
-
+    # follow them, and the plan it was made from is left as it is.
     spec = make_spec(3)
     plan = generate(spec)
     want = run_cyclic(plan, {1: "grief-claim"})
     names = ("X0", "X1", "X2")
-    got = execute(_Layout(plan.actions, plan.secrets, names, plan.chains, plan.timing, plan.safety),
-                  [cyclic._STRATEGIES["grief-claim" if i == 1 else "compliant"] for i in range(3)])
+    got = run_cyclic(dataclasses.replace(plan, parties=names), {1: "grief-claim"})
     assert got.net_value == {f"X{i}": want.net_value[f"P{i}"] for i in range(3)}
     assert (got.events, got.outcome, got.safety) == (want.events, want.outcome, want.safety)
-    assert plan.layout.parties == ("P0", "P1", "P2")
+    assert plan.parties == ("P0", "P1", "P2")
+    assert plan.contract(1, plan.actions[1].timeout).funder == "P0"
+
+
+def test_a_cyclic_trace_released_after_its_plan_release_hour_fails_liveness():
+    # Cyclic traces were judged against no hour at all.  Here the others
+    # wait 300 h on chain 1 for P1's lock, which the plan's release hour
+    # (68 h) does not allow for, so the refunds come too late.
+    plan = generate(make_spec(3))
+    assert run_cyclic(plan, {1: "grief-lock"}).liveness
+    waits = ((3.0, 1.0), (300.0, 1.0), (3.0, 1.0))
+    slow = dataclasses.replace(plan, timing=dataclasses.replace(plan.timing, wait=waits))
+    assert slow.release == plan.release == 68.0
+    v = run_cyclic(slow, {1: "grief-lock"})
+    assert not v.liveness and v.final_time > slow.release
+    assert v.witnesses == ["liveness: 0 unreleased locks, last release at 310h (bound 68h)"]
+    assert run_cyclic(slow).liveness

@@ -263,6 +263,23 @@ def test_find_roots_stops_at_float_resolution():
     assert abs(got[0] - root) <= 2 * math.ulp(root)
 
 
+@pytest.mark.parametrize("k", [1e-200, 1e-170, 1e150, 1e299])
+def test_lock_bands_scale_with_prices_past_the_product_range(k):
+    # The scan and the bisection tested signs by multiplying values: at
+    # price scale 1e-160 the products underflowed and the HTLC band moved
+    # to [1.0372, 2.3547], at 1e-170 both games found no band, and large
+    # scales overflowed.  Zero fees: the bands scale with the prices.
+    from conftest import quick_baseline
+    from swapsim.quickswapgame import continuation_band_t3
+
+    with np.errstate(all="raise"):
+        for band, p, pk in [
+            (htlcgame.continuation_band_t2, (baseline(), 0.0), (baseline(x_a=2 * k, x_yb_t1=2 * k), 0.0)),
+            (continuation_band_t3, (quick_baseline(),), (quick_baseline(x_a=2 * k, x_yb_t1=2 * k),)),
+        ]:
+            assert band(*pk) / k == pytest.approx(band(*p), rel=1e-9)
+
+
 def test_find_roots_per_row_scans_match_rows_solved_alone():
     # Each row scans its own grid: the scans differ by decades, and the
     # log row would warn (an error here) if an idle slot held another row's

@@ -16,6 +16,7 @@ from swapsim.htlcgame import claim_threshold_t3, continuation_band_t2, success_r
 from swapsim.ledgersim import Chain
 from swapsim.protocol import (
     LockAction,
+    ProtocolInstance,
     Strategy,
     StrategyProfile,
     Timing,
@@ -355,11 +356,13 @@ def test_no_lock_after_a_cancelled_party_locks_its_principal():
         LockAction(1, 1, 0.1, "premium", 9.0, 40.0, 0, 0, ("Hbar", "H1")),
     )
     secrets = {role: f"{role}-secret".encode().ljust(32, b"\x00") for role in ("Hbar", "H0", "H1")}
-    v = execute(protocol._Layout(actions, secrets, ("P0", "P1"), [("chain-0", 3.0), ("chain-1", 3.0)],
-                                 Timing(t_eps=1.0, wait=((3.0, 1.5), (3.0, 1.5)), claim_wait=7.0,
-                                        release_with_claim=True),
-                                 lambda *facts: (True, [])),
-                [Strategy("compliant"), Strategy("delay", phase="lock", hours=10.0)])
+    plan = ProtocolInstance("cyclic", None, actions, secrets, ("P0", "P1"),
+                            (("chain-0", 3.0), ("chain-1", 3.0)),
+                            Timing(t_eps=1.0, wait=((3.0, 1.5), (3.0, 1.5)), claim_wait=7.0,
+                                   release_with_claim=True),
+                            lambda *facts: (True, []))
+    v = execute(plan, [Strategy("compliant"), Strategy("delay", phase="lock", hours=10.0)],
+                bound=math.inf)
     made = {e.tx_id for e in v.events if e.tx_id.startswith("lock-")}
     assert made == {"lock-0", "lock-1", "lock-2"}
     assert any(e.tx_id == "cancel-0" and e.kind == "confirmed" for e in v.events)
@@ -420,8 +423,9 @@ def test_a_lock_a_billion_hours_late_returns_at_once():
 @pytest.mark.parametrize("kind", ["htlc", "quickswap"])
 def test_each_plan_is_compiled_once(monkeypatch, kind):
     built = []
-    layout = protocol._Layout
-    monkeypatch.setattr(protocol, "_Layout", lambda *args: built.append(1) or layout(*args))
+    compile_plan = ProtocolInstance.__post_init__
+    monkeypatch.setattr(ProtocolInstance, "__post_init__",
+                        lambda plan: built.append(1) or compile_plan(plan))
     inst = _instance(kind)
     check_properties(inst)
     for profile in THRESHOLDS:
@@ -472,7 +476,7 @@ def test_answer_tables_agree_with_the_strategy_methods():
 def test_spend_inputs_shared_by_traces_are_read_only():
     inst = _instance("quickswap")
     check_properties(inst)
-    spends = list(inst.layout._spends.values())
+    spends = list(inst._spends.values())
     assert spends
     for spend, _ in spends:
         with pytest.raises(TypeError):
