@@ -9,8 +9,8 @@ participation constraint) fall out of comparing continue vs stop at each
 node.  Every final-node payoff is linear in the final price, so the last two
 nodes are a table of coefficients and horizons (``_Game``, built by
 ``_htlc`` here and by quickswapgame's ``_quick``), solved for both games by
-one kernel: ``_threshold``, ``_value_b`` and ``_value_a``.  The
-success-rate surface integrates the resulting policy over the price law.
+one kernel: ``_threshold``, ``_value_b`` and ``_value_a``, each value one
+erfc call.  The success-rate surface integrates the policy over the price law.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from . import numerics
 from .numerics import QuadratureSpec, find_roots, integrate
 # ``erfc`` is no longer called here (the price-law kernels call it inside
 # pricemodel); the binding stays for perfbench's per-layer kernel counters.
-from .pricemodel import GbmParams, PriceState, cdf_from, erfc, math_exp, pe_below_from  # noqa: F401
+from .pricemodel import GbmParams, PriceState, cdf_from, erfc, law_terms, math_exp  # noqa: F401
 from .pricemodel import transition_cdf, transition_pdf
 
 __all__ = [
@@ -198,14 +198,14 @@ def _value_b(g: _Game, p: SwapParams, price):
     An honest A (weight theta_1) claims above the threshold after
     ``h_claim`` hours and exits below it after ``h_stop``; B's exit payoff
     is linear in the final price, so its expectation below the threshold is
-    the log-normal partial expectation in closed form.
+    the log-normal partial expectation in closed form.  The two CDFs and the
+    partial expectation are one ``law_terms`` call, as in ``_value_a``.
     """
-    x_star = _threshold(g)
+    (cdf_claim, cdf_stop), (pe_stop,) = law_terms(_threshold(g), price, p.gbm, cdf=(g.h_claim, g.h_stop),
+                                                 pe=(g.h_stop,))
     slope, intercept = g.exit_b
-    claim = (1.0 - cdf_from(x_star, price, p.gbm, g.h_claim)) * g.claim_b * math_exp(-p.r_b * g.h_claim)
-    exit_ = math_exp(-p.r_b * g.h_stop) * (
-        slope * pe_below_from(x_star, price, p.gbm, g.h_stop) + intercept * cdf_from(x_star, price, p.gbm, g.h_stop)
-    )
+    claim = (1.0 - cdf_claim) * g.claim_b * math_exp(-p.r_b * g.h_claim)
+    exit_ = math_exp(-p.r_b * g.h_stop) * (slope * pe_stop + intercept * cdf_stop)
     return p.theta_1 * (claim + exit_) + (1.0 - p.theta_1) * _line(g.dishonest_b, price)
 
 
@@ -213,12 +213,12 @@ def _value_a(g: _Game, p: SwapParams, price):
     """A's value at the middle node once B has locked: her claim line above
     the threshold after ``h_claim`` hours, her exit value below it after
     ``h_stop``."""
-    x_star = _threshold(g)
+    (cdf_claim, cdf_stop), (pe_claim,) = law_terms(_threshold(g), price, p.gbm, cdf=(g.h_claim, g.h_stop),
+                                                  pe=(g.h_claim,))
     slope, intercept = g.claim_a
-    above = price * math_exp(p.gbm.mu * g.h_claim) - pe_below_from(x_star, price, p.gbm, g.h_claim)
-    tail = 1.0 - cdf_from(x_star, price, p.gbm, g.h_claim)
-    claim = math_exp(-p.r_a * g.h_claim) * (slope * above + intercept * tail)
-    return claim + math_exp(-p.r_a * g.h_stop) * cdf_from(x_star, price, p.gbm, g.h_stop) * g.exit_a
+    above = price * math_exp(p.gbm.mu * g.h_claim) - pe_claim
+    claim = math_exp(-p.r_a * g.h_claim) * (slope * above + intercept * (1.0 - cdf_claim))
+    return claim + math_exp(-p.r_a * g.h_stop) * cdf_stop * g.exit_a
 
 
 def _final_payoffs(g: _Game, price: float, action: str, exit_action: str) -> tuple[float, float]:
@@ -464,7 +464,8 @@ def payoff_t1_with_band(p: SwapParams, T, Tp, bands, x_a=None) -> tuple[np.ndarr
         cont_int = integrate(integrand, (0.0, 1.0), p.quad).reshape(len(groups), len(ts), len(tps))
         # Complement of the band under the same tau_a + T' law as the
         # integral, so the two branch weights sum to one.
-        mass_outside = 1.0 - transition_cdf(hi, st1, p.gbm, h) + transition_cdf(lo, st1, p.gbm, h)
+        cdf_hi, cdf_lo = transition_cdf(np.stack([hi, lo]), st1, p.gbm, h)
+        mass_outside = 1.0 - cdf_hi + cdf_lo
         exit_g = exit_value[groups]
         value = p.theta_2 * (
             cont_int * np.exp(-p.r_a * h) + mass_outside * exit_g

@@ -68,6 +68,8 @@ _KRONROD_WEIGHTS = np.concatenate([_HALF_KRONROD_WEIGHTS[:0:-1], _HALF_KRONROD_W
 _GAUSS_WEIGHTS = np.concatenate([_HALF_GAUSS_WEIGHTS[::-1], _HALF_GAUSS_WEIGHTS])
 # Integrand values per row of one panel; callers size their blocks by it.
 _PANEL_NODES = len(_NODES)
+# Panels an ``integrate`` call may evaluate per level of max_depth (workloads use <= 3).
+_PANELS_PER_DEPTH = 64
 
 
 class QuadratureDepthError(RuntimeError):
@@ -135,6 +137,8 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], bracket,
     test and refinement, on panels that split its own bracket as a lone call
     would, so row k equals the result for row k alone bit for bit.  Only rows that
     fail a panel are refined, but ``f`` evaluates every row on each panel.
+    Raises ``QuadratureDepthError`` when a row fails at ``max_depth``, or after
+    ``_PANELS_PER_DEPTH * max_depth`` panels (not 2**(max_depth + 1) of them).
     """
     lo, hi = np.asarray(bracket, dtype=float).T
     if not np.all(lo < hi):
@@ -148,18 +152,21 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], bracket,
         # Per-row panel ends are arrays; shared ones are floats.
         return v[rows] if np.ndim(v) else v
 
+    panels = [1]
+
     def settle(lo, hi, estimates: tuple, rows: np.ndarray, depth: int) -> np.ndarray:
         # Kronrod estimates of ``rows`` on [lo, hi], failing rows bisected.
         kronrod, gauss = (np.atleast_1d(v)[rows] for v in estimates)
         err = np.abs(kronrod - gauss)
         failed = ~(err <= bound[rows] * at(hi - lo, rows) / at(width, rows))
         if failed.any():
-            if depth >= spec.max_depth:
+            if depth >= spec.max_depth or panels[0] >= _PANELS_PER_DEPTH * spec.max_depth:
                 k = rows[failed][0]
                 raise QuadratureDepthError(
                     f"quadrature failed to converge on [{at(lo, k)}, {at(hi, k)}] at depth {depth} "
-                    f"(err={np.max(err[failed]):.3e})"
+                    f"after {panels[0]} panels (err={np.max(err[failed]):.3e})"
                 )
+            panels[0] += 2
             sub, mid = rows[failed], 0.5 * (lo + hi)
             kronrod[failed] = (settle(lo, mid, _panel(f, lo, mid), sub, depth + 1)
                                + settle(mid, hi, _panel(f, mid, hi), sub, depth + 1))

@@ -8,6 +8,8 @@ All functions are pure; the path sampler draws from a seeded generator.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,6 +23,7 @@ __all__ = [
     "transition_cdf",
     "partial_expectation_below",
     "erfc",
+    "law_terms",
     "cdf_from",
     "pe_below_from",
     "math_exp",
@@ -62,18 +65,71 @@ class PriceState:
             raise ValueError("at_time must be >= 0")
 
 
-def _elementwise(fn, x: np.ndarray) -> np.ndarray:
-    """Apply the float function ``fn`` to every element of ``x``, keeping its
-    shape (0-d and empty included); about 30% faster than ``np.frompyfunc``."""
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+_ERFC_STEP, _ERFC_NODES, _ERFC_SCALE, _ERFC_BLOCK, _MIN_NORMAL = 512, 13_952, 1020, 4096, 2.0**-1022
 
 
-def erfc(x: float):
-    """Complementary error function; an ndarray goes through ``math.erfc``
-    element by element, so the array and scalar paths agree bit for bit."""
-    if isinstance(x, np.ndarray):
-        return _elementwise(math.erfc, x)
-    return math.erfc(x)
+@functools.cache
+def _erfc_tables() -> tuple:
+    """erfc and its slope at the nodes (k + 1/2)/512, k < 13,952, scaled by 2**1020,
+    from ``math.erfc`` and ``math.exp`` on first use (218 KB); G's polynomials in U."""
+    nodes = ((np.arange(_ERFC_NODES) + 0.5) / _ERFC_STEP).tolist()
+    value = np.fromiter((math.erfc(x) + _MIN_NORMAL for x in nodes), float, _ERFC_NODES)
+    half = np.fromiter((math.exp(-0.5 * x * x) for x in nodes), float, _ERFC_NODES)  # normal
+    slope = np.ldexp(half, _ERFC_SCALE) * half * (2.0 / math.sqrt(math.pi) / _ERFC_STEP)
+    # u**n * v**j's coefficient in G, in U and V, highest n first; 0-d arrays are faster.
+    polys = [[np.array((-1.0) ** (n + j) / (math.factorial(n) * math.factorial(j) * (n + 2 * j + 1))
+                       * (2.0 / _ERFC_STEP**2) ** n * _ERFC_STEP ** (-2.0 * j)) for n in range(degree, -1, -1)]
+             for j, degree in enumerate((8, 5, 1))]
+    return np.ldexp(value, _ERFC_SCALE), slope, polys
+
+
+def _horner(u: np.ndarray, coefs: list) -> np.ndarray:
+    """The polynomial with coefficients ``coefs``, highest power first, at ``u``."""
+    acc = np.multiply(u, coefs[0])
+    for c in coefs[1:-1]:
+        acc += c
+        acc *= u
+    return np.add(acc, coefs[-1], out=acc)
+
+
+def erfc(x):
+    """Complementary error function, elementwise over an ndarray, else a float.
+
+    One numpy kernel serves every shape, floats included, in passes of 4,096
+    elements that bound its temporaries; an element's bits do not depend on
+    its array.  Near the node x_k, with h = x - x_k, erfc(x) = erfc(x_k) -
+    2/sqrt(pi) * exp(-x_k**2) * h * G(2*x_k*h, h*h), where G(u, v) =
+    integral_0^1 exp(-u*s - v*s**2) ds: erfc(x_k) and exp(-x_k**2) come from
+    a table, G from its 17 leading terms, and erfc(-x) = 2 - erfc(x).  Only
+    +, -, *, abs, min and table lookups, on erfc * 2**1020 so that nothing
+    underflows: no SIMD-dispatched transcendental whose bits depend on the
+    host, and no floating-point flag.  Within 3 ulp of the correctly rounded
+    value on [-6, 27.3], subnormals included (as ``math.erfc`` is); exactly
+    2 from -5.9 down and 0 from 27.25 up; NaN for NaN.
+    """
+    value, slope, (p0, p1, p2) = _erfc_tables()
+    arr = np.asarray(x, dtype=float)
+    result = np.empty(arr.shape)
+    flat, res = arr.reshape(-1), result.reshape(-1)
+    for first in range(0, flat.size, _ERFC_BLOCK):
+        part, out = flat[first:first + _ERFC_BLOCK], res[first:first + _ERFC_BLOCK]
+        t = np.minimum(np.abs(part), _ERFC_NODES / _ERFC_STEP)  # NaN stays NaN
+        t *= _ERFC_STEP
+        k = np.fmin(t, _ERFC_NODES - 0.5).astype(np.intp)
+        m = k + 0.5
+        w = np.subtract(t, m, out=t)  # h * 512, in [-1/2, 1/2]
+        u = np.multiply(w, m, out=m)  # U = w * m = u * 512**2 / 2, V = w * w = v * 512**2
+        v, g = w * w, 0.0
+        for poly in (p2, p1, p0):  # G = p0(U) + V * (p1(U) + V * p2(U))
+            g = g * v + _horner(u, poly)
+        w *= slope.take(k)
+        w *= g
+        # At least 2**-1022 once scaled back, which is exact; so is the
+        # subtraction that leaves a subnormal.
+        np.multiply(np.subtract(value.take(k), w, out=w), 2.0**-_ERFC_SCALE, out=out)
+        out -= _MIN_NORMAL
+        np.subtract(2.0, out, out=out, where=np.signbit(part))  # erfc(-x) = 2 - erfc(x)
+    return result if isinstance(x, np.ndarray) else float(result)
 
 
 def expected_price(state: PriceState, params: GbmParams, lam: float) -> float:
@@ -92,8 +148,8 @@ def _log_moments(params: GbmParams, lam) -> tuple:
 
 def math_exp(x):
     """math.exp, elementwise over an array (np.exp may differ in the last bit)."""
-    if isinstance(x, np.ndarray):
-        return _elementwise(math.exp, x)
+    if isinstance(x, np.ndarray):  # keeps the shape, 0-d and empty included
+        return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
     return math.exp(x)
 
 
@@ -118,20 +174,35 @@ def _log_ratio(target, start):
         return np.log(np.maximum(target, 0.0) / start)
 
 
+def law_terms(target, start, params: GbmParams, cdf=(), pe=()) -> tuple[list, list]:
+    """``cdf_from`` at each horizon of ``cdf`` and ``pe_below_from`` at each
+    of ``pe``, as two lists, bit for bit, from one log ratio and one erfc
+    call.  Each term broadcasts ``target``, ``start`` and its horizon."""
+    start = np.asarray(start, dtype=float)
+    ratio = _log_ratio(target, start)
+    shapes = [np.broadcast(ratio, lam).shape for lam in (*cdf, *pe)]
+    ends = list(itertools.accumulate((math.prod(shape) for shape in shapes), initial=0))
+    args = np.empty(ends[-1])  # every term's -z / sqrt(2), written in place
+    for i, (lam, shape) in enumerate(zip((*cdf, *pe), shapes)):
+        m, s = _log_moments(params, lam)
+        shift = (params.mu + 0.5 * params.sigma**2) * lam if i >= len(cdf) else m
+        np.divide(_standardized(ratio - shift, s), -math.sqrt(2.0), out=args[ends[i]:ends[i + 1]].reshape(shape))
+    values = erfc(args)
+    del args  # freed before the outputs: the fused terms are three times a term's size
+    terms = [values[first:last].reshape(shape) for first, last, shape in zip(ends, ends[1:], shapes)]
+    return ([0.5 * term for term in terms[:len(cdf)]],
+            [start * math_exp(params.mu * lam) * 0.5 * term for lam, term in zip(pe, terms[len(cdf):])])
+
+
 def cdf_from(target, start, params: GbmParams, lam):
     """Unchecked transition_cdf kernel: broadcasts ``target``, the start price
     ``start`` and the horizon ``lam`` against each other."""
-    m, s = _log_moments(params, lam)
-    z = _standardized(_log_ratio(target, np.asarray(start, dtype=float)) - m, s)
-    return 0.5 * erfc(-z / math.sqrt(2.0))
+    return law_terms(target, start, params, cdf=(lam,))[0][0]
 
 
 def pe_below_from(target, start, params: GbmParams, lam):
     """Unchecked partial_expectation_below kernel; broadcasts like cdf_from."""
-    start = np.asarray(start, dtype=float)
-    _, s = _log_moments(params, lam)
-    z = _standardized(_log_ratio(target, start) - (params.mu + 0.5 * params.sigma**2) * lam, s)
-    return start * math_exp(params.mu * lam) * 0.5 * erfc(-z / math.sqrt(2.0))
+    return law_terms(target, start, params, pe=(lam,))[1][0]
 
 
 def _law_inputs(target, params: GbmParams, lam) -> np.ndarray:

@@ -366,7 +366,7 @@ def _digest(path: Path) -> str:
 
 @pytest.mark.parametrize("fmt, digest", [
     ("csv", "71247fd3e7a8e4763c0862b5d5679eb3fd36a7fd6f911c038f13ab2d89473ac4"),
-    ("json", "6ab2da2b7c638ac5cb7bdc748003cb9a12c2c83bc34a287e41fa0917e929b4d7"),
+    ("json", "1563d0119b373af6995fa2ae36f511eb564f60fdb2a78f5033903169f647901c"),
 ])
 def test_default_surface_bytes_are_pinned(tmp_path, fmt, digest):
     assert run_cli("htlc-surface", "--out", str(tmp_path), "--format", fmt) == 0

@@ -508,22 +508,25 @@ def test_band_solve_holds_no_rows_by_grid_table():
 
 @pytest.mark.parametrize("uniform, shared", [(False, 2), (True, 0)])
 def test_band_scan_evaluates_t_free_terms_once_per_x_a(monkeypatch, uniform, shared):
-    # B's stop branch at horizon tau_b (two erfc kernels) does not depend on
-    # T, so the scan evaluates it on each x_a's (G, 1, n) grid; at the
-    # T-dependent horizon tau_b + T every kernel runs on all (G, R, n) rows.
-    shapes = []
-    erfc = pricemodel.erfc
+    # B's stop branch at horizon tau_b (two of the three log-normal terms of
+    # his value, which share one law_terms call) does not depend on T, so the
+    # scan evaluates it on each x_a's (G, 1, n) grid; at the T-dependent
+    # horizon tau_b + T every term runs on all (G, R, n) rows.
+    calls = []
+    law_terms = htlcgame.law_terms
 
-    def recorded(x):
-        shapes.append(np.shape(x))
-        return erfc(x)
+    def recorded(*args, **kwargs):
+        cdfs, pes = law_terms(*args, **kwargs)
+        calls.append([np.shape(term) for term in cdfs + pes])
+        return cdfs, pes
 
-    monkeypatch.setattr(pricemodel, "erfc", recorded)
+    monkeypatch.setattr(htlcgame, "law_terms", recorded)
     p = baseline(uniform_delay_discounting=uniform)
     continuation_band_t2(p, np.arange(21.0), x_a=np.round(1.0 + 0.1 * np.arange(7), 10))
+    assert calls and all(len(shapes) == 3 for shapes in calls)
     # The scan's two column chunks; bisection and midpoint calls hold at
     # most 3 points a row.
-    scan = [shape for shape in shapes if shape[-1] > 3]
+    scan = [shape for shapes in calls for shape in shapes if shape[-1] > 3]
     assert sorted(scan) == sorted([(7, 1, c) for c in (222, 34)] * shared
                                   + [(7, 21, c) for c in (222, 34)] * (3 - shared))
 

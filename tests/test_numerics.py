@@ -141,6 +141,23 @@ def test_integrate_depth_exhaustion_raises():
         integrate(lambda x: np.abs(x - 1.0 / 3.0) ** -0.4, Bracket(1e-9, 1.0), spec)
 
 
+@pytest.mark.parametrize("f", [lambda x: np.sign(np.sin(1e6 * x)), lambda x: np.sin(1e8 * x)],
+                         ids=["sign-change-every-3e-6", "converges-on-1e-6-panels"])
+def test_integrate_stops_at_its_panel_budget(f):
+    # sin(1e8 x) converges on panels of about 1e-6, of which [0, 1] holds
+    # 2**21 (minutes of work): the call stops after 64 panels per level of
+    # max_depth instead.  sign(sin(1e6 x)) fails at max_depth first.
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return f(x)
+
+    with pytest.raises(QuadratureDepthError, match="quadrature failed to converge"):
+        integrate(counted, Bracket(0.0, 1.0))
+    assert len(calls) <= numerics._PANELS_PER_DEPTH * QuadratureSpec().max_depth + 1
+
+
 def test_bracket_validation():
     with pytest.raises(ValueError):
         Bracket(2.0, 1.0)
