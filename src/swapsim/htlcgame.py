@@ -10,7 +10,9 @@ node.  Every final-node payoff is linear in the final price, so the last two
 nodes are a table of coefficients and horizons (``_Game``, built by
 ``_htlc`` here and by quickswapgame's ``_quick``), solved for both games by
 one kernel: ``_threshold``, ``_value_b`` and ``_value_a``, each value one
-erfc call.  The success-rate surface integrates the policy over the price law.
+erfc call.  A's root-node value and the success rate are one band
+quadrature for both games (``_band_integrals``): A's middle-node value and
+her claim probability, integrated over B's lock band under the price law.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from . import numerics
 from .numerics import QuadratureSpec, find_roots, integrate
 # ``erfc`` is no longer called here (the price-law kernels call it inside
 # pricemodel); the binding stays for perfbench's per-layer kernel counters.
-from .pricemodel import GbmParams, PriceState, cdf_from, erfc, law_terms, math_exp  # noqa: F401
+from .pricemodel import GbmParams, PriceState, erfc, law_terms, math_exp  # noqa: F401
 from .pricemodel import transition_cdf, transition_pdf
 
 __all__ = [
@@ -210,15 +212,16 @@ def _value_b(g: _Game, p: SwapParams, price):
 
 
 def _value_a(g: _Game, p: SwapParams, price):
-    """A's value at the middle node once B has locked: her claim line above
-    the threshold after ``h_claim`` hours, her exit value below it after
-    ``h_stop``."""
+    """A's value at the middle node once B has locked, and the probability
+    that she claims: her claim line above the threshold after ``h_claim``
+    hours, her exit value below it after ``h_stop``."""
     (cdf_claim, cdf_stop), (pe_claim,) = law_terms(_threshold(g), price, p.gbm, cdf=(g.h_claim, g.h_stop),
                                                   pe=(g.h_claim,))
     slope, intercept = g.claim_a
     above = price * math_exp(p.gbm.mu * g.h_claim) - pe_claim
-    claim = math_exp(-p.r_a * g.h_claim) * (slope * above + intercept * (1.0 - cdf_claim))
-    return claim + math_exp(-p.r_a * g.h_stop) * cdf_stop * g.exit_a
+    claims = 1.0 - cdf_claim
+    claim = math_exp(-p.r_a * g.h_claim) * (slope * above + intercept * claims)
+    return claim + math_exp(-p.r_a * g.h_stop) * cdf_stop * g.exit_a, claims
 
 
 def _final_payoffs(g: _Game, price: float, action: str, exit_action: str) -> tuple[float, float]:
@@ -369,10 +372,9 @@ def sr_surface(
     holds them when the caller has solved them already, the (x_a, T, 2)
     array that call returns.  The root node runs in blocks of whole x_a
     groups, one ``payoff_t1_with_band`` call each, of at most
-    ``_CALL_BUDGET`` integrand values; of each block only the NA mask is
-    kept.  Every cell where A starts and B has a band is then one row of one
-    success-rate table (``_sr_table``), whose rows equal the cells solved
-    alone bit for bit.
+    ``_CALL_BUDGET`` integrand values per quantity; each block gives its
+    cells' NA flags and success rates from one band quadrature, and a
+    cell's bits do not depend on the cells it is solved with.
     """
     ts = np.asarray(T_grid, dtype=float)
     tps = np.asarray(Tp_grid, dtype=float)
@@ -385,17 +387,10 @@ def sr_surface(
     block = np.maximum(np.cumsum(locks.any(axis=1)) - 1, 0) // per
     ends = np.append(np.flatnonzero(np.diff(block)) + 1, len(xa)).tolist()
     na = np.empty((len(xa), len(ts), len(tps)), dtype=bool)
+    raw = np.empty(na.shape)
     for first, last in zip([0] + ends[:-1], ends):
-        u_cont, u_stop = payoff_t1_with_band(p, ts, tps, bands[first:last], x_a=xa[first:last])
+        u_cont, u_stop, raw[first:last] = payoff_t1_with_band(p, ts, tps, bands[first:last], xa[first:last])
         na[first:last] = u_cont < u_stop
-    # The table's rows are the other cells; each one's group is its (x_a, T)
-    # band, numbered x_a-major as in ``bands``.  A cell where A starts but B
-    # never locks keeps the table's 0.
-    cells = ~na & locks[:, :, None]
-    game = _htlc(p, ts, xa[:, None])
-    raw = _sr_table(p, bands.reshape(-1, 2), np.repeat(_threshold(game), len(ts)),
-                    np.tile(game.h_claim, len(xa)), p.tau_a + tps,
-                    cells.reshape(len(xa) * len(ts), len(tps))).reshape(na.shape)
     raw[na] = np.nan
     norm = p.theta_1 * p.theta_2
     conditional = raw / norm if norm > 0 else np.where(np.isnan(raw), np.nan, 0.0)
@@ -410,26 +405,24 @@ def _band_table(bands, shape: tuple) -> np.ndarray:
     return table
 
 
-def payoff_t1_with_band(p: SwapParams, T, Tp, bands, x_a=None) -> tuple[np.ndarray, np.ndarray]:
-    """Root-node values (A continue, A stop) with precomputed middle-node bands.
+def payoff_t1_with_band(p: SwapParams, T, Tp, bands, x_a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Root-node values (A continue, A stop) and raw success rates, with
+    precomputed middle-node bands.
 
-    ``T`` is a 1-D array of K claim delays and ``Tp`` one of lock delays.
-    ``x_a`` follows ``continuation_band_t2``: without it, ``bands`` is the
-    (K, 2) band table of ``p.x_a`` (NaN where B never locks) and two
-    (K, len(Tp)) arrays are returned; with a 1-D ``x_a``, ``bands`` is the
-    (len(x_a), K, 2) table and the arrays are (len(x_a), K, len(Tp)).  A's
-    stop value is x_a, returned as a read-only broadcast.
+    ``T`` is a 1-D array of K claim delays, ``Tp`` one of lock delays and
+    ``x_a`` one of x_a values; ``bands`` is their (len(x_a), K, 2) table, as
+    ``continuation_band_t2`` returns it (NaN where B never locks).  The three
+    arrays are (len(x_a), K, len(Tp)).  A's stop value is x_a, returned as a
+    read-only broadcast.  The raw success rate is theta_1 * theta_2 times
+    the chance that B's lock price lies in his band and A then claims, 0
+    where B never locks; whether A starts is the caller's to judge.
 
-    Each band is mapped onto u in [0, 1] (price = lo + u * (hi - lo),
-    Jacobian hi - lo), so the integrands of every (x_a, T, T') cell run
-    through one ``integrate`` call with row-wise refinement; ``sr_surface``
-    keeps that call within ``_CALL_BUDGET`` by passing blocks of x_a.  x_a
-    is a (G, 1, 1) column, so A's claim threshold and exit value are
-    evaluated once per x_a.  An x_a without a band adds no rows; the
-    band-less delays of the others ride along as zero-width rows, whose
-    integrand is 0 and never refines.  A's t2 value does not depend on T',
-    so it is evaluated once per (x_a, T, node) and only the transition
-    density carries the T' axis.
+    Both integrals of every (x_a, T, T') cell come from one
+    ``_band_integrals`` call, whose ``integrate`` call ``sr_surface`` keeps
+    within ``_CALL_BUDGET`` by passing blocks of x_a.  x_a is a (G, 1, 1)
+    column, so A's claim threshold and exit value are evaluated once per
+    x_a.  An x_a without a band adds no rows; the band-less delays of the
+    others ride along as zero-width rows, whose integrands are 0.
     """
     _check_delay("claim delay T", T, p.claim_delay_window)
     _check_delay("lock delay T'", Tp, p.lock_delay_window)
@@ -437,84 +430,63 @@ def payoff_t1_with_band(p: SwapParams, T, Tp, bands, x_a=None) -> tuple[np.ndarr
     tps = np.atleast_1d(np.asarray(Tp, dtype=float))
     xs = _xa_axis(p, x_a)
     shape = (len(xs), len(ts), len(tps))
-    table = _band_table(bands, shape[1:2] if x_a is None else shape[:2]).reshape(shape[:2] + (2,))
+    table = _band_table(bands, shape[:2])
     col = xs[:, None, None]
     # Where B never locks, A has her principal back at face value.
     exit_value = (col - p.f_a) * math.exp(-p.r_a * p.tau_a)
     u_cont = np.array(np.broadcast_to(exit_value, shape))
     u_stop = np.broadcast_to(col, shape)
+    rates = np.zeros(shape)
     locks = ~np.isnan(table[..., 0])
     groups = np.flatnonzero(locks.any(axis=1))
     if groups.size:
         # A band-less row is the zero-width band at a valid price.
         ends = np.where(locks[groups, :, None], table[groups], p.x_yb_t1)
         lo, hi = ends[..., :1], ends[..., 1:]
-        width = hi - lo
-        game = _htlc(p, ts[:, None], xs[groups, None, None])
-        st1 = PriceState(p.x_yb_t1)
         h = p.tau_a + tps
-
-        def integrand(u):
-            price = lo + u * width
-            u_a = width * _value_a(game, p, price)  # Jacobian folded into the T'-free factor
-            dens = transition_pdf(price[:, :, None, :], st1, p.gbm, h[:, None])
-            dens *= u_a[:, :, None, :]
-            return dens.reshape(-1, len(u))
-
-        cont_int = integrate(integrand, (0.0, 1.0), p.quad).reshape(len(groups), len(ts), len(tps))
+        cont_int, claims = _band_integrals(_htlc(p, ts[:, None], xs[groups, None, None]), p, lo, hi - lo, h)
         # Complement of the band under the same tau_a + T' law as the
         # integral, so the two branch weights sum to one.
-        cdf_hi, cdf_lo = transition_cdf(np.stack([hi, lo]), st1, p.gbm, h)
+        cdf_hi, cdf_lo = transition_cdf(np.stack([hi, lo]), PriceState(p.x_yb_t1), p.gbm, h)
         mass_outside = 1.0 - cdf_hi + cdf_lo
         exit_g = exit_value[groups]
         value = p.theta_2 * (
             cont_int * np.exp(-p.r_a * h) + mass_outside * exit_g
         ) + (1.0 - p.theta_2) * exit_g
         u_cont[groups] = np.where(locks[groups, :, None], value, u_cont[groups])
-    if x_a is None:
-        return u_cont[0], u_stop[0]
-    return u_cont, u_stop
+        rates[groups] = p.theta_1 * p.theta_2 * claims
+    return u_cont, u_stop, rates
 
 
-def _sr_table(p: SwapParams, bands: np.ndarray, threshold: np.ndarray, h_claim: np.ndarray,
-              h_lock: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Two-stage success rates: B locks inside a band after a lock horizon,
-    then A claims above the threshold after a further claim horizon.
+def _band_integrals(game: _Game, p: SwapParams, lo, width, h_lock) -> tuple[np.ndarray, np.ndarray]:
+    """A's middle-node value and her claim probability, each integrated over
+    B's lock band under the price law ``h_lock`` hours after the root node.
 
-    ``cells`` is a (groups, L) mask whose True entries are the table's rows,
-    in row-major order.  A row's group is its mask row, which indexes the
-    (groups, 2) band table ``bands``, ``threshold`` and ``h_claim``; its
-    column indexes the L lock horizons ``h_lock``.  Returns the (groups, L) rates, 0 outside the mask.
-    Each row integrates over its group's band, with one bracket per row in
-    ``integrate``, so a row's rate does not depend on the rows it is solved
-    with.  The claim tail does not depend on the lock horizon: it is
-    evaluated once per group on the nodes of the group's first row, which
-    are those of all its rows.  The rows go through one ``integrate`` call
-    per block of at most ``_CALL_BUDGET`` integrand values, and each block's
-    row indices are taken from the mask when the block is solved, so no
-    per-row array spans the table.
+    ``lo`` and ``width`` hold each band row's ``(lo, hi - lo)`` with a
+    trailing axis of 1, and broadcast against ``game``'s entries; ``h_lock``
+    is a 1-D array of L lock horizons.  Each band is mapped onto u in
+    [0, 1] (price = lo + u * width, Jacobian width), so every (band row,
+    lock horizon) pair is two rows of one ``integrate`` call with row-wise
+    refinement, and a row's bits do not depend on the rows solved with it.
+    The density is multiplied by the width first: that product does not
+    depend on the price scale, so the integrands grow with the price and
+    not with its square, which over- or underflows at extreme scales.
+    A's values do not depend on the lock horizon, so they are evaluated once
+    per band row and node.  Returns two arrays of shape
+    ``lo.shape[:-1] + (L,)``; a zero-width row gives 0.
     """
     st1 = PriceState(p.x_yb_t1)
-    rates = np.zeros(cells.shape)
-    flat = rates.reshape(-1)
-    width = cells.shape[1]
-    ends = np.cumsum(np.count_nonzero(cells, axis=1))  # rows up to each group's end
-    per = max(1, numerics._CALL_BUDGET // numerics._PANEL_NODES)
-    for first in range(0, int(ends[-1]) if ends.size else 0, per):
-        # The block's rows lie in groups g0..g1 and skip the first ``skip``
-        # rows of g0.
-        g0, g1 = np.searchsorted(ends, [first, first + per - 1], side="right").tolist()
-        skip = first - (int(ends[g0 - 1]) if g0 else 0)
-        pos = np.flatnonzero(cells[g0:g1 + 1])[skip:skip + per] + g0 * width
-        block, col = np.divmod(pos, width)
-        new_group = np.diff(block, prepend=-1) != 0
-        heads, local = np.flatnonzero(new_group), np.cumsum(new_group) - 1
-        x_star, h_c, h_l = threshold[block[heads], None], h_claim[block[heads], None], h_lock[col, None]
+    jacobian = width[..., None, :]
 
-        def integrand(price):
-            dens = p.theta_2 * transition_pdf(price, st1, p.gbm, h_l)
-            tails = 1.0 - cdf_from(x_star, price[heads], p.gbm, h_c)
-            return dens * p.theta_1 * tails[local]
+    def integrand(u):
+        price = lo + u * width
+        value, claims = _value_a(game, p, price)
+        dens = transition_pdf(price[..., None, :], st1, p.gbm, h_lock[:, None])
+        rows = np.empty((2,) + dens.shape)  # the value rows, then the claim rows
+        np.multiply(dens, jacobian, out=rows[1])
+        np.multiply(rows[1], value[..., None, :], out=rows[0])
+        rows[1] *= claims[..., None, :]
+        return rows.reshape(-1, len(u))
 
-        flat[pos] = integrate(integrand, bands[block], p.quad)
-    return np.maximum(0.0, rates, out=rates)
+    value_int, claim_int = integrate(integrand, (0.0, 1.0), p.quad).reshape(2, *lo.shape[:-1], len(h_lock))
+    return value_int, claim_int

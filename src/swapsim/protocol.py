@@ -977,10 +977,10 @@ def _mc_two_stage(
     p: SwapParams, band: np.ndarray, threshold: float, h_lock: float, h_claim: float,
     n_paths: int, seed: int,
 ) -> tuple[float, float]:
-    """Monte Carlo twin of ``htlcgame._sr_table``: B locks when the price
-    after ``h_lock`` hours lies in ``band`` (a ``(lo, hi)`` pair), then A
-    claims when the price a further ``h_claim`` hours on is at least
-    ``threshold``.  No band (NaN ends): (0, 0)."""
+    """Monte Carlo twin of the success rate of ``htlcgame._band_integrals``:
+    B locks when the price after ``h_lock`` hours lies in ``band`` (a
+    ``(lo, hi)`` pair), then A claims when the price a further ``h_claim``
+    hours on is at least ``threshold``.  No band (NaN ends): (0, 0)."""
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     rng = np.random.default_rng(seed)

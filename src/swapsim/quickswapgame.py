@@ -8,7 +8,7 @@ counterparty for the full locktime.  The game has the plain-HTLC shape,
 so it is one more coefficient table (``_quick``) for htlcgame's node kernel:
 A's claim threshold at the final node, a continuation band for B at the
 middle node, and a delay-free success rate that depends only on x_a, from
-htlcgame's shared ``_lock_bands`` and ``_sr_table``.
+htlcgame's shared ``_lock_bands`` and band quadrature ``_band_integrals``.
 """
 
 from __future__ import annotations
@@ -18,9 +18,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .htlcgame import SwapParams, _final_payoffs, _Game, _lock_bands, _sr_table, _threshold, _xa_axis, sr_surface
-# ``find_roots``, ``integrate`` and ``transition_pdf`` are no longer called
-# here (the band and SR solvers are shared with htlcgame); the bindings stay
+from . import numerics
+from .htlcgame import (SwapParams, _band_integrals, _final_payoffs, _Game, _lock_bands, _threshold, _xa_axis,
+                       sr_surface)
+# ``find_roots``, ``integrate`` and ``transition_pdf`` are not called here
+# (the band and SR solvers are shared with htlcgame); the bindings stay
 # for perfbench, which wraps them by name.
 from .numerics import find_roots, integrate  # noqa: F401
 from .pricemodel import transition_pdf  # noqa: F401
@@ -135,17 +137,29 @@ def success_rate(q: QuickSwapParams, band=None, x_a=None):
     """Probability the premium swap completes; a single number per parameter
     set — no delay axes, by construction of the cancel provisions.
 
-    With ``x_a`` a 1-D array, an array of one rate per x_a, every x_a one
-    row of one success-rate table (htlcgame's ``_sr_table``).  ``band`` is
-    B's t3 band, or with ``x_a`` the table of one band per x_a, as
+    The rate is theta_1 * theta_2 times the chance that B's price after
+    tau_a lies in his band and A then claims, from htlcgame's band
+    quadrature, the one the HTLC root node uses.  With ``x_a`` a 1-D array,
+    an array of one rate per x_a.  The x_a run in blocks of as many as
+    ``_CALL_BUDGET`` holds rows of 65 nodes, and those of a block that have
+    a band are one ``integrate`` call, so no array but the rates spans the
+    axis and a rate's bits do not depend on its block.  ``band`` is B's t3
+    band, or with ``x_a`` the table of one band per x_a, as
     ``continuation_band_t3`` returns it, when the caller has solved it
     already (None: solved here).
     """
     xs = _xa_axis(q.base, x_a)
     bands = continuation_band_t3(q, x_a=xs) if band is None else np.reshape(band, (len(xs), 2))
-    b, game = q.base, _quick(q, xs)
-    rates = _sr_table(b, bands, _threshold(game), np.full(len(xs), game.h_claim), np.array([b.tau_a]),
-                      ~np.isnan(bands[:, :1]))[:, 0]
+    b = q.base
+    rates = np.zeros(len(xs))
+    per = max(1, numerics._CALL_BUDGET // numerics._PANEL_NODES)
+    for first in range(0, len(xs), per):
+        # The block's x_a that have a band; the others keep the rate 0.
+        rows = first + np.flatnonzero(~np.isnan(bands[first:first + per, 0]))
+        if rows.size:
+            lo, hi = bands[rows, :1], bands[rows, 1:]
+            _, claims = _band_integrals(_quick(q, xs[rows, None]), b, lo, hi - lo, np.array([b.tau_a]))
+            rates[rows] = b.theta_1 * b.theta_2 * claims[:, 0]
     return float(rates[0]) if x_a is None else rates
 
 

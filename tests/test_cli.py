@@ -14,6 +14,7 @@ import pytest
 
 from swapsim import cli, htlcgame, quickswapgame
 from swapsim.cli import main
+from swapsim.numerics import QuadratureDepthError
 
 
 def run_cli(*args: str) -> int:
@@ -272,15 +273,44 @@ def test_grid_axes_keep_their_points_at_small_steps(tmp_path):
 
 
 @pytest.mark.parametrize("subcommand", ["htlc-surface", "quickswap-sr"])
-def test_quadrature_that_fails_to_converge_is_an_error_line(tmp_path, capsys, subcommand):
-    # At price scale 2e160 the root node's integrand overflows to NaN, and
-    # the quadrature's depth error used to escape as a traceback.
-    scale = ("--set", "x_yb_t1=2e160", "--set", "xa_min=2e160", "--set", "xa_max=2e160",
-             "--set", "xa_step=1")
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run_cli(subcommand, "--out", str(tmp_path), *scale) == 2
+def test_quadrature_that_fails_to_converge_is_an_error_line(tmp_path, capsys, monkeypatch, subcommand):
+    # The quadrature's depth error is one error line, not a traceback.
+    def fails(f, bracket, spec):
+        raise QuadratureDepthError("quadrature failed to converge on [0.0, 1.0] at depth 24")
+
+    monkeypatch.setattr(htlcgame, "integrate", fails)
+    assert run_cli(subcommand, "--out", str(tmp_path), "--set", "xa_step=1") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: quadrature failed to converge") and err.count("\n") == 1
+
+
+def _rates_at_scale(tmp_path, subcommand: str, k: float) -> list[tuple[str, str]]:
+    """The (sr_raw, participation) columns of ``subcommand`` at x_a = x_yb_t1
+    = 2k, T and T' up to 3."""
+    out = tmp_path / f"{subcommand}-{k:g}"
+    scale = ("--set", f"x_yb_t1={2 * k!r}", "--set", f"xa_min={2 * k!r}", "--set", f"xa_max={2 * k!r}",
+             "--set", f"xa_step={k!r}", "--set", "t_max=3", "--set", "tp_max=3")
+    assert run_cli(subcommand, "--out", str(out), *scale) == 0
+    name = "htlc_surface.csv" if subcommand == "htlc-surface" else "quickswap_sr.csv"
+    lines = (out / name).read_text().splitlines()
+    column = lines[0].split(",").index("sr_raw")
+    return [line.split(",")[column] for line in lines[1:]]
+
+
+@pytest.mark.parametrize("subcommand", ["htlc-surface", "quickswap-sr"])
+@pytest.mark.parametrize("k", [1e-170, 1e160])
+def test_extreme_price_scales_give_the_rates_of_scale_one(tmp_path, subcommand, k):
+    # The root node's integrand was the price scale squared: at 2e160 it
+    # overflowed and the quadrature failed to converge, and at 2e-170 it
+    # underflowed, so A never started.  Both run clean now, with the rates
+    # of scale 1.
+    want = _rates_at_scale(tmp_path, subcommand, 1.0)
+    got = _rates_at_scale(tmp_path, subcommand, k)
+    assert len(got) == len(want) and "NA" not in want[:1]
+    assert [v == "NA" for v in got] == [v == "NA" for v in want]
+    for g, w in zip(got, want):
+        if w != "NA":
+            assert float(g) == pytest.approx(float(w), abs=1e-9)
 
 
 def test_z_score_uses_the_analytic_standard_error():
@@ -366,7 +396,7 @@ def _digest(path: Path) -> str:
 
 @pytest.mark.parametrize("fmt, digest", [
     ("csv", "71247fd3e7a8e4763c0862b5d5679eb3fd36a7fd6f911c038f13ab2d89473ac4"),
-    ("json", "1563d0119b373af6995fa2ae36f511eb564f60fdb2a78f5033903169f647901c"),
+    ("json", "889b968a15b9b4aa63e3a8bcfd982d2c29f0e6e681c010aef53a2acae3a76bdc"),
 ])
 def test_default_surface_bytes_are_pinned(tmp_path, fmt, digest):
     assert run_cli("htlc-surface", "--out", str(tmp_path), "--format", fmt) == 0

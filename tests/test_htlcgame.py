@@ -100,7 +100,7 @@ def test_middle_node_value_matches_quadrature():
             assert htlcgame._value_b(g, p, price_t2) == pytest.approx(direct, rel=1e-6)
             direct_a = math.exp(-p.r_a * lam) * (expect(0, exit_action, 1e-3, x_star)
                                                  + expect(0, "continue", x_star, 12.0))
-            assert htlcgame._value_a(g, p, price_t2) == pytest.approx(direct_a, rel=1e-6)
+            assert htlcgame._value_a(g, p, price_t2)[0] == pytest.approx(direct_a, rel=1e-6)
 
 
 def test_continuation_band_brackets_root_crossings():
@@ -175,11 +175,11 @@ def test_root_payoff_rows_match_single_row_calls():
     bands = continuation_band_t2(p, ts)
     assert not np.isnan(bands).any()
     bands[1] = bands[3] = np.nan
-    u_cont, u_stop = payoff_t1_with_band(p, ts, tps, bands)
+    u_cont, u_stop, _ = (a[0] for a in payoff_t1_with_band(p, ts, tps, [bands], x_a=[p.x_a]))
     assert u_cont.shape == u_stop.shape == (len(ts), len(tps))
     exit_value = (p.x_a - p.f_a) * math.exp(-p.r_a * p.tau_a)
     for k, (T, band) in enumerate(zip(ts, bands)):
-        one_cont, one_stop = payoff_t1_with_band(p, [T], tps, [band])
+        one_cont, one_stop, _ = (a[0] for a in payoff_t1_with_band(p, [T], tps, [[band]], x_a=[p.x_a]))
         np.testing.assert_allclose(u_cont[k], one_cont[0], rtol=0.0, atol=1e-12)
         assert np.array_equal(u_stop[k], one_stop[0])
         if np.isnan(band).all():
@@ -195,12 +195,14 @@ def test_root_payoff_branch_weights_sum_to_one(monkeypatch):
     # only if the mapped band integral and mass_outside sum to one.
     p = baseline(0.2, r_a=0.0, quad=QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12))
     exit_value = p.x_a - p.f_a
-    monkeypatch.setattr(htlcgame, "_value_a", lambda g, q, price: np.full(np.shape(price), exit_value))
+    value_a = htlcgame._value_a
+    monkeypatch.setattr(htlcgame, "_value_a",
+                        lambda g, q, price: (np.full(np.shape(price), exit_value), value_a(g, q, price)[1]))
     ts = np.array([0.0, 10.0, 20.0])
     tps = np.array([0.0, 7.0, 21.0])
     bands = continuation_band_t2(p, ts)
     assert not np.isnan(bands).any()
-    u_cont, _ = payoff_t1_with_band(p, ts, tps, bands)
+    u_cont, _, _ = payoff_t1_with_band(p, ts, tps, [bands], x_a=[p.x_a])
     np.testing.assert_allclose(u_cont, exit_value, rtol=0.0, atol=1e-10)
 
 
@@ -293,7 +295,7 @@ def _oracle_surface(p, xa, ts, tps):
         for j, T in enumerate(ts):
             lo, hi = continuation_band_t2(q, T)
             band = None if math.isnan(lo) else Bracket(lo, hi)
-            u_a_t2 = np.vectorize(lambda x: htlcgame._value_a(htlcgame._htlc(q, T, q.x_a), q, x))
+            u_a_t2 = np.vectorize(lambda x: htlcgame._value_a(htlcgame._htlc(q, T, q.x_a), q, x)[0])
             claimed = np.vectorize(
                 lambda x: 1.0 - transition_cdf(x_star, PriceState(x), q.gbm, q.tau_b + T))
             for k, Tp in enumerate(tps):
@@ -348,7 +350,7 @@ def test_surface_matches_per_cell_oracle(case, p):
         assert min(calls) == 1 < max(calls)
 
 
-@pytest.mark.parametrize("k", [1e-6, 1e-3, 1e6, 1e9])
+@pytest.mark.parametrize("k", [1e-170, 1e-6, 1e-3, 1e6, 1e9, 2e160])
 def test_thresholds_and_success_rate_scale_with_prices(k):
     # With zero fees every payoff is homogeneous in the prices: scaling them
     # by k scales the thresholds by k and leaves the success rate unchanged.
@@ -418,8 +420,8 @@ def test_empty_claim_delay_axis_gives_empty_tables():
 def test_empty_lock_delay_axis_gives_empty_tables():
     p = baseline()
     bands = continuation_band_t2(p, [0.0, 10.0], x_a=[1.6, 2.0])
-    u_cont, u_stop = payoff_t1_with_band(p, [0.0, 10.0], [], bands, x_a=[1.6, 2.0])
-    assert u_cont.shape == u_stop.shape == (2, 2, 0)
+    u_cont, u_stop, rates = payoff_t1_with_band(p, [0.0, 10.0], [], bands, x_a=[1.6, 2.0])
+    assert u_cont.shape == u_stop.shape == rates.shape == (2, 2, 0)
     assert _surface_shapes(sr_surface(p, [1.6, 2.0], [0.0, 10.0], [])) == {(2, 2, 0)}
 
 
@@ -548,47 +550,34 @@ def test_surface_cells_equal_cells_solved_alone(case, p):
         assert grid.raw[i, j, k] == success_rate(p.with_x_a(xa[i]), ts[j], tps[k])
 
 
-def test_default_surface_makes_one_success_rate_call(monkeypatch):
+def test_default_surface_takes_its_success_rates_from_the_root_node_calls(monkeypatch):
+    # The success rates have no quadrature of their own: the default
+    # surface makes 21 integrate calls, one inside each payoff_t1_with_band
+    # call, and each cell's rate is the one its root-node call returns.
     xa = np.round(np.arange(1.0, 3.0 + 1e-9, 0.1), 10)
     ts, tps = np.arange(21.0), np.arange(22.0)
-    bands = continuation_band_t2(baseline(), ts, x_a=xa)
-    calls = []  # the integrand call shapes of each per-row-bracket call
-    tables = []
-    sr_table = htlcgame._sr_table
+    calls, inside, returned = [], [], []
+    solve = htlcgame.payoff_t1_with_band
 
-    def one_table(*args):
-        tables.append(args[-1].sum())
-        return sr_table(*args)
+    def root(p, T, Tp, bands, x_a):
+        inside.append(True)
+        try:
+            returned.append(solve(p, T, Tp, bands, x_a))
+        finally:
+            inside.pop()
+        return returned[-1]
 
     def counted(f, bracket, spec):
-        if np.ndim(bracket) == 1:
-            return integrate(f, bracket, spec)
-        calls.append([])
+        calls.append(bool(inside))
+        return integrate(f, bracket, spec)
 
-        def g(x):
-            calls[-1].append(x.shape)
-            return f(x)
-
-        return integrate(g, bracket, spec)
-
+    monkeypatch.setattr(htlcgame, "payoff_t1_with_band", root)
     monkeypatch.setattr(htlcgame, "integrate", counted)
-    monkeypatch.setattr(htlcgame, "_sr_table", one_table)
     grid = sr_surface(baseline(), xa, ts, tps)
-    locks = ~np.isnan(bands[..., 0])
-    rows = int((~grid.na_mask & locks[:, :, None]).sum())
-    # One table of every cell with a band, solved in blocks of as many rows
-    # of 65 nodes as _CALL_BUDGET holds (504), one integrate call each; one
-    # integrand call per block, as no panel refines.
-    assert tables == [rows] and rows == 586
-    per = numerics._CALL_BUDGET // 65
-    assert calls == [[(per, 65)], [(rows - per, 65)]]
-    # With a budget of 100 rows the table splits into blocks of 100 rows,
-    # one integrate call each; no row's bits change.
-    calls.clear()
-    monkeypatch.setattr(numerics, "_CALL_BUDGET", 65 * 100)
-    assert np.array_equal(sr_surface(baseline(), xa, ts, tps).raw, grid.raw, equal_nan=True)
-    assert [len(c) for c in calls] == [1] * -(-rows // 100)
-    assert [c[0][0] for c in calls] == [100] * (rows // 100) + [rows % 100] * bool(rows % 100)
+    assert calls == [True] * 21 and len(returned) == 21
+    raw = np.concatenate([rates for _, _, rates in returned])
+    assert np.array_equal(grid.raw, np.where(grid.na_mask, np.nan, raw), equal_nan=True)
+    assert int((~grid.na_mask).sum()) == 586
 
 
 # The ids keep their numbers, so a case keeps its id when another is dropped.
@@ -610,16 +599,19 @@ def test_root_payoffs_of_every_x_a_equal_per_x_a_calls(case, p):
     assert not np.isnan(bands).any()
     bands[0, [1, 3]] = np.nan
     bands[2] = np.nan
-    u_cont, u_stop = payoff_t1_with_band(p, ts, tps, bands, x_a=xa)
-    assert u_cont.shape == u_stop.shape == (len(xa), len(ts), len(tps))
+    u_cont, u_stop, rates = payoff_t1_with_band(p, ts, tps, bands, x_a=xa)
+    assert u_cont.shape == u_stop.shape == rates.shape == (len(xa), len(ts), len(tps))
     for i, x in enumerate(xa.tolist()):
-        one_cont, one_stop = payoff_t1_with_band(p.with_x_a(x), ts, tps, bands[i])
-        assert np.array_equal(u_cont[i], one_cont)
-        assert np.array_equal(u_stop[i], one_stop) and (one_stop == x).all()
+        one_cont, one_stop, one_rates = payoff_t1_with_band(p.with_x_a(x), ts, tps, bands[i:i + 1], x_a=[x])
+        assert np.array_equal(u_cont[i], one_cont[0]) and np.array_equal(rates[i], one_rates[0])
+        assert np.array_equal(u_stop[i], one_stop[0]) and (one_stop == x).all()
     # Where B never locks, A's value is her exit value exactly.
     exit_value = (xa - p.f_a) * math.exp(-p.r_a * p.tau_a)
     assert (u_cont[2] == exit_value[2]).all() and (u_cont[0, [1, 3]] == exit_value[0]).all()
     assert (u_cont[0, [0, 2]] != exit_value[0]).all()
+    # Where B never locks, the swap never completes.
+    assert (rates[2] == 0.0).all() and (rates[0, [1, 3]] == 0.0).all()
+    assert (rates[0, [0, 2]] > 0.0).all()
 
 
 def _root_node_calls(monkeypatch):
@@ -629,7 +621,7 @@ def _root_node_calls(monkeypatch):
     roots, calls = [], []
     solve = htlcgame.payoff_t1_with_band
 
-    def root(p, T, Tp, bands, x_a=None):
+    def root(p, T, Tp, bands, x_a):
         roots.append(np.size(x_a))
         return solve(p, T, Tp, bands, x_a)
 
@@ -656,13 +648,14 @@ def test_default_surface_solves_its_root_node_in_blocks_of_whole_x_a(monkeypatch
     ts, tps = np.arange(21.0), np.arange(22.0)
     roots, calls = _root_node_calls(monkeypatch)
     sr_surface(baseline(), xa, ts, tps)
-    # One x_a group is 21 x 22 rows of 65 nodes (30,030 values), so a block
-    # of _CALL_BUDGET values holds one group: 21 root-node calls, each one
-    # integrate call of one integrand call.
+    # One x_a group is 21 x 22 cells of 65 nodes (30,030 values), so a
+    # block of _CALL_BUDGET values holds one group: 21 root-node calls, each
+    # one integrate call of one integrand call, with two rows per cell (A's
+    # value and her claim probability).
     group = 21 * 22
     assert numerics._CALL_BUDGET // (group * 65) == 1
     assert roots == [1] * 21
-    assert calls == [[group]] * 21
+    assert calls == [[2 * group]] * 21
 
 
 @pytest.mark.parametrize("budget, blocks, banded", [
@@ -683,9 +676,9 @@ def test_root_node_blocks_hold_whole_x_a_groups(monkeypatch, budget, blocks, ban
     assert np.array_equal(blocked.raw, whole.raw, equal_nan=True)
     assert np.array_equal(blocked.na_mask, whole.na_mask)
     assert roots == blocks
-    # A block of g x_a with a band is one integrate call on g x 4 x 3 rows:
-    # one panel, which does not refine.
-    assert calls == [[g * 4 * 3] for g in banded]
+    # A block of g x_a with a band is one integrate call on two rows per
+    # cell of g x 4 x 3: one panel, which does not refine.
+    assert calls == [[2 * g * 4 * 3] for g in banded]
 
 
 @pytest.mark.parametrize("x_a, says", [
@@ -720,36 +713,8 @@ def test_band_table_of_the_wrong_shape_is_refused(shape):
         sr_surface(p, xa, ts, ts, bands)
     with pytest.raises(ValueError, match=says):
         payoff_t1_with_band(p, ts, ts, bands, x_a=xa)
-    with pytest.raises(ValueError, match=re.escape(f"band table has shape {shape}, expected (2, 2)")):
-        payoff_t1_with_band(p, ts, ts, bands)
-
-
-def test_success_rate_table_holds_no_per_row_array(monkeypatch):
-    # Tables of 1,000 and 2,000 groups of 10 lock horizons, solved 64 rows
-    # at a time.  The 10,000 more rows grow the peak by their 8-byte rates;
-    # one per-row index array spanning the table would add as much again.
-    p = baseline()
-    monkeypatch.setattr(numerics, "_CALL_BUDGET", 64 * 32)
-    peaks, tables = [], []
-    for groups in (1_000, 2_000):
-        cells = np.ones((groups, 10), dtype=bool)
-        cells[::7, 3] = False
-        bands = np.column_stack([np.full(groups, 1.5), 2.5 + 1e-4 * np.arange(groups)])
-        args = (bands, np.full(groups, 2.0), np.full(groups, 3.0), p.tau_a + np.arange(10.0))
-        tracemalloc.start()
-        try:
-            rates = htlcgame._sr_table(p, *args, cells)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        tables.append(rates)
-    assert peaks[1] - peaks[0] < 1.5 * (tables[1].nbytes - tables[0].nbytes)
-    assert (rates[~cells] == 0.0).all() and (rates[cells] > 0.0).all()
-    # Each row has the bits of its own one-row table.
-    for g, k in [(0, 0), (7, 2), (7, 4), (1_999, 9)]:
-        one = np.zeros(cells.shape, dtype=bool)
-        one[g, k] = True
-        assert htlcgame._sr_table(p, *args, one)[g, k] == rates[g, k]
+    with pytest.raises(ValueError, match=re.escape(f"band table has shape {shape}, expected (1, 2, 2)")):
+        payoff_t1_with_band(p, ts, ts, bands, x_a=[p.x_a])
 
 
 def _branch_weights(g, p, price):

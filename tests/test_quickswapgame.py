@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,7 +116,7 @@ def test_success_rate_zero_when_band_empty():
     assert success_rate(q) == 0.0
 
 
-@pytest.mark.parametrize("k", [1e-6, 1e-3, 1e6, 1e9])
+@pytest.mark.parametrize("k", [1e-170, 1e-6, 1e-3, 1e6, 1e9, 2e160])
 def test_success_rate_invariant_under_price_scaling(k):
     # Zero fees: the premium and every payoff scale with the prices, so the
     # thresholds scale by k and the success rate is unchanged.
@@ -239,26 +240,74 @@ def test_participation_solves_quick_swap_bands_in_blocks(monkeypatch):
                                         for x, band in zip(xa.tolist(), whole)]
 
 
+def _band_quadratures(monkeypatch):
+    """Record the x_a count of each Quick Swap band quadrature."""
+    blocks = []
+    solve = quickswapgame._band_integrals
+
+    def counted(game, p, lo, width, h_lock):
+        blocks.append(len(lo))
+        return solve(game, p, lo, width, h_lock)
+
+    monkeypatch.setattr(quickswapgame, "_band_integrals", counted)
+    return blocks
+
+
 def test_participation_solves_quick_swap_rates_in_one_table(monkeypatch):
-    # The Quick Swap rates of every x_a are the rows of one integrate call
-    # with one bracket per row, as the HTLC surface's success rates are.
-    tables = []
-    integrate = htlcgame.integrate
-
-    def counted(f, bracket, spec):
-        if np.ndim(bracket) != 1:
-            tables.append(len(bracket))
-        return integrate(f, bracket, spec)
-
-    monkeypatch.setattr(htlcgame, "integrate", counted)
+    # The Quick Swap rates of every x_a are the rows of one band quadrature,
+    # the one the HTLC root node uses, and each has the bits of its own.
+    blocks = _band_quadratures(monkeypatch)
     q = quick_baseline()
     xa = np.round(np.arange(1.0, 3.0 + 1e-9, 0.1), 10)
     report = compare_participation(q.base, q, xa)
-    _, quick_rows = tables
-    assert quick_rows == int((report.quick_sr > 0.0).sum()) == 21
+    assert blocks == [int((report.quick_sr > 0.0).sum())] == [21]
     rates = success_rate(q, x_a=xa)
-    assert tables[2:] == [21]
+    assert blocks[1:] == [21]
     assert rates.tolist() == report.quick_sr.tolist() == [success_rate(q.with_x_a(x)) for x in xa.tolist()]
+
+
+@pytest.mark.parametrize("budget, want", [(65 * 8, [6, 8, 7, 8]), (65 * 100, [29])])
+def test_success_rates_in_blocks_equal_rates_solved_alone(monkeypatch, budget, want):
+    # Blocks of as many x_a as the budget holds rows of 65 nodes; the x_a
+    # without a band are left out of their block's quadrature, and a block
+    # without one makes none.  Every rate has the bits of its own one-x_a
+    # quadrature.
+    q = quick_baseline()
+    xa = np.round(np.linspace(1.0, 3.0, 40), 10)
+    bands = continuation_band_t3(q, x_a=xa)
+    assert not np.isnan(bands).any()
+    bands[[3, 4, 17, *range(24, 32)]] = np.nan
+    alone = [success_rate(q.with_x_a(x), band) for x, band in zip(xa.tolist(), bands)]
+    blocks = _band_quadratures(monkeypatch)
+    monkeypatch.setattr(numerics, "_CALL_BUDGET", budget)
+    rates = success_rate(q, bands, x_a=xa)
+    assert blocks == want
+    assert rates.tolist() == alone
+    assert (rates[np.isnan(bands[:, 0])] == 0.0).all() and np.count_nonzero(rates) == 29
+
+
+def test_success_rates_hold_no_per_x_a_array(monkeypatch):
+    # Axes of 2,000 and 4,000 x_a, solved 32 at a time.  The 2,000 more x_a
+    # grow the peak by their 8-byte rates; one per-x_a array spanning the
+    # axis would add as much again.  Each axis is solved once untraced, so
+    # one-time allocations stay out of the peaks.
+    q = quick_baseline()
+    monkeypatch.setattr(numerics, "_CALL_BUDGET", 65 * 32)
+    peaks, tables = [], []
+    for n in (2_000, 4_000):
+        xa = np.linspace(1.5, 2.5, n)
+        bands = np.column_stack([np.full(n, 1.6), 2.4 + 1e-5 * np.arange(n)])
+        bands[::7] = np.nan
+        success_rate(q, bands, x_a=xa)
+        tracemalloc.start()
+        try:
+            rates = success_rate(q, bands, x_a=xa)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        tables.append(rates)
+    assert peaks[1] - peaks[0] < 1.5 * (tables[1].nbytes - tables[0].nbytes)
+    assert (rates[::7] == 0.0).all() and np.count_nonzero(rates) == n - len(rates[::7])
 
 
 def test_participation_solves_the_htlc_root_node_in_one_call(monkeypatch):
@@ -269,7 +318,7 @@ def test_participation_solves_the_htlc_root_node_in_one_call(monkeypatch):
     roots, panels = [], []
     solve, integrate = htlcgame.payoff_t1_with_band, htlcgame.integrate
 
-    def counted(p, T, Tp, bands, x_a=None):
+    def counted(p, T, Tp, bands, x_a):
         roots.append((np.size(x_a), len(T), len(Tp)))
         return solve(p, T, Tp, bands, x_a)
 
@@ -282,11 +331,12 @@ def test_participation_solves_the_htlc_root_node_in_one_call(monkeypatch):
     monkeypatch.setattr(htlcgame, "integrate", shared)
     xa = np.round(np.arange(1.0, 3.0 + 1e-9, 0.1), 10)
     compare_participation(baseline(), quick_baseline(), xa)
+    # The last call is the Quick Swap rates' band quadrature.
     assert roots == [(20, 5, 5), (1, 5, 5)]
-    assert panels == [Bracket(0.0, 1.0)] * 2
+    assert panels == [Bracket(0.0, 1.0)] * 3
     roots.clear()
     panels.clear()
     monkeypatch.setattr(numerics, "_CALL_BUDGET", 21 * 5 * 5 * 65)
     compare_participation(baseline(), quick_baseline(), xa)
     assert roots == [(21, 5, 5)]
-    assert panels == [Bracket(0.0, 1.0)]
+    assert panels == [Bracket(0.0, 1.0)] * 2
