@@ -70,6 +70,9 @@ _GAUSS_WEIGHTS = np.concatenate([_HALF_GAUSS_WEIGHTS[::-1], _HALF_GAUSS_WEIGHTS]
 _PANEL_NODES = len(_NODES)
 # Panels an ``integrate`` call may evaluate per level of max_depth (workloads use <= 3).
 _PANELS_PER_DEPTH = 64
+# Rows whose products ``_panel`` forms at a time: a product as large as a
+# root-node block's values (480 KB) makes glibc trim and refault its heap.
+_SUM_ROWS = 256
 
 
 class QuadratureDepthError(RuntimeError):
@@ -100,27 +103,28 @@ class Bracket(namedtuple("Bracket", "lo hi")):
         return super().__new__(cls, lo, hi)
 
 
-def _panel(f: Callable[[np.ndarray], np.ndarray], lo, hi) -> tuple:
-    """Kronrod and embedded Gauss estimates on one panel of every row.
+def _panel(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> tuple:
+    """Kronrod and embedded Gauss estimates of every row on the panel [lo, hi].
 
-    ``lo`` and ``hi`` are floats, and ``f`` maps the (n,) nodes to (n,)
-    values (two floats are returned) or to a (K, n) array (two (K,) arrays);
-    or they are (K,) arrays of per-row panel ends, and ``f`` maps the (K, n)
-    nodes, row k on [lo[k], hi[k]], to (K, n) values.  Each estimate is the
-    numpy sum of its own row, whose bits do not depend on the other rows (a
-    BLAS dot product of a (K, n) table does not give that).
+    ``f`` maps the (n,) nodes to (n,) values, and two floats are returned,
+    or to (K, n) values, and two (K,) arrays.  Each estimate is the numpy
+    sum of its own row, formed ``_SUM_ROWS`` rows at a time, whose bits do
+    not depend on the other rows (a BLAS dot product does not give that).
     """
     half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = mid[:, None] + half[:, None] * _NODES if np.ndim(half) else mid + half * _NODES
-    vals = np.asarray(f(nodes), dtype=float)
-    return (half * (vals * _KRONROD_WEIGHTS).sum(axis=-1),
-            half * (vals[..., 1::2] * _GAUSS_WEIGHTS).sum(axis=-1))
+    vals = np.asarray(f(0.5 * (hi + lo) + half * _NODES), dtype=float)
+    table = np.atleast_2d(vals)
+    sums = np.empty((2, len(table)))
+    for k in range(0, len(table), _SUM_ROWS):
+        block = table[k:k + _SUM_ROWS]
+        sums[:, k:k + _SUM_ROWS] = ((block * _KRONROD_WEIGHTS).sum(axis=1),
+                                    (block[:, 1::2] * _GAUSS_WEIGHTS).sum(axis=1))
+    return tuple(half * sums.reshape((2,) + vals.shape[:-1]))
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], bracket,
               spec: QuadratureSpec = QuadratureSpec()):
-    """Adaptive panel-bisection Gauss-Kronrod quadrature over the bracket.
+    """Adaptive panel-bisection Gauss-Kronrod quadrature over one bracket.
 
     A panel is evaluated once, on the 65 nodes of the Kronrod rule, and is
     accepted when its Kronrod and embedded 32-point Gauss estimates agree
@@ -128,42 +132,35 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], bracket,
     returned.  Otherwise both halves are refined the same way.
     Deterministic for a given integrand and spec.
 
-    With one ``(lo, hi)`` pair, ``f`` maps the (n,) node vector to (n,)
-    values, and then a float is returned; or to a (K, n) array of K
-    integrands over the same bracket, and then a length-K array is returned.
-    With a (K, 2) table of pairs, one per row, ``f`` maps a (K, n) node
-    array, row k on a panel of its own bracket, to (K, n) values, and a
+    ``bracket`` is one ``(lo, hi)`` pair: a tuple, a ``Bracket`` or a (2,)
+    array.  ``f`` maps the (n,) node vector to (n,) values, and then a
+    float is returned; or to a (K, n) array of K integrands, and then a
     length-K array is returned.  Each row has its own scale, acceptance
-    test and refinement, on panels that split its own bracket as a lone call
-    would, so row k equals the result for row k alone bit for bit.  Only rows that
-    fail a panel are refined, but ``f`` evaluates every row on each panel.
+    test and refinement, so row k equals the result for row k alone bit for
+    bit.  Only rows that fail a panel are refined, but ``f`` evaluates
+    every row on each panel.
     Raises ``QuadratureDepthError`` when a row fails at ``max_depth``, or after
     ``_PANELS_PER_DEPTH * max_depth`` panels (not 2**(max_depth + 1) of them).
     """
-    lo, hi = np.asarray(bracket, dtype=float).T
-    if not np.all(lo < hi):
-        raise ValueError("every bracket requires lo < hi")
+    ends = np.asarray(bracket, dtype=float)
+    if ends.shape != (2,):
+        raise ValueError(f"integrate takes one (lo, hi) pair, got an array of shape {ends.shape}")
+    lo, hi = Bracket(*ends.tolist())
     width = hi - lo
     first = _panel(f, lo, hi)
     whole = np.atleast_1d(first[0])
     bound = np.maximum(spec.abs_tol, spec.rel_tol * np.maximum(np.abs(whole), 1.0e-300))
-
-    def at(v, rows):
-        # Per-row panel ends are arrays; shared ones are floats.
-        return v[rows] if np.ndim(v) else v
-
     panels = [1]
 
-    def settle(lo, hi, estimates: tuple, rows: np.ndarray, depth: int) -> np.ndarray:
+    def settle(lo: float, hi: float, estimates: tuple, rows: np.ndarray, depth: int) -> np.ndarray:
         # Kronrod estimates of ``rows`` on [lo, hi], failing rows bisected.
         kronrod, gauss = (np.atleast_1d(v)[rows] for v in estimates)
         err = np.abs(kronrod - gauss)
-        failed = ~(err <= bound[rows] * at(hi - lo, rows) / at(width, rows))
+        failed = ~(err <= bound[rows] * (hi - lo) / width)
         if failed.any():
             if depth >= spec.max_depth or panels[0] >= _PANELS_PER_DEPTH * spec.max_depth:
-                k = rows[failed][0]
                 raise QuadratureDepthError(
-                    f"quadrature failed to converge on [{at(lo, k)}, {at(hi, k)}] at depth {depth} "
+                    f"quadrature failed to converge on [{lo}, {hi}] at depth {depth} "
                     f"after {panels[0]} panels (err={np.max(err[failed]):.3e})"
                 )
             panels[0] += 2

@@ -232,9 +232,10 @@ def transition_pdf(target, state: PriceState, params: GbmParams, lam):
     # exp(-0.5 * z * z) / (arr * s * sqrt(2 pi)), z = (log(arr / x0) - m) / s,
     # in that operation order on two arrays of the broadcast shape.
     shape = np.broadcast_shapes(arr.shape, np.shape(s))
+    out = np.empty(shape)  # before z, so z frees the heap's top for the caller's next array
     z = np.subtract(np.log(arr / state.value), m, out=np.empty(shape))
     z /= s
-    out = np.multiply(z, -0.5, out=np.empty(shape))
+    np.multiply(z, -0.5, out=out)
     out *= z
     np.exp(out, out=out)
     den = np.multiply(arr, s, out=z)

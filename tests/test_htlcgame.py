@@ -1,6 +1,12 @@
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -616,8 +622,8 @@ def test_root_payoffs_of_every_x_a_equal_per_x_a_calls(case, p):
 
 def _root_node_calls(monkeypatch):
     """Record the root node's calls: the x_a count of each
-    ``payoff_t1_with_band`` call, and each shared-bracket ``integrate`` call
-    as the rows of its integrand calls."""
+    ``payoff_t1_with_band`` call, and each ``integrate`` call as the rows of
+    its integrand calls."""
     roots, calls = [], []
     solve = htlcgame.payoff_t1_with_band
 
@@ -626,8 +632,6 @@ def _root_node_calls(monkeypatch):
         return solve(p, T, Tp, bands, x_a)
 
     def counted(f, bracket, spec):
-        if np.ndim(bracket) != 1:
-            return integrate(f, bracket, spec)
         rows = []
         calls.append(rows)
 
@@ -656,6 +660,36 @@ def test_default_surface_solves_its_root_node_in_blocks_of_whole_x_a(monkeypatch
     assert numerics._CALL_BUDGET // (group * 65) == 1
     assert roots == [1] * 21
     assert calls == [[2 * group]] * 21
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="counts the page faults of glibc's heap on Linux")
+def test_warm_default_surface_does_not_fault_its_heap_in_again():
+    # A root-node block's integrand holds 480 KB.  Should panel products of
+    # that size, or the density's temporaries, raise glibc's heap past its
+    # trim threshold, the heap is trimmed after each block and faulted in
+    # again by the next (5,481 minor faults per warm call).  A fresh process
+    # keeps other tests' heaps out of it.
+    script = textwrap.dedent("""
+        import resource
+        import numpy as np
+        from conftest import baseline
+        from swapsim import htlcgame
+        p = baseline()
+        xa = np.round(np.arange(1.0, 3.0 + 1e-9, 0.1), 10)
+        ts, tps = np.arange(21.0), np.arange(22.0)
+        bands = htlcgame.continuation_band_t2(p, ts, x_a=xa)
+        htlcgame.sr_surface(p, xa, ts, tps, bands=bands)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        htlcgame.sr_surface(p, xa, ts, tps, bands=bands)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 500
 
 
 @pytest.mark.parametrize("budget, blocks, banded", [

@@ -49,16 +49,18 @@ def test_kronrod_rule_is_symmetric_with_positive_weights():
 
 @pytest.mark.parametrize("sigma", [0.02, 0.1])
 def test_integrated_lock_density_matches_its_distribution_function(sigma):
-    # On every band of the default surface's grid, the tau_a + T' density
-    # integrates to the difference of its closed-form distribution function.
+    # On every band of the default surface's grid, the tau_a + T' density,
+    # mapped onto (0, 1) as htlcgame._band_integrals maps it, integrates to
+    # the difference of its closed-form distribution function.
     p = baseline(sigma)
     xa = np.round(np.arange(1.0, 3.0 + 1e-9, 0.1), 10)
     bands = htlcgame.continuation_band_t2(p, np.arange(21.0), x_a=xa).reshape(-1, 2)
     bands = bands[~np.isnan(bands[:, 0])]
     h = np.tile(p.tau_a + np.arange(22.0), len(bands))[:, None]
     rows = np.repeat(bands, 22, axis=0)
+    lo, width = rows[:, :1], rows[:, 1:] - rows[:, :1]
     st1 = PriceState(p.x_yb_t1)
-    got = integrate(lambda x: transition_pdf(x, st1, p.gbm, h), rows, p.quad)
+    got = integrate(lambda u: transition_pdf(lo + u * width, st1, p.gbm, h) * width, (0.0, 1.0), p.quad)
     want = transition_cdf(rows[:, 1:], st1, p.gbm, h) - transition_cdf(rows[:, :1], st1, p.gbm, h)
     assert len(rows) > 1_000
     assert np.max(np.abs(got - want[:, 0])) <= 1e-14
@@ -106,35 +108,6 @@ def test_batched_integrate_single_row_returns_array():
     assert got[0] == integrate(np.sin, Bracket(0.0, math.pi))
 
 
-@pytest.mark.parametrize("spec", [QuadratureSpec(), QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)])
-def test_per_row_brackets_match_rows_integrated_alone(spec):
-    # Each row subdivides its own bracket as a lone call would, and each
-    # panel sum is a row sum that does not depend on the other rows.
-    rng = np.random.default_rng(7)
-    lo = rng.uniform(0.01, 2.0, 40)
-    brackets = np.column_stack([lo, lo + rng.uniform(0.1, 3.0, 40)])
-    for f in (np.sqrt, np.exp, lambda x: np.exp(-((x - 1.5) ** 2) * 50.0)):
-        got = integrate(f, brackets, spec)
-        assert got.shape == (len(brackets),)
-        assert got.tolist() == [integrate(f, Bracket(*b), spec) for b in brackets.tolist()]
-        # Any subset of the rows, in any order, gives the same bits.
-        pick = rng.permutation(len(brackets))[:13]
-        assert integrate(f, brackets[pick], spec).tolist() == got[pick].tolist()
-    # Rows with integrands of their own: refined ones and accepted ones.
-    rows = [lambda x: np.exp(-((x - 0.7) ** 2) * 1e4), lambda x: x**1.5, np.sqrt, np.exp]
-    own = np.array([(0.0, 1.0), (0.5, 2.0), (1e-6, 0.3), (-1.0, 1.0)])
-    calls = []
-
-    def table(x):
-        calls.append(x.shape)
-        return np.stack([f(row) for f, row in zip(rows, x)])
-
-    got = integrate(table, own, spec)
-    assert got.tolist() == [integrate(f, Bracket(*b), spec) for f, b in zip(rows, own.tolist())]
-    # Every call is one panel of every row; some rows refine.
-    assert all(shape == (len(rows), 65) for shape in calls) and len(calls) > 1
-
-
 def test_integrate_depth_exhaustion_raises():
     spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-16, max_depth=3)
     with pytest.raises(QuadratureDepthError):
@@ -163,6 +136,14 @@ def test_bracket_validation():
         Bracket(2.0, 1.0)
     with pytest.raises(ValueError):
         Bracket(1.0, 1.0)
+    for bracket in ((1.0, 1.0), np.array([2.0, 1.0]), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="requires lo < hi"):
+            integrate(np.sin, bracket)
+    # integrate takes one (lo, hi) pair; a table of them is refused, also
+    # one of two rows, which has the shape of a pair of pairs.
+    for table in (np.array([[0.0, 1.0], [1.0, 2.0]]), np.array([[0.0, 1.0]] * 3), [Bracket(0.0, 1.0)]):
+        with pytest.raises(ValueError, match=r"one \(lo, hi\) pair"):
+            integrate(np.sin, table)
 
 
 def _rows(roots, counts) -> list[list[float]]:

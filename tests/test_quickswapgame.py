@@ -323,8 +323,7 @@ def test_participation_solves_the_htlc_root_node_in_one_call(monkeypatch):
         return solve(p, T, Tp, bands, x_a)
 
     def shared(f, bracket, spec):
-        if np.ndim(bracket) == 1:
-            panels.append(bracket)
+        panels.append(bracket)
         return integrate(f, bracket, spec)
 
     monkeypatch.setattr(htlcgame, "payoff_t1_with_band", counted)
