@@ -85,12 +85,18 @@ _CYCLIC_DEFAULTS: dict = {
 # Checked before the default per-party tuples are built.
 _MAX_CYCLIC_N = 256
 
+# Each ``validate`` kind accepts the keys its builder reads, and ``kind``.
+_VALIDATE_PARAMS: dict[str, dict] = {
+    "htlc": {**_BASE_DEFAULTS, "rho": _QUICK_DEFAULTS["rho"], "kind": "htlc"},
+    "quickswap": {**_BASE_DEFAULTS, **_QUICK_DEFAULTS, "kind": "quickswap"},
+    "cyclic": {**_CYCLIC_DEFAULTS, "kind": "cyclic"},
+}
 # Every key a subcommand accepts, with its default; a value given for a key is
 # parsed as the type of that key's default (see _parse).
 _PARAMS: dict[str, dict] = {
     "htlc-surface": {**_BASE_DEFAULTS, **_GRID_DEFAULTS},
     "quickswap-sr": {**_BASE_DEFAULTS, **_QUICK_DEFAULTS, **_GRID_DEFAULTS},
-    "validate": {**_BASE_DEFAULTS, **_QUICK_DEFAULTS, **_CYCLIC_DEFAULTS, "kind": "quickswap"},
+    "validate": _VALIDATE_PARAMS["quickswap"],
     "montecarlo": {**_BASE_DEFAULTS, **_QUICK_DEFAULTS, **_MC_DEFAULTS},
     "cyclic-plan": _CYCLIC_DEFAULTS,
 }
@@ -179,6 +185,11 @@ def _resolve_params(subcommand: str, file_path: str | None, sets: list[str]) -> 
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
         texts[key.strip()] = value
+    if subcommand == "validate":  # the kind picks the key set
+        kind = texts.get("kind", defaults["kind"]).strip()
+        if kind not in _VALIDATE_PARAMS:
+            raise ConfigError(f"kind must be htlc, quickswap, or cyclic, got {kind!r}")
+        defaults, subcommand = _VALIDATE_PARAMS[kind], f"validate kind={kind}"
     unknown = sorted(set(texts) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown parameter(s) for {subcommand}: {', '.join(unknown)}")
@@ -416,7 +427,7 @@ def cmd_quickswap_sr(cfg: RunConfig) -> int:
 
 def cmd_validate(cfg: RunConfig) -> int:
     p, kind = cfg.params, cfg.params["kind"]
-    if kind in ("quickswap", "htlc"):
+    if kind != "cyclic":
         instance = (build_quickswap_instance(_quick_params(p)) if kind == "quickswap"
                     else build_htlc_instance(_swap_params(p), rho=p["rho"]))
         report = check_properties(instance)
@@ -435,7 +446,7 @@ def cmd_validate(cfg: RunConfig) -> int:
         cfg.summary["passed"] = ok and report.liveness_ok and report.correctness_ok
         rows = [[r.profile, r.outcome, r.correctness, r.safety, r.liveness, len(r.witnesses)]
                 for r in report.rows]
-    elif kind == "cyclic":
+    else:
         spec = _cyclic_spec(p)
         plan = cyclic_mod.generate(spec)
         problems = cyclic_mod.validate_plan(plan)
@@ -450,8 +461,6 @@ def cmd_validate(cfg: RunConfig) -> int:
             ok = ok and v.safety and v.liveness and v.correctness
         cfg.summary = {"kind": kind, "rows": len(rows),
                        "plan_problems": len(problems), "passed": ok}
-    else:
-        raise ConfigError(f"kind must be htlc, quickswap, or cyclic, got {kind!r}")
     _write_table(cfg, "validate",
                  ["profile", "outcome", "correctness", "safety", "liveness", "witnesses"], rows)
     _write_manifest(cfg)

@@ -3,7 +3,7 @@
 Prices are always the value of the counterparty's locked coins denominated
 in the initiator's asset.  Transitions over a horizon of ``lam`` hours are
 log-normal: ln(x_{t+lam}/x_t) ~ Normal((mu - sigma^2/2) * lam, sigma^2 * lam).
-All functions are pure; the path sampler draws from a seeded generator.
+All functions are pure; ``sample_endpoints`` draws from the generator it is given.
 """
 
 from __future__ import annotations
@@ -21,13 +21,9 @@ __all__ = [
     "expected_price",
     "transition_pdf",
     "transition_cdf",
-    "partial_expectation_below",
     "erfc",
     "law_terms",
-    "cdf_from",
-    "pe_below_from",
     "math_exp",
-    "sample_path",
     "sample_endpoints",
 ]
 
@@ -53,16 +49,13 @@ class GbmParams:
 
 @dataclass(frozen=True)
 class PriceState:
-    """A price point: value in the initiator's asset at ``at_time`` hours."""
+    """A price point: the value in the initiator's asset."""
 
     value: float
-    at_time: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.value > 0:
             raise ValueError("price value must be > 0")
-        if self.at_time < 0:
-            raise ValueError("at_time must be >= 0")
 
 
 _ERFC_STEP, _ERFC_NODES, _ERFC_SCALE, _ERFC_BLOCK, _MIN_NORMAL = 512, 13_952, 1020, 4096, 2.0**-1022
@@ -175,9 +168,12 @@ def _log_ratio(target, start):
 
 
 def law_terms(target, start, params: GbmParams, cdf=(), pe=()) -> tuple[list, list]:
-    """``cdf_from`` at each horizon of ``cdf`` and ``pe_below_from`` at each
-    of ``pe``, as two lists, bit for bit, from one log ratio and one erfc
-    call.  Each term broadcasts ``target``, ``start`` and its horizon."""
+    """The unchecked price-law kernel: P[x_{t+lam} <= target | x_t = start] at
+    each horizon of ``cdf``, and E[x_{t+lam} * 1{x_{t+lam} <= target}] =
+    start * e^{mu*lam} * Phi((ln(target/start) - (mu + sigma^2/2)*lam) /
+    (sigma*sqrt(lam))) at each of ``pe``, as two lists, from one log ratio and
+    one erfc call.  Each term broadcasts ``target``, ``start`` and its horizon;
+    a term's bits do not depend on the other terms of the call."""
     start = np.asarray(start, dtype=float)
     ratio = _log_ratio(target, start)
     shapes = [np.broadcast(ratio, lam).shape for lam in (*cdf, *pe)]
@@ -192,17 +188,6 @@ def law_terms(target, start, params: GbmParams, cdf=(), pe=()) -> tuple[list, li
     terms = [values[first:last].reshape(shape) for first, last, shape in zip(ends, ends[1:], shapes)]
     return ([0.5 * term for term in terms[:len(cdf)]],
             [start * math_exp(params.mu * lam) * 0.5 * term for lam, term in zip(pe, terms[len(cdf):])])
-
-
-def cdf_from(target, start, params: GbmParams, lam):
-    """Unchecked transition_cdf kernel: broadcasts ``target``, the start price
-    ``start`` and the horizon ``lam`` against each other."""
-    return law_terms(target, start, params, cdf=(lam,))[0][0]
-
-
-def pe_below_from(target, start, params: GbmParams, lam):
-    """Unchecked partial_expectation_below kernel; broadcasts like cdf_from."""
-    return law_terms(target, start, params, pe=(lam,))[1][0]
 
 
 def _law_inputs(target, params: GbmParams, lam) -> np.ndarray:
@@ -247,45 +232,7 @@ def transition_pdf(target, state: PriceState, params: GbmParams, lam):
 def transition_cdf(target, state: PriceState, params: GbmParams, lam):
     """P[price_{t+lam} <= target | price_t], via erfc; broadcasts like transition_pdf."""
     arr = _law_inputs(target, params, lam)
-    return _as_result(cdf_from(arr, state.value, params, lam), target, lam)
-
-
-def partial_expectation_below(target, state: PriceState, params: GbmParams, lam):
-    """E[price_{t+lam} * 1{price_{t+lam} <= target}], closed form.
-
-    Standard log-normal identity: x0 * e^{mu*lam} * Phi((ln(k/x0) - (mu + sigma^2/2)*lam)
-    / (sigma*sqrt(lam))).  Broadcasts like transition_pdf.
-    """
-    arr = _law_inputs(target, params, lam)
-    return _as_result(pe_below_from(arr, state.value, params, lam), target, lam)
-
-
-def sample_path(
-    state: PriceState,
-    params: GbmParams,
-    horizon: float,
-    step: float,
-    seed: int | np.random.Generator,
-) -> list[PriceState]:
-    """Sample one GBM path from ``state`` with exact per-step increments.
-
-    Returns the path including the starting point.  Deterministic given a
-    seed; a Generator may be passed to continue an existing stream.
-    """
-    if step <= 0:
-        raise ValueError("step must be > 0")
-    if horizon < step:
-        raise ValueError("horizon must be >= step")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    n = int(round(horizon / step))
-    drift = (params.mu - 0.5 * params.sigma**2) * step
-    vol = params.sigma * math.sqrt(step)
-    increments = drift + vol * rng.standard_normal(n)
-    log_prices = math.log(state.value) + np.cumsum(increments)
-    path = [state]
-    for i in range(n):
-        path.append(PriceState(value=float(np.exp(log_prices[i])), at_time=state.at_time + (i + 1) * step))
-    return path
+    return _as_result(law_terms(arr, state.value, params, cdf=(lam,))[0][0], target, lam)
 
 
 def sample_endpoints(

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swapsim import cli, htlcgame, quickswapgame
+from swapsim import cli, cyclic, htlcgame, quickswapgame
 from swapsim.cli import main
 from swapsim.numerics import QuadratureDepthError
 
@@ -153,6 +154,16 @@ def test_params_file_round_trip(tmp_path):
     (("validate", "--set", "kind=htlc", "--set", "mu=30"), "mu must be within"),
     (("validate", "--set", "kind=quickswap", "--set", "t_a=480", "--set", "r_a=0.2"),
      "r_a must be within +-0.173966 per hour over t_a + t_b + tau_a + tau_b = 510h, got 0.2"),
+    # Each validate kind takes only the keys its builder reads.
+    (("validate", "--set", "kind=cyclic", "--set", "sigma=-5", "--set", "theta_1=7"),
+     "unknown parameter(s) for validate kind=cyclic: sigma, theta_1"),
+    (("validate", "--set", "kind=cyclic", "--set", "sigma=-5"),
+     "unknown parameter(s) for validate kind=cyclic: sigma"),
+    (("validate", "--set", "kind=htlc", "--set", "n=-3", "--set", "D=-1"),
+     "unknown parameter(s) for validate kind=htlc: D, n"),
+    (("validate", "--set", "kind=htlc", "--set", "n=-3"), "unknown parameter(s) for validate kind=htlc: n"),
+    (("validate", "--set", "locktimes=40,30"), "unknown parameter(s) for validate kind=quickswap: locktimes"),
+    (("validate", "--set", "kind= swap "), "kind must be htlc, quickswap, or cyclic, got 'swap'"),
 ])
 def test_malformed_inputs_exit_2_with_an_error_line(tmp_path, capsys, args, says):
     assert run_cli(*args, "--out", str(tmp_path / "run")) == 2
@@ -186,6 +197,16 @@ def test_largest_accepted_rates_run_clean(tmp_path, capsys, args, sign):
     above = f"mu={math.nextafter(top, math.inf)!r}"
     assert run_cli(*args, "--set", above, "--out", str(tmp_path / "above")) == 2
     assert "mu must be within" in capsys.readouterr().err
+
+
+def test_each_validate_kind_accepts_the_fields_it_builds():
+    def names(cls, *drop):
+        return {f.name for f in dataclasses.fields(cls)} - set(drop)
+
+    swap = names(htlcgame.SwapParams, "gbm", "quad") | {"mu", "sigma", "rho"}
+    want = {"htlc": swap, "quickswap": swap | names(quickswapgame.QuickSwapParams, "base"),
+            "cyclic": names(cyclic.CyclicSpec)}
+    assert {kind: set(keys) - {"kind"} for kind, keys in cli._VALIDATE_PARAMS.items()} == want
 
 
 def test_a_free_htlc_lockup_still_validates(tmp_path):
@@ -414,13 +435,13 @@ def test_default_quickswap_sr_bytes_are_pinned(tmp_path):
 @pytest.mark.parametrize("args, table, table_digest, manifest_digest", [
     (("validate", "--set", "kind=htlc"), "validate.csv",
      "d5dc04cc4a7055fe4c92ad3462bdfb05d3627ca1dc9d229d92501d4f1f0f1aaa",
-     "5f10a89729f7fa2df37e3c46dbd91007f1ef3fff3426ac7506fe38d05ef17c6b"),
+     "55abb11e71e818c3d2067df2a69a7225cdb5cee95f5f4e20899aa06444cedde6"),
     (("validate", "--set", "kind=quickswap"), "validate.csv",
      "dd94819abea9324988a0e0ecdecf0fab30a86be31fbad23063e0a77c48326fb1",
-     "6f84ee6423ef6aff979b08a1e1bde2906d2ed5f6c05c66d271163b131469d4cf"),
+     "f51c892f703959c5cd908e1e1f0920f2e4f63f9d084fcc4f087a3b66b16ba772"),
     (("validate", "--set", "kind=cyclic"), "validate.csv",
      "57bd4180574e4c3c5715600f6cd8ffb20e662e381f92adf4925e6f1a669248c5",
-     "2a620da6c63c55e3561656216a8412b6c0f10b94191b86b74aef6a7c5b40653f"),
+     "30da76ae94583950439c335fa51831ee4b987d6a26c9aa57f8cf49fe3da91e4a"),
     (("cyclic-plan", "--set", "n=4"), "cyclic_plan.csv",
      "14b5c2d0e14370561b0e589327e3b5d314ca7ddb30aad191c783a853764cb50e",
      "790bab460d59e2ec43398764cb6421dee128704676a5db4400bb65136bae27ce"),

@@ -754,8 +754,8 @@ def test_band_table_of_the_wrong_shape_is_refused(shape):
 def _branch_weights(g, p, price):
     """Claim weight plus stop weight at a middle node of a game table."""
     x_star = htlcgame._threshold(g)
-    return ((1.0 - pricemodel.cdf_from(x_star, price, p.gbm, g.h_claim))
-            + pricemodel.cdf_from(x_star, price, p.gbm, g.h_stop))
+    (claim, stop), _ = pricemodel.law_terms(x_star, price, p.gbm, cdf=(g.h_claim, g.h_stop))
+    return (1.0 - claim) + stop
 
 
 @pytest.mark.parametrize("sigma", [0.05, 0.1, 0.2])

@@ -11,13 +11,10 @@ from swapsim.numerics import Bracket, QuadratureSpec, integrate
 from swapsim.pricemodel import (
     GbmParams,
     PriceState,
-    cdf_from,
     erfc,
     expected_price,
-    partial_expectation_below,
-    pe_below_from,
+    law_terms,
     sample_endpoints,
-    sample_path,
     transition_cdf,
     transition_pdf,
 )
@@ -197,22 +194,21 @@ def test_partial_expectation_matches_quadrature():
     spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
     k = 2.2
     num = integrate(lambda x: x * transition_pdf(x, STATE, GBM, lam), Bracket(1e-6, k), spec)
-    assert abs(num - partial_expectation_below(k, STATE, GBM, lam)) <= 1e-8
+    assert abs(num - law_terms(k, STATE.value, GBM, pe=(lam,))[1][0]) <= 1e-8
 
 
 def test_kernels_broadcast_over_start_prices_bit_for_bit():
     # As the game solvers call them: one target, (m,) start prices and a
     # scalar horizon or a (K, 1) horizon column.  Entry i equals the public
-    # function called from start i.
+    # CDF, and the partial expectation from the scalar start price, at start i.
     starts = np.linspace(0.5, 4.0, 9)
     target = np.array([2.5])
     for lam in (3.0, np.array([[3.0], [24.0]])):
-        cdf = cdf_from(target, starts, GBM, lam)
-        pe = pe_below_from(target, starts, GBM, lam)
+        (cdf,), (pe,) = law_terms(target, starts, GBM, cdf=(lam,), pe=(lam,))
         for i, x0 in enumerate(starts):
             state = PriceState(float(x0))
             assert np.array_equal(cdf[..., i], transition_cdf(target, state, GBM, lam)[..., 0])
-            assert np.array_equal(pe[..., i], partial_expectation_below(target, state, GBM, lam)[..., 0])
+            assert np.array_equal(pe[..., i], law_terms(target, state.value, GBM, pe=(lam,))[1][0][..., 0])
 
 
 def test_gbm_ensemble_mean_within_three_se():
@@ -221,14 +217,6 @@ def test_gbm_ensemble_mean_within_three_se():
     ends = sample_endpoints(STATE, GBM, lam, n, np.random.default_rng(12345))
     se = ends.std(ddof=1) / math.sqrt(n)
     assert abs(ends.mean() - expected_price(STATE, GBM, lam)) <= 3.0 * se
-
-
-def test_sample_path_shape_and_positivity():
-    path = sample_path(STATE, GBM, horizon=24.0, step=0.5, seed=1)
-    assert len(path) == 49
-    assert all(p.value > 0 for p in path)
-    assert path[0] is STATE
-    assert path[-1].at_time == pytest.approx(24.0)
 
 
 def test_degenerate_sigma_rejected_for_densities():
@@ -246,7 +234,7 @@ def test_invalid_inputs_rejected():
         GbmParams(mu=0.0, sigma=-0.1)
     with pytest.raises(ValueError):
         PriceState(0.0)
-    for law in (transition_cdf, partial_expectation_below):
+    for law in (transition_cdf, transition_pdf):
         for target, params, lam in [
             (2.0, GBM, -1.0),
             (2.0, GBM, np.array([3.0, 0.0])),
@@ -265,14 +253,14 @@ def test_kernels_take_their_step_limits_at_zero_spread():
     # of a call without the zero rows.
     targets = np.array([1.5, 2.0, 2.5])
     lam = np.array([[0.0], [3.0]])
-    cdf, pe = cdf_from(targets, 2.0, GBM, lam), pe_below_from(targets, 2.0, GBM, lam)
+    (cdf,), (pe,) = law_terms(targets, 2.0, GBM, cdf=(lam,), pe=(lam,))
     assert cdf[0].tolist() == [0.0, 1.0, 1.0] and pe[0].tolist() == [0.0, 2.0, 2.0]
-    assert np.array_equal(cdf[1], cdf_from(targets, 2.0, GBM, 3.0))
-    assert np.array_equal(pe[1], pe_below_from(targets, 2.0, GBM, 3.0))
+    (cdf_3,), (pe_3,) = law_terms(targets, 2.0, GBM, cdf=(3.0,), pe=(3.0,))
+    assert np.array_equal(cdf[1], cdf_3) and np.array_equal(pe[1], pe_3)
     still = GbmParams(mu=0.002, sigma=0.0)
     at = 2.0 * math.exp(0.002 * 50.0)
-    assert cdf_from(np.array([at * 0.99, at * 1.01]), 2.0, still, 50.0).tolist() == [0.0, 1.0]
-    assert pe_below_from(np.array([at * 0.99, at * 1.01]), 2.0, still, 50.0).tolist() == [0.0, at]
+    (cdf,), (pe,) = law_terms(np.array([at * 0.99, at * 1.01]), 2.0, still, cdf=(50.0,), pe=(50.0,))
+    assert cdf.tolist() == [0.0, 1.0] and pe.tolist() == [0.0, at]
 
 
 def test_kernels_are_zero_below_a_target_at_or_below_zero():
@@ -282,8 +270,8 @@ def test_kernels_are_zero_below_a_target_at_or_below_zero():
     targets = np.array([[-1.5], [0.0], [-0.0], [2.5]])
     starts = np.linspace(0.5, 4.0, 9)
     for params, lam in ((GBM, 3.0), (GBM, np.array([[[0.0]], [[3.0]]])), (GbmParams(0.002, 0.0), 3.0)):
-        cdf, pe = cdf_from(targets, starts, params, lam), pe_below_from(targets, starts, params, lam)
+        (cdf,), (pe,) = law_terms(targets, starts, params, cdf=(lam,), pe=(lam,))
         assert not cdf[..., :3, :].any() and not pe[..., :3, :].any()
-        assert np.array_equal(cdf[..., 3:, :], cdf_from(targets[3:], starts, params, lam))
-        assert np.array_equal(pe[..., 3:, :], pe_below_from(targets[3:], starts, params, lam))
-    assert cdf_from(-1.0, 2.0, GBM, 3.0) == 0.0 and pe_below_from(0.0, 2.0, GBM, 3.0) == 0.0
+        (cdf_pos,), (pe_pos,) = law_terms(targets[3:], starts, params, cdf=(lam,), pe=(lam,))
+        assert np.array_equal(cdf[..., 3:, :], cdf_pos) and np.array_equal(pe[..., 3:, :], pe_pos)
+    assert law_terms(-1.0, 2.0, GBM, cdf=(3.0,))[0][0] == 0.0 and law_terms(0.0, 2.0, GBM, pe=(3.0,))[1][0] == 0.0
