@@ -55,8 +55,8 @@ _BASE_DEFAULTS: dict = {
     "uniform_delay_discounting": False,
 }
 _QUICK_DEFAULTS: dict = {"D": 12.0, "Delta": 2.0, "rho": 0.001}
-_GRID_DEFAULTS: dict = {
-    "xa_min": 1.0, "xa_max": 3.0, "xa_step": 0.1,
+_XA_GRID_DEFAULTS: dict = {"xa_min": 1.0, "xa_max": 3.0, "xa_step": 0.1}
+_DELAY_GRID_DEFAULTS: dict = {
     "t_min": 0.0, "t_max": 20.0, "tp_min": 0.0, "tp_max": 21.0, "delay_step": 1.0,
 }
 _MC_DEFAULTS: dict = {"paths": 100_000, "cells": 5}
@@ -91,14 +91,19 @@ _VALIDATE_PARAMS: dict[str, dict] = {
     "quickswap": {**_BASE_DEFAULTS, **_QUICK_DEFAULTS, "kind": "quickswap"},
     "cyclic": {**_CYCLIC_DEFAULTS, "kind": "cyclic"},
 }
+# The solvers take no x_a: their x_a axis or cell draws set it.
+_SOLVER_DEFAULTS: dict = {k: v for k, v in _BASE_DEFAULTS.items() if k != "x_a"}
 # Every key a subcommand accepts, with its default; a value given for a key is
-# parsed as the type of that key's default (see _parse).
+# parsed as the type of that key's default (see _parse).  A subcommand takes
+# only the keys that change one of its outputs: quickswap-sr's participation
+# report builds its own delay grid, and no action of a cyclic plan depends on
+# t_eps (validate kind=cyclic's traces do).
 _PARAMS: dict[str, dict] = {
-    "htlc-surface": {**_BASE_DEFAULTS, **_GRID_DEFAULTS},
-    "quickswap-sr": {**_BASE_DEFAULTS, **_QUICK_DEFAULTS, **_GRID_DEFAULTS},
+    "htlc-surface": {**_SOLVER_DEFAULTS, **_XA_GRID_DEFAULTS, **_DELAY_GRID_DEFAULTS},
+    "quickswap-sr": {**_SOLVER_DEFAULTS, **_QUICK_DEFAULTS, **_XA_GRID_DEFAULTS},
     "validate": _VALIDATE_PARAMS["quickswap"],
-    "montecarlo": {**_BASE_DEFAULTS, **_QUICK_DEFAULTS, **_MC_DEFAULTS},
-    "cyclic-plan": _CYCLIC_DEFAULTS,
+    "montecarlo": {**_SOLVER_DEFAULTS, **_QUICK_DEFAULTS, **_MC_DEFAULTS},
+    "cyclic-plan": {k: v for k, v in _CYCLIC_DEFAULTS.items() if k != "t_eps"},
 }
 # Largest grid htlc-surface or quickswap-sr may ask for, in cells.  Bands are
 # solved in lockstep blocks of at most 4,096 rows, and tables are written a
@@ -166,7 +171,7 @@ def _parse(key: str, text: str, default):
 def _read_params_file(path: str) -> dict[str, str]:
     """Flat ``key = value`` lines; '#' starts a comment.  Values stay text."""
     out: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
@@ -197,7 +202,8 @@ def _resolve_params(subcommand: str, file_path: str | None, sets: list[str]) -> 
 
 
 def _swap_params(p: dict) -> htlcgame.SwapParams:
-    fields = {k: p[k] for k in _BASE_DEFAULTS if k not in ("mu", "sigma")}
+    """The swap of ``p``; a key it does not hold (x_a) takes its default."""
+    fields = {k: p.get(k, v) for k, v in _BASE_DEFAULTS.items() if k not in ("mu", "sigma")}
     return htlcgame.SwapParams(**fields, gbm=GbmParams(mu=p["mu"], sigma=p["sigma"]))
 
 
@@ -226,7 +232,7 @@ def _cyclic_spec(p: dict) -> cyclic_mod.CyclicSpec:
     return cyclic_mod.CyclicSpec(
         n=n, amounts=p["amounts"] or (2.0,) * n, taus=p["taus"] or (3.0,) * n,
         locktimes=p["locktimes"] or tuple(48.0 - 6.0 * i for i in range(n)),
-        D=p["D"], Delta=p["Delta"], rho=p["rho"], t_eps=p["t_eps"],
+        D=p["D"], Delta=p["Delta"], rho=p["rho"], t_eps=p.get("t_eps", _CYCLIC_DEFAULTS["t_eps"]),
     )
 
 

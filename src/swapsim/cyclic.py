@@ -214,5 +214,4 @@ def run_cyclic(
     outside = [i for i in strategies if i not in range(n)]
     if outside:
         raise ValueError(f"party indices {outside} are outside 0..{n - 1}")
-    return execute(plan, [_STRATEGIES[strategies.get(i, "compliant")] for i in range(n)],
-                   bound=plan.release)
+    return execute(plan, [_STRATEGIES[strategies.get(i, "compliant")] for i in range(n)])

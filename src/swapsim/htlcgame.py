@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import reduce
 from typing import NamedTuple
 
@@ -45,6 +45,8 @@ __all__ = [
 
 _ROOT_SCAN_POINTS = 256
 _ROOT_TOL = 1e-10
+# Tolerances of the root node's band quadrature (``_band_integrals``).
+_QUAD = QuadratureSpec()
 # Most that |mu|, |r_a| or |r_b| times the longest horizon may be.  A factor
 # of either game's table is the exponential of at most two rate-hour terms,
 # and the node kernel multiplies two factors: at an eighth of the largest
@@ -81,7 +83,6 @@ class SwapParams:
     theta_2: float
     gbm: GbmParams
     uniform_delay_discounting: bool = False
-    quad: QuadratureSpec = field(default_factory=QuadratureSpec)
 
     def __post_init__(self) -> None:
         bad = [k for k, v in vars(self).items() if isinstance(v, float) and not math.isfinite(v)]
@@ -488,5 +489,5 @@ def _band_integrals(game: _Game, p: SwapParams, lo, width, h_lock) -> tuple[np.n
         rows[1] *= claims[..., None, :]
         return rows.reshape(-1, len(u))
 
-    value_int, claim_int = integrate(integrand, (0.0, 1.0), p.quad).reshape(2, *lo.shape[:-1], len(h_lock))
+    value_int, claim_int = integrate(integrand, (0.0, 1.0), _QUAD).reshape(2, *lo.shape[:-1], len(h_lock))
     return value_int, claim_int

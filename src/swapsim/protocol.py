@@ -18,7 +18,7 @@ for answers it has not seen; ``run``, the two-party entry, passes it the
 instance's ``answer_tree``.  ``_facts`` keeps what a verdict reads of a trace,
 which holds no plan, and ``_judge`` audits it against its plan per profile
 for net value, Correctness, Safety, Liveness (every lock released by the
-plan's release hour, plus any deliberate delay of a two-party profile) and
+plan's release hour, plus every deliberate delay of its strategies) and
 conservation; the property checker sweeps an exhaustive strategy grid.
 """
 
@@ -176,7 +176,7 @@ class ProtocolInstance:
 
     A plan compiles itself when it is made: its steps (one party's locks with
     one start time, in order), each step's phase, the hash of every secret,
-    each lock's output ref, the hour ``liveness_bound`` adds a profile's
+    each lock's output ref, the hour ``_release_bound`` adds the strategies'
     delays to, the principal each cancel secret refunds early, each party's
     locks and the locks that time out to it, the principals and the principal
     each party is to receive, and, built on first use, each lock's contract
@@ -348,7 +348,14 @@ def liveness_bound(instance: ProtocolInstance, profile: StrategyProfile) -> floa
     and any deliberate delay in the profile.
     """
     _party_phases(instance.kind)  # refuses a plan that is not two-party
-    return instance.release + (profile.strategy_A.hours + profile.strategy_B.hours)
+    return _release_bound(instance, (profile.strategy_A, profile.strategy_B))
+
+
+def _release_bound(plan: ProtocolInstance, strategies) -> float:
+    """The hour by which every lock of ``plan`` must be released when it is
+    played by ``strategies``: the plan's release hour plus every deliberate
+    delay."""
+    return plan.release + sum(s.hours for s in strategies)
 
 
 # ---------------------------------------------------------------------------
@@ -662,12 +669,11 @@ class _Run:
             self.at(due, sweep, prio=prio)
 
 
-def execute(plan: ProtocolInstance, strategies, *, bound: float, decide=None, value=None,
+def execute(plan: ProtocolInstance, strategies, *, decide=None, value=None,
             tree=None) -> TraceVerdict:
     """Run a plan with one strategy per party and audit the trace by the
-    plan's safety rule.
+    plan's safety rule; every lock must be released by ``_release_bound``.
 
-    ``bound`` is the hour by which every lock must be released;
     ``decide(party, phase, now)`` is the threshold strategies' choice;
     ``value`` lists each chain's coin value in the first chain's asset (1 each
     if not given).  ``tree`` is an answer tree (see ``_replay``) of earlier
@@ -682,7 +688,7 @@ def execute(plan: ProtocolInstance, strategies, *, bound: float, decide=None, va
         trace = _facts(r)
         if tree is not None:
             _grow(tree, r.asked, trace)
-    return _judge(plan, trace, [s.kind for s in strategies], bound, value)
+    return _judge(plan, trace, [s.kind for s in strategies], _release_bound(plan, strategies), value)
 
 
 class _Trace(NamedTuple):
@@ -879,8 +885,7 @@ def run(
                 return strategies[0].interested and price(now) >= instance.thresholds[1]
             return True
 
-    return execute(instance, strategies, bound=bound, decide=decide, value=value,
-                   tree=instance.answer_tree)
+    return execute(instance, strategies, decide=decide, value=value, tree=instance.answer_tree)
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,20 @@ def test_params_file_round_trip(tmp_path):
     assert manifest["params"]["sigma"] == 0.2
 
 
+@pytest.mark.skipif(os.name != "posix", reason="the C locale is a POSIX locale")
+def test_params_file_is_read_as_utf8_under_any_locale(tmp_path):
+    # Under the C locale without UTF-8 mode, the locale's encoding is ASCII.
+    cfg = tmp_path / "params.txt"
+    cfg.write_text("# régime calme\nxa_step = 1.0\nt_max = 0\ntp_max = 0\n", encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "swapsim.cli", "htlc-surface",
+                           "--params", str(cfg), "--out", str(tmp_path / "run")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("args, says", [
     (("htlc-surface", "--set", "xa_step=0"), "step must be > 0"),
     (("htlc-surface", "--set", "delay_step=-1"), "step must be > 0"),
@@ -103,14 +117,14 @@ def test_params_file_round_trip(tmp_path):
     (("validate", "--set", "kind=cyclic", "--set", "t_eps=-5"), "t_eps >= 0"),
     (("cyclic-plan", "--set", "n=2.7"), "n must be a whole number"),
     (("montecarlo", "--set", "cells=0"), "cells must be >= 1"),
-    (("htlc-surface", "--set", "x_a=1,2"), "x_a must be a number, got '1,2'"),
+    (("htlc-surface", "--set", "x_yb_t1=1,2"), "x_yb_t1 must be a number, got '1,2'"),
     (("htlc-surface", "--set", "xa_step=1,2"), "xa_step must be a number"),
     (("validate", "--set", "kind=cyclic", "--set", "amounts=2"), "amounts must have one entry"),
     (("cyclic-plan", "--set", "amounts=abc"), "amounts must be a comma list of numbers"),
     (("htlc-surface", "--set", "uniform_delay_discounting=no"),
      "uniform_delay_discounting must be true or false, got 'no'"),
-    (("htlc-surface", "--set", "x_a=true"), "x_a must be a number, got 'true'"),
-    (("htlc-surface", "--set", "x_a=1" + "0" * 400), "x_a must be a number"),
+    (("htlc-surface", "--set", "x_yb_t1=true"), "x_yb_t1 must be a number, got 'true'"),
+    (("htlc-surface", "--set", "x_yb_t1=1" + "0" * 400), "x_yb_t1 must be a number"),
     (("htlc-surface", "--set", "delay_step=inf"), "step must be > 0 and finite"),
     # One x_a cell past the limit; the grid is refused before any solve.
     (("htlc-surface", "--set", "xa_step=0.0001", "--set", "t_max=0", "--set", "tp_max=0"),
@@ -164,6 +178,15 @@ def test_params_file_round_trip(tmp_path):
     (("validate", "--set", "kind=htlc", "--set", "n=-3"), "unknown parameter(s) for validate kind=htlc: n"),
     (("validate", "--set", "locktimes=40,30"), "unknown parameter(s) for validate kind=quickswap: locktimes"),
     (("validate", "--set", "kind= swap "), "kind must be htlc, quickswap, or cyclic, got 'swap'"),
+    # Each subcommand takes only the keys that change one of its outputs.
+    (("htlc-surface", "--set", "x_a=5"), "unknown parameter(s) for htlc-surface: x_a"),
+    (("quickswap-sr", "--set", "delay_step=nan"), "unknown parameter(s) for quickswap-sr: delay_step"),
+    (("quickswap-sr", "--set", "delay_step=nan", "--set", "t_max=-inf"),
+     "unknown parameter(s) for quickswap-sr: delay_step, t_max"),
+    (("quickswap-sr", "--set", "x_a=5", "--set", "t_min=1", "--set", "tp_min=1", "--set", "tp_max=3"),
+     "unknown parameter(s) for quickswap-sr: t_min, tp_max, tp_min, x_a"),
+    (("montecarlo", "--set", "x_a=5"), "unknown parameter(s) for montecarlo: x_a"),
+    (("cyclic-plan", "--set", "t_eps=1"), "unknown parameter(s) for cyclic-plan: t_eps"),
 ])
 def test_malformed_inputs_exit_2_with_an_error_line(tmp_path, capsys, args, says):
     assert run_cli(*args, "--out", str(tmp_path / "run")) == 2
@@ -203,10 +226,25 @@ def test_each_validate_kind_accepts_the_fields_it_builds():
     def names(cls, *drop):
         return {f.name for f in dataclasses.fields(cls)} - set(drop)
 
-    swap = names(htlcgame.SwapParams, "gbm", "quad") | {"mu", "sigma", "rho"}
-    want = {"htlc": swap, "quickswap": swap | names(quickswapgame.QuickSwapParams, "base"),
-            "cyclic": names(cyclic.CyclicSpec)}
+    swap = names(htlcgame.SwapParams, "gbm") | {"mu", "sigma"}
+    quick = names(quickswapgame.QuickSwapParams, "base")
+    want = {"htlc": swap | {"rho"}, "quickswap": swap | quick, "cyclic": names(cyclic.CyclicSpec)}
     assert {kind: set(keys) - {"kind"} for kind, keys in cli._VALIDATE_PARAMS.items()} == want
+    # So does every other subcommand.  The solvers take every field but x_a,
+    # which their x_a axis or cell draws set, and the keys of that axis or
+    # draw; no action of a cyclic plan depends on t_eps.
+    xa_axis = {"xa_min", "xa_max", "xa_step"}
+    want = {
+        "htlc-surface": swap - {"x_a"} | xa_axis | {"t_min", "t_max", "tp_min", "tp_max", "delay_step"},
+        "quickswap-sr": swap - {"x_a"} | quick | xa_axis,
+        "validate": set(cli._VALIDATE_PARAMS["quickswap"]),
+        "montecarlo": swap - {"x_a"} | quick | {"paths", "cells"},
+        "cyclic-plan": names(cyclic.CyclicSpec, "t_eps"),
+    }
+    assert {name: set(keys) for name, keys in cli._PARAMS.items()} == want
+    assert [len(cli._PARAMS[name]) for name in ("htlc-surface", "quickswap-sr", "montecarlo", "cyclic-plan")] \
+        == [26, 24, 23, 7]
+    assert [len(keys) for keys in cli._VALIDATE_PARAMS.values()] == [21, 23, 9]
 
 
 def test_a_free_htlc_lockup_still_validates(tmp_path):
@@ -307,10 +345,12 @@ def test_quadrature_that_fails_to_converge_is_an_error_line(tmp_path, capsys, mo
 
 def _rates_at_scale(tmp_path, subcommand: str, k: float) -> list[tuple[str, str]]:
     """The (sr_raw, participation) columns of ``subcommand`` at x_a = x_yb_t1
-    = 2k, T and T' up to 3."""
+    = 2k (and, of htlc-surface, T and T' up to 3)."""
     out = tmp_path / f"{subcommand}-{k:g}"
     scale = ("--set", f"x_yb_t1={2 * k!r}", "--set", f"xa_min={2 * k!r}", "--set", f"xa_max={2 * k!r}",
-             "--set", f"xa_step={k!r}", "--set", "t_max=3", "--set", "tp_max=3")
+             "--set", f"xa_step={k!r}")
+    if subcommand == "htlc-surface":
+        scale += ("--set", "t_max=3", "--set", "tp_max=3")
     assert run_cli(subcommand, "--out", str(out), *scale) == 0
     name = "htlc_surface.csv" if subcommand == "htlc-surface" else "quickswap_sr.csv"
     lines = (out / name).read_text().splitlines()
@@ -444,7 +484,7 @@ def test_default_quickswap_sr_bytes_are_pinned(tmp_path):
      "30da76ae94583950439c335fa51831ee4b987d6a26c9aa57f8cf49fe3da91e4a"),
     (("cyclic-plan", "--set", "n=4"), "cyclic_plan.csv",
      "14b5c2d0e14370561b0e589327e3b5d314ca7ddb30aad191c783a853764cb50e",
-     "790bab460d59e2ec43398764cb6421dee128704676a5db4400bb65136bae27ce"),
+     "7a79cb7ef2193ca7a4e7820be814084017289e436a0727b121d71dea8b70fafc"),
 ])
 def test_default_validate_and_plan_bytes_are_pinned(tmp_path, args, table, table_digest,
                                                     manifest_digest):

@@ -25,6 +25,9 @@ from swapsim.htlcgame import (
 from swapsim.numerics import Bracket, QuadratureSpec, integrate
 from swapsim.pricemodel import PriceState, transition_cdf, transition_pdf
 
+# The "tight quadrature" cases solve the root node to these tolerances.
+_TIGHT_QUAD = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
+
 
 def _brute_force_threshold(g, lo: float, hi: float, tol: float = 1e-10) -> float:
     """Independent sign-change scan + bisection of a payoff comparison."""
@@ -199,7 +202,8 @@ def test_root_payoff_branch_weights_sum_to_one(monkeypatch):
     # value is the exit value times the branch weights: theta_2 * (band mass
     # + mass_outside) + (1 - theta_2).  It stays the exit value on every row
     # only if the mapped band integral and mass_outside sum to one.
-    p = baseline(0.2, r_a=0.0, quad=QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12))
+    monkeypatch.setattr(htlcgame, "_QUAD", _TIGHT_QUAD)
+    p = baseline(0.2, r_a=0.0)
     exit_value = p.x_a - p.f_a
     value_a = htlcgame._value_a
     monkeypatch.setattr(htlcgame, "_value_a",
@@ -310,7 +314,7 @@ def _oracle_surface(p, xa, ts, tps):
                     u_cont = stop_t1
                 else:
                     cont = counted_integrate(
-                        lambda x: transition_pdf(x, st1, q.gbm, h) * u_a_t2(x), band, q.quad)
+                        lambda x: transition_pdf(x, st1, q.gbm, h) * u_a_t2(x), band, htlcgame._QUAD)
                     outside = (1.0 - transition_cdf(hi, st1, q.gbm, h)
                                + transition_cdf(lo, st1, q.gbm, h))
                     u_cont = q.theta_2 * (cont * math.exp(-q.r_a * h) + outside * stop_t1) \
@@ -322,7 +326,7 @@ def _oracle_surface(p, xa, ts, tps):
                     continue
                 raw[i, j, k] = max(0.0, counted_integrate(
                     lambda x: q.theta_2 * transition_pdf(x, st1, q.gbm, h) * q.theta_1 * claimed(x),
-                    band, q.quad))
+                    band, htlcgame._QUAD))
     return raw, calls
 
 
@@ -333,10 +337,11 @@ def _oracle_surface(p, xa, ts, tps):
     pytest.param("uniform delay discounting", baseline(uniform_delay_discounting=True),
                  id="uniform delay discounting-p3"),
     pytest.param("empty band", baseline(theta_1=0.0, r_a=0.0), id="empty band-p4"),
-    pytest.param("tight quadrature", baseline(0.02, quad=QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)),
-                 id="tight quadrature-p5"),
+    pytest.param("tight quadrature", baseline(0.02), id="tight quadrature-p5"),
 ])
-def test_surface_matches_per_cell_oracle(case, p):
+def test_surface_matches_per_cell_oracle(monkeypatch, case, p):
+    if case == "tight quadrature":
+        monkeypatch.setattr(htlcgame, "_QUAD", _TIGHT_QUAD)
     xa, ts, tps = [1.6, 2.0, 2.4], [0.0, 10.0, 20.0], [0.0, 7.0, 14.0, 21.0]
     grid = sr_surface(p, xa, ts, tps)
     want, calls = _oracle_surface(p, xa, ts, tps)
@@ -543,9 +548,11 @@ def test_band_scan_evaluates_t_free_terms_once_per_x_a(monkeypatch, uniform, sha
     ("sigma 0.05", baseline(0.05)),
     ("sigma 0.2", baseline(0.2)),
     ("uniform delay discounting", baseline(uniform_delay_discounting=True)),
-    ("tight quadrature", baseline(0.02, quad=QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12))),
+    ("tight quadrature", baseline(0.02)),
 ])
-def test_surface_cells_equal_cells_solved_alone(case, p):
+def test_surface_cells_equal_cells_solved_alone(monkeypatch, case, p):
+    if case == "tight quadrature":
+        monkeypatch.setattr(htlcgame, "_QUAD", _TIGHT_QUAD)
     # The surface's one success-rate table gives every cell the bits of its
     # own one-cell table.
     xa, ts, tps = [1.6, 2.0, 2.4], [0.0, 10.0, 20.0], [0.0, 7.0, 14.0, 21.0]
@@ -592,11 +599,12 @@ def test_default_surface_takes_its_success_rates_from_the_root_node_calls(monkey
     pytest.param("sigma 0.2", baseline(0.2), id="sigma 0.2-p1"),
     pytest.param("uniform delay discounting", baseline(uniform_delay_discounting=True),
                  id="uniform delay discounting-p2"),
-    pytest.param("tight quadrature", baseline(0.02, quad=QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)),
-                 id="tight quadrature-p4"),
+    pytest.param("tight quadrature", baseline(0.02), id="tight quadrature-p4"),
     pytest.param("theta_2 0.3", baseline(theta_2=0.3), id="theta_2 0.3-p5"),
 ])
-def test_root_payoffs_of_every_x_a_equal_per_x_a_calls(case, p):
+def test_root_payoffs_of_every_x_a_equal_per_x_a_calls(monkeypatch, case, p):
+    if case == "tight quadrature":
+        monkeypatch.setattr(htlcgame, "_QUAD", _TIGHT_QUAD)
     # One call over an x_a axis gives each x_a the bits of its own call,
     # also an x_a without a band and one with band-less delays.
     xa = np.array([1.6, 2.0, 2.4, 2.8])

@@ -60,7 +60,7 @@ def test_integrated_lock_density_matches_its_distribution_function(sigma):
     rows = np.repeat(bands, 22, axis=0)
     lo, width = rows[:, :1], rows[:, 1:] - rows[:, :1]
     st1 = PriceState(p.x_yb_t1)
-    got = integrate(lambda u: transition_pdf(lo + u * width, st1, p.gbm, h) * width, (0.0, 1.0), p.quad)
+    got = integrate(lambda u: transition_pdf(lo + u * width, st1, p.gbm, h) * width, (0.0, 1.0), htlcgame._QUAD)
     want = transition_cdf(rows[:, 1:], st1, p.gbm, h) - transition_cdf(rows[:, :1], st1, p.gbm, h)
     assert len(rows) > 1_000
     assert np.max(np.abs(got - want[:, 0])) <= 1e-14

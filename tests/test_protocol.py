@@ -361,8 +361,7 @@ def test_no_lock_after_a_cancelled_party_locks_its_principal():
                             Timing(t_eps=1.0, wait=((3.0, 1.5), (3.0, 1.5)), claim_wait=7.0,
                                    release_with_claim=True),
                             lambda *facts: (True, []))
-    v = execute(plan, [Strategy("compliant"), Strategy("delay", phase="lock", hours=10.0)],
-                bound=math.inf)
+    v = execute(plan, [Strategy("compliant"), Strategy("delay", phase="lock", hours=10.0)])
     made = {e.tx_id for e in v.events if e.tx_id.startswith("lock-")}
     assert made == {"lock-0", "lock-1", "lock-2"}
     assert any(e.tx_id == "cancel-0" and e.kind == "confirmed" for e in v.events)
