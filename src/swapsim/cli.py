@@ -60,8 +60,9 @@ _DELAY_GRID_DEFAULTS: dict = {
     "t_min": 0.0, "t_max": 20.0, "tp_min": 0.0, "tp_max": 21.0, "delay_step": 1.0,
 }
 _MC_DEFAULTS: dict = {"paths": 100_000, "cells": 5}
-# The oracles hold every path of a cell at once in two float arrays and one
-# mask, about 18 B a path: 4e6 paths peaked at 108 MB on a 2-CPU x86 host.
+# The oracles draw both types of every path of a cell at once, about 10 B a
+# path, and prices only for the paths where both are interested: 4e6 paths
+# peaked at 77 MB at the default types on a 2-CPU x86 host.
 _MAX_MC_PATHS = 4_000_000
 # The cells ``montecarlo`` can draw: HTLC x_a from _MC_XA and Quick Swap x_a
 # from _MC_QS_XA, both rounded to 0.1; HTLC T and T' whole numbers below

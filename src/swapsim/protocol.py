@@ -956,9 +956,10 @@ def mc_success_rate_htlc(
 ) -> tuple[float, float]:
     """Empirical completion frequency under threshold strategies.
 
-    Samples the price at B's lock decision (horizon tau_a + T') and at A's
-    claim decision (a further tau_b + T), applies the analytic band and
-    threshold, and draws each party's interested type.  Returns
+    Draws each party's interested type, then, for the paths where both are
+    interested, the price at B's lock decision (horizon tau_a + T'), and,
+    for those whose price lies in the analytic band, the price at A's claim
+    decision (a further tau_b + T) against the analytic threshold.  Returns
     (frequency, standard error); the mean estimates the raw success rate.
     ``band`` is B's band at ``T`` when the caller has solved it already.
     """
@@ -985,7 +986,15 @@ def _mc_two_stage(
     """Monte Carlo twin of the success rate of ``htlcgame._band_integrals``:
     B locks when the price after ``h_lock`` hours lies in ``band`` (a
     ``(lo, hi)`` pair), then A claims when the price a further ``h_claim``
-    hours on is at least ``threshold``.  No band (NaN ends): (0, 0)."""
+    hours on is at least ``threshold``; each does so only when interested.
+    No band (NaN ends): (0, 0).
+
+    Each cell draws only what can change its outcome, in this order: B's
+    type for every path, then A's; the lock-price normals for the paths
+    where both are interested; the claim-price normals for those of them
+    whose lock price is in the band.  The types are independent of the
+    prices, so each path still succeeds with probability
+    theta_1 * theta_2 * P(band and claim)."""
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     rng = np.random.default_rng(seed)
@@ -993,23 +1002,21 @@ def _mc_two_stage(
     if math.isnan(lo):
         return 0.0, 0.0
     mu, sig = p.gbm.mu, p.gbm.sigma
-    # Two float arrays and one mask: the prices go into the buffers their
-    # normals were drawn into, and both uniform draws (B's interest, then
-    # A's) reuse the lock-price buffer.
-    at_lock = rng.standard_normal(n_paths)
-    at_claim = rng.standard_normal(n_paths)
-    for price, h in ((at_lock, h_lock), (at_claim, h_claim)):
-        price *= sig * math.sqrt(h)
-        price += (mu - 0.5 * sig**2) * h
-        np.exp(price, out=price)
+
+    def growth(n: int, h: float) -> np.ndarray:
+        """The price factors over ``h`` hours of ``n`` paths, computed in the
+        buffer their normals were drawn into."""
+        g = rng.standard_normal(n)
+        g *= sig * math.sqrt(h)
+        g += (mu - 0.5 * sig**2) * h
+        return np.exp(g, out=g)
+
+    interested = np.count_nonzero((rng.random(n_paths) < p.theta_2) & (rng.random(n_paths) < p.theta_1))
+    at_lock = growth(interested, h_lock)
     at_lock *= p.x_yb_t1
+    at_lock = at_lock[(at_lock > lo) & (at_lock <= hi)]
+    at_claim = growth(at_lock.size, h_claim)
     at_claim *= at_lock
-    success = at_claim >= threshold
-    success &= at_lock > lo
-    success &= at_lock <= hi
-    for theta in (p.theta_2, p.theta_1):
-        rng.random(out=at_lock)
-        success &= at_lock < theta
-    freq = float(np.mean(success))
+    freq = float(np.count_nonzero(at_claim >= threshold) / n_paths)
     se = math.sqrt(max(freq * (1.0 - freq), 1e-12) / n_paths)
     return freq, se

@@ -30,7 +30,7 @@ from swapsim.protocol import (
     run,
     strategy_grid,
 )
-from swapsim.quickswapgame import success_rate as quick_success_rate
+from swapsim.quickswapgame import continuation_band_t3, success_rate as quick_success_rate
 
 COMPLIANT = StrategyProfile(Strategy("compliant"), Strategy("compliant"))
 
@@ -211,9 +211,10 @@ def test_mc_oracles_deterministic():
 
 
 def test_mc_cells_fill_their_draw_buffers_in_place():
-    # Two float arrays and one mask a cell: 18 B a path, against 42 B when
-    # each stage allocated its own arrays.  The draws and the result match
-    # the plain array formula of the two stages.
+    # Both types for every path, then the lock prices of the paths where
+    # both are interested and the claim prices of those in B's band, each
+    # computed in its normals' buffer: under 16 B a path.  The draws and the
+    # result match the plain array formula.
     p, n = baseline(), 200_000
     band = continuation_band_t2(p, 1.0)
     threshold, h_lock, h_claim = claim_threshold_t3(p), p.tau_a + 2.0, p.tau_b + 1.0
@@ -224,16 +225,83 @@ def test_mc_cells_fill_their_draw_buffers_in_place():
     finally:
         tracemalloc.stop()
     assert peak < 24 * n
+    assert peak < 16 * n
     rng = np.random.default_rng(11)
     mu, sig = p.gbm.mu, p.gbm.sigma
-    z1, z2 = rng.standard_normal(n), rng.standard_normal(n)
+    both = (rng.random(n) < p.theta_2) & (rng.random(n) < p.theta_1)
+    z1 = rng.standard_normal(np.count_nonzero(both))
     at_lock = p.x_yb_t1 * np.exp((mu - 0.5 * sig**2) * h_lock + sig * math.sqrt(h_lock) * z1)
-    at_claim = at_lock * np.exp((mu - 0.5 * sig**2) * h_claim + sig * math.sqrt(h_claim) * z2)
-    success = ((rng.random(n) < p.theta_2) & (at_lock > band[0]) & (at_lock <= band[1])
-               & (rng.random(n) < p.theta_1) & (at_claim >= threshold))
-    freq = float(np.mean(success))
+    in_band = at_lock[(at_lock > band[0]) & (at_lock <= band[1])]
+    z2 = rng.standard_normal(in_band.size)
+    at_claim = in_band * np.exp((mu - 0.5 * sig**2) * h_claim + sig * math.sqrt(h_claim) * z2)
+    freq = np.count_nonzero(at_claim >= threshold) / n
     assert got == (freq, math.sqrt(max(freq * (1.0 - freq), 1e-12) / n))
+    assert type(got[0]) is float
     assert 0.0 < freq < 1.0
+
+
+class _CountingRng:
+    """Wraps a generator and records the size of each draw it hands out."""
+
+    def __init__(self, rng):
+        self.rng, self.uniforms, self.normals = rng, [], []
+
+    def random(self, size):
+        self.uniforms.append(size)
+        return self.rng.random(size)
+
+    def standard_normal(self, size):
+        self.normals.append(size)
+        return self.rng.standard_normal(size)
+
+
+@pytest.mark.parametrize("theta_1", [0.5, 0.0])
+def test_mc_cells_draw_prices_only_for_paths_that_can_succeed(monkeypatch, theta_1):
+    # Both types for every path, a lock price for each path where both
+    # parties are interested and a claim price for each of those in B's
+    # band; no price at all when A is never interested.  The band and the
+    # threshold are those of the default types.
+    p, n, seed = baseline(theta_1=theta_1), 20_000, 3
+    band, threshold = continuation_band_t2(baseline(), 1.0), claim_threshold_t3(baseline())
+    h_lock = p.tau_a + 2.0
+    default_rng, made = np.random.default_rng, []
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda s: made.append(_CountingRng(default_rng(s))) or made[-1])
+    got = protocol._mc_two_stage(p, band, threshold, h_lock, p.tau_b + 1.0, n, seed)
+    (drawn,) = made
+    rng = default_rng(seed)
+    interested = np.count_nonzero((rng.random(n) < p.theta_2) & (rng.random(n) < p.theta_1))
+    mu, sig = p.gbm.mu, p.gbm.sigma
+    at_lock = p.x_yb_t1 * np.exp((mu - 0.5 * sig**2) * h_lock
+                                 + sig * math.sqrt(h_lock) * rng.standard_normal(interested))
+    in_band = np.count_nonzero((at_lock > band[0]) & (at_lock <= band[1]))
+    assert drawn.uniforms == [n, n]
+    assert sum(drawn.normals) == interested + in_band
+    if theta_1 == 0.0:
+        assert sum(drawn.normals) == 0
+        assert got == (0.0, math.sqrt(1e-12 / n))
+    else:
+        assert 0 < in_band < interested < n / 2
+
+
+@pytest.mark.parametrize("kind", ["htlc", "quickswap"])
+def test_mc_oracle_z_scores_are_standard_normal_over_seeds(kind):
+    # 400 seeds of one cell: the z of each draw against the analytic rate has
+    # mean 0 within 3/sqrt(400) and a standard deviation near 1.
+    n = 20_000
+    if kind == "htlc":
+        p = baseline(x_a=2.1)
+        band = continuation_band_t2(p, 2.0)
+        analytic = success_rate(p, 2.0, 1.0)
+        freqs = [mc_success_rate_htlc(p, 2.0, 1.0, n, seed=s, band=band)[0] for s in range(400)]
+    else:
+        q = quick_baseline(x_a=2.0)
+        band = continuation_band_t3(q)
+        analytic = quick_success_rate(q)
+        freqs = [mc_success_rate_quickswap(q, n, seed=s, band=band)[0] for s in range(400)]
+    z = (np.array(freqs) - analytic) / math.sqrt(analytic * (1.0 - analytic) / n)
+    assert abs(z.mean()) <= 0.15
+    assert 0.9 <= z.std() <= 1.1
 
 
 def _instance(kind: str, **overrides):
