@@ -195,21 +195,32 @@ def _threshold(g: _Game):
     return (g.exit_a - intercept) / slope
 
 
-def _value_b(g: _Game, p: SwapParams, price):
-    """B's value at the middle node once he has locked.
+def _value_b(g: _Game, p: SwapParams):
+    """B's value at the middle node once he has locked, as a function of
+    the middle price.
 
     An honest A (weight theta_1) claims above the threshold after
     ``h_claim`` hours and exits below it after ``h_stop``; B's exit payoff
     is linear in the final price, so its expectation below the threshold is
-    the log-normal partial expectation in closed form.  The two CDFs and the
-    partial expectation are one ``law_terms`` call, as in ``_value_a``.
+    the log-normal partial expectation in closed form.  The threshold and
+    B's two discount factors do not depend on the price and are computed
+    here, once per table; each call of the returned function is one
+    ``law_terms`` call (the two CDFs and the partial expectation, as in
+    ``_value_a``) and the line arithmetic.
     """
-    (cdf_claim, cdf_stop), (pe_stop,) = law_terms(_threshold(g), price, p.gbm, cdf=(g.h_claim, g.h_stop),
-                                                 pe=(g.h_stop,))
+    threshold = _threshold(g)
     slope, intercept = g.exit_b
-    claim = (1.0 - cdf_claim) * g.claim_b * math_exp(-p.r_b * g.h_claim)
-    exit_ = math_exp(-p.r_b * g.h_stop) * (slope * pe_stop + intercept * cdf_stop)
-    return p.theta_1 * (claim + exit_) + (1.0 - p.theta_1) * _line(g.dishonest_b, price)
+    claim_discount = math_exp(-p.r_b * g.h_claim)
+    stop_discount = math_exp(-p.r_b * g.h_stop)
+
+    def value(price):
+        (cdf_claim, cdf_stop), (pe_stop,) = law_terms(threshold, price, p.gbm, cdf=(g.h_claim, g.h_stop),
+                                                     pe=(g.h_stop,))
+        claim = (1.0 - cdf_claim) * g.claim_b * claim_discount
+        exit_ = stop_discount * (slope * pe_stop + intercept * cdf_stop)
+        return p.theta_1 * (claim + exit_) + (1.0 - p.theta_1) * _line(g.dishonest_b, price)
+
+    return value
 
 
 def _value_a(g: _Game, p: SwapParams, price):
@@ -260,11 +271,12 @@ def _scan_brackets(*prices) -> np.ndarray:
 
 def _lock_bands(game, p: SwapParams, xs: np.ndarray, rows: int = 1) -> np.ndarray:
     """B's bands, ``rows`` per x_a of ``xs``: where ``_value_b`` beats his
-    ``stay_b`` line.  ``game(x_a)`` builds the table of an x_a column; each
-    x_a has its own scan."""
-    def g(x, groups):
+    ``stay_b`` line.  ``game(x_a)`` builds the table of an x_a column, once
+    per lockstep of ``widest_band``; each x_a has its own scan."""
+    def g(groups):
         table = game(xs[groups, None, None])
-        return _value_b(table, p, x) - _line(table.stay_b, x)
+        value_b = _value_b(table, p)
+        return lambda x: value_b(x) - _line(table.stay_b, x)
 
     return widest_band(g, _scan_brackets(p.x_yb_t1, xs, _threshold(game(xs))), rows)
 
@@ -273,31 +285,38 @@ def widest_band(g, scans: np.ndarray, rows: int = 1) -> np.ndarray:
     """Widest interval of its scan on which ``g > 0``, for each row of ``g``.
 
     Rows come in groups of ``rows`` that share one scan, a row of the
-    (groups, 2) ``(lo, hi)`` table ``scans``; ``g(x, groups)`` evaluates B's
-    continue-minus-exit value of the groups ``groups`` (an index array) at
-    prices ``x``, which are (len(groups), 1, n) points per group or
-    (len(groups), rows, n) points per row, as (len(groups), rows, n) values.
-    Each row is one ``find_roots`` row, and up to ``_CALL_BUDGET / 8`` rows
-    (4,096) bisect in one lockstep, so that its bisection steps and midpoint
-    call stay within the budget on rows of fewer than 8 roots; a larger table
-    is solved in blocks of whole groups (one lockstep over the 100,000 rows of
+    (groups, 2) ``(lo, hi)`` table ``scans``.  ``g(groups)``, for an index
+    array ``groups``, returns the function that evaluates B's
+    continue-minus-exit value of those groups at prices ``x``, which are
+    (len(groups), 1, n) points per group or (len(groups), rows, n) points
+    per row, as (len(groups), rows, n) values.  ``g`` is called once per
+    lockstep, so whatever does not depend on the prices (the game table) is
+    built once for all of that lockstep's root-function calls.  Each row is
+    one ``find_roots`` row, and up to ``_CALL_BUDGET / 8`` rows (4,096)
+    bisect in one lockstep, so that its bisection steps and midpoint call
+    stay within the budget on rows of fewer than 8 roots; a larger table is
+    solved in blocks of whole groups (one lockstep over the 100,000 rows of
     a 20,000-x_a quickswap-sr doubled the traced peak).  When more than two
-    crossings appear, the widest winning interval is kept.  The bands come
-    back as a (rows per group x groups, 2) array of ``(lo, hi)`` pairs, one
-    per row, group by group; a row with no crossing has no band (NaN ends).
+    crossings appear, the widest winning interval is kept.  A band that ends
+    at its scan's edge is solved again on a scan ten times wider at each
+    end, until its scan's ``hi > 1e8 * lo``; a band still at the edge of
+    such a scan keeps that edge as its end.  The bands come back as a (rows
+    per group x groups, 2) array of ``(lo, hi)`` pairs, one per row, group
+    by group; a row with no crossing has no band (NaN ends).
     """
     if not (len(scans) and rows):
         return np.empty((0, 2))
     per = max(1, numerics._CALL_BUDGET // 8 // rows)
     if len(scans) > per:
-        return np.concatenate([widest_band(lambda x, sub, first=first: g(x, sub + first),
+        return np.concatenate([widest_band(lambda sub, first=first: g(sub + first),
                                            scans[first:first + per], rows)
                                for first in range(0, len(scans), per)])
     groups = np.arange(len(scans))
     lo, hi = np.repeat(scans, rows, axis=0).T
+    f = g(groups)
     # The default scan's hi is 12x its largest price: the tolerance shrinks
     # with small prices, so their bands do not drift, and never grows.
-    flat, counts = find_roots(lambda x: g(x, groups), scans, grid_points=_ROOT_SCAN_POINTS,
+    flat, counts = find_roots(f, scans, grid_points=_ROOT_SCAN_POINTS,
                               tol=_ROOT_TOL * np.minimum(1.0, hi / 12.0), group=rows)
     # Each row's interval ends: its scan's lo, its roots, then hi repeated.
     edges = np.repeat(hi[:, None], counts.max() + 2, axis=1)
@@ -305,7 +324,7 @@ def widest_band(g, scans: np.ndarray, rows: int = 1) -> np.ndarray:
     row_of = np.repeat(np.arange(len(counts)), counts)
     edges[row_of, 1 + np.arange(len(flat)) - np.searchsorted(row_of, row_of)] = flat
     mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
-    wins = g(mids.reshape(len(scans), rows, -1), groups).reshape(mids.shape) > 0.0
+    wins = f(mids.reshape(len(scans), rows, -1)).reshape(mids.shape) > 0.0
     # A row's winning intervals, of which the first widest is its band.
     ok = wins & (np.arange(mids.shape[1]) <= counts[:, None]) & (counts[:, None] > 0)
     best = np.argmax(np.where(ok, edges[:, 1:] - edges[:, :-1], -np.inf), axis=1)
@@ -316,11 +335,13 @@ def widest_band(g, scans: np.ndarray, rows: int = 1) -> np.ndarray:
     # Open-ended winning region at a scan edge means the scan missed a
     # crossing; widen those rows rather than report a fake endpoint.  Their
     # groups are solved again on the wider scan, and only the edge rows
-    # take its bands.
-    edge = won[((band_lo == lo[won]) | (band_hi == hi[won])) & (hi[won] / np.maximum(lo[won], 1e-12) <= 1e8)]
+    # take its bands.  The cap is a ratio, so it trips at every price scale:
+    # the bisection tolerance grows with ``hi``, and a scan widened far past
+    # it would let the tolerance exceed the band.
+    edge = won[((band_lo == lo[won]) | (band_hi == hi[won])) & (hi[won] <= 1e8 * lo[won])]
     if edge.size:
         wide = np.unique(edge // rows)
-        again = widest_band(lambda x, sub: g(x, wide[sub]), scans[wide] * (0.1, 10.0), rows)
+        again = widest_band(lambda sub: g(wide[sub]), scans[wide] * (0.1, 10.0), rows)
         bands[edge] = again[np.searchsorted(wide, edge // rows) * rows + edge % rows]
     return bands
 

@@ -23,7 +23,7 @@ from swapsim.htlcgame import (
     success_rate,
 )
 from swapsim.numerics import Bracket, QuadratureSpec, integrate
-from swapsim.pricemodel import PriceState, transition_cdf, transition_pdf
+from swapsim.pricemodel import GbmParams, PriceState, transition_cdf, transition_pdf
 
 # The "tight quadrature" cases solve the root node to these tolerances.
 _TIGHT_QUAD = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
@@ -106,7 +106,7 @@ def test_middle_node_value_matches_quadrature():
 
             honest = expect(1, exit_action, 1e-3, x_star) + expect(1, "continue", x_star, 12.0)
             direct = p.theta_1 * math.exp(-p.r_b * lam) * honest + (1 - p.theta_1) * outside(price_t2)
-            assert htlcgame._value_b(g, p, price_t2) == pytest.approx(direct, rel=1e-6)
+            assert htlcgame._value_b(g, p)(price_t2) == pytest.approx(direct, rel=1e-6)
             direct_a = math.exp(-p.r_a * lam) * (expect(0, exit_action, 1e-3, x_star)
                                                  + expect(0, "continue", x_star, 12.0))
             assert htlcgame._value_a(g, p, price_t2)[0] == pytest.approx(direct_a, rel=1e-6)
@@ -118,7 +118,7 @@ def test_continuation_band_brackets_root_crossings():
     assert not np.isnan(band).any()
     lo, hi = band
     # B's continue value minus his stop value, the t2 price.
-    g = lambda x: htlcgame._value_b(htlcgame._htlc(p, 0.0, p.x_a), p, x) - x
+    g = lambda x: htlcgame._value_b(htlcgame._htlc(p, 0.0, p.x_a), p)(x) - x
     # Inside the band B prefers locking; at the edges it is indifferent.
     assert g(0.5 * (lo + hi)) > 0
     assert abs(g(lo)) <= 1e-6 and abs(g(hi)) <= 1e-6
@@ -128,7 +128,7 @@ def test_continuation_band_brackets_root_crossings():
 def test_band_edges_match_brute_force():
     p = baseline()
     band_lo, band_hi = continuation_band_t2(p, 0.0)
-    g = lambda x: htlcgame._value_b(htlcgame._htlc(p, 0.0, p.x_a), p, x) - x
+    g = lambda x: htlcgame._value_b(htlcgame._htlc(p, 0.0, p.x_a), p)(x) - x
     lo = _brute_force_threshold(g, 0.5, 0.5 * (band_lo + band_hi))
     hi = _brute_force_threshold(g, 0.5 * (band_lo + band_hi), 6.0)
     assert band_lo == pytest.approx(lo, abs=1e-6)
@@ -163,18 +163,24 @@ def test_band_rows_match_single_delay_solves(monkeypatch, case, p, scan):
 
 
 def test_band_rows_share_one_scan(monkeypatch):
+    # Counts the calls of B's value on prices: one per root-function call.
     calls = []
     u_b = htlcgame._value_b
 
-    def counted(g, p, price):
-        calls.append(np.shape(price))
-        return u_b(g, p, price)
+    def counted(g, p):
+        value = u_b(g, p)
+
+        def recorded(price):
+            calls.append(np.shape(price))
+            return value(price)
+
+        return recorded
 
     monkeypatch.setattr(htlcgame, "_value_b", counted)
     p = baseline()
     bands = continuation_band_t2(p, np.linspace(0.0, p.claim_delay_window, 21))
     assert not np.isnan(bands).any()
-    assert len(calls) <= 60
+    assert 0 < len(calls) <= 60
 
 
 def test_root_payoff_rows_match_single_row_calls():
@@ -410,8 +416,8 @@ def test_band_grid_matches_scalar_solves(monkeypatch, case, p, k, scan):
 @pytest.mark.parametrize("scan", [(2.0, 0.3), (math.nan, 1.0), (0.3, math.nan)],
                          ids=["inverted", "nan-lo", "nan-hi"])
 def test_scan_row_without_lo_below_hi_is_refused(scan):
-    def g(x, groups):
-        return np.broadcast_to(1.0 - x, (len(groups), 2, x.shape[2]))
+    def g(groups):
+        return lambda x: np.broadcast_to(1.0 - x, (len(groups), 2, x.shape[2]))
 
     with pytest.raises(ValueError, match="lo < hi"):
         htlcgame.widest_band(g, np.array([(0.3, 2.0), scan]), 2)
@@ -493,14 +499,77 @@ def test_band_tables_above_the_lockstep_cap_solve_in_group_blocks(monkeypatch):
     assert calls == [42, 42, 21]
 
 
+def test_each_lockstep_builds_its_game_table_once(monkeypatch):
+    # A game table does not depend on the prices: each solve builds one for
+    # its scan brackets, then one per lockstep (the main one, each block of
+    # groups and each widened subset), not one per root-function call.
+    builds, locksteps = [], []
+    for module, name in ((htlcgame, "_htlc"), (quickswapgame, "_quick")):
+        def built(*args, build=getattr(module, name)):
+            builds.append(build)
+            return build(*args)
+
+        monkeypatch.setattr(module, name, built)
+    find_roots = htlcgame.find_roots
+
+    def counted(g, scans, *args, **kwargs):
+        locksteps.append(len(scans) * kwargs["group"])
+        return find_roots(g, scans, *args, **kwargs)
+
+    monkeypatch.setattr(htlcgame, "find_roots", counted)
+
+    def solve(band, *args, **kwargs):
+        builds.clear()
+        locksteps.clear()
+        assert not np.isnan(band(*args, **kwargs)).all()
+        assert len(builds) == 1 + len(locksteps)
+        return locksteps
+
+    xa = np.round(np.arange(1.0, 3.0 + 1e-9, 0.1), 10)
+    assert solve(continuation_band_t2, baseline(), np.arange(21.0), x_a=xa) == [441]
+    assert solve(quickswapgame.continuation_band_t3, quick_baseline(), x_a=xa) == [21]
+    # At mu 0.01 the band reaches below its scan and is solved twice more.
+    assert solve(continuation_band_t2, baseline(gbm=GbmParams(mu=0.01, sigma=0.1)), 0.0) == [1, 1, 1]
+    # Lockstep blocks of 336 / 8 = 42 rows, two x_a of 21 delays each.
+    monkeypatch.setattr(numerics, "_CALL_BUDGET", 336)
+    xa = np.round(np.arange(1.2, 2.8 + 1e-9, 0.4), 10)
+    assert solve(continuation_band_t2, baseline(0.2), np.arange(21.0), x_a=xa) == [42, 42, 21]
+
+
+@pytest.mark.parametrize("k", [1e-170, 1e-100, 1e100])
+def test_widened_bands_scale_with_prices(monkeypatch, k):
+    # At mu 0.01 B locks at every low price, so his band at T = 0 reaches
+    # below each scan: it is solved on three scans, ten times wider at each
+    # end every time, until hi > 1e8 * lo, and keeps the third scan's lo.
+    # The cap once read hi / max(lo, 1e-12) and never tripped on scans below
+    # that floor: at 1e-100 the eleventh solve, whose tolerance had grown
+    # with hi past the band, lost the root and the band read NaN.
+    gbm = GbmParams(mu=0.01, sigma=0.1)
+    want = continuation_band_t2(baseline(gbm=gbm), 0.0)
+    scans = []
+    find_roots = htlcgame.find_roots
+
+    def counted(g, scan, *args, **kwargs):
+        scans.append(scan[0])
+        return find_roots(g, scan, *args, **kwargs)
+
+    monkeypatch.setattr(htlcgame, "find_roots", counted)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = continuation_band_t2(baseline(x_a=2 * k, x_yb_t1=2 * k, gbm=gbm), 0.0)
+    assert len(scans) == 3 and got[0] == scans[-1][0]
+    # Within the bisection tolerance of the third scan, 1e-10 * 2400k / 12
+    # (at scale 1 it is capped at 1e-10).
+    assert got / k == pytest.approx(want, rel=0.0, abs=2e-8)
+
+
 def test_band_solve_holds_no_rows_by_grid_table():
     # 10,000 rows in 500 groups of 20, each row with the band (c, c + 1) of
     # its own c.  A rows x 256 float table alone would take 20.5 MB.
     shift = np.linspace(0.0, 0.5, 20)[:, None]
 
-    def g(x, groups):
+    def g(groups):
         c = 1.0 + 1e-3 * groups[:, None, None] + shift
-        return (x - c) * (c + 1.0 - x)
+        return lambda x: (x - c) * (c + 1.0 - x)
 
     tracemalloc.start()
     try:

@@ -86,7 +86,7 @@ def test_lock_band_brackets_and_brute_force():
     band_lo, band_hi = continuation_band_t3(q)
     assert not math.isnan(band_lo)
     game = quickswapgame._quick(q, q.base.x_a)
-    g = lambda x: htlcgame._value_b(game, q.base, x) - htlcgame._line(game.stay_b, x)
+    g = lambda x: htlcgame._value_b(game, q.base)(x) - htlcgame._line(game.stay_b, x)
     assert g(0.5 * (band_lo + band_hi)) > 0
     lo = _brute_force_threshold(g, 0.5, 0.5 * (band_lo + band_hi))
     hi = _brute_force_threshold(g, 0.5 * (band_lo + band_hi), 6.0)
