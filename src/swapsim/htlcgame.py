@@ -293,10 +293,13 @@ def widest_band(g, scans: np.ndarray, rows: int = 1) -> np.ndarray:
     lockstep, so whatever does not depend on the prices (the game table) is
     built once for all of that lockstep's root-function calls.  Each row is
     one ``find_roots`` row, and up to ``_CALL_BUDGET / 8`` rows (4,096)
-    bisect in one lockstep, so that its bisection steps and midpoint call
-    stay within the budget on rows of fewer than 8 roots; a larger table is
-    solved in blocks of whole groups (one lockstep over the 100,000 rows of
-    a 20,000-x_a quickswap-sr doubled the traced peak).  When more than two
+    bisect in one lockstep, so that its midpoint call stays within the
+    budget on rows of fewer than 8 roots, and so do its refinement calls,
+    which take as many bisection levels as fit ``_CALL_BUDGET / 8`` values
+    (one at 4,096 rows; 4 on the default surface's 441 rows, 6 on
+    quickswap-sr's); a larger table is solved in blocks of whole groups
+    (one lockstep over the 100,000 rows of a 20,000-x_a quickswap-sr
+    doubled the traced peak).  When more than two
     crossings appear, the widest winning interval is kept.  A band that ends
     at its scan's edge is solved again on a scan ten times wider at each
     end, until its scan's ``hi > 1e8 * lo``; a band still at the edge of

@@ -180,10 +180,15 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], bracket,
 
 # Most values one call of a root function computes.  ``find_roots`` scans K
 # rows in chunks of max(1, _CALL_BUDGET // K) grid columns, so it never holds
-# a K x grid_points table, and the band solver puts at most _CALL_BUDGET / 8
-# rows in one lockstep.  2**15 is the 128 x 256 block that the band solver
-# once scanned at a time.
+# a K x grid_points table.  Its refinement calls take as many bisection
+# levels as fit _CALL_BUDGET / 8 values (at least one, at most _LEVELS), and
+# the band solver puts at most _CALL_BUDGET / 8 rows in one lockstep.  2**15
+# is the 128 x 256 block that the band solver once scanned at a time.
 _CALL_BUDGET = 1 << 15
+# Most bisection levels one refinement call takes.  On quickswap-sr's and
+# montecarlo's four band solves, 6 and 9 were the fastest of 3 to 12 (best
+# of 25 runs 6.7 ms, against 8.1 ms at 3 and 7.1 ms at 12).
+_LEVELS = 6
 
 
 def _opposite(x, y):
@@ -212,12 +217,21 @@ def find_roots(
     bit for bit as ``np.linspace`` places them.  The scan runs in chunks of
     grid columns, one ``g`` call of at most ``_CALL_BUDGET`` values each (at
     least one column), and keeps only the sign changes it finds.  Then all
-    open brackets of all rows bisect in lockstep: each step is one
-    (G, group, R) call of ``g`` on the midpoints, where R is the most open
-    brackets in any row (idle slots hold the row's own scan ``lo``; their
-    values are discarded).  A bracket returns its midpoint once the midpoint
-    equals an endpoint (adjacent floats), the bracket is at most ``tol``
-    wide, or |g(midpoint)| <= tol.
+    open brackets of all rows bisect in lockstep.  A bracket returns its
+    midpoint once the midpoint equals an endpoint (adjacent floats), the
+    bracket is at most ``tol`` wide, or |g(midpoint)| <= tol.
+
+    Each refinement call takes up to D bisection steps of every bracket,
+    D = max(1, min(_LEVELS, (_CALL_BUDGET // 8) // slots)) for the call's
+    slots, rows times R, where R is the most open brackets in any row.  It
+    is one (G, group, R * D) call of ``g`` on bisection's next D midpoints
+    along the path the regula-falsi estimate predicts (idle slots hold the
+    row's own scan ``lo``; their values are discarded).  Each bracket then
+    takes the steps in order, with bisection's own update and stop rules,
+    and the first step that closes it or whose g(midpoint) has not strictly
+    the sign of its predicted side is the last of the call.  So every
+    midpoint a bracket takes is the one bisection would evaluate, and the
+    roots are those of one bisection step per call, bit for bit.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
@@ -263,7 +277,7 @@ def find_roots(
     # Open brackets, one array entry each; ``rows`` stays ascending.
     live = (fa != 0.0) & (fb != 0.0)
     rows, pos = rows[live], np.flatnonzero(live)
-    a, b, fa = a[live], b[live], fa[live]
+    a, b, fa, fb = a[live], b[live], fa[live], fb[live]
     tl = np.broadcast_to(np.asarray(tol, dtype=float), n_rows)[rows]
     lo_col = np.repeat(lo, group)[:, None]
     while rows.size:
@@ -274,21 +288,55 @@ def find_roots(
         if done.any():
             found[pos[done]] = m[done]
             go = ~done
-            rows, pos, a, b, fa, tl, m = (v[go] for v in (rows, pos, a, b, fa, tl, m))
+            rows, pos, a, b, fa, fb, tl = (v[go] for v in (rows, pos, a, b, fa, fb, tl))
             if not rows.size:
                 break
         # Slot of each bracket among its row's open brackets.
-        slots = np.arange(len(rows)) - np.searchsorted(rows, rows)
-        padded = np.repeat(lo_col, slots.max() + 1, axis=1)
-        padded[rows, slots] = m
-        fm = np.asarray(g(padded.reshape(shape)), dtype=float).reshape(padded.shape)[rows, slots]
-        left_of = _opposite(fa, fm)
-        b = np.where(left_of, m, b)
-        a = np.where(left_of, a, m)
-        fa = np.where(left_of, fa, fm)
-        done = np.abs(fm) <= tl
+        n = len(rows)
+        slots = np.arange(n) - np.searchsorted(rows, rows)
+        width = slots.max() + 1
+        levels = max(1, min(_LEVELS, _CALL_BUDGET // 8 // (n_rows * width)))
+        # Bisection's own brackets of the next ``levels`` steps, on the path
+        # that the regula-falsi estimate r predicts: left where r < m.  r
+        # only steers the guess; no root is taken from it.
+        with np.errstate(all="ignore"):
+            r = a + (b - a) * (fa / (fa - fb))
+        ea, eb = np.empty((2, levels, n))
+        ea[0], eb[0] = a, b
+        for k in range(1, levels):
+            mk = 0.5 * (ea[k - 1] + eb[k - 1])
+            left = r < mk
+            ea[k] = np.where(left, ea[k - 1], mk)
+            eb[k] = np.where(left, mk, eb[k - 1])
+        mids = 0.5 * (ea + eb)
+        left = r < mids
+        # Level k of slot s is column s + k * width of its row.
+        flat = (rows * (width * levels) + slots) + (width * np.arange(levels))[:, None]
+        padded = np.repeat(lo_col, width * levels, axis=1)
+        padded.ravel()[flat] = mids
+        fm = np.asarray(g(padded.reshape(shape)), dtype=float).reshape(padded.size)[flat]
+        # g at each level's ends while the path holds.
+        fa_at, fb_at = np.empty((2, levels, n))
+        fa_at[0], fb_at[0] = fa, fb
+        for k in range(1, levels):
+            fa_at[k] = np.where(left[k - 1], fa_at[k - 1], fm[k - 1])
+            fb_at[k] = np.where(left[k - 1], fm[k - 1], fb_at[k - 1])
+        # A level is passed while g(m) has strictly the sign of its predicted
+        # side (against g at a, which keeps fa's sign) and does not close it,
+        # and the next level is not closed by the rules above.
+        sign = np.sign(fa)
+        go = (np.sign(fm) * np.where(left, -sign, sign) > 0.0) & (np.abs(fm) > tl)
+        go[:-1] &= (mids[1:] != ea[1:]) & (mids[1:] != eb[1:]) & (eb[1:] - ea[1:] > tl)
+        go[-1] = False
+        # The first level not passed is the last taken: bisection's update.
+        at = np.argmin(go, axis=0) * n + np.arange(n)
+        m, f, fa_m = mids.take(at), fm.take(at), fa_at.take(at)
+        left_of = _opposite(fa_m, f)
+        a, fa = np.where(left_of, ea.take(at), m), np.where(left_of, fa_m, f)
+        b, fb = np.where(left_of, m, eb.take(at)), np.where(left_of, f, fb_at.take(at))
+        done = np.abs(f) <= tl
         if done.any():
             found[pos[done]] = m[done]
             go = ~done
-            rows, pos, a, b, fa, tl = (v[go] for v in (rows, pos, a, b, fa, tl))
+            rows, pos, a, b, fa, fb, tl = (v[go] for v in (rows, pos, a, b, fa, fb, tl))
     return found, counts

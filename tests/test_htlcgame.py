@@ -471,7 +471,7 @@ def test_surface_solves_bands_in_blocks(monkeypatch):
     ((rows, group, shapes),) = calls
     assert (rows, group) == (441, 21)
     # The scan evaluates each x_a's grid once, in column blocks of at most
-    # _CALL_BUDGET values; then each bisection step is one call on all rows.
+    # _CALL_BUDGET values; then each refinement call holds all rows.
     assert numerics._CALL_BUDGET // 441 == 74
     assert shapes[:4] == [(21, 1, 74)] * 3 + [(21, 1, 34)]
     assert all(shape[:2] == (21, 21) for shape in shapes[4:])
@@ -606,9 +606,10 @@ def test_band_scan_evaluates_t_free_terms_once_per_x_a(monkeypatch, uniform, sha
     p = baseline(uniform_delay_discounting=uniform)
     continuation_band_t2(p, np.arange(21.0), x_a=np.round(1.0 + 0.1 * np.arange(7), 10))
     assert calls and all(len(shapes) == 3 for shapes in calls)
-    # The scan's two column chunks; bisection and midpoint calls hold at
-    # most 3 points a row.
-    scan = [shape for shapes in calls for shape in shapes if shape[-1] > 3]
+    # The scan's two column chunks come first; the refinement and midpoint
+    # calls after them evaluate every term on all (7, 21, n) rows.
+    scan = [shape for shapes in calls[:2] for shape in shapes]
+    assert all(shape[:2] == (7, 21) for shapes in calls[2:] for shape in shapes)
     assert sorted(scan) == sorted([(7, 1, c) for c in (222, 34)] * shared
                                   + [(7, 21, c) for c in (222, 34)] * (3 - shared))
 

@@ -212,13 +212,13 @@ def test_find_roots_vectorized_scan_matches_scalar_scan():
         return np.sin(x)
 
     (roots,) = _rows(*find_roots(g, [Bracket(0.5, 10.0)]))
-    # One grid call, then one array call per bisection step holding the
-    # midpoints of every open bracket: the three brackets start together
-    # and only close.
+    # One grid call, then array calls holding _LEVELS bisection midpoints
+    # of every open bracket: the three brackets start together and only
+    # close.
     assert calls[0] == (1, 1, 256)
     sizes = [shape[2] for shape in calls[1:]]
     assert all(len(shape) == 3 and shape[:2] == (1, 1) for shape in calls[1:])
-    assert sizes[0] == 3 and sizes == sorted(sizes, reverse=True)
+    assert sizes[0] == 3 * numerics._LEVELS and sizes == sorted(sizes, reverse=True)
     assert len(roots) == 3
     for r, expect in zip(roots, (math.pi, 2 * math.pi, 3 * math.pi)):
         assert r == pytest.approx(expect, abs=1e-8)
@@ -244,10 +244,10 @@ def test_find_roots_rows_match_rows_solved_alone():
     assert [len(r) for r in got] == [0, 3, 1, 1, 1]
     assert got[2] == [4.0] and got[4] == [10.5]
     assert got[3][0] == pytest.approx(math.log(5.0), abs=1e-9)
-    # One grid call, then each bisection step is one (K, 1, R) call where R
-    # is the most open brackets in any row.
+    # One grid call, then each refinement call is one (K, 1, R * levels)
+    # call where R is the most open brackets in any row.
     assert calls[0] == (len(fs), 1, 21)
-    assert calls[1] == (len(fs), 1, 3)
+    assert calls[1] == (len(fs), 1, 3 * numerics._LEVELS)
     assert all(len(shape) == 3 and shape[0] == len(fs) for shape in calls[1:])
 
 
@@ -304,24 +304,21 @@ def test_find_roots_per_row_scans_match_rows_solved_alone():
     assert got[2] == [4.0]
     assert got[3][0] == pytest.approx(12345.678, abs=1e-6)
     assert got[4][0] == pytest.approx(math.log(5.0) * 1e-3, rel=1e-9)
-    # One (K, 1, n) grid call, then one (K, 1, R) call per bisection step;
+    # One (K, 1, n) grid call, then (K, 1, R * levels) refinement calls;
     # every value a row sees lies on its own scan.
     assert calls[0].shape == (len(rows), 1, 21)
-    assert calls[1].shape == (len(rows), 1, 3)
+    assert calls[1].shape == (len(rows), 1, 3 * numerics._LEVELS)
     for x in calls:
         for scan, row in zip(scans, x):
             assert ((scan.lo <= row) & (row <= scan.hi)).all()
 
 
-def _find_roots_loop(g, scans, grid_points=256, tol=1e-10, group=1):
-    """The bracket bookkeeping of ``find_roots`` as a plain Python loop.
-
-    The reference ``find_roots`` must match call for call: the same ``g``
-    inputs, in the same order, and the same roots, here one list per row.
-    ``scans`` holds one ``(lo, hi)`` per group.  The scan takes the
-    ``np.linspace`` grid of each group in chunks of the same number of
-    columns.
-    """
+def _loop_brackets(g, scans, grid_points, tol, group):
+    """The scan of the loop references: each group's ``np.linspace`` grid,
+    in chunks of the number of columns ``find_roots`` takes.  Returns the
+    scan heads, each row's scan ``lo`` (a column), each row's tolerance,
+    each row's root list (None where a bracket is open), and the open
+    brackets ``[row, root index, a, b, g(a), g(b)]``."""
     heads = np.asarray(scans, dtype=float)
     n_rows = len(heads) * group
     xs = np.linspace(heads[:, 0], heads[:, 1], grid_points, axis=-1)
@@ -329,7 +326,6 @@ def _find_roots_loop(g, scans, grid_points=256, tol=1e-10, group=1):
     grid = np.concatenate([np.asarray(g(xs[:, None, c:c + width]), dtype=float).reshape(n_rows, -1)
                            for c in range(0, grid_points, width)], axis=1)
     xs = np.repeat(xs, group, axis=0)
-    lo_col = xs[:, :1]
     left, right = grid[:, :-1], grid[:, 1:]
     hits = (left == 0.0) | (left * right < 0.0)
     hits[:, -1] |= right[:, -1] == 0.0
@@ -341,12 +337,31 @@ def _find_roots_loop(g, scans, grid_points=256, tol=1e-10, group=1):
         if fa == 0.0 or fb == 0.0:
             roots[k].append(float(xs[k, i] if fa == 0.0 else xs[k, i + 1]))
         else:
-            live.append([k, len(roots[k]), float(xs[k, i]), float(xs[k, i + 1]), fa])
+            live.append([k, len(roots[k]), float(xs[k, i]), float(xs[k, i + 1]), fa, fb])
             roots[k].append(None)
+    return heads, xs[:, :1], tols, roots, live
+
+
+def _slots(steps, n_rows):
+    """Each bracket's row and its slot among its row's open brackets, and
+    the most open brackets in any row."""
+    rows, slots, used = [], [], [0] * n_rows
+    for br in steps:
+        rows.append(br[0])
+        slots.append(used[br[0]])
+        used[br[0]] += 1
+    return rows, slots, max(used)
+
+
+def _find_roots_loop(g, scans, grid_points=256, tol=1e-10, group=1):
+    """Bisection of ``find_roots``' brackets as a plain Python loop, one
+    midpoint per bracket and call: the reference for its roots, one list
+    per row.  ``scans`` holds one ``(lo, hi)`` per group."""
+    heads, lo_col, tols, roots, live = _loop_brackets(g, scans, grid_points, tol, group)
     while live:
         steps, mids = [], []
         for br in live:
-            k, pos, a, b, _ = br
+            k, pos, a, b = br[:4]
             m = 0.5 * (a + b)
             if m == a or m == b or b - a <= tols[k]:
                 roots[k][pos] = m
@@ -355,12 +370,8 @@ def _find_roots_loop(g, scans, grid_points=256, tol=1e-10, group=1):
                 mids.append(m)
         if not steps:
             break
-        rows, slots, used = [], [], [0] * len(grid)
-        for br in steps:
-            rows.append(br[0])
-            slots.append(used[br[0]])
-            used[br[0]] += 1
-        padded = np.repeat(lo_col, max(used), axis=1)
+        rows, slots, width = _slots(steps, len(roots))
+        padded = np.repeat(lo_col, width, axis=1)
         padded[rows, slots] = mids
         fms = np.asarray(g(padded.reshape(len(heads), group, -1)), dtype=float).reshape(padded.shape)
         fms = fms[rows, slots].tolist()
@@ -374,6 +385,68 @@ def _find_roots_loop(g, scans, grid_points=256, tol=1e-10, group=1):
             else:
                 br[2], br[4] = m, fm
             live.append(br)
+    return roots
+
+
+def _find_roots_levels(g, scans, grid_points=256, tol=1e-10, group=1):
+    """The bracket bookkeeping of ``find_roots`` as a plain Python loop.
+
+    ``find_roots`` must match it call for call: the same ``g`` inputs, in
+    the same order, and the same roots, here one list per row.  Each call
+    holds, for every open bracket, bisection's next midpoints on the path
+    its regula-falsi estimate r predicts (left where r < m).  The bracket
+    then takes bisection's steps in order; the first step that closes it,
+    or whose g(m) has not strictly the sign of its predicted side, is the
+    last of the call.
+    """
+    heads, lo_col, tols, roots, live = _loop_brackets(g, scans, grid_points, tol, group)
+    while live:
+        steps = []
+        for br in live:
+            k, pos, a, b = br[:4]
+            m = 0.5 * (a + b)
+            if m == a or m == b or b - a <= tols[k]:
+                roots[k][pos] = m
+            else:
+                steps.append(br)
+        if not steps:
+            break
+        rows, slots, width = _slots(steps, len(roots))
+        levels = max(1, min(numerics._LEVELS, numerics._CALL_BUDGET // 8 // (len(roots) * width)))
+        paths = []
+        for _, _, a, b, fa, fb in steps:
+            r = a + (b - a) * (fa / (fa - fb))
+            path = []
+            for _ in range(levels):
+                m = 0.5 * (a + b)
+                path.append((a, b, m, r < m))
+                a, b = (a, m) if r < m else (m, b)
+            paths.append(path)
+        padded = np.repeat(lo_col, width * levels, axis=1)
+        for k, slot, path in zip(rows, slots, paths):
+            for level, (_, _, m, _) in enumerate(path):
+                padded[k, slot + width * level] = m
+        fms = np.asarray(g(padded.reshape(len(heads), group, -1)), dtype=float).reshape(padded.shape)
+        live = []
+        for br, slot, path in zip(steps, slots, paths):
+            k, pos = br[:2]
+            for level, (a, b, m, left) in enumerate(path):
+                if level and (m == a or m == b or b - a <= tols[k]):
+                    roots[k][pos] = m
+                    break
+                fa, fm = br[4], float(fms[k, slot + width * level])
+                if fa * fm < 0.0:
+                    br[3], br[5] = m, fm
+                else:
+                    br[2], br[4] = m, fm
+                if abs(fm) <= tols[k]:
+                    roots[k][pos] = m
+                    break
+                if not (fa * fm < 0.0 if left else fa * fm > 0.0):
+                    live.append(br)
+                    break
+            else:
+                live.append(br)
     return roots
 
 
@@ -404,35 +477,106 @@ def _recorded(solver, g, scan, **kwargs):
         return g(x)
 
     got = solver(recording, scan, **kwargs)
-    return (got if solver is _find_roots_loop else _rows(*got)), inputs
+    return (_rows(*got) if solver is find_roots else got), inputs
 
 
-def test_find_roots_calls_g_as_the_loop_reference_does():
-    cases = _band_solves() + [
+def _loop_cases():
+    """Solves whose ``g`` calls ``find_roots`` must make as the loop
+    reference does: the band solves, a bracket that ends at adjacent
+    floats, and rows with their own tolerances."""
+    return _band_solves() + [
         (np.sin, [(0.5, 10.5)], {"grid_points": 21}),
         (lambda x: np.copysign(1.0, x - (3e9 + 0.123)), [(1e9, 5e9)], {}),
         (lambda x: np.stack([np.sin(x[0]), x[1] - 4.0, x[2] * x[2] + 1.0, np.cos(x[3])]),
          [(0.5, 10.5)] * 3 + [(-7.0, 30.0)],
          {"grid_points": 21, "tol": [1e-10, 1e-10, 1e-10, 1e-3]}),
     ]
-    for g, scan, kwargs in cases:
+
+
+def _chunked_cases():
+    """Solves whose scan chunks end at sign changes and exact grid roots
+    under small budgets."""
+    return [
+        (lambda x: np.stack([np.sin(x[0]), x[1] - 4.0, x[2] * x[2] + 1.0, np.cos(x[3])]),
+         [(0.5, 10.5)] * 3 + [(-7.0, 30.0)], {"grid_points": 21}),
+        (_two_groups, [(0.5, 10.5), (-3.0, 9.0)], {"grid_points": 21, "group": 2}),
+        (np.sin, [(0.5, 10.5)], {}),
+    ]
+
+
+def _edge_cases():
+    """Roots that bisection reaches in unusual ways."""
+    r = 1.2345
+    return [
+        # g is NaN on both sides of the root: the bracket's a moves right.
+        (lambda x: np.where(np.abs(x - r) < 1e-3, np.nan, x - r), [(0.0, 4.0)], {}),
+        # A triple root, whose |g| is below tol on a wide interval.
+        (lambda x: (x - r) ** 3, [(0.0, 4.0)], {}),
+        # A step as steep as the scan's spacing.
+        (lambda x: np.tanh(50.0 * (x - r)), [(0.0, 4.0)], {}),
+        # Float spacing near 3e9 far wider than tol, and |g| never below it.
+        (lambda x: np.copysign(1.0, x - (3e9 + 0.123)), [(1e9, 5e9)], {}),
+        # |g| <= tol everywhere: the first midpoint closes.
+        (lambda x: 1e-12 * np.sign(x - r), [(0.0, 4.0)], {}),
+        # A tolerance per row, one of them 0 (bisection to adjacent floats).
+        (lambda x: np.stack([np.sin(x[0]), np.tanh(50.0 * (x[1] - r)), (x[2] - r) ** 3, np.cos(x[3])]),
+         [(0.5, 10.5)] * 3 + [(-7.0, 30.0)], {"tol": [1e-3, 0.0, 1e-14, 1e-10]}),
+        # A root at 3e-300, bisected to adjacent floats (g is of order 1, as
+        # the reference's sign products need).
+        (lambda x: np.log(x / 3e-300), [(1e-301, 1e-299)], {"tol": 0.0}),
+        # Roots that crowd toward the scan's lo.
+        (lambda x: np.sin(1.0 / x), [(0.01, 1.0)], {}),
+    ]
+
+
+def test_find_roots_calls_g_as_the_loop_reference_does():
+    for g, scan, kwargs in _loop_cases():
         got, seen = _recorded(find_roots, g, scan, **kwargs)
-        want, expected = _recorded(_find_roots_loop, g, scan, **kwargs)
+        want, expected = _recorded(_find_roots_levels, g, scan, **kwargs)
         assert got == want
         assert len(seen) == len(expected)
         for x, y in zip(seen, expected):
             assert x.shape == y.shape and np.array_equal(x, y)
 
 
+@pytest.mark.parametrize("budget", [1, 40, 600, numerics._CALL_BUDGET])
+def test_find_roots_takes_the_roots_of_one_step_per_call_bisection(monkeypatch, budget):
+    # Each call of g takes up to _LEVELS bisection steps of every bracket,
+    # so the roots and counts are those of one midpoint per bracket and
+    # call, bit for bit.
+    monkeypatch.setattr(numerics, "_CALL_BUDGET", budget)
+    cases = _chunked_cases() + _edge_cases()
+    if budget >= 600:
+        cases += _loop_cases()
+    for g, scans, kwargs in cases:
+        want = _find_roots_loop(g, scans, **kwargs)
+        calls = []
+
+        def recording(x):
+            calls.append(np.array(x))
+            return g(x)
+
+        roots, counts = find_roots(recording, scans, **kwargs)
+        assert np.array_equal(roots, [root for row in want for root in row])
+        assert np.array_equal(counts, [len(row) for row in want])
+        # Every point g sees lies in its row's scan.  At budgets 1 and 40 a
+        # scan chunk of one column already holds more values than the budget.
+        heads = np.asarray(scans, dtype=float)[:, None, None, :]
+        for x in calls:
+            assert ((heads[..., 0] <= x) & (x <= heads[..., 1])).all()
+            assert x.size <= budget or budget < 600
+
+
 def test_band_solves_keep_their_g_call_shapes():
     # The 147 rows scan each group's grid once, with a singleton delay axis,
-    # in two column chunks of at most _CALL_BUDGET values; then one call per
-    # bisection step on the most open brackets of any row, for all rows.
+    # in two column chunks of at most _CALL_BUDGET values; then each call
+    # holds _LEVELS bisection midpoints of every row's open brackets.
     assert numerics._CALL_BUDGET // 147 == 222
     shapes = [[x.shape for x in _recorded(find_roots, g, scan, **kwargs)[1]]
               for g, scan, kwargs in _band_solves()]
-    assert shapes == [[(7, 1, 222), (7, 1, 34)] + [(7, 21, 2)] * 28 + [(7, 21, 1)],
-                      [(1, 1, 256)] + [(1, 1, 2)] * 26 + [(1, 1, 1)] * 2]
+    assert numerics._CALL_BUDGET // 8 // (147 * 2) >= numerics._LEVELS == 6
+    assert shapes == [[(7, 1, 222), (7, 1, 34)] + [(7, 21, 12)] * 5 + [(7, 21, 6)],
+                      [(1, 1, 256)] + [(1, 1, 12)] * 5]
 
 
 def _two_groups(x):
@@ -448,15 +592,9 @@ def test_find_roots_chunked_scan_matches_the_loop_reference(monkeypatch, budget)
     # Narrow chunks put sign changes and exact grid roots on chunk
     # boundaries; at budget 1 every chunk is one column.
     monkeypatch.setattr(numerics, "_CALL_BUDGET", budget)
-    cases = [
-        (lambda x: np.stack([np.sin(x[0]), x[1] - 4.0, x[2] * x[2] + 1.0, np.cos(x[3])]),
-         [(0.5, 10.5)] * 3 + [(-7.0, 30.0)], {"grid_points": 21}),
-        (_two_groups, [(0.5, 10.5), (-3.0, 9.0)], {"grid_points": 21, "group": 2}),
-        (np.sin, [(0.5, 10.5)], {}),
-    ]
-    for g, scans, kwargs in cases:
+    for g, scans, kwargs in _chunked_cases():
         got, seen = _recorded(find_roots, g, scans, **kwargs)
-        want, expected = _recorded(_find_roots_loop, g, scans, **kwargs)
+        want, expected = _recorded(_find_roots_levels, g, scans, **kwargs)
         assert got == want
         assert len(seen) == len(expected)
         for x, y in zip(seen, expected):
