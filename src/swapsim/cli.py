@@ -54,7 +54,7 @@ _BASE_DEFAULTS: dict = {
     "mu": 0.002, "sigma": 0.1,
     "uniform_delay_discounting": False,
 }
-_QUICK_DEFAULTS: dict = {"D": 12.0, "Delta": 2.0, "rho": 0.001}
+_QUICK_DEFAULTS: dict = {"D": 12.0, "rho": 0.001}  # the game's: only its lock plan reads Delta
 _XA_GRID_DEFAULTS: dict = {"xa_min": 1.0, "xa_max": 3.0, "xa_step": 0.1}
 _DELAY_GRID_DEFAULTS: dict = {
     "t_min": 0.0, "t_max": 20.0, "tp_min": 0.0, "tp_max": 21.0, "delay_step": 1.0,
@@ -64,6 +64,10 @@ _MC_DEFAULTS: dict = {"paths": 100_000, "cells": 5}
 # path, and prices only for the paths where both are interested: 4e6 paths
 # peaked at 77 MB at the default types on a 2-CPU x86 host.
 _MAX_MC_PATHS = 4_000_000
+# Most cells montecarlo may draw of each game; a cell's draws are freed before
+# the next.  At the limit, on the same host, the default 100,000 paths ran
+# 2.9 s and peaked at 40 MB, and 4e6 paths ran 110 s and peaked at 77.5 MB.
+_MAX_MC_CELLS = 1_000
 # The cells ``montecarlo`` can draw: HTLC x_a from _MC_XA and Quick Swap x_a
 # from _MC_QS_XA, both rounded to 0.1; HTLC T and T' whole numbers below
 # _MC_DELAYS.
@@ -89,7 +93,7 @@ _MAX_CYCLIC_N = 256
 # Each ``validate`` kind accepts the keys its builder reads, and ``kind``.
 _VALIDATE_PARAMS: dict[str, dict] = {
     "htlc": {**_BASE_DEFAULTS, "rho": _QUICK_DEFAULTS["rho"], "kind": "htlc"},
-    "quickswap": {**_BASE_DEFAULTS, **_QUICK_DEFAULTS, "kind": "quickswap"},
+    "quickswap": {**_BASE_DEFAULTS, **_QUICK_DEFAULTS, "Delta": 2.0, "kind": "quickswap"},
     "cyclic": {**_CYCLIC_DEFAULTS, "kind": "cyclic"},
 }
 # The solvers take no x_a: their x_a axis or cell draws set it.
@@ -123,7 +127,7 @@ class RunConfig:
     subcommand: str
     params: dict
     out_dir: Path
-    seed: int = 0
+    seed: int | None = None  # montecarlo's --seed; no other subcommand draws
     format: str = "csv"
     outputs: list[str] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
@@ -210,7 +214,7 @@ def _swap_params(p: dict) -> htlcgame.SwapParams:
 
 def _quick_params(p: dict) -> quickswapgame.QuickSwapParams:
     return quickswapgame.QuickSwapParams(
-        base=_swap_params(p), D=p["D"], Delta=p["Delta"], rho=p["rho"])
+        base=_swap_params(p), **{k: p[k] for k in ("D", "Delta", "rho") if k in p})
 
 
 def _check_horizons(base: htlcgame.SwapParams, tp_min: float = 0.0) -> None:
@@ -362,7 +366,7 @@ def _write_table(cfg: RunConfig, name: str, header: list[str], rows: list[list])
 def _write_manifest(cfg: RunConfig) -> None:
     _write_json(cfg, "manifest.json", {
         "subcommand": cfg.subcommand,
-        "seed": cfg.seed,
+        **({} if cfg.seed is None else {"seed": cfg.seed}),
         "format": cfg.format,
         "params": {k: _jsonable(v) for k, v in sorted(cfg.params.items())},
         "outputs": sorted(cfg.outputs),
@@ -496,12 +500,14 @@ def _mc_xa(bounds: tuple[float, float]) -> np.ndarray:
 
 def cmd_montecarlo(cfg: RunConfig) -> int:
     p = cfg.params
+    if cfg.seed < 0:
+        raise ConfigError("--seed must be a non-negative integer")
     paths = p["paths"]
     if not 1_000 <= paths <= _MAX_MC_PATHS:
         raise ConfigError(f"paths must be in [1000, {_MAX_MC_PATHS}], got {paths}")
     cells = p["cells"]
-    if cells < 1:
-        raise ConfigError(f"cells must be >= 1, got {cells}")
+    if not 1 <= cells <= _MAX_MC_CELLS:
+        raise ConfigError(f"cells must be >= 1 and <= {_MAX_MC_CELLS}, got {cells}")
     rng = np.random.default_rng(cfg.seed)
     base = _swap_params(p)
     quick = _quick_params(p)
@@ -607,14 +613,15 @@ def _build_parser(names=tuple(_COMMANDS)) -> argparse.ArgumentParser:
     )
     metavar = None if set(names) == set(_COMMANDS) else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
-    # Every subcommand takes the same options.
+    # Every subcommand takes the same options; only montecarlo, which draws, takes --seed.
     for name in names:
         s = sub.add_parser(name)
         s.add_argument("--params", help="flat key=value parameter file")
         s.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="inline parameter override (repeatable)")
         s.add_argument("--out", default=".", help="output directory")
-        s.add_argument("--seed", type=int, default=0)
+        if name == "montecarlo":
+            s.add_argument("--seed", type=int, default=0)
         s.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
@@ -625,16 +632,13 @@ def main(argv: list[str] | None = None) -> int:
     # unknown or missing subcommand, get every subparser.
     names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
     args = _build_parser(names).parse_args(argv)
-    if args.seed < 0:
-        print("error: --seed must be a non-negative integer", file=sys.stderr)
-        return 2
     try:
         params = _resolve_params(args.subcommand, args.params, args.set)
         cfg = RunConfig(
             subcommand=args.subcommand,
             params=params,
             out_dir=Path(args.out),
-            seed=args.seed,
+            seed=getattr(args, "seed", None),
             format=args.format,
         )
         return _COMMANDS[args.subcommand](cfg)

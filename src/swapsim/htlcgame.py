@@ -43,7 +43,6 @@ __all__ = [
     "sr_surface",
 ]
 
-_ROOT_SCAN_POINTS = 256
 _ROOT_TOL = 1e-10
 # Tolerances of the root node's band quadrature (``_band_integrals``).
 _QUAD = QuadratureSpec()
@@ -319,8 +318,7 @@ def widest_band(g, scans: np.ndarray, rows: int = 1) -> np.ndarray:
     f = g(groups)
     # The default scan's hi is 12x its largest price: the tolerance shrinks
     # with small prices, so their bands do not drift, and never grows.
-    flat, counts = find_roots(f, scans, grid_points=_ROOT_SCAN_POINTS,
-                              tol=_ROOT_TOL * np.minimum(1.0, hi / 12.0), group=rows)
+    flat, counts = find_roots(f, scans, tol=_ROOT_TOL * np.minimum(1.0, hi / 12.0), group=rows)
     # Each row's interval ends: its scan's lo, its roots, then hi repeated.
     edges = np.repeat(hi[:, None], counts.max() + 2, axis=1)
     edges[:, 0] = lo

@@ -308,6 +308,8 @@ def build_quickswap_instance(params: QuickSwapParams) -> ProtocolInstance:
     posted, A's D after A locks); each principal refunds early on the other
     side's cancellation secret."""
     q, b = params, params.base
+    if not b.tau_a + 2.0 * b.tau_b < q.D + q.Delta < b.t_b:
+        raise ValueError("premium timeouts ill-formed: need tau_a + 2*tau_b < D + Delta < t_b")
     _lockable(rho=q.rho)  # the premiums are rho * x_a * t_a and 1.5 times that
     t2, t3 = b.tau_b, b.tau_b + b.tau_a
     actions = (
@@ -600,10 +602,8 @@ class _Run:
         self._watch()
 
     def _release(self, idx: int, party: int, tx_id: str) -> None:
-        """Spend with the payment secret, unless a timeout spend is already out."""
-        ref = self.refs[idx]
-        if not any(s.ref == ref for tx in self.chains[self.actions[idx].chain].mempool
-                   for s in tx.spends):
+        """Spend with the payment secret, unless a spend is already out."""
+        if idx not in self.closing:
             self.spend(idx, party, tx_id, "Hbar")
 
     # -- cancelling ------------------------------------------------------------

@@ -43,7 +43,9 @@ class QuickSwapParams:
 
     ``D`` is the premium locktime, ``Delta`` the stagger between the two
     premium timeouts, and ``rho`` the premium rate per coin-hour defining
-    c(v * t) = rho * v * t.  The premium Q = c(x_a * t_a) is derived.
+    c(v * t) = rho * v * t.  The premium Q = c(x_a * t_a) is derived.  Only
+    the lock plan reads ``Delta``, and checks D + Delta there; ``D`` is taken
+    where some Delta >= 0 fits: tau_a + tau_b < D < t_b, tau_a + 2*tau_b < t_b.
     """
 
     base: SwapParams
@@ -57,12 +59,8 @@ class QuickSwapParams:
             raise ValueError("D, Delta and rho must be finite")
         if self.rho < 0 or self.Delta < 0:
             raise ValueError("Delta and rho must be >= 0")
-        if not self.D > b.tau_a + b.tau_b:
-            raise ValueError("premium locktime too short: need D > tau_a + tau_b")
-        if not b.tau_a + 2.0 * b.tau_b < self.D + self.Delta < b.t_b:
-            raise ValueError(
-                "premium timeouts ill-formed: need tau_a + 2*tau_b < D + Delta < t_b"
-            )
+        if not (b.tau_a + b.tau_b < self.D < b.t_b and b.tau_a + 2.0 * b.tau_b < b.t_b):
+            raise ValueError("premium locktime ill-formed: need tau_a + tau_b < D < t_b, tau_a + 2*tau_b < t_b")
 
     @property
     def Q(self) -> float:

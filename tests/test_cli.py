@@ -52,14 +52,17 @@ def test_htlc_surface_json_uses_null(tmp_path):
 
 def test_manifest_echoes_resolved_params(tmp_path):
     out = tmp_path / "run"
-    assert run_cli("htlc-surface", "--out", str(out), "--seed", "5",
+    assert run_cli("htlc-surface", "--out", str(out),
                    "--set", "sigma=0.2", "--set", "xa_step=1.0",
                    "--set", "t_max=0", "--set", "tp_max=0") == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["seed"] == 5
+    assert "seed" not in manifest  # only montecarlo draws
     assert manifest["params"]["sigma"] == 0.2
     assert manifest["params"]["t_a"] == 48.0  # defaults echoed too
     assert "htlc_surface.csv" in manifest["outputs"]
+    assert run_cli("montecarlo", "--out", str(out), "--seed", "5",
+                   "--set", "paths=1000", "--set", "cells=1") == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 5
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -132,15 +135,16 @@ def test_params_file_is_read_as_utf8_under_any_locale(tmp_path):
     (("montecarlo", "--set", "paths=4000001"), "paths must be in [1000, 4000000], got 4000001"),
     # No claim delay fits the window: refused before any draw.
     (("montecarlo", "--set", "t_b=4", "--set", "tau_b=1", "--set", "tau_a=1", "--set", "eps=4",
-      "--set", "D=2.5", "--set", "Delta=1"), "outside [0, -1]"),
+      "--set", "D=2.5"), "outside [0, -1]"),
     (("cyclic-plan", "--set", "n=257"), "n must be <= 256, got 257"),
     (("validate", "--set", "kind=cyclic", "--set", "n=257"), "n must be <= 256, got 257"),
     (("htlc-surface", "--set", "t1_stop_value=principal"),
      "unknown parameter(s) for htlc-surface: t1_stop_value"),
-    # One rule for the premium stagger: Delta >= 0 in the two-party and the cyclic plan.
-    (("quickswap-sr", "--set", "Delta=-2"), "Delta and rho must be >= 0"),
+    # One rule for the premium stagger: Delta >= 0 in the two-party and the
+    # cyclic plan.  The game solvers read no Delta, so they take none.
+    (("quickswap-sr", "--set", "Delta=-2"), "unknown parameter(s) for quickswap-sr: Delta"),
     (("validate", "--set", "kind=quickswap", "--set", "Delta=-2"), "Delta and rho must be >= 0"),
-    (("montecarlo", "--set", "Delta=-2"), "Delta and rho must be >= 0"),
+    (("montecarlo", "--set", "Delta=-2"), "unknown parameter(s) for montecarlo: Delta"),
     (("cyclic-plan", "--set", "Delta=-2"), "Delta, rho, t_eps >= 0"),
     # A price of 0 used to end validate in a ZeroDivisionError with exit 1.
     (("validate", "--set", "kind=htlc", "--set", "x_yb_t1=0"), "x_yb_t1 must be > 0"),
@@ -187,6 +191,9 @@ def test_params_file_is_read_as_utf8_under_any_locale(tmp_path):
      "unknown parameter(s) for quickswap-sr: t_min, tp_max, tp_min, x_a"),
     (("montecarlo", "--set", "x_a=5"), "unknown parameter(s) for montecarlo: x_a"),
     (("cyclic-plan", "--set", "t_eps=1"), "unknown parameter(s) for cyclic-plan: t_eps"),
+    # B's premium times out at D + Delta, which the lock plan checks.
+    (("validate", "--set", "D=23"), "premium timeouts ill-formed: need tau_a + 2*tau_b < D + Delta < t_b"),
+    (("montecarlo", "--set", "cells=1001"), "cells must be >= 1 and <= 1000, got 1001"),
 ])
 def test_malformed_inputs_exit_2_with_an_error_line(tmp_path, capsys, args, says):
     assert run_cli(*args, "--out", str(tmp_path / "run")) == 2
@@ -231,20 +238,97 @@ def test_each_validate_kind_accepts_the_fields_it_builds():
     want = {"htlc": swap | {"rho"}, "quickswap": swap | quick, "cyclic": names(cyclic.CyclicSpec)}
     assert {kind: set(keys) - {"kind"} for kind, keys in cli._VALIDATE_PARAMS.items()} == want
     # So does every other subcommand.  The solvers take every field but x_a,
-    # which their x_a axis or cell draws set, and the keys of that axis or
-    # draw; no action of a cyclic plan depends on t_eps.
+    # which their x_a axis or cell draws set, and Delta, which only the lock
+    # plan reads, and the keys of that axis or draw; no action of a cyclic
+    # plan depends on t_eps.
     xa_axis = {"xa_min", "xa_max", "xa_step"}
+    game = quick - {"Delta"}
     want = {
         "htlc-surface": swap - {"x_a"} | xa_axis | {"t_min", "t_max", "tp_min", "tp_max", "delay_step"},
-        "quickswap-sr": swap - {"x_a"} | quick | xa_axis,
+        "quickswap-sr": swap - {"x_a"} | game | xa_axis,
         "validate": set(cli._VALIDATE_PARAMS["quickswap"]),
-        "montecarlo": swap - {"x_a"} | quick | {"paths", "cells"},
+        "montecarlo": swap - {"x_a"} | game | {"paths", "cells"},
         "cyclic-plan": names(cyclic.CyclicSpec, "t_eps"),
     }
     assert {name: set(keys) for name, keys in cli._PARAMS.items()} == want
     assert [len(cli._PARAMS[name]) for name in ("htlc-surface", "quickswap-sr", "montecarlo", "cyclic-plan")] \
-        == [26, 24, 23, 7]
+        == [26, 23, 22, 7]
     assert [len(keys) for keys in cli._VALIDATE_PARAMS.values()] == [21, 23, 9]
+
+
+# The keys that move no output but manifest.json, with the reason each stays.
+_VERDICTS_ONLY = ("the table writes each trace's verdicts, which depend only on the kind "
+                  "and the profile (ROADMAP item 23)")
+_INERT_KEYS = {
+    "htlc-surface": {},
+    "quickswap-sr": dict.fromkeys(
+        ("t_b", "uniform_delay_discounting"),
+        "read only by the HTLC half of participation.json, whose x_a ranges are "
+        "coarser than the move (ROADMAP item 5)"),
+    "montecarlo": {},
+    "cyclic-plan": {},
+    "validate kind=htlc": dict.fromkeys(
+        [*cli._BASE_DEFAULTS, "rho"], _VERDICTS_ONLY),
+    "validate kind=quickswap": dict.fromkeys(
+        [*cli._BASE_DEFAULTS, "Delta", "rho"], _VERDICTS_ONLY),
+    "validate kind=cyclic": dict.fromkeys(
+        ("amounts", "taus", "locktimes", "D", "Delta", "rho", "t_eps"), _VERDICTS_ONLY),
+}
+# Each subcommand and validate kind on a small grid or draw.
+_SENSITIVITY_RUNS = {
+    "htlc-surface": ("htlc-surface", "--set", "xa_step=0.5", "--set", "delay_step=4"),
+    "quickswap-sr": ("quickswap-sr", "--set", "xa_step=0.5"),
+    "montecarlo": ("montecarlo", "--set", "paths=1000", "--set", "cells=2"),
+    "cyclic-plan": ("cyclic-plan",),
+    "validate kind=htlc": ("validate", "--set", "kind=htlc"),
+    "validate kind=quickswap": ("validate", "--set", "kind=quickswap"),
+    "validate kind=cyclic": ("validate", "--set", "kind=cyclic"),
+}
+
+
+def _perturbed(p: dict, key: str) -> str:
+    """The text of one move of ``key`` from its value in ``p``: x1.1, 0 to
+    0.01, a whole number up one, a flag flipped, a list x1.1 entry by entry.
+    htlc-surface's t_max and tp_max go down a step (it clips a larger one to
+    the delay window) and xa_max up a step."""
+    value = p[key]
+    if key in ("t_max", "tp_max"):
+        return repr(value - p["delay_step"])
+    if key == "xa_max":
+        return repr(value + p["xa_step"])
+    if isinstance(value, bool):
+        return str(not value)
+    if isinstance(value, int):
+        return str(value + 1)
+    if isinstance(value, tuple):
+        return ",".join(repr(1.1 * v) for v in getattr(cli._cyclic_spec(p), key))
+    return repr(1.1 * value if value else 0.01)
+
+
+def _output_digests(args, out: Path) -> dict:
+    assert run_cli(*args, "--out", str(out)) in (0, 1), args
+    return {path.name: hashlib.md5(path.read_bytes()).hexdigest()
+            for path in out.iterdir() if path.name != "manifest.json"}
+
+
+@pytest.mark.parametrize("name", list(_SENSITIVITY_RUNS))
+def test_every_accepted_key_moves_an_output_or_is_listed(tmp_path, name):
+    args = _SENSITIVITY_RUNS[name]
+    p = cli._resolve_params(args[0], None, list(args[2::2]))
+    base = _output_digests(args, tmp_path / "base")
+    inert = {key for key in p if key != "kind"
+             and _output_digests(args + ("--set", f"{key}={_perturbed(p, key)}"), tmp_path / key) == base}
+    assert inert == set(_INERT_KEYS[name])
+
+
+def test_only_montecarlo_takes_a_seed(tmp_path, capsys):
+    for name in ("htlc-surface", "quickswap-sr", "validate", "cyclic-plan"):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(name, "--seed", "7", "--out", str(tmp_path / name))
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+    args = _SENSITIVITY_RUNS["montecarlo"]
+    assert _output_digests(args + ("--seed", "7"), tmp_path / "7") != _output_digests(args, tmp_path / "0")
 
 
 def test_a_free_htlc_lockup_still_validates(tmp_path):
@@ -437,10 +521,12 @@ def test_montecarlo_rejects_tiny_path_counts(tmp_path):
     ("montecarlo", "--set", "paths=5e6", "--set", "cells=1"),
     ("cyclic-plan", "--set", "n=2000000"),
     ("validate", "--set", "kind=cyclic", "--set", "n=2000000"),
+    ("montecarlo", "--set", f"cells={cli._MAX_MC_CELLS + 1}"),
 ])
 def test_size_limits_refuse_before_allocating(tmp_path, capsys, args):
     # Refused while the traced peak stays under 1 MB: the oracles hold at
-    # most about 17 B a path and the default cyclic tuples about 100 B a party.
+    # most about 17 B a path, montecarlo a row per cell and the default
+    # cyclic tuples about 100 B a party.
     tracemalloc.start()
     try:
         code = run_cli(*args, "--out", str(tmp_path))
@@ -475,16 +561,16 @@ def test_default_quickswap_sr_bytes_are_pinned(tmp_path):
 @pytest.mark.parametrize("args, table, table_digest, manifest_digest", [
     (("validate", "--set", "kind=htlc"), "validate.csv",
      "d5dc04cc4a7055fe4c92ad3462bdfb05d3627ca1dc9d229d92501d4f1f0f1aaa",
-     "55abb11e71e818c3d2067df2a69a7225cdb5cee95f5f4e20899aa06444cedde6"),
+     "10a4858fd5687001dc139c0b5dbef179a7033141dff9922d71de228de9122fde"),
     (("validate", "--set", "kind=quickswap"), "validate.csv",
      "dd94819abea9324988a0e0ecdecf0fab30a86be31fbad23063e0a77c48326fb1",
-     "f51c892f703959c5cd908e1e1f0920f2e4f63f9d084fcc4f087a3b66b16ba772"),
+     "e129a49b82844774621a4fe876ffa8fa40db611b08f98fb48cdbb0ecd3c0850f"),
     (("validate", "--set", "kind=cyclic"), "validate.csv",
      "57bd4180574e4c3c5715600f6cd8ffb20e662e381f92adf4925e6f1a669248c5",
-     "30da76ae94583950439c335fa51831ee4b987d6a26c9aa57f8cf49fe3da91e4a"),
+     "c65bb8d47e2fbda50a84fd992ee04031d27d9506cd8fba3ef80557638597e852"),
     (("cyclic-plan", "--set", "n=4"), "cyclic_plan.csv",
      "14b5c2d0e14370561b0e589327e3b5d314ca7ddb30aad191c783a853764cb50e",
-     "7a79cb7ef2193ca7a4e7820be814084017289e436a0727b121d71dea8b70fafc"),
+     "0d929a14445796f4b58f3bff0915d976213781bfd7a3918e7d723e9c0f57e653"),
 ])
 def test_default_validate_and_plan_bytes_are_pinned(tmp_path, args, table, table_digest,
                                                     manifest_digest):
@@ -672,7 +758,7 @@ def test_montecarlo_solves_its_analytic_rates_as_one_table_per_game(tmp_path, mo
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("settings, says", [
     (("t_a=29.5",), "lock delay T'=3 outside [0, 2.5]"),
-    (("t_b=4.5", "tau_b=1", "tau_a=1", "eps=1", "D=2.5", "Delta=1"), "claim delay T=3 outside [0, 2.5]"),
+    (("t_b=4.5", "tau_b=1", "tau_a=1", "eps=1", "D=2.5"), "claim delay T=3 outside [0, 2.5]"),
 ])
 def test_montecarlo_refuses_a_window_narrower_than_its_draws(tmp_path, capsys, settings, says, seed):
     # Both windows must hold every delay the draw can produce (0..3).  These
@@ -800,7 +886,8 @@ def test_a_negative_x_a_axis_exits_2(tmp_path, capsys, subcommand):
 
 def _parser_with_options_per_subcommand():
     """The CLI parser as it was declared before its subcommands shared one
-    set of options: each subcommand adding its own five."""
+    set of options: each subcommand adding its own four, and montecarlo
+    --seed."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -814,7 +901,8 @@ def _parser_with_options_per_subcommand():
         s.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="inline parameter override (repeatable)")
         s.add_argument("--out", default=".", help="output directory")
-        s.add_argument("--seed", type=int, default=0)
+        if name == "montecarlo":
+            s.add_argument("--seed", type=int, default=0)
         s.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
@@ -832,10 +920,11 @@ def test_help_texts_and_option_defaults_are_pinned(monkeypatch, capsys):
         if argv != ["--help"]:
             assert f"usage: swapsim {argv[0]} [-h] [--params PARAMS] [--set KEY=VALUE]" in texts[0]
             assert "inline parameter override (repeatable)" in texts[0]
-    defaults = {"params": None, "set": [], "out": ".", "seed": 0, "format": "csv"}
+    defaults = {"params": None, "set": [], "out": ".", "format": "csv"}
     parser = cli._build_parser()
     for name in cli._COMMANDS:
-        assert vars(parser.parse_args([name])) == {"subcommand": name, **defaults}
+        seed = {"seed": 0} if name == "montecarlo" else {}
+        assert vars(parser.parse_args([name])) == {"subcommand": name, **defaults, **seed}
     # The subcommands share one --set action: a list given to one parse is
     # not the default of the next.
     assert parser.parse_args(["validate", "--set", "n=3"]).set == ["n=3"]

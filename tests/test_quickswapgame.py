@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from conftest import baseline, quick_baseline, start_scans_at
 from swapsim import htlcgame, numerics, quickswapgame
 from swapsim.numerics import Bracket
+from swapsim.protocol import build_quickswap_instance
 from swapsim.quickswapgame import (
     QuickSwapParams,
     claim_threshold_t4,
@@ -40,14 +42,20 @@ def test_premium_sizing():
 
 
 def test_timing_invariants_enforced():
-    with pytest.raises(ValueError):
-        quick_baseline(D=5.0)            # D <= tau_a + tau_b
-    with pytest.raises(ValueError):
-        quick_baseline(D=23.0, Delta=2.0)  # D + Delta >= t_b
+    for bad in (dict(D=5.0),                          # D <= tau_a + tau_b
+                dict(D=24.0),                         # no Delta >= 0 fits D + Delta < t_b
+                dict(D=10.0, tau_b=6.0, t_b=15.0)):   # no D + Delta fits
+        with pytest.raises(ValueError, match="premium locktime ill-formed"):
+            quick_baseline(**bad)
     with pytest.raises(ValueError):
         quick_baseline(rho=-0.1)
     with pytest.raises(ValueError):
         quick_baseline(Delta=-1.0)       # D + Delta = 11 is in range, but Delta < 0
+    # The game reads no Delta: only the lock plan checks B's premium timeout.
+    q = quick_baseline(D=23.0, Delta=2.0)
+    with pytest.raises(ValueError, match="need tau_a \\+ 2\\*tau_b < D \\+ Delta < t_b"):
+        build_quickswap_instance(q)
+    build_quickswap_instance(replace(q, Delta=0.5))
 
 
 def test_final_claim_threshold_matches_brute_force():
