@@ -90,19 +90,23 @@ _CYCLIC_DEFAULTS: dict = {
 # Checked before the default per-party tuples are built.
 _MAX_CYCLIC_N = 256
 
-# Each ``validate`` kind accepts the keys its builder reads, and ``kind``.
+# Each validate kind takes its plan's inputs, ``kind``, and sigma (set by the audit benchmark; ROADMAP
+# item 18).  Its grid judges traces at a constant price, undiscounted, with fixed-hour delays: plans take
+# _VALIDATE_GAME and other game defaults, whose keys a price-driven profile (items 6, 16, 25) brings back.
+_VALIDATE_GAME: dict = {"mu": 0.0, "r_a": 0.0, "r_b": 0.0, "eps": 0.0}
+_PLAN_DEFAULTS = {k: _BASE_DEFAULTS[k] for k in "x_a x_yb_t1 t_a t_b tau_a tau_b t_eps sigma".split()}
 _VALIDATE_PARAMS: dict[str, dict] = {
-    "htlc": {**_BASE_DEFAULTS, "rho": _QUICK_DEFAULTS["rho"], "kind": "htlc"},
-    "quickswap": {**_BASE_DEFAULTS, **_QUICK_DEFAULTS, "Delta": 2.0, "kind": "quickswap"},
+    "htlc": {**_PLAN_DEFAULTS, "rho": _QUICK_DEFAULTS["rho"], "kind": "htlc"},
+    "quickswap": {**_PLAN_DEFAULTS, **_QUICK_DEFAULTS, "Delta": 2.0, "kind": "quickswap"},
     "cyclic": {**_CYCLIC_DEFAULTS, "kind": "cyclic"},
 }
 # The solvers take no x_a: their x_a axis or cell draws set it.
 _SOLVER_DEFAULTS: dict = {k: v for k, v in _BASE_DEFAULTS.items() if k != "x_a"}
 # Every key a subcommand accepts, with its default; a value given for a key is
 # parsed as the type of that key's default (see _parse).  A subcommand takes
-# only the keys that change one of its outputs: quickswap-sr's participation
-# report builds its own delay grid, and no action of a cyclic plan depends on
-# t_eps (validate kind=cyclic's traces do).
+# only the keys its run reads: quickswap-sr's participation report builds its
+# own delay grid, and no action of a cyclic plan depends on t_eps (validate
+# kind=cyclic's traces do).
 _PARAMS: dict[str, dict] = {
     "htlc-surface": {**_SOLVER_DEFAULTS, **_XA_GRID_DEFAULTS, **_DELAY_GRID_DEFAULTS},
     "quickswap-sr": {**_SOLVER_DEFAULTS, **_QUICK_DEFAULTS, **_XA_GRID_DEFAULTS},
@@ -401,6 +405,7 @@ def cmd_htlc_surface(cfg: RunConfig) -> int:
         "cells": int(col.size),
         "na_cells": int(np.isnan(col).sum()),
         "max_sr": float(finite.max()) if finite.size else None,
+        "T_max": ts[-1], "T_prime_max": tps[-1],  # the last written: each axis is clipped to its window
     }
     _write_manifest(cfg)
     return 0
@@ -439,8 +444,9 @@ def cmd_quickswap_sr(cfg: RunConfig) -> int:
 def cmd_validate(cfg: RunConfig) -> int:
     p, kind = cfg.params, cfg.params["kind"]
     if kind != "cyclic":
-        instance = (build_quickswap_instance(_quick_params(p)) if kind == "quickswap"
-                    else build_htlc_instance(_swap_params(p), rho=p["rho"]))
+        game = {**p, **_VALIDATE_GAME}
+        instance = (build_quickswap_instance(_quick_params(game)) if kind == "quickswap"
+                    else build_htlc_instance(_swap_params(game), rho=p["rho"]))
         report = check_properties(instance)
         violations = report.safety_violations
         cfg.summary = {"kind": kind, "rows": len(report.rows),

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import numerics
 from .numerics import QuadratureSpec, find_roots, integrate
-# ``erfc`` is no longer called here (the price-law kernels call it inside
-# pricemodel); the binding stays for perfbench's per-layer kernel counters.
+# Nothing here calls ``erfc``; perfbench/layers.py looks the binding up by name (KERNEL_SITES), so it
+# stays, and its kernel counters read 0 until code keeps its own counters (ROADMAP item 9).
 from .pricemodel import GbmParams, PriceState, erfc, law_terms, math_exp  # noqa: F401
 from .pricemodel import transition_cdf, transition_pdf
 

@@ -162,16 +162,17 @@ def test_params_file_is_read_as_utf8_under_any_locale(tmp_path):
     (("cyclic-plan", "--set", "rho=0"), "rho must be > 0, or the plan locks 0 coins"),
     # Rates whose discount or growth factors leave the float range used to
     # end in an OverflowError, a RuntimeWarning, an error naming no
-    # parameter, or (validate, which never reads them) exit 0.
+    # parameter, or (validate, which never reads them) exit 0.  validate takes
+    # none: its plans fix the rates at 0.
     (("htlc-surface", "--set", "mu=30"), "mu must be within +-1.13747 per hour"),
     (("quickswap-sr", "--set", "mu=30"), "mu must be within +-1.13747 per hour"),
     (("montecarlo", "--set", "mu=30"), "mu must be within +-1.13747 per hour"),
     (("htlc-surface", "--set", "r_b=-30"), "r_b must be within +-1.13747 per hour"),
     (("htlc-surface", "--set", "mu=20"), "mu must be within"),
     (("htlc-surface", "--set", "r_a=1e300"), "r_a must be within"),
-    (("validate", "--set", "kind=htlc", "--set", "mu=30"), "mu must be within"),
+    (("validate", "--set", "kind=htlc", "--set", "mu=30"), "unknown parameter(s) for validate kind=htlc: mu"),
     (("validate", "--set", "kind=quickswap", "--set", "t_a=480", "--set", "r_a=0.2"),
-     "r_a must be within +-0.173966 per hour over t_a + t_b + tau_a + tau_b = 510h, got 0.2"),
+     "unknown parameter(s) for validate kind=quickswap: r_a"),
     # Each validate kind takes only the keys its builder reads.
     (("validate", "--set", "kind=cyclic", "--set", "sigma=-5", "--set", "theta_1=7"),
      "unknown parameter(s) for validate kind=cyclic: sigma, theta_1"),
@@ -222,6 +223,9 @@ def test_largest_accepted_rates_run_clean(tmp_path, capsys, args, sign):
     rates = [f"mu={sign * top!r}", f"r_a={-sign * top!r}", f"r_b={-sign * top!r}"]
     code = run_cli(*args, *(a for r in rates for a in ("--set", r)), "--out", str(tmp_path / "top"))
     err = capsys.readouterr().err
+    if args[0] == "validate":  # its plans fix every rate at 0, so it takes none
+        assert code == 2 and err == f"error: unknown parameter(s) for validate {args[2]}: mu, r_a, r_b\n"
+        return
     # Decaying rates leave montecarlo no cell where A starts: an error line.
     assert code in (0, 1) or (code == 2 and err.startswith("error: ") and err.count("\n") == 1), err
     above = f"mu={math.nextafter(top, math.inf)!r}"
@@ -235,7 +239,12 @@ def test_each_validate_kind_accepts_the_fields_it_builds():
 
     swap = names(htlcgame.SwapParams, "gbm") | {"mu", "sigma"}
     quick = names(quickswapgame.QuickSwapParams, "base")
-    want = {"htlc": swap | {"rho"}, "quickswap": swap | quick, "cyclic": names(cyclic.CyclicSpec)}
+    # A two-party kind takes its plan's inputs and sigma (set by the benchmark's
+    # audit jobs); its plans fix the rates and eps and leave the other game
+    # fields at their defaults.
+    plan = {"x_a", "x_yb_t1", "t_a", "t_b", "tau_a", "tau_b", "t_eps", "sigma"}
+    assert set(cli._VALIDATE_GAME) == {"mu", "r_a", "r_b", "eps"} and set(cli._VALIDATE_GAME) < swap - plan
+    want = {"htlc": plan | {"rho"}, "quickswap": plan | quick, "cyclic": names(cyclic.CyclicSpec)}
     assert {kind: set(keys) - {"kind"} for kind, keys in cli._VALIDATE_PARAMS.items()} == want
     # So does every other subcommand.  The solvers take every field but x_a,
     # which their x_a axis or cell draws set, and Delta, which only the lock
@@ -253,12 +262,14 @@ def test_each_validate_kind_accepts_the_fields_it_builds():
     assert {name: set(keys) for name, keys in cli._PARAMS.items()} == want
     assert [len(cli._PARAMS[name]) for name in ("htlc-surface", "quickswap-sr", "montecarlo", "cyclic-plan")] \
         == [26, 23, 22, 7]
-    assert [len(keys) for keys in cli._VALIDATE_PARAMS.values()] == [21, 23, 9]
+    assert [len(keys) for keys in cli._VALIDATE_PARAMS.values()] == [10, 12, 9]
 
 
 # The keys that move no output but manifest.json, with the reason each stays.
 _VERDICTS_ONLY = ("the table writes each trace's verdicts, which depend only on the kind "
                   "and the profile (ROADMAP item 23)")
+_PLAN_KEYS = ("x_a", "x_yb_t1", "t_a", "t_b", "tau_a", "tau_b", "t_eps", "rho")
+_AUDIT_ONLY = "read by no plan; the benchmark's audit jobs set it (ROADMAP item 18)"
 _INERT_KEYS = {
     "htlc-surface": {},
     "quickswap-sr": dict.fromkeys(
@@ -267,10 +278,9 @@ _INERT_KEYS = {
         "coarser than the move (ROADMAP item 5)"),
     "montecarlo": {},
     "cyclic-plan": {},
-    "validate kind=htlc": dict.fromkeys(
-        [*cli._BASE_DEFAULTS, "rho"], _VERDICTS_ONLY),
-    "validate kind=quickswap": dict.fromkeys(
-        [*cli._BASE_DEFAULTS, "Delta", "rho"], _VERDICTS_ONLY),
+    "validate kind=htlc": {**dict.fromkeys(_PLAN_KEYS, _VERDICTS_ONLY), "sigma": _AUDIT_ONLY},
+    "validate kind=quickswap": {**dict.fromkeys((*_PLAN_KEYS, "Delta"), _VERDICTS_ONLY),
+                                "sigma": _AUDIT_ONLY},
     "validate kind=cyclic": dict.fromkeys(
         ("amounts", "taus", "locktimes", "D", "Delta", "rho", "t_eps"), _VERDICTS_ONLY),
 }
@@ -319,6 +329,51 @@ def test_every_accepted_key_moves_an_output_or_is_listed(tmp_path, name):
     inert = {key for key in p if key != "kind"
              and _output_digests(args + ("--set", f"{key}={_perturbed(p, key)}"), tmp_path / key) == base}
     assert inert == set(_INERT_KEYS[name])
+
+
+@pytest.mark.parametrize("kind", list(cli._VALIDATE_PARAMS))
+def test_validate_keys_at_their_edges_end_in_a_verdict_or_an_error_line(tmp_path, capsys, kind):
+    # Each value key of the kind at 0, -1, 1e-300 and 1e300 (a tuple key as a
+    # one-entry list) ends in a verdict, or in one error line with no traceback.
+    keys = [k for k in cli._VALIDATE_PARAMS[kind] if k != "kind"]
+    for key in keys:
+        for value in ("0", "-1", "1e-300", "1e300"):
+            code = run_cli("validate", "--set", f"kind={kind}", "--set", f"{key}={value}",
+                           "--out", str(tmp_path / f"{key}{value}"))
+            err = capsys.readouterr().err
+            assert code in (0, 1) or (code == 2 and err.startswith("error: ") and err.count("\n") == 1), \
+                (key, value, code, err)
+
+
+@pytest.mark.parametrize("kind, t_a, digest", [
+    ("htlc", "20000", "d5dc04cc4a7055fe4c92ad3462bdfb05d3627ca1dc9d229d92501d4f1f0f1aaa"),
+    ("quickswap", "20000", "dd94819abea9324988a0e0ecdecf0fab30a86be31fbad23063e0a77c48326fb1"),
+    ("htlc", "28", "370a1c1c65c77108f01f6049bb60071ee3e42d4b0c889a24de80d61ab82d0818"),
+])
+def test_long_locktime_plans_validate(tmp_path, kind, t_a, digest):
+    # No game value refuses a plan: at t_a = 20,000 h the default rates were
+    # out of the game's bounds, and t_a = 28 = tau_a + t_b + t_eps left the
+    # game's delay windows no room for eps; both exited 2.  At 20,000 h the
+    # table is the default one, and at 28 h the one it had at eps = 0.
+    assert run_cli("validate", "--set", f"kind={kind}", "--set", f"t_a={t_a}", "--out", str(tmp_path)) == 0
+    assert _digest(tmp_path / "validate.csv") == digest
+
+
+def test_htlc_surface_manifest_names_its_last_delays(tmp_path):
+    # t_max and tp_max are clipped to the claim and lock delay windows (20 and
+    # 21 h at the defaults), so a larger value writes the default table; the
+    # manifest says which T and T' were the last written.
+    runs = {"default": (), "wide": ("--set", "t_max=100", "--set", "tp_max=500"),
+            "short": ("--set", "t_max=7", "--set", "tp_max=100", "--set", "delay_step=3")}
+    summaries = {}
+    for name, extra in runs.items():
+        out = tmp_path / name
+        assert run_cli("htlc-surface", "--set", "xa_step=1", *extra, "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        summaries[name] = (manifest["summary"]["T_max"], manifest["summary"]["T_prime_max"])
+    assert (tmp_path / "wide" / "htlc_surface.csv").read_bytes() == \
+        (tmp_path / "default" / "htlc_surface.csv").read_bytes()
+    assert summaries == {"default": (20.0, 21.0), "wide": (20.0, 21.0), "short": (6.0, 21.0)}
 
 
 def test_only_montecarlo_takes_a_seed(tmp_path, capsys):
@@ -561,10 +616,10 @@ def test_default_quickswap_sr_bytes_are_pinned(tmp_path):
 @pytest.mark.parametrize("args, table, table_digest, manifest_digest", [
     (("validate", "--set", "kind=htlc"), "validate.csv",
      "d5dc04cc4a7055fe4c92ad3462bdfb05d3627ca1dc9d229d92501d4f1f0f1aaa",
-     "10a4858fd5687001dc139c0b5dbef179a7033141dff9922d71de228de9122fde"),
+     "465fbc90feed6b6a57cbc36aa1e9fe148ebb44782028d9a8c2a6a188cdeadf29"),
     (("validate", "--set", "kind=quickswap"), "validate.csv",
      "dd94819abea9324988a0e0ecdecf0fab30a86be31fbad23063e0a77c48326fb1",
-     "e129a49b82844774621a4fe876ffa8fa40db611b08f98fb48cdbb0ecd3c0850f"),
+     "38607d12bb532d869de64b16591a5a06f54e29c66a841af6302b0c068d75c821"),
     (("validate", "--set", "kind=cyclic"), "validate.csv",
      "57bd4180574e4c3c5715600f6cd8ffb20e662e381f92adf4925e6f1a669248c5",
      "c65bb8d47e2fbda50a84fd992ee04031d27d9506cd8fba3ef80557638597e852"),
