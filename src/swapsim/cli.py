@@ -116,11 +116,11 @@ _PARAMS: dict[str, dict] = {
 }
 # Largest grid htlc-surface or quickswap-sr may ask for, in cells.  Bands are
 # solved in lockstep blocks of at most 4,096 rows, and tables are written a
-# block of rows at a time, so the limit is loose.  On a 2-CPU x86 host,
-# quickswap-sr at the limit (20,000 x_a) ran 15 s and peaked at 56 MB, and the
-# limit refuses htlc-surface grids that run well: xa_step=0.01 (92,862 cells)
-# took 0.7 s and 43 MB in CSV and 2.0 s and 57 MB in JSON, and xa_step=0.002
-# (462,462 cells) took 4.1 s and 57 MB in CSV.
+# block of rows at a time, so the limit is loose.  On a 2-CPU x86 host (median
+# of 3 runs), quickswap-sr at the limit (20,000 x_a) ran 5.4 s and peaked at
+# 55.5 MB, and the limit refuses htlc-surface grids that run well:
+# xa_step=0.01 (92,862 cells) took 0.3 s and 40 MB in CSV and 0.9 s and 56 MB
+# in JSON, and xa_step=0.002 (462,462 cells) took 1.7 s and 59 MB in CSV.
 _MAX_GRID_CELLS = 20_000
 
 

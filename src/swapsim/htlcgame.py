@@ -395,7 +395,7 @@ def sr_surface(
     holds them when the caller has solved them already, the (x_a, T, 2)
     array that call returns.  The root node runs in blocks of whole x_a
     groups, one ``payoff_t1_with_band`` call each, of at most
-    ``_CALL_BUDGET`` integrand values per quantity; each block gives its
+    ``_QUAD_BUDGET`` integrand values per quantity; each block gives its
     cells' NA flags and success rates from one band quadrature, and a
     cell's bits do not depend on the cells it is solved with.
     """
@@ -406,7 +406,7 @@ def sr_surface(
     locks = ~np.isnan(bands[..., 0])
     # A block holds ``per`` x_a that have a band; one without rides along
     # with its predecessors, as it adds no integrand rows.
-    per = max(1, numerics._CALL_BUDGET // max(1, len(ts) * len(tps) * numerics._PANEL_NODES))
+    per = max(1, numerics._QUAD_BUDGET // max(1, len(ts) * len(tps) * numerics._PANEL_NODES))
     block = np.maximum(np.cumsum(locks.any(axis=1)) - 1, 0) // per
     ends = np.append(np.flatnonzero(np.diff(block)) + 1, len(xa)).tolist()
     na = np.empty((len(xa), len(ts), len(tps)), dtype=bool)
@@ -442,7 +442,7 @@ def payoff_t1_with_band(p: SwapParams, T, Tp, bands, x_a) -> tuple[np.ndarray, n
 
     Both integrals of every (x_a, T, T') cell come from one
     ``_band_integrals`` call, whose ``integrate`` call ``sr_surface`` keeps
-    within ``_CALL_BUDGET`` by passing blocks of x_a.  x_a is a (G, 1, 1)
+    within ``_QUAD_BUDGET`` by passing blocks of x_a.  x_a is a (G, 1, 1)
     column, so A's claim threshold and exit value are evaluated once per
     x_a.  An x_a without a band adds no rows; the band-less delays of the
     others ride along as zero-width rows, whose integrands are 0.

@@ -71,7 +71,8 @@ _PANEL_NODES = len(_NODES)
 # Panels an ``integrate`` call may evaluate per level of max_depth (workloads use <= 3).
 _PANELS_PER_DEPTH = 64
 # Rows whose products ``_panel`` forms at a time: a product as large as a
-# root-node block's values (480 KB) makes glibc trim and refault its heap.
+# root-node block's values (480 KB at one x_a of the default surface) makes
+# glibc trim and refault its heap.
 _SUM_ROWS = 256
 
 
@@ -185,6 +186,16 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], bracket,
 # the band solver puts at most _CALL_BUDGET / 8 rows in one lockstep.  2**15
 # is the 128 x 256 block that the band solver once scanned at a time.
 _CALL_BUDGET = 1 << 15
+# Most integrand values per quantity of one band-quadrature block, the x_a
+# blocks of ``htlcgame.sr_surface`` and ``quickswapgame.success_rate``: about
+# 1 MB per float array, 4 x_a of the default surface (30,030 values each), so
+# its root node makes 6 calls.  With fixed bands, that root node (best of 45
+# runs, 2-CPU x86 host) in blocks of 1, 2, 3, 4 and all 21 x_a took 20.4,
+# 17.4, 15.7, 15.5 and 14.8 ms at traced peaks of 0.92, 1.68, 2.45, 3.21 and 16.1 MB.  The band
+# solver keeps _CALL_BUDGET: at 2**16 its 10,000-row solve in
+# test_band_solve_holds_no_rows_by_grid_table peaks at 6.3 MB traced, past
+# that test's bound of 5.12 MB.
+_QUAD_BUDGET = 1 << 17
 # Most bisection levels one refinement call takes.  On quickswap-sr's and
 # montecarlo's four band solves, 6 and 9 were the fastest of 3 to 12 (best
 # of 25 runs 6.7 ms, against 8.1 ms at 3 and 7.1 ms at 12).

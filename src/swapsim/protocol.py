@@ -292,6 +292,10 @@ def build_htlc_instance(params: SwapParams, rho: float = 0.001) -> ProtocolInsta
 
     The plain swap pays no premium; ``rho`` only sets the lockup cost the
     safety check requires as compensation when a party is griefed."""
+    if not math.isfinite(rho):
+        raise ValueError("rho must be finite")
+    if rho < 0:
+        raise ValueError("rho must be >= 0")
     b = params
     actions = (
         LockAction(0, 0, b.x_a, "principal", 0.0, b.t_a, 0, 1, ("Hbar",)),
@@ -404,7 +408,7 @@ class _Run:
         self.expiry: dict[int, float] = {}
         self.grid: list[float] = []        # sorted timeouts of every lock made
         self.anchor: float | None = None   # first poll of the grid
-        self.observing: dict[str, float] = {}  # chain id -> last confirmation queued
+        self.observing: dict[str, float] = {}  # chain id -> last observe queued, until it runs
         n = len(self.parties)
         self.cancelling, self.watching = [False] * n, [False] * n
         self.revealed = [False] * n        # the party broadcast a cancel
@@ -456,6 +460,8 @@ class _Run:
     def _observe(self, chain: Chain) -> None:
         """Confirm what is due; a revealed cancel secret lets the parties
         refunding with it do so at the poll that sees it."""
+        if self.observing.get(chain.id) == self.clock:
+            del self.observing[chain.id]  # a broadcast due this hour now queues its own
         if not (chain.mempool and chain.next_confirm_time() <= self.clock):
             return
         for e in chain.advance(self.clock):

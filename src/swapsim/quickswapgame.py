@@ -139,7 +139,7 @@ def success_rate(q: QuickSwapParams, band=None, x_a=None):
     tau_a lies in his band and A then claims, from htlcgame's band
     quadrature, the one the HTLC root node uses.  With ``x_a`` a 1-D array,
     an array of one rate per x_a.  The x_a run in blocks of as many as
-    ``_CALL_BUDGET`` holds rows of 65 nodes, and those of a block that have
+    ``_QUAD_BUDGET`` holds rows of 65 nodes, and those of a block that have
     a band are one ``integrate`` call, so no array but the rates spans the
     axis and a rate's bits do not depend on its block.  ``band`` is B's t3
     band, or with ``x_a`` the table of one band per x_a, as
@@ -150,7 +150,7 @@ def success_rate(q: QuickSwapParams, band=None, x_a=None):
     bands = continuation_band_t3(q, x_a=xs) if band is None else np.reshape(band, (len(xs), 2))
     b = q.base
     rates = np.zeros(len(xs))
-    per = max(1, numerics._CALL_BUDGET // numerics._PANEL_NODES)
+    per = max(1, numerics._QUAD_BUDGET // numerics._PANEL_NODES)
     for first in range(0, len(xs), per):
         # The block's x_a that have a band; the others keep the rate 0.
         rows = first + np.flatnonzero(~np.isnan(bands[first:first + per, 0]))

@@ -195,6 +195,11 @@ def test_params_file_is_read_as_utf8_under_any_locale(tmp_path):
     # B's premium times out at D + Delta, which the lock plan checks.
     (("validate", "--set", "D=23"), "premium timeouts ill-formed: need tau_a + 2*tau_b < D + Delta < t_b"),
     (("montecarlo", "--set", "cells=1001"), "cells must be >= 1 and <= 1000, got 1001"),
+    # The HTLC plan's lockup rate is refused as Quick Swap's and the cyclic
+    # plan's are; it used to validate at any value.
+    (("validate", "--set", "kind=htlc", "--set", "rho=-1"), "rho must be >= 0"),
+    (("validate", "--set", "kind=htlc", "--set", "rho=nan"), "rho must be finite"),
+    (("validate", "--set", "kind=htlc", "--set", "rho=inf"), "rho must be finite"),
 ])
 def test_malformed_inputs_exit_2_with_an_error_line(tmp_path, capsys, args, says):
     assert run_cli(*args, "--out", str(tmp_path / "run")) == 2

@@ -588,6 +588,25 @@ def test_band_solve_holds_no_rows_by_grid_table():
         assert bands[k, 1] == pytest.approx(c + 1.0, abs=1e-9)
 
 
+def test_root_node_holds_one_block_of_integrand_values():
+    # With fixed bands the default surface's root node runs in blocks of 4
+    # x_a, whose integrand rows, densities and A's values peak at about
+    # 3.2 MB traced; one call over all 21 x_a peaks at about 16 MB.  A first
+    # untraced call keeps one-time allocations out of the peak.
+    p = baseline()
+    xa = np.round(np.arange(1.0, 3.0 + 1e-9, 0.1), 10)
+    ts, tps = np.arange(21.0), np.arange(22.0)
+    bands = continuation_band_t2(p, ts, x_a=xa)
+    sr_surface(p, xa, ts, tps, bands)
+    tracemalloc.start()
+    try:
+        sr_surface(p, xa, ts, tps, bands)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+
+
 @pytest.mark.parametrize("uniform, shared", [(False, 2), (True, 0)])
 def test_band_scan_evaluates_t_free_terms_once_per_x_a(monkeypatch, uniform, shared):
     # B's stop branch at horizon tau_b (two of the three log-normal terms of
@@ -635,7 +654,7 @@ def test_surface_cells_equal_cells_solved_alone(monkeypatch, case, p):
 
 def test_default_surface_takes_its_success_rates_from_the_root_node_calls(monkeypatch):
     # The success rates have no quadrature of their own: the default
-    # surface makes 21 integrate calls, one inside each payoff_t1_with_band
+    # surface makes 6 integrate calls, one inside each payoff_t1_with_band
     # call, and each cell's rate is the one its root-node call returns.
     xa = np.round(np.arange(1.0, 3.0 + 1e-9, 0.1), 10)
     ts, tps = np.arange(21.0), np.arange(22.0)
@@ -657,7 +676,7 @@ def test_default_surface_takes_its_success_rates_from_the_root_node_calls(monkey
     monkeypatch.setattr(htlcgame, "payoff_t1_with_band", root)
     monkeypatch.setattr(htlcgame, "integrate", counted)
     grid = sr_surface(baseline(), xa, ts, tps)
-    assert calls == [True] * 21 and len(returned) == 21
+    assert calls == [True] * 6 and len(returned) == 6
     raw = np.concatenate([rates for _, _, rates in returned])
     assert np.array_equal(grid.raw, np.where(grid.na_mask, np.nan, raw), equal_nan=True)
     assert int((~grid.na_mask).sum()) == 586
@@ -731,13 +750,13 @@ def test_default_surface_solves_its_root_node_in_blocks_of_whole_x_a(monkeypatch
     roots, calls = _root_node_calls(monkeypatch)
     sr_surface(baseline(), xa, ts, tps)
     # One x_a group is 21 x 22 cells of 65 nodes (30,030 values), so a
-    # block of _CALL_BUDGET values holds one group: 21 root-node calls, each
+    # block of _QUAD_BUDGET values holds four groups: 6 root-node calls, each
     # one integrate call of one integrand call, with two rows per cell (A's
     # value and her claim probability).
     group = 21 * 22
-    assert numerics._CALL_BUDGET // (group * 65) == 1
-    assert roots == [1] * 21
-    assert calls == [[2 * group]] * 21
+    assert numerics._QUAD_BUDGET // (group * 65) == 4
+    assert roots == [4] * 5 + [1]
+    assert calls == [[2 * 4 * group]] * 5 + [[2 * group]]
 
 
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
@@ -783,7 +802,7 @@ def test_root_node_blocks_hold_whole_x_a_groups(monkeypatch, budget, blocks, ban
     bands[5, 1] = np.nan
     whole = sr_surface(p, xa, ts, tps, bands)
     roots, calls = _root_node_calls(monkeypatch)
-    monkeypatch.setattr(numerics, "_CALL_BUDGET", budget)
+    monkeypatch.setattr(numerics, "_QUAD_BUDGET", budget)
     blocked = sr_surface(p, xa, ts, tps, bands)
     assert np.array_equal(blocked.raw, whole.raw, equal_nan=True)
     assert np.array_equal(blocked.na_mask, whole.na_mask)

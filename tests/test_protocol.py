@@ -44,6 +44,16 @@ def test_compliant_htlc_swaps():
     assert len(set(revealed)) == 1
 
 
+def test_compliant_htlc_swaps_when_a_claim_confirms_at_a_repeated_hour():
+    # B's lock confirms at 3 + 1e-17 == 3.0, and A's claim, broadcast at
+    # that hour, is due at it too.  The observe queued for the lock had
+    # already run, so one must be queued for the claim, or it never
+    # confirms and the swap reads cancelled with two unreleased locks.
+    v = run(build_htlc_instance(baseline(tau_b=1e-17)), COMPLIANT)
+    assert v.outcome == "swapped"
+    assert v.correctness and v.safety and v.liveness
+
+
 def test_compliant_quickswap_swaps():
     v = run(build_quickswap_instance(quick_baseline()), COMPLIANT)
     assert v.outcome == "swapped"

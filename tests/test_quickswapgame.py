@@ -287,7 +287,7 @@ def test_success_rates_in_blocks_equal_rates_solved_alone(monkeypatch, budget, w
     bands[[3, 4, 17, *range(24, 32)]] = np.nan
     alone = [success_rate(q.with_x_a(x), band) for x, band in zip(xa.tolist(), bands)]
     blocks = _band_quadratures(monkeypatch)
-    monkeypatch.setattr(numerics, "_CALL_BUDGET", budget)
+    monkeypatch.setattr(numerics, "_QUAD_BUDGET", budget)
     rates = success_rate(q, bands, x_a=xa)
     assert blocks == want
     assert rates.tolist() == alone
@@ -300,7 +300,7 @@ def test_success_rates_hold_no_per_x_a_array(monkeypatch):
     # axis would add as much again.  Each axis is solved once untraced, so
     # one-time allocations stay out of the peaks.
     q = quick_baseline()
-    monkeypatch.setattr(numerics, "_CALL_BUDGET", 65 * 32)
+    monkeypatch.setattr(numerics, "_QUAD_BUDGET", 65 * 32)
     peaks, tables = [], []
     for n in (2_000, 4_000):
         xa = np.linspace(1.5, 2.5, n)
@@ -321,8 +321,8 @@ def test_success_rates_hold_no_per_x_a_array(monkeypatch):
 def test_participation_solves_the_htlc_root_node_in_one_call(monkeypatch):
     # The 21 x_a by 5 delays by 5 lock delays of the HTLC grid, at 34,125
     # integrand values, are one payoff_t1_with_band call and one integrate
-    # call under a budget that holds them; the default budget of 32,768
-    # values takes them in blocks of 20 x_a.
+    # call under the default budget of 131,072 values, which holds them; a
+    # budget one x_a short takes them in blocks of 20 x_a.
     roots, panels = [], []
     solve, integrate = htlcgame.payoff_t1_with_band, htlcgame.integrate
 
@@ -339,11 +339,11 @@ def test_participation_solves_the_htlc_root_node_in_one_call(monkeypatch):
     xa = np.round(np.arange(1.0, 3.0 + 1e-9, 0.1), 10)
     compare_participation(baseline(), quick_baseline(), xa)
     # The last call is the Quick Swap rates' band quadrature.
-    assert roots == [(20, 5, 5), (1, 5, 5)]
-    assert panels == [Bracket(0.0, 1.0)] * 3
-    roots.clear()
-    panels.clear()
-    monkeypatch.setattr(numerics, "_CALL_BUDGET", 21 * 5 * 5 * 65)
-    compare_participation(baseline(), quick_baseline(), xa)
     assert roots == [(21, 5, 5)]
     assert panels == [Bracket(0.0, 1.0)] * 2
+    roots.clear()
+    panels.clear()
+    monkeypatch.setattr(numerics, "_QUAD_BUDGET", 21 * 5 * 5 * 65 - 1)
+    compare_participation(baseline(), quick_baseline(), xa)
+    assert roots == [(20, 5, 5), (1, 5, 5)]
+    assert panels == [Bracket(0.0, 1.0)] * 3
