@@ -262,10 +262,11 @@ def test_zero_delay_traces_unchanged():
     assert digest == ZERO_DELAY_DIGEST
 
 
-def _two_party_records(events: bool = False) -> list:
+def _two_party_records(events: bool = False,
+                       configs=({}, {"sigma": 0.2, "x_a": 2.4})) -> list:
     """A record per run of both strategy grids and the threshold profiles on
-    three constant price paths, on two configs: its verdict, or with
-    ``events`` its events and final time."""
+    three constant price paths, on each config (two by default): its
+    verdict, or with ``events`` its events and final time."""
     from swapsim.htlcgame import claim_threshold_t3, continuation_band_t2
     from swapsim.protocol import (
         Strategy, StrategyProfile, build_htlc_instance, build_quickswap_instance, run,
@@ -278,7 +279,7 @@ def _two_party_records(events: bool = False) -> list:
 
     thresholds = [Strategy("threshold"), Strategy("threshold", interested=False)]
     records = []
-    for overrides in ({}, {"sigma": 0.2, "x_a": 2.4}):
+    for overrides in configs:
         b, q = baseline(**overrides), quick_baseline(**overrides)
         for inst, band, x_star in (
                 (build_htlc_instance(b), continuation_band_t2(b, 0.0), claim_threshold_t3(b)),
@@ -328,6 +329,24 @@ def test_two_party_traces_unchanged():
 
     digest = hashlib.sha256(json.dumps(_two_party_records(events=True)).encode()).hexdigest()
     assert digest == TWO_PARTY_EVENTS_DIGEST
+
+
+# sha256 of the same records' events and final times with a zero-delay chain
+# (tau_a = 0, tau_b = 0, both) and with B's lock and A's claim confirming at
+# one hour (tau_b = 1e-17): what a zero-delay chain confirms is observed after
+# the hour's steps, and a second broadcast due at an hour already observed
+# queues its own observe.
+TWO_PARTY_ZERO_DELAY_DIGEST = "ec84ea6eeac81875f23010de903b2e8350b4060c385e4b1d67fd557041b8b123"
+
+
+def test_two_party_zero_delay_traces_unchanged():
+    import hashlib
+    import json
+
+    configs = ({"tau_a": 0.0}, {"tau_b": 0.0}, {"tau_a": 0.0, "tau_b": 0.0}, {"tau_b": 1e-17})
+    records = _two_party_records(events=True, configs=configs)
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == TWO_PARTY_ZERO_DELAY_DIGEST
 
 
 def _two_party_drift_records() -> list:

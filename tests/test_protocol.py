@@ -364,6 +364,22 @@ def test_check_properties_runs_each_answer_list_once(monkeypatch, kind, profiles
     assert len(counted) == engine_runs
 
 
+# Events the engine queues in each default ``validate`` run: the strategy
+# grid of the default HTLC and Quick Swap plans, and the n = 3 cyclic sweep.
+# An engine that queues a second observe of one chain and hour, or any other
+# event that does nothing, queues more.
+@pytest.mark.parametrize("kind, queued", [("htlc", 658), ("quickswap", 1509), ("cyclic", 102)])
+def test_default_validate_runs_queue_pinned_event_counts(tmp_path, monkeypatch, kind, queued):
+    from swapsim.cli import main
+
+    counted = []
+    at = protocol._Run.at
+    monkeypatch.setattr(protocol._Run, "at",
+                        lambda self, *args, **kw: counted.append(1) or at(self, *args, **kw))
+    assert main(["validate", "--set", f"kind={kind}", "--out", str(tmp_path)]) == 0
+    assert len(counted) == queued
+
+
 @pytest.mark.parametrize("kind", ["htlc", "quickswap"])
 def test_property_rows_are_labelled_as_their_profiles(kind):
     # check_properties labels each grid strategy once, not each profile; every
