@@ -302,12 +302,7 @@ def _csv_cells(col) -> list[str]:
         uniq, inverse = np.unique(bits, return_inverse=True)
         texts = ["NA" if math.isnan(v) else format(v, ".12g") for v in uniq.view(float).tolist()]
         return [texts[i] for i in inverse.tolist()]
-    # A column of one type needs no per-cell dispatch: validate's verdict
-    # columns are all bool, its labels all text.
-    kinds = set(map(type, col))
-    if kinds == {bool}:
-        return ["1" if v else "0" for v in col]
-    texts = col if kinds == {str} else [_fmt(v) for v in col]
+    texts = [_fmt(v) for v in col]
     return ['"' + t.replace('"', '""') + '"' if "," in t or '"' in t else t for t in texts]
 
 

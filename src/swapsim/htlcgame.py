@@ -110,6 +110,11 @@ class SwapParams:
             if not abs(rate) * hours <= _MAX_RATE_HOURS:
                 raise ValueError(f"{name} must be within +-{_MAX_RATE_HOURS / hours:.6g} per hour over "
                                  f"t_a + t_b + tau_a + tau_b = {hours:g}h, got {rate:g}")
+        # The log-price variance of every horizon must be a float.
+        if not math.isfinite(self.gbm.sigma * self.gbm.sigma * hours):
+            raise ValueError(f"sigma must be below {math.sqrt(sys.float_info.max / hours):.6g} per "
+                             f"sqrt-hour over t_a + t_b + tau_a + tau_b = {hours:g}h, "
+                             f"got {self.gbm.sigma:g}")
 
     @property
     def claim_delay_window(self) -> float:

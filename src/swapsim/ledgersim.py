@@ -158,7 +158,6 @@ class Chain:
         self.mempool: list[Transaction] = []
         self._live_ids: set[str] = set()  # ids in the mempool or confirmed
         self._next_due = math.inf  # earliest confirm_time in the mempool
-        self._last_due = -math.inf  # latest confirm_time in the mempool
         self.utxos: dict[OutputRef, LockedOutput] = {}
         self.spent: dict[OutputRef, str] = {}  # ref -> spending tx id
         self.balances: dict[str, float] = {}
@@ -195,8 +194,6 @@ class Chain:
         self._live_ids.add(tx.id)
         if due < self._next_due:
             self._next_due = due
-        if due > self._last_due:
-            self._last_due = due
 
     def try_broadcast(self, tx: Transaction, now: float) -> bool:
         try:
@@ -217,18 +214,14 @@ class Chain:
         self.clock = to
         if self._next_due > to:
             return []
-        if self._last_due <= to:  # the usual case: everything pending is due
-            pending, self.mempool = self.mempool, []
-            self._next_due, self._last_due = math.inf, -math.inf
-        else:  # the latest stays pending
-            pending, waiting, next_due = [], [], math.inf
-            for t in self.mempool:
-                if t.confirm_time <= to:
-                    pending.append(t)
-                else:
-                    waiting.append(t)
-                    next_due = min(next_due, t.confirm_time)
-            self.mempool, self._next_due = waiting, next_due
+        pending, waiting, next_due = [], [], math.inf
+        for t in self.mempool:
+            if t.confirm_time <= to:
+                pending.append(t)
+            else:
+                waiting.append(t)
+                next_due = min(next_due, t.confirm_time)
+        self.mempool, self._next_due = waiting, next_due
         if len(pending) > 1:
             pending.sort(key=_CONFIRM_ORDER)
         emitted = [self._confirm(tx) for tx in pending]

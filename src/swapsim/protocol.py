@@ -386,6 +386,11 @@ class _Run:
     or once they cancel or give up.  Actions waiting for a secret to be seen
     run on the poll grid: every hour and every timeout from the first watch.
 
+    The run keeps what its chains do not record: the timeout of each lock
+    made (``expiry``), who cancelled or watches, and the first spend out of
+    each lock (``closing``).  What is pending, spent or revealed, and when,
+    it reads from its chains.
+
     The run consults its strategies only through ``ask``, which records every
     question and answer in ``asked``.  It queues no event that provably does
     nothing: no sweep or early refund of a lock with a spend out (in
@@ -404,16 +409,13 @@ class _Run:
         self.clock = 0.0
         self.queue: list = []
         self.seq = itertools.count()
-        self.refs: dict[int, OutputRef] = {}
-        self.expiry: dict[int, float] = {}
+        self.expiry: dict[int, float] = {}  # lock made -> its timeout
         self.grid: list[float] = []        # sorted timeouts of every lock made
         self.anchor: float | None = None   # first poll of the grid
-        self.observing: dict[str, float] = {}  # chain id -> last observe queued, until it runs
         n = len(self.parties)
         self.cancelling, self.watching = [False] * n, [False] * n
         self.revealed = [False] * n        # the party broadcast a cancel
         self.dead = False                  # a party with a principal in did so
-        self.seen: dict[str, float] = {}   # hash -> earliest confirmed reveal
         self.closing = {}                  # lock -> confirmation hour of its first spend out
         self.performed = 0                 # steps taken; the claim is the last
         self.asked: list = []              # (question, answer) in the order asked
@@ -447,27 +449,27 @@ class _Run:
             fn(*args)
 
     def broadcast(self, chain: Chain, tx: Transaction) -> bool:
-        """Broadcast and queue the confirmation.  A chain with a delay
-        confirms before the steps of that hour; a zero-delay chain confirms
-        what the hour broadcast after them, so polls see it at the next poll."""
+        """Broadcast and queue the confirmation, unless another transaction
+        pending on the chain is due at the same hour: its observe is queued
+        and has not run.  A chain with a delay confirms before the steps of
+        that hour; a zero-delay chain confirms what the hour broadcast after
+        them, so polls see it at the next poll."""
         if not chain.try_broadcast(tx, self.clock):
             return False
-        if self.observing.get(chain.id) != tx.confirm_time:
-            self.observing[chain.id] = tx.confirm_time
+        for t in chain.mempool:
+            if t.confirm_time == tx.confirm_time and t is not tx:
+                break
+        else:
             self.at(tx.confirm_time, self._observe, chain, prio=-1 if chain.confirm_delay else 3)
         return True
 
     def _observe(self, chain: Chain) -> None:
         """Confirm what is due; a revealed cancel secret lets the parties
         refunding with it do so at the poll that sees it."""
-        if self.observing.get(chain.id) == self.clock:
-            del self.observing[chain.id]  # a broadcast due this hour now queues its own
         if not (chain.mempool and chain.next_confirm_time() <= self.clock):
             return
         for e in chain.advance(self.clock):
             for h in e.revealed:
-                if e.time < self.seen.get(h, math.inf):
-                    self.seen[h] = e.time
                 role = self.plan.roles[h]
                 if role != "Hbar" and self.anchor is not None:
                     seen = self.poll_at(e.time + self.timing.t_eps, e.time - chain.confirm_delay)
@@ -495,10 +497,13 @@ class _Run:
 
     # -- ledger helpers --------------------------------------------------------
     def visible(self, role: str) -> bool:
-        return self.clock >= self.seen.get(self.plan.hashes[role], math.inf) + self.timing.t_eps
+        """Whether ``role``'s secret is seen: ``t_eps`` after a chain first reveals it."""
+        h = self.plan.hashes[role]
+        shown = min((c.revealed[h][1] for c in self.chains if h in c.revealed), default=math.inf)
+        return self.clock >= shown + self.timing.t_eps
 
     def spent(self, idx: int) -> bool:
-        return self.refs[idx] in self.chains[self.actions[idx].chain].spent
+        return self.plan.refs[idx] in self.chains[self.actions[idx].chain].spent
 
     def spend(self, idx: int, party: int, tx_id: str, role: str | None = None) -> bool:
         spend, payout = self.plan.spend_parts(idx, party, role)
@@ -509,11 +514,11 @@ class _Run:
         return sent
 
     def locked(self, party: int) -> bool:
-        return any(i in self.refs for i in self.plan.of[party])
+        return any(i in self.expiry for i in self.plan.of[party])
 
     def own(self, party: int, kind: str) -> list[int]:
         """The party's unspent locks of ``kind``."""
-        return [i for i in self.plan.of[party] if i in self.refs
+        return [i for i in self.plan.of[party] if i in self.expiry
                 and self.actions[i].kind == kind and not self.spent(i)]
 
     # -- the schedule ----------------------------------------------------------
@@ -560,7 +565,6 @@ class _Run:
             expiry = a.timeout + (self.clock - a.start_time)
             ref, contract = self.plan.refs[idx], self.plan.contract(idx, expiry)
             self.broadcast(self.chains[a.chain], Transaction(ref.tx_id, [], [contract]))
-            self.refs[idx] = ref
             self.expiry[idx] = expiry
             bisect.insort(self.grid, expiry)
             if self.watching[a.timeout_recipient]:
@@ -599,7 +603,7 @@ class _Run:
         """The payment secret is public: claim incoming principals, reclaim premiums."""
         for idx, a in enumerate(self.actions[:-1]):
             p = a.hashlock_claimant if a.kind == "principal" else a.party
-            if idx not in self.refs or not self.ask(p, "acts", "claim"):
+            if idx not in self.expiry or not self.ask(p, "acts", "claim"):
                 continue
             if a.kind == "principal":
                 self._release(idx, p, f"claim-{idx}")
@@ -622,7 +626,7 @@ class _Run:
             for idx in self.own(party, "premium"):
                 self.revealed[party] |= self.spend(idx, party, f"cancel-{idx}", f"H{party}")
             self.dead |= self.revealed[party] and any(
-                i in self.refs for i in self.plan.of[party] if self.actions[i].kind == "principal")
+                i in self.expiry for i in self.plan.of[party] if self.actions[i].kind == "principal")
             self._watch(party)
             for idx in self.own(party, "principal"):
                 self._refund_early(self.actions[idx].early_refund_hash)
@@ -647,7 +651,7 @@ class _Run:
         """A cancelling party refunds the principal that ``role`` unlocks early,
         once the secret is seen.  (A party that griefs never cancels.)"""
         idx = self.plan.refunds.get(role)
-        if idx in self.refs:
+        if idx in self.expiry:
             party = self.actions[idx].party
             if self.cancelling[party] and not self.spent(idx) and self.visible(role):
                 self.spend(idx, party, f"early-refund-{idx}", role)
@@ -662,7 +666,7 @@ class _Run:
                 if self.anchor is None:
                     self.anchor = self.clock
                 for idx in self.plan.owed[party]:
-                    if idx in self.refs:
+                    if idx in self.expiry:
                         self._sweep_when_due(idx)
 
     def _sweep_when_due(self, idx: int) -> None:
@@ -718,14 +722,14 @@ class _Trace(NamedTuple):
 
 def _facts(r: _Run) -> _Trace:
     """The trace facts of a finished run, in one pass over its locks and one
-    over its chains; every reveal a chain confirms is in the run's ``seen``.
+    over its chains.
 
     Events never tie on (time, chain, tx): each transaction id spends one
     lock, so one rejected is never confirmed later.  Their own tuple order
     is then the trace order."""
     plan = r.plan
     spender = [None] * len(r.actions)
-    for i in r.refs:
+    for i in r.expiry:
         spender[i] = r.chains[r.actions[i].chain].spent.get(plan.refs[i], "")
     sent = -math.inf  # latest broadcast of a transaction processed
     events, unconserved, locks_left = [], [], 0
@@ -746,7 +750,8 @@ def _facts(r: _Run) -> _Trace:
     return _Trace(  # the fields in order
         [(c.funded_total, c.balances) for c in r.chains],
         all((spender[i] or "").startswith("claim") for i in plan.principals),
-        spender, frozenset(map(plan.roles.get, r.seen)), (endow, recv), events, locks_left,
+        spender, frozenset(plan.roles.get(h) for c in r.chains for h in c.revealed),
+        (endow, recv), events, locks_left,
         next((e.time for e in reversed(events) if e.kind == "confirmed"), 0.0), unconserved,
         # The run ends at the first poll that observes the last confirmation.
         last if r.anchor is None else r.poll_at(last, sent))

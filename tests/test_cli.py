@@ -200,11 +200,45 @@ def test_params_file_is_read_as_utf8_under_any_locale(tmp_path):
     (("validate", "--set", "kind=htlc", "--set", "rho=-1"), "rho must be >= 0"),
     (("validate", "--set", "kind=htlc", "--set", "rho=nan"), "rho must be finite"),
     (("validate", "--set", "kind=htlc", "--set", "rho=inf"), "rho must be finite"),
+    # A sigma whose variance over the longest horizon leaves the float range
+    # used to end in an OverflowError (1e155 and up) or a RuntimeWarning
+    # (1e154, from about 4e153 on); the bound refuses a sliver that ran (1.6e153).
+    (("htlc-surface", "--set", "sigma=1e200"),
+     "sigma must be below 1.51814e+153 per sqrt-hour over t_a + t_b + tau_a + tau_b = 78h, got 1e+200"),
+    (("quickswap-sr", "--set", "sigma=1e155"), "sigma must be below 1.51814e+153"),
+    (("montecarlo", "--set", "sigma=1e300"), "sigma must be below 1.51814e+153"),
+    (("htlc-surface", "--set", "sigma=1e154"), "sigma must be below 1.51814e+153"),
+    (("quickswap-sr", "--set", "sigma=1e154"), "sigma must be below"),
+    (("montecarlo", "--set", "sigma=1e154"), "sigma must be below"),
+    (("htlc-surface", "--set", "sigma=1.6e153"), "sigma must be below"),
+    (("validate", "--set", "kind=htlc", "--set", "sigma=1e200"), "sigma must be below"),
 ])
 def test_malformed_inputs_exit_2_with_an_error_line(tmp_path, capsys, args, says):
     assert run_cli(*args, "--out", str(tmp_path / "run")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and says in err
+
+
+@pytest.mark.parametrize("subcommand", ["htlc-surface", "quickswap-sr"])
+def test_largest_accepted_sigma_runs_clean(tmp_path, subcommand):
+    # The largest sigma whose variance over the defaults' 78 hours is a
+    # float.  The suite turns warnings into errors, so an overflow fails.
+    hours = 48.0 + 24.0 + 3.0 + 3.0
+    top = math.sqrt(sys.float_info.max / hours)
+    while math.isfinite(math.nextafter(top, math.inf) * math.nextafter(top, math.inf) * hours):
+        top = math.nextafter(top, math.inf)
+    while not math.isfinite(top * top * hours):
+        top = math.nextafter(top, 0.0)
+    assert run_cli(subcommand, "--set", f"sigma={top!r}", "--set", "xa_step=0.5",
+                   "--out", str(tmp_path / "run")) == 0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP.md item 12: from sigma 1e-155 transition_pdf's out *= z overflows; "
+    "htlc-surface warns and still writes its table"))
+def test_smallest_sigmas_run_clean(tmp_path):
+    assert run_cli("htlc-surface", "--set", "sigma=1e-160", "--set", "xa_step=0.5",
+                   "--out", str(tmp_path / "run")) == 0
 
 
 @pytest.mark.parametrize("args", [
