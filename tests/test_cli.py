@@ -673,6 +673,23 @@ def test_default_validate_and_plan_bytes_are_pinned(tmp_path, args, table, table
     assert _digest(tmp_path / "manifest.json") == manifest_digest
 
 
+@pytest.mark.parametrize("args, table, digest", [
+    (("validate", "--set", "kind=htlc"), "validate.json",
+     "ca21f3268f3bdf2c53fd3f4fd6364087051652c1776ccbcd9774691876533b4a"),
+    (("validate", "--set", "kind=quickswap"), "validate.json",
+     "15c2f4143efd6c7a4a82911bb48ee5db537be30b48bc7d0a7de39eafacfef49c"),
+    (("validate", "--set", "kind=cyclic"), "validate.json",
+     "7ff38afeee23193c4c46baf7be1b7bdf6090e7cbc79666fe35c4ad94a0e86fda"),
+    (("cyclic-plan", "--set", "n=4"), "cyclic_plan.json",
+     "6e13a37abe7e0acc49c0919f9b30eed7d36a8a753c2ce09cfcde4129b6a0c2d6"),
+])
+def test_default_validate_and_plan_json_bytes_are_pinned(tmp_path, args, table, digest):
+    # No cell of these tables comes from np.exp or np.log, so unlike the
+    # JSON surface their bytes do not depend on the host's SIMD extensions.
+    assert run_cli(*args, "--out", str(tmp_path), "--format", "json") == 0
+    assert _digest(tmp_path / table) == digest
+
+
 def test_table_writer_edge_cases(tmp_path):
     nan = float("nan")
     columns = {
