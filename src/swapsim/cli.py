@@ -23,7 +23,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -118,9 +117,10 @@ _PARAMS: dict[str, dict] = {
 # solved in lockstep blocks of at most 4,096 rows, and tables are written a
 # block of rows at a time, so the limit is loose.  On a 2-CPU x86 host (median
 # of 3 runs), quickswap-sr at the limit (20,000 x_a) ran 5.4 s and peaked at
-# 55.5 MB, and the limit refuses htlc-surface grids that run well:
-# xa_step=0.01 (92,862 cells) took 0.3 s and 40 MB in CSV and 0.9 s and 56 MB
-# in JSON, and xa_step=0.002 (462,462 cells) took 1.7 s and 59 MB in CSV.
+# 55.5 MB, and the limit refuses htlc-surface grids that run well: on the same
+# host, later and slower, xa_step=0.01 (92,862 cells) took 0.75 s and 41 MB in
+# CSV and 0.86 s and 41 MB in JSON (whole process, median of 3), and
+# xa_step=0.002 (462,462 cells) 2.7 s in CSV and 3.0 s in JSON, both 59 MB.
 _MAX_GRID_CELLS = 20_000
 
 
@@ -270,13 +270,11 @@ def _grid(*axes: tuple[float, float, float]) -> list[np.ndarray]:
 # Serialization.
 
 def _fmt(value) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return "NA"
+    if isinstance(value, (float, np.floating)):
+        return "NA" if math.isnan(value) else f"{float(value):.12g}"
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.12g}"
-    return str(value)
+    return "NA" if value is None else str(value)
 
 
 def _jsonable(value):
@@ -292,26 +290,28 @@ def _jsonable(value):
     return value
 
 
-def _csv_cells(col) -> list[str]:
+def _csv_text(value) -> str:
+    t = _fmt(value)
+    return '"' + t.replace('"', '""') + '"' if "," in t or '"' in t else t
+
+
+def _json_text(value) -> str:
+    return json.dumps(_jsonable(value))
+
+
+def _cells(col, text, before, after) -> list[str]:
+    """``before + text(v) + after`` for each value v of ``col``."""
     if isinstance(col, np.ndarray) and col.dtype == bool:
-        return ["1" if v else "0" for v in col.tolist()]
+        table = [before + text(False) + after, before + text(True) + after]
+        return [table[v] for v in col.tolist()]
     if isinstance(col, np.ndarray):
-        # Format each distinct bit pattern once (so -0.0 and 0.0 stay apart):
+        # Encode each distinct bit pattern once (so -0.0 and 0.0 stay apart):
         # a grid's axis columns repeat a few values hundreds of times.
         bits = np.ascontiguousarray(col, dtype=float).view(np.int64)
         uniq, inverse = np.unique(bits, return_inverse=True)
-        texts = ["NA" if math.isnan(v) else format(v, ".12g") for v in uniq.view(float).tolist()]
-        return [texts[i] for i in inverse.tolist()]
-    texts = [_fmt(v) for v in col]
-    return ['"' + t.replace('"', '""') + '"' if "," in t or '"' in t else t for t in texts]
-
-
-def _json_cells(col) -> list:
-    if isinstance(col, np.ndarray) and col.dtype == bool:
-        return col.tolist()
-    if isinstance(col, np.ndarray):
-        return [None if math.isnan(v) else v for v in col.tolist()]
-    return [_jsonable(v) for v in col]
+        table = [before + text(v) + after for v in uniq.view(float).tolist()]
+        return [table[i] for i in inverse.tolist()]
+    return [before + text(v) + after for v in col]
 
 
 def _write_json(cfg: RunConfig, name: str, payload) -> None:
@@ -325,34 +325,34 @@ def _write_columns(cfg: RunConfig, name: str, columns: dict) -> None:
     """Write one table, given as header -> column.
 
     A column is a float ndarray (NaN written as NA, or null in JSON), a bool
-    ndarray, or a list of cells of any type ``_fmt``/``_jsonable`` take.
+    ndarray, or a list of scalar cells of any type ``_fmt``/``_jsonable`` take.
     """
-    header = list(columns)
+    keys = list(columns)
+    n_rows = min(map(len, columns.values()), default=0)
     if cfg.format == "csv":
-        name += ".csv"
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        # The bytes of one join of every line, written 1,024 lines at a time
-        # so that the text of the table is never held; each block formats
-        # the distinct bit patterns of its part of a column once.
-        n_rows = min(map(len, columns.values()), default=0)
-        with open(cfg.out_dir / name, "w", encoding="utf-8", newline="\n") as out:
-            out.write(",".join(header) + "\n")
-            for first in range(0, n_rows, 1024):
-                cells = [_csv_cells(col[first:first + 1024]) for col in columns.values()]
-                out.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        text, head, tail, trim = _csv_text, ",".join(keys) + "\n", "", 0
+        befores, afters = [""] * len(keys), [","] * (len(keys) - 1) + ["\n"]
     else:
-        name += ".json"
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        # The bytes of _write_json(rows), written 256 row objects at a time
-        # without the brackets of each chunk's list, so that neither the rows
-        # nor the text of the whole table is held.
-        rows = zip(*map(_json_cells, columns.values()))
-        with open(cfg.out_dir / name, "w", encoding="utf-8", newline="\n") as out:
-            sep = "["
-            while chunk := [dict(zip(header, row)) for row in islice(rows, 256)]:
-                out.write(sep + json.dumps(chunk, indent=2, sort_keys=True)[1:-2])
-                sep = ","
-            out.write("[]\n" if sep == "[" else "\n]\n")
+        # The bytes of _write_json(rows): each row's first cell opens it with
+        # ",\n  {\n", trimmed to "\n  {\n" on the first row.
+        keys.sort()
+        text, head, tail, trim = _json_text, "[", "\n]\n" if n_rows else "]\n", 1
+        befores = [(",\n  {\n" if i == 0 else "") + f"    {json.dumps(k)}: " for i, k in enumerate(keys)]
+        afters = [",\n"] * (len(keys) - 1) + ["\n  }"]
+    name += "." + cfg.format
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    # Written 1,024 rows at a time, so that the text of the table is never
+    # held; each block encodes the distinct values of its part of a column once.
+    with open(cfg.out_dir / name, "w", encoding="utf-8", newline="\n") as out:
+        out.write(head)
+        for first in range(0, n_rows, 1024):
+            block = min(1024, n_rows - first)
+            cells = [""] * (block * len(keys))
+            for i, (key, before, after) in enumerate(zip(keys, befores, afters)):
+                cells[i::len(keys)] = _cells(columns[key][first:first + block], text, before, after)
+            cells[0], trim = cells[0][trim:], 0
+            out.write("".join(cells))
+        out.write(tail)
     cfg.outputs.append(name)
 
 

@@ -156,7 +156,10 @@ def validate_plan(plan: ProtocolInstance) -> list[str]:
 
     premiums = sorted(plan.premium_actions(), key=lambda a: a.start_time)
     for earlier, later in zip(premiums[:-1], premiums[1:]):
-        if not math.isclose(earlier.timeout - later.timeout, spec.Delta, abs_tol=1e-9):
+        # Each timeout D + k*Delta is rounded by up to an ulp of it, and so
+        # is their difference: near 1e12 a step of Delta=0.001 reads 2^-10.
+        slack = 3 * math.ulp(max(earlier.timeout, later.timeout))
+        if not math.isclose(earlier.timeout - later.timeout, spec.Delta, abs_tol=max(1e-9, slack)):
             problems.append(
                 f"premium ladder step between parties {earlier.party},{later.party} "
                 f"is {earlier.timeout - later.timeout:g}, expected Delta={spec.Delta:g}"

@@ -179,10 +179,12 @@ def law_terms(target, start, params: GbmParams, cdf=(), pe=()) -> tuple[list, li
     shapes = [np.broadcast(ratio, lam).shape for lam in (*cdf, *pe)]
     ends = list(itertools.accumulate((math.prod(shape) for shape in shapes), initial=0))
     args = np.empty(ends[-1])  # every term's -z / sqrt(2), written in place
-    for i, (lam, shape) in enumerate(zip((*cdf, *pe), shapes)):
-        m, s = _log_moments(params, lam)
-        shift = (params.mu + 0.5 * params.sigma**2) * lam if i >= len(cdf) else m
-        np.divide(_standardized(ratio - shift, s), -math.sqrt(2.0), out=args[ends[i]:ends[i + 1]].reshape(shape))
+    with np.errstate(over="ignore"):  # a tiny spread overflows z to its limit, +-inf
+        for i, (lam, shape) in enumerate(zip((*cdf, *pe), shapes)):
+            m, s = _log_moments(params, lam)
+            shift = (params.mu + 0.5 * params.sigma**2) * lam if i >= len(cdf) else m
+            np.divide(_standardized(ratio - shift, s), -math.sqrt(2.0),
+                      out=args[ends[i]:ends[i + 1]].reshape(shape))
     values = erfc(args)
     del args  # freed before the outputs: the fused terms are three times a term's size
     terms = [values[first:last].reshape(shape) for first, last, shape in zip(ends, ends[1:], shapes)]
@@ -219,9 +221,10 @@ def transition_pdf(target, state: PriceState, params: GbmParams, lam):
     shape = np.broadcast_shapes(arr.shape, np.shape(s))
     out = np.empty(shape)  # before z, so z frees the heap's top for the caller's next array
     z = np.subtract(np.log(arr / state.value), m, out=np.empty(shape))
-    z /= s
-    np.multiply(z, -0.5, out=out)
-    out *= z
+    with np.errstate(over="ignore"):  # a tiny spread overflows z, or z * z, to inf: a density of 0
+        z /= s
+        np.multiply(z, -0.5, out=out)
+        out *= z
     np.exp(out, out=out)
     den = np.multiply(arr, s, out=z)
     den *= math.sqrt(2.0 * math.pi)

@@ -233,12 +233,21 @@ def test_largest_accepted_sigma_runs_clean(tmp_path, subcommand):
                    "--out", str(tmp_path / "run")) == 0
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP.md item 12: from sigma 1e-155 transition_pdf's out *= z overflows; "
-    "htlc-surface warns and still writes its table"))
-def test_smallest_sigmas_run_clean(tmp_path):
-    assert run_cli("htlc-surface", "--set", "sigma=1e-160", "--set", "xa_step=0.5",
-                   "--out", str(tmp_path / "run")) == 0
+@pytest.mark.parametrize("sigma", ["1e-160", "1e-300", "5e-324"])
+@pytest.mark.parametrize("args, code", [
+    (("htlc-surface", "--set", "xa_step=0.5"), 0),
+    (("quickswap-sr", "--set", "xa_step=0.5"), 0),
+    (("validate", "--set", "kind=htlc"), 0),
+    (("montecarlo", "--set", "paths=1000", "--set", "cells=1"), 2),
+], ids=lambda a: a[0] if isinstance(a, tuple) else None)
+def test_smallest_sigmas_run_clean(tmp_path, capsys, args, code, sigma):
+    # From sigma 1e-155 down the density's z * z overflows, and at 5e-324 so
+    # do the divides by the spread; each lands on its limit, a density of 0
+    # or a step in the CDF.  The suite turns warnings into errors, so an
+    # overflow fails.  montecarlo refuses such a sigma with its own error.
+    assert run_cli(*args, "--set", f"sigma={sigma}", "--out", str(tmp_path / "run")) == code
+    if code:
+        assert capsys.readouterr().err.startswith("error: A never starts the HTLC swap")
 
 
 @pytest.mark.parametrize("args", [
@@ -690,6 +699,17 @@ def test_default_validate_and_plan_json_bytes_are_pinned(tmp_path, args, table, 
     assert _digest(tmp_path / table) == digest
 
 
+def test_premium_ladder_rounded_near_1e12_is_valid(tmp_path):
+    # Each step of this ladder reads 2^-10 h, Delta rounded to the spacing of
+    # floats near 1e12; neither subcommand may report it as a problem.
+    spec = ("--set", "n=3", "--set", "D=1e12", "--set", "Delta=0.001",
+            "--set", "locktimes=3e12,2e12,1.5e12")
+    assert run_cli("cyclic-plan", *spec, "--out", str(tmp_path / "plan")) == 0
+    summary = json.loads((tmp_path / "plan" / "manifest.json").read_text())["summary"]
+    assert summary["valid"] is True and summary["problems"] == []
+    assert run_cli("validate", "--set", "kind=cyclic", *spec, "--out", str(tmp_path / "val")) == 0
+
+
 def test_table_writer_edge_cases(tmp_path):
     nan = float("nan")
     columns = {
@@ -730,7 +750,7 @@ def test_table_writer_edge_cases(tmp_path):
 
 
 def test_json_table_streams_its_rows(tmp_path):
-    # 10,000 rows are written 256 row objects at a time, with the bytes of one
+    # 10,000 rows are written 1,024 rows at a time, with the bytes of one
     # json.dumps of the whole list: the traced peak stays below 3x the file.
     n = 10_000
     columns = {
@@ -749,7 +769,11 @@ def test_json_table_streams_its_rows(tmp_path):
         tracemalloc.stop()
     text = (tmp_path / "t.json").read_text(encoding="utf-8")
     assert peak < 3 * len(text)
-    rows = [dict(zip(columns, row)) for row in zip(*map(cli._json_cells, columns.values()))]
+    # The expected rows come from the column values: NaN is null, bools and
+    # strings are written as they are.
+    values = [col.tolist() if isinstance(col, np.ndarray) else col for col in columns.values()]
+    rows = [{key: None if isinstance(v, float) and math.isnan(v) else v
+             for key, v in zip(columns, row)} for row in zip(*values)]
     assert text == json.dumps(rows, indent=2, sort_keys=True) + "\n"
 
 
@@ -774,7 +798,17 @@ def test_csv_table_streams_its_rows(tmp_path):
         tracemalloc.stop()
     text = (tmp_path / "t.csv").read_text(encoding="utf-8")
     assert peak < 3 * len(text)
-    lines = [",".join(columns)] + [",".join(row) for row in zip(*map(cli._csv_cells, columns.values()))]
+    # The expected lines come from the column values: NaN is NA, a float has
+    # 12 significant digits, a bool is 1 or 0 and a text with a comma is quoted.
+    def cell(v):
+        if isinstance(v, bool):
+            return "1" if v else "0"
+        if isinstance(v, float):
+            return "NA" if math.isnan(v) else f"{v:.12g}"
+        return f'"{v}"' if "," in v else v
+
+    values = [col.tolist() if isinstance(col, np.ndarray) else col for col in columns.values()]
+    lines = [",".join(columns)] + [",".join(map(cell, row)) for row in zip(*values)]
     assert text == "\n".join(lines) + "\n"
     assert text.count("\n") == n + 1 and '"quickswap,1"' in text
 

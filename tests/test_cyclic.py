@@ -50,6 +50,27 @@ def test_premium_ladder_strictly_staggered():
     assert all(a - b == pytest.approx(1.0) for a, b in zip(timeouts, timeouts[1:]))
 
 
+def test_premium_ladder_check_allows_rounding_only():
+    def with_last_timeout(plan, timeout):
+        """The plan with its last premium (the earliest timeout) timing out at ``timeout``."""
+        last = min(plan.premium_actions(), key=lambda a: a.timeout)
+        return dataclasses.replace(plan, actions=tuple(
+            dataclasses.replace(a, timeout=timeout) if a is last else a for a in plan.actions))
+
+    # Near 1e12 floats are 2^-13 h apart: each timeout D + k*Delta rounds,
+    # and every step reads 2^-10 h where Delta is 0.001 h.
+    plan = generate(make_spec(3, D=1e12, Delta=0.001, locktimes=(3e12, 2e12, 1.5e12)))
+    timeouts = sorted(a.timeout for a in plan.premium_actions())
+    assert [b - a for a, b in zip(timeouts, timeouts[1:])] == [2.0**-10] * 2
+    assert validate_plan(plan) == []
+    # A step off by more than that rounding is still flagged, at any scale.
+    assert len(validate_plan(with_last_timeout(plan, 1e12 - 0.0005))) == 1
+    plan = generate(make_spec(3))  # Delta = 1: premium timeouts 14, 13, 12
+    assert validate_plan(plan) == []
+    assert validate_plan(with_last_timeout(plan, 12.01)) == [
+        "premium ladder step between parties 0,1 is 0.99, expected Delta=1"]
+
+
 def test_each_principal_has_predecessor_cancel_hash():
     plan = generate(make_spec(5))
     for a in [x for x in plan.actions if x.kind == "principal"]:
