@@ -661,6 +661,39 @@ def test_default_quickswap_sr_bytes_are_pinned(tmp_path):
         "f93acc64ec56075c7bc45a79cd22a848941445f6a54aebe3fcd80c0beef00486"
 
 
+@pytest.mark.parametrize("args, digest", [
+    (("quickswap-sr",), "694e3426d51c18f5482dc00511802d840f378860a9f295660d17cebf2733b203"),
+    (("montecarlo", "--seed", "0"), "3d18151e502beae6160e8c242a2a0063b30bbf3ab95e9e2e1d4dd9c2f3629d68"),
+])
+def test_default_quickswap_sr_and_montecarlo_manifests_are_pinned(tmp_path, args, digest):
+    assert run_cli(*args, "--out", str(tmp_path)) == 0
+    assert _digest(tmp_path / "manifest.json") == digest
+
+
+def test_default_surface_manifest_is_pinned_field_by_field(tmp_path):
+    # Every field exactly but max_sr, whose last bits come from np.exp and
+    # np.log and so depend on the host's SIMD extensions: it is pinned to the
+    # 12 digits the CSV writes.
+    assert run_cli("htlc-surface", "--out", str(tmp_path)) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    summary = manifest.pop("summary")
+    assert f"{summary.pop('max_sr'):.12g}" == "0.873541237619"
+    assert summary == {"T_max": 20.0, "T_prime_max": 21.0, "cells": 9702, "na_cells": 9116}
+    assert manifest == {
+        "subcommand": "htlc-surface", "format": "csv", "outputs": ["htlc_surface.csv"],
+        "params": {
+            "delay_step": 1.0, "eps": 1.0, "f_a": 0.0, "f_b": 0.0, "mu": 0.002, "r_a": 0.005,
+            "r_b": 0.005, "sigma": 0.1, "sp_a": 0.3, "sp_b": 0.3, "t_a": 48.0, "t_b": 24.0,
+            "t_eps": 1.0, "t_max": 20.0, "t_min": 0.0, "tau_a": 3.0, "tau_b": 3.0, "theta_1": 0.5,
+            "theta_2": 0.5, "tp_max": 21.0, "tp_min": 0.0, "uniform_delay_discounting": False,
+            "x_yb_t1": 2.0, "xa_max": 3.0, "xa_min": 1.0, "xa_step": 0.1,
+        },
+    }
+    # The text around the fields: sorted keys, two-space indents, one newline.
+    text = (tmp_path / "manifest.json").read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("args, table, table_digest, manifest_digest", [
     (("validate", "--set", "kind=htlc"), "validate.csv",
      "d5dc04cc4a7055fe4c92ad3462bdfb05d3627ca1dc9d229d92501d4f1f0f1aaa",
@@ -749,6 +782,14 @@ def test_table_writer_edge_cases(tmp_path):
     assert cfg.outputs == ["t.csv", "t.json", "empty.json", "empty.csv"]
 
 
+def _first_difference(got: str, want: str) -> str:
+    """Where two texts part: the offset of the first differing character and
+    40 characters of each from there.  Whole texts of ~300 KB compared inside
+    an ``assert`` are diffed by pytest's assertion rewriting for minutes."""
+    at = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), min(len(got), len(want)))
+    return f"texts differ at offset {at}: got {got[at:at + 40]!r}, want {want[at:at + 40]!r}"
+
+
 def test_json_table_streams_its_rows(tmp_path):
     # 10,000 rows are written 1,024 rows at a time, with the bytes of one
     # json.dumps of the whole list: the traced peak stays below 3x the file.
@@ -774,7 +815,9 @@ def test_json_table_streams_its_rows(tmp_path):
     values = [col.tolist() if isinstance(col, np.ndarray) else col for col in columns.values()]
     rows = [{key: None if isinstance(v, float) and math.isnan(v) else v
              for key, v in zip(columns, row)} for row in zip(*values)]
-    assert text == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    want = json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    same = text == want
+    assert same, _first_difference(text, want)
 
 
 def test_csv_table_streams_its_rows(tmp_path):
@@ -809,7 +852,9 @@ def test_csv_table_streams_its_rows(tmp_path):
 
     values = [col.tolist() if isinstance(col, np.ndarray) else col for col in columns.values()]
     lines = [",".join(columns)] + [",".join(map(cell, row)) for row in zip(*values)]
-    assert text == "\n".join(lines) + "\n"
+    want = "\n".join(lines) + "\n"
+    same = text == want
+    assert same, _first_difference(text, want)
     assert text.count("\n") == n + 1 and '"quickswap,1"' in text
 
 
