@@ -12,8 +12,10 @@ Subcommands
 - ``montecarlo``: analytic-vs-simulated success-rate cross-check.
 - ``cyclic-plan``: generate and audit an n-party cyclic swap plan.
 
-Every run writes a ``manifest.json`` echoing the fully resolved parameter
-set; reruns with identical config and seed produce byte-identical files.
+Each writer records the file it writes, and once the subcommand returns,
+``main`` writes a ``manifest.json`` echoing the fully resolved parameter set,
+those files and the subcommand's summary; reruns with identical config and
+seed produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -315,14 +317,17 @@ def _cells(col, text, before, after) -> list[str]:
 
 
 def _write_json(cfg: RunConfig, name: str, payload) -> None:
-    """Write ``payload`` to ``name`` in the output directory as sorted, indented JSON."""
+    """Write ``payload`` to ``name`` in the output directory as sorted,
+    indented JSON, and record the file in ``cfg.outputs``."""
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     (cfg.out_dir / name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                                     encoding="utf-8", newline="\n")
+    cfg.outputs.append(name)
 
 
 def _write_columns(cfg: RunConfig, name: str, columns: dict) -> None:
-    """Write one table, given as header -> column.
+    """Write one table, given as header -> column, and record its file in
+    ``cfg.outputs``.
 
     A column is a float ndarray (NaN written as NA, or null in JSON), a bool
     ndarray, or a list of scalar cells of any type ``_fmt``/``_jsonable`` take.
@@ -363,6 +368,8 @@ def _write_table(cfg: RunConfig, name: str, header: list[str], rows: list[list])
 
 
 def _write_manifest(cfg: RunConfig) -> None:
+    """The run's manifest: its subcommand, seed, format, parameters, the files
+    its writers recorded and its summary."""
     _write_json(cfg, "manifest.json", {
         "subcommand": cfg.subcommand,
         **({} if cfg.seed is None else {"seed": cfg.seed}),
@@ -402,7 +409,6 @@ def cmd_htlc_surface(cfg: RunConfig) -> int:
         "max_sr": float(finite.max()) if finite.size else None,
         "T_max": ts[-1], "T_prime_max": tps[-1],  # the last written: each axis is clipped to its window
     }
-    _write_manifest(cfg)
     return 0
 
 
@@ -421,18 +427,9 @@ def cmd_quickswap_sr(cfg: RunConfig) -> int:
         "sr_conditional": report.quick_sr / norm if norm > 0 else np.zeros(len(xa)),
         "x_t4_star": quickswapgame.claim_threshold_t4(q, x_a=xa),
     })
-
-    report_payload = {
-        "htlc_range_zero_delay": _jsonable(report.htlc_range_zero_delay),
-        "htlc_range_worst_delay": _jsonable(report.htlc_range_worst_delay),
-        "quick_range": _jsonable(report.quick_range),
-        "quick_contains_htlc": report.quick_contains_htlc,
-        "quick_strictly_contains_worst": report.quick_strictly_contains_worst,
-    }
-    _write_json(cfg, "participation.json", report_payload)
-    cfg.outputs.append("participation.json")
-    cfg.summary = dict(report_payload)
-    _write_manifest(cfg)
+    # Every field of the report but the rates, which the table holds.
+    cfg.summary = {k: _jsonable(v) for k, v in vars(report).items() if k != "quick_sr"}
+    _write_json(cfg, "participation.json", cfg.summary)
     return 0
 
 
@@ -456,26 +453,23 @@ def cmd_validate(cfg: RunConfig) -> int:
             cfg.summary["violations_confined_to_grief"] = confined
             ok = bool(violations) == (p["rho"] > 0) and confined
         cfg.summary["passed"] = ok and report.liveness_ok and report.correctness_ok
-        rows = [[r.profile, r.outcome, r.correctness, r.safety, r.liveness, len(r.witnesses)]
-                for r in report.rows]
+        verdicts = [(r.profile, r) for r in report.rows]
     else:
         spec = _cyclic_spec(p)
         plan = cyclic_mod.generate(spec)
         problems = cyclic_mod.validate_plan(plan)
-        rows, ok = [], not problems
         runs = [("all-compliant", {})]
         runs += [(f"P{g}-{mode}", {g: mode})
                  for g in range(spec.n) for mode in ("grief-lock", "grief-claim")]
-        for label, strategies in runs:
-            v = cyclic_mod.run_cyclic(plan, strategies)
-            rows.append([label, v.outcome, v.correctness, v.safety, v.liveness,
-                         len(v.witnesses)])
-            ok = ok and v.safety and v.liveness and v.correctness
-        cfg.summary = {"kind": kind, "rows": len(rows),
+        verdicts = [(label, cyclic_mod.run_cyclic(plan, strategies)) for label, strategies in runs]
+        ok = not problems and all(v.safety and v.liveness and v.correctness for _, v in verdicts)
+        cfg.summary = {"kind": kind, "rows": len(verdicts),
                        "plan_problems": len(problems), "passed": ok}
+    # A row per trace, of its label and verdicts (a PropertyRow's or a TraceVerdict's).
     _write_table(cfg, "validate",
-                 ["profile", "outcome", "correctness", "safety", "liveness", "witnesses"], rows)
-    _write_manifest(cfg)
+                 ["profile", "outcome", "correctness", "safety", "liveness", "witnesses"],
+                 [[label, v.outcome, v.correctness, v.safety, v.liveness, len(v.witnesses)]
+                  for label, v in verdicts])
     return 0 if cfg.summary["passed"] else 1
 
 
@@ -564,7 +558,6 @@ def cmd_montecarlo(cfg: RunConfig) -> int:
                  rows)
     cfg.summary = {"paths": paths, "cells": len(rows),
                    "max_abs_z": worst, "all_within_3se": worst <= 3.0}
-    _write_manifest(cfg)
     return 0 if worst <= 3.0 else 1
 
 
@@ -585,7 +578,6 @@ def cmd_cyclic_plan(cfg: RunConfig) -> int:
                  rows)
     cfg.summary = {"n": spec.n, "actions": len(plan.actions),
                    "problems": problems, "valid": not problems}
-    _write_manifest(cfg)
     return 0 if not problems else 1
 
 
@@ -642,7 +634,9 @@ def main(argv: list[str] | None = None) -> int:
             seed=getattr(args, "seed", None),
             format=args.format,
         )
-        return _COMMANDS[args.subcommand](cfg)
+        status = _COMMANDS[args.subcommand](cfg)
+        _write_manifest(cfg)
+        return status
     except (ConfigError, ValueError, OSError, QuadratureDepthError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
