@@ -57,7 +57,8 @@ class Strategy:
     """One party's behavior: kind plus the phase/amount it applies to.
 
     kinds: compliant | grief (stop cooperating after ``phase``; "start"
-    means never act) | delay (act ``hours`` late at ``phase``) |
+    means never act) | delay (act ``hours`` late at ``phase``; no other
+    kind takes hours, since the engine plays no other lag) |
     cancel (take the cancel path at ``phase``) | threshold (decide from
     the game-theoretic thresholds and the price path; ``interested``
     models the party's sampled type).
@@ -80,6 +81,8 @@ class Strategy:
             raise ValueError(f"strategy hours must be finite, got {self.hours}")
         if self.kind == "delay" and self.hours <= 0:
             raise ValueError("delay strategy needs positive hours")
+        if self.kind != "delay" and self.hours:
+            raise ValueError(f"only a delay strategy takes hours, got {self.hours:g} for {self.kind}")
 
     # -- phase queries -------------------------------------------------------
     def acts_at(self, phase: str) -> bool:
@@ -680,9 +683,10 @@ class _Run:
 
 
 def execute(plan: ProtocolInstance, strategies, *, decide=None, value=None,
-            tree=None) -> TraceVerdict:
+            tree=None, bound=None) -> TraceVerdict:
     """Run a plan with one strategy per party and audit the trace by the
-    plan's safety rule; every lock must be released by ``_release_bound``.
+    plan's safety rule; every lock must be released by ``bound``, by
+    default ``_release_bound(plan, strategies)``.
 
     ``decide(party, phase, now)`` is the threshold strategies' choice;
     ``value`` lists each chain's coin value in the first chain's asset (1 each
@@ -698,7 +702,9 @@ def execute(plan: ProtocolInstance, strategies, *, decide=None, value=None,
         trace = _facts(r)
         if tree is not None:
             _grow(tree, r.asked, trace)
-    return _judge(plan, trace, [s.kind for s in strategies], _release_bound(plan, strategies), value)
+    if bound is None:
+        bound = _release_bound(plan, strategies)
+    return _judge(plan, trace, [s.kind for s in strategies], bound, value)
 
 
 class _Trace(NamedTuple):
@@ -896,7 +902,8 @@ def run(
                 return strategies[0].interested and price(now) >= instance.thresholds[1]
             return True
 
-    return execute(instance, strategies, decide=decide, value=value, tree=instance.answer_tree)
+    return execute(instance, strategies, decide=decide, value=value, tree=instance.answer_tree,
+                   bound=bound)
 
 
 # ---------------------------------------------------------------------------

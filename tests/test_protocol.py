@@ -113,6 +113,33 @@ def test_liveness_bound_grows_with_delays():
     assert liveness_bound(inst, slow) > liveness_bound(inst, COMPLIANT)
 
 
+@pytest.mark.parametrize("strategy", [
+    lambda: Strategy("grief", phase="lock", hours=5.0),
+    lambda: Strategy("grief", phase="lock", hours=500.0),
+    lambda: Strategy("cancel", phase="claim", hours=1.0),
+    lambda: Strategy("compliant", hours=2.0),
+    lambda: Strategy("threshold", hours=-1.0),
+], ids=["grief-5h", "grief-500h", "cancel", "compliant", "threshold"])
+def test_only_a_delay_strategy_takes_hours(strategy):
+    # The engine plays hours only as a delay's lag.  A grief given 500 hours
+    # played the events of a plain grief, yet widened the default HTLC plan's
+    # liveness bound from 59.5 h to 559.5 h, so a late release passed.
+    with pytest.raises(ValueError, match="only a delay strategy takes hours"):
+        strategy()
+
+
+def test_run_computes_the_liveness_bound_once(monkeypatch):
+    inst = build_htlc_instance(baseline())
+    grief = StrategyProfile(Strategy("compliant"), Strategy("grief", phase="lock"))
+    assert liveness_bound(inst, grief) == liveness_bound(inst, COMPLIANT) == 59.5
+    calls = []
+    bound = protocol._release_bound
+    monkeypatch.setattr(protocol, "_release_bound", lambda *a: calls.append(a) or bound(*a))
+    for profile in (COMPLIANT, grief, COMPLIANT):  # the last is replayed from the answer tree
+        run(inst, profile)
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("kind, kwargs", [
     ("grief", {"phase": "bogus"}),
     ("cancel", {"phase": "claimm"}),
