@@ -58,6 +58,17 @@ class CyclicSpec:
                     f"locktimes must strictly decrease: T{i + 1} >= T{i} "
                     f"({self.locktimes[i + 1]} >= {self.locktimes[i]})"
                 )
+        # A timeout is start + locktime rounded to the floats near the start,
+        # so far from hour 0 the hours a lock is held may reverse.
+        starts = self.starts()
+        held = [(t + lt) - t for t, lt in zip(starts, self.locktimes)]
+        for i in range(self.n - 1):
+            if not held[i] > held[i + 1]:
+                raise ValueError(
+                    f"locktimes must strictly decrease over the hours the plan holds them: "
+                    f"T{i + 1} is held {held[i + 1]!r}h from hour {starts[i + 1]:g}, "
+                    f"T{i} {held[i]!r}h from hour {starts[i]:g}"
+                )
         ladder_top = self.D + (self.n - 1) * self.Delta
         if not ladder_top < self.locktimes[-1]:
             raise ValueError(
@@ -66,6 +77,16 @@ class CyclicSpec:
             )
         if self.rho < 0 or self.Delta < 0 or self.D <= 0 or self.t_eps < 0:
             raise ValueError("D must be > 0 and Delta, rho, t_eps >= 0")
+
+    def starts(self) -> list[float]:
+        """The hour each party's principal lock starts in ``generate``'s
+        plan: the last party's premium confirms first, then each party's
+        locks confirm in ring order."""
+        t, out = 0.0, []
+        for tau in (self.taus[-1], *self.taus[:-1]):
+            t += tau
+            out.append(t)
+        return out
 
     def premium(self, i: int) -> float:
         """Premium locked by party i: c(successor principal * its locktime).
@@ -99,16 +120,15 @@ def generate(spec: CyclicSpec) -> ProtocolInstance:
     for i in range(n):
         secrets[f"H{i}"] = _mk_secret(f"cyclic-cancel-secret-{i}".encode())
 
+    starts = spec.starts()
     actions: list[LockAction] = []
-    t = 0.0
     # Leading premium by the last party, compensating P0 on timeout.
     actions.append(LockAction(
         party=last, chain=last, amount=spec.premium(last), kind="premium",
-        start_time=t, timeout=spec.D + (n - 1) * spec.Delta, timeout_recipient=0,
+        start_time=0.0, timeout=spec.D + (n - 1) * spec.Delta, timeout_recipient=0,
         hashlock_claimant=last, hashlocks=("Hbar", f"H{last}"),
     ))
-    t += spec.taus[last]
-    for i in range(n - 1):
+    for i, t in enumerate(starts[:-1]):
         pred = (i - 1) % n
         actions.append(LockAction(
             party=i, chain=i, amount=spec.amounts[i], kind="principal",
@@ -122,7 +142,7 @@ def generate(spec: CyclicSpec) -> ProtocolInstance:
             timeout_recipient=(i + 1) % n,
             hashlock_claimant=i, hashlocks=("Hbar", f"H{i}"),
         ))
-        t += spec.taus[i]
+    t = starts[last]
     actions.append(LockAction(
         party=last, chain=last, amount=spec.amounts[last], kind="principal",
         start_time=t, timeout=t + spec.locktimes[last], timeout_recipient=last,

@@ -280,8 +280,16 @@ def _two_party(kind, params, b, actions, secrets, rho) -> ProtocolInstance:
     """A plan of parties A and B on "chain-a" and "chain-b", safe by
     ``_compensated`` at ``rho``.  A and B each wait for the counterparty's
     lock to confirm and for A's claim to be seen on the slower chain, each
-    plus half of B's confirmation delay."""
+    plus half of B's confirmation delay.  A's principal must be held longer
+    than B's: a timeout is start + locktime rounded to the floats near the
+    start, so t_a > t_b may still give both locks the same hours."""
     _lockable(x_a=b.x_a)
+    a_lock, b_lock = (next(a for a in actions if a.kind == "principal" and a.party == p) for p in (0, 1))
+    held = [lock.timeout - lock.start_time for lock in (a_lock, b_lock)]
+    if not held[0] > held[1]:
+        raise ValueError(f"t_a must exceed t_b over the hours the plan holds them: A's lock is held "
+                         f"{held[0]!r}h from hour {a_lock.start_time:g}, B's {held[1]!r}h from hour "
+                         f"{b_lock.start_time:g}")
     slack = b.tau_b / 2.0
     return ProtocolInstance(
         kind, params, actions, secrets, ("A", "B"), (("chain-a", b.tau_a), ("chain-b", b.tau_b)),

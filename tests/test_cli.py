@@ -743,6 +743,19 @@ def test_premium_ladder_rounded_near_1e12_is_valid(tmp_path):
     assert run_cli("validate", "--set", "kind=cyclic", *spec, "--out", str(tmp_path / "val")) == 0
 
 
+@pytest.mark.parametrize("args", [("cyclic-plan",), ("validate", "--set", "kind=cyclic")])
+def test_lock_hours_that_round_out_of_order_exit_2(tmp_path, capsys, args):
+    # Near 1e17 a timeout, start + locktime, rounds to the float spacing of
+    # 16 to 64 h, so the plan would hold the locks of 48, 42 and 36 h for
+    # 48, 32 and 64 h.  cyclic-plan wrote that plan and exited 1, and
+    # validate exited 2 with an error about its hourly polls.
+    assert run_cli(*args, "--set", "taus=1e17,1e17,1e17", "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == (
+        "error: locktimes must strictly decrease over the hours the plan holds them: "
+        "T2 is held 64.0h from hour 3e+17, T1 32.0h from hour 2e+17\n")
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+
 def test_table_writer_edge_cases(tmp_path):
     nan = float("nan")
     columns = {

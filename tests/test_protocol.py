@@ -14,6 +14,7 @@ from conftest import baseline, quick_baseline
 from swapsim import protocol
 from swapsim.htlcgame import claim_threshold_t3, continuation_band_t2, success_rate
 from swapsim.ledgersim import Chain
+from swapsim.pricemodel import GbmParams
 from swapsim.protocol import (
     LockAction,
     ProtocolInstance,
@@ -126,6 +127,24 @@ def test_only_a_delay_strategy_takes_hours(strategy):
     # liveness bound from 59.5 h to 559.5 h, so a late release passed.
     with pytest.raises(ValueError, match="only a delay strategy takes hours"):
         strategy()
+
+
+@pytest.mark.parametrize("build", [
+    lambda **kw: build_htlc_instance(baseline(**kw)),
+    lambda **kw: build_quickswap_instance(quick_baseline(D=5.0, Delta=1.0, tau_b=1.0, **kw)),
+], ids=["htlc", "quickswap"])
+def test_two_party_locks_held_equally_long_are_refused(build):
+    # t_b = 2^40 + 2^-12 has an odd last bit and tau_a is half its spacing,
+    # so B's timeout tau_a + t_b rounds up by 2^-13 and its lock is held
+    # 2^40 + 2^-11 h: as long as A's, at t_a = t_b + 2^-12 > t_b.  Such a
+    # plan validated.  One spacing more and A's lock is held longer.
+    t_b, tau_a = 2.0 ** 40 + 2.0 ** -12, 2.0 ** -13
+    game = dict(t_b=t_b, tau_a=tau_a, t_eps=0.0, eps=0.0, r_a=0.0, r_b=0.0, gbm=GbmParams(0.0, 0.1))
+    with pytest.raises(ValueError, match="t_a must exceed t_b over the hours the plan holds them"):
+        build(t_a=t_b + 2.0 ** -12, **game)
+    plan = build(t_a=t_b + 2.0 ** -11, **game)
+    a_lock, b_lock = (plan.actions[i] for i in plan.principals)
+    assert a_lock.timeout - a_lock.start_time > b_lock.timeout - b_lock.start_time
 
 
 def test_run_computes_the_liveness_bound_once(monkeypatch):
