@@ -158,13 +158,15 @@ def _standardized(d, s):
 def _log_ratio(target, start):
     """``log(target / start)``, and -inf where ``target`` is <= 0: such a
     target lies below every price, and both kernels below are exactly 0
-    there.  The check reads ``target`` alone (a threshold per row), not the
-    result broadcast against ``start``."""
+    there.  Where the ratio leaves the float range (a target and a start
+    hundreds of decades apart), it is the difference of their logs."""
     target = np.asarray(target, dtype=float)
-    if target.min(initial=math.inf) > 0:
-        return np.log(target / start)
-    with np.errstate(divide="ignore"):
-        return np.log(np.maximum(target, 0.0) / start)
+    with np.errstate(divide="ignore", over="ignore"):
+        out = np.log(np.maximum(target, 0.0) / start)
+    past = ~np.isfinite(out) & (target > 0.0)
+    if past.any():
+        out = np.where(past, np.log(np.where(past, target, 1.0)) - np.log(start), out)
+    return out
 
 
 def law_terms(target, start, params: GbmParams, cdf=(), pe=()) -> tuple[list, list]:
@@ -216,6 +218,9 @@ def transition_pdf(target, state: PriceState, params: GbmParams, lam):
     """
     arr = _law_inputs(target, params, lam)
     m, s = _log_moments(params, lam)
+    if not np.all(s > 0):  # as at sigma = 0, the law is then a point, which has no density
+        raise ValueError(f"sigma * sqrt(horizon) underflows to 0 at sigma {params.sigma:g} over "
+                         f"{np.min(lam):g}h: the price law is a point, which has no density")
     # exp(-0.5 * z * z) / (arr * s * sqrt(2 pi)), z = (log(arr / x0) - m) / s,
     # in that operation order on two arrays of the broadcast shape.
     shape = np.broadcast_shapes(arr.shape, np.shape(s))
