@@ -620,3 +620,65 @@ def test_spend_inputs_shared_by_traces_are_read_only():
     for spend, _ in spends:
         with pytest.raises(TypeError):
             spend.preimages["forged"] = b"x" * 32
+
+
+def _hand_trace(plan, *, spender, endow, recv, swapped=False, revealed=(), unconserved=()):
+    """A finished trace of ``plan`` built by hand: every lock released by
+    hour 0, with these spends, holdings and revealed roles."""
+    return protocol._Trace(holdings=[], swapped=swapped, spender=list(spender),
+                           revealed=frozenset(revealed), worth=(endow, recv), events=[],
+                           locks_left=0, last_spend=0.0, unconserved=list(unconserved), final_time=0.0)
+
+
+def _cyclic_plan():
+    from swapsim.cyclic import CyclicSpec, generate
+
+    return generate(CyclicSpec(n=3, amounts=(2.0,) * 3, taus=(3.0,) * 3, locktimes=(48.0, 42.0, 36.0),
+                               D=12.0, Delta=2.0))
+
+
+def test_cyclic_safety_names_a_compliant_party_that_gets_back_less_than_it_locked():
+    # P2 griefs and every lock times out, but P1 ends 0.5 short of what it
+    # locked.  The griefer's own shortfall is no violation.
+    plan = _cyclic_plan()
+    endow = {"P0": 2.0, "P1": 2.0, "P2": 2.0}
+    t = _hand_trace(plan, spender=[f"timeout-{i}" for i in range(len(plan.actions))],
+                    endow=endow, recv={"P0": 2.0, "P1": 1.5, "P2": 0.0})
+    v = protocol._judge(plan, t, ["compliant", "compliant", "grief"], plan.release, None)
+    assert (v.outcome, v.correctness, v.safety, v.liveness) == ("griefed", True, False, True)
+    assert v.witnesses == ["safety: P1 received 1.5 < expected 2"]
+    assert v.net_value == {"P0": 0.0, "P1": -0.5, "P2": -2.0}
+
+
+def test_cyclic_success_that_reveals_a_cancel_secret_is_witnessed():
+    # Every principal is claimed and each party holds what it was owed, but
+    # P1's cancellation secret is public too: a witness, not a safety breach.
+    plan = _cyclic_plan()
+    spender = [f"claim-{i}" if i in plan.principals else f"timeout-{i}" for i in range(len(plan.actions))]
+    held = {"P0": 2.0, "P1": 2.0, "P2": 2.0}
+    t = _hand_trace(plan, spender=spender, endow=held, recv=dict(held), swapped=True,
+                    revealed={"Hbar", "H1"})
+    v = protocol._judge(plan, t, ["compliant"] * 3, plan.release, None)
+    assert (v.outcome, v.correctness, v.safety, v.liveness) == ("swapped", True, True, True)
+    assert v.witnesses == ["success trace revealed ['H1', 'Hbar']"]
+
+
+def test_compliant_parties_that_fail_to_swap_are_a_correctness_witness():
+    # Both parties comply, yet both principals time out back to them.
+    plan = build_htlc_instance(baseline())
+    endow = {"A": 2.0, "B": 2.0}
+    t = _hand_trace(plan, spender=["timeout-0", "timeout-1"], endow=endow, recv=dict(endow))
+    v = protocol._judge(plan, t, ["compliant", "compliant"], plan.release, None)
+    assert (v.outcome, v.correctness, v.safety, v.liveness) == ("cancelled", False, True, True)
+    assert v.witnesses == ["correctness: compliant parties failed to swap"]
+
+
+def test_a_chain_that_does_not_conserve_value_fails_safety():
+    # A swap in which each party holds the other's principal, on a trace
+    # whose chain-b does not conserve value.
+    plan = build_htlc_instance(baseline())
+    t = _hand_trace(plan, spender=["claim-0", "claim-final"], endow={"A": 2.0, "B": 2.0},
+                    recv={"A": 2.0, "B": 2.0}, swapped=True, revealed={"Hbar"}, unconserved=["chain-b"])
+    v = protocol._judge(plan, t, ["compliant", "compliant"], plan.release, None)
+    assert (v.outcome, v.correctness, v.safety, v.liveness) == ("swapped", True, False, True)
+    assert v.witnesses == ["conservation violated on chain-b"]
