@@ -163,10 +163,10 @@ def _log_ratio(target, start):
     target = np.asarray(target, dtype=float)
     with np.errstate(divide="ignore", over="ignore"):
         out = np.log(np.maximum(target, 0.0) / start)
+    if math.isfinite(out.sum()):  # every |log| is below 745, so no sum of them overflows
+        return out
     past = ~np.isfinite(out) & (target > 0.0)
-    if past.any():
-        out = np.where(past, np.log(np.where(past, target, 1.0)) - np.log(start), out)
-    return out
+    return np.where(past, np.log(np.where(past, target, 1.0)) - np.log(start), out)
 
 
 def law_terms(target, start, params: GbmParams, cdf=(), pe=()) -> tuple[list, list]:
